@@ -103,8 +103,6 @@ from repro.serving import (
     TieredPlacementEngine,
     WorkloadConfig,
     build_storage,
-    make_tiered_fleet,
-    make_tiered_service,
 )
 from repro.online import OnlineDriver, RolloutPlanner
 from repro.sim import SimCluster
@@ -867,36 +865,35 @@ class Session:
                     serve.max_queue_delay_ms * 1e-3,
                 )
                 placement = Placement(strategy, emb_hosts=emb_hosts)
+                # The tiered hierarchy composes by injection: a chain
+                # per cache, the tiered engine pricing its hops.
+                if storage is not None:
+                    engine = TieredPlacementEngine(
+                        sim, model, placement, storage
+                    )
+                    make_cache = functools.partial(
+                        storage.make_chain, LRUEmbeddingCache
+                    )
+                else:
+                    engine = None
+                    make_cache = functools.partial(
+                        LRUEmbeddingCache, serve.cache_rows
+                    )
+                fleet_kwargs = dict(
+                    router=serve.router,
+                    num_replicas=serve.fleet_replicas,
+                    cache_factory=make_cache,
+                    router_seed=serve.seed,
+                    engine=engine,
+                )
                 if resilient:
                     # Faults/autoscaling are a fleet story (the spec
-                    # layer enforces serve.uses_fleet); the tiered
-                    # engine composes unchanged via injection.
-                    tiered_engine = (
-                        TieredPlacementEngine(
-                            sim, model, placement, storage
-                        )
-                        if storage is not None
-                        else None
-                    )
+                    # layer enforces serve.uses_fleet).
                     server: Any = ResilientFleet(
                         sim,
                         model,
                         placement,
                         batcher,
-                        router=serve.router,
-                        num_replicas=serve.fleet_replicas,
-                        cache_rows=serve.cache_rows,
-                        cache_factory=(
-                            (
-                                lambda: storage.make_chain(
-                                    LRUEmbeddingCache
-                                )
-                            )
-                            if storage is not None
-                            else None
-                        ),
-                        router_seed=serve.seed,
-                        engine=tiered_engine,
                         faults=fault_cfg,
                         retry=retry_cfg,
                         recovery=recovery_cfg,
@@ -907,40 +904,15 @@ class Session:
                         stale_penalty=(
                             fs.stale_penalty if fs is not None else 0.05
                         ),
-                    )
-                elif storage is not None and serve.uses_fleet:
-                    server = make_tiered_fleet(
-                        sim,
-                        model,
-                        placement,
-                        batcher,
-                        storage,
-                        router=serve.router,
-                        num_replicas=serve.fleet_replicas,
-                        router_seed=serve.seed,
-                    )
-                elif storage is not None:
-                    server = make_tiered_service(
-                        sim, model, placement, batcher, storage
+                        **fleet_kwargs,
                     )
                 elif serve.uses_fleet:
                     server = ServingFleet(
-                        sim,
-                        model,
-                        placement,
-                        batcher,
-                        router=serve.router,
-                        num_replicas=serve.fleet_replicas,
-                        cache_rows=serve.cache_rows,
-                        router_seed=serve.seed,
+                        sim, model, placement, batcher, **fleet_kwargs
                     )
                 else:
                     server = InferenceService(
-                        sim,
-                        model,
-                        placement,
-                        batcher,
-                        LRUEmbeddingCache(serve.cache_rows),
+                        sim, model, placement, batcher, make_cache(), engine
                     )
                 if warm_from is not None:
                     seeded = server.warm_start_from_checkpoint(warm_from)

@@ -11,25 +11,32 @@ on the same cost-model machinery:
   (flush-on-full / flush-on-deadline);
 - :mod:`repro.serving.cache` — LRU embedding cache with hit-rate
   accounting (vectorized fast path + reference implementation);
-- :mod:`repro.serving.service` — the :class:`InferenceService` that
-  prices each served batch through
+- :mod:`repro.serving.replay` — the one replay core: an event loop
+  over replica *slots* (a batch queue, a cache, ``k`` servers) that
+  merges the arrival-sorted trace against a heap of control events,
+  probes each closed batch's cache and prices it through
   :class:`~repro.comm.cost_model.CollectiveCostModel` on a
-  :class:`~repro.sim.SimCluster` and reports p50/p95/p99 latency,
-  sustained throughput, and per-phase timeline breakdowns for
-  colocated vs disaggregated embedding placement;
-- :mod:`repro.serving.fleet` — the :class:`ServingFleet`: N replicas,
-  each with its own batcher and cache, fed by a pluggable router
-  (round-robin / consistent-hash / power-of-two-choices) on the same
-  priced cluster;
+  :class:`~repro.sim.SimCluster`.  The next three modules are its
+  front doors — three configurations, no second loop:
+- :mod:`repro.serving.service` — the placement engine, the
+  p50/p95/p99 + throughput + per-phase :class:`ServingReport`, and the
+  :class:`InferenceService` (one slot, a server per dense host, no
+  router) comparing colocated vs disaggregated embedding placement;
+- :mod:`repro.serving.fleet` — the :class:`ServingFleet`: N
+  one-server slots, each with its own queue and cache, behind a
+  pluggable router (round-robin / consistent-hash /
+  power-of-two-choices) that routes the whole trace up front;
 - :mod:`repro.serving.tiers` — the tiered storage hierarchy: a
   multi-level :class:`CacheChain` (HBM/DRAM/SSD) over an HBM or
   remote-parameter-server backing, priced per
   :class:`~repro.hardware.MemoryTierSpec`, with the classic single-tier
   path as the bit-identical degenerate preset;
 - :mod:`repro.serving.faults` — seeded fault injection (replica
-  crash/hang, fetch-tier degradation/outage) with client-side
-  timeout/retry/backoff, degraded-mode serving, and crash recovery
-  priced by an MTTR model — the :class:`ResilientFleet` replay;
+  crash/hang, fetch-tier degradation/outage), client-side
+  timeout/retry/backoff, degraded-mode serving and an MTTR model for
+  crash recovery; the :class:`ResilientFleet` hands them to the same
+  loop as a control schedule and routes per arrival against the live
+  membership;
 - :mod:`repro.serving.autoscale` — the closed-loop SLO autoscaler
   watching windowed p99/queue depth and scaling the fleet between
   bounds with priced warm-start prefill.

@@ -22,27 +22,31 @@ Every replica's batches are priced through the shared
 :class:`~repro.sim.SimCluster` — the fetch tier (global fabric when
 colocated, the embedding hosts when disaggregated) is a fleet-wide
 shared resource, which is exactly what makes the placement comparison
-interesting under load.  :meth:`ServingFleet.serve` returns a
-:class:`FleetReport`: one aggregate :class:`ServingReport` plus one per
-replica that served traffic.
+interesting under load.  The replay is the one event loop of
+:mod:`repro.serving.replay`, configured as N one-server slots behind
+the router; :meth:`ServingFleet.serve` returns a :class:`FleetReport`:
+one aggregate :class:`ServingReport` plus one per replica that served
+traffic.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import LRUEmbeddingCache, _LRUCacheBase
+from repro.serving.replay import ControlPlane, Replay, Slot
 from repro.serving.service import (
     Placement,
     PlacementEngine,
     ServingModel,
     ServingReport,
     build_report,
+    warm_start,
 )
 from repro.serving.workload import Request
 from repro.sim.cluster import SimCluster
@@ -332,11 +336,35 @@ class FleetReport:
     replicas: Dict[int, ServingReport]
     requests_per_replica: List[int]
 
+    @classmethod
+    def from_run(
+        cls, run: Replay, router: str, placement: str, model: str
+    ) -> "FleetReport":
+        """Assemble the per-replica and aggregate reports of a finished
+        replay — every report computes percentiles, throughput and
+        offered load through the one :func:`build_report`."""
+        return cls(
+            router=router,
+            num_replicas=len(run.slots),
+            fleet=build_report(placement, model, **run.report_material()),
+            replicas={
+                slot.idx: build_report(
+                    placement, model, **run.report_material(slot)
+                )
+                for slot in run.slots
+                if slot.reqs
+            },
+            requests_per_replica=[len(slot.reqs) for slot in run.slots],
+        )
+
     @property
     def load_imbalance(self) -> float:
         """Max over mean requests per replica (1.0 = perfectly even,
-        counting idle replicas)."""
+        counting idle replicas; 0.0 for a fleet that served nothing —
+        the all-zero convention of :meth:`ServingReport.empty`)."""
         counts = np.asarray(self.requests_per_replica, dtype=np.float64)
+        if not counts.any():
+            return 0.0
         return float(counts.max() / counts.mean())
 
     def to_dict(self) -> Dict[str, Any]:
@@ -355,7 +383,8 @@ class FleetReport:
 
 class ServingFleet:
     """N serving replicas, each owning a batcher queue and an LRU
-    embedding cache, priced on one shared :class:`SimCluster`.
+    embedding cache, priced on one shared :class:`SimCluster` — N
+    one-server replay slots behind a router, with no control schedule.
 
     ``num_replicas`` defaults to one replica per dense host (the
     :class:`~repro.serving.service.InferenceService` notion); more
@@ -383,6 +412,10 @@ class ServingFleet:
         self.engine = (
             engine if engine is not None else PlacementEngine(sim, model, placement)
         )
+        self.sim = sim
+        self.model = model
+        self.placement = placement
+        self.batcher = batcher
         self.num_replicas = (
             num_replicas
             if num_replicas is not None
@@ -392,151 +425,56 @@ class ServingFleet:
             raise ValueError(
                 f"num_replicas must be >= 1, got {self.num_replicas}"
             )
-        self.sim = sim
-        self.model = model
-        self.placement = placement
-        self.batcher = batcher
         self.router = router if isinstance(router, Router) else make_router(
             router, seed=router_seed
         )
-        factory = cache_factory or (lambda: LRUEmbeddingCache(cache_rows))
+        self._cache_factory = cache_factory or (
+            lambda: LRUEmbeddingCache(cache_rows)
+        )
         self.caches: List[_LRUCacheBase] = [
-            factory() for _ in range(self.num_replicas)
+            self._cache_factory() for _ in range(self.num_replicas)
         ]
         # Replicas beyond the dense hosts time-share their GPUs.
         self.host_share = min(
             1.0, self.engine.num_dense_hosts / self.num_replicas
         )
 
-    # ------------------------------------------------------------------
     def warm_start_from_checkpoint(
         self, path: str, max_rows: Optional[int] = None
     ) -> int:
-        """Prefill every replica's cache from the checkpoint's hottest
-        saved rows (each replica may see any key, so each gets the
-        same hottest-first seed).  Returns total rows seeded."""
-        limit = max(cache.capacity_rows for cache in self.caches)
-        if max_rows is not None:
-            limit = min(limit, max_rows)
-        if limit <= 0:
-            return 0
-        from repro.checkpoint.state import hottest_rows
+        """Prefill every initial replica's cache from a checkpoint (see
+        :func:`~repro.serving.service.warm_start`).  A resilient
+        fleet's scale-up slots stay cold on purpose — their warm-start
+        is the autoscaler's priced prefill."""
+        return warm_start(self.caches[: self.num_replicas], path, max_rows)
 
-        rows = hottest_rows(path, limit)
-        return sum(cache.prefill(rows) for cache in self.caches)
+    def _replay(
+        self, requests: Sequence[Request], control: Optional[ControlPlane]
+    ) -> Tuple[Replay, FleetReport]:
+        """One run over fresh slots on this fleet's caches (caches past
+        the initial replicas are idle headroom), and its fleet report."""
+        slots = [
+            Slot(
+                idx,
+                cache,
+                label=f"/replica{idx}",
+                state="active" if idx < self.num_replicas else "idle",
+            )
+            for idx, cache in enumerate(self.caches)
+        ]
+        run = Replay(
+            requests,
+            slots,
+            self.engine,
+            self.batcher,
+            self.sim.timeline,
+            self.router,
+            control,
+        ).run()
+        return run, FleetReport.from_run(
+            run, self.router.name, self.placement.strategy, self.model.name
+        )
 
-    # ------------------------------------------------------------------
     def serve(self, requests: Sequence[Request]) -> FleetReport:
         """Route, batch, and price the trace; returns the fleet report."""
-        if not requests:
-            raise ValueError("cannot serve an empty request trace")
-        ordered = sorted(requests, key=lambda r: r.arrival_s)
-        self.router.bind(self.num_replicas)
-        assignment = self.router.route_trace(
-            ordered, self.batcher.max_delay_s
-        )
-        per_replica: List[List[Request]] = [
-            [] for _ in range(self.num_replicas)
-        ]
-        for req, rep in zip(ordered, assignment):
-            per_replica[int(rep)].append(req)
-
-        tagged = []
-        for rep, reqs in enumerate(per_replica):
-            if reqs:
-                tagged.extend(
-                    (batch.ready_s, rep, batch)
-                    for batch in self.batcher.form_batches(reqs)
-                )
-        # One global event order over the shared fetch tier.
-        tagged.sort(key=lambda item: (item[0], item[1]))
-
-        num = self.num_replicas
-        replica_free = np.zeros(num)
-        fetch_free = np.zeros(self.engine.num_fetch_servers)
-        timeline = self.sim.timeline
-        events_before = len(timeline.events)
-        stats_before = [cache.stats for cache in self.caches]
-        latencies: List[List[float]] = [[] for _ in range(num)]
-        batch_counts = [0] * num
-        # Same shape convention as the timeline-derived breakdowns: a
-        # phase key exists only if the replica recorded an event for it.
-        phase_ms: List[Dict[str, float]] = [{} for _ in range(num)]
-        strategy = self.placement.strategy
-        for ready, rep, batch in tagged:
-            start = max(ready, float(replica_free[rep]))
-            hits, miss_keys = self.caches[rep].probe(batch.keys)
-            extra = self.engine.chain_extra_seconds(self.caches[rep])
-            done, t_fetch, t_compute, t_queue = self.engine.price_batch(
-                batch,
-                start,
-                fetch_free,
-                hits,
-                len(miss_keys),
-                host_share=self.host_share,
-                label_suffix=f"/replica{rep}",
-                extra_compute_s=extra,
-            )
-            mine = phase_ms[rep]
-            if len(miss_keys):
-                mine["embedding_comm"] = (
-                    mine.get("embedding_comm", 0.0) + t_fetch * 1e3
-                )
-            mine["compute"] = mine.get("compute", 0.0) + t_compute * 1e3
-            mine["queue"] = mine.get("queue", 0.0) + t_queue * 1e3
-            replica_free[rep] = done
-            batch_counts[rep] += 1
-            latencies[rep].extend(
-                done - req.arrival_s for req in batch.requests
-            )
-
-        replica_reports: Dict[int, ServingReport] = {}
-        for rep in range(num):
-            if not per_replica[rep]:
-                continue
-            stats = self.caches[rep].stats
-            replica_reports[rep] = build_report(
-                placement=strategy,
-                model=self.model.name,
-                requests=per_replica[rep],
-                num_batches=batch_counts[rep],
-                latencies_s=np.asarray(latencies[rep]),
-                last_done_s=float(replica_free[rep]),
-                hits=stats.hits - stats_before[rep].hits,
-                misses=stats.misses - stats_before[rep].misses,
-                breakdown_ms=phase_ms[rep],
-            )
-
-        breakdown: Dict[str, float] = {}
-        for event in timeline.events[events_before:]:
-            breakdown[event.phase.value] = (
-                breakdown.get(event.phase.value, 0.0) + event.seconds * 1e3
-            )
-        total_hits = sum(
-            self.caches[rep].stats.hits - stats_before[rep].hits
-            for rep in range(num)
-        )
-        total_misses = sum(
-            self.caches[rep].stats.misses - stats_before[rep].misses
-            for rep in range(num)
-        )
-        fleet = build_report(
-            placement=strategy,
-            model=self.model.name,
-            requests=ordered,
-            num_batches=len(tagged),
-            latencies_s=np.concatenate(
-                [np.asarray(lat) for lat in latencies if lat]
-            ),
-            last_done_s=float(replica_free.max()),
-            hits=total_hits,
-            misses=total_misses,
-            breakdown_ms=breakdown,
-        )
-        return FleetReport(
-            router=self.router.name,
-            num_replicas=num,
-            fleet=fleet,
-            replicas=replica_reports,
-            requests_per_replica=[len(reqs) for reqs in per_replica],
-        )
+        return self._replay(requests, control=None)[1]

@@ -24,9 +24,11 @@ going up to the shard owner (``ID_WIRE_BYTES``) and the embedding row
 coming back — so the comparison between them is purely topological,
 not an accounting artifact.
 
-The placement-derived cost terms live in :class:`PlacementEngine`, so
-the single-service replay here and the multi-replica
-:class:`~repro.serving.fleet.ServingFleet` price batches identically.
+The placement-derived cost terms live in :class:`PlacementEngine`; the
+replay loop that calls them lives in :mod:`repro.serving.replay`, and
+:class:`InferenceService` is its one-slot configuration (the
+multi-replica :class:`~repro.serving.fleet.ServingFleet` is another),
+so every front door prices batches identically.
 
 Every batch appends to the service's :class:`~repro.sim.Timeline`
 (``QUEUE`` = batching + queueing wait, ``EMBEDDING_COMM`` = priced
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from repro.comm.process_group import global_group
 from repro.perf.profiles import ModelProfile
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import LRUEmbeddingCache
+from repro.serving.replay import Replay, Slot
 from repro.serving.workload import Request
 from repro.sim.cluster import SimCluster
 from repro.sim.tracing import Phase
@@ -131,9 +134,8 @@ class PlacementEngine:
     representative cross-tier rank pair, the global process group) and
     prices the three per-batch terms: the miss-row fetch, the dense
     forward, and the cached-row HBM reads.
-    :class:`InferenceService` and
-    :class:`~repro.serving.fleet.ServingFleet` share one implementation
-    so a replica fleet is priced exactly like the single service.
+    Every front door replays through this one implementation, so a
+    replica fleet is priced exactly like the single service.
     """
 
     def __init__(
@@ -232,10 +234,9 @@ class PlacementEngine:
     ) -> Tuple[float, float, float, float]:
         """Price one served batch and append its timeline events.
 
-        This is the whole per-batch replay step shared by the single
-        service and every fleet replica — one implementation, so a
-        pricing change (like this PR's id-leg fix) can never drift
-        between them.  ``start_s`` is when the owning replica picks the
+        This is the whole per-batch pricing step, called from the one
+        replay loop for the single service and every fleet replica
+        alike.  ``start_s`` is when the owning replica picks the
         batch up; ``fetch_free`` (mutated) holds the shared fetch
         servers' busy-until times.  ``extra_compute_s`` is additional
         local time folded into the COMPUTE phase — the tiered cache
@@ -418,13 +419,40 @@ def build_report(
     )
 
 
+def warm_start(
+    caches: Sequence[Any], path: str, max_rows: Optional[int] = None
+) -> int:
+    """Prefill ``caches`` from a training checkpoint's hottest saved
+    embedding rows (ranked by Adagrad accumulator mass — the rows the
+    training traffic actually hit); every cache gets the same
+    hottest-first seed, since any replica may see any key.
+
+    Returns the total number of rows seeded; capacity-0 caches stay
+    empty.  The first served batches then hit instead of paying the
+    cold-start fetch storm — the FlexEMR-style warm start.
+    """
+    limit = max(cache.capacity_rows for cache in caches)
+    if max_rows is not None:
+        limit = min(limit, max_rows)
+    if limit <= 0:
+        return 0
+    # Local import: serving stays importable without dragging the
+    # checkpoint stack in for services that never warm-start.
+    from repro.checkpoint.state import hottest_rows
+
+    rows = hottest_rows(path, limit)
+    return sum(cache.prefill(rows) for cache in caches)
+
+
 class InferenceService:
     """Serves a request trace on a :class:`SimCluster`, pricing every
     batch through the collective cost model.
 
-    One serving replica per dense host (its GPUs score jointly); the
-    embedding path is the placement-dependent shared resource — the
-    global fabric when colocated, the tier's hosts when disaggregated.
+    One serving replica per dense host (its GPUs score jointly), all
+    fed from one batch queue and one shared cache — a single replay
+    slot with ``num_dense_hosts`` servers and no router.  The embedding
+    path is the placement-dependent shared resource — the global fabric
+    when colocated, the tier's hosts when disaggregated.
     """
 
     def __init__(
@@ -443,96 +471,32 @@ class InferenceService:
         self.engine = (
             engine if engine is not None else PlacementEngine(sim, model, placement)
         )
-        self.num_replicas = self.engine.num_dense_hosts
-        self.num_fetch_servers = self.engine.num_fetch_servers
         self.sim = sim
         self.model = model
         self.placement = placement
         self.batcher = batcher
+        self.num_replicas = self.engine.num_dense_hosts
+        self.num_fetch_servers = self.engine.num_fetch_servers
         self.cache = cache if cache is not None else LRUEmbeddingCache(0)
         self._world = self.engine.world
 
-    # ------------------------------------------------------------------
-    # Per-batch cost terms (delegated to the shared engine)
-    # ------------------------------------------------------------------
-    def _fetch_timing(self, num_miss_rows: int) -> Tuple[float, int, int]:
-        return self.engine.fetch_timing(num_miss_rows)
-
-    def _dense_seconds(self, batch_size: int) -> float:
-        return self.engine.dense_seconds(batch_size)
-
-    def _hit_read_seconds(self, num_hit_rows: int) -> float:
-        return self.engine.hit_read_seconds(num_hit_rows)
-
-    # ------------------------------------------------------------------
     def warm_start_from_checkpoint(
         self, path: str, max_rows: Optional[int] = None
     ) -> int:
-        """Prefill the LRU cache from a training checkpoint's hottest
-        saved embedding rows (ranked by Adagrad accumulator mass — the
-        rows the training traffic actually hit).
+        """Prefill the cache from a checkpoint (see :func:`warm_start`)."""
+        return warm_start([self.cache], path, max_rows)
 
-        Returns the number of rows seeded; a capacity-0 cache stays
-        empty.  The first served batches then hit instead of paying the
-        cold-start fetch storm — the FlexEMR-style warm start.
-        """
-        limit = self.cache.capacity_rows
-        if max_rows is not None:
-            limit = min(limit, max_rows)
-        if limit <= 0:
-            return 0
-        # Local import: serving stays importable without dragging the
-        # checkpoint stack in for services that never warm-start.
-        from repro.checkpoint.state import hottest_rows
-
-        return self.cache.prefill(hottest_rows(path, limit))
-
-    # ------------------------------------------------------------------
     def serve(self, requests: Sequence[Request]) -> ServingReport:
         """Replay the trace; returns the latency/throughput report."""
-        if not requests:
-            raise ValueError("cannot serve an empty request trace")
-        batches = self.batcher.form_batches(requests)
-        replica_free = np.zeros(self.num_replicas)
-        fetch_free = np.zeros(self.num_fetch_servers)
-        timeline = self.sim.timeline
-        # Snapshot cumulative state so the report covers *this* trace
-        # even when the service (or its SimCluster) is reused.
-        events_before = len(timeline.events)
-        stats_before = self.cache.stats
-        latencies: List[float] = []
-        last_done = 0.0
-        for batch in batches:
-            replica = int(np.argmin(replica_free))
-            start = max(batch.ready_s, float(replica_free[replica]))
-            hits, miss_keys = self.cache.probe(batch.keys)
-            extra = self.engine.chain_extra_seconds(self.cache)
-            done, _, _, _ = self.engine.price_batch(
-                batch,
-                start,
-                fetch_free,
-                hits,
-                len(miss_keys),
-                extra_compute_s=extra,
-            )
-            replica_free[replica] = done
-            last_done = max(last_done, done)
-            latencies.extend(done - r.arrival_s for r in batch.requests)
-
-        stats_now = self.cache.stats
-        breakdown: Dict[str, float] = {}
-        for event in timeline.events[events_before:]:
-            breakdown[event.phase.value] = (
-                breakdown.get(event.phase.value, 0.0) + event.seconds * 1e3
-            )
+        run = Replay(
+            requests,
+            [Slot(0, self.cache, servers=self.num_replicas)],
+            self.engine,
+            self.batcher,
+            self.sim.timeline,
+        ).run()
         return build_report(
-            placement=self.placement.strategy,
-            model=self.model.name,
-            requests=requests,
-            num_batches=len(batches),
-            latencies_s=np.asarray(latencies),
-            last_done_s=last_done,
-            hits=stats_now.hits - stats_before.hits,
-            misses=stats_now.misses - stats_before.misses,
-            breakdown_ms=breakdown,
+            self.placement.strategy,
+            self.model.name,
+            **run.report_material(),
         )
