@@ -412,10 +412,6 @@ class ServingFleet:
         self.engine = (
             engine if engine is not None else PlacementEngine(sim, model, placement)
         )
-        self.sim = sim
-        self.model = model
-        self.placement = placement
-        self.batcher = batcher
         self.num_replicas = (
             num_replicas
             if num_replicas is not None
@@ -425,6 +421,10 @@ class ServingFleet:
             raise ValueError(
                 f"num_replicas must be >= 1, got {self.num_replicas}"
             )
+        self.sim = sim
+        self.model = model
+        self.placement = placement
+        self.batcher = batcher
         self.router = router if isinstance(router, Router) else make_router(
             router, seed=router_seed
         )

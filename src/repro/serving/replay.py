@@ -418,7 +418,7 @@ class Replay:
         for orig in origs:
             self._schedule_retry(orig, t)
 
-    def _update_membership(self, now_s: float, _: Any = None) -> None:
+    def _update_membership(self, now_s: float, _payload: Any = None) -> None:
         mask = np.zeros(len(self.slots), dtype=bool)
         for slot in self.slots:
             mask[slot.idx] = slot.routable(now_s)

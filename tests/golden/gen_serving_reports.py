@@ -226,9 +226,10 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
 }
 
 
-def generate() -> Dict[str, Any]:
-    """Every pinned report, freshly replayed."""
-    return {name: build() for name, build in CASES.items()}
+def replayed(name: str) -> Dict[str, Any]:
+    """One pinned report, freshly replayed — through JSON, so ints vs
+    floats are what the fixture stores (and NaN is refused)."""
+    return json.loads(json.dumps(CASES[name](), allow_nan=False))
 
 
 def diff_reports(expected: Any, got: Any, path: str = "") -> List[str]:
@@ -269,8 +270,7 @@ def main(argv: List[str]) -> int:
         "rewriting it",
     )
     args = parser.parse_args(argv)
-    # Through JSON, so ints-vs-floats are what the fixture stores.
-    fresh = json.loads(json.dumps(generate(), allow_nan=False))
+    fresh = {name: replayed(name) for name in CASES}
     if not args.check:
         FIXTURE.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
         print(f"wrote {FIXTURE} ({len(fresh)} reports)")
