@@ -24,6 +24,11 @@ from repro.api.presets import (
     train_dmt_criteo_spec,
 )
 from repro.experiments.runner import main as cli_main
+from tests.golden.gen_spec_json import FIXTURE as SPEC_JSON_FIXTURE
+from tests.golden.gen_spec_json import spec_jsons
+
+PINNED_SPEC_JSON = json.loads(SPEC_JSON_FIXTURE.read_text())
+FRESH_SPEC_JSON = spec_jsons()
 
 #: A shrunken end-to-end quality spec: probe -> TP -> DMT in ~a second.
 TINY = RunSpec(
@@ -270,6 +275,15 @@ class TestSpecRoundTrip:
         path = str(tmp_path / "spec.json")
         TINY.save(path)
         assert RunSpec.load(path) == TINY
+
+    def test_golden_covers_every_pinned_spec(self):
+        assert sorted(PINNED_SPEC_JSON) == sorted(FRESH_SPEC_JSON)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SPEC_JSON))
+    def test_json_matches_golden(self, name):
+        """Every preset / experiment spec serializes to the pinned
+        text exactly — field list, order and defaults included."""
+        assert FRESH_SPEC_JSON[name] == PINNED_SPEC_JSON[name]
 
 
 class TestSessionStages:
