@@ -330,7 +330,9 @@ class SpecKnobDriftRule(LintRule):
     ignores it, and nothing complains (the exact bug class PR 5's
     hand-written unused-knob validation was added for).  Reads inside
     ``repro/api/spec.py`` itself (validation, serialization) do not
-    count as consumption.
+    count as consumption.  A field a section forwards by name is read
+    where the runtime object reads that name; a renamed one counts
+    through its ``_From`` declaration.
     """
 
     code = "spec-knob-drift"
@@ -390,12 +392,31 @@ class SpecKnobDriftRule(LintRule):
                     reads.add(node.value)
         return reads
 
+    @staticmethod
+    def _projected_fields(spec_mods: Sequence[ModuleUnderLint]) -> Set[str]:
+        """Fields a section hands to a runtime keyword under another
+        name (``_From("field", ...)`` in a ``build`` override): the
+        renamed half of the spec -> runtime projection, which is
+        consumption even though it is written in the spec module."""
+        return {
+            node.args[0].value
+            for mod in spec_mods
+            for node in ast.walk(mod.tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_From"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        }
+
     def check_project(self, mods: Sequence[ModuleUnderLint]):
         spec_mods = [m for m in mods if self._is_spec_module(m)]
         other_mods = [m for m in mods if not self._is_spec_module(m)]
         if not spec_mods or not other_mods:
             return
-        reads = self._read_names(other_mods)
+        reads = self._read_names(other_mods) | self._projected_fields(
+            spec_mods
+        )
         for spec_mod in spec_mods:
             for cls, field, line in self._declared_fields(spec_mod):
                 if field not in reads:

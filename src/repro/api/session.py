@@ -65,11 +65,7 @@ from repro.checkpoint import (
 )
 from repro.core.dmt_pipeline import DistributedDMTTrainer
 from repro.core.partition import FeaturePartition
-from repro.data import (
-    SyntheticCriteoConfig,
-    SyntheticCriteoDataset,
-    train_eval_split,
-)
+from repro.data import SyntheticCriteoDataset, train_eval_split
 from repro.hardware import Cluster, tier_topology
 from repro.models import (
     DCN,
@@ -87,21 +83,15 @@ from repro.perf.iteration_model import IterationLatencyModel
 from repro.perf.profiles import baseline_profile, dmt_profile_for_towers
 from repro.planner import AutoPlanner, TierPlanner
 from repro.serving import (
-    AutoscalePolicy,
-    FaultConfig,
     InferenceService,
     LRUEmbeddingCache,
-    MicroBatcher,
     Placement,
-    RecoveryModel,
     RequestStream,
     ResilientFleet,
-    RetryPolicy,
     SLOAutoscaler,
     ServingFleet,
     ServingModel,
     TieredPlacementEngine,
-    WorkloadConfig,
     build_storage,
 )
 from repro.online import OnlineDriver, RolloutPlanner
@@ -116,19 +106,9 @@ _ArchKey = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 @functools.lru_cache(maxsize=16)
 def _dataset_for(data: DataSpec) -> SyntheticCriteoDataset:
-    config = SyntheticCriteoConfig(
-        num_dense=data.num_dense,
-        num_sparse=data.num_sparse,
-        cardinality=data.cardinality,
-        num_blocks=data.num_blocks,
-        rho=data.rho,
-        noise=data.noise,
-        cross_strength=data.cross_strength,
-        cvr_correlation=data.cvr_correlation,
-        cvr_bias=data.cvr_bias,
-        cvr_noise=data.cvr_noise,
+    return SyntheticCriteoDataset(
+        data.generator_config(), seed=data.dataset_seed
     )
-    return SyntheticCriteoDataset(config, seed=data.dataset_seed)
 
 
 @functools.lru_cache(maxsize=16)
@@ -371,36 +351,21 @@ class Session:
             cardinality if cardinality is not None else data.cardinality,
             model.embedding_dim,
         )
-        arch = DenseArch(
-            embedding_dim=model.embedding_dim,
-            bottom_mlp=model.bottom_mlp,
-            top_mlp=model.top_mlp,
-            cross_layers=model.cross_layers,
-        )
+        arch = model.build(DenseArch)
         rng = np.random.default_rng(model.seed)
         if model.variant == "flat":
             cls = DLRM if model.family == "dlrm" else DCN
             base = cls(data.num_dense, tables, arch, rng=rng)
-        elif model.family == "dlrm":
-            base = DMTDLRM(
-                data.num_dense,
-                tables,
-                self.partition().partition,
-                arch,
-                tower_dim=model.tower_dim,
-                c=model.c,
-                p=model.p,
-                pass_through=model.pass_through,
-                rng=rng,
-            )
         else:
-            base = DMTDCN(
+            # Forwards the tower knobs the family takes (tower_dim,
+            # pass_through; c and p for DLRM — whose top_mlp override
+            # receives the arch's own sizes, a no-op).
+            base = model.build(
+                DMTDLRM if model.family == "dlrm" else DMTDCN,
                 data.num_dense,
                 tables,
                 self.partition().partition,
                 arch,
-                tower_dim=model.tower_dim,
-                pass_through=model.pass_through,
                 rng=rng,
             )
         if len(model.tasks) <= 1:
@@ -410,14 +375,7 @@ class Session:
         # The head draws from the same stream *after* the base model,
         # so the shared plane's initialization is unchanged by adding
         # tasks (same model.seed => same base weights either way).
-        return MultiTaskModel(
-            base,
-            tasks=model.tasks,
-            head=model.head,
-            head_mlp=model.head_mlp,
-            task_weights=model.task_weights,
-            rng=rng,
-        )
+        return model.build(MultiTaskModel, base, rng=rng)
 
     def build_model(self):
         """The spec's model (DMT variants consume the partition stage)."""
@@ -478,19 +436,7 @@ class Session:
         train = self.spec.train
         art = self.load_data()
         model = self.build_model()
-        trainer = Trainer(
-            model,
-            TrainConfig(
-                batch_size=train.batch_size,
-                epochs=train.epochs,
-                dense_lr=train.dense_lr,
-                sparse_lr=train.sparse_lr,
-                dense_optimizer=train.dense_optimizer,
-                sparse_grad_mode=train.sparse_grad_mode,
-                warmup_steps=train.warmup_steps,
-                seed=train.seed,
-            ),
-        )
+        trainer = Trainer(model, train.trainer_config())
         ck = self.spec.checkpoint
         on_step_end = None
         if ck is not None:
@@ -503,15 +449,12 @@ class Session:
                 # a resumed shuffle over different data would be a
                 # silent non-bit-identical "continuation".
                 saved_data = (metadata.get("spec") or {}).get("data")
-                if saved_data is not None and saved_data != (
-                    self.spec.data.to_dict()
-                ):
+                data = self.spec.data.to_dict()
+                if saved_data is not None and saved_data != data:
                     diff = sorted(
                         k
-                        for k in set(saved_data)
-                        | set(self.spec.data.to_dict())
-                        if saved_data.get(k)
-                        != self.spec.data.to_dict().get(k)
+                        for k in set(saved_data) | set(data)
+                        if saved_data.get(k) != data.get(k)
                     )
                     raise CheckpointMismatchError(
                         f"checkpoint {ck.resume_from!r} was saved under "
@@ -713,6 +656,64 @@ class Session:
 
         return self._stage("price", build)
 
+    @staticmethod
+    def _request_trace(serve: ServeSpec, model: ServingModel):
+        """The seeded request trace ``serve`` describes, sized for
+        ``model``'s lookups per request."""
+        return RequestStream(
+            serve.workload_config(model.num_lookups)
+        ).generate()
+
+    def _serving_arm(
+        self,
+        serve: ServeSpec,
+        model: ServingModel,
+        strategy: str,
+        storage: Any = None,
+        control: Optional[Dict[str, Any]] = None,
+    ) -> Tuple[SimCluster, Any]:
+        """One placement arm on a fresh simulated cluster: batcher ->
+        placement -> cache (a tier chain over ``storage``, priced by
+        the tiered engine, when given) -> single service or fleet.
+
+        ``control`` holds the :class:`ResilientFleet` keywords (faults,
+        retry, recovery, autoscaler, swaps); ``None`` serves on the
+        plain fleet.
+        """
+        cluster = self.build_cluster()
+        sim = SimCluster(cluster)
+        batcher = serve.batcher()
+        placement = Placement(
+            strategy, emb_hosts=serve.resolved_emb_hosts(cluster.num_hosts)
+        )
+        if storage is not None:
+            engine = TieredPlacementEngine(sim, model, placement, storage)
+            make_cache = functools.partial(
+                storage.make_chain, LRUEmbeddingCache
+            )
+        else:
+            engine = None
+            make_cache = functools.partial(
+                LRUEmbeddingCache, serve.cache_rows
+            )
+        if not serve.uses_fleet:
+            return sim, InferenceService(
+                sim, model, placement, batcher, make_cache(), engine
+            )
+        fleet_cls = ServingFleet if control is None else ResilientFleet
+        return sim, fleet_cls(
+            sim,
+            model,
+            placement,
+            batcher,
+            router=serve.router,
+            num_replicas=serve.fleet_replicas,
+            cache_factory=make_cache,
+            router_seed=serve.seed,
+            engine=engine,
+            **(control or {}),
+        )
+
     def serve(self) -> ServeArtifact:
         """Serve a priced synthetic request stream (one trace, one or
         two placement arms).
@@ -727,7 +728,6 @@ class Session:
         def build() -> ServeArtifact:
             serve: ServeSpec = self._need("serve")
             self._ensure_analyzed()
-            cluster = self.build_cluster()
             if self.spec.model is not None:
                 model_obj = (
                     self.train().model
@@ -744,30 +744,12 @@ class Session:
                 model = ServingModel.from_profile(
                     baseline_profile(serve.kind)
                 )
-            stream = RequestStream(
-                WorkloadConfig(
-                    qps=serve.qps,
-                    num_requests=serve.num_requests,
-                    num_lookups=model.num_lookups,
-                    key_space=serve.key_space,
-                    skew=serve.skew,
-                    seed=serve.seed,
-                    scenario=serve.scenario,
-                    diurnal_period_s=serve.diurnal_period_s,
-                    diurnal_amplitude=serve.diurnal_amplitude,
-                    flash_start_s=serve.flash_start_s,
-                    flash_duration_s=serve.flash_duration_s,
-                    flash_factor=serve.flash_factor,
-                    churn_keys_per_s=serve.churn_keys_per_s,
-                )
-            )
-            requests = stream.generate()
+            requests = self._request_trace(serve, model)
             placements = (
                 ("colocated", "disaggregated")
                 if serve.placement == "both"
                 else (serve.placement,)
             )
-            emb_hosts = serve.resolved_emb_hosts(cluster.num_hosts)
             ck = self.spec.checkpoint
             warm_from = (
                 ck.resume_from
@@ -776,144 +758,47 @@ class Session:
             )
             tiers = self.spec.tiers
             storage = (
-                build_storage(
+                tiers.build(
+                    build_storage,
                     self.spec.cluster.generation,
                     serve.cache_rows,
-                    levels=tiers.levels,
-                    cache_rows=tiers.cache_rows,
-                    backing=tiers.backing,
                 )
                 if tiers is not None
                 else None
             )
+            # Faults/autoscaling are a fleet story (the spec layer
+            # enforces serve.uses_fleet): either section selects the
+            # fault-injecting fleet and fills in its keywords.
             fs = self.spec.faults
             asp = self.spec.autoscale
             resilient = fs is not None or asp is not None
-            fault_cfg: Optional[FaultConfig] = None
-            retry_cfg: Optional[RetryPolicy] = None
-            recovery_cfg: Optional[RecoveryModel] = None
+            control: Optional[Dict[str, Any]] = {} if resilient else None
             if fs is not None:
-                fault_cfg = FaultConfig(
-                    seed=fs.seed,
-                    replica_crashes=fs.replica_crashes,
-                    replica_hangs=fs.replica_hangs,
-                    hang_duration_s=fs.hang_duration_s,
-                    fetch_degrades=fs.fetch_degrades,
-                    degrade_duration_s=fs.degrade_duration_s,
-                    degrade_factor=fs.degrade_factor,
-                    fetch_outages=fs.fetch_outages,
-                    outage_duration_s=fs.outage_duration_s,
-                    start_s=fs.start_s,
-                    end_s=fs.end_s,
-                )
-                retry_cfg = RetryPolicy(
-                    timeout_ms=fs.timeout_ms,
-                    max_retries=fs.max_retries,
-                    backoff_base_ms=fs.backoff_base_ms,
-                    backoff_cap_ms=fs.backoff_cap_ms,
-                    jitter=fs.backoff_jitter,
-                    retry_budget=fs.retry_budget,
+                control.update(
+                    faults=fs.fault_config(),
+                    retry=fs.retry_policy(),
+                    degraded_mode=fs.degraded_mode,
+                    stale_penalty=fs.stale_penalty,
                 )
                 if fs.replica_crashes > 0 and fs.recover_crashes:
-                    if ck is not None and ck.resume_from is not None:
-                        # A resumable checkpoint on this cluster: price
-                        # the restore leg with the actual elastic
-                        # re-placement migration instead of a constant.
-                        recovery_cfg = RecoveryModel.from_elastic_plan(
-                            self.elastic_plan(),
-                            checkpoint_period_s=fs.checkpoint_period_s,
-                            detection_s=fs.detection_ms * 1e-3,
-                            replay_rate=fs.replay_rate,
-                            warm_rows=fs.warm_rows,
-                        )
-                    else:
-                        recovery_cfg = RecoveryModel(
-                            detection_s=fs.detection_ms * 1e-3,
-                            restore_s=fs.restore_ms * 1e-3,
-                            checkpoint_period_s=fs.checkpoint_period_s,
-                            replay_rate=fs.replay_rate,
-                            cold_rebuild_s=fs.cold_rebuild_ms * 1e-3,
-                            warm_rows=fs.warm_rows,
-                        )
-
-            def make_autoscaler() -> Optional[SLOAutoscaler]:
-                # Fresh controller per placement arm — cooldown state
-                # must not leak across arms.
-                if asp is None:
-                    return None
-                return SLOAutoscaler(
-                    AutoscalePolicy(
-                        slo_p99_ms=asp.slo_p99_ms,
-                        min_replicas=asp.min_replicas,
-                        max_replicas=asp.max_replicas,
-                        window_s=asp.window_ms * 1e-3,
-                        scale_step=asp.scale_step,
-                        provision_s=asp.provision_ms * 1e-3,
-                        cooldown_windows=asp.cooldown_windows,
-                        queue_high=asp.queue_high,
-                        scale_down_margin=asp.scale_down_margin,
-                        warm_rows=asp.warm_rows,
+                    # A resumable checkpoint on this cluster prices the
+                    # restore leg with the actual elastic re-placement
+                    # migration instead of a constant.
+                    resumable = ck is not None and ck.resume_from is not None
+                    control["recovery"] = fs.recovery_model(
+                        self.elastic_plan() if resumable else None
                     )
-                )
 
             reports, timelines = {}, {}
             fleet_reports, fault_reports = {}, {}
             for strategy in placements:
-                sim = SimCluster(cluster)
-                batcher = MicroBatcher(
-                    serve.max_batch_size,
-                    serve.max_queue_delay_ms * 1e-3,
+                if asp is not None:
+                    # Fresh controller per placement arm — cooldown
+                    # state must not leak across arms.
+                    control["autoscaler"] = SLOAutoscaler(asp.policy())
+                sim, server = self._serving_arm(
+                    serve, model, strategy, storage, control
                 )
-                placement = Placement(strategy, emb_hosts=emb_hosts)
-                # The tiered hierarchy composes by injection: a chain
-                # per cache, the tiered engine pricing its hops.
-                if storage is not None:
-                    engine = TieredPlacementEngine(
-                        sim, model, placement, storage
-                    )
-                    make_cache = functools.partial(
-                        storage.make_chain, LRUEmbeddingCache
-                    )
-                else:
-                    engine = None
-                    make_cache = functools.partial(
-                        LRUEmbeddingCache, serve.cache_rows
-                    )
-                fleet_kwargs = dict(
-                    router=serve.router,
-                    num_replicas=serve.fleet_replicas,
-                    cache_factory=make_cache,
-                    router_seed=serve.seed,
-                    engine=engine,
-                )
-                if resilient:
-                    # Faults/autoscaling are a fleet story (the spec
-                    # layer enforces serve.uses_fleet).
-                    server: Any = ResilientFleet(
-                        sim,
-                        model,
-                        placement,
-                        batcher,
-                        faults=fault_cfg,
-                        retry=retry_cfg,
-                        recovery=recovery_cfg,
-                        autoscaler=make_autoscaler(),
-                        degraded_mode=(
-                            fs.degraded_mode if fs is not None else True
-                        ),
-                        stale_penalty=(
-                            fs.stale_penalty if fs is not None else 0.05
-                        ),
-                        **fleet_kwargs,
-                    )
-                elif serve.uses_fleet:
-                    server = ServingFleet(
-                        sim, model, placement, batcher, **fleet_kwargs
-                    )
-                else:
-                    server = InferenceService(
-                        sim, model, placement, batcher, make_cache(), engine
-                    )
                 if warm_from is not None:
                     seeded = server.warm_start_from_checkpoint(warm_from)
                     self._checkpoint_record().warm_start_rows[
@@ -1016,25 +901,12 @@ class Session:
             ck: CheckpointSpec = self._need("checkpoint")
             data: DataSpec = self._need("data")
             self._ensure_analyzed()
-            cluster = self.build_cluster()
             dataset = _dataset_for(data)
 
             hot = data.cardinality
             card = hot * on.table_multiplier
             model = self._make_model(cardinality=card)
-            trainer = Trainer(
-                model,
-                TrainConfig(
-                    batch_size=train.batch_size,
-                    epochs=train.epochs,
-                    dense_lr=train.dense_lr,
-                    sparse_lr=train.sparse_lr,
-                    dense_optimizer=train.dense_optimizer,
-                    sparse_grad_mode=train.sparse_grad_mode,
-                    warmup_steps=train.warmup_steps,
-                    seed=train.seed,
-                ),
-            )
+            trainer = Trainer(model, train.trainer_config())
 
             # The churned stream: per-feature hot-slot -> table-row
             # maps, re-pointed for a fraction of slots each boundary.
@@ -1067,12 +939,12 @@ class Session:
                     ((td, maps[cols, ti], tl), (ed, maps[cols, ei], el))
                 )
 
-            driver = OnlineDriver(
+            # Forwards compact_every and canary_threshold.
+            driver = on.build(
+                OnlineDriver,
                 model,
                 trainer,
                 os.path.join(ck.directory, self.spec.name, "online"),
-                compact_every=on.compact_every,
-                canary_threshold=on.canary_threshold,
             )
             report = driver.run(windows)
 
@@ -1089,24 +961,7 @@ class Session:
                 else None
             )
             serving_model = ServingModel.from_trained(model, partition)
-            stream = RequestStream(
-                WorkloadConfig(
-                    qps=serve.qps,
-                    num_requests=serve.num_requests,
-                    num_lookups=serving_model.num_lookups,
-                    key_space=serve.key_space,
-                    skew=serve.skew,
-                    seed=serve.seed,
-                    scenario=serve.scenario,
-                    diurnal_period_s=serve.diurnal_period_s,
-                    diurnal_amplitude=serve.diurnal_amplitude,
-                    flash_start_s=serve.flash_start_s,
-                    flash_duration_s=serve.flash_duration_s,
-                    flash_factor=serve.flash_factor,
-                    churn_keys_per_s=serve.churn_keys_per_s,
-                )
-            )
-            requests = stream.generate()
+            requests = self._request_trace(serve, serving_model)
             span_s = max(
                 requests[-1].arrival_s - requests[0].arrival_s, 1e-9
             )
@@ -1119,23 +974,10 @@ class Session:
             )
             swaps = planner.plan(report.rollouts)
 
-            emb_hosts = serve.resolved_emb_hosts(cluster.num_hosts)
             fault_reports = {}
             for arm, arm_swaps in (("online", swaps), ("frozen", ())):
-                sim = SimCluster(cluster)
-                fleet = ResilientFleet(
-                    sim,
-                    serving_model,
-                    Placement(strategy, emb_hosts=emb_hosts),
-                    MicroBatcher(
-                        serve.max_batch_size,
-                        serve.max_queue_delay_ms * 1e-3,
-                    ),
-                    router=serve.router,
-                    num_replicas=serve.fleet_replicas,
-                    cache_rows=serve.cache_rows,
-                    router_seed=serve.seed,
-                    swaps=arm_swaps,
+                _, fleet = self._serving_arm(
+                    serve, serving_model, strategy, control={"swaps": arm_swaps}
                 )
                 fault_reports[arm] = fleet.serve(requests)
             return OnlineArtifact(
@@ -1242,14 +1084,8 @@ class Session:
                             ci_low > 0.0 or ci_high < 0.0
                         ),
                     }
-            return ABArtifact(
-                label_a=ab.label_a,
-                label_b=ab.label_b,
-                seeds=tuple(ab.seeds),
-                confidence=ab.confidence,
-                tasks=tuple(tasks),
-                metrics=metrics,
-            )
+            # Forwards the arm labels, seeds and confidence level.
+            return ab.build(ABArtifact, tasks=tuple(tasks), metrics=metrics)
 
         return self._stage("ab", build)
 

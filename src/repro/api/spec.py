@@ -10,17 +10,38 @@ assign features to towers (:class:`PartitionSpec`), how to train
 (:class:`ServeSpec`).  Every spec validates on construction and
 round-trips through plain dicts / JSON, so a run can be stored next to
 its results and re-executed bit-for-bit via ``dmt-repro run-spec``.
+
+A knob that reaches a runtime object is stated once, there: the section
+forwards it by name (:meth:`_SpecBase.build`), validates by building
+the runtime object, and keeps only the checks the runtime cannot know —
+spec-only fields, cross-field / cross-section rules, and the
+unused-knob guards.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
+from repro.data import SyntheticCriteoConfig
 from repro.hardware.specs import GPUGeneration, get_spec
+from repro.serving import (
+    AutoscalePolicy,
+    FaultConfig,
+    MicroBatcher,
+    RecoveryModel,
+    RetryPolicy,
+    WorkloadConfig,
+)
+from repro.serving.fleet import ROUTER_POLICIES
+from repro.serving.workload import SCENARIOS
+from repro.training import TrainConfig
 
 __all__ = [
     "ClusterSpec",
@@ -59,13 +80,121 @@ def _as_index(value: Any) -> int:
     return value
 
 
+class _From(NamedTuple):
+    """A :meth:`_SpecBase.build` override fed from a differently named
+    spec field: a rename, or with ``scale`` a unit conversion
+    (``x_s=_From("x_ms", 1e-3)``)."""
+
+    field: str
+    scale: Optional[float] = None
+
+
+@functools.lru_cache(maxsize=None)
+def _parameters(target: Callable[..., Any]) -> Tuple[str, ...]:
+    return tuple(inspect.signature(target).parameters)
+
+
 class _SpecBase:
-    """Shared dict/JSON plumbing for the frozen spec dataclasses."""
+    """Shared plumbing for the frozen spec dataclasses: dict/JSON
+    round-tripping, the checks every section shares, and the projection
+    of a section onto the runtime objects it configures."""
 
     #: Field names whose JSON lists must come back as tuples.
     _TUPLE_FIELDS: Tuple[str, ...] = ()
     #: Field names holding nested tuples (tuple of tuples of int).
     _NESTED_TUPLE_FIELDS: Tuple[str, ...] = ()
+    #: Seed fields mixed before they reach numpy (any int is valid).
+    _MIXED_SEED_FIELDS: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        """Accept lists at direct construction but store hashable
+        tuples (the lru-cached session stages need hashable specs),
+        reject seeds numpy would refuse mid-run, then run the
+        section's own :meth:`_validate`."""
+        for name in self._NESTED_TUPLE_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(
+                    self, name, tuple(tuple(g) for g in value)
+                )
+        for name in self._TUPLE_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, tuple(value))
+        for f in fields(self):
+            if (
+                f.name == "seed" or f.name.endswith("_seed")
+            ) and f.name not in self._MIXED_SEED_FIELDS:
+                value = getattr(self, f.name)
+                _require(
+                    value >= 0,
+                    f"{f.name} must be >= 0, got {value}: it seeds a "
+                    f"numpy generator unmixed",
+                )
+        self._validate()
+
+    def _validate(self) -> None:
+        """Section-specific checks (none by default)."""
+
+    def build(
+        self, target: Callable[..., Any], *args: Any, **overrides: Any
+    ) -> Any:
+        """Construct ``target`` from this section — the one spec ->
+        runtime projection.
+
+        Every keyword of ``target`` (past the positional ``args``) that
+        is also a field of this section is forwarded by name;
+        ``overrides`` carry the rest: values the section does not hold,
+        and renames / unit conversions as :class:`_From`.  The
+        runtime's ``ValueError`` / ``TypeError`` comes back as a
+        :class:`SpecError`, so a knob's range is stated once, on the
+        runtime side.
+        """
+        mine = {f.name for f in fields(self)}
+        kwargs = {
+            name: getattr(self, name)
+            for name in _parameters(target)[len(args):]
+            if name in mine
+        }
+        renamed: Dict[str, str] = {}
+        for name, value in overrides.items():
+            if isinstance(value, _From):
+                source, scale = value
+                value = getattr(self, source)
+                if scale is not None:
+                    value = value * scale
+                    source = f"{source} * {scale}"
+                renamed[name] = source
+            kwargs[name] = value
+        try:
+            return target(*args, **kwargs)
+        except SpecError:
+            raise
+        except (TypeError, ValueError) as exc:
+            message = str(exc)
+            for name, source in renamed.items():
+                if re.search(rf"\b{name}\b", message):
+                    message += f" ({name} = {source})"
+            raise SpecError(f"{type(self).__name__}: {message}") from exc
+
+    def _non_default(self, names: Tuple[str, ...]) -> Dict[str, Any]:
+        """``{name: default}`` of the named fields that depart from
+        their defaults."""
+        return {
+            f.name: f.default
+            for f in fields(self)
+            if f.name in names and getattr(self, f.name) != f.default
+        }
+
+    def _require_defaults(self, names: Tuple[str, ...], when: str) -> None:
+        """A stored spec must not pretend to configure knobs the run
+        never reads: under condition ``when`` the named fields stay at
+        their defaults."""
+        for name, default in self._non_default(names).items():
+            raise SpecError(
+                f"{name} has no effect {when}; leave it at its default "
+                f"({default!r})"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON-types dict (tuples become lists)."""
@@ -114,23 +243,6 @@ class _SpecBase:
         """Functional update (mirrors :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)  # type: ignore[type-var]
 
-    def _coerce_tuple_fields(self) -> None:
-        """Accept lists at direct construction; store hashable tuples.
-
-        Called first from ``__post_init__`` of specs with tuple fields
-        (the lru-cached session stages require hashable specs).
-        """
-        for name in self._NESTED_TUPLE_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(
-                    self, name, tuple(tuple(g) for g in value)
-                )
-        for name in self._TUPLE_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, tuple(value))
-
 
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -141,7 +253,7 @@ class ClusterSpec(_SpecBase):
     gpus_per_host: int = 2
     generation: str = "A100"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(self.num_hosts >= 1, f"num_hosts must be >= 1, got {self.num_hosts}")
         _require(
             self.gpus_per_host >= 1,
@@ -165,9 +277,10 @@ class ClusterSpec(_SpecBase):
 class DataSpec(_SpecBase):
     """Synthetic Criteo-like click logs with planted block structure.
 
-    Generator knobs mirror
-    :class:`repro.data.criteo.SyntheticCriteoConfig` (same defaults);
-    ``num_samples``/``eval_fraction`` describe the train/eval split.
+    The generator knobs (``num_dense`` .. ``cvr_noise``) are forwarded
+    by name to :class:`repro.data.criteo.SyntheticCriteoConfig`, which
+    states their ranges; ``num_samples``/``eval_fraction`` describe the
+    train/eval split.
     The ``cvr_*`` knobs shape the conversion label column and are read
     only when the model's ``tasks`` include ``"cvr"`` (cross-checked
     at the RunSpec level).
@@ -188,33 +301,19 @@ class DataSpec(_SpecBase):
     dataset_seed: int = 0
     sample_seed: int = 1
 
-    def __post_init__(self) -> None:
-        _require(self.num_dense >= 1, "num_dense must be >= 1")
-        _require(
-            self.num_sparse >= self.num_blocks >= 1,
-            f"need num_sparse >= num_blocks >= 1, got "
-            f"{self.num_sparse} / {self.num_blocks}",
-        )
+    def _validate(self) -> None:
+        self.generator_config()
+        # Stricter than the generator on purpose: one-row tables give
+        # a training run nothing to learn.
         _require(self.cardinality >= 2, "cardinality must be >= 2")
-        _require(0.0 <= self.rho <= 1.0, f"rho must be in [0, 1], got {self.rho}")
-        _require(self.noise >= 0.0, "noise must be non-negative")
-        _require(
-            0.0 <= self.cvr_correlation <= 1.0,
-            f"cvr_correlation must be in [0, 1], got {self.cvr_correlation}",
-        )
-        _require(
-            self.cvr_noise >= 0.0,
-            f"cvr_noise must be >= 0, got {self.cvr_noise}",
-        )
-        _require(
-            math.isfinite(self.cvr_bias),
-            f"cvr_bias must be finite, got {self.cvr_bias}",
-        )
         _require(self.num_samples >= 2, "num_samples must be >= 2")
         _require(
             0.0 < self.eval_fraction < 1.0,
             f"eval_fraction must be in (0, 1), got {self.eval_fraction}",
         )
+
+    def generator_config(self) -> SyntheticCriteoConfig:
+        return self.build(SyntheticCriteoConfig)
 
     #: cvr knobs only matter when some arm's model learns a cvr head.
     _CVR_FIELDS = ("cvr_correlation", "cvr_bias", "cvr_noise")
@@ -222,10 +321,7 @@ class DataSpec(_SpecBase):
     @property
     def has_cvr_knobs(self) -> bool:
         """True when any cvr generator knob departs from its default."""
-        defaults = {f.name: f.default for f in fields(type(self))}
-        return any(
-            getattr(self, name) != defaults[name] for name in self._CVR_FIELDS
-        )
+        return bool(self._non_default(self._CVR_FIELDS))
 
 
 #: Prediction tasks the model zoo understands.
@@ -267,8 +363,7 @@ class ModelSpec(_SpecBase):
     head_mlp: Tuple[int, ...] = (32,)
     task_weights: Optional[Tuple[float, ...]] = None
 
-    def __post_init__(self) -> None:
-        self._coerce_tuple_fields()
+    def _validate(self) -> None:
         _require(
             self.family in ("dlrm", "dcn"),
             f"family must be 'dlrm' or 'dcn', got {self.family!r}",
@@ -329,15 +424,9 @@ class ModelSpec(_SpecBase):
             # Non-positive weights construct (the task-weight-degenerate
             # speccheck owns that diagnosis).
         if len(self.tasks) == 1:
-            # Same invariant as TrainSpec: the multi-task knobs are
-            # never read on the single-task path.
-            defaults = {f.name: f.default for f in fields(type(self))}
-            for name in ("head", "head_mlp", "task_weights"):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with a single task; leave "
-                    f"it at its default ({defaults[name]!r})",
-                )
+            self._require_defaults(
+                ("head", "head_mlp", "task_weights"), "with a single task"
+            )
 
 
 #: Strategies that require the interaction-probe -> TP pipeline.
@@ -372,8 +461,7 @@ class PartitionSpec(_SpecBase):
     mds_iterations: int = 800
     kmeans_seed: int = 0
 
-    def __post_init__(self) -> None:
-        self._coerce_tuple_fields()
+    def _validate(self) -> None:
         _require(
             self.strategy in PARTITION_STRATEGIES,
             f"unknown partition strategy {self.strategy!r}; "
@@ -429,24 +517,18 @@ class PartitionSpec(_SpecBase):
         _require(self.probe_samples >= 1, "probe_samples must be >= 1")
         _require(self.mds_iterations >= 1, "mds_iterations must be >= 1")
         if not self.needs_probe:
-            # Same invariant as TrainSpec: a stored spec must not
-            # pretend to configure a probe that never runs.
-            defaults = {f.name: f.default for f in fields(type(self))}
-            for name in (
-                "probe_seed",
-                "probe_epochs",
-                "probe_batch_size",
-                "probe_sparse_lr",
-                "probe_samples",
-                "mds_iterations",
-                "kmeans_seed",
-            ):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with strategy="
-                    f"{self.strategy!r}; leave it at its default "
-                    f"({defaults[name]!r})",
-                )
+            self._require_defaults(
+                (
+                    "probe_seed",
+                    "probe_epochs",
+                    "probe_batch_size",
+                    "probe_sparse_lr",
+                    "probe_samples",
+                    "mds_iterations",
+                    "kmeans_seed",
+                ),
+                f"with strategy={self.strategy!r}",
+            )
 
     @property
     def needs_probe(self) -> bool:
@@ -487,31 +569,20 @@ class TrainSpec(_SpecBase):
     step_seed: int = 100
     verify: bool = True
 
-    def __post_init__(self) -> None:
+    #: ``seed`` goes through the trainer's splitmix mix, not to numpy.
+    _MIXED_SEED_FIELDS = ("seed",)
+
+    def _validate(self) -> None:
         _require(
             self.mode in ("single", "simulated"),
             f"mode must be 'single' or 'simulated', got {self.mode!r}",
         )
-        _require(self.batch_size >= 1 and self.epochs >= 1,
-                 "batch_size and epochs must be positive")
-        _require(self.dense_lr > 0 and self.sparse_lr > 0,
-                 "learning rates must be positive")
-        _require(
-            self.dense_optimizer in ("adam", "sgd"),
-            f"unknown dense optimizer {self.dense_optimizer!r}",
-        )
-        _require(
-            self.sparse_grad_mode in ("rowwise", "dense"),
-            f"sparse_grad_mode must be 'rowwise' or 'dense', "
-            f"got {self.sparse_grad_mode!r}",
-        )
-        _require(self.warmup_steps >= 0, "warmup_steps must be >= 0")
+        self.trainer_config()
         _require(self.steps >= 1, "steps must be >= 1")
         _require(self.global_batch >= 1, "global_batch must be >= 1")
-        # Each mode reads only its own knobs (plus the shared
-        # dense_lr); reject the other mode's non-default fields so a
-        # stored spec never pretends to change a run it cannot affect.
-        unused = (
+        # Each mode reads only its own knobs (plus the shared dense_lr
+        # and sparse_grad_mode).
+        self._require_defaults(
             (
                 "batch_size",
                 "epochs",
@@ -521,26 +592,21 @@ class TrainSpec(_SpecBase):
                 "seed",
             )
             if self.mode == "simulated"
-            else ("steps", "global_batch", "step_seed", "verify")
+            else ("steps", "global_batch", "step_seed", "verify"),
+            f"with mode={self.mode!r}",
         )
-        defaults = {f.name: f.default for f in fields(type(self))}
-        for name in unused:
-            _require(
-                getattr(self, name) == defaults[name],
-                f"{name} has no effect with mode={self.mode!r}; "
-                f"leave it at its default ({defaults[name]!r})",
-            )
+
+    def trainer_config(self) -> TrainConfig:
+        """The single-process trainer's hyperparameters."""
+        return self.build(TrainConfig)
 
 
 #: Placement arms the serving stage understands ("both" runs the
 #: comparison on one shared request trace).
 SERVE_PLACEMENTS = ("colocated", "disaggregated", "both")
-#: Arrival-process scenarios (mirrors repro.serving.workload.SCENARIOS;
-#: kept literal here so specs stay importable without the serving
-#: stack — a sync test guards the duplication).
-SERVE_SCENARIOS = ("poisson", "diurnal", "flash")
-#: Fleet router policies (mirrors repro.serving.fleet.ROUTER_POLICIES).
-SERVE_ROUTERS = ("round_robin", "hash", "p2c")
+#: The serving stack's own tuples, under this module's names for them.
+SERVE_SCENARIOS = SCENARIOS
+SERVE_ROUTERS = ROUTER_POLICIES
 
 
 @dataclass(frozen=True)
@@ -588,20 +654,14 @@ class ServeSpec(_SpecBase):
     fleet_replicas: Optional[int] = None
     router: str = "round_robin"
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(
             self.kind in ("dlrm", "dcn"),
             f"kind must be 'dlrm' or 'dcn', got {self.kind!r}",
         )
-        _require(self.qps > 0, f"qps must be positive, got {self.qps}")
-        _require(self.num_requests >= 1, "num_requests must be >= 1")
-        _require(self.key_space >= 1, "key_space must be >= 1")
-        _require(self.skew >= 0, f"skew must be >= 0, got {self.skew}")
-        _require(self.max_batch_size >= 1, "max_batch_size must be >= 1")
-        _require(
-            self.max_queue_delay_ms >= 0,
-            "max_queue_delay_ms must be >= 0",
-        )
+        # Any valid lookup count: the served model sets the real one.
+        self.workload_config(num_lookups=1)
+        self.batcher()
         _require(self.cache_rows >= 0, "cache_rows must be >= 0")
         # Bugfix: a cache larger than the key space it fronts used to
         # slip through to the serving stage, where the LRU silently
@@ -624,34 +684,6 @@ class ServeSpec(_SpecBase):
             "emb_hosts must be >= 1 when given",
         )
         _require(
-            self.scenario in SERVE_SCENARIOS,
-            f"unknown scenario {self.scenario!r}; expected one of "
-            f"{SERVE_SCENARIOS}",
-        )
-        _require(
-            self.diurnal_period_s > 0, "diurnal_period_s must be positive"
-        )
-        _require(
-            0.0 <= self.diurnal_amplitude <= 1.0,
-            f"diurnal_amplitude must be in [0, 1], got "
-            f"{self.diurnal_amplitude}",
-        )
-        _require(
-            self.flash_start_s >= 0 and self.flash_duration_s >= 0,
-            "flash window must be non-negative",
-        )
-        _require(
-            self.flash_factor >= 1.0,
-            f"flash_factor must be >= 1, got {self.flash_factor}",
-        )
-        _require(
-            self.scenario != "flash" or self.flash_duration_s > 0,
-            "scenario 'flash' needs flash_duration_s > 0",
-        )
-        _require(
-            self.churn_keys_per_s >= 0, "churn_keys_per_s must be >= 0"
-        )
-        _require(
             self.fleet_replicas is None or self.fleet_replicas >= 1,
             "fleet_replicas must be >= 1 when given",
         )
@@ -660,31 +692,28 @@ class ServeSpec(_SpecBase):
             f"unknown router {self.router!r}; expected one of "
             f"{SERVE_ROUTERS}",
         )
-        # Same invariant as TrainSpec: a stored spec must not pretend
-        # to configure knobs its scenario/stage never reads.
-        defaults = {f.name: f.default for f in fields(type(self))}
         if self.scenario != "diurnal":
-            for name in ("diurnal_period_s", "diurnal_amplitude"):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with scenario="
-                    f"{self.scenario!r}; leave it at its default "
-                    f"({defaults[name]!r})",
-                )
-        if self.scenario != "flash":
-            for name in ("flash_start_s", "flash_duration_s", "flash_factor"):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with scenario="
-                    f"{self.scenario!r}; leave it at its default "
-                    f"({defaults[name]!r})",
-                )
-        if self.fleet_replicas is None:
-            _require(
-                self.router == defaults["router"],
-                "router has no effect without fleet_replicas; leave it "
-                f"at its default ({defaults['router']!r})",
+            self._require_defaults(
+                ("diurnal_period_s", "diurnal_amplitude"),
+                f"with scenario={self.scenario!r}",
             )
+        if self.scenario != "flash":
+            self._require_defaults(
+                ("flash_start_s", "flash_duration_s", "flash_factor"),
+                f"with scenario={self.scenario!r}",
+            )
+        if self.fleet_replicas is None:
+            self._require_defaults(("router",), "without fleet_replicas")
+
+    def workload_config(self, num_lookups: int) -> WorkloadConfig:
+        """The request stream's knobs, for a model that reads
+        ``num_lookups`` embedding rows per request."""
+        return self.build(WorkloadConfig, num_lookups=num_lookups)
+
+    def batcher(self) -> MicroBatcher:
+        return self.build(
+            MicroBatcher, max_delay_s=_From("max_queue_delay_ms", 1e-3)
+        )
 
     @property
     def uses_fleet(self) -> bool:
@@ -723,7 +752,7 @@ class CheckpointSpec(_SpecBase):
     resume_from: Optional[str] = None
     warm_start: bool = True
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(
             isinstance(self.directory, str) and bool(self.directory),
             "checkpoint directory must be a non-empty path",
@@ -750,7 +779,7 @@ class PerfSpec(_SpecBase):
     local_batch: int = 16384
     num_towers: Optional[int] = None  # default: one tower per host
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(
             self.kind in ("dlrm", "dcn"),
             f"kind must be 'dlrm' or 'dcn', got {self.kind!r}",
@@ -791,8 +820,7 @@ class TierSpec(_SpecBase):
 
     _TUPLE_FIELDS = ("levels", "cache_rows")
 
-    def __post_init__(self) -> None:
-        self._coerce_tuple_fields()
+    def _validate(self) -> None:
         _require(
             len(self.levels) == len(self.cache_rows),
             f"levels and cache_rows must have equal length, got "
@@ -867,119 +895,68 @@ class FaultSpec(_SpecBase):
     cold_rebuild_ms: float = 50.0
     warm_rows: int = 0
 
-    def __post_init__(self) -> None:
-        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
-        for name in (
-            "replica_crashes",
-            "replica_hangs",
-            "fetch_degrades",
-            "fetch_outages",
-        ):
-            _require(
-                getattr(self, name) >= 0, f"{name} must be >= 0"
-            )
-        _require(
-            self.replica_hangs == 0 or self.hang_duration_s > 0,
-            "replica_hangs > 0 needs hang_duration_s > 0",
-        )
-        _require(
-            self.fetch_degrades == 0 or self.degrade_duration_s > 0,
-            "fetch_degrades > 0 needs degrade_duration_s > 0",
-        )
-        _require(
-            self.fetch_outages == 0 or self.outage_duration_s > 0,
-            "fetch_outages > 0 needs outage_duration_s > 0",
-        )
-        _require(
-            self.degrade_factor >= 1.0,
-            f"degrade_factor must be >= 1, got {self.degrade_factor}",
-        )
-        _require(
-            self.start_s >= 0 and self.end_s >= 0,
-            "injection window must be >= 0",
-        )
-        _require(
-            self.end_s == 0 or self.end_s > self.start_s,
-            f"injection window end ({self.end_s}) must be after its "
-            f"start ({self.start_s})",
-        )
-        _require(
-            self.timeout_ms > 0,
-            f"timeout_ms must be positive, got {self.timeout_ms}",
-        )
-        _require(
-            self.max_retries >= 0,
-            f"max_retries must be >= 0, got {self.max_retries}",
-        )
-        _require(
-            self.backoff_base_ms >= 0 and self.backoff_cap_ms >= 0,
-            "backoff must be >= 0",
-        )
-        _require(
-            self.backoff_cap_ms >= self.backoff_base_ms,
-            f"backoff_cap_ms ({self.backoff_cap_ms}) must be >= "
-            f"backoff_base_ms ({self.backoff_base_ms})",
-        )
-        _require(
-            0.0 <= self.backoff_jitter <= 1.0,
-            f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}",
-        )
-        _require(
-            self.retry_budget >= 0,
-            f"retry_budget must be >= 0, got {self.retry_budget}",
-        )
+    def _validate(self) -> None:
+        self.fault_config()
+        self.retry_policy()
+        self.recovery_model()
         _require(
             self.stale_penalty >= 0,
             f"stale_penalty must be >= 0, got {self.stale_penalty}",
         )
-        for name in (
-            "detection_ms",
-            "restore_ms",
-            "checkpoint_period_s",
-            "replay_rate",
-            "cold_rebuild_ms",
-        ):
-            _require(getattr(self, name) >= 0, f"{name} must be >= 0")
-        _require(
-            self.warm_rows >= 0,
-            f"warm_rows must be >= 0, got {self.warm_rows}",
-        )
-        # Same invariant as ServeSpec: unused knobs stay at defaults.
-        defaults = {f.name: f.default for f in fields(type(self))}
         if self.replica_hangs == 0:
-            _require(
-                self.hang_duration_s == defaults["hang_duration_s"],
-                "hang_duration_s has no effect with replica_hangs=0; "
-                "leave it at its default",
+            self._require_defaults(
+                ("hang_duration_s",), "with replica_hangs=0"
             )
         if self.fetch_degrades == 0:
-            for name in ("degrade_duration_s", "degrade_factor"):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with fetch_degrades=0; "
-                    f"leave it at its default ({defaults[name]!r})",
-                )
+            self._require_defaults(
+                ("degrade_duration_s", "degrade_factor"),
+                "with fetch_degrades=0",
+            )
         if self.fetch_outages == 0:
-            _require(
-                self.outage_duration_s == defaults["outage_duration_s"],
-                "outage_duration_s has no effect with fetch_outages=0; "
-                "leave it at its default",
+            self._require_defaults(
+                ("outage_duration_s",), "with fetch_outages=0"
             )
         if self.replica_crashes == 0:
-            for name in (
-                "recover_crashes",
-                "detection_ms",
-                "restore_ms",
-                "checkpoint_period_s",
-                "replay_rate",
-                "cold_rebuild_ms",
-                "warm_rows",
-            ):
-                _require(
-                    getattr(self, name) == defaults[name],
-                    f"{name} has no effect with replica_crashes=0; "
-                    f"leave it at its default ({defaults[name]!r})",
-                )
+            self._require_defaults(
+                (
+                    "recover_crashes",
+                    "detection_ms",
+                    "restore_ms",
+                    "checkpoint_period_s",
+                    "replay_rate",
+                    "cold_rebuild_ms",
+                    "warm_rows",
+                ),
+                "with replica_crashes=0",
+            )
+
+    def fault_config(self) -> FaultConfig:
+        """The seeded fault schedule."""
+        return self.build(FaultConfig)
+
+    def retry_policy(self) -> RetryPolicy:
+        """The client-side timeout / retry / backoff discipline."""
+        return self.build(RetryPolicy, jitter=_From("backoff_jitter"))
+
+    def recovery_model(self, elastic_plan: Any = None) -> RecoveryModel:
+        """The MTTR model for a crashed replica.
+
+        With ``elastic_plan`` (the resumable checkpoint's
+        :class:`~repro.checkpoint.ElasticRestorePlan` on this cluster)
+        the restore leg is priced by the plan's actual shard migration
+        instead of the ``restore_ms`` constant.
+        """
+        overrides = dict(
+            detection_s=_From("detection_ms", 1e-3),
+            cold_rebuild_s=_From("cold_rebuild_ms", 1e-3),
+        )
+        if elastic_plan is not None:
+            return self.build(
+                RecoveryModel.from_elastic_plan, elastic_plan, **overrides
+            )
+        return self.build(
+            RecoveryModel, restore_s=_From("restore_ms", 1e-3), **overrides
+        )
 
     @property
     def num_faults(self) -> int:
@@ -1015,47 +992,23 @@ class AutoscaleSpec(_SpecBase):
     scale_down_margin: float = 0.5
     warm_rows: int = 0
 
-    def __post_init__(self) -> None:
-        _require(
-            self.slo_p99_ms > 0,
-            f"slo_p99_ms must be positive, got {self.slo_p99_ms}",
-        )
-        _require(
-            self.min_replicas >= 1,
-            f"min_replicas must be >= 1, got {self.min_replicas}",
-        )
+    def _validate(self) -> None:
+        # The one deliberate divergence from the runtime: inverted
+        # bounds must still load (see the class docstring), so every
+        # other knob is validated with the bounds un-inverted.
+        self.policy(max_replicas=max(self.min_replicas, self.max_replicas))
         _require(
             self.max_replicas >= 1,
             f"max_replicas must be >= 1, got {self.max_replicas}",
         )
-        _require(
-            self.window_ms >= 0,
-            f"window_ms must be >= 0, got {self.window_ms}",
-        )
-        _require(
-            self.scale_step >= 1,
-            f"scale_step must be >= 1, got {self.scale_step}",
-        )
-        _require(
-            self.provision_ms >= 0,
-            f"provision_ms must be >= 0, got {self.provision_ms}",
-        )
-        _require(
-            self.cooldown_windows >= 0,
-            f"cooldown_windows must be >= 0, got {self.cooldown_windows}",
-        )
-        _require(
-            self.queue_high > 0,
-            f"queue_high must be positive, got {self.queue_high}",
-        )
-        _require(
-            0.0 < self.scale_down_margin < 1.0,
-            f"scale_down_margin must be in (0, 1), got "
-            f"{self.scale_down_margin}",
-        )
-        _require(
-            self.warm_rows >= 0,
-            f"warm_rows must be >= 0, got {self.warm_rows}",
+
+    def policy(self, **overrides: Any) -> AutoscalePolicy:
+        """The autoscaler's knobs (rejects inverted replica bounds)."""
+        return self.build(
+            AutoscalePolicy,
+            window_s=_From("window_ms", 1e-3),
+            provision_s=_From("provision_ms", 1e-3),
+            **overrides,
         )
 
 
@@ -1099,8 +1052,7 @@ class OnlineSpec(_SpecBase):
     swap_downtime_ms: float = 2.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        self._coerce_tuple_fields()
+    def _validate(self) -> None:
         _require(
             self.windows >= 2,
             f"online training needs windows >= 2, got {self.windows}",
@@ -1162,8 +1114,7 @@ class ABSpec(_SpecBase):
     model_b: Optional[ModelSpec] = None
     train_b: Optional[TrainSpec] = None
 
-    def __post_init__(self) -> None:
-        self._coerce_tuple_fields()
+    def _validate(self) -> None:
         _require(
             len(self.seeds) >= 2,
             f"a paired confidence interval needs >= 2 seeds, got "
@@ -1269,7 +1220,7 @@ class RunSpec(_SpecBase):
         "ab": ABSpec,
     }
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         _require(bool(self.name), "name must be non-empty")
         # The name doubles as a --save file stem; keep it a single
         # path component.

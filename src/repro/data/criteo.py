@@ -21,6 +21,7 @@ a coherent one — the mechanism behind the paper's Table 6 gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -77,19 +78,25 @@ class SyntheticCriteoConfig:
     def __post_init__(self) -> None:
         if self.num_sparse < self.num_blocks:
             raise ValueError(
-                f"{self.num_blocks} blocks need at least that many sparse "
-                f"features, got {self.num_sparse}"
+                f"num_blocks={self.num_blocks} blocks need at least that "
+                f"many sparse features, got num_sparse={self.num_sparse}"
             )
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
         if min(self.num_dense, self.cardinality, self.num_blocks) <= 0:
-            raise ValueError("counts must be positive")
+            raise ValueError(
+                "num_dense, cardinality and num_blocks must be positive"
+            )
+        if self.noise < 0.0:
+            raise ValueError("noise must be non-negative")
         if not 0.0 <= self.cvr_correlation <= 1.0:
             raise ValueError(
                 f"cvr_correlation must be in [0, 1], got {self.cvr_correlation}"
             )
         if self.cvr_noise < 0.0:
             raise ValueError(f"cvr_noise must be >= 0, got {self.cvr_noise}")
+        if not math.isfinite(self.cvr_bias):
+            raise ValueError(f"cvr_bias must be finite, got {self.cvr_bias}")
 
 
 class SyntheticCriteoDataset:

@@ -398,6 +398,7 @@ class RecoveryModel:
         detection_s: float = 0.001,
         replay_rate: float = 0.5,
         warm_rows: int = 0,
+        cold_rebuild_s: float = 0.05,
     ) -> "RecoveryModel":
         """Price the restore leg with an elastic-restore plan.
 
@@ -412,6 +413,7 @@ class RecoveryModel:
             restore_s=float(plan.migration.seconds),
             checkpoint_period_s=checkpoint_period_s,
             replay_rate=replay_rate,
+            cold_rebuild_s=cold_rebuild_s,
             warm_rows=warm_rows,
         )
 

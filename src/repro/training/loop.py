@@ -84,6 +84,8 @@ class TrainConfig:
                 f"sparse_grad_mode must be one of {SPARSE_GRAD_MODES}, "
                 f"got {self.sparse_grad_mode!r}"
             )
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be >= 0")
 
 
 @dataclass

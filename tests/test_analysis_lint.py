@@ -266,6 +266,22 @@ class TestSpecKnobDrift:
         )
         assert self._mods(spec_src, consumer) == []
 
+    def test_renamed_projection_counts_but_validation_read_does_not(self):
+        spec_src = (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class FaultSpec:\n"
+            "    backoff_jitter: float = 0.5\n"
+            "    dead_knob: int = 0\n"
+            "    def _validate(self):\n"
+            "        assert self.dead_knob >= 0\n"
+            "    def retry_policy(self):\n"
+            "        return self.build(\n"
+            "            RetryPolicy, jitter=_From('backoff_jitter'))\n"
+        )
+        diags = self._mods(spec_src, "def go(policy):\n    return policy.jitter\n")
+        assert [d.message.split()[0] for d in diags] == ["FaultSpec.dead_knob"]
+
     def test_repo_spec_has_no_dead_knobs(self):
         diags, _ = lint_paths([SRC], select={"spec-knob-drift"})
         assert diags == []

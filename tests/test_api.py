@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    AutoscaleSpec,
     ClusterSpec,
     DataSpec,
+    FaultSpec,
     ModelSpec,
+    OnlineSpec,
     PartitionSpec,
     PerfSpec,
     RunSpec,
+    ServeSpec,
     Session,
     SpecError,
     TrainSpec,
@@ -240,6 +244,245 @@ class TestSpecValidation:
             RunSpec.from_dict(
                 {"partition": {"strategy": "given", "groups": [[0.9, 1]]}}
             )
+
+
+    @pytest.mark.parametrize(
+        "cls, field, context",
+        [
+            (DataSpec, "dataset_seed", {}),
+            (DataSpec, "sample_seed", {}),
+            (ModelSpec, "seed", {}),
+            (PartitionSpec, "probe_seed", {}),
+            (PartitionSpec, "kmeans_seed", {}),
+            (TrainSpec, "step_seed", {"mode": "simulated"}),
+            (ServeSpec, "seed", {}),
+            (FaultSpec, "seed", {}),
+            (OnlineSpec, "seed", {}),
+        ],
+    )
+    def test_negative_seed_rejected(self, cls, field, context):
+        """Every seed that reaches a numpy generator unmixed is checked
+        at construction, not by numpy's untyped error mid-run."""
+        with pytest.raises(SpecError, match=field):
+            cls(**context, **{field: -1})
+        with pytest.raises(SpecError, match=field):
+            cls.from_dict({**context, field: -1})
+        assert getattr(cls(**context, **{field: 3}), field) == 3
+
+    def test_mixed_train_seed_may_be_negative(self):
+        assert TrainSpec(seed=-1).trainer_config().seed == -1
+
+    @pytest.mark.parametrize(
+        "cls, kwargs, names",
+        [
+            (FaultSpec, dict(replica_crashes=-1), "replica_crashes"),
+            (FaultSpec, dict(replica_hangs=1), "hang_duration_s"),
+            (FaultSpec, dict(fetch_degrades=1), "degrade_duration_s"),
+            (FaultSpec, dict(fetch_outages=1), "outage_duration_s"),
+            (
+                FaultSpec,
+                dict(
+                    fetch_degrades=1, degrade_duration_s=0.01,
+                    degrade_factor=0.5,
+                ),
+                "degrade_factor",
+            ),
+            (FaultSpec, dict(start_s=-1.0), "injection window"),
+            (FaultSpec, dict(start_s=2.0, end_s=1.0), "injection window end"),
+            (FaultSpec, dict(timeout_ms=0.0), "timeout_ms"),
+            (FaultSpec, dict(max_retries=-1), "max_retries"),
+            (FaultSpec, dict(backoff_base_ms=-1.0), "backoff"),
+            (
+                FaultSpec,
+                dict(backoff_base_ms=3.0, backoff_cap_ms=2.0),
+                "backoff_cap_ms",
+            ),
+            (FaultSpec, dict(backoff_jitter=2.0), "backoff_jitter"),
+            (FaultSpec, dict(retry_budget=-0.1), "retry_budget"),
+            (FaultSpec, dict(stale_penalty=-0.1), "stale_penalty"),
+            (
+                FaultSpec,
+                dict(replica_crashes=1, detection_ms=-1.0),
+                "detection_ms",
+            ),
+            (FaultSpec, dict(replica_crashes=1, restore_ms=-1.0), "restore_ms"),
+            (
+                FaultSpec,
+                dict(replica_crashes=1, checkpoint_period_s=-1.0),
+                "checkpoint_period_s",
+            ),
+            (FaultSpec, dict(replica_crashes=1, replay_rate=-1.0), "replay_rate"),
+            (
+                FaultSpec,
+                dict(replica_crashes=1, cold_rebuild_ms=-1.0),
+                "cold_rebuild_ms",
+            ),
+            (FaultSpec, dict(replica_crashes=1, warm_rows=-1), "warm_rows"),
+            # unused knobs stay at their defaults
+            (FaultSpec, dict(hang_duration_s=0.1), "hang_duration_s"),
+            (FaultSpec, dict(degrade_factor=2.0), "degrade_factor"),
+            (FaultSpec, dict(outage_duration_s=0.1), "outage_duration_s"),
+            (FaultSpec, dict(cold_rebuild_ms=5.0), "cold_rebuild_ms"),
+            (AutoscaleSpec, dict(slo_p99_ms=0.0), "slo_p99_ms"),
+            (AutoscaleSpec, dict(min_replicas=0), "min_replicas"),
+            (AutoscaleSpec, dict(max_replicas=0), "max_replicas"),
+            (AutoscaleSpec, dict(window_ms=-1.0), "window_ms"),
+            (AutoscaleSpec, dict(scale_step=0), "scale_step"),
+            (AutoscaleSpec, dict(provision_ms=-1.0), "provision_ms"),
+            (AutoscaleSpec, dict(cooldown_windows=-1), "cooldown_windows"),
+            (AutoscaleSpec, dict(queue_high=0.0), "queue_high"),
+            (AutoscaleSpec, dict(scale_down_margin=1.0), "scale_down_margin"),
+            (AutoscaleSpec, dict(warm_rows=-1), "warm_rows"),
+        ],
+    )
+    def test_fault_and_autoscale_knobs_validated(self, cls, kwargs, names):
+        """The ranges live on the runtime dataclasses; the spec layer
+        must still reject every bad value, as a SpecError that names
+        the offending spec field."""
+        with pytest.raises(SpecError, match=names):
+            cls(**kwargs)
+        with pytest.raises(SpecError, match=names):
+            cls.from_dict(kwargs)
+
+
+def assert_projection(spec, built, renamed=None, extra=None):
+    """Every dataclass field of ``built`` holds the spec's value: by
+    name, or via ``renamed`` ``{runtime: (spec field, factor)}``;
+    ``extra`` lists the runtime fields the spec does not set.  Every
+    spec field involved must be off its default, or a dropped forward
+    would go unnoticed."""
+    renamed, extra = renamed or {}, extra or {}
+    defaults = {f.name: f.default for f in dataclasses.fields(spec)}
+    for f in dataclasses.fields(built):
+        got = getattr(built, f.name)
+        if f.name in extra:
+            assert got == extra[f.name], f.name
+            continue
+        source, factor = renamed.get(f.name, (f.name, None))
+        value = getattr(spec, source)
+        assert value != defaults[source], f"{source} left at its default"
+        assert got == (value if factor is None else value * factor), f.name
+
+
+class TestSpecProjection:
+    """Each section builds its runtime objects; these set every
+    forwarded field to a non-default value and check each one lands —
+    what catches a missed rename or a dropped ``* 1e-3``."""
+
+    def test_data_spec_builds_generator_config(self):
+        spec = DataSpec(
+            num_dense=5, num_sparse=12, cardinality=40, num_blocks=3,
+            rho=0.6, noise=0.2, cross_strength=0.3, cvr_correlation=0.4,
+            cvr_bias=-2.0, cvr_noise=0.1,
+        )
+        assert_projection(
+            spec,
+            spec.generator_config(),
+            extra=dict(block_strength=1.6, dense_strength=0.6, bias=-0.5),
+        )
+
+    def test_train_spec_builds_trainer_config(self):
+        spec = TrainSpec(
+            batch_size=96, epochs=3, dense_lr=0.02, sparse_lr=0.2,
+            dense_optimizer="sgd", sparse_grad_mode="dense",
+            warmup_steps=7, seed=13,
+        )
+        assert_projection(spec, spec.trainer_config())
+
+    @pytest.mark.parametrize(
+        "scenario, defaults",
+        [
+            (
+                dict(scenario="diurnal", diurnal_period_s=0.25,
+                     diurnal_amplitude=0.8),
+                dict(flash_start_s=0.0, flash_duration_s=0.0,
+                     flash_factor=5.0),
+            ),
+            (
+                dict(scenario="flash", flash_start_s=0.01,
+                     flash_duration_s=0.02, flash_factor=3.0),
+                dict(diurnal_period_s=1.0, diurnal_amplitude=0.5),
+            ),
+        ],
+    )
+    def test_serve_spec_builds_workload_and_batcher(self, scenario, defaults):
+        spec = ServeSpec(
+            qps=12_345.0, num_requests=777, key_space=5_000, skew=1.3,
+            max_batch_size=24, max_queue_delay_ms=0.75, cache_rows=100,
+            seed=9, churn_keys_per_s=50.0, **scenario,
+        )
+        assert_projection(
+            spec,
+            spec.workload_config(num_lookups=11),
+            extra=dict(num_lookups=11, **defaults),
+        )
+        batcher = spec.batcher()
+        assert batcher.max_batch_size == 24
+        assert batcher.max_delay_s == 0.75 * 1e-3
+
+    FAULTS = FaultSpec(
+        seed=4, replica_crashes=2, replica_hangs=1, hang_duration_s=0.003,
+        fetch_degrades=2, degrade_duration_s=0.004, degrade_factor=6.0,
+        fetch_outages=1, outage_duration_s=0.005, start_s=0.01, end_s=0.03,
+        timeout_ms=0.7, max_retries=5, backoff_base_ms=0.3,
+        backoff_cap_ms=4.0, backoff_jitter=0.25, retry_budget=0.4,
+        detection_ms=0.6, restore_ms=0.9, checkpoint_period_s=0.002,
+        replay_rate=0.75, cold_rebuild_ms=7.0, warm_rows=123,
+    )
+
+    def test_fault_spec_builds_schedule_and_retry_policy(self):
+        assert_projection(
+            self.FAULTS, self.FAULTS.fault_config(), extra=dict(events=())
+        )
+        assert_projection(
+            self.FAULTS,
+            self.FAULTS.retry_policy(),
+            renamed=dict(jitter=("backoff_jitter", None)),
+        )
+
+    def test_fault_spec_builds_recovery_model(self):
+        renamed = dict(
+            detection_s=("detection_ms", 1e-3),
+            restore_s=("restore_ms", 1e-3),
+            cold_rebuild_s=("cold_rebuild_ms", 1e-3),
+        )
+        assert_projection(
+            self.FAULTS, self.FAULTS.recovery_model(), renamed=renamed
+        )
+
+        class _Plan:
+            class migration:
+                seconds = 0.0125
+
+        del renamed["restore_s"]
+        assert_projection(
+            self.FAULTS,
+            self.FAULTS.recovery_model(_Plan()),
+            renamed=renamed,
+            extra=dict(restore_s=0.0125),
+        )
+
+    def test_autoscale_spec_builds_policy(self):
+        spec = AutoscaleSpec(
+            slo_p99_ms=3.0, min_replicas=2, max_replicas=9, window_ms=1.5,
+            scale_step=2, provision_ms=0.4, cooldown_windows=3,
+            queue_high=20.0, scale_down_margin=0.25, warm_rows=64,
+        )
+        assert_projection(
+            spec,
+            spec.policy(),
+            renamed=dict(
+                window_s=("window_ms", 1e-3),
+                provision_s=("provision_ms", 1e-3),
+            ),
+        )
+
+    def test_inverted_autoscale_bounds_load_but_do_not_build(self):
+        """The speccheck owns the diagnosis, so the spec constructs;
+        the runtime policy still refuses the inverted bounds."""
+        spec = AutoscaleSpec(min_replicas=5, max_replicas=2)
+        with pytest.raises(SpecError, match="max_replicas"):
+            spec.policy()
 
 
 class TestSpecRoundTrip:

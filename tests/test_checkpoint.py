@@ -19,6 +19,7 @@ from repro.api import (
     CheckpointSpec,
     ClusterSpec,
     DataSpec,
+    FaultSpec,
     ModelSpec,
     RunSpec,
     ServeSpec,
@@ -535,6 +536,37 @@ class TestSessionIntegration:
         result = session.run()
         assert result.checkpoint["elastic"]["target_world"] == 8
         assert "elastic restore" in result.render()
+
+    def test_elastic_recovery_keeps_cold_rebuild(self, tmp_path):
+        """With a resumable checkpoint the restore leg is priced by the
+        elastic plan, but a fleet that never checkpoints still pays the
+        spec's cold rebuild, not the runtime default (50 ms)."""
+        spec = _session_spec(tmp_path)
+        path = Session(spec).save_checkpoint(str(tmp_path / "src-mttr"))
+        faulted = RunSpec(
+            name="elastic-mttr",
+            cluster=ClusterSpec(4, 2),
+            serve=ServeSpec(
+                qps=50_000.0,
+                num_requests=1500,
+                key_space=2000,
+                cache_rows=256,
+                placement="disaggregated",
+                emb_hosts=1,
+                fleet_replicas=3,
+            ),
+            faults=FaultSpec(
+                replica_crashes=1,
+                detection_ms=1.0,
+                cold_rebuild_ms=5.0,
+                checkpoint_period_s=0.0,
+            ),
+            checkpoint=CheckpointSpec(
+                directory=str(tmp_path), resume_from=path, warm_start=False
+            ),
+        )
+        report = Session(faulted).serve().fault_reports["disaggregated"]
+        assert [c["mttr_s"] for c in report.crashes] == [1.0 * 1e-3 + 0.005]
 
     def test_resume_on_changed_data_section_refused(self, tmp_path):
         """A resumed run over different data cannot claim bit-identity;

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.api import ClusterSpec, RunSpec, ServeSpec, Session, SpecError
-from repro.api.spec import SERVE_ROUTERS, SERVE_SCENARIOS
 from repro.hardware import Cluster
 from repro.serving import (
     ConsistentHashRouter,
@@ -18,7 +17,6 @@ from repro.serving import (
     ReferenceLRUCache,
     RequestStream,
     RoundRobinRouter,
-    SCENARIOS,
     ServingFleet,
     ServingModel,
     WorkloadConfig,
@@ -60,12 +58,6 @@ def make_fleet(strategy="disaggregated", cluster=None, **kw) -> ServingFleet:
 
 # ----------------------------------------------------------------------
 class TestScenarios:
-    def test_spec_constants_stay_in_sync_with_serving(self):
-        """ServeSpec mirrors the serving-package constants so specs stay
-        importable without the serving stack; this guards the copy."""
-        assert SERVE_SCENARIOS == SCENARIOS
-        assert SERVE_ROUTERS == ROUTER_POLICIES
-
     @pytest.mark.parametrize(
         "cfg",
         [
