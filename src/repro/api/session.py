@@ -671,7 +671,7 @@ class Session:
         strategy: str,
         storage: Any = None,
         control: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[SimCluster, Any]:
+    ) -> Any:
         """One placement arm on a fresh simulated cluster: batcher ->
         placement -> cache (a tier chain over ``storage``, priced by
         the tiered engine, when given) -> single service or fleet.
@@ -697,11 +697,11 @@ class Session:
                 LRUEmbeddingCache, serve.cache_rows
             )
         if not serve.uses_fleet:
-            return sim, InferenceService(
+            return InferenceService(
                 sim, model, placement, batcher, make_cache(), engine
             )
         fleet_cls = ServingFleet if control is None else ResilientFleet
-        return sim, fleet_cls(
+        return fleet_cls(
             sim,
             model,
             placement,
@@ -771,8 +771,9 @@ class Session:
             # fault-injecting fleet and fills in its keywords.
             fs = self.spec.faults
             asp = self.spec.autoscale
-            resilient = fs is not None or asp is not None
-            control: Optional[Dict[str, Any]] = {} if resilient else None
+            control: Optional[Dict[str, Any]] = (
+                {} if fs is not None or asp is not None else None
+            )
             if fs is not None:
                 control.update(
                     faults=fs.fault_config(),
@@ -796,7 +797,7 @@ class Session:
                     # Fresh controller per placement arm — cooldown
                     # state must not leak across arms.
                     control["autoscaler"] = SLOAutoscaler(asp.policy())
-                sim, server = self._serving_arm(
+                server = self._serving_arm(
                     serve, model, strategy, storage, control
                 )
                 if warm_from is not None:
@@ -805,7 +806,7 @@ class Session:
                         strategy
                     ] = seeded
                 outcome = server.serve(requests)
-                if resilient:
+                if control is not None:
                     fault_reports[strategy] = outcome
                     fleet_reports[strategy] = outcome.fleet
                     reports[strategy] = outcome.fleet.fleet
@@ -814,7 +815,7 @@ class Session:
                     reports[strategy] = outcome.fleet
                 else:
                     reports[strategy] = outcome
-                timelines[strategy] = sim.timeline
+                timelines[strategy] = server.sim.timeline
             return ServeArtifact(
                 model=model,
                 reports=reports,
@@ -976,7 +977,7 @@ class Session:
 
             fault_reports = {}
             for arm, arm_swaps in (("online", swaps), ("frozen", ())):
-                _, fleet = self._serving_arm(
+                fleet = self._serving_arm(
                     serve, serving_model, strategy, control={"swaps": arm_swaps}
                 )
                 fault_reports[arm] = fleet.serve(requests)
