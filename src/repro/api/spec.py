@@ -127,11 +127,14 @@ class _SpecBase:
             ) and f.name not in self._MIXED_SEED_FIELDS:
                 value = getattr(self, f.name)
                 _require(
-                    value >= 0,
-                    f"{f.name} must be >= 0, got {value}: it seeds a "
-                    f"numpy generator unmixed",
+                    isinstance(value, int) and value >= 0,
+                    f"{f.name} must be an int >= 0, got {value!r}: it "
+                    f"seeds a numpy generator unmixed",
                 )
-        self._validate()
+        try:
+            self._validate()
+        except TypeError as exc:  # a wrongly typed knob, e.g. "x" >= 1
+            raise SpecError(f"invalid {type(self).__name__}: {exc}") from exc
 
     def _validate(self) -> None:
         """Section-specific checks (none by default)."""
@@ -157,16 +160,16 @@ class _SpecBase:
             if name in mine
         }
         renamed: Dict[str, str] = {}
-        for name, value in overrides.items():
-            if isinstance(value, _From):
-                source, scale = value
-                value = getattr(self, source)
-                if scale is not None:
-                    value = value * scale
-                    source = f"{source} * {scale}"
-                renamed[name] = source
-            kwargs[name] = value
         try:
+            for name, value in overrides.items():
+                if isinstance(value, _From):
+                    source, scale = value
+                    value = getattr(self, source)
+                    if scale is not None:
+                        value = value * scale
+                        source = f"{source} * {scale}"
+                    renamed[name] = source
+                kwargs[name] = value
             return target(*args, **kwargs)
         except SpecError:
             raise

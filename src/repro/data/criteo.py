@@ -76,24 +76,28 @@ class SyntheticCriteoConfig:
     cvr_noise: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.num_sparse < self.num_blocks:
+        if not self.num_sparse >= self.num_blocks:
             raise ValueError(
                 f"num_blocks={self.num_blocks} blocks need at least that "
                 f"many sparse features, got num_sparse={self.num_sparse}"
             )
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-        if min(self.num_dense, self.cardinality, self.num_blocks) <= 0:
+        if not (
+            self.num_dense >= 1
+            and self.cardinality >= 1
+            and self.num_blocks >= 1
+        ):
             raise ValueError(
                 "num_dense, cardinality and num_blocks must be positive"
             )
-        if self.noise < 0.0:
+        if not self.noise >= 0.0:
             raise ValueError("noise must be non-negative")
         if not 0.0 <= self.cvr_correlation <= 1.0:
             raise ValueError(
                 f"cvr_correlation must be in [0, 1], got {self.cvr_correlation}"
             )
-        if self.cvr_noise < 0.0:
+        if not self.cvr_noise >= 0.0:
             raise ValueError(f"cvr_noise must be >= 0, got {self.cvr_noise}")
         if not math.isfinite(self.cvr_bias):
             raise ValueError(f"cvr_bias must be finite, got {self.cvr_bias}")

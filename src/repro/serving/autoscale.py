@@ -47,35 +47,35 @@ class AutoscalePolicy:
     warm_rows: int = 0  # cache rows prefilled into a new replica
 
     def __post_init__(self) -> None:
-        if self.slo_p99_ms <= 0:
+        if not self.slo_p99_ms > 0:
             raise ValueError(
                 f"slo_p99_ms must be positive, got {self.slo_p99_ms}"
             )
-        if self.min_replicas < 1:
+        if not self.min_replicas >= 1:
             raise ValueError(
                 f"min_replicas must be >= 1, got {self.min_replicas}"
             )
-        if self.max_replicas < self.min_replicas:
+        if not self.max_replicas >= self.min_replicas:
             raise ValueError(
                 f"max_replicas ({self.max_replicas}) must be >= "
                 f"min_replicas ({self.min_replicas})"
             )
-        if self.window_s < 0:
+        if not self.window_s >= 0:
             raise ValueError(f"window_s must be >= 0, got {self.window_s}")
-        if self.scale_step < 1:
+        if not self.scale_step >= 1:
             raise ValueError(
                 f"scale_step must be >= 1, got {self.scale_step}"
             )
-        if self.provision_s < 0:
+        if not self.provision_s >= 0:
             raise ValueError(
                 f"provision_s must be >= 0, got {self.provision_s}"
             )
-        if self.cooldown_windows < 0:
+        if not self.cooldown_windows >= 0:
             raise ValueError(
                 f"cooldown_windows must be >= 0, got "
                 f"{self.cooldown_windows}"
             )
-        if self.queue_high <= 0:
+        if not self.queue_high > 0:
             raise ValueError(
                 f"queue_high must be positive, got {self.queue_high}"
             )
@@ -84,7 +84,7 @@ class AutoscalePolicy:
                 f"scale_down_margin must be in (0, 1), got "
                 f"{self.scale_down_margin}"
             )
-        if self.warm_rows < 0:
+        if not self.warm_rows >= 0:
             raise ValueError(
                 f"warm_rows must be >= 0, got {self.warm_rows}"
             )

@@ -79,11 +79,11 @@ class MicroBatcher:
     """
 
     def __init__(self, max_batch_size: int, max_delay_s: float):
-        if max_batch_size < 1:
+        if not max_batch_size >= 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if max_delay_s < 0:
+        if not max_delay_s >= 0:
             raise ValueError(f"max_delay_s must be >= 0, got {max_delay_s}")
         self.max_batch_size = max_batch_size
         self.max_delay_s = max_delay_s

@@ -155,27 +155,27 @@ class FaultConfig:
             "fetch_degrades",
             "fetch_outages",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.replica_hangs > 0 and self.hang_duration_s <= 0:
+        if self.replica_hangs > 0 and not self.hang_duration_s > 0:
             raise ValueError(
                 "replica_hangs > 0 needs a positive hang_duration_s"
             )
-        if self.fetch_degrades > 0 and self.degrade_duration_s <= 0:
+        if self.fetch_degrades > 0 and not self.degrade_duration_s > 0:
             raise ValueError(
                 "fetch_degrades > 0 needs a positive degrade_duration_s"
             )
-        if self.fetch_outages > 0 and self.outage_duration_s <= 0:
+        if self.fetch_outages > 0 and not self.outage_duration_s > 0:
             raise ValueError(
                 "fetch_outages > 0 needs a positive outage_duration_s"
             )
-        if self.degrade_factor < 1.0:
+        if not self.degrade_factor >= 1.0:
             raise ValueError(
                 f"degrade_factor must be >= 1, got {self.degrade_factor}"
             )
-        if self.start_s < 0 or self.end_s < 0:
+        if not (self.start_s >= 0 and self.end_s >= 0):
             raise ValueError("injection window must be >= 0")
-        if self.end_s > 0 and self.end_s <= self.start_s:
+        if self.end_s > 0 and not self.end_s > self.start_s:
             raise ValueError(
                 f"injection window end ({self.end_s}) must be after its "
                 f"start ({self.start_s})"
@@ -304,17 +304,17 @@ class RetryPolicy:
     retry_budget: float = 0.25  # max total retries / offered requests
 
     def __post_init__(self) -> None:
-        if self.timeout_ms <= 0:
+        if not self.timeout_ms > 0:
             raise ValueError(
                 f"timeout_ms must be positive, got {self.timeout_ms}"
             )
-        if self.max_retries < 0:
+        if not self.max_retries >= 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_base_ms < 0 or self.backoff_cap_ms < 0:
+        if not (self.backoff_base_ms >= 0 and self.backoff_cap_ms >= 0):
             raise ValueError("backoff must be >= 0")
-        if self.backoff_cap_ms < self.backoff_base_ms:
+        if not self.backoff_cap_ms >= self.backoff_base_ms:
             raise ValueError(
                 f"backoff_cap_ms ({self.backoff_cap_ms}) must be >= "
                 f"backoff_base_ms ({self.backoff_base_ms})"
@@ -323,7 +323,7 @@ class RetryPolicy:
             raise ValueError(
                 f"jitter must be in [0, 1], got {self.jitter}"
             )
-        if self.retry_budget < 0:
+        if not self.retry_budget >= 0:
             raise ValueError(
                 f"retry_budget must be >= 0, got {self.retry_budget}"
             )
@@ -375,9 +375,9 @@ class RecoveryModel:
             "replay_rate",
             "cold_rebuild_s",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.warm_rows < 0:
+        if not self.warm_rows >= 0:
             raise ValueError(f"warm_rows must be >= 0, got {self.warm_rows}")
 
     def mttr_s(self) -> float:

@@ -95,31 +95,31 @@ class WorkloadConfig:
     churn_keys_per_s: float = 0.0  # popularity-ranking drift speed
 
     def __post_init__(self) -> None:
-        if self.qps <= 0:
+        if not self.qps > 0:
             raise ValueError(f"qps must be positive, got {self.qps}")
-        if self.num_requests < 1:
+        if not self.num_requests >= 1:
             raise ValueError("num_requests must be >= 1")
-        if self.num_lookups < 1:
+        if not self.num_lookups >= 1:
             raise ValueError("num_lookups must be >= 1")
-        if self.key_space < 1:
+        if not self.key_space >= 1:
             raise ValueError("key_space must be >= 1")
-        if self.skew < 0:
+        if not self.skew >= 0:
             raise ValueError(f"skew must be >= 0, got {self.skew}")
         if self.scenario not in SCENARIOS:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; expected one of "
                 f"{SCENARIOS}"
             )
-        if self.diurnal_period_s <= 0:
+        if not self.diurnal_period_s > 0:
             raise ValueError("diurnal_period_s must be positive")
         if not 0.0 <= self.diurnal_amplitude <= 1.0:
             raise ValueError(
                 f"diurnal_amplitude must be in [0, 1], got "
                 f"{self.diurnal_amplitude}"
             )
-        if self.flash_start_s < 0 or self.flash_duration_s < 0:
+        if not (self.flash_start_s >= 0 and self.flash_duration_s >= 0):
             raise ValueError("flash window must be non-negative")
-        if self.flash_factor < 1.0:
+        if not self.flash_factor >= 1.0:
             raise ValueError(
                 f"flash_factor must be >= 1, got {self.flash_factor}"
             )
@@ -127,7 +127,7 @@ class WorkloadConfig:
             raise ValueError(
                 "scenario 'flash' needs flash_duration_s > 0"
             )
-        if self.churn_keys_per_s < 0:
+        if not self.churn_keys_per_s >= 0:
             raise ValueError("churn_keys_per_s must be >= 0")
 
 

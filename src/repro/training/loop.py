@@ -71,9 +71,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0 or self.epochs <= 0:
+        if not (self.batch_size >= 1 and self.epochs >= 1):
             raise ValueError("batch_size and epochs must be positive")
-        if self.dense_lr <= 0 or self.sparse_lr <= 0:
+        if not (self.dense_lr > 0 and self.sparse_lr > 0):
             raise ValueError("learning rates must be positive")
         if self.dense_optimizer not in ("adam", "sgd"):
             raise ValueError(
@@ -84,7 +84,7 @@ class TrainConfig:
                 f"sparse_grad_mode must be one of {SPARSE_GRAD_MODES}, "
                 f"got {self.sparse_grad_mode!r}"
             )
-        if self.warmup_steps < 0:
+        if not self.warmup_steps >= 0:
             raise ValueError("warmup_steps must be >= 0")
 
 

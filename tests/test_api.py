@@ -333,6 +333,14 @@ class TestSpecValidation:
             (AutoscaleSpec, dict(queue_high=0.0), "queue_high"),
             (AutoscaleSpec, dict(scale_down_margin=1.0), "scale_down_margin"),
             (AutoscaleSpec, dict(warm_rows=-1), "warm_rows"),
+            # NaN fails every range (the runtime checks are written
+            # `not x >= 0`, as the spec's were)
+            (FaultSpec, dict(timeout_ms=float("nan")), "timeout_ms"),
+            (FaultSpec, dict(replica_crashes=float("nan")), "replica_crashes"),
+            (AutoscaleSpec, dict(window_ms=float("nan")), "window_ms"),
+            # a wrongly typed knob is a SpecError, not a raw TypeError
+            (AutoscaleSpec, dict(provision_ms="fast"), "AutoscaleSpec"),
+            (FaultSpec, dict(seed=1.5), "seed"),
         ],
     )
     def test_fault_and_autoscale_knobs_validated(self, cls, kwargs, names):
