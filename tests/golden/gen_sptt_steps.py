@@ -1,0 +1,177 @@
+"""Generator (and checker) for ``tests/golden/sptt_steps.json``.
+
+The fixture pins three optimizer steps of both distributed trainers on
+small seeded models — ``DistributedDMTTrainer`` on a 2x2 and a 4x2
+``SimCluster`` with {DMT-DLRM, DMT-DCN} x {pass-through, projecting
+towers} over a scrambled partition, ``DistributedHybridTrainer`` with
+{DLRM, DCN} — so the losses, the trained parameters and the priced
+timeline survive any rewrite of the step behind them::
+
+    PYTHONPATH=src python tests/golden/gen_sptt_steps.py          # rewrite
+    PYTHONPATH=src python tests/golden/gen_sptt_steps.py --check  # diff
+
+Each case stores the three losses, a ``[name, sum, abs-sum]`` digest of
+every parameter after the last step, and every ``sim.timeline`` event
+``[phase, label, seconds, bytes, world]`` in order.  ``--check`` prints
+one line per differing leaf and exits 1; ints, labels and event order
+compare exactly, floats at ``rel_tol=1e-12``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+from typing import Any, Callable, Dict, List
+
+import numpy as np
+
+from repro.core import (
+    DistributedDMTTrainer,
+    DistributedHybridTrainer,
+    FeaturePartition,
+)
+from repro.hardware import Cluster
+from repro.models import DCN, DLRM, DMTDCN, DMTDLRM, tiny_table_configs
+from repro.models.configs import tiny_dcn_arch, tiny_dlrm_arch
+from repro.nn import Adam
+from repro.sim import SimCluster
+
+try:
+    from tests.golden.gen_serving_reports import diff_reports
+except ImportError:  # run as a script: tests/golden is sys.path[0]
+    from gen_serving_reports import diff_reports
+
+FIXTURE = Path(__file__).with_name("sptt_steps.json")
+
+F, N, DENSE, ROWS, B_LOCAL, STEPS = 8, 8, 4, 16, 3, 3
+# Scrambled on purpose: tower order != feature order != exchange order.
+GROUPS = {
+    2: [[5, 0, 3, 6], [1, 7, 2, 4]],
+    4: [[5, 0], [3, 6], [1, 7], [2, 4]],
+}
+
+
+def _sim(hosts: int) -> SimCluster:
+    return SimCluster(
+        Cluster(num_hosts=hosts, gpus_per_host=2, generation="A100")
+    )
+
+
+def _steps(sim: SimCluster, model, step: Callable) -> Dict[str, Any]:
+    """Three seeded global batches through ``step``; the pinned record."""
+    opt = Adam(model.parameters(), lr=0.01)
+    total = sim.world_size * B_LOCAL
+    losses = []
+    for i in range(STEPS):
+        rng = np.random.default_rng(100 + i)
+        dense = rng.standard_normal((total, DENSE))
+        ids = rng.integers(0, ROWS, size=(total, F))
+        labels = rng.integers(0, 2, size=total).astype(float)
+        losses.append(float(step(dense, ids, labels, opt)))
+    return {
+        "losses": losses,
+        "params": [
+            [name, float(p.data.sum()), float(np.abs(p.data).sum())]
+            for name, p in model.named_parameters()
+        ],
+        "timeline": [
+            [e.phase.value, e.label, e.seconds, e.nbytes, e.world_size]
+            for e in sim.timeline.events
+        ],
+    }
+
+
+def _dmt(hosts: int, family: str, pass_through: bool) -> Dict[str, Any]:
+    sim = _sim(hosts)
+    partition = FeaturePartition.from_groups(GROUPS[hosts])
+    tables = tiny_table_configs(F, ROWS, N)
+    rng = np.random.default_rng(17)
+    if family == "dlrm":
+        model = DMTDLRM(
+            DENSE, tables, partition, tiny_dlrm_arch(N), tower_dim=4,
+            pass_through=pass_through, rng=rng,
+        )
+    else:
+        model = DMTDCN(
+            DENSE, tables, partition, tiny_dcn_arch(N), tower_dim=4,
+            pass_through=pass_through, rng=rng,
+        )
+    trainer = DistributedDMTTrainer(sim, model)
+    return _steps(
+        sim,
+        model,
+        lambda dense, ids, labels, opt: trainer.fit_step(
+            dense, ids, labels, [opt]
+        ),
+    )
+
+
+def _hybrid(hosts: int, family: str) -> Dict[str, Any]:
+    sim = _sim(hosts)
+    tables = tiny_table_configs(F, ROWS, N)
+    rng = np.random.default_rng(17)
+    if family == "dlrm":
+        model = DLRM(DENSE, tables, tiny_dlrm_arch(N), rng=rng)
+    else:
+        model = DCN(DENSE, tables, tiny_dcn_arch(N), rng=rng)
+    trainer = DistributedHybridTrainer(sim, model)
+
+    def step(dense, ids, labels, opt):
+        opt.zero_grad()
+        loss = trainer.train_step(dense, ids, labels)
+        opt.step()
+        return loss
+
+    return _steps(sim, model, step)
+
+
+CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
+    **{
+        f"dmt/{hosts}x2/{family}/{'pass_through' if pt else 'projecting'}": (
+            lambda hosts=hosts, family=family, pt=pt: _dmt(hosts, family, pt)
+        )
+        for hosts in (2, 4)
+        for family in ("dlrm", "dcn")
+        for pt in (True, False)
+    },
+    **{
+        f"hybrid/{hosts}x2/{family}": (
+            lambda hosts=hosts, family=family: _hybrid(hosts, family)
+        )
+        for hosts in (2, 4)
+        for family in ("dlrm", "dcn")
+    },
+}
+
+
+def stepped(name: str) -> Dict[str, Any]:
+    """One pinned case, freshly run — through JSON, so ints vs floats
+    are what the fixture stores (and NaN is refused)."""
+    return json.loads(json.dumps(CASES[name](), allow_nan=False))
+
+
+def main(argv: List[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare fresh steps against the fixture instead of "
+        "rewriting it",
+    )
+    args = parser.parse_args(argv)
+    fresh = {name: stepped(name) for name in CASES}
+    if not args.check:
+        FIXTURE.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {FIXTURE} ({len(fresh)} cases)")
+        return 0
+    diffs = diff_reports(json.loads(FIXTURE.read_text()), fresh)
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} differing values in {len(fresh)} pinned cases")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
