@@ -1362,6 +1362,12 @@ class RunSpec(_SpecBase):
                     "set model.variant='dmt'",
                 )
                 _require(
+                    len(self.model.tasks) == 1,
+                    "simulated training prices single-logit BCE only: "
+                    f"model.tasks={self.model.tasks} needs "
+                    "train.mode='single'",
+                )
+                _require(
                     self.partition is not None
                     and self.partition.num_towers == self.cluster.num_hosts,
                     "simulated training pins one tower per host: "

@@ -7,15 +7,25 @@ numerically the AllReduce sum), and for DMT the tower modules are
 replicated per rank within their host and synchronized intra-host
 exactly as §3.2 prescribes.
 
+Neither trainer states any model math.  What they share — splitting
+the global batch, the per-rank loss/grad loop over the dense plane,
+pricing it, the global dense AllReduce — is :class:`_DataParallelStep`;
+each trainer adds the exchange it owns and which of the model's entry
+points consumes what that exchange delivers: ``*_with_embeddings`` for
+the flat exchange's (B, F, N) embeddings, the tower-output seam
+(``overarch_features`` / ``overarch_backward``, see
+:mod:`repro.models.dmt`) for SPTT step (f)'s per-tower outputs.
+
 The integration tests assert these trainers match single-process
 training on the concatenated global batch to float tolerance, which is
-the strongest form of the paper's "semantic preserving" claim.
+the strongest form of the paper's "semantic preserving" claim: an
+equality of two dataflows over one statement of the math.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,37 +39,25 @@ from repro.sim.tracing import Phase
 WIRE_ITEMSIZE = 4  # gradients synchronized in fp32 on the wire
 
 
-def _split_global_batch(
-    array: np.ndarray, world_size: int
-) -> Dict[int, np.ndarray]:
-    if array.shape[0] % world_size != 0:
-        raise ValueError(
-            f"global batch {array.shape[0]} not divisible by world {world_size}"
-        )
-    B = array.shape[0] // world_size
-    return {r: array[r * B : (r + 1) * B] for r in range(world_size)}
-
-
 def _dense_param_bytes(params: Sequence) -> int:
     return sum(p.size for p in params) * WIRE_ITEMSIZE
 
 
-class DistributedHybridTrainer:
-    """The state-of-the-art baseline: TorchRec-style hybrid parallelism.
+class _DataParallelStep:
+    """One iteration over the global batch, shared by both trainers.
 
-    Embedding tables are model-parallel through the flat exchange;
-    the dense arch is data-parallel with a global gradient AllReduce.
+    Subclasses own an embedding exchange and define its two halves
+    around the data-parallel dense plane (``_exchange_forward`` /
+    ``_exchange_backward``), the plane itself on one rank's batch
+    (``_dense_forward`` / ``_dense_backward``) and how it is priced
+    (``_dense_label``, ``_dense_flops``).
     """
 
-    def __init__(
-        self,
-        sim: SimCluster,
-        model: Module,
-        plan: Optional[Sequence[int]] = None,
-    ):
+    _dense_label: str
+
+    def __init__(self, sim: SimCluster, model: Module):
         self.sim = sim
         self.model = model
-        self.exchange = FlatEmbeddingExchange(sim, model.embeddings, plan)
 
     def train_step(
         self, dense: np.ndarray, ids: np.ndarray, labels: np.ndarray
@@ -71,49 +69,89 @@ class DistributedHybridTrainer:
         """
         sim = self.sim
         G = sim.world_size
-        dense_parts = _split_global_batch(np.asarray(dense, dtype=np.float64), G)
-        ids_parts = _split_global_batch(np.asarray(ids), G)
-        label_parts = _split_global_batch(
-            np.asarray(labels, dtype=np.float64).reshape(-1), G
-        )
-        total = labels.reshape(-1).shape[0]
+        dense = np.asarray(dense, dtype=np.float64)
+        ids = np.asarray(ids)
+        labels = np.asarray(labels, dtype=np.float64).reshape(-1)
+        total = labels.shape[0]
+        for name, array in (("dense", dense), ("ids", ids)):
+            if array.shape[:1] != (total,):
+                raise ValueError(
+                    f"{name} has shape {array.shape} but labels has "
+                    f"{total} rows"
+                )
+        if total % G != 0:
+            raise ValueError(
+                f"global batch {total} not divisible by world {G}"
+            )
+        B_local = total // G
+        rows = [slice(r * B_local, (r + 1) * B_local) for r in range(G)]
 
-        embs = self.exchange.forward(ids_parts)
+        inputs = self._exchange_forward({r: ids[rows[r]] for r in range(G)})
 
         # Data-parallel dense plane: rank-sequential execution; grad
         # accumulation across ranks is numerically the AllReduce sum.
         loss_sum = 0.0
-        grad_embs: Dict[int, np.ndarray] = {}
+        grads: Dict[int, Any] = {}
         for r in range(G):
-            logits = self.model.forward_with_embeddings(dense_parts[r], embs[r])
-            loss_sum += float(
-                F.bce_with_logits(logits, label_parts[r]).sum()
+            logits = self._dense_forward(dense[rows[r]], inputs[r])
+            loss_sum += float(F.bce_with_logits(logits, labels[rows[r]]).sum())
+            grads[r] = self._dense_backward(
+                F.bce_with_logits_grad(logits, labels[rows[r]]) / total
             )
-            grad_logits = (
-                F.bce_with_logits_grad(logits, label_parts[r]) / total
-            )
-            _, g_embs = self.model.backward_with_embeddings(grad_logits)
-            grad_embs[r] = g_embs
-
         # Price the (concurrent) dense compute: fwd + bwd ~ 3x forward.
-        B_local = total // G
-        spec = sim.cluster.spec
         sim.compute(
-            3 * self.model.flops_per_sample() * B_local / spec.effective_flops,
-            label="dense_fwd_bwd",
+            3 * self._dense_flops() * B_local
+            / sim.cluster.spec.effective_flops,
+            label=self._dense_label,
         )
 
-        self.exchange.backward(grad_embs)
+        self._exchange_backward(grads)
 
-        # Dense gradient AllReduce (grads already summed by
-        # accumulation; record the collective's cost).
+        # Global dense AllReduce (grads already summed by accumulation;
+        # record the collective's cost).
         nbytes = _dense_param_bytes(self.model.dense_parameters())
         timing = sim.cost_model.allreduce(sim.world, nbytes)
-        sim.timeline.add(Phase.DENSE_SYNC, "dense_allreduce", timing.seconds, nbytes, G)
+        sim.timeline.add(
+            Phase.DENSE_SYNC, "dense_allreduce", timing.seconds, nbytes, G
+        )
         return loss_sum / total
 
 
-class DistributedDMTTrainer:
+class DistributedHybridTrainer(_DataParallelStep):
+    """The state-of-the-art baseline: TorchRec-style hybrid parallelism.
+
+    Embedding tables are model-parallel through the flat exchange;
+    the dense arch is data-parallel with a global gradient AllReduce.
+    """
+
+    _dense_label = "dense_fwd_bwd"
+
+    def __init__(
+        self,
+        sim: SimCluster,
+        model: Module,
+        plan: Optional[Sequence[int]] = None,
+    ):
+        super().__init__(sim, model)
+        self.exchange = FlatEmbeddingExchange(sim, model.embeddings, plan)
+
+    def _exchange_forward(self, ids_parts):
+        return self.exchange.forward(ids_parts)
+
+    def _dense_forward(self, dense, embs):
+        return self.model.forward_with_embeddings(dense, embs)
+
+    def _dense_backward(self, grad_logits):
+        return self.model.backward_with_embeddings(grad_logits)[1]
+
+    def _dense_flops(self) -> int:
+        return self.model.flops_per_sample()
+
+    def _exchange_backward(self, grad_embs):
+        self.exchange.backward(grad_embs)
+
+
+class DistributedDMTTrainer(_DataParallelStep):
     """DMT training: SPTT exchange + per-host tower modules + hybrid
     dense parallelism.
 
@@ -125,25 +163,33 @@ class DistributedDMTTrainer:
     the replicas — or use :meth:`fit_step` to do it all.
     """
 
+    _dense_label = "overarch_fwd_bwd"
+
     def __init__(self, sim: SimCluster, model: Module):
+        if getattr(model, "overarch_features", None) is None:
+            raise TypeError(
+                f"{type(model).__name__} does not expose the "
+                "overarch_features / overarch_backward tower-output seam"
+            )
         if model.partition.num_towers != sim.num_hosts:
             raise ValueError(
                 f"model has {model.partition.num_towers} towers, cluster has "
                 f"{sim.num_hosts} hosts"
             )
-        self.sim = sim
-        self.model = model
+        super().__init__(sim, model)
         self.exchange = SPTTEmbeddingExchange(
             sim, model.embeddings, model.partition
         )
         # The exchange re-orders each tower's features (round-robin by
         # owning local rank); tower modules consume blocks in that
-        # order, so map exchange order -> partition order per tower.
+        # order, so map exchange order -> partition order per tower,
+        # and back for the gradients handed to the exchange.
         self._order_maps: List[np.ndarray] = []
         for t, group in enumerate(model.partition.groups):
             exchange_order = self.exchange.tower_feature_order[t]
             pos = {f: i for i, f in enumerate(exchange_order)}
             self._order_maps.append(np.array([pos[f] for f in group]))
+        self._inv_order_maps = [np.argsort(m) for m in self._order_maps]
         # Per-rank tower replicas (host h's ranks replicate tower h).
         self.replicas: Dict[int, Module] = {
             r: copy.deepcopy(model.towers[sim.cluster.host_of(r)])
@@ -156,99 +202,6 @@ class DistributedDMTTrainer:
         for r, replica in self.replicas.items():
             tower = self.model.towers[self.sim.cluster.host_of(r)]
             replica.load_state_dict(tower.state_dict())
-
-    # ------------------------------------------------------------------
-    def train_step(
-        self, dense: np.ndarray, ids: np.ndarray, labels: np.ndarray
-    ) -> float:
-        sim = self.sim
-        model = self.model
-        G, H = sim.world_size, sim.num_hosts
-        spec = sim.cluster.spec
-        dense_parts = _split_global_batch(np.asarray(dense, dtype=np.float64), G)
-        ids_parts = _split_global_batch(np.asarray(ids), G)
-        label_parts = _split_global_batch(
-            np.asarray(labels, dtype=np.float64).reshape(-1), G
-        )
-        total = labels.reshape(-1).shape[0]
-        B_local = total // G
-
-        # Steps (a)-(e), then tower modules on each rank's peer block.
-        tower_blocks = self.exchange.forward_to_towers(ids_parts)
-        tm_out: Dict[int, np.ndarray] = {}
-        tm_flops = 0
-        for r in range(G):
-            t = sim.cluster.host_of(r)
-            block = tower_blocks[r][:, self._order_maps[t], :]
-            tm_out[r] = self.replicas[r](block)
-            tm_flops = max(
-                tm_flops,
-                self.replicas[r].flops_per_sample() * block.shape[0],
-            )
-        sim.compute(3 * tm_flops / spec.effective_flops, label="tower_modules")
-
-        # Step (f) on compressed outputs.
-        exchanged = self.exchange.exchange_tower_outputs(tm_out)
-
-        # Overarch, data-parallel (rank-sequential + accumulation).
-        loss_sum = 0.0
-        tower_out_grads: Dict[int, List[np.ndarray]] = {}
-        for r in range(G):
-            logits, cache = self._overarch_forward(
-                dense_parts[r], exchanged[r]
-            )
-            loss_sum += float(F.bce_with_logits(logits, label_parts[r]).sum())
-            grad_logits = F.bce_with_logits_grad(logits, label_parts[r]) / total
-            tower_out_grads[r] = self._overarch_backward(grad_logits, cache)
-        overarch_flops = (
-            model.flops_per_sample() - model.tower_flops_per_sample()
-        )
-        sim.compute(
-            3 * overarch_flops * B_local / spec.effective_flops,
-            label="overarch_fwd_bwd",
-        )
-
-        # Reverse step (f); tower-module backward per replica.
-        grad_tm_out = self.exchange.backward_tower_exchange(tower_out_grads)
-        grad_blocks: Dict[int, np.ndarray] = {}
-        for r in range(G):
-            t = sim.cluster.host_of(r)
-            g_block = self.replicas[r].backward(grad_tm_out[r])
-            # Undo the partition-order gather before handing back to the
-            # exchange (which expects its own feature order).
-            inv = np.empty_like(self._order_maps[t])
-            inv[self._order_maps[t]] = np.arange(len(inv))
-            grad_blocks[r] = g_block[:, inv, :]
-        self.exchange.backward_from_towers(grad_blocks)
-
-        # Tower gradient sync: sum replica grads per host (priced as
-        # concurrent intra-host AllReduces) into the canonical modules.
-        tm_bytes = 0
-        for t, tower in enumerate(model.towers):
-            canonical = list(tower.parameters())
-            for r in sim.cluster.ranks_on_host(t):
-                for p_c, p_r in zip(canonical, self.replicas[r].parameters()):
-                    # Tower modules are dense MLPs, but route through
-                    # has_grad so a sparse replica grad would densify
-                    # instead of being silently dropped.
-                    if p_r.has_grad:
-                        p_c.add_grad(p_r.grad)
-                        p_r.zero_grad()
-            tm_bytes = max(tm_bytes, _dense_param_bytes(canonical))
-        if tm_bytes and sim.gpus_per_host > 1:
-            timing = sim.cost_model.allreduce(sim.host_groups[0], tm_bytes)
-            sim.timeline.add(
-                Phase.DENSE_SYNC, "tower_allreduce", timing.seconds,
-                tm_bytes, sim.gpus_per_host,
-            )
-
-        # Global dense AllReduce for the overarch.
-        nbytes = _dense_param_bytes(model.dense_parameters())
-        timing = sim.cost_model.allreduce(sim.world, nbytes)
-        sim.timeline.add(
-            Phase.DENSE_SYNC, "dense_allreduce", timing.seconds, nbytes, G
-        )
-        return loss_sum / total
 
     def fit_step(
         self,
@@ -267,67 +220,74 @@ class DistributedDMTTrainer:
         return loss
 
     # ------------------------------------------------------------------
-    # Overarch forward/backward around externally supplied tower outputs
-    # ------------------------------------------------------------------
-    def _overarch_forward(
-        self, dense: np.ndarray, tower_outputs: List[np.ndarray]
-    ) -> Tuple[np.ndarray, dict]:
-        """Run the model's post-tower dense plane on one rank's batch."""
-        model = self.model
-        B = dense.shape[0]
-        bottom_out = model.bottom(dense)
-        if hasattr(model, "interaction"):  # DMT-DLRM shape
-            bvec = (
-                model.bottom_proj(bottom_out)
-                if model.bottom_proj is not None
-                else bottom_out
+    def _exchange_forward(self, ids_parts):
+        """Steps (a)-(e), tower modules on each rank's peer block, then
+        step (f) on their (compressed) outputs."""
+        sim = self.sim
+        tower_blocks = self.exchange.forward_to_towers(ids_parts)
+        tm_out: Dict[int, np.ndarray] = {}
+        tm_flops = 0
+        for r, replica in self.replicas.items():
+            order = self._order_maps[sim.cluster.host_of(r)]
+            block = tower_blocks[r][:, order, :]
+            tm_out[r] = replica(block)
+            tm_flops = max(
+                tm_flops, replica.flops_per_sample() * block.shape[0]
             )
-            views = [
-                out.reshape(B, t.out_vectors, model.vector_dim)
-                for out, t in zip(tower_outputs, model.towers)
-            ]
-            stacked = np.concatenate([bvec[:, None, :]] + views, axis=1)
-            dots = model.interaction(stacked)
-            top_in = np.concatenate([bvec, dots], axis=1)
-            logits = model.top(top_in).reshape(-1)
-            return logits, {"kind": "dlrm", "B": B}
-        # DMT-DCN shape
-        x0 = np.concatenate([bottom_out] + list(tower_outputs), axis=1)
-        crossed = model.cross(x0)
-        logits = model.top(crossed).reshape(-1)
-        return logits, {"kind": "dcn", "B": B}
+        sim.compute(
+            3 * tm_flops / sim.cluster.spec.effective_flops,
+            label="tower_modules",
+        )
+        return self.exchange.exchange_tower_outputs(tm_out)
 
-    def _overarch_backward(
-        self, grad_logits: np.ndarray, cache: dict
-    ) -> List[np.ndarray]:
-        """Backprop the overarch; returns per-tower output grads."""
+    def _dense_forward(self, dense, tower_outs):
         model = self.model
-        B = cache["B"]
-        g_top_in = model.top.backward(grad_logits.reshape(-1, 1))
-        if cache["kind"] == "dlrm":
-            vd = model.vector_dim
-            g_bvec = g_top_in[:, :vd]
-            g_stacked = model.interaction.backward(g_top_in[:, vd:])
-            g_bvec = g_bvec + g_stacked[:, 0]
-            grads, start = [], 1
-            for t in model.towers:
-                sl = g_stacked[:, start : start + t.out_vectors]
-                grads.append(np.ascontiguousarray(sl.reshape(B, t.out_dim)))
-                start += t.out_vectors
-            g_bottom = (
-                model.bottom_proj.backward(g_bvec)
-                if model.bottom_proj is not None
-                else g_bvec
+        return model.top(model.overarch_features(dense, tower_outs)).reshape(-1)
+
+    def _dense_backward(self, grad_logits):
+        model = self.model
+        return model.overarch_backward(
+            model.top.backward(grad_logits.reshape(-1, 1))
+        )[1]
+
+    def _dense_flops(self) -> int:
+        return (
+            self.model.flops_per_sample() - self.model.tower_flops_per_sample()
+        )
+
+    def _exchange_backward(self, tower_out_grads):
+        """Reverse step (f), tower-module backward per replica, reverse
+        (e)-(b), then the intra-host tower gradient sync."""
+        sim = self.sim
+        grad_tm_out = self.exchange.backward_tower_exchange(tower_out_grads)
+        # Undo the partition-order gather before handing back to the
+        # exchange (which expects its own feature order).
+        self.exchange.backward_from_towers(
+            {
+                r: replica.backward(grad_tm_out[r])[
+                    :, self._inv_order_maps[sim.cluster.host_of(r)], :
+                ]
+                for r, replica in self.replicas.items()
+            }
+        )
+
+        # Tower gradient sync: sum replica grads per host (priced as
+        # concurrent intra-host AllReduces) into the canonical modules.
+        tm_bytes = 0
+        for t, tower in enumerate(self.model.towers):
+            canonical = list(tower.parameters())
+            for r in sim.cluster.ranks_on_host(t):
+                for p_c, p_r in zip(canonical, self.replicas[r].parameters()):
+                    # Tower modules are dense MLPs, but route through
+                    # has_grad so a sparse replica grad would densify
+                    # instead of being silently dropped.
+                    if p_r.has_grad:
+                        p_c.add_grad(p_r.grad)
+                        p_r.zero_grad()
+            tm_bytes = max(tm_bytes, _dense_param_bytes(canonical))
+        if tm_bytes and sim.gpus_per_host > 1:
+            timing = sim.cost_model.allreduce(sim.host_groups[0], tm_bytes)
+            sim.timeline.add(
+                Phase.DENSE_SYNC, "tower_allreduce", timing.seconds,
+                tm_bytes, sim.gpus_per_host,
             )
-            model.bottom.backward(g_bottom)
-            return grads
-        g_x0 = model.cross.backward(g_top_in)
-        N = model.embedding_dim
-        grads, start = [], N
-        for t in model.towers:
-            grads.append(
-                np.ascontiguousarray(g_x0[:, start : start + t.out_dim])
-            )
-            start += t.out_dim
-        model.bottom.backward(g_x0[:, :N])
-        return grads

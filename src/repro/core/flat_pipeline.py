@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.embedding import EmbeddingBagCollection
+from repro.nn.embedding import EmbeddingBagCollection, normalize_ids
 from repro.sim.cluster import SimCluster
 from repro.sim.tracing import Phase
 
@@ -79,20 +79,13 @@ class FlatEmbeddingExchange:
         self._batch: Optional[int] = None
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _normalize_ids(ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids)
-        if ids.ndim == 2:
-            ids = ids[:, :, None]
-        if ids.ndim != 3:
-            raise ValueError(f"ids must be (B, F[, P]), got shape {ids.shape}")
-        return ids.astype(np.int64, copy=False)
-
     def forward(self, ids: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
         """Run steps (a)-(c); returns (B, F, N) embeddings per rank."""
         sim = self.sim
         world = sim.world
-        ids = {r: self._normalize_ids(a) for r, a in ids.items()}
+        ids = {
+            r: normalize_ids(a, self.num_features) for r, a in ids.items()
+        }
         batches = {a.shape[0] for a in ids.values()}
         if len(batches) != 1:
             raise ValueError(f"local batch sizes differ: {batches}")

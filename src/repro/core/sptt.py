@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.partition import FeaturePartition
 from repro.core.peer import inverse_permutation, peer_permutation
 from repro.core.flat_pipeline import EMB_ITEMSIZE
-from repro.nn.embedding import EmbeddingBagCollection
+from repro.nn.embedding import EmbeddingBagCollection, normalize_ids
 from repro.sim.cluster import SimCluster
 from repro.sim.tracing import Phase
 
@@ -101,15 +101,6 @@ class SPTTEmbeddingExchange:
     def tower_num_features(self, tower: int) -> int:
         return len(self.tower_feature_order[tower])
 
-    @staticmethod
-    def _normalize_ids(ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids)
-        if ids.ndim == 2:
-            ids = ids[:, :, None]
-        if ids.ndim != 3:
-            raise ValueError(f"ids must be (B, F[, P]), got shape {ids.shape}")
-        return ids.astype(np.int64, copy=False)
-
     # ------------------------------------------------------------------
     # Forward half 1: steps (a)-(e)
     # ------------------------------------------------------------------
@@ -121,7 +112,9 @@ class SPTTEmbeddingExchange:
         """
         sim = self.sim
         G, H, L = sim.world_size, sim.num_hosts, sim.gpus_per_host
-        ids = {r: self._normalize_ids(a) for r, a in ids.items()}
+        ids = {
+            r: normalize_ids(a, self.num_features) for r, a in ids.items()
+        }
         batches = {a.shape[0] for a in ids.values()}
         if len(batches) != 1:
             raise ValueError(f"local batch sizes differ: {batches}")

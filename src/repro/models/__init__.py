@@ -1,8 +1,10 @@
 """Recommendation models: DLRM, DCN, their DMT multi-tower variants,
 and the XLRM scaled configuration.
 
-Single-process model semantics live here; the distributed execution of
-the same math is in :mod:`repro.core`.  The DMT variants implement the
+Model semantics live here, once: :mod:`repro.core` runs the same
+methods over what its exchanges deliver (``*_with_embeddings`` for the
+flat exchange, the DMT pair's ``overarch_features`` /
+``overarch_backward`` for SPTT).  The DMT variants implement the
 *model-side* of the technique (tower modules + hierarchical feature
 interaction); equality between a pass-through DMT model and its flat
 original is the Table 3 claim and is covered by tests.

@@ -12,14 +12,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.models.base import RecModel
 from repro.models.configs import DenseArch
-from repro.nn.embedding import EmbeddingBagCollection, TableConfig
+from repro.nn.embedding import TableConfig
 from repro.nn.interactions import CrossNet
 from repro.nn.mlp import MLP
-from repro.nn.module import Module
 
 
-class DCN(Module):
+class DCN(RecModel):
     """Deep & Cross Network v2.
 
     Dataflow: x0 = [bottom(dense), embs.flatten] of dim (F+1)*N ->
@@ -38,21 +38,7 @@ class DCN(Module):
         rng = rng or np.random.default_rng(0)
         if arch.cross_layers <= 0:
             raise ValueError("DCN requires arch.cross_layers >= 1")
-        dims = {c.dim for c in table_configs}
-        if dims != {arch.embedding_dim}:
-            raise ValueError(
-                f"table dims {sorted(dims)} must equal arch embedding dim "
-                f"{arch.embedding_dim}"
-            )
-        self.num_dense = num_dense
-        self.num_sparse = len(table_configs)
-        self.embedding_dim = arch.embedding_dim
-        self.embeddings = EmbeddingBagCollection(table_configs, rng=rng)
-        self.bottom = MLP(
-            [num_dense, *arch.bottom_mlp, arch.embedding_dim],
-            rng=rng,
-            name="bottom",
-        )
+        super().__init__(num_dense, table_configs, arch, rng)
         self.cross_dim = (self.num_sparse + 1) * arch.embedding_dim
         self.cross = CrossNet(
             self.cross_dim, arch.cross_layers, rng=rng, name="cross"
@@ -70,12 +56,7 @@ class DCN(Module):
         self, dense: np.ndarray, embs: np.ndarray
     ) -> np.ndarray:
         """Crossed features feeding the top MLP, (B, ``top_in_features``)."""
-        B = dense.shape[0]
-        if embs.shape != (B, self.num_sparse, self.embedding_dim):
-            raise ValueError(
-                f"embeddings shape {embs.shape} != "
-                f"({B}, {self.num_sparse}, {self.embedding_dim})"
-            )
+        B = self._check_embeddings(dense, embs)
         bottom_out = self.bottom(dense)
         x0 = np.concatenate([bottom_out, embs.reshape(B, -1)], axis=1)
         return self.cross(x0)
@@ -91,38 +72,12 @@ class DCN(Module):
         g_dense = self.bottom.backward(g_bottom)
         return g_dense, g_embs
 
-    def forward_with_embeddings(
-        self, dense: np.ndarray, embs: np.ndarray
-    ) -> np.ndarray:
-        crossed = self.features_with_embeddings(dense, embs)
-        return self.top(crossed).reshape(-1)
-
-    def backward_with_embeddings(
-        self, grad_logits: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        g_crossed = self.top.backward(np.asarray(grad_logits).reshape(-1, 1))
-        return self.features_backward(g_crossed)
-
-    # ------------------------------------------------------------------
-    def forward(self, dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        embs = self.embeddings(ids)
-        return self.forward_with_embeddings(dense, embs)
-
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        g_dense, g_embs = self.backward_with_embeddings(grad_logits)
-        self.embeddings.backward(g_embs)
-        return g_dense
-
-    # ------------------------------------------------------------------
     def dense_parameters(self) -> List:
         return (
             self.bottom.parameters()
             + self.cross.parameters()
             + self.top.parameters()
         )
-
-    def sparse_parameters(self) -> List:
-        return self.embeddings.parameters()
 
     def flops_per_sample(self) -> int:
         return (

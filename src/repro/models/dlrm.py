@@ -1,10 +1,8 @@
 """DLRM (Naumov et al. 2019): dot-product interaction model.
 
-The model is deliberately split into an embedding plane and a dense
-plane: ``forward_with_embeddings`` / ``backward_with_embeddings`` let
-the distributed pipelines (flat and SPTT) supply embeddings produced by
-simulated collectives while reusing the exact same dense math as
-single-process execution — the property all equivalence tests lean on.
+Only the interaction is stated here; the embedding plane, the ``top``
+plumbing and the ``*_with_embeddings`` entry points the distributed
+pipelines call are :class:`~repro.models.base.RecModel`'s.
 """
 
 from __future__ import annotations
@@ -13,14 +11,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.models.base import RecModel
 from repro.models.configs import DenseArch
-from repro.nn.embedding import EmbeddingBagCollection, TableConfig
+from repro.nn.embedding import TableConfig
 from repro.nn.interactions import DotInteraction
 from repro.nn.mlp import MLP
-from repro.nn.module import Module
 
 
-class DLRM(Module):
+class DLRM(RecModel):
     """Deep Learning Recommendation Model.
 
     Dataflow: dense features -> bottom MLP -> (B, N); sparse ids ->
@@ -47,21 +45,7 @@ class DLRM(Module):
         rng: Optional[np.random.Generator] = None,
     ):
         rng = rng or np.random.default_rng(0)
-        dims = {c.dim for c in table_configs}
-        if dims != {arch.embedding_dim}:
-            raise ValueError(
-                f"table dims {sorted(dims)} must equal arch embedding dim "
-                f"{arch.embedding_dim}"
-            )
-        self.num_dense = num_dense
-        self.num_sparse = len(table_configs)
-        self.embedding_dim = arch.embedding_dim
-        self.embeddings = EmbeddingBagCollection(table_configs, rng=rng)
-        self.bottom = MLP(
-            [num_dense, *arch.bottom_mlp, arch.embedding_dim],
-            rng=rng,
-            name="bottom",
-        )
+        super().__init__(num_dense, table_configs, arch, rng)
         self.interaction = DotInteraction(
             num_inputs=self.num_sparse + 1, dim=arch.embedding_dim
         )
@@ -73,11 +57,7 @@ class DLRM(Module):
             final_activation=False,
             name="top",
         )
-        self._grad_embs: Optional[np.ndarray] = None
 
-    # ------------------------------------------------------------------
-    # Dense plane (embeddings supplied externally)
-    # ------------------------------------------------------------------
     def features_with_embeddings(
         self, dense: np.ndarray, embs: np.ndarray
     ) -> np.ndarray:
@@ -89,12 +69,7 @@ class DLRM(Module):
         task towers here while the single-task path routes the same
         array straight through ``self.top``.
         """
-        B = dense.shape[0]
-        if embs.shape != (B, self.num_sparse, self.embedding_dim):
-            raise ValueError(
-                f"embeddings shape {embs.shape} != "
-                f"({B}, {self.num_sparse}, {self.embedding_dim})"
-            )
+        self._check_embeddings(dense, embs)
         bottom_out = self.bottom(dense)  # (B, N)
         stacked = np.concatenate([bottom_out[:, None, :], embs], axis=1)
         dots = self.interaction(stacked)  # (B, C(F+1, 2))
@@ -113,45 +88,9 @@ class DLRM(Module):
         g_dense = self.bottom.backward(g_bottom)
         return g_dense, g_embs
 
-    def forward_with_embeddings(
-        self, dense: np.ndarray, embs: np.ndarray
-    ) -> np.ndarray:
-        """Logits from dense features and pre-looked-up embeddings.
-
-        ``embs`` has shape (B, F, N) — exactly what the embedding
-        exchange delivers to each rank.
-        """
-        top_in = self.features_with_embeddings(dense, embs)
-        return self.top(top_in).reshape(-1)
-
-    def backward_with_embeddings(
-        self, grad_logits: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Backprop the dense plane; returns (grad_dense, grad_embs)."""
-        g_top_in = self.top.backward(np.asarray(grad_logits).reshape(-1, 1))
-        return self.features_backward(g_top_in)
-
-    # ------------------------------------------------------------------
-    # Full single-process plane
-    # ------------------------------------------------------------------
-    def forward(self, dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        embs = self.embeddings(ids)
-        return self.forward_with_embeddings(dense, embs)
-
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        g_dense, g_embs = self.backward_with_embeddings(grad_logits)
-        self._grad_embs = g_embs
-        self.embeddings.backward(g_embs)
-        return g_dense
-
-    # ------------------------------------------------------------------
     def dense_parameters(self) -> List:
         """Parameters synchronized via AllReduce in hybrid parallelism."""
         return self.bottom.parameters() + self.top.parameters()
-
-    def sparse_parameters(self) -> List:
-        """Model-parallel parameters (embedding tables)."""
-        return self.embeddings.parameters()
 
     def flops_per_sample(self) -> int:
         return (

@@ -8,8 +8,13 @@ towers the models are exactly their flat originals (SPTT alone changes
 dataflow, not math — Table 3); with projecting tower modules they trade
 interaction completeness for compute and communication (Tables 4-5).
 
-The distributed execution of the same math lives in
-:mod:`repro.core.dmt_pipeline`; it reuses the submodules defined here.
+Everything after the tower modules is stated once, behind the
+**tower-output seam**: ``overarch_features(dense, tower_outs)`` /
+``overarch_backward(grad_features)``, one pair per family.  The
+single-process path feeds it ``tower(embs[:, group])`` for every tower;
+:class:`repro.core.dmt_pipeline.DistributedDMTTrainer` feeds it what
+SPTT step (f) delivers — two dataflows over the same statement of the
+math.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.partition import FeaturePartition
+from repro.models.base import RecModel
 from repro.models.configs import DenseArch
 from repro.models.tower_module import (
     DCNTowerModule,
@@ -26,15 +32,21 @@ from repro.models.tower_module import (
     PassThroughTower,
     TowerModuleBase,
 )
-from repro.nn.embedding import EmbeddingBagCollection, TableConfig
+from repro.nn.embedding import TableConfig
 from repro.nn.interactions import CrossNet, DotInteraction
 from repro.nn.layers import Linear
 from repro.nn.mlp import MLP
-from repro.nn.module import Module
 
 
-class _DMTBase(Module):
-    """Shared plumbing: embeddings, bottom MLP, tower dispatch."""
+class _DMTBase(RecModel):
+    """Tower dispatch around the family's overarch.
+
+    A family defines the tower-output seam:
+    ``overarch_features(dense, tower_outs) -> (B, top_in_features)``
+    from the per-tower ``(B, out_dim_t)`` outputs, and
+    ``overarch_backward(grad_features) -> (g_dense, per-tower output
+    grads)``.
+    """
 
     def __init__(
         self,
@@ -49,40 +61,38 @@ class _DMTBase(Module):
                 f"partition covers {partition.num_features} features but "
                 f"{len(table_configs)} tables were given"
             )
-        dims = {c.dim for c in table_configs}
-        if dims != {arch.embedding_dim}:
-            raise ValueError(
-                f"table dims {sorted(dims)} must equal arch embedding dim "
-                f"{arch.embedding_dim}"
-            )
-        self.num_dense = num_dense
-        self.num_sparse = len(table_configs)
-        self.embedding_dim = arch.embedding_dim
+        super().__init__(num_dense, table_configs, arch, rng)
         self.partition = partition
-        self.embeddings = EmbeddingBagCollection(table_configs, rng=rng)
-        self.bottom = MLP(
-            [num_dense, *arch.bottom_mlp, arch.embedding_dim],
-            rng=rng,
-            name="bottom",
-        )
         self.towers: List[TowerModuleBase] = []
 
     # ------------------------------------------------------------------
-    def _towers_forward(self, embs: np.ndarray) -> List[np.ndarray]:
-        """Slice (B, F, N) per tower group and apply tower modules."""
-        outs = []
-        for tower, group in zip(self.towers, self.partition.groups):
-            outs.append(tower(embs[:, list(group), :]))
-        return outs
-
-    def _towers_backward(
-        self, grads: Sequence[np.ndarray], batch: int
+    def features_with_embeddings(
+        self, dense: np.ndarray, embs: np.ndarray
     ) -> np.ndarray:
-        """Route per-tower output grads back to a full (B, F, N) grad."""
-        grad_embs = np.zeros((batch, self.num_sparse, self.embedding_dim))
-        for tower, group, g in zip(self.towers, self.partition.groups, grads):
-            grad_embs[:, list(group), :] = tower.backward(g)
-        return grad_embs
+        """Top-MLP input, (B, ``top_in_features``): every tower on its
+        feature group of (B, F, N), then the overarch."""
+        self._check_embeddings(dense, embs)
+        return self.overarch_features(
+            dense,
+            [
+                tower(embs[:, list(group), :])
+                for tower, group in zip(self.towers, self.partition.groups)
+            ],
+        )
+
+    def features_backward(
+        self, grad_features: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Backprop from the top-MLP input; returns (g_dense, g_embs)."""
+        g_dense, tower_grads = self.overarch_backward(grad_features)
+        g_embs = np.zeros(
+            (grad_features.shape[0], self.num_sparse, self.embedding_dim)
+        )
+        for tower, group, g in zip(
+            self.towers, self.partition.groups, tower_grads
+        ):
+            g_embs[:, list(group), :] = tower.backward(g)
+        return g_dense, g_embs
 
     # ------------------------------------------------------------------
     def compression_ratio(self) -> float:
@@ -93,25 +103,9 @@ class _DMTBase(Module):
     def tower_flops_per_sample(self) -> int:
         return sum(t.flops_per_sample() for t in self.towers)
 
-    def dense_parameters(self) -> List:
-        """Globally data-parallel parameters (AllReduce world = G)."""
-        raise NotImplementedError
-
     def tower_parameters(self) -> List:
         """Tower-local parameters (AllReduce world = one host, §3.2)."""
         return [p for t in self.towers for p in t.parameters()]
-
-    def sparse_parameters(self) -> List:
-        return self.embeddings.parameters()
-
-    def forward(self, dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        embs = self.embeddings(ids)
-        return self.forward_with_embeddings(dense, embs)
-
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        g_dense, g_embs = self.backward_with_embeddings(grad_logits)
-        self.embeddings.backward(g_embs)
-        return g_dense
 
 
 class DMTDLRM(_DMTBase):
@@ -173,14 +167,13 @@ class DMTDLRM(_DMTBase):
             [top_in, *top_hidden, 1], rng=rng, final_activation=False, name="top"
         )
 
-    def features_with_embeddings(
-        self, dense: np.ndarray, embs: np.ndarray
+    def overarch_features(
+        self, dense: np.ndarray, tower_outs: Sequence[np.ndarray]
     ) -> np.ndarray:
         """Top-MLP input [bvec, dots], shape (B, ``top_in_features``)."""
         B = dense.shape[0]
         bottom_out = self.bottom(dense)
         bvec = self.bottom_proj(bottom_out) if self.bottom_proj else bottom_out
-        tower_outs = self._towers_forward(embs)
         views = [
             out.reshape(B, t.out_vectors, self.vector_dim)
             for out, t in zip(tower_outs, self.towers)
@@ -189,10 +182,9 @@ class DMTDLRM(_DMTBase):
         dots = self.interaction(stacked)
         return np.concatenate([bvec, dots], axis=1)
 
-    def features_backward(
+    def overarch_backward(
         self, grad_features: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Backprop from the top-MLP input; returns (g_dense, g_embs)."""
+    ) -> Tuple[np.ndarray, List[np.ndarray]]:
         vd = self.vector_dim
         g_bvec = grad_features[:, :vd]
         g_dots = grad_features[:, vd:]
@@ -204,24 +196,10 @@ class DMTDLRM(_DMTBase):
             sl = g_stacked[:, start : start + t.out_vectors]
             tower_grads.append(sl.reshape(B, t.out_dim))
             start += t.out_vectors
-        g_embs = self._towers_backward(tower_grads, B)
         g_bottom = (
             self.bottom_proj.backward(g_bvec) if self.bottom_proj else g_bvec
         )
-        g_dense = self.bottom.backward(g_bottom)
-        return g_dense, g_embs
-
-    def forward_with_embeddings(
-        self, dense: np.ndarray, embs: np.ndarray
-    ) -> np.ndarray:
-        top_in = self.features_with_embeddings(dense, embs)
-        return self.top(top_in).reshape(-1)
-
-    def backward_with_embeddings(
-        self, grad_logits: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        g_top_in = self.top.backward(np.asarray(grad_logits).reshape(-1, 1))
-        return self.features_backward(g_top_in)
+        return self.bottom.backward(g_bottom), tower_grads
 
     def dense_parameters(self) -> List:
         params = self.bottom.parameters() + self.top.parameters()
@@ -296,42 +274,23 @@ class DMTDCN(_DMTBase):
             name="top",
         )
 
-    def features_with_embeddings(
-        self, dense: np.ndarray, embs: np.ndarray
+    def overarch_features(
+        self, dense: np.ndarray, tower_outs: Sequence[np.ndarray]
     ) -> np.ndarray:
         """Crossed features feeding the top MLP, (B, ``top_in_features``)."""
-        bottom_out = self.bottom(dense)
-        tower_outs = self._towers_forward(embs)
-        x0 = np.concatenate([bottom_out] + tower_outs, axis=1)
+        x0 = np.concatenate([self.bottom(dense), *tower_outs], axis=1)
         return self.cross(x0)
 
-    def features_backward(
+    def overarch_backward(
         self, grad_features: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Backprop from the top-MLP input; returns (g_dense, g_embs)."""
+    ) -> Tuple[np.ndarray, List[np.ndarray]]:
         g_x0 = self.cross.backward(grad_features)
         N = self.embedding_dim
-        g_bottom = g_x0[:, :N]
-        B = g_x0.shape[0]
         tower_grads, start = [], N
         for t in self.towers:
             tower_grads.append(g_x0[:, start : start + t.out_dim])
             start += t.out_dim
-        g_embs = self._towers_backward(tower_grads, B)
-        g_dense = self.bottom.backward(g_bottom)
-        return g_dense, g_embs
-
-    def forward_with_embeddings(
-        self, dense: np.ndarray, embs: np.ndarray
-    ) -> np.ndarray:
-        crossed = self.features_with_embeddings(dense, embs)
-        return self.top(crossed).reshape(-1)
-
-    def backward_with_embeddings(
-        self, grad_logits: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        g_crossed = self.top.backward(np.asarray(grad_logits).reshape(-1, 1))
-        return self.features_backward(g_crossed)
+        return self.bottom.backward(g_x0[:, :N]), tower_grads
 
     def dense_parameters(self) -> List:
         return (

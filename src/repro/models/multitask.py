@@ -248,8 +248,7 @@ class MultiTaskModel(Module):
 
     def tower_parameters(self) -> List:
         """DMT tower-local parameters of the base model, if any."""
-        inner = getattr(self.base, "tower_parameters", None)
-        return inner() if inner is not None else []
+        return self.base.tower_parameters()
 
     def sparse_parameters(self) -> List:
         return self.base.sparse_parameters()

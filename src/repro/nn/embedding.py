@@ -51,6 +51,20 @@ def _check_ids_in_range(ids: np.ndarray, limit: int, name: str) -> None:
         raise IndexError(f"ids out of range [0, {limit}) for table {name}")
 
 
+def normalize_ids(ids: np.ndarray, num_features: int) -> np.ndarray:
+    """Sparse ids as int64 ``(B, num_features, P)``; ``(B, F)`` means
+    ``P == 1``.  The one statement of the id layout, shared by the
+    collection and both embedding exchanges."""
+    ids = np.asarray(ids)
+    if ids.ndim == 2:
+        ids = ids[:, :, None]
+    if ids.ndim != 3 or ids.shape[1] != num_features:
+        raise ValueError(
+            f"ids must be (B, {num_features}[, P]), got {ids.shape}"
+        )
+    return ids.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class TableConfig:
     """Configuration of one embedding table.
@@ -264,16 +278,6 @@ class EmbeddingBagCollection(Module):
         for table in self.tables:
             table.sparse_grad_mode = mode
 
-    def _normalize_ids(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids)
-        if ids.ndim == 2:
-            ids = ids[:, :, None]
-        if ids.ndim != 3 or ids.shape[1] != self.num_features:
-            raise ValueError(
-                f"ids must be (B, {self.num_features}[, P]), got {ids.shape}"
-            )
-        return ids
-
     def _fused_intact(self) -> bool:
         """True while every table parameter still aliases the stacked
         matrix.  External code may temporarily rebind ``weight.data``
@@ -282,7 +286,7 @@ class EmbeddingBagCollection(Module):
         return all(t.weight.data.base is self._stacked for t in self.tables)
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        ids = self._normalize_ids(ids)
+        ids = normalize_ids(ids, self.num_features)
         if not self._fused_intact():
             self._rows = None
             outs = [table(ids[:, f]) for f, table in enumerate(self.tables)]

@@ -156,19 +156,20 @@ class MultiTaskEvalResult:
 class Trainer:
     """Train/evaluate a recommendation model on in-memory data.
 
-    The model must expose ``dense_parameters()``, ``sparse_parameters()``,
-    ``forward(dense, ids)`` and ``backward(grad_logits)`` — all of DLRM,
-    DCN, and the DMT variants do.  Models with tower modules
-    additionally expose ``tower_parameters()``, folded into the dense
-    optimizer (single-process training syncs nothing).
+    The model must expose ``dense_parameters()``, ``tower_parameters()``,
+    ``sparse_parameters()``, ``forward(dense, ids)`` and
+    ``backward(grad_logits)`` — all of DLRM, DCN, the DMT variants and
+    ``MultiTaskModel`` do.  Tower-module parameters (``[]`` on a flat
+    model) are folded into the dense optimizer: single-process training
+    syncs nothing.
     """
 
     def __init__(self, model, config: TrainConfig):
         self.model = model
         self.config = config
-        dense_params = list(model.dense_parameters())
-        if hasattr(model, "tower_parameters"):
-            dense_params += list(model.tower_parameters())
+        dense_params = list(model.dense_parameters()) + list(
+            model.tower_parameters()
+        )
         if config.dense_optimizer == "adam":
             self.dense_opt: Optimizer = Adam(dense_params, lr=config.dense_lr)
         else:

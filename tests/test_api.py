@@ -123,6 +123,17 @@ class TestSpecValidation:
                 cluster=ClusterSpec(num_hosts=4, gpus_per_host=2),
             )
 
+    def test_simulated_training_rejects_multi_task(self):
+        """The simulated step prices single-logit BCE only; a multi-task
+        model used to construct, analyze clean and then die inside
+        DistributedDMTTrainer with an AttributeError."""
+        base = distributed_training_spec()
+        multi = dataclasses.replace(base.model, tasks=("ctr", "cvr"))
+        with pytest.raises(SpecError, match=r"model\.tasks.*train\.mode"):
+            dataclasses.replace(base, model=multi)
+        with pytest.raises(SpecError, match=r"model\.tasks.*train\.mode"):
+            RunSpec.from_dict({**base.to_dict(), "model": multi.to_dict()})
+
     def test_too_many_towers_for_features(self):
         with pytest.raises(SpecError, match="towers"):
             RunSpec(

@@ -13,7 +13,14 @@ import pytest
 from repro.core.dmt_pipeline import DistributedDMTTrainer, DistributedHybridTrainer
 from repro.core.partition import FeaturePartition
 from repro.hardware import Cluster
-from repro.models import DCN, DLRM, DMTDCN, DMTDLRM, tiny_table_configs
+from repro.models import (
+    DCN,
+    DLRM,
+    DMTDCN,
+    DMTDLRM,
+    MultiTaskModel,
+    tiny_table_configs,
+)
 from repro.models.configs import tiny_dcn_arch, tiny_dlrm_arch
 from repro.nn import Adam, BCEWithLogitsLoss, SGD
 from repro.sim import Phase, SimCluster
@@ -296,3 +303,81 @@ class TestDMTTrainerEquivalence:
             )
 
         assert peer_bytes(tower_dim=2) < peer_bytes(tower_dim=N)
+
+
+def _flat_dlrm():
+    return DLRM(
+        DENSE,
+        tiny_table_configs(F, ROWS, N),
+        tiny_dlrm_arch(N),
+        rng=np.random.default_rng(0),
+    )
+
+
+def _dmt_dlrm():
+    return DMTDLRM(
+        DENSE,
+        tiny_table_configs(F, ROWS, N),
+        FeaturePartition.contiguous(F, 2),
+        tiny_dlrm_arch(N),
+        tower_dim=4,
+        rng=np.random.default_rng(0),
+    )
+
+
+class TestSharedStepPrologue:
+    """Both trainers validate the global batch once, before any
+    exchange runs, and name the offending array."""
+
+    @pytest.fixture(params=["hybrid", "dmt"])
+    def trainer(self, request):
+        sim = make_cluster()
+        if request.param == "hybrid":
+            return DistributedHybridTrainer(sim, _flat_dlrm())
+        return DistributedDMTTrainer(sim, _dmt_dlrm())
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            # every length divides the 4-rank world: used to be split
+            # independently and fail (or broadcast) inside the loss
+            (dict(dense=8, ids=4, labels=4), "dense"),
+            (dict(dense=4, ids=8, labels=4), "ids"),
+            (dict(dense=8, ids=8, labels=4), "dense"),
+            (dict(dense=5, ids=5, labels=5), "divisible"),
+        ],
+    )
+    def test_mismatched_or_indivisible_batch_rejected(
+        self, trainer, rows, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            trainer.train_step(
+                np.zeros((rows["dense"], DENSE)),
+                np.zeros((rows["ids"], F), dtype=int),
+                np.zeros(rows["labels"]),
+            )
+        assert trainer.sim.timeline.events == []
+
+    def test_list_labels_accepted(self, trainer):
+        """labels.reshape(-1) ran on the raw argument: a list was an
+        AttributeError."""
+        dense, ids, labels = make_batch(trainer.sim)
+        trainer.model.zero_grad()
+        from_list = trainer.train_step(dense, ids, labels.tolist())
+        trainer.model.zero_grad()
+        assert from_list == trainer.train_step(dense, ids, labels)
+
+
+class TestTowerOutputSeamRequired:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _flat_dlrm,
+            lambda: MultiTaskModel(_dmt_dlrm(), ("ctr", "cvr")),
+        ],
+        ids=["flat-dlrm", "multitask-over-dmt"],
+    )
+    def test_model_without_the_seam_is_a_type_error(self, build):
+        model = build()
+        with pytest.raises(TypeError, match="overarch_features"):
+            DistributedDMTTrainer(make_cluster(), model)

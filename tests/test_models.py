@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.partition import FeaturePartition
+from repro.core import (
+    FeaturePartition,
+    FlatEmbeddingExchange,
+    SPTTEmbeddingExchange,
+)
+from repro.hardware import Cluster
 from repro.models import (
     DCN,
     DLRM,
@@ -19,6 +24,8 @@ from repro.models import (
 )
 from repro.models.configs import tiny_dcn_arch, tiny_dlrm_arch
 from repro.nn import BCEWithLogitsLoss
+from repro.sim import SimCluster
+from repro.training import TrainConfig, Trainer
 from tests.util import numeric_grad
 
 F, N, B, DENSE = 6, 8, 5, 4
@@ -322,3 +329,117 @@ class TestDMTDCN:
     def test_compression_ratio(self, rng):
         model = self.make(rng, tower_dim=N // 4)
         assert model.compression_ratio() == pytest.approx(4.0)
+
+
+SCRAMBLED = FeaturePartition.from_groups([[3, 0], [5, 1], [4, 2]])
+
+
+def build_model(kind, rng, pass_through=False, partition=SCRAMBLED):
+    if kind == "dlrm":
+        return DLRM(DENSE, tiny_tables(), tiny_dlrm_arch(N), rng=rng)
+    if kind == "dcn":
+        return DCN(DENSE, tiny_tables(), tiny_dcn_arch(N), rng=rng)
+    cls, arch = (
+        (DMTDLRM, tiny_dlrm_arch(N))
+        if kind == "dmt-dlrm"
+        else (DMTDCN, tiny_dcn_arch(N))
+    )
+    return cls(
+        DENSE, tiny_tables(), partition, arch, tower_dim=4,
+        pass_through=pass_through, rng=rng,
+    )
+
+
+class TestSharedPlumbing:
+    """What RecModel states once for all four models."""
+
+    @pytest.mark.parametrize("kind", ["dlrm", "dcn", "dmt-dlrm", "dmt-dcn"])
+    @pytest.mark.parametrize(
+        "shape", [(B, F + 2, N), (B, F - 1, N), (B + 1, F, N), (B, F, N + 1)]
+    )
+    def test_wrong_embeddings_shape_rejected(self, rng, kind, shape):
+        """The DMT pair used to ignore surplus features and raise raw
+        numpy errors on the rest."""
+        model = build_model(kind, rng)
+        with pytest.raises(ValueError, match="embeddings shape"):
+            model.forward_with_embeddings(
+                rng.standard_normal((B, DENSE)), rng.standard_normal(shape)
+            )
+
+    @pytest.mark.parametrize("exchange", ["flat", "sptt"])
+    def test_exchanges_reject_surplus_id_columns(self, rng, exchange):
+        """Same ValueError as the collection: one normalize_ids."""
+        sim = SimCluster(Cluster(num_hosts=3, gpus_per_host=1, generation="A100"))
+        ebc = build_model("dlrm", rng).embeddings
+        ex = (
+            FlatEmbeddingExchange(sim, ebc)
+            if exchange == "flat"
+            else SPTTEmbeddingExchange(sim, ebc, SCRAMBLED)
+        )
+        ids = {r: np.zeros((2, F + 1), dtype=int) for r in range(3)}
+        with pytest.raises(ValueError, match=rf"\(B, {F}\[, P\]\)") as exc:
+            ex.forward(ids)
+        with pytest.raises(ValueError) as ref:
+            ebc(ids[0])
+        assert str(exc.value) == str(ref.value)
+        assert sim.timeline.events == []
+
+    @pytest.mark.parametrize("kind", ["dlrm", "dcn"])
+    def test_flat_models_have_no_tower_parameters(self, rng, kind):
+        assert build_model(kind, rng).tower_parameters() == []
+
+    @pytest.mark.parametrize("kind", ["dlrm", "dmt-dlrm"])
+    def test_trainer_parameter_groups_unchanged(self, rng, kind):
+        """Trainer asks every model for tower_parameters(); the groups
+        are the ones the hasattr-sniffing construction built."""
+        model = build_model(kind, rng)
+        trainer = Trainer(model, TrainConfig())
+        expected = list(model.dense_parameters())
+        if kind == "dmt-dlrm":
+            expected += [p for t in model.towers for p in t.parameters()]
+        assert len(trainer.dense_opt.params) == len(expected)
+        assert all(
+            a is b for a, b in zip(trainer.dense_opt.params, expected)
+        )
+        assert all(
+            a is b
+            for a, b in zip(
+                trainer.sparse_opt.params, model.embeddings.parameters()
+            )
+        )
+
+
+class TestTowerOutputSeam:
+    """features_* is the seam applied to every tower's own output."""
+
+    @pytest.mark.parametrize("kind", ["dmt-dlrm", "dmt-dcn"])
+    @pytest.mark.parametrize("pass_through", [True, False])
+    def test_features_are_the_overarch_of_tower_outputs(
+        self, rng, kind, pass_through
+    ):
+        model = build_model(kind, rng, pass_through)
+        twin = build_model(kind, np.random.default_rng(0), pass_through)
+        twin.load_state_dict(model.state_dict())
+        dense = rng.standard_normal((B, DENSE))
+        embs = rng.standard_normal((B, F, N))
+        g_features = rng.standard_normal((B, model.top_in_features))
+
+        features = model.features_with_embeddings(dense, embs)
+        g_dense, g_embs = model.features_backward(g_features)
+
+        outs = [
+            tower(embs[:, list(group), :])
+            for tower, group in zip(twin.towers, SCRAMBLED.groups)
+        ]
+        assert np.array_equal(twin.overarch_features(dense, outs), features)
+        twin_g_dense, tower_grads = twin.overarch_backward(g_features)
+        assert np.array_equal(twin_g_dense, g_dense)
+        assert len(tower_grads) == len(twin.towers)
+        for tower, group, g in zip(twin.towers, SCRAMBLED.groups, tower_grads):
+            assert g.shape == (B, tower.out_dim)
+            assert np.array_equal(tower.backward(g), g_embs[:, list(group), :])
+        for (name, p), (_, q) in zip(
+            model.named_parameters(), twin.named_parameters()
+        ):
+            if p.has_grad or q.has_grad:
+                assert np.array_equal(p.grad, q.grad), name
