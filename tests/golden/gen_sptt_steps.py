@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List
 
@@ -130,16 +131,14 @@ def _hybrid(hosts: int, family: str) -> Dict[str, Any]:
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     **{
         f"dmt/{hosts}x2/{family}/{'pass_through' if pt else 'projecting'}": (
-            lambda hosts=hosts, family=family, pt=pt: _dmt(hosts, family, pt)
+            partial(_dmt, hosts, family, pt)
         )
         for hosts in (2, 4)
         for family in ("dlrm", "dcn")
         for pt in (True, False)
     },
     **{
-        f"hybrid/{hosts}x2/{family}": (
-            lambda hosts=hosts, family=family: _hybrid(hosts, family)
-        )
+        f"hybrid/{hosts}x2/{family}": partial(_hybrid, hosts, family)
         for hosts in (2, 4)
         for family in ("dlrm", "dcn")
     },
