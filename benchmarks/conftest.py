@@ -4,8 +4,8 @@ Every benchmark regenerates one of the paper's tables/figures and
 asserts its headline claims.  Run with ``pytest benchmarks/
 --benchmark-only``.  The result is saved under pytest's ``tmp_path``
 (exercising the save path without touching tracked files); the
-committed ``results/`` are regenerated with ``dmt-repro all --save
-results``.
+committed ``results/`` — one ``.txt``/``.json`` pair per registered
+experiment — are regenerated with ``dmt-repro all --save results``.
 """
 
 import pytest

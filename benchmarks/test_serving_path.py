@@ -2,10 +2,11 @@
 
 Times the vectorized LRU embedding cache against the per-key reference
 walk on a realistic micro-batched trace, and the fleet replay end to
-end.  The full acceptance measurement (100k requests, the >=10x
-cache-lookup throughput headline) lives in ``benchmarks/run_bench.py``
-/ ``BENCH_serving.json`` — these stay small enough for every CI run and
-assert conservative floors so a contended runner cannot flake them.
+end.  Replay wall-clock at scale is ``perfbench/run.py``'s
+``serve_steady`` / ``serve_chaos`` workloads, compared run against run
+with ``perfbench/compare.py`` — these stay small enough for every CI
+run and assert conservative floors so a contended runner cannot flake
+them.
 """
 
 import time
@@ -63,8 +64,7 @@ def test_bench_reference_cache_replay(benchmark, batch_keys):
 
 def test_vectorized_cache_beats_reference(batch_keys):
     """Regression floor for the cache fast path.  Best-of-3 on the
-    vectorized side so one scheduler hiccup cannot flake CI; the
-    committed BENCH_serving.json documents the full >=10x headline."""
+    vectorized side so one scheduler hiccup cannot flake CI."""
     ref_seconds = replay(ReferenceLRUCache(CACHE_ROWS), batch_keys)
     fast_seconds = min(
         replay(LRUEmbeddingCache(CACHE_ROWS), batch_keys) for _ in range(3)

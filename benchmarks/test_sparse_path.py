@@ -4,9 +4,9 @@ Times the embedding plane's fwd / bwd / optimizer phases at a
 medium-large geometry under both ``sparse_grad_mode`` settings and
 asserts the row-wise fast path's headline properties: a multiple-x
 train-step speedup and a collapse in per-step transient allocation.
-The full paper-scale (1M-row x 128-dim x 26-table) measurement lives
-in ``benchmarks/run_bench.py`` / ``BENCH_sparse_path.json`` — these
-stay small enough for every CI run.
+Train-step wall-clock with its per-layer split is ``perfbench/run.py``'s
+``train_dmt`` workload, compared run against run with
+``perfbench/compare.py`` — these stay small enough for every CI run.
 """
 
 import time
@@ -112,8 +112,7 @@ def test_rowwise_step_beats_dense(benchmark):
     speedup = dense_sec / row_sec
     mem_ratio = dense_bytes / max(row_bytes, 1)
     # At 8 x 100k x 64 the dense path rewrites ~400 MB of optimizer
-    # state per step; even this mid-size config clears 3x / 5x easily
-    # (the 1M-row acceptance geometry clears 10x, see run_bench.py).
+    # state per step; even this mid-size config clears 3x / 5x easily.
     assert speedup > 3.0, f"rowwise only {speedup:.2f}x faster than dense"
     assert mem_ratio > 5.0, (
         f"rowwise transient allocation only {mem_ratio:.1f}x below dense"

@@ -99,9 +99,11 @@ def experiment_specs(fast: bool = True) -> Dict[str, RunSpec]:
 def run(fast: bool = True) -> ExperimentResult:
     import tempfile
 
+    # The recorded spec keeps the default directory: the scratch path
+    # the run executes in differs every run and is not a result.
+    spec = freshness_spec(fast)
     with tempfile.TemporaryDirectory() as tmp:
-        spec = freshness_spec(fast, directory=tmp)
-        art = Session(spec).online()
+        art = Session(freshness_spec(fast, directory=tmp)).online()
 
     rep = art.report
     rows = []

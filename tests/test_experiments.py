@@ -150,6 +150,10 @@ class TestLightExperiments:
             "serving",
             "serving_fleet",
             "multi_task_ab",
+            "tiered_serving",
+            "fault_tolerance",
+            "model_freshness",
+            "checkpointing",
         ],
     )
     def test_runs_and_produces_body(self, exp_id):
@@ -196,6 +200,37 @@ class TestLightExperiments:
         assert cvr["mean_delta"] > 0
         assert result.data["ctr_auc_delta"]["excludes_zero"] is False
         assert result.data["ab"]["label_b"] == "dbmtl"
+
+    def test_tiered_serving_headline(self):
+        """Acceptance: the tiered chain holds the p99 SLO at a fraction
+        of the all-HBM cost, and the saving widens with pressure."""
+        data = get_experiment("tiered_serving")(fast=True).data
+        assert data["slo_held"] is True
+        assert data["worst_p99_ratio"] <= data["slo_factor"]
+        points = [data["points"][f"{r}x"] for r in (4, 16, 64)]
+        costs = [p["tiered"]["dollars"] / p["naive"]["dollars"] for p in points]
+        assert costs == sorted(costs, reverse=True)
+        assert data["best_cost_ratio"] == min(costs) < 0.5
+
+    def test_fault_tolerance_headline(self):
+        """Acceptance: MTTR rises with checkpoint period below the cold
+        rebuild; mitigation holds the SLO the bare fleet blows."""
+        data = get_experiment("fault_tolerance")(fast=True).data
+        assert data["mttr_monotone_in_cadence"] is True
+        mit = data["mitigated"]["report"]
+        non = data["no_mitigation"]["report"]
+        p99 = [r["fleet"]["fleet"]["latency_ms"]["p99"] for r in (mit, non)]
+        assert p99[0] <= data["slo_p99_ms"] < p99[1]
+        assert mit["lost_fraction"] < non["lost_fraction"]
+
+    def test_model_freshness_headline_and_determinism(self):
+        """Acceptance: the hot-swapped arm strictly dominates, deltas
+        compress, and the record carries no per-run scratch path."""
+        run = get_experiment("model_freshness")
+        first = run(fast=True)
+        assert first.data["online"]["freshness_dominates"] is True
+        assert first.data["online"]["delta_compression"] > 1
+        assert run(fast=True).to_json() == first.to_json()
 
     def test_figure10_headline(self):
         result = get_experiment("figure10")(fast=True)
