@@ -1,8 +1,11 @@
 """Micro-benchmarks of the sparse embedding gradient path.
 
-Times the embedding plane's fwd / bwd / optimizer phases at a
-medium-large geometry under both ``sparse_grad_mode`` settings and
-asserts the row-wise fast path's headline properties: a multiple-x
+Times the embedding plane's three phases at a medium-large geometry —
+the fused single-hot gather (forward), the ordered segment-sum
+``RowwiseGrad.from_pooled`` plus the split into per-table row
+gradients (backward), and ``RowwiseAdagrad``'s one read and one write
+per touched row (optimizer) — and asserts the row-wise path's headline
+properties against ``sparse_grad_mode="dense"``: a multiple-x
 train-step speedup and a collapse in per-step transient allocation.
 Train-step wall-clock with its per-layer split is ``perfbench/run.py``'s
 ``train_dmt`` workload, compared run against run with
@@ -44,11 +47,15 @@ def grad_out():
 
 
 def test_bench_fused_forward(benchmark, batch_ids):
+    """One gather over the stacked matrix; single-hot ids skip the
+    pooling reduction."""
     ebc = make_ebc()
     benchmark(ebc.forward, batch_ids)
 
 
 def test_bench_rowwise_backward(benchmark, batch_ids, grad_out):
+    """One sort-based segment-sum over all tables' rows, then O(F)
+    slicing into per-table ``RowwiseGrad``s."""
     ebc = make_ebc()
     ebc(batch_ids)
 
@@ -61,6 +68,7 @@ def test_bench_rowwise_backward(benchmark, batch_ids, grad_out):
 
 
 def test_bench_rowwise_optimizer_step(benchmark, batch_ids, grad_out):
+    """Forward + backward + the touched-rows-only Adagrad update."""
     ebc = make_ebc()
     opt = RowwiseAdagrad([t.weight for t in ebc.tables], lr=0.01)
 

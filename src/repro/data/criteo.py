@@ -158,27 +158,12 @@ class SyntheticCriteoDataset:
         """Draw ``n`` labeled samples: (dense, sparse ids, labels)."""
         if n <= 0:
             raise ValueError(f"sample count must be positive, got {n}")
-        c = self.config
         rng = (
             np.random.default_rng(seed)
             if seed is not None
             else self._structure_rng
         )
-        dense = rng.standard_normal((n, c.num_dense))
-        z = rng.standard_normal((n, c.num_blocks))  # block latents
-        eps = rng.standard_normal((n, c.num_sparse))
-        # Feature latents: correlated copies of their block latent.
-        u = c.rho * z[:, self.block_of] + np.sqrt(1 - c.rho**2) * eps
-        # Quantize through the normal CDF into cardinality bins, then
-        # scramble bin identity per feature.
-        bins = np.clip(
-            (norm.cdf(u) * c.cardinality).astype(np.int64), 0, c.cardinality - 1
-        )
-        ids = np.take_along_axis(
-            self.bin_perm[None, :, :].repeat(n, axis=0),
-            bins[:, :, None],
-            axis=2,
-        )[:, :, 0]
+        dense, u, ids = self._features(n, rng)
         labels = rng.binomial(1, sigmoid(self._logits(dense, u, rng))).astype(
             np.float64
         )
@@ -218,18 +203,7 @@ class SyntheticCriteoDataset:
             if seed is not None
             else self._structure_rng
         )
-        dense = rng.standard_normal((n, c.num_dense))
-        z = rng.standard_normal((n, c.num_blocks))
-        eps = rng.standard_normal((n, c.num_sparse))
-        u = c.rho * z[:, self.block_of] + np.sqrt(1 - c.rho**2) * eps
-        bins = np.clip(
-            (norm.cdf(u) * c.cardinality).astype(np.int64), 0, c.cardinality - 1
-        )
-        ids = np.take_along_axis(
-            self.bin_perm[None, :, :].repeat(n, axis=0),
-            bins[:, :, None],
-            axis=2,
-        )[:, :, 0]
+        dense, u, ids = self._features(n, rng)
         ctr_logit = self._logits(dense, u, rng)
         columns = {"ctr": rng.binomial(1, sigmoid(ctr_logit)).astype(np.float64)}
         if "cvr" in tasks:
@@ -245,6 +219,26 @@ class SyntheticCriteoDataset:
             columns["cvr"] = conv * columns["ctr"]
         labels = np.stack([columns[t] for t in tasks], axis=1)
         return dense, ids, labels
+
+    def _features(
+        self, n: int, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The draws every sampler starts with: (dense, feature
+        latents ``u``, sparse ids)."""
+        c = self.config
+        dense = rng.standard_normal((n, c.num_dense))
+        z = rng.standard_normal((n, c.num_blocks))  # block latents
+        eps = rng.standard_normal((n, c.num_sparse))
+        # Feature latents: correlated copies of their block latent.
+        u = c.rho * z[:, self.block_of] + np.sqrt(1 - c.rho**2) * eps
+        # Quantize through the normal CDF into cardinality bins, then
+        # scramble bin identity per feature: feature f's bin b is id
+        # bin_perm[f, b] (an (n, F) lookup, never (n, F, cardinality)).
+        bins = np.clip(
+            (norm.cdf(u) * c.cardinality).astype(np.int64), 0, c.cardinality - 1
+        )
+        ids = self.bin_perm[np.arange(c.num_sparse), bins]
+        return dense, u, ids
 
     def _logits(
         self, dense: np.ndarray, u: np.ndarray, rng: np.random.Generator

@@ -85,7 +85,8 @@ class _DMTBase(RecModel):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Backprop from the top-MLP input; returns (g_dense, g_embs)."""
         g_dense, tower_grads = self.overarch_backward(grad_features)
-        g_embs = np.zeros(
+        # The groups partition the features, so every slot is written.
+        g_embs = np.empty(
             (grad_features.shape[0], self.num_sparse, self.embedding_dim)
         )
         for tower, group, g in zip(

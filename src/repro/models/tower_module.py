@@ -137,18 +137,25 @@ class DLRMTowerModule(TowerModuleBase):
         B = self._batch
         grad_output = np.asarray(grad_output, dtype=np.float64)
         D = self.vector_dim
-        grad_embs = np.zeros((B, self.num_features, self.in_dim))
+        parts = []
         offset = 0
         if self.flat_proj is not None:
             width = self.p * D
             g_flat = self.flat_proj.backward(grad_output[:, :width])
-            grad_embs += g_flat.reshape(B, self.num_features, self.in_dim)
+            parts.append(g_flat.reshape(B, self.num_features, self.in_dim))
             offset = width
         if self.emb_proj is not None:
             g_proj = grad_output[:, offset:].reshape(
                 B, self.num_features, self.c * D
             )
-            grad_embs += self.emb_proj.backward(g_proj)
+            parts.append(self.emb_proj.backward(g_proj))
+        # The branch gradients sum from +0.0 in listing order.  Each is
+        # a fresh ``Linear.backward`` result, so the first one is the
+        # accumulator: no zero-filled (B, F_t, N) array per tower.
+        grad_embs = parts[0]
+        grad_embs += 0.0
+        for part in parts[1:]:
+            grad_embs += part
         return grad_embs
 
     def flops_per_sample(self) -> int:

@@ -51,6 +51,16 @@ def _check_ids_in_range(ids: np.ndarray, limit: int, name: str) -> None:
         raise IndexError(f"ids out of range [0, {limit}) for table {name}")
 
 
+def _bags_of_one(weight: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sum-pooled lookup when every bag holds one row: the gather
+    itself, without a ``(..., 1, N)`` intermediate to reduce.  A sum
+    starts from +0.0, so a stored ``-0.0`` pools to ``+0.0``; adding
+    0.0 keeps that."""
+    out = weight[rows]
+    out += 0.0
+    return out
+
+
 def normalize_ids(ids: np.ndarray, num_features: int) -> np.ndarray:
     """Sparse ids as int64 ``(B, num_features, P)``; ``(B, F)`` means
     ``P == 1``.  The one statement of the id layout, shared by the
@@ -146,6 +156,8 @@ class EmbeddingTable(Module):
             raise ValueError(f"ids must be (B,) or (B, pooling), got {ids.shape}")
         _check_ids_in_range(ids, self.config.num_embeddings, self.config.name)
         self._ids = ids
+        if ids.shape[1] == 1:
+            return _bags_of_one(self.weight.data, ids[:, 0])
         # (B, P, N) gather then sum-pool over P.
         return self.weight.data[ids].sum(axis=1)
 
@@ -303,14 +315,20 @@ class EmbeddingBagCollection(Module):
             )
         rows = ids + self._offsets[None, :, None]
         self._rows = rows
+        if rows.shape[2] == 1:
+            return _bags_of_one(self._stacked, rows[:, :, 0])
         # (B, F, P, N) gather then sum-pool over P.
         return self._stacked[rows].sum(axis=2)
 
     def backward(self, grad_output: np.ndarray) -> None:
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        if grad_output.ndim != 3 or grad_output.shape[1] != self.num_features:
+        if grad_output.ndim != 3 or grad_output.shape[1:] != (
+            self.num_features,
+            self.dim,
+        ):
             raise ValueError(
-                f"grad must be (B, {self.num_features}, N), got {grad_output.shape}"
+                f"grad must be (B, {self.num_features}, {self.dim}), "
+                f"got {grad_output.shape}"
             )
         if self._rows is None:
             # Forward ran on the per-table fallback path (see
@@ -323,12 +341,12 @@ class EmbeddingBagCollection(Module):
             raise ValueError(
                 f"grad batch {grad_output.shape[0]} != forward batch {B}"
             )
-        # One ordered segment-sum over the stacked row space ...
-        uniq, inverse = np.unique(self._rows.reshape(-1), return_inverse=True)
-        seg = np.zeros((uniq.shape[0], self.dim))
-        np.add.at(
-            seg, inverse.reshape(B, F, P), grad_output[:, :, None, :]
+        # One ordered segment-sum over the stacked row space: every
+        # (sample, feature) pair is one bag of P stacked rows ...
+        stacked = RowwiseGrad.from_pooled(
+            self._rows.reshape(B * F, P), grad_output.reshape(B * F, self.dim)
         )
+        uniq, seg = stacked.rows, stacked.grads
         # ... then split at table boundaries (uniq is sorted, so each
         # table's rows form one contiguous slice — O(F) bookkeeping).
         starts = np.searchsorted(uniq, self._offsets)

@@ -284,13 +284,26 @@ class RowwiseAdagrad(Optimizer):
             return
         acc = self._accum_for(index, param)
         rows, g = rg.rows, rg.grads
+        # Each touched row is read once and written once per array
+        # (rows are unique); ``state`` and ``update`` are the only two
+        # (U, dim) temporaries.  The elementwise operations and their
+        # order are the dense update's.
+        update = g * g
+        state = acc[rows]
         if self.accumulator == "elementwise":
-            acc[rows] += g * g
-            denom = np.sqrt(acc[rows]) + self.eps
+            state += update
+            acc[rows] = state
+            denom = np.sqrt(state, out=state)
+            denom += self.eps
         else:
-            acc[rows] += (g * g).mean(axis=1)
-            denom = (np.sqrt(acc[rows]) + self.eps)[:, None]
-        param.data[rows] -= self.lr * g / denom
+            state += update.mean(axis=1)
+            acc[rows] = state
+            denom = (np.sqrt(state) + self.eps)[:, None]
+        np.multiply(self.lr, g, out=update)
+        update /= denom
+        weights = param.data[rows]
+        weights -= update
+        param.data[rows] = weights
 
     def _dense_update(self, index: int, param: Parameter) -> None:
         g = param.grad

@@ -5,14 +5,28 @@ dense gradient is ``(num_embeddings, dim)`` — at paper scale (1M-row
 tables, N=128) that is a ~1 GB zero-filled array per table per step,
 all of which the optimizer then squares, sqrts and rewrites.
 :class:`RowwiseGrad` is the compact alternative: the unique touched row
-ids plus one summed gradient per touched row, produced by
-``np.unique`` + an ordered segment-sum.
+ids plus one summed gradient per touched row, produced by one ordered
+segment-sum (:meth:`RowwiseGrad.from_pooled`).
 
-The segment-sum deliberately uses ``np.ufunc.at`` (sequential,
-unbuffered adds in occurrence order) rather than a sort-and-``reduceat``
-scheme: per-row additions happen in exactly the order the dense
-scatter-add performs them, so the row-wise path is *bit-identical* to
-the dense reference, not merely close.
+The invariant is about *order*, not about which numpy call does the
+adding: every touched row's gradient is the sum of its occurrences'
+gradients, **starting from +0.0 and added one at a time in occurrence
+order** (flat ``(b, p)`` order of the ids) — exactly the float
+operations the dense scatter-add (sequential, unbuffered adds into a
+zero-filled table) performs, so the row-wise path is *bit-identical* to
+the dense reference, not merely close.  The segment-sum keeps it with a
+sort instead of ``np.ufunc.at``: a *stable* argsort groups equal ids
+while preserving occurrence order inside each group, the first
+occurrence of every row is gathered and has ``+0.0`` added (which is
+what turns a ``-0.0`` gradient into the ``+0.0`` a sum from zero
+yields), and then one fancy ``+=`` per occurrence *rank* k = 1, 2, …
+adds the k-th occurrence to every row that has one.  Row indices are
+unique within a rank pass, so each pass is a plain elementwise add, and
+passes run in rank order, so each row still sees its addends in
+occurrence order.  A pass costs a fixed few microseconds however few
+rows are still live, so once only a handful of hot rows remain (skewed
+ids: a few rows hold most occurrences) their tails are folded in one
+row at a time, in the same order.
 """
 
 from __future__ import annotations
@@ -21,6 +35,10 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+
+#: Rank passes vectorize across rows; below this many rows still
+#: receiving addends, one numpy call per occurrence is cheaper.
+_FEW_ROWS = 16
 
 
 @dataclass
@@ -59,17 +77,47 @@ class RowwiseGrad:
         """Compact the gradient of a sum-pooled lookup.
 
         ``ids`` is (B, P); every pooled id of sample ``b`` receives the
-        full output gradient ``grad_output[b]`` (shape (B, N)).  The
-        (B, 1, N) broadcast against the (B, P) index replaces the dense
-        path's materialized ``np.repeat`` copy.
+        full output gradient ``grad_output[b]`` (shape (B, N)).  This is
+        the one ordered segment-sum of the embedding plane (see the
+        module docstring for the order it guarantees); occurrences
+        read their sample's gradient row in place, so the dense path's
+        ``np.repeat`` copy is never materialized.
         """
         ids = np.asarray(ids)
         B, P = ids.shape
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        uniq, inverse = np.unique(ids.reshape(-1), return_inverse=True)
-        seg = np.zeros((uniq.shape[0], grad_output.shape[1]))
-        np.add.at(seg, inverse.reshape(B, P), grad_output[:, None, :])
-        return cls(rows=uniq, grads=seg)
+        if grad_output.ndim != 2 or grad_output.shape[0] != B:
+            raise ValueError(
+                f"grad_output must be ({B}, N) for ids {ids.shape}, "
+                f"got {grad_output.shape}"
+            )
+        flat = ids.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        sorted_ids = flat[order]
+        is_head = np.empty(flat.shape[0], dtype=bool)
+        is_head[:1] = True
+        np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=is_head[1:])
+        heads = np.flatnonzero(is_head)
+        # Sample whose gradient each sorted occurrence receives.
+        sample = order if P == 1 else order // P
+        seg = np.take(grad_output, sample[heads], axis=0)
+        seg += 0.0
+        counts = np.diff(heads, append=flat.shape[0])
+        live = np.flatnonzero(counts > 1)
+        rank = 1
+        while live.size > _FEW_ROWS:
+            seg[live] += grad_output[sample[heads[live] + rank]]
+            rank += 1
+            live = live[counts[live] > rank]
+        # What is left is a few hot rows with long tails (skewed ids):
+        # a pass per rank would be all fixed cost, so fold each tail
+        # into its row directly — still in occurrence order.
+        for row in live.tolist():
+            total = seg[row]
+            tail = sample[heads[row] + rank : heads[row] + counts[row]]
+            for b in tail.tolist():
+                total += grad_output[b]
+        return cls(rows=sorted_ids[heads], grads=seg)
 
     # ------------------------------------------------------------------
     @property
@@ -91,16 +139,16 @@ class RowwiseGrad:
         Equivalent to the dense path's ``grad += grad_new``: each
         operand is already internally summed, so overlapping rows add
         one pre-summed vector to another — the same float ops in the
-        same order as the dense accumulation.
+        same order as the dense accumulation.  It is the segment-sum
+        of :meth:`from_pooled` over ``self``'s rows followed by
+        ``other``'s.
         """
         if other.dim != self.dim:
             raise ValueError(f"dim mismatch: {self.dim} vs {other.dim}")
-        rows = np.concatenate([self.rows, other.rows])
-        uniq, inverse = np.unique(rows, return_inverse=True)
-        grads = np.zeros((uniq.shape[0], self.dim))
-        grads[inverse[: self.num_rows]] = self.grads
-        np.add.at(grads, inverse[self.num_rows :], other.grads)
-        return RowwiseGrad(rows=uniq, grads=grads)
+        return RowwiseGrad.from_pooled(
+            np.concatenate([self.rows, other.rows])[:, None],
+            np.concatenate([self.grads, other.grads]),
+        )
 
     def to_dense(self, shape: Tuple[int, ...]) -> np.ndarray:
         """Materialize the full (num_embeddings, dim) gradient."""

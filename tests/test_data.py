@@ -58,6 +58,53 @@ class TestSyntheticCriteo:
         vals = small_ds.decoded_value(0, ids)
         assert not np.all(np.diff(vals) > 0)
 
+    def test_ids_equal_the_materialized_lookup(self, small_ds):
+        """``bin_perm[f, bin]`` yields the ids the original
+        ``(n, F, cardinality)`` repeat + ``take_along_axis`` did, for
+        both samplers, with the RNG draws in the same order."""
+        from scipy.stats import norm
+
+        c, n = small_ds.config, 200
+        rng = np.random.default_rng(9)
+        rng.standard_normal((n, c.num_dense))
+        z = rng.standard_normal((n, c.num_blocks))
+        eps = rng.standard_normal((n, c.num_sparse))
+        u = c.rho * z[:, small_ds.block_of] + np.sqrt(1 - c.rho**2) * eps
+        bins = np.clip(
+            (norm.cdf(u) * c.cardinality).astype(np.int64), 0, c.cardinality - 1
+        )
+        materialized = np.take_along_axis(
+            small_ds.bin_perm[None, :, :].repeat(n, axis=0),
+            bins[:, :, None],
+            axis=2,
+        )[:, :, 0]
+        np.testing.assert_array_equal(
+            small_ds.sample(n, seed=9)[1], materialized
+        )
+        np.testing.assert_array_equal(
+            small_ds.sample_tasks(n, seed=9)[1], materialized
+        )
+
+    def test_samples_the_paper_geometry_in_bounded_memory(self):
+        """26 features x 20 000 ids x 1024 rows: the id lookup must not
+        materialize an (n, F, cardinality) array (4 GiB here)."""
+        import tracemalloc
+
+        ds = SyntheticCriteoDataset(
+            SyntheticCriteoConfig(cardinality=20_000), seed=0
+        )
+        tracemalloc.start()
+        try:
+            dense, ids, labels = ds.sample(1024, seed=1)
+            _, task_ids, _ = ds.sample_tasks(1024, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert ids.shape == (1024, 26) and labels.shape == (1024,)
+        assert ids.min() >= 0 and ids.max() < 20_000
+        np.testing.assert_array_equal(task_ids, ids)
+
     def test_labels_not_degenerate(self, small_ds):
         _, _, labels = small_ds.sample(2000, seed=4)
         assert 0.05 < labels.mean() < 0.95

@@ -1,6 +1,8 @@
 """Tests for the row-wise sparse gradient path.
 
-Covers the compact :class:`RowwiseGrad` representation, the Parameter
+Covers the compact :class:`RowwiseGrad` representation (including a
+property suite holding the ordered segment-sum bit-for-bit to the
+``np.unique`` + ``np.add.at`` reference kept here), the Parameter
 dense/row-wise gradient plumbing, :class:`RowwiseAdagrad`, the fused
 embedding collection internals, and the ``WarmupDecaySchedule``
 ``decay_start=0`` regression.
@@ -8,6 +10,8 @@ embedding collection internals, and the ``WarmupDecaySchedule``
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     Adagrad,
@@ -20,6 +24,7 @@ from repro.nn import (
     set_sparse_grad_mode,
 )
 from repro.nn.optim import WarmupDecaySchedule
+from tests.test_golden_embedding_plane import RUNS, state_arrays, trained
 
 
 @pytest.fixture
@@ -272,6 +277,27 @@ class TestFusedCollection:
         with pytest.raises(IndexError, match="f1"):
             ebc(ids)
 
+    @pytest.mark.parametrize("last_dim", [1, 5])
+    def test_backward_rejects_wrong_embedding_dim(self, rng, last_dim):
+        """(B, F, 1) used to broadcast one scalar over every column of
+        every touched row; (B, F, dim + 1) died inside numpy."""
+        ebc = self.make_ebc(rng)
+        ebc(rng.integers(0, 8, size=(4, 3)))
+        with pytest.raises(ValueError, match=r"grad must be \(B, 3, 4\)"):
+            ebc.backward(np.ones((4, 3, last_dim)))
+        assert not any(t.weight.has_grad for t in ebc.tables)
+
+    def test_single_hot_forward_pools_like_the_sum(self, rng):
+        """P == 1 skips the reduction over a length-1 axis but keeps
+        its result, down to a stored -0.0 pooling to +0.0."""
+        ebc = self.make_ebc(rng)
+        ebc._stacked[::3] = -0.0
+        ids = rng.integers(0, 8, size=(6, 3))
+        want = ebc._stacked[ids + ebc._offsets][:, :, None, :].sum(axis=2)
+        assert ebc(ids).tobytes() == want.tobytes()
+        table = ebc.tables[0]
+        assert table(ids[:, 0]).tobytes() == want[:, 0].tobytes()
+
     def test_optimizer_step_writes_through_to_stacked(self, rng):
         ebc = self.make_ebc(rng)
         ids = np.ones((2, 3), dtype=int)
@@ -450,3 +476,116 @@ class TestRowwiseGradFuzz:
         np.testing.assert_allclose(
             param.grad, expect, atol=1e-12, rtol=0
         )
+
+
+def _reference_from_pooled(ids, grad_output):
+    """The segment-sum as first written: ``np.unique`` + sequential
+    ``np.add.at`` from a zero-filled array.  Kept as the oracle."""
+    B, P = ids.shape
+    uniq, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+    seg = np.zeros((uniq.shape[0], grad_output.shape[1]))
+    np.add.at(seg, inverse.reshape(B, P), grad_output[:, None, :])
+    return uniq, seg
+
+
+def _reference_merge(a, b):
+    rows = np.concatenate([a.rows, b.rows])
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    grads = np.zeros((uniq.shape[0], a.dim))
+    grads[inverse[: a.num_rows]] = a.grads
+    np.add.at(grads, inverse[a.num_rows :], b.grads)
+    return uniq, grads
+
+
+def _same_bits(a, b):
+    """Stricter than ``array_equal``: tells -0.0 from +0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _pooled_case(B, P, dim, num_rows, seed):
+    """Ids over ``num_rows`` rows and gradients salted with exact
+    zeros, -0.0 and values whose sums cancel to zero."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, num_rows, size=(B, P))
+    grad = rng.standard_normal((B, dim))
+    kind = rng.integers(0, 5, size=grad.shape)
+    grad[kind == 0] = 0.0
+    grad[kind == 1] = -0.0
+    grad[kind == 2] = np.where(rng.random((kind == 2).sum()) < 0.5, 1.5, -1.5)
+    return ids, grad
+
+
+class TestOrderedSegmentSumProperties:
+    """``from_pooled`` against the ``np.add.at`` oracle, bit for bit.
+
+    ``num_rows`` far below ``B * P`` makes duplicates the rule; above
+    ``_FEW_ROWS`` distinct rows exercise the vectorized rank passes,
+    below it the per-row tail fold, and mixed multiplicities both.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        B=st.integers(1, 160),
+        P=st.integers(1, 4),
+        dim=st.integers(1, 9),
+        num_rows=st.sampled_from([1, 2, 7, 20, 60, 5000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(B=1, P=1, dim=3, num_rows=1, seed=0)  # a single id
+    @example(B=160, P=4, dim=2, num_rows=1, seed=1)  # every id equal
+    @example(B=160, P=1, dim=4, num_rows=20, seed=2)  # > _FEW_ROWS live
+    def test_from_pooled_is_the_reference_bit_for_bit(
+        self, B, P, dim, num_rows, seed
+    ):
+        ids, grad = _pooled_case(B, P, dim, num_rows, seed)
+        rows, seg = _reference_from_pooled(ids, grad)
+        rg = RowwiseGrad.from_pooled(ids, grad)
+        assert np.array_equal(rg.rows, rows) and rg.rows.dtype == np.int64
+        assert np.array_equal(rg.grads, seg)
+        assert _same_bits(rg.grads, seg)
+
+    def test_skewed_ids_fold_hot_rows_in_order(self):
+        """Zipf-like ids: a few rows hold most occurrences, thousands
+        each — the regime the per-row tail fold exists for."""
+        rng = np.random.default_rng(8)
+        ids = np.minimum(rng.zipf(1.3, size=(6000, 1)), 400)
+        grad = rng.standard_normal((6000, 5))
+        rows, seg = _reference_from_pooled(ids, grad)
+        rg = RowwiseGrad.from_pooled(ids, grad)
+        assert np.array_equal(rg.rows, rows)
+        assert _same_bits(rg.grads, seg)
+
+    def test_from_pooled_rejects_mismatched_batch(self):
+        with pytest.raises(ValueError, match="grad_output"):
+            RowwiseGrad.from_pooled(np.zeros((3, 2), dtype=int), np.ones((4, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_a=st.integers(1, 60),
+        n_b=st.integers(1, 60),
+        dim=st.integers(1, 6),
+        num_rows=st.sampled_from([1, 5, 40]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_merge_is_the_reference_bit_for_bit(
+        self, n_a, n_b, dim, num_rows, seed
+    ):
+        a = RowwiseGrad.from_pooled(*_pooled_case(n_a, 2, dim, num_rows, seed))
+        b = RowwiseGrad.from_pooled(
+            *_pooled_case(n_b, 1, dim, num_rows, seed + 1)
+        )
+        rows, grads = _reference_merge(a, b)
+        merged = a.merge(b)
+        assert np.array_equal(merged.rows, rows)
+        assert _same_bits(merged.grads, grads)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_twenty_steps_rowwise_equals_dense_exactly(name):
+    """The pinned 20-step runs (DMT-DLRM with c=1 / p=0 towers; DLRM
+    with pooling 3): every weight and every Adagrad accumulator is
+    ``array_equal`` between the two gradient representations."""
+    rowwise, dense = trained(name, "rowwise"), trained(name, "dense")
+    assert rowwise.loss_history == dense.loss_history
+    for got, want in zip(state_arrays(rowwise), state_arrays(dense)):
+        assert np.array_equal(got, want)
