@@ -336,7 +336,7 @@ class EmbeddingBagCollection(Module):
             for f, table in enumerate(self.tables):
                 table.backward(grad_output[:, f])
             return
-        B, F, P = self._rows.shape
+        B, _, P = self._rows.shape
         if grad_output.shape[0] != B:
             raise ValueError(
                 f"grad batch {grad_output.shape[0]} != forward batch {B}"
@@ -344,7 +344,7 @@ class EmbeddingBagCollection(Module):
         # One ordered segment-sum over the stacked row space: every
         # (sample, feature) pair is one bag of P stacked rows ...
         stacked = RowwiseGrad.from_pooled(
-            self._rows.reshape(B * F, P), grad_output.reshape(B * F, self.dim)
+            self._rows.reshape(-1, P), grad_output.reshape(-1, self.dim)
         )
         uniq, seg = stacked.rows, stacked.grads
         # ... then split at table boundaries (uniq is sorted, so each
