@@ -13,7 +13,10 @@ should have been ``+0.0`` or an accumulator touched twice moves a digest.
 The digests were pinned on the code *before* the segment-sum was
 rewritten (same pattern as the serving / spec / SPTT fixtures).  If you
 change training numerics intentionally, re-pin ``GOLDEN`` from
-``observed(name)`` and say why in the commit message.
+``observed(name)`` and say why in the commit message.  The dense layers
+go through BLAS, so a different BLAS build can move the digests too;
+what must hold on every host is that the two ``sparse_grad_mode``s
+still share one digest.
 """
 
 import hashlib
