@@ -7,6 +7,12 @@ end.  Replay wall-clock at scale is ``perfbench/run.py``'s
 with ``perfbench/compare.py`` — these stay small enough for every CI
 run and assert conservative floors so a contended runner cannot flake
 them.
+
+The generated stream is a ``RequestTrace`` (three arrays) and every
+batch's ``keys`` is a reshaped view of its rows, so the ``batch_keys``
+fixture costs one pass over the arrivals; the cache replays time the
+probes alone, the fleet replay times routing, batching, probing,
+pricing and report building over the trace's arrays.
 """
 
 import time

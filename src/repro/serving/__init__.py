@@ -94,6 +94,7 @@ from repro.serving.tiers import (
 from repro.serving.workload import (
     Request,
     RequestStream,
+    RequestTrace,
     SCENARIOS,
     WorkloadConfig,
 )
@@ -101,6 +102,7 @@ from repro.serving.workload import (
 __all__ = [
     "Request",
     "RequestStream",
+    "RequestTrace",
     "WorkloadConfig",
     "SCENARIOS",
     "MicroBatch",

@@ -24,24 +24,25 @@ is served as a singleton, even under simultaneous arrivals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.serving.workload import Request
+from repro.serving.workload import Request, RequestTrace
 
 
 @dataclass(frozen=True)
 class MicroBatch:
     """A group of requests served as one unit."""
 
-    requests: Tuple[Request, ...]
+    requests: RequestTrace  # a sequence of requests is converted
     ready_s: float  # when the batch closed (full or deadline)
 
     def __post_init__(self) -> None:
-        if not self.requests:
+        if len(self.requests) == 0:
             raise ValueError("a micro-batch must contain >= 1 request")
-        last_arrival = max(r.arrival_s for r in self.requests)
+        object.__setattr__(self, "requests", RequestTrace.of(self.requests))
+        last_arrival = self.requests.arrival_s.max()
         if self.ready_s < last_arrival:
             raise ValueError(
                 f"batch cannot close ({self.ready_s}) before its last "
@@ -55,13 +56,11 @@ class MicroBatch:
     @property
     def keys(self) -> np.ndarray:
         """All embedding row ids the batch needs (with duplicates)."""
-        return np.concatenate([r.keys for r in self.requests])
+        return self.requests.keys.reshape(-1)
 
     def batching_delay_s(self) -> float:
         """Mean time requests spent waiting for the batch to close."""
-        return float(
-            np.mean([self.ready_s - r.arrival_s for r in self.requests])
-        )
+        return float(np.mean(self.ready_s - self.requests.arrival_s))
 
 
 class MicroBatcher:
@@ -89,29 +88,28 @@ class MicroBatcher:
         self.max_delay_s = max_delay_s
 
     def form_batches(self, requests: Sequence[Request]) -> List[MicroBatch]:
-        ordered = sorted(requests, key=lambda r: r.arrival_s)
+        ordered = RequestTrace.of(requests).sorted()
         batches: List[MicroBatch] = []
-        pending: List[Request] = []
+        start = 0  # the open batch is ordered[start:i]
         deadline = 0.0
-        for req in ordered:
-            if pending and req.arrival_s >= deadline:
+        for i, arrival in enumerate(ordered.arrival_s.tolist()):
+            if i > start and arrival >= deadline:
                 # Deadline fired at or before this arrival:
                 # flush-on-deadline.  The boundary is exclusive — an
                 # arrival exactly on the deadline must not join a batch
                 # that already closed (with max_delay_s=0 the old
                 # strict compare glued simultaneous arrivals into one
                 # never-delayed batch).
-                batches.append(MicroBatch(tuple(pending), ready_s=deadline))
-                pending = []
-            if not pending:
-                deadline = req.arrival_s + self.max_delay_s
-            pending.append(req)
-            if len(pending) == self.max_batch_size:
+                batches.append(MicroBatch(ordered[start:i], ready_s=deadline))
+                start = i
+            if i == start:
+                deadline = arrival + self.max_delay_s
+            if i + 1 - start == self.max_batch_size:
                 # Flush-on-full at the closing request's arrival.
                 batches.append(
-                    MicroBatch(tuple(pending), ready_s=req.arrival_s)
+                    MicroBatch(ordered[start : i + 1], ready_s=arrival)
                 )
-                pending = []
-        if pending:
-            batches.append(MicroBatch(tuple(pending), ready_s=deadline))
+                start = i + 1
+        if start < len(ordered):
+            batches.append(MicroBatch(ordered[start:], ready_s=deadline))
         return batches

@@ -55,7 +55,7 @@ import numpy as np
 from repro.serving.autoscale import SLOAutoscaler
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import _LRUCacheBase
-from repro.serving.fleet import FleetReport, Router, ServingFleet, _splitmix64
+from repro.serving.fleet import FleetReport, Router, ServingFleet, _splitmix64_int
 from repro.serving.replay import ControlPlane, Replay
 from repro.serving.service import (
     Placement,
@@ -83,8 +83,7 @@ def _hash_unit(req_id: int, attempt: int) -> float:
     path — a splitmix64 finalizer over the pair does both.
     """
     mixed = (req_id * 1_000_003 + attempt) & 0xFFFF_FFFF_FFFF_FFFF
-    h = _splitmix64(np.asarray([mixed], dtype=np.uint64))[0]
-    return float(h) / float(2**64)
+    return float(_splitmix64_int(mixed)) / float(2**64)
 
 
 @dataclass(frozen=True)
@@ -461,10 +460,10 @@ class FaultReport:
             c["mttr_s"] for c in run.crashes if c["mttr_s"] is not None
         ]
         autoscaler = run.control.autoscaler
-        num_served = len(run.served)
+        num_served = sum(slot.served for slot in run.slots)
         return cls(
             fleet=fleet,
-            num_offered=len(run.ordered),
+            num_offered=len(run.trace),
             num_served=num_served,
             num_lost=run.lost,
             num_retried=len(run.retried_ids),

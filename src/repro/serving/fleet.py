@@ -31,6 +31,7 @@ traffic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -48,7 +49,7 @@ from repro.serving.service import (
     build_report,
     warm_start,
 )
-from repro.serving.workload import Request
+from repro.serving.workload import Request, RequestTrace
 from repro.sim.cluster import SimCluster
 
 #: Router policies the fleet understands.
@@ -64,6 +65,15 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
+
+
+def _splitmix64_int(x: int) -> int:
+    """:func:`_splitmix64` of one key, on python ints."""
+    mask = 0xFFFF_FFFF_FFFF_FFFF
+    x = (x + 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
 
 
 class Router:
@@ -219,24 +229,18 @@ class ConsistentHashRouter(Router):
         """Drop dead replicas' vnodes; surviving points keep their
         positions, so only ~1/N of the key space moves per death —
         the consistent-hashing contract, now honored on failure too."""
-        keep = self._live[self._all_replicas]
+        keep = np.flatnonzero(self._live[self._all_replicas])
         self._ring_points = self._all_points[keep]
-        self._ring_replicas = self._all_replicas[keep]
-
-    def _lookup(self, hashed: np.ndarray) -> np.ndarray:
-        slots = np.searchsorted(self._ring_points, hashed)
-        slots[slots == len(self._ring_points)] = 0  # wrap around the ring
-        return self._ring_replicas[slots]
+        # One owner past the last point: a hash beyond it wraps around.
+        self._ring_replicas = self._all_replicas[np.append(keep, keep[0])]
+        self._ring_list = self._ring_points.tolist()  # for the one-key lookup
+        self._owner_list = self._ring_replicas.tolist()
 
     def route_trace(
         self, requests: Sequence[Request], window_s: float
     ) -> np.ndarray:
-        primary = np.fromiter(
-            (req.keys[0] for req in requests),
-            dtype=np.int64,
-            count=len(requests),
-        )
-        return self._lookup(_splitmix64(primary))
+        hashed = _splitmix64(RequestTrace.of(requests).keys[:, 0])
+        return self._ring_replicas[np.searchsorted(self._ring_points, hashed)]
 
     def route_one(
         self,
@@ -244,8 +248,8 @@ class ConsistentHashRouter(Router):
         now_s: float,
         depths: Optional[np.ndarray] = None,
     ) -> int:
-        hashed = _splitmix64(np.asarray([req.keys[0]], dtype=np.int64))
-        return int(self._lookup(hashed)[0])
+        hashed = _splitmix64_int(int(req.keys[0]))
+        return self._owner_list[bisect_left(self._ring_list, hashed)]
 
 
 class PowerOfTwoChoicesRouter(Router):
@@ -279,18 +283,20 @@ class PowerOfTwoChoicesRouter(Router):
         rng = np.random.default_rng(self.seed)
         first = rng.integers(0, num, size=n)
         second = (first + 1 + rng.integers(0, num - 1, size=n)) % num
-        assignment = np.empty(n, dtype=np.int64)
         windows: List[deque] = [deque() for _ in range(num)]
-        for i, req in enumerate(requests):
-            now = req.arrival_s
-            a, b = int(first[i]), int(second[i])
-            for q in (windows[a], windows[b]):
-                while q and q[0] <= now - window_s:
-                    q.popleft()
-            chosen = a if len(windows[a]) <= len(windows[b]) else b
-            windows[chosen].append(now)
-            assignment[i] = int(live[chosen])
-        return assignment
+        arrivals = RequestTrace.of(requests).arrival_s.tolist()
+        chosen_pos = []
+        for now, a, b in zip(arrivals, first.tolist(), second.tolist()):
+            expired = now - window_s
+            qa, qb = windows[a], windows[b]
+            while qa and qa[0] <= expired:
+                qa.popleft()
+            while qb and qb[0] <= expired:
+                qb.popleft()
+            chosen, q = (a, qa) if len(qa) <= len(qb) else (b, qb)
+            q.append(now)
+            chosen_pos.append(chosen)
+        return live[chosen_pos]
 
     def route_one(
         self,
@@ -352,9 +358,9 @@ class FleetReport:
                     placement, model, **run.report_material(slot)
                 )
                 for slot in run.slots
-                if slot.reqs
+                if slot.served
             },
-            requests_per_replica=[len(slot.reqs) for slot in run.slots],
+            requests_per_replica=[slot.served for slot in run.slots],
         )
 
     @property

@@ -41,6 +41,15 @@ online, hang ends) in push order.  Before any event at time ``t``,
 every open batch whose deadline is ``<= t`` closes, earliest deadline
 (then lowest slot) first.
 
+**What the loop holds.**  The trace is one arrival-sorted
+:class:`~repro.serving.workload.RequestTrace`; the loop walks its
+arrival times as a python list (``route_one`` is handed the
+:class:`Request` view of a row).  A slot's open batch is ``pending`` —
+indices into the trace — beside ``arrived``, when each reached *this*
+replica.  A retry is the heap entry ``(now + delay, seq, None, index)``:
+the same row arriving later, so latency still counts from its original
+arrival.  Closing a batch gathers ``keys[pending]`` once.
+
 All state of a run lives on the :class:`Replay` object and its slots;
 the front doors stay untouched by ``serve()``.
 """
@@ -50,13 +59,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.serving.batcher import MicroBatch, MicroBatcher
-from repro.serving.workload import Request
+from repro.serving.workload import Request, RequestTrace
 from repro.sim.tracing import Phase, Timeline
 
 
@@ -83,12 +91,13 @@ class Slot:
         self.state = state  # idle|active|dead|hung|drained|swapping
         self.online_at = 0.0
         self.detect_at = math.inf  # when the router learns it is down
-        self.pending: List[Request] = []  # open batch, as seen here
-        self.origs: List[Request] = []  # the same, as first offered
+        self.pending: List[int] = []  # open batch: trace indices ...
+        self.arrived: List[float] = []  # ... and replica-local arrivals
         self.deadline = 0.0
         self.batches = 0
-        self.reqs: List[Request] = []  # served (replica-local arrivals)
-        self.lats: List[float] = []  # latency from *original* arrival
+        self.served = 0  # requests served here; then, per closed batch:
+        self.arrivals: List[np.ndarray] = []  # replica-local arrivals
+        self.lats: List[np.ndarray] = []  # latency from *original* arrival
         # Same shape convention as the timeline-derived breakdowns: a
         # phase key exists only if the slot recorded an event for it.
         self.phase_ms: Dict[str, float] = {}
@@ -139,9 +148,10 @@ class Replay:
         router: Optional[Any] = None,
         control: Optional[ControlPlane] = None,
     ):
-        if not requests:
+        if len(requests) == 0:
             raise ValueError("cannot serve an empty request trace")
-        self.ordered = sorted(requests, key=attrgetter("arrival_s"))
+        self.trace = RequestTrace.of(requests).sorted()
+        self.arrival = self.trace.arrival_s.tolist()
         self.slots = slots
         self.engine = engine
         self.batcher = batcher
@@ -150,8 +160,8 @@ class Replay:
         self.router = router
         self.control = control
         self.fetch_free = np.zeros(engine.num_fetch_servers)
-        self.served: List[Request] = []  # as originally offered
-        self.t0 = self.ordered[0].arrival_s
+        self.served: List[np.ndarray] = []  # original arrivals, per batch
+        self.t0 = self.arrival[0]
         self.num_initial = sum(1 for s in slots if s.state == "active")
 
         # Routing (see the module docstring): slot 0, whole-trace, or
@@ -159,13 +169,13 @@ class Replay:
         self.assignment: Optional[List[int]] = None
         self.depths: Optional[np.ndarray] = None
         if router is None:
-            self.assignment = [0] * len(self.ordered)
+            self.assignment = [0] * len(self.trace)
         else:
             router.bind(len(slots))
             router.set_live([s.state == "active" for s in slots])
             if control is None:
                 self.assignment = router.route_trace(
-                    self.ordered, batcher.max_delay_s
+                    self.trace, batcher.max_delay_s
                 ).tolist()
             else:
                 self.depths = np.zeros(len(slots))
@@ -190,7 +200,7 @@ class Replay:
         self.timeouts = 0
         self.degraded = 0
         self.degraded_rows = 0
-        self.attempts: Dict[int, int] = {}  # id(offered request) -> retries
+        self.attempts: Dict[int, int] = {}  # trace index -> retries so far
         self.retried_ids: set = set()
         self.budget_left = 0
         if control is not None:
@@ -200,9 +210,9 @@ class Replay:
     def _seed_schedule(self, control: ControlPlane) -> None:
         """Pre-seed the heap: faults, then planned swaps, then window
         boundaries — the head of the tie rule."""
-        span = self.ordered[-1].arrival_s - self.t0
+        span = self.arrival[-1] - self.t0
         self.budget_left = int(
-            math.ceil(control.retry.retry_budget * len(self.ordered))
+            math.ceil(control.retry.retry_budget * len(self.trace))
         )
         scaler = control.autoscaler
         if scaler is not None:
@@ -229,55 +239,48 @@ class Replay:
     # The loop
     # ------------------------------------------------------------------
     def run(self) -> "Replay":
-        ordered, heap, slots = self.ordered, self.heap, self.slots
+        trace, arrival, heap, slots = self.trace, self.arrival, self.heap, self.slots
         assignment, depths = self.assignment, self.depths
         max_batch_size = self.batcher.max_batch_size
         max_delay_s = self.batcher.max_delay_s
         # Lower bound on the open batches' deadlines: the slots are
         # scanned only when the earliest one can be due.
         next_deadline = math.inf
-        i, n = 0, len(ordered)
+        i, n = 0, len(arrival)
         while i < n or heap:
             if heap and (
                 i == n
-                or heap[0][0] < ordered[i].arrival_s
-                or (
-                    heap[0][0] == ordered[i].arrival_s
-                    and heap[0][1] <= self.preseeded
-                )
+                or heap[0][0] < arrival[i]
+                or (heap[0][0] == arrival[i] and heap[0][1] <= self.preseeded)
             ):
-                t, _, handler, payload = heapq.heappop(heap)
-                if t >= next_deadline:
-                    next_deadline = self._flush_due(t)
-                if handler is not None:
-                    handler(t, payload)
-                    continue
-                req, orig = payload  # a retry, re-routed
-                rep = self.router.route_one(req, t, depths)
+                # A control event, or (no handler) a retry of row ``idx``.
+                t, _, handler, idx = heapq.heappop(heap)
             else:
-                req = orig = ordered[i]
-                t = req.arrival_s
-                if t >= next_deadline:
-                    next_deadline = self._flush_due(t)
-                rep = (
-                    assignment[i]
-                    if assignment is not None
-                    else self.router.route_one(req, t, depths)
-                )
+                t, handler, idx = arrival[i], None, i
                 i += 1
+            if t >= next_deadline:
+                next_deadline = self._flush_due(t)
+            if handler is not None:
+                handler(t, idx)
+                continue
+            rep = (
+                assignment[idx]
+                if assignment is not None
+                else self.router.route_one(trace[idx], t, depths)
+            )
             slot = slots[rep]
             if slot.state != "active" or t < slot.online_at:
                 # Routed at a down-but-undetected replica: the client
                 # eats the timeout, backs off, and re-routes.
-                self._schedule_retry(orig, t)
+                self._schedule_retry(idx, t)
                 continue
             pending = slot.pending
             if not pending:
                 slot.deadline = t + max_delay_s
                 if slot.deadline < next_deadline:
                     next_deadline = slot.deadline
-            pending.append(req)
-            slot.origs.append(orig)
+            pending.append(idx)
+            slot.arrived.append(t)
             if depths is not None:
                 depths[rep] += 1.0
             if len(pending) == max_batch_size:
@@ -301,17 +304,22 @@ class Replay:
             default=math.inf,
         )
 
-    def _take_open_batch(self, slot: Slot) -> Tuple[List[Request], List[Request]]:
-        entries = slot.pending, slot.origs
-        slot.pending, slot.origs = [], []
+    def _take_open_batch(self, slot: Slot) -> Tuple[List[int], List[float]]:
+        entries = slot.pending, slot.arrived
+        slot.pending, slot.arrived = [], []
         if self.depths is not None:
             self.depths[slot.idx] = 0.0
         return entries
 
     def _flush(self, slot: Slot, ready_s: float) -> None:
         """Close, probe and price one slot's open batch."""
-        pending, origs = self._take_open_batch(slot)
-        batch = MicroBatch(tuple(pending), ready_s=ready_s)
+        pending, arrived = self._take_open_batch(slot)
+        trace, idx = self.trace, np.asarray(pending)
+        arrived = np.asarray(arrived)
+        batch = MicroBatch(
+            RequestTrace.view(arrived, trace.keys[idx], trace.req_id[idx]),
+            ready_s=ready_s,
+        )
         server = slot.free.index(min(slot.free))
         start = max(ready_s, slot.free[server])
         hits, miss_keys = slot.cache.probe(batch.keys)
@@ -351,14 +359,16 @@ class Replay:
         if degraded:
             self.degraded += batch.size
             self.degraded_rows += misses
-        lats = [done - orig.arrival_s for orig in origs]
-        slot.reqs.extend(pending)
-        slot.lats.extend(lats)
-        self.served.extend(origs)
+        offered = trace.arrival_s[idx]  # as originally offered
+        lats = done - offered
+        slot.served += batch.size
+        slot.arrivals.append(arrived)
+        slot.lats.append(lats)
+        self.served.append(offered)
         if self.control is not None:
-            self.done_times.extend([done] * len(lats))
-            self.win_lat.setdefault(self._window_index(done), []).extend(
-                lat * 1e3 for lat in lats
+            self.done_times.extend([done] * batch.size)
+            self.win_lat.setdefault(self._window_index(done), []).append(
+                lats * 1e3
             )
 
     def _host_share(self, now_s: float) -> float:
@@ -396,27 +406,26 @@ class Replay:
     # ------------------------------------------------------------------
     # Control events
     # ------------------------------------------------------------------
-    def _schedule_retry(self, orig: Request, now_s: float) -> None:
-        """The client's attempt just failed (timeout / crash): back off
-        and re-route, or declare the request lost."""
+    def _schedule_retry(self, idx: int, now_s: float) -> None:
+        """The client's attempt at request ``idx`` just failed (timeout
+        / crash): back off and re-route, or declare the request lost."""
         retry = self.control.retry
         self.timeouts += 1
-        attempt = self.attempts.get(id(orig), 0) + 1
+        attempt = self.attempts.get(idx, 0) + 1
         if attempt > retry.max_retries or self.budget_left <= 0:
             self.lost += 1
             return
         self.budget_left -= 1
         self.retries += 1
-        self.attempts[id(orig)] = attempt
-        self.retried_ids.add(orig.req_id)
-        delay = retry.timeout_s + retry.backoff_s(orig.req_id, attempt)
-        again = Request(orig.req_id, now_s + delay, orig.keys)
-        self._push(again.arrival_s, None, (again, orig))
+        self.attempts[idx] = attempt
+        req_id = int(self.trace.req_id[idx])
+        self.retried_ids.add(req_id)
+        delay = retry.timeout_s + retry.backoff_s(req_id, attempt)
+        self._push(now_s + delay, None, idx)
 
     def _fail_open_batch(self, slot: Slot, t: float) -> None:
-        _, origs = self._take_open_batch(slot)
-        for orig in origs:
-            self._schedule_retry(orig, t)
+        for idx in self._take_open_batch(slot)[0]:
+            self._schedule_retry(idx, t)
 
     def _update_membership(self, now_s: float, _payload: Any = None) -> None:
         mask = np.zeros(len(self.slots), dtype=bool)
@@ -560,7 +569,7 @@ class Replay:
         self, k: int, lats: List[float], depth: float, replicas: int
     ) -> Optional[float]:
         """Log observation window ``k`` (0-based); returns its p99."""
-        p99 = float(np.percentile(np.asarray(lats), 99)) if lats else None
+        p99 = float(np.percentile(np.concatenate(lats), 99)) if lats else None
         scaler = self.control.autoscaler
         self.windows.append(
             {
@@ -658,18 +667,18 @@ class Replay:
         """``build_report`` raw material — for one slot (its own phase
         ledger), or over the whole run (phases read off the timeline)."""
         if slot is not None:
-            slots, requests, breakdown = [slot], slot.reqs, slot.phase_ms
+            slots, arrivals, breakdown = [slot], slot.arrivals, slot.phase_ms
         else:
-            slots, requests, breakdown = self.slots, self.served, {}
+            slots, arrivals, breakdown = self.slots, self.served, {}
             for event in self.timeline.events[self.events_before :]:
                 breakdown[event.phase.value] = (
                     breakdown.get(event.phase.value, 0.0)
                     + event.seconds * 1e3
                 )
-        lats = [np.asarray(s.lats) for s in slots if s.lats]
+        lats = [lat for s in slots for lat in s.lats]
         counts = [s.cache_counts() for s in slots]
         return dict(
-            requests=requests,
+            requests=np.concatenate(arrivals) if arrivals else np.asarray([]),
             num_batches=sum(s.batches for s in slots),
             latencies_s=np.concatenate(lats) if lats else np.asarray([]),
             last_done_s=max(max(s.free) for s in slots),

@@ -50,7 +50,7 @@ from repro.perf.profiles import ModelProfile
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import LRUEmbeddingCache
 from repro.serving.replay import Replay, Slot
-from repro.serving.workload import Request
+from repro.serving.workload import Request, RequestTrace
 from repro.sim.cluster import SimCluster
 from repro.sim.tracing import Phase
 
@@ -373,7 +373,7 @@ class ServingReport:
 def build_report(
     placement: str,
     model: str,
-    requests: Sequence[Request],
+    requests: "Sequence[Request] | np.ndarray",
     num_batches: int,
     latencies_s: np.ndarray,
     last_done_s: float,
@@ -385,16 +385,19 @@ def build_report(
 
     Shared by the single service and the fleet (per replica and
     aggregate), so every report computes percentiles, throughput, and
-    offered load the same way.  A zero-request trace (a replica drained
-    before serving anything) yields the explicit
-    :meth:`ServingReport.empty` marker instead of dividing by zero.
+    offered load the same way.  ``requests`` is what was served: the
+    requests, or (from the replay) just their arrival-time array.  A
+    zero-request trace (a replica drained before serving anything) yields
+    the explicit :meth:`ServingReport.empty` marker, no division by zero.
     """
     if len(requests) == 0 or num_batches == 0:
         return ServingReport.empty(placement, model)
-    arrivals = [r.arrival_s for r in requests]
-    span = max(arrivals) - min(arrivals)
+    if not isinstance(requests, np.ndarray):
+        requests = RequestTrace.of(requests).arrival_s
+    first = float(requests.min())
+    span = float(requests.max()) - first
     offered = (len(requests) - 1) / span if span > 0 else None
-    makespan = last_done_s - min(arrivals)
+    makespan = last_done_s - first
     lat = np.asarray(latencies_s) * 1e3
     return ServingReport(
         placement=placement,

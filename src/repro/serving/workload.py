@@ -33,17 +33,31 @@ generator and a stream stays bit-reproducible from its config.
 Key popularity is ``p(k) ~ 1 / (k + 1)^skew`` over a ``key_space`` of
 embedding rows; ``skew=0`` degenerates to uniform traffic (the
 cache-hostile worst case).
+
+**Rank sampling.**  A rank is ``searchsorted(cdf, u)`` of one uniform
+draw, found through a guide table instead of a binary search.  ``[0, 1)``
+is cut into ``G`` equal buckets — ``G`` the power of two at or above
+``2 * key_space``, so ``u * G`` and ``cdf * G`` are exact and flooring
+them orders draws and CDF entries alike — and ``guide[b]`` counts the CDF
+entries in buckets below ``b``.  Invariant: ``guide[b] <= rank <=
+guide[b + 1]`` for every ``u`` in bucket ``b``; a short forward scan
+between the bounds finishes the lookup.  Steep skew packs thousands of
+entries into one bucket: draws landing there use ``np.searchsorted``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from operator import eq
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 #: Arrival-process shapes the generator understands.
 SCENARIOS = ("poisson", "diurnal", "flash")
+#: Longest guided scan; draws in a fuller bucket use ``np.searchsorted``.
+_MAX_SCAN = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +70,8 @@ class Request:
     keys: np.ndarray  # (num_lookups,) int64 embedding row ids
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError(f"arrival must be >= 0, got {self.arrival_s}")
+        if not 0 <= self.arrival_s < math.inf:  # NaN fails both compares
+            raise ValueError(f"arrival must be finite and >= 0, got {self.arrival_s}")
 
     def __eq__(self, other: object) -> bool:
         # The generated dataclass __eq__ chokes on ndarray fields.
@@ -73,6 +87,81 @@ class Request:
         # Defining __eq__ suppresses the dataclass hash; restore one
         # consistent with it so requests can key sets/dicts.
         return hash((self.req_id, self.arrival_s, self.keys.tobytes()))
+
+
+class RequestTrace(Sequence):
+    """A request trace as three parallel arrays — ``arrival_s (n,)``,
+    ``keys (n, lookups)`` int64, ``req_id (n,)`` — that is also a
+    ``Sequence[Request]``: an int index builds the :class:`Request` view
+    of a row, a slice or index array the sub-trace, and it equals a
+    trace or a list of requests with the same rows.  Validated once, on
+    construction; sub-traces of a valid trace skip that.
+    """
+
+    __slots__ = ("arrival_s", "keys", "req_id")
+
+    def __init__(self, arrival_s: Any, keys: Any, req_id: Any = None):
+        arrival_s, keys = np.asarray(arrival_s, dtype=np.float64), np.asarray(keys)
+        req_id = np.arange(len(arrival_s)) if req_id is None else np.asarray(req_id)
+        if keys.ndim != 2 or not arrival_s.shape == req_id.shape == keys.shape[:1]:
+            shapes = arrival_s.shape, req_id.shape, keys.shape
+            raise ValueError(f"need (n,) arrivals, ids and (n, k) keys, got {shapes}")
+        if not np.issubdtype(keys.dtype, np.integer):
+            raise ValueError(f"keys must be integer row ids, got {keys.dtype}")
+        if keys.shape[1] < 1:
+            raise ValueError("every request needs >= 1 key")
+        if keys.size and keys.min() < 0:
+            raise ValueError("embedding row ids must be non-negative")
+        if not (np.isfinite(arrival_s) & (arrival_s >= 0)).all():
+            raise ValueError("arrivals must be finite and >= 0")
+        self.arrival_s, self.req_id = arrival_s, req_id
+        self.keys = keys.astype(np.int64, copy=False)
+
+    @classmethod
+    def of(cls, requests: "Sequence[Request]") -> "RequestTrace":
+        """``requests`` as a trace (itself if it already is one)."""
+        if isinstance(requests, cls):
+            return requests
+        keys = [np.asarray(r.keys) for r in requests]
+        return cls(
+            [r.arrival_s for r in requests],
+            np.stack(keys) if keys else np.empty((0, 1), dtype=np.int64),
+            [r.req_id for r in requests],
+        )
+
+    @classmethod
+    def view(cls, arrival_s, keys, req_id) -> "RequestTrace":
+        """Rows that are already valid (taken from a trace): no checks."""
+        trace = object.__new__(cls)
+        trace.arrival_s, trace.keys, trace.req_id = arrival_s, keys, req_id
+        return trace
+
+    def __len__(self) -> int:
+        return len(self.arrival_s)
+
+    def __getitem__(self, index: Any) -> Any:
+        rows = self.arrival_s[index], self.keys[index], self.req_id[index]
+        if isinstance(index, (int, np.integer)):
+            return Request(int(rows[2]), float(rows[0]), rows[1])
+        return self.view(*rows)
+
+    def __iter__(self) -> Iterator[Request]:
+        return map(Request, self.req_id.tolist(), self.arrival_s.tolist(), self.keys)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RequestTrace):
+            mine = self.req_id, self.arrival_s, self.keys
+            theirs = other.req_id, other.arrival_s, other.keys
+            return all(map(np.array_equal, mine, theirs))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def sorted(self) -> "RequestTrace":
+        """Stable sort by arrival time (ties keep trace order)."""
+        if (self.arrival_s[1:] >= self.arrival_s[:-1]).all():
+            return self
+        return self[np.argsort(self.arrival_s, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -152,6 +241,13 @@ class RequestStream:
         )
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
+        # Guide table of the rank sampler (see the module docstring).
+        self._buckets = 1 << (2 * config.key_space - 1).bit_length()
+        filled = np.bincount(
+            (self._cdf * self._buckets).astype(np.int64), minlength=self._buckets + 1
+        )
+        self._guide = np.zeros(self._buckets + 2, dtype=np.int32)
+        np.cumsum(filled, out=self._guide[1:])
 
     # ------------------------------------------------------------------
     def rate_at(self, t: np.ndarray) -> np.ndarray:
@@ -202,13 +298,25 @@ class RequestStream:
             filled += take
         return out
 
-    def _sample_ranks(
-        self, rng: np.random.Generator, count: int
-    ) -> np.ndarray:
+    def _sample_ranks(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``searchsorted(cdf, u)`` of ``count`` uniform draws."""
         u = rng.random(count)
-        return np.searchsorted(self._cdf, u).astype(np.int64)
+        cdf = self._cdf
+        bucket = (u * self._buckets).astype(np.int32)
+        ranks = self._guide[bucket]  # lower bound, scanned up to `stop`
+        stop = self._guide[bucket + 1]
+        width = stop - ranks
+        flat = np.flatnonzero(width > _MAX_SCAN)
+        ranks[flat] = np.searchsorted(cdf, u[flat])
+        width[flat] = 0
+        active = np.flatnonzero(width)
+        while active.size:
+            active = active[cdf[ranks[active]] < u[active]]
+            ranks[active] += 1
+            active = active[ranks[active] < stop[active]]
+        return ranks.astype(np.int64)
 
-    def generate(self) -> List[Request]:
+    def generate(self) -> RequestTrace:
         """The full stream, sorted by arrival time."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
@@ -221,10 +329,7 @@ class RequestStream:
             # slides through the id space and cached rows go cold.
             shift = np.floor(cfg.churn_keys_per_s * arrivals).astype(np.int64)
             keys = (keys + shift[:, None]) % cfg.key_space
-        return [
-            Request(req_id=i, arrival_s=float(arrivals[i]), keys=keys[i])
-            for i in range(cfg.num_requests)
-        ]
+        return RequestTrace(arrivals, keys)
 
     def hot_fraction(self, top_keys: int) -> float:
         """Probability mass carried by the ``top_keys`` hottest rows
