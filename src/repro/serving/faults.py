@@ -466,7 +466,7 @@ class FaultReport:
             num_offered=len(run.trace),
             num_served=num_served,
             num_lost=run.lost,
-            num_retried=len(run.retried_ids),
+            num_retried=len(run.attempts),
             num_retries=run.retries,
             num_timeouts=run.timeouts,
             num_degraded=run.degraded,

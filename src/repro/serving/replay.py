@@ -201,7 +201,6 @@ class Replay:
         self.degraded = 0
         self.degraded_rows = 0
         self.attempts: Dict[int, int] = {}  # trace index -> retries so far
-        self.retried_ids: set = set()
         self.budget_left = 0
         if control is not None:
             self._seed_schedule(control)
@@ -419,7 +418,6 @@ class Replay:
         self.retries += 1
         self.attempts[idx] = attempt
         req_id = int(self.trace.req_id[idx])
-        self.retried_ids.add(req_id)
         delay = retry.timeout_s + retry.backoff_s(req_id, attempt)
         self._push(now_s + delay, None, idx)
 

@@ -50,7 +50,7 @@ from repro.perf.profiles import ModelProfile
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import LRUEmbeddingCache
 from repro.serving.replay import Replay, Slot
-from repro.serving.workload import Request, RequestTrace
+from repro.serving.workload import Request
 from repro.sim.cluster import SimCluster
 from repro.sim.tracing import Phase
 
@@ -393,7 +393,7 @@ def build_report(
     if len(requests) == 0 or num_batches == 0:
         return ServingReport.empty(placement, model)
     if not isinstance(requests, np.ndarray):
-        requests = RequestTrace.of(requests).arrival_s
+        requests = np.asarray([r.arrival_s for r in requests])
     first = float(requests.min())
     span = float(requests.max()) - first
     offered = (len(requests) - 1) / span if span > 0 else None

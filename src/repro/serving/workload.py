@@ -101,7 +101,8 @@ class RequestTrace(Sequence):
     __slots__ = ("arrival_s", "keys", "req_id")
 
     def __init__(self, arrival_s: Any, keys: Any, req_id: Any = None):
-        arrival_s, keys = np.asarray(arrival_s, dtype=np.float64), np.asarray(keys)
+        arrival_s = np.asarray(arrival_s, dtype=np.float64)
+        keys = np.asarray(keys)
         req_id = np.arange(len(arrival_s)) if req_id is None else np.asarray(req_id)
         if keys.ndim != 2 or not arrival_s.shape == req_id.shape == keys.shape[:1]:
             shapes = arrival_s.shape, req_id.shape, keys.shape
@@ -140,10 +141,10 @@ class RequestTrace(Sequence):
         return len(self.arrival_s)
 
     def __getitem__(self, index: Any) -> Any:
-        rows = self.arrival_s[index], self.keys[index], self.req_id[index]
+        arrival_s, keys = self.arrival_s[index], self.keys[index]
         if isinstance(index, (int, np.integer)):
-            return Request(int(rows[2]), float(rows[0]), rows[1])
-        return self.view(*rows)
+            return Request(int(self.req_id[index]), float(arrival_s), keys)
+        return self.view(arrival_s, keys, self.req_id[index])
 
     def __iter__(self) -> Iterator[Request]:
         return map(Request, self.req_id.tolist(), self.arrival_s.tolist(), self.keys)
