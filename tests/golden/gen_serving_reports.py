@@ -43,6 +43,7 @@ from repro.serving import (
     ServingFleet,
     ServingModel,
     SwapEvent,
+    TieredPlacementEngine,
     WorkloadConfig,
     build_storage,
     make_tiered_fleet,
@@ -208,6 +209,67 @@ def _resilient_storm(degraded_mode: bool) -> Dict[str, Any]:
     return fleet.serve(requests).to_dict()
 
 
+def _resilient_chaos() -> Dict[str, Any]:
+    """The shape of perfbench's ``serve_chaos``, which the storm lacks:
+    a flash crowd over a churning hot set, a DRAM tier under a small
+    HBM cache, seeded crashes with priced recovery, one fetch brownout
+    and the autoscaler, behind the consistent-hash router."""
+    n, qps = 2000, 400_000.0
+    span = n / qps
+    requests = RequestStream(
+        WorkloadConfig(
+            qps=qps,
+            num_requests=n,
+            num_lookups=4,
+            key_space=4096,
+            seed=7,
+            scenario="flash",
+            flash_start_s=0.35 * span,
+            flash_duration_s=0.3 * span,
+            flash_factor=2.5,
+            churn_keys_per_s=400_000.0,
+        )
+    ).generate()
+    sim = _sim()
+    placement = Placement("disaggregated", emb_hosts=1)
+    storage = build_storage(
+        "A100", 128, levels=("dram",), cache_rows=(1024,), backing="remote"
+    )
+    fleet = ResilientFleet(
+        sim,
+        MODEL,
+        placement,
+        _batcher(),
+        router="hash",
+        num_replicas=3,
+        cache_factory=storage.make_chain,
+        engine=TieredPlacementEngine(sim, MODEL, placement, storage),
+        faults=FaultConfig(
+            seed=5,  # two different replicas, the second inside the burst
+            replica_crashes=2,
+            fetch_degrades=1,
+            degrade_duration_s=0.1 * span,
+        ),
+        retry=RetryPolicy(timeout_ms=0.25),
+        recovery=RecoveryModel(
+            detection_s=0.0002,
+            restore_s=0.0004,
+            checkpoint_period_s=0.0008,
+            warm_rows=64,
+        ),
+        autoscaler=SLOAutoscaler(
+            AutoscalePolicy(
+                slo_p99_ms=1.0,
+                min_replicas=3,
+                max_replicas=5,
+                provision_s=0.0005,
+                warm_rows=32,
+            )
+        ),
+    )
+    return fleet.serve(requests).to_dict()
+
+
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "service/colocated": lambda: _service("colocated"),
     "service/disaggregated": lambda: _service("disaggregated"),
@@ -223,6 +285,7 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "resilient/healthy/p2c": lambda: _resilient_healthy("p2c"),
     "resilient/storm": lambda: _resilient_storm(True),
     "resilient/storm_no_degraded_mode": lambda: _resilient_storm(False),
+    "resilient/chaos": _resilient_chaos,
 }
 
 
