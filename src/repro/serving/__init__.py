@@ -35,8 +35,8 @@ on the same cost-model machinery:
   crash/hang, fetch-tier degradation/outage), client-side
   timeout/retry/backoff, degraded-mode serving and an MTTR model for
   crash recovery; the :class:`ResilientFleet` hands them to the same
-  loop as a control schedule and routes per arrival against the live
-  membership;
+  loop as a control schedule and routes against the live membership
+  (per epoch for the hash router, per arrival for the others);
 - :mod:`repro.serving.autoscale` — the closed-loop SLO autoscaler
   watching windowed p99/queue depth and scaling the fleet between
   bounds with priced warm-start prefill.

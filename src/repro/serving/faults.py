@@ -557,9 +557,9 @@ class ResilientFleet(ServingFleet):
     injection, so the tiered engine composes unchanged) plus the
     robustness layers; any of ``faults`` / ``retry`` / ``recovery`` /
     ``autoscaler`` may be omitted.  The replay is the same event loop
-    with a control schedule attached, routed per arrival; with every
-    layer omitted it is bit-identical to ``ServingFleet.serve`` for the
-    round-robin and hash routers.
+    with a control schedule attached, routed per membership epoch
+    (hash) or per arrival; with every layer omitted it is bit-identical
+    to ``ServingFleet.serve`` for the round-robin and hash routers.
     """
 
     def __init__(

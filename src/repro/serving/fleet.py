@@ -31,6 +31,7 @@ traffic.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -88,12 +89,18 @@ class Router:
     (the consistent-hash ring rebuilds over the surviving vnodes, the
     other policies filter to live replicas), and :meth:`route_one`
     routes a single request incrementally — the entry point the
-    fault-injecting replay uses between membership changes.  With every
-    replica live, all policies route bit-identically to the
-    pre-membership implementation.
+    fault-injecting replay uses for policies that read queue depth or a
+    cursor, and the oracle for the rest.  With every replica live, all
+    policies route bit-identically to the pre-membership
+    implementation.
     """
 
     name = "base"
+    #: The choice is a function of the request's primary key and the
+    #: live mask alone, so ``route_trace`` under the current mask is
+    #: what ``route_one`` answers for every row until the mask changes:
+    #: the replay routes such a policy once per membership epoch.
+    routes_by_key = False
 
     def bind(self, num_replicas: int) -> None:
         if num_replicas < 1:
@@ -112,8 +119,9 @@ class Router:
         """Indices of replicas currently accepting traffic (sorted)."""
         return np.flatnonzero(self._live)
 
-    def set_live(self, live: Sequence[bool]) -> None:
-        """Update the live-membership mask (length ``num_replicas``).
+    def set_live(self, live: Sequence[bool]) -> bool:
+        """Update the live-membership mask (length ``num_replicas``);
+        returns whether it changed.
 
         No-op when the mask is unchanged; otherwise the policy's
         membership hook runs (ring rebuild for consistent hashing).
@@ -129,9 +137,10 @@ class Router:
         if not mask.any():
             raise ValueError("at least one replica must stay live")
         if np.array_equal(mask, self._live):
-            return
+            return False
         self._live = mask.copy()
         self._on_membership()
+        return True
 
     def _on_membership(self) -> None:  # pragma: no cover - default no-op
         pass
@@ -199,11 +208,15 @@ class ConsistentHashRouter(Router):
     """
 
     name = "hash"
+    routes_by_key = True
 
     def __init__(self, vnodes: int = 64):
         if vnodes < 1:
             raise ValueError(f"vnodes must be >= 1, got {vnodes}")
         self.vnodes = vnodes
+        # The last routed trace's primary-key hashes, sorted — found
+        # again by the identity of its (never mutated) key array.
+        self._hashed_of: Callable[[], Any] = lambda: None
 
     def _reset(self) -> None:
         replicas = np.repeat(
@@ -239,8 +252,19 @@ class ConsistentHashRouter(Router):
     def route_trace(
         self, requests: Sequence[Request], window_s: float
     ) -> np.ndarray:
-        hashed = _splitmix64(RequestTrace.of(requests).keys[:, 0])
-        return self._ring_replicas[np.searchsorted(self._ring_points, hashed)]
+        keys = RequestTrace.of(requests).keys
+        if self._hashed_of() is not keys:  # else a later epoch of one trace
+            hashed = _splitmix64(keys[:, 0])
+            self._hashed_of, self._order = weakref.ref(keys), np.argsort(hashed)
+            self._hashed = hashed[self._order]
+        # The ring cuts the sorted hashes into one run per owner — the
+        # ``searchsorted(ring, hash)`` of ``route_one``, the other way.
+        cuts = np.searchsorted(self._hashed, self._ring_points, side="right")
+        owners = np.empty(len(keys), dtype=np.int64)
+        owners[self._order] = np.repeat(
+            self._ring_replicas, np.diff(cuts, prepend=0, append=len(keys))
+        )
+        return owners
 
     def route_one(
         self,

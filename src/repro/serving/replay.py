@@ -22,16 +22,20 @@ and prices every batch through the shared
 :class:`~repro.serving.service.PlacementEngine` — one ``cache.probe``
 and one ``price_batch`` call site for the whole package.
 
-Routing is the one thing read off the configuration: without a
-control plane membership can never change, so the whole trace is
-routed up front with one vectorised ``Router.route_trace`` call; with
-one, every arrival (and every retry) is routed with ``route_one``
-against the live-membership mask of that instant.  Round-robin and
-consistent-hash routing agree across the two forms; power-of-two-
-choices reads queue depth, and the two forms see different depths
-(requests inside their batching *window* vs requests *pending* in an
-open batch), so it is the one policy whose healthy ``ResilientFleet``
-replay is not bit-identical to ``ServingFleet``.
+Routing is read off the *router*.  A policy whose choice depends only
+on a row's primary key and the live mask (``routes_by_key``: consistent
+hashing) is routed one **membership epoch** at a time: one vectorised
+``Router.route_trace`` over the whole trace at the start, and again
+after each ``set_live`` that changed the mask; arrivals and retries
+read ``assignment[idx]``, and a total outage keeps the stale
+assignment.  A healthy door is the one-epoch case, for every policy.
+Under a control plane the policies that read a cursor or queue depth
+(``round_robin``, ``p2c``) are routed per arrival and per retry with
+``route_one`` against the mask of that instant.  Round-robin agrees
+across the two forms; p2c sees different depths (requests inside their
+batching *window* vs requests *pending* in an open batch), so it is the
+one policy whose healthy ``ResilientFleet`` replay is not bit-identical
+to ``ServingFleet``.
 
 **Tie rule.**  Events at equal timestamps run in this order: the
 pre-seeded schedule (faults, then swaps, then window boundaries, each
@@ -43,7 +47,7 @@ every open batch whose deadline is ``<= t`` closes, earliest deadline
 
 **What the loop holds.**  The trace is one arrival-sorted
 :class:`~repro.serving.workload.RequestTrace`; the loop walks its
-arrival times as a python list (``route_one`` is handed the
+arrival times as a python list (only ``route_one`` is handed the
 :class:`Request` view of a row).  A slot's open batch is ``pending`` —
 indices into the trace — beside ``arrived``, when each reached *this*
 replica.  A retry is the heap entry ``(now + delay, seq, None, index)``:
@@ -164,8 +168,9 @@ class Replay:
         self.t0 = self.arrival[0]
         self.num_initial = sum(1 for s in slots if s.state == "active")
 
-        # Routing (see the module docstring): slot 0, whole-trace, or
-        # per arrival with incrementally kept queue depths.
+        # Routing (see the module docstring): slot 0, the whole trace
+        # per membership epoch, or per arrival with incrementally kept
+        # queue depths.
         self.assignment: Optional[List[int]] = None
         self.depths: Optional[np.ndarray] = None
         if router is None:
@@ -173,10 +178,8 @@ class Replay:
         else:
             router.bind(len(slots))
             router.set_live([s.state == "active" for s in slots])
-            if control is None:
-                self.assignment = router.route_trace(
-                    self.trace, batcher.max_delay_s
-                ).tolist()
+            if control is None or router.routes_by_key:
+                self._route_epoch()
             else:
                 self.depths = np.zeros(len(slots))
 
@@ -187,7 +190,7 @@ class Replay:
         self.seq = 0
         self.degrade_windows: List[Tuple[float, float, float]] = []
         self.outage_windows: List[Tuple[float, float]] = []
-        self.done_times: List[float] = []
+        self.in_flight: List[Tuple[float, int]] = []  # (done, size) per batch
         self.win_lat: Dict[int, List[float]] = {}
         self.win_s = 0.0
         self.windows: List[Dict[str, Any]] = []
@@ -210,6 +213,7 @@ class Replay:
         """Pre-seed the heap: faults, then planned swaps, then window
         boundaries — the head of the tie rule."""
         span = self.arrival[-1] - self.t0
+        self.req_id = self.trace.req_id.tolist()  # read per retry
         self.budget_left = int(
             math.ceil(control.retry.retry_budget * len(self.trace))
         )
@@ -229,6 +233,12 @@ class Replay:
         if self.win_s > 0:
             for k in range(1, int(math.ceil(span / self.win_s)) + 1):
                 self._push(self.t0 + k * self.win_s, self._on_window, k)
+
+    def _route_epoch(self) -> None:
+        """Route every row under the router's current live mask."""
+        self.assignment = self.router.route_trace(
+            self.trace, self.batcher.max_delay_s
+        ).tolist()
 
     def _push(self, t: float, handler: Optional[Callable], payload: Any) -> None:
         self.seq += 1
@@ -261,6 +271,7 @@ class Replay:
                 next_deadline = self._flush_due(t)
             if handler is not None:
                 handler(t, idx)
+                assignment = self.assignment  # a new epoch re-routed it
                 continue
             rep = (
                 assignment[idx]
@@ -365,7 +376,7 @@ class Replay:
         slot.lats.append(lats)
         self.served.append(offered)
         if self.control is not None:
-            self.done_times.extend([done] * batch.size)
+            self.in_flight.append((done, batch.size))
             self.win_lat.setdefault(self._window_index(done), []).append(
                 lats * 1e3
             )
@@ -417,8 +428,7 @@ class Replay:
         self.budget_left -= 1
         self.retries += 1
         self.attempts[idx] = attempt
-        req_id = int(self.trace.req_id[idx])
-        delay = retry.timeout_s + retry.backoff_s(req_id, attempt)
+        delay = retry.timeout_s + retry.backoff_s(self.req_id[idx], attempt)
         self._push(now_s + delay, None, idx)
 
     def _fail_open_batch(self, slot: Slot, t: float) -> None:
@@ -432,8 +442,9 @@ class Replay:
         # If every replica is down the router keeps its stale view —
         # clients keep timing out (and retrying) against it, which is
         # exactly what a real front-end does during a total outage.
-        if mask.any():
-            self.router.set_live(mask)
+        if mask.any() and self.router.set_live(mask):
+            if self.router.routes_by_key:  # a new membership epoch
+                self._route_epoch()
 
     def _on_hang_end(self, t: float, slot: Slot) -> None:
         if slot.state == "hung":
@@ -586,12 +597,10 @@ class Replay:
         return p99
 
     def _on_window(self, t: float, k: int) -> None:
-        done_arr = np.asarray(self.done_times)
-        completed = (
-            int(np.count_nonzero(done_arr <= t)) if done_arr.size else 0
-        )
+        # Windows run in time order: a batch done by now stays done.
+        self.in_flight = [(d, size) for d, size in self.in_flight if d > t]
         queued = sum(len(slot.pending) for slot in self.slots)
-        inflight = len(self.done_times) - completed + queued
+        inflight = sum(size for _, size in self.in_flight) + queued
         accepting = self._accepting_count(t)
         depth = inflight / max(1, accepting)
         p99 = self._record_window(

@@ -1,0 +1,40 @@
+"""The exact-metric gate picks the right reference and names what moved
+(the perfbench round itself is CI's step, not tier-1's)."""
+
+import json
+
+from tests.golden.check_perfbench_exact import ROOT, reference
+from tests.golden.gen_serving_reports import diff_reports
+
+
+def line(pr, **workloads):
+    return json.dumps({"pr": pr, "workloads": workloads})
+
+
+def test_reference_is_the_newest_line_with_an_exact_block():
+    history = "\n".join(
+        [
+            line(1, serve_chaos={"exact": {"serving.router.calls": 9113.2}}),
+            line(2, serve_chaos={"exact": {"serving.router.calls": 5.8}}),
+            line(3, serve_chaos={"items_per_s": 1.0}, train_dmt={"exact": {}}),
+            "",
+        ]
+    )
+    assert reference(history, "serve_chaos") == {"serving.router.calls": 5.8}
+    assert reference(history, "train_dmt") == {}
+    assert reference(history, "serve_steady") is None
+
+
+def test_committed_history_has_a_reference_for_both_serve_workloads():
+    history = (ROOT / "BENCH_history.jsonl").read_text()
+    for workload in ("serve_steady", "serve_chaos"):
+        exact = reference(history, workload)
+        assert exact and "serving.router.calls" in exact
+
+
+def test_a_planted_count_is_named():
+    expected = {"serving.batcher.batches": 33.3, "sim.serving.rps": 2.0e6}
+    got = {"serving.batcher.batches": 33.4, "sim.serving.rps": 2.0e6}
+    assert diff_reports(expected, got, "serve_chaos") == [
+        "serve_chaos/serving.batcher.batches: expected 33.3, got 33.4"
+    ]

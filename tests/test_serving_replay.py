@@ -1,16 +1,20 @@
 """Invariants of the one replay core behind the three serving front
 doors: no run state on the door, replay-twice determinism, the
-tie rule at equal timestamps, and the all-lost fleet report."""
+tie rule at equal timestamps, the all-lost fleet report, and routing
+by membership epoch against the per-arrival ``route_one`` oracle."""
 
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import Cluster
 from repro.serving import (
     AutoscalePolicy,
+    ConsistentHashRouter,
     FaultConfig,
     FaultEvent,
     InferenceService,
@@ -29,6 +33,7 @@ from repro.serving import (
     SwapEvent,
     WorkloadConfig,
 )
+from repro.serving.replay import Replay
 from repro.sim import SimCluster
 
 MODEL = ServingModel(
@@ -332,3 +337,194 @@ class TestTieRule:
         fleet.serve(at(0.0, 0.001, 0.004))
         live = [entry[1] for entry in router.log if entry[0] == "live"]
         assert live == [(True, True), (False, True), (True, True)]
+
+
+class PerArrivalHashRouter(ConsistentHashRouter):
+    """Consistent hashing with the class-level fact withdrawn: the
+    replay falls back to ``route_one`` per arrival and per retry — the
+    oracle the epoch-routed assignment is held to."""
+
+    routes_by_key = False
+
+
+def both_ways(trace, **kw):
+    """One fault replay routed per epoch and one per arrival."""
+    epoch = make_resilient(router=ConsistentHashRouter(), **kw).serve(trace)
+    oracle = make_resilient(router=PerArrivalHashRouter(), **kw).serve(trace)
+    return epoch, oracle
+
+
+def same_key_trace(key, times):
+    """Every request carries primary key ``key``: one ring owner."""
+    return [
+        Request(i, t, np.array([key, 1000 + i])) for i, t in enumerate(times)
+    ]
+
+
+def owner_of(key, live):
+    router = ConsistentHashRouter()
+    router.bind(len(live))
+    router.set_live(live)
+    return router.route_one(Request(0, 0.0, np.array([key])), 0.0)
+
+
+@st.composite
+def fault_scenarios(draw):
+    replicas = draw(st.integers(2, 5))
+    span = 300 / 80_000.0
+    counts = st.integers(0, 2)
+    swaps = tuple(
+        SwapEvent(
+            at_s=draw(st.floats(0.0, 1.0)) * span,
+            replica=draw(st.integers(0, replicas - 1)),
+            swap_s=draw(st.sampled_from([0.0, 0.0004])),
+            warm_rows=draw(st.sampled_from([0, 8])),
+        )
+        for _ in range(draw(counts))
+    )
+    autoscaler = None
+    if draw(st.booleans()):
+        autoscaler = SLOAutoscaler(
+            AutoscalePolicy(
+                slo_p99_ms=draw(st.sampled_from([0.3, 1.0, 5.0])),
+                min_replicas=draw(st.integers(1, replicas)),
+                max_replicas=5,
+                provision_s=0.0003,
+            )
+        )
+    recovery = None
+    if draw(st.booleans()):  # else crashes are permanent
+        recovery = RecoveryModel(
+            detection_s=0.0002, restore_s=0.0003, checkpoint_period_s=0.0005
+        )
+    return dict(
+        num_replicas=replicas,
+        faults=FaultConfig(
+            seed=draw(st.integers(0, 2**16)),
+            replica_crashes=draw(st.integers(0, 3)),
+            replica_hangs=draw(counts),
+            hang_duration_s=draw(st.sampled_from([0.0001, 0.0008])),
+            fetch_outages=draw(st.integers(0, 1)),
+            outage_duration_s=0.0005,
+        ),
+        retry=RetryPolicy(
+            timeout_ms=draw(st.sampled_from([0.1, 0.3, 1.0])),
+            max_retries=draw(st.integers(0, 3)),
+            retry_budget=draw(st.sampled_from([0.0, 0.02, 0.25, 1.0])),
+        ),
+        recovery=recovery,
+        autoscaler=autoscaler,
+        swaps=swaps,
+    )
+
+
+class TestEpochRoutingAgainstTheOracle:
+    """``routes_by_key``: the whole trace routed once per membership
+    epoch must be the replay ``route_one`` per arrival gives."""
+
+    def test_the_oracle_router_really_routes_per_arrival(self):
+        calls = []
+
+        class Counting(PerArrivalHashRouter):
+            def route_one(self, req, now_s, depths=None):
+                calls.append(req.req_id)
+                return super().route_one(req, now_s, depths)
+
+        report = make_resilient(router=Counting()).serve(poisson_trace(50))
+        assert len(calls) == 50 + report.num_retries
+
+        class NoRouteOne(ConsistentHashRouter):
+            def route_one(self, req, now_s, depths=None):
+                raise AssertionError("epoch routing never asks per arrival")
+
+        make_stormy_with(NoRouteOne()).serve(poisson_trace())
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=fault_scenarios(), trace_seed=st.integers(0, 2**16))
+    def test_fault_schedules(self, scenario, trace_seed):
+        trace = RequestStream(
+            WorkloadConfig(
+                qps=80_000.0,
+                num_requests=300,
+                num_lookups=2,
+                key_space=500,
+                seed=trace_seed,
+            )
+        ).generate()
+        epoch, oracle = both_ways(trace, **scenario)
+        assert epoch.to_dict() == oracle.to_dict()
+        assert epoch.num_served + epoch.num_lost == epoch.num_offered == 300
+
+    def test_total_outage_keeps_the_stale_assignment(self):
+        """Both replicas die for good.  The second detection finds no
+        one routable, so the view of the first stays in force: every
+        later request times out against the survivor-that-was."""
+        kw = dict(
+            num_replicas=2,
+            faults=FaultConfig(
+                events=(
+                    FaultEvent("replica_crash", at_s=0.001, replica=0),
+                    FaultEvent("replica_crash", at_s=0.002, replica=1),
+                )
+            ),
+            retry=RetryPolicy(timeout_ms=0.2, max_retries=1),
+        )
+        epoch, oracle = both_ways(poisson_trace(), **kw)
+        assert epoch.to_dict() == oracle.to_dict()
+        assert 0 < epoch.num_lost < epoch.num_offered
+        assert epoch.num_served + epoch.num_lost == epoch.num_offered
+
+    def test_a_retry_reroutes_once_the_death_was_detected(self):
+        """A request sent at a dead-but-undetected replica comes back
+        after detection and must read the *new* epoch's assignment."""
+        key = 7
+        dead = owner_of(key, [True, True])
+        heir = 1 - dead
+        kw = dict(
+            num_replicas=2,
+            batcher=MicroBatcher(1, 0.0),  # every arrival is a batch
+            faults=FaultConfig(
+                events=(FaultEvent("replica_crash", at_s=0.001, replica=dead),)
+            ),
+            retry=RetryPolicy(timeout_ms=0.5),
+        )
+        # Request 1 arrives 0.1 ms after the crash, 0.4 ms before the
+        # router learns of it; its retry lands after detection.
+        trace = same_key_trace(key, (0.0, 0.0011, 0.004))
+        epoch, oracle = both_ways(trace, **kw)
+        assert epoch.to_dict() == oracle.to_dict()
+        assert (epoch.num_served, epoch.num_lost, epoch.num_retries) == (3, 0, 1)
+        served = epoch.fleet.requests_per_replica
+        assert served[dead] == 1 and served[heir] == 2
+
+
+def make_stormy_with(router):
+    fleet = make_stormy()
+    fleet.router = router
+    return fleet
+
+
+class TestWindowInFlightCount:
+    def test_pruning_never_drops_a_batch_still_in_flight(self, monkeypatch):
+        """``_on_window`` forgets batches done by the boundary; the
+        recorded depth must still count every request done after it."""
+        closed, checked = [], []
+        flush, on_window = Replay._flush, Replay._on_window
+
+        def recording_flush(self, slot, ready_s):
+            flush(self, slot, ready_s)
+            closed.append(self.in_flight[-1])
+
+        def checking_window(self, t, k):
+            queued = sum(len(slot.pending) for slot in self.slots)
+            late = sum(size for done, size in closed if done > t)
+            expected = (late + queued) / max(1, self._accepting_count(t))
+            before = len(self.windows)
+            on_window(self, t, k)
+            # (a scale-down inside the call flushes only afterwards)
+            checked.append(self.windows[before]["queue_depth"] == expected)
+
+        monkeypatch.setattr(Replay, "_flush", recording_flush)
+        monkeypatch.setattr(Replay, "_on_window", checking_window)
+        make_stormy().serve(poisson_trace())
+        assert len(checked) >= 20 and all(checked)
