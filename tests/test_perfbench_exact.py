@@ -1,10 +1,10 @@
-"""The exact-metric gate picks the right reference and names what moved
-(the perfbench round itself is CI's step, not tier-1's)."""
+"""The exact-metric gate picks the right reference (the perfbench round
+itself is CI's step, not tier-1's; ``diff_reports`` naming the leaf is
+pinned in ``test_serving_golden.py``)."""
 
 import json
 
 from tests.golden.check_perfbench_exact import ROOT, reference
-from tests.golden.gen_serving_reports import diff_reports
 
 
 def line(pr, **workloads):
@@ -30,11 +30,3 @@ def test_committed_history_has_a_reference_for_both_serve_workloads():
     for workload in ("serve_steady", "serve_chaos"):
         exact = reference(history, workload)
         assert exact and "serving.router.calls" in exact
-
-
-def test_a_planted_count_is_named():
-    expected = {"serving.batcher.batches": 33.3, "sim.serving.rps": 2.0e6}
-    got = {"serving.batcher.batches": 33.4, "sim.serving.rps": 2.0e6}
-    assert diff_reports(expected, got, "serve_chaos") == [
-        "serve_chaos/serving.batcher.batches: expected 33.3, got 33.4"
-    ]

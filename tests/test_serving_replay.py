@@ -361,13 +361,6 @@ def same_key_trace(key, times):
     ]
 
 
-def owner_of(key, live):
-    router = ConsistentHashRouter()
-    router.bind(len(live))
-    router.set_live(live)
-    return router.route_one(Request(0, 0.0, np.array([key])), 0.0)
-
-
 @st.composite
 def fault_scenarios(draw):
     replicas = draw(st.integers(2, 5))
@@ -422,7 +415,7 @@ class TestEpochRoutingAgainstTheOracle:
     """``routes_by_key``: the whole trace routed once per membership
     epoch must be the replay ``route_one`` per arrival gives."""
 
-    def test_the_oracle_router_really_routes_per_arrival(self):
+    def test_the_class_level_fact_selects_the_path(self):
         calls = []
 
         class Counting(PerArrivalHashRouter):
@@ -437,7 +430,9 @@ class TestEpochRoutingAgainstTheOracle:
             def route_one(self, req, now_s, depths=None):
                 raise AssertionError("epoch routing never asks per arrival")
 
-        make_stormy_with(NoRouteOne()).serve(poisson_trace())
+        stormy = make_stormy()
+        stormy.router = NoRouteOne()
+        assert stormy.serve(poisson_trace()).num_retries > 0
 
     @settings(max_examples=60, deadline=None)
     @given(scenario=fault_scenarios(), trace_seed=st.integers(0, 2**16))
@@ -477,8 +472,9 @@ class TestEpochRoutingAgainstTheOracle:
     def test_a_retry_reroutes_once_the_death_was_detected(self):
         """A request sent at a dead-but-undetected replica comes back
         after detection and must read the *new* epoch's assignment."""
-        key = 7
-        dead = owner_of(key, [True, True])
+        key, ring = 7, ConsistentHashRouter()
+        ring.bind(2)
+        dead = ring.route_one(Request(0, 0.0, np.array([key])), 0.0)
         heir = 1 - dead
         kw = dict(
             num_replicas=2,
@@ -496,12 +492,6 @@ class TestEpochRoutingAgainstTheOracle:
         assert (epoch.num_served, epoch.num_lost, epoch.num_retries) == (3, 0, 1)
         served = epoch.fleet.requests_per_replica
         assert served[dead] == 1 and served[heir] == 2
-
-
-def make_stormy_with(router):
-    fleet = make_stormy()
-    fleet.router = router
-    return fleet
 
 
 class TestWindowInFlightCount:
