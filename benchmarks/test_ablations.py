@@ -1,6 +1,6 @@
 """Ablation benches for the reproduction's own design choices.
 
-DESIGN.md calls out several load-bearing decisions; each ablation
+The reproduction rests on several load-bearing decisions; each ablation
 switches one off and shows the paper-reproducing behaviour degrade:
 
 1. congestion keyed by *cross-host flows per NIC* (vs hosts spanned) —

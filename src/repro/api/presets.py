@@ -29,8 +29,9 @@ __all__ = [
 
 
 def quality_data_spec(num_samples: int = 12000) -> DataSpec:
-    """The §5.2 quality-experiment click logs (DESIGN.md substitution
-    table): 26 features, 4 planted blocks, strong block correlation."""
+    """The §5.2 quality-experiment click logs (the shrunken setup of
+    `experiments/quality.py`): 26 features, 4 planted blocks, strong
+    block correlation."""
     return DataSpec(
         num_sparse=26,
         num_blocks=4,

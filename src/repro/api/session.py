@@ -29,7 +29,6 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.api.results import (
     ABArtifact,
@@ -1004,6 +1003,8 @@ class Session:
         """
 
         def build() -> ABArtifact:
+            from scipy import stats as _scipy_stats
+
             ab: ABSpec = self._need("ab")
             self._need("data")
             model_a: ModelSpec = self._need("model")

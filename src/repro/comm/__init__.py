@@ -1,6 +1,6 @@
 """Collective communication: analytic cost models and functional simulation.
 
-Two planes, deliberately separated (DESIGN.md §5.1):
+Two planes, deliberately separated (priced vs moved, docs/invariants.md):
 
 - :mod:`repro.comm.cost_model` prices collectives in seconds using an
   alpha-beta model with congestion-efficiency curves calibrated to the

@@ -32,8 +32,7 @@ The efficiency curves — not the raw bandwidth numbers — are what the
 cost model consumes, because they generalize: they transfer across
 buffer sizes, sub-world collectives (SPTT's peer AlltoAlls), and GPU
 generations (the NIC rate scales from :class:`~repro.hardware.GPUSpec`,
-the protocol-efficiency shape is assumed generation-invariant; see
-EXPERIMENTS.md "calibration" section).
+the protocol-efficiency shape is assumed generation-invariant).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Synthetic Criteo-like click logs with planted interaction structure.
 
-Why planted structure (DESIGN.md §5.4): the paper's quality results
+Why planted structure (PAPER.md, TP): the paper's quality results
 hinge on *meaningful feature groups existing* — TP finds them, coherent
 towers preserve them under compression, naive striding splits them.
 This generator makes that structure explicit and controllable:
@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
-from scipy.special import ndtri  # inverse normal CDF, vectorized
-from scipy.stats import norm
 
 from repro.core.partition import FeaturePartition
 from repro.nn.functional import sigmoid
@@ -225,6 +223,8 @@ class SyntheticCriteoDataset:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The draws every sampler starts with: (dense, feature
         latents ``u``, sparse ids)."""
+        from scipy.special import ndtr  # the standard normal CDF
+
         c = self.config
         dense = rng.standard_normal((n, c.num_dense))
         z = rng.standard_normal((n, c.num_blocks))  # block latents
@@ -235,7 +235,7 @@ class SyntheticCriteoDataset:
         # scramble bin identity per feature: feature f's bin b is id
         # bin_perm[f, b] (an (n, F) lookup, never (n, F, cardinality)).
         bins = np.clip(
-            (norm.cdf(u) * c.cardinality).astype(np.int64), 0, c.cardinality - 1
+            (ndtr(u) * c.cardinality).astype(np.int64), 0, c.cardinality - 1
         )
         ids = self.bin_perm[np.arange(c.num_sparse), bins]
         return dense, u, ids
@@ -268,6 +268,8 @@ class SyntheticCriteoDataset:
     # ------------------------------------------------------------------
     def decoded_value(self, feature: int, ids: np.ndarray) -> np.ndarray:
         """Ground-truth latent value encoded by raw ids (test helper)."""
+        from scipy.special import ndtri  # inverse normal CDF, vectorized
+
         c = self.config
         bins = self.bin_perm_inv[feature][np.asarray(ids)]
         return ndtri((bins + 0.5) / c.cardinality)

@@ -1,7 +1,7 @@
 """Shared harness for the quality experiments (Tables 2-6, Figure 9).
 
 All quality experiments run on a shrunken but structurally faithful
-setup (DESIGN.md substitution table): the 26-feature synthetic Criteo
+setup (`presets.quality_data_spec`): the 26-feature synthetic Criteo
 dataset with 4 planted interaction blocks, N=16 embeddings, and the
 tiny DLRM/DCN arches.  Absolute AUCs land near 0.92 instead of the
 paper's 0.80 — what reproduces is the *relative* structure: SPTT

@@ -55,7 +55,7 @@ class ExperimentResult:
         Machine-readable values for assertions in benchmarks/tests.
     paper_reference:
         The corresponding numbers the paper reports, for side-by-side
-        reading (also mirrored in EXPERIMENTS.md).
+        reading.
     """
 
     exp_id: str

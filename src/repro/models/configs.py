@@ -95,8 +95,7 @@ def paper_dlrm_arch() -> DenseArch:
 
     Table 4's MFlops column matches 3x this forward count (the
     fwd+bwd-inclusive profiler convention): 3 * 4.86 = 14.6 vs the
-    paper's 14.74 — which is how the arch was pinned down (see
-    EXPERIMENTS.md ledger).
+    paper's 14.74 — which is how the arch was pinned down.
     """
     return DenseArch(
         embedding_dim=128,

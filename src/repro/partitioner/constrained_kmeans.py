@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass
@@ -63,6 +62,8 @@ class ConstrainedKMeans:
 
     def _assign(self, x: np.ndarray, centers: np.ndarray, cap: int) -> np.ndarray:
         """Min-cost capacity-constrained assignment via slot expansion."""
+        from scipy.optimize import linear_sum_assignment
+
         n = x.shape[0]
         # Squared distances (n_points, n_clusters).
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(-1)

@@ -104,7 +104,7 @@ def _param_bytes(params) -> int:
 @functools.lru_cache(maxsize=None)
 def paper_dlrm_profile() -> ModelProfile:
     """Measured from the paper-scale DLRM dense arch (~14.3 MF vs the
-    paper's 14.74; see EXPERIMENTS.md ledger)."""
+    paper's 14.74; see `repro.models.configs.paper_dlrm_arch`)."""
     model = DLRM(
         CRITEO_NUM_DENSE,
         tiny_table_configs(CRITEO_NUM_SPARSE, num_embeddings=4, dim=128),

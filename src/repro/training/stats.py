@@ -9,10 +9,9 @@ Mann-Whitney U test over the 9 repeats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass
@@ -39,7 +38,7 @@ class SeedSweepResult:
 
 def run_seed_sweep(
     run: Callable[[int], float],
-    seeds: Sequence[int],
+    seeds: Iterable[int],
 ) -> SeedSweepResult:
     """Execute ``run(seed)`` per seed and summarize.
 
@@ -47,6 +46,7 @@ def run_seed_sweep(
     >>> res.n, res.median
     (9, 1.0)
     """
+    seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     return SeedSweepResult(np.array([float(run(s)) for s in seeds]))
@@ -63,6 +63,8 @@ def mann_whitney_u(
     the null hypothesis that two experiments using TP and naive
     assignments have equal chance of yielding better AUC".
     """
+    from scipy import stats as scipy_stats
+
     treatment = np.asarray(list(treatment), dtype=np.float64)
     control = np.asarray(list(control), dtype=np.float64)
     if len(treatment) < 2 or len(control) < 2:

@@ -30,3 +30,11 @@ def test_committed_history_has_a_reference_for_both_serve_workloads():
     for workload in ("serve_steady", "serve_chaos"):
         exact = reference(history, workload)
         assert exact and "serving.router.calls" in exact
+
+
+def test_committed_history_has_a_reference_for_both_train_workloads():
+    """CI gates all four workloads; the train blocks date from PR 17."""
+    history = (ROOT / "BENCH_history.jsonl").read_text()
+    for workload in ("train_dmt", "train_sptt_sim"):
+        exact = reference(history, workload)
+        assert exact and "nn.embedding.calls" in exact

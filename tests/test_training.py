@@ -172,6 +172,27 @@ class TestStats:
         with pytest.raises(ValueError):
             run_seed_sweep(lambda s: 0.0, seeds=[])
 
+    @pytest.mark.parametrize(
+        "seeds",
+        [np.array([1, 2, 3, 4, 5]), (s for s in range(1, 6)), range(1, 6)],
+        ids=["ndarray", "generator", "range"],
+    )
+    def test_seed_sweep_takes_any_iterable_of_seeds(self, seeds):
+        """An ndarray used to die on its own truth value."""
+        res = run_seed_sweep(lambda s: float(s), seeds=seeds)
+        assert res.n == 5 and res.median == 3.0
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [np.array([], dtype=np.int64), (s for s in ()), ()],
+        ids=["ndarray", "generator", "tuple"],
+    )
+    def test_seed_sweep_empty_iterable_is_the_typed_error(self, seeds):
+        """An empty generator used to reach ``np.array([])`` and come
+        back as a NaN median."""
+        with pytest.raises(ValueError, match="need at least one seed"):
+            run_seed_sweep(lambda s: 0.0, seeds=seeds)
+
     def test_mann_whitney_detects_separation(self):
         treatment = [0.80, 0.81, 0.82, 0.80, 0.81, 0.82, 0.81, 0.80, 0.82]
         control = [0.78, 0.79, 0.78, 0.79, 0.78, 0.79, 0.78, 0.79, 0.78]
