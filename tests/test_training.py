@@ -174,8 +174,8 @@ class TestStats:
 
     @pytest.mark.parametrize(
         "seeds",
-        [np.array([1, 2, 3, 4, 5]), (s for s in range(1, 6)), range(1, 6)],
-        ids=["ndarray", "generator", "range"],
+        [np.array([1, 2, 3, 4, 5]), (s for s in range(1, 6))],
+        ids=["ndarray", "generator"],
     )
     def test_seed_sweep_takes_any_iterable_of_seeds(self, seeds):
         """An ndarray used to die on its own truth value."""
@@ -184,8 +184,8 @@ class TestStats:
 
     @pytest.mark.parametrize(
         "seeds",
-        [np.array([], dtype=np.int64), (s for s in ()), ()],
-        ids=["ndarray", "generator", "tuple"],
+        [np.array([], dtype=np.int64), (s for s in ())],
+        ids=["ndarray", "generator"],
     )
     def test_seed_sweep_empty_iterable_is_the_typed_error(self, seeds):
         """An empty generator used to reach ``np.array([])`` and come
