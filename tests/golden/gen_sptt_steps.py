@@ -4,7 +4,9 @@ The fixture pins three optimizer steps of both distributed trainers on
 small seeded models — ``DistributedDMTTrainer`` on a 2x2 and a 4x2
 ``SimCluster`` with {DMT-DLRM, DMT-DCN} x {pass-through, projecting
 towers} over a scrambled partition, ``DistributedHybridTrainer`` with
-{DLRM, DCN} — so the losses, the trained parameters and the priced
+{DLRM, DCN}, plus two 2x2 partitions the round-robin owner plan does not
+divide evenly (a 3-feature tower; a 1-feature tower whose second rank
+owns no table) — so the losses, the trained parameters and the priced
 timeline survive any rewrite of the step behind them::
 
     PYTHONPATH=src python tests/golden/gen_sptt_steps.py          # rewrite
@@ -52,6 +54,12 @@ GROUPS = {
     2: [[5, 0, 3, 6], [1, 7, 2, 4]],
     4: [[5, 0], [3, 6], [1, 7], [2, 4]],
 }
+# Group sizes the L = 2 round-robin owner plan does not divide: F = 7
+# with a 3-feature tower, and a 1-feature tower (rank 1 owns no table).
+UNEVEN_GROUPS = {
+    "uneven_f7": [[5, 0, 3], [1, 6, 2, 4]],
+    "idle_rank": [[6], [5, 0, 3, 1, 7, 2, 4]],
+}
 
 
 def _sim(hosts: int) -> SimCluster:
@@ -64,11 +72,12 @@ def _steps(sim: SimCluster, model, step: Callable) -> Dict[str, Any]:
     """Three seeded global batches through ``step``; the pinned record."""
     opt = Adam(model.parameters(), lr=0.01)
     total = sim.world_size * B_LOCAL
+    num_features = model.embeddings.num_features
     losses = []
     for i in range(STEPS):
         rng = np.random.default_rng(100 + i)
         dense = rng.standard_normal((total, DENSE))
-        ids = rng.integers(0, ROWS, size=(total, F))
+        ids = rng.integers(0, ROWS, size=(total, num_features))
         labels = rng.integers(0, 2, size=total).astype(float)
         losses.append(float(step(dense, ids, labels, opt)))
     return {
@@ -84,10 +93,12 @@ def _steps(sim: SimCluster, model, step: Callable) -> Dict[str, Any]:
     }
 
 
-def _dmt(hosts: int, family: str, pass_through: bool) -> Dict[str, Any]:
+def _dmt(
+    hosts: int, family: str, pass_through: bool, groups=None
+) -> Dict[str, Any]:
     sim = _sim(hosts)
-    partition = FeaturePartition.from_groups(GROUPS[hosts])
-    tables = tiny_table_configs(F, ROWS, N)
+    partition = FeaturePartition.from_groups(groups or GROUPS[hosts])
+    tables = tiny_table_configs(partition.num_features, ROWS, N)
     rng = np.random.default_rng(17)
     if family == "dlrm":
         model = DMTDLRM(
@@ -137,6 +148,12 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
         for family in ("dlrm", "dcn")
         for pt in (True, False)
     },
+    "dmt/2x2/dlrm/projecting/uneven_f7": partial(
+        _dmt, 2, "dlrm", False, UNEVEN_GROUPS["uneven_f7"]
+    ),
+    "dmt/2x2/dcn/projecting/idle_rank": partial(
+        _dmt, 2, "dcn", False, UNEVEN_GROUPS["idle_rank"]
+    ),
     **{
         f"hybrid/{hosts}x2/{family}": partial(_hybrid, hosts, family)
         for hosts in (2, 4)
