@@ -52,13 +52,13 @@ def main() -> None:
     sim_sptt = SimCluster(cluster)
     sptt = SPTTEmbeddingExchange(sim_sptt, ebc, partition)
     towers = sptt.forward_to_towers(ids)
-    print("\nafter steps (a)-(e), each rank holds its tower's features")
-    print("for every peer's batch (H*B rows x F_t features x N):")
+    print("\nafter steps (a)-(e), each rank holds its tower's features, in the")
+    print("partition's own order, for every peer's batch (H*B rows x F_t x N):")
     for r in range(4):
         host = cluster.host_of(r)
         print(
             f"  rank {r}: shape {towers[r].shape} "
-            f"(tower {host} features {sptt.tower_feature_order[host]})"
+            f"(tower {host}, feature order {sptt.tower_feature_order[host]})"
         )
     sim_sptt.timeline.clear()  # re-run the full pipeline for a clean trace
     out_sptt = sptt.forward(ids)

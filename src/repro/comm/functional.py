@@ -21,7 +21,7 @@ import numpy as np
 from repro.comm.process_group import ProcessGroup
 
 
-def _check_membership(group: ProcessGroup, buffers: Mapping[int, object]) -> None:
+def check_membership(group: ProcessGroup, buffers: Mapping[int, object]) -> None:
     provided = set(buffers)
     expected = set(group.ranks)
     if provided != expected:
@@ -51,7 +51,7 @@ def alltoall(
     >>> [int(a[0]) for a in out[0]], [int(a[0]) for a in out[1]]
     ([0, 10], [1, 11])
     """
-    _check_membership(group, inputs)
+    check_membership(group, inputs)
     W = group.world_size
     for r, bufs in inputs.items():
         if len(bufs) != W:
@@ -73,7 +73,7 @@ def alltoall_single(
     chunk ``j`` goes to member ``j``; received chunks are concatenated
     in group order along the same axis.
     """
-    _check_membership(group, inputs)
+    check_membership(group, inputs)
     W = group.world_size
     split: Dict[int, List[np.ndarray]] = {}
     for r, arr in inputs.items():
@@ -92,7 +92,7 @@ def allreduce(
     group: ProcessGroup, inputs: Mapping[int, np.ndarray]
 ) -> Dict[int, np.ndarray]:
     """Sum-AllReduce: every rank receives the elementwise sum."""
-    _check_membership(group, inputs)
+    check_membership(group, inputs)
     arrays = [np.asarray(inputs[r]) for r in group.ranks]
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
@@ -105,7 +105,7 @@ def reducescatter(
     group: ProcessGroup, inputs: Mapping[int, np.ndarray], axis: int = 0
 ) -> Dict[int, np.ndarray]:
     """Sum-ReduceScatter: rank ``j`` receives the summed ``j``-th chunk."""
-    _check_membership(group, inputs)
+    check_membership(group, inputs)
     W = group.world_size
     arrays = [np.asarray(inputs[r]) for r in group.ranks]
     shapes = {a.shape for a in arrays}
@@ -125,7 +125,7 @@ def allgather(
     group: ProcessGroup, inputs: Mapping[int, np.ndarray], axis: int = 0
 ) -> Dict[int, np.ndarray]:
     """AllGather: every rank receives the group-order concatenation."""
-    _check_membership(group, inputs)
+    check_membership(group, inputs)
     gathered = np.concatenate(
         [np.asarray(inputs[r]) for r in group.ranks], axis=axis
     )
@@ -136,7 +136,7 @@ def broadcast(
     group: ProcessGroup, inputs: Mapping[int, np.ndarray], src: int
 ) -> Dict[int, np.ndarray]:
     """Broadcast the source rank's buffer to every member."""
-    _check_membership(group, inputs)
+    check_membership(group, inputs)
     if src not in group:
         raise KeyError(f"broadcast source {src} not in group {group.ranks}")
     payload = np.asarray(inputs[src])

@@ -25,7 +25,7 @@ equality of two dataflows over one statement of the math.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -180,16 +180,6 @@ class DistributedDMTTrainer(_DataParallelStep):
         self.exchange = SPTTEmbeddingExchange(
             sim, model.embeddings, model.partition
         )
-        # The exchange re-orders each tower's features (round-robin by
-        # owning local rank); tower modules consume blocks in that
-        # order, so map exchange order -> partition order per tower,
-        # and back for the gradients handed to the exchange.
-        self._order_maps: List[np.ndarray] = []
-        for t, group in enumerate(model.partition.groups):
-            exchange_order = self.exchange.tower_feature_order[t]
-            pos = {f: i for i, f in enumerate(exchange_order)}
-            self._order_maps.append(np.array([pos[f] for f in group]))
-        self._inv_order_maps = [np.argsort(m) for m in self._order_maps]
         # Per-rank tower replicas (host h's ranks replicate tower h).
         self.replicas: Dict[int, Module] = {
             r: copy.deepcopy(model.towers[sim.cluster.host_of(r)])
@@ -228,8 +218,8 @@ class DistributedDMTTrainer(_DataParallelStep):
         tm_out: Dict[int, np.ndarray] = {}
         tm_flops = 0
         for r, replica in self.replicas.items():
-            order = self._order_maps[sim.cluster.host_of(r)]
-            block = tower_blocks[r][:, order, :]
+            # Blocks arrive in partition order, the order towers consume.
+            block = tower_blocks[r]
             tm_out[r] = replica(block)
             tm_flops = max(
                 tm_flops, replica.flops_per_sample() * block.shape[0]
@@ -260,13 +250,9 @@ class DistributedDMTTrainer(_DataParallelStep):
         (e)-(b), then the intra-host tower gradient sync."""
         sim = self.sim
         grad_tm_out = self.exchange.backward_tower_exchange(tower_out_grads)
-        # Undo the partition-order gather before handing back to the
-        # exchange (which expects its own feature order).
         self.exchange.backward_from_towers(
             {
-                r: replica.backward(grad_tm_out[r])[
-                    :, self._inv_order_maps[sim.cluster.host_of(r)], :
-                ]
+                r: replica.backward(grad_tm_out[r])
                 for r, replica in self.replicas.items()
             }
         )

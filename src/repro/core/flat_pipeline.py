@@ -10,6 +10,10 @@ Steps, executed over a :class:`~repro.sim.SimCluster`:
 The backward pass routes embedding gradients through the mirror of (c)
 and scatter-adds into the tables.
 
+Steps (a)/(b) and the reverse-(b) table scatter are Figure 7's too, so
+they are stated once, on :class:`TableOwnerExchange`, and the SPTT
+exchange (:mod:`repro.core.sptt`) inherits them.
+
 Tables are *shared* with a reference
 :class:`~repro.nn.embedding.EmbeddingBagCollection` (model parallelism:
 exactly one owner per table), so optimizer steps on the collection
@@ -23,6 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.comm.functional import check_membership
 from repro.nn.embedding import EmbeddingBagCollection, normalize_ids
 from repro.sim.cluster import SimCluster
 from repro.sim.tracing import Phase
@@ -36,7 +41,105 @@ def round_robin_plan(num_features: int, world_size: int) -> List[int]:
     return [f % world_size for f in range(num_features)]
 
 
-class FlatEmbeddingExchange:
+class TableOwnerExchange:
+    """What an exchange does on the ranks that own the tables.
+
+    Figures 4 and 7 share it: ids travel to the owners (a), each owner
+    looks up the *global* batch (b), and in backward each owner
+    scatters the returned gradients into its tables (reverse b).  A
+    subclass sets ``features_of`` (owner rank -> its features, in
+    lookup order) and ``_label_prefix``, and routes the lookups.
+
+    Buffer contract (docs/invariants.md): the buckets handed to a
+    collective are views of the buffers built here; a receiver copies
+    what it received into memory of its own and never writes into it.
+    """
+
+    _label_prefix = ""
+
+    def __init__(self, sim: SimCluster, ebc: EmbeddingBagCollection):
+        self.sim = sim
+        self.ebc = ebc
+        self.num_features = ebc.num_features
+        self.dim = ebc.dim
+        self.features_of: Dict[int, List[int]] = {
+            r: [] for r in range(sim.world_size)
+        }
+        self._batch: Optional[int] = None
+
+    def _lookup_global_batch(
+        self, ids: Dict[int, np.ndarray]
+    ) -> Dict[int, np.ndarray]:
+        """Steps (a)-(b): per owner ``o`` the ``(F_o, G, B, N)`` lookups
+        of its features, source rank on axis 1."""
+        sim = self.sim
+        G = sim.world_size
+        check_membership(sim.world, ids)
+        ids = {
+            r: normalize_ids(a, self.num_features) for r, a in ids.items()
+        }
+        batches = {a.shape[0] for a in ids.values()}
+        if len(batches) != 1:
+            raise ValueError(f"local batch sizes differ: {batches}")
+        B = self._batch = batches.pop()
+
+        # Step (a): feature distribution.  Bucket for owner o holds the
+        # id columns of o's features.
+        send = {
+            r: [ids[r][:, self.features_of[o], :] for o in range(G)]
+            for r in ids
+        }
+        recv = sim.alltoall(
+            sim.world, send, phase=Phase.EMBEDDING_COMM,
+            label=self._label_prefix + "input_dist",
+        )
+
+        # Step (b): each table writes its global-batch lookup into the
+        # owner's buffer, in group-rank (source) order.
+        lookups: Dict[int, np.ndarray] = {}
+        lookup_bytes = 0
+        for o in range(G):
+            feats = self.features_of[o]
+            global_ids = np.concatenate(recv[o], axis=0)  # (G*B, F_o, P)
+            lookups[o] = np.empty((len(feats), G, B, self.dim))
+            rows = lookups[o].reshape(len(feats), G * B, self.dim)
+            for i, f in enumerate(feats):
+                table = self.ebc.tables[f]
+                rows[i] = table(global_ids[:, i])
+                lookup_bytes += table.bytes_per_sample(EMB_ITEMSIZE) * G * B
+        # All ranks look up concurrently; price the heaviest.
+        sim.compute(
+            lookup_bytes / G / sim.cluster.spec.hbm_bytes_per_s,
+            label=self._label_prefix + "embedding_lookup",
+        )
+        return lookups
+
+    def _scatter_into_tables(
+        self, recv: Dict[int, Sequence[np.ndarray]], sources: Sequence
+    ) -> None:
+        """Reverse step (b).  ``recv[o][k]`` holds owner ``o``'s
+        ``(F_o, ..., B, N)`` gradients for the source ranks
+        ``sources[k]`` — an index or slice of the ``G`` axis; together
+        the ``sources`` cover it, restoring forward's source order."""
+        sim = self.sim
+        G, B = sim.world_size, self._batch
+        scatter_bytes = 0
+        for o in range(G):
+            feats = self.features_of[o]
+            grad = np.empty((len(feats), G, B, self.dim))
+            for piece, source in zip(recv[o], sources):
+                grad[:, source] = piece
+            rows = grad.reshape(len(feats), G * B, self.dim)
+            for i, f in enumerate(feats):
+                self.ebc.tables[f].backward(rows[i])
+                scatter_bytes += rows[i].nbytes
+        sim.compute(
+            scatter_bytes / G / sim.cluster.spec.hbm_bytes_per_s,
+            label=self._label_prefix + "embedding_grad_scatter",
+        )
+
+
+class FlatEmbeddingExchange(TableOwnerExchange):
     """Flat-paradigm embedding lookup over a simulated cluster.
 
     Parameters
@@ -56,10 +159,7 @@ class FlatEmbeddingExchange:
         ebc: EmbeddingBagCollection,
         plan: Optional[Sequence[int]] = None,
     ):
-        self.sim = sim
-        self.ebc = ebc
-        self.num_features = ebc.num_features
-        self.dim = ebc.dim
+        super().__init__(sim, ebc)
         plan = list(plan) if plan is not None else round_robin_plan(
             self.num_features, sim.world_size
         )
@@ -71,90 +171,35 @@ class FlatEmbeddingExchange:
             if not 0 <= owner < sim.world_size:
                 raise ValueError(f"feature {f} assigned to invalid rank {owner}")
         self.plan = plan
-        self.features_of: Dict[int, List[int]] = {
-            r: [] for r in range(sim.world_size)
-        }
         for f, owner in enumerate(plan):
             self.features_of[owner].append(f)
-        self._batch: Optional[int] = None
 
     # ------------------------------------------------------------------
     def forward(self, ids: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
         """Run steps (a)-(c); returns (B, F, N) embeddings per rank."""
         sim = self.sim
-        world = sim.world
-        ids = {
-            r: normalize_ids(a, self.num_features) for r, a in ids.items()
-        }
-        batches = {a.shape[0] for a in ids.values()}
-        if len(batches) != 1:
-            raise ValueError(f"local batch sizes differ: {batches}")
-        B = batches.pop()
-        self._batch = B
+        G = sim.world_size
+        lookups = self._lookup_global_batch(ids)
 
-        # Step (a): feature distribution.  Bucket for owner o holds the
-        # id columns of o's features.
-        send = {
-            r: [
-                np.ascontiguousarray(ids[r][:, self.features_of[o], :])
-                for o in range(sim.world_size)
-            ]
-            for r in ids
-        }
-        recv = sim.alltoall(
-            world, send, phase=Phase.EMBEDDING_COMM, label="input_dist"
-        )
-
-        # Step (b): lookup for the global batch, in group-rank order.
-        lookups: Dict[int, np.ndarray] = {}
-        lookup_bytes = 0
-        for o in range(sim.world_size):
-            feats = self.features_of[o]
-            global_ids = np.concatenate(recv[o], axis=0)  # (G*B, F_o, P)
-            per_feature = [
-                self.ebc.tables[f](global_ids[:, i]) for i, f in enumerate(feats)
-            ]
-            # (F_o, G*B, N); empty ownership yields a (0, G*B, N) block.
-            lookups[o] = (
-                np.stack(per_feature, axis=0)
-                if per_feature
-                else np.zeros((0, sim.world_size * B, self.dim))
-            )
-            lookup_bytes += sum(
-                self.ebc.tables[f].bytes_per_sample(EMB_ITEMSIZE) for f in feats
-            ) * sim.world_size * B
-        # All ranks look up concurrently; price the heaviest.
-        sim.compute(
-            lookup_bytes / max(len(self.features_of), 1)
-            / sim.cluster.spec.hbm_bytes_per_s,
-            label="embedding_lookup",
-        )
-
-        # Step (c): return embeddings to data-parallel ranks.
-        send_back = {
-            o: [
-                np.ascontiguousarray(lookups[o][:, r * B : (r + 1) * B, :])
-                for r in range(sim.world_size)
-            ]
-            for o in range(sim.world_size)
-        }
+        # Step (c): return embeddings to data-parallel ranks — rank r's
+        # bucket is its (F_o, B, N) slice of the source axis.
+        send_back = {o: [lookups[o][:, r] for r in range(G)] for o in range(G)}
         recv_back = sim.alltoall(
-            world, send_back, phase=Phase.EMBEDDING_COMM, label="output_dist"
+            sim.world, send_back, phase=Phase.EMBEDDING_COMM, label="output_dist"
         )
 
         out: Dict[int, np.ndarray] = {}
-        for r in range(sim.world_size):
-            embs = np.empty((B, self.num_features, self.dim))
-            for o in range(sim.world_size):
-                block = recv_back[r][o]  # (F_o, B, N)
-                for i, f in enumerate(self.features_of[o]):
-                    embs[:, f, :] = block[i]
+        for r in range(G):
+            embs = np.empty((self._batch, self.num_features, self.dim))
+            for o in range(G):
+                embs[:, self.features_of[o], :] = recv_back[r][o].transpose(1, 0, 2)
             out[r] = embs
         return out
 
     def backward(self, grads: Dict[int, np.ndarray]) -> None:
         """Mirror of step (c) for gradients + scatter-add into tables."""
         sim = self.sim
+        G = sim.world_size
         if self._batch is None:
             raise RuntimeError("backward called before forward")
         B = self._batch
@@ -168,26 +213,10 @@ class FlatEmbeddingExchange:
                 )
             # Bucket for owner o: (F_o, B, N) in o's feature order.
             send[r] = [
-                np.ascontiguousarray(
-                    g[:, self.features_of[o], :].transpose(1, 0, 2)
-                )
-                for o in range(sim.world_size)
+                g[:, self.features_of[o], :].transpose(1, 0, 2)
+                for o in range(G)
             ]
         recv = sim.alltoall(
             sim.world, send, phase=Phase.EMBEDDING_COMM, label="grad_dist"
         )
-        scatter_bytes = 0
-        for o in range(sim.world_size):
-            feats = self.features_of[o]
-            if not feats:
-                continue
-            # Recover (F_o, G*B, N) in the same source order as forward.
-            stacked = np.concatenate(recv[o], axis=1)
-            for i, f in enumerate(feats):
-                self.ebc.tables[f].backward(stacked[i])
-                scatter_bytes += stacked[i].nbytes
-        sim.compute(
-            scatter_bytes / max(sim.world_size, 1)
-            / sim.cluster.spec.hbm_bytes_per_s,
-            label="embedding_grad_scatter",
-        )
+        self._scatter_into_tables(recv, range(G))

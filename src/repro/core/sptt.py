@@ -8,16 +8,26 @@ into topology-aware steps:
 (c) **peer permute**: reorder the received-source axis into peer order;
 (d) **intra-host AlltoAll** (NVLink): afterwards each rank holds *all
     its tower's features* for *its peer group's* batch slices;
-(e) **local data shuffle**: view (features, peers) -> transpose ->
-    (peers, features) -> flatten;
+(e) **local data shuffle**: (features, peers) -> (peers, features),
+    flattened;
 (f) **concurrent peer AlltoAlls**: ``L`` disjoint AlltoAlls of world
     size ``T = G/L`` exchange tower blocks so each rank ends with all
     features for its own local batch.
 
 Tower modules slot in between (e) and (f): `forward_to_towers` stops
 after (e) handing each rank a (H*B, F_t, N) block — the full tower
-feature set for every peer — and `exchange_tower_outputs` performs (f)
-on the (possibly compressed) module outputs.  The plain
+feature set, in the partition's own order, for every peer — and
+`exchange_tower_outputs` performs (f) on the (possibly compressed)
+module outputs.
+
+Every step is still priced where Figure 7 has it, but the host moves an
+activation once per *hop*: peer order is the arithmetic progression
+``j, j + L, j + 2L, ...`` per peer group ``j`` (:mod:`repro.core.peer`),
+so step (c)+(d)'s bucket for local rank ``j`` is the strided view
+``[:, j::L]`` of the lookup buffer, and the receiver's one write into its
+tower block is step (e).  Steps (a)/(b) and the reverse-(b) scatter are
+:class:`~repro.core.flat_pipeline.TableOwnerExchange`'s, shared with the
+flat exchange.  The plain
 :meth:`SPTTEmbeddingExchange.forward` wires the two with pass-through
 towers and must agree *bit-exactly* with the flat pipeline — that is
 the "semantic-preserving" claim (Table 3), enforced in tests.
@@ -25,19 +35,19 @@ the "semantic-preserving" claim (Table 3), enforced in tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.comm.functional import check_membership
 from repro.core.partition import FeaturePartition
-from repro.core.peer import inverse_permutation, peer_permutation
-from repro.core.flat_pipeline import EMB_ITEMSIZE
-from repro.nn.embedding import EmbeddingBagCollection, normalize_ids
+from repro.core.flat_pipeline import TableOwnerExchange
+from repro.nn.embedding import EmbeddingBagCollection
 from repro.sim.cluster import SimCluster
 from repro.sim.tracing import Phase
 
 
-class SPTTEmbeddingExchange:
+class SPTTEmbeddingExchange(TableOwnerExchange):
     """Topology-aware embedding exchange over a simulated cluster.
 
     Parameters
@@ -51,6 +61,8 @@ class SPTTEmbeddingExchange:
         Feature-to-tower assignment, typically produced by the tower
         partitioner.
     """
+
+    _label_prefix = "sptt."
 
     def __init__(
         self,
@@ -68,126 +80,75 @@ class SPTTEmbeddingExchange:
                 f"partition covers {partition.num_features} features, "
                 f"collection has {ebc.num_features}"
             )
-        self.sim = sim
-        self.ebc = ebc
+        super().__init__(sim, ebc)
         self.partition = partition
-        self.dim = ebc.dim
-        self.num_features = ebc.num_features
 
         L = sim.gpus_per_host
-        # Owner plan: tower t's features round-robin over host t's ranks.
-        self.features_of: Dict[int, List[int]] = {
-            r: [] for r in range(sim.world_size)
-        }
+        # Owner plan: tower t's features round-robin over host t's
+        # ranks, so local rank i owns positions i::L of the tower.
         for t, group in enumerate(partition.groups):
             host_ranks = sim.cluster.ranks_on_host(t)
             for i, f in enumerate(group):
                 self.features_of[host_ranks[i % L]].append(f)
-        # Assembly order of tower t's features after step (d):
-        # local rank 0's features, then local rank 1's, etc.
+        # Feature order of a tower block: the partition's own.
         self.tower_feature_order: List[List[int]] = [
-            [
-                f
-                for r in sim.cluster.ranks_on_host(t)
-                for f in self.features_of[r]
-            ]
-            for t in range(sim.num_hosts)
+            list(group) for group in partition.groups
         ]
-        self._peer_order = peer_permutation(sim.cluster)
-        self._inv_peer_order = inverse_permutation(self._peer_order)
-        self._batch: Optional[int] = None
+        # Peer group j on the source-rank axis (peer order, blockwise).
+        self._peer_blocks = [slice(j, None, L) for j in range(L)]
 
     # ------------------------------------------------------------------
     def tower_num_features(self, tower: int) -> int:
         return len(self.tower_feature_order[tower])
 
+    def _require_forward(self, what: str) -> int:
+        if self._batch is None:
+            raise RuntimeError(f"{what} before forward_to_towers")
+        return self._batch
+
     # ------------------------------------------------------------------
     # Forward half 1: steps (a)-(e)
     # ------------------------------------------------------------------
     def forward_to_towers(self, ids: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-        """Steps (a)-(e); returns per rank the (H*B, F_t, N) tower block.
+        """Steps (a)-(e); returns per rank the (H*B, F_t, N) tower block,
+        features in partition order.
 
         Row layout of the output: peer-host-major — rows
         ``[j*B:(j+1)*B]`` are the batch of this rank's peer on host j.
         """
         sim = self.sim
         G, H, L = sim.world_size, sim.num_hosts, sim.gpus_per_host
-        ids = {
-            r: normalize_ids(a, self.num_features) for r, a in ids.items()
-        }
-        batches = {a.shape[0] for a in ids.values()}
-        if len(batches) != 1:
-            raise ValueError(f"local batch sizes differ: {batches}")
-        B = batches.pop()
-        self._batch = B
+        lookups = self._lookup_global_batch(ids)
+        B = self._batch
 
-        # Step (a): global feature distribution (identical to flat).
-        send = {
-            r: [
-                np.ascontiguousarray(ids[r][:, self.features_of[o], :])
-                for o in range(G)
-            ]
-            for r in ids
-        }
-        recv = sim.alltoall(
-            sim.world, send, phase=Phase.EMBEDDING_COMM, label="sptt.input_dist"
-        )
-
-        # Step (b): lookup, keeping the source-rank axis explicit.
-        lookups: Dict[int, np.ndarray] = {}
-        lookup_bytes = 0
-        for o in range(G):
-            feats = self.features_of[o]
-            global_ids = np.concatenate(recv[o], axis=0)  # (G*B, F_o, P)
-            per_feature = [
-                self.ebc.tables[f](global_ids[:, i]).reshape(G, B, self.dim)
-                for i, f in enumerate(feats)
-            ]
-            lookups[o] = (
-                np.stack(per_feature, axis=0)
-                if per_feature
-                else np.zeros((0, G, B, self.dim))
-            )
-            lookup_bytes += sum(
-                self.ebc.tables[f].bytes_per_sample(EMB_ITEMSIZE) for f in feats
-            ) * G * B
-        sim.compute(
-            lookup_bytes / max(G, 1) / sim.cluster.spec.hbm_bytes_per_s,
-            label="sptt.embedding_lookup",
-        )
-
-        # Step (c): peer permute the source axis.
-        permuted = {o: a[:, self._peer_order] for o, a in lookups.items()}
+        # Step (c): peer permute the source axis — priced here, moved
+        # by step (d)'s strided buckets.
         sim.shuffle(
-            max(a.nbytes for a in permuted.values()), label="sptt.peer_permute"
+            max(a.nbytes for a in lookups.values()), label="sptt.peer_permute"
         )
 
         # Step (d): intra-host AlltoAll (concurrent across hosts).
-        # Bucket for local rank j: the j-th peer-group block of H sources.
-        send_d = {
-            o: [
-                np.ascontiguousarray(permuted[o][:, j * H : (j + 1) * H])
-                for j in range(L)
-            ]
-            for o in permuted
+        # Bucket for local rank j: peer group j's H sources.
+        send = {
+            o: [a[:, block] for block in self._peer_blocks]
+            for o, a in lookups.items()
         }
-        recv_d = sim.alltoall_concurrent(
-            sim.host_groups, send_d, phase=Phase.EMBEDDING_COMM, label="sptt.intra_host"
+        recv = sim.alltoall_concurrent(
+            sim.host_groups, send, phase=Phase.EMBEDDING_COMM, label="sptt.intra_host"
         )
 
-        # Assemble tower blocks: concat local ranks' features in order.
+        # Step (e): local rank i's (F_i, H, B, N) piece lands at the
+        # tower's positions i::L as (peers, batch, features).
         towers: Dict[int, np.ndarray] = {}
-        shuffle_bytes = 0
         for r in range(G):
-            block = np.concatenate(recv_d[r], axis=0)  # (F_t, H, B, N)
-            # Step (e): (features, peers) -> (peers, features), then
-            # bring batch next to peers for the tower module view.
-            reshaped = np.ascontiguousarray(block.transpose(1, 2, 0, 3)).reshape(
-                H * B, block.shape[0], self.dim
-            )
-            towers[r] = reshaped
-            shuffle_bytes = max(shuffle_bytes, reshaped.nbytes)
-        sim.shuffle(shuffle_bytes, label="sptt.local_shuffle")
+            F_t = self.tower_num_features(sim.cluster.host_of(r))
+            block = np.empty((H, B, F_t, self.dim))
+            for i, piece in enumerate(recv[r]):
+                block[:, :, i::L] = piece.transpose(1, 2, 0, 3)
+            towers[r] = block.reshape(H * B, F_t, self.dim)
+        sim.shuffle(
+            max(t.nbytes for t in towers.values()), label="sptt.local_shuffle"
+        )
         return towers
 
     # ------------------------------------------------------------------
@@ -199,13 +160,13 @@ class SPTTEmbeddingExchange:
         """Concurrent peer AlltoAlls of (H*B, O_t) tower outputs.
 
         Returns per rank a list indexed by tower with that tower's
-        (B, O_t) output for the rank's own local batch.
+        (B, O_t) output for the rank's own local batch — row slices of
+        the arrays passed in.
         """
         sim = self.sim
         H = sim.num_hosts
-        if self._batch is None:
-            raise RuntimeError("exchange_tower_outputs before forward_to_towers")
-        B = self._batch
+        B = self._require_forward("exchange_tower_outputs")
+        check_membership(sim.world, outputs)
         send = {}
         for r, out in outputs.items():
             out = np.asarray(out, dtype=np.float64)
@@ -213,9 +174,7 @@ class SPTTEmbeddingExchange:
                 raise ValueError(
                     f"rank {r}: tower output must be ({H * B}, O), got {out.shape}"
                 )
-            send[r] = [
-                np.ascontiguousarray(out[j * B : (j + 1) * B]) for j in range(H)
-            ]
+            send[r] = [out[j * B : (j + 1) * B] for j in range(H)]
         return sim.alltoall_concurrent(
             sim.peer_groups, send, phase=Phase.EMBEDDING_COMM, label="sptt.peer_a2a"
         )
@@ -229,9 +188,8 @@ class SPTTEmbeddingExchange:
         """Mirror of step (f): per-tower output grads -> (H*B, O_t)."""
         sim = self.sim
         H = sim.num_hosts
-        if self._batch is None:
-            raise RuntimeError("backward before forward")
-        B = self._batch
+        self._require_forward("backward_tower_exchange")
+        check_membership(sim.world, grads)
         send = {}
         for r, tower_grads in grads.items():
             if len(tower_grads) != H:
@@ -239,10 +197,7 @@ class SPTTEmbeddingExchange:
                     f"rank {r}: need one grad per tower ({H}), got "
                     f"{len(tower_grads)}"
                 )
-            send[r] = [
-                np.ascontiguousarray(np.asarray(g, dtype=np.float64))
-                for g in tower_grads
-            ]
+            send[r] = [np.asarray(g, dtype=np.float64) for g in tower_grads]
         recv = sim.alltoall_concurrent(
             sim.peer_groups, send, phase=Phase.EMBEDDING_COMM,
             label="sptt.peer_a2a_bwd",
@@ -252,13 +207,13 @@ class SPTTEmbeddingExchange:
     def backward_from_towers(self, grad_towers: Dict[int, np.ndarray]) -> None:
         """Mirror of steps (e)-(b): tower-block grads into the tables."""
         sim = self.sim
-        G, H, L = sim.world_size, sim.num_hosts, sim.gpus_per_host
-        if self._batch is None:
-            raise RuntimeError("backward before forward")
-        B = self._batch
+        H, L = sim.num_hosts, sim.gpus_per_host
+        B = self._require_forward("backward_from_towers")
+        check_membership(sim.world, grad_towers)
 
-        # Reverse step (e): (H*B, F_t, N) -> (F_t, H, B, N).
-        unshuffled: Dict[int, np.ndarray] = {}
+        # Reverse steps (e)+(d): local rank i gets back its features'
+        # rows, positions i::L of the block, as (F_i, H, B, N).
+        send = {}
         shuffle_bytes = 0
         for r, g in grad_towers.items():
             g = np.asarray(g, dtype=np.float64)
@@ -268,51 +223,19 @@ class SPTTEmbeddingExchange:
                     f"rank {r}: expected ({H * B}, {F_t}, {self.dim}), "
                     f"got {g.shape}"
                 )
-            unshuffled[r] = np.ascontiguousarray(
-                g.reshape(H, B, F_t, self.dim).transpose(2, 0, 1, 3)
-            )
+            peers = g.reshape(H, B, F_t, self.dim)
+            send[r] = [peers[:, :, i::L].transpose(2, 0, 1, 3) for i in range(L)]
             shuffle_bytes = max(shuffle_bytes, g.nbytes)
         sim.shuffle(shuffle_bytes, label="sptt.local_shuffle_bwd")
-
-        # Reverse step (d): return each local rank's feature rows.
-        send = {}
-        for r in range(G):
-            host = sim.cluster.host_of(r)
-            host_ranks = sim.cluster.ranks_on_host(host)
-            buckets, start = [], 0
-            for peer_local in host_ranks:
-                n_own = len(self.features_of[peer_local])
-                buckets.append(
-                    np.ascontiguousarray(unshuffled[r][start : start + n_own])
-                )
-                start += n_own
-            send[r] = buckets
         recv = sim.alltoall_concurrent(
             sim.host_groups, send, phase=Phase.EMBEDDING_COMM,
             label="sptt.intra_host_bwd",
         )
 
-        # Reassemble the peer-ordered source axis, reverse step (c),
-        # then scatter into tables (reverse step (b)).
-        scatter_bytes = 0
-        for o in range(G):
-            feats = self.features_of[o]
-            if not feats:
-                continue
-            # recv[o][j] is (F_own, H, B, N): grads for peer group j.
-            peer_ordered = np.concatenate(recv[o], axis=1)  # (F_own, G, B, N)
-            rank_ordered = peer_ordered[:, self._inv_peer_order]
-            flat = rank_ordered.reshape(len(feats), G * B, self.dim)
-            for i, f in enumerate(feats):
-                self.ebc.tables[f].backward(flat[i])
-                scatter_bytes += flat[i].nbytes
-        sim.shuffle(
-            max(a.nbytes for a in grad_towers.values()), label="sptt.peer_permute_bwd"
-        )
-        sim.compute(
-            scatter_bytes / max(G, 1) / sim.cluster.spec.hbm_bytes_per_s,
-            label="sptt.embedding_grad_scatter",
-        )
+        # Reverse step (c) is the write of peer group j's piece at
+        # [:, j::L] of the owner's source axis; then reverse step (b).
+        sim.shuffle(shuffle_bytes, label="sptt.peer_permute_bwd")
+        self._scatter_into_tables(recv, self._peer_blocks)
 
     # ------------------------------------------------------------------
     # Pass-through end-to-end (the Table 3 configuration)
@@ -336,9 +259,7 @@ class SPTTEmbeddingExchange:
     def backward(self, grads: Dict[int, np.ndarray]) -> None:
         """Full SPTT backward for the pass-through configuration."""
         sim = self.sim
-        if self._batch is None:
-            raise RuntimeError("backward called before forward")
-        B = self._batch
+        B = self._require_forward("backward")
         per_tower: Dict[int, List[np.ndarray]] = {}
         for r, g in grads.items():
             g = np.asarray(g, dtype=np.float64)
@@ -348,18 +269,17 @@ class SPTTEmbeddingExchange:
                     f"({B}, {self.num_features}, {self.dim})"
                 )
             per_tower[r] = [
-                np.ascontiguousarray(
-                    g[:, self.tower_feature_order[t], :]
-                ).reshape(B, -1)
-                for t in range(sim.num_hosts)
+                g[:, feats, :].reshape(B, -1)
+                for feats in self.tower_feature_order
             ]
         grad_towers_flat = self.backward_tower_exchange(per_tower)
-        grad_towers = {
-            r: gt.reshape(
-                gt.shape[0],
-                self.tower_num_features(sim.cluster.host_of(r)),
-                self.dim,
-            )
-            for r, gt in grad_towers_flat.items()
-        }
-        self.backward_from_towers(grad_towers)
+        self.backward_from_towers(
+            {
+                r: gt.reshape(
+                    gt.shape[0],
+                    self.tower_num_features(sim.cluster.host_of(r)),
+                    self.dim,
+                )
+                for r, gt in grad_towers_flat.items()
+            }
+        )

@@ -111,6 +111,19 @@ class SimCluster:
                 sizes.append(sum(np.asarray(b).nbytes for b in buf))
         return max(sizes) if sizes else 0
 
+    @staticmethod
+    def _check_disjoint(groups: Sequence[ProcessGroup], what: str) -> None:
+        """Groups priced as one parallel step must share no rank."""
+        ranks_seen: set = set()
+        for g in groups:
+            overlap = ranks_seen & set(g.ranks)
+            if overlap:
+                raise ValueError(
+                    f"concurrent {what} groups must be disjoint; ranks "
+                    f"{sorted(overlap)} appear twice"
+                )
+            ranks_seen |= set(g.ranks)
+
     def alltoall(
         self,
         group: ProcessGroup,
@@ -149,15 +162,7 @@ class SimCluster:
         the slowest group (they share no ranks, so they overlap — the
         SPTT step (f) pattern of ``L`` concurrent peer AlltoAlls).
         """
-        ranks_seen: set = set()
-        for g in groups:
-            overlap = ranks_seen & set(g.ranks)
-            if overlap:
-                raise ValueError(
-                    f"concurrent alltoall groups must be disjoint; ranks "
-                    f"{sorted(overlap)} appear twice"
-                )
-            ranks_seen |= set(g.ranks)
+        self._check_disjoint(groups, "alltoall")
         out: Dict[int, List[np.ndarray]] = {}
         worst = 0.0
         worst_bytes = 0
@@ -200,6 +205,7 @@ class SimCluster:
     ) -> Dict[int, np.ndarray]:
         """AllReduce over disjoint groups as one parallel step (tower
         module gradient sync: one NVLink AllReduce per host)."""
+        self._check_disjoint(groups, "allreduce")
         out: Dict[int, np.ndarray] = {}
         worst = 0.0
         worst_bytes = 0

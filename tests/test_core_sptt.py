@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.flat_pipeline import FlatEmbeddingExchange
 from repro.core.partition import FeaturePartition
+from repro.core.peer import peer_order
 from repro.core.sptt import SPTTEmbeddingExchange
 from repro.hardware import Cluster
 from repro.nn import EmbeddingBagCollection
@@ -193,24 +194,166 @@ class TestSPTTStructure:
         assert intra < flat_output_dist
 
 
-@settings(max_examples=10, deadline=None)
+def scrambled_partition(F, hosts, rng):
+    """A random uneven partition: shuffled features cut at random points
+    into ``hosts`` non-empty groups (a group may be smaller than L)."""
+    cuts = np.sort(rng.choice(np.arange(1, F), size=hosts - 1, replace=False))
+    return FeaturePartition.from_groups(
+        [g.tolist() for g in np.split(rng.permutation(F), cuts)]
+    )
+
+
+def row_grads(ebc):
+    """Pending row-wise gradients of every table, as (rows, grads) copies."""
+    return [
+        (t.weight.row_grad.rows.copy(), t.weight.row_grad.grads.copy())
+        for t in ebc.tables
+    ]
+
+
+@settings(max_examples=25, deadline=None)
 @given(
     hosts=st.integers(2, 3),
     gpus=st.integers(1, 3),
-    extra=st.integers(0, 5),
+    extra=st.integers(0, 6),
     batch=st.integers(1, 4),
+    pooling=st.integers(1, 3),
     seed=st.integers(0, 1000),
 )
-def test_sptt_flat_equality_property(hosts, gpus, extra, batch, seed):
-    """Property: SPTT == flat for arbitrary shapes and seeds."""
-    F = hosts * gpus + extra  # at least one feature per rank's tower
-    sim_flat, ebc = make_setup(hosts=hosts, gpus=gpus, F=F, seed=seed)
-    partition = FeaturePartition.contiguous(F, hosts)
+def test_sptt_flat_equality_property(hosts, gpus, extra, batch, pooling, seed):
+    """Property: SPTT == flat, forward and backward, for arbitrary
+    shapes, scrambled uneven partitions, ranks with no table, multi-hot
+    ids and seeds."""
+    F = hosts + extra  # a feature per tower; a rank may own no table
+    rng = np.random.default_rng(seed)
+    sim_flat, ebc = make_setup(
+        hosts=hosts, gpus=gpus, F=F, pooling=pooling, seed=seed
+    )
     sim_sptt = SimCluster(sim_flat.cluster)
-    sptt = SPTTEmbeddingExchange(sim_sptt, ebc, partition)
+    sptt = SPTTEmbeddingExchange(sim_sptt, ebc, scrambled_partition(F, hosts, rng))
     flat = FlatEmbeddingExchange(sim_flat, ebc, sptt_plan_matching_flat(sptt))
-    ids = make_ids(sim_flat, F, B=batch, seed=seed + 1)
+    ids = make_ids(sim_flat, F, B=batch, pooling=pooling, seed=seed + 1)
+    grads = {r: rng.standard_normal((batch, F, ebc.dim)) for r in ids}
+
     out_flat = flat.forward(ids)
+    flat.backward(grads)
+    flat_grads = row_grads(ebc)
+    for t in ebc.tables:
+        t.weight.zero_grad()
     out_sptt = sptt.forward(ids)
+    sptt.backward(grads)
+
     for r in out_flat:
         np.testing.assert_array_equal(out_flat[r], out_sptt[r])
+    for f, ((rows_a, g_a), (rows_b, g_b)) in enumerate(
+        zip(flat_grads, row_grads(ebc))
+    ):
+        np.testing.assert_array_equal(rows_a, rows_b, err_msg=f"table {f}")
+        np.testing.assert_array_equal(g_a, g_b, err_msg=f"table {f}")
+
+
+@pytest.mark.parametrize("hosts,gpus", [(2, 1), (2, 2), (4, 2), (2, 4), (3, 3)])
+def test_peer_groups_are_strides_of_the_source_axis(hosts, gpus):
+    """The exchange sends peer group j as the view ``[:, j::L]``: peer
+    order must keep listing group j as ``j, j + L, j + 2L, ...``."""
+    G = hosts * gpus
+    order = peer_order(G, gpus)
+    for j in range(gpus):
+        assert order[j * hosts : (j + 1) * hosts] == tuple(range(j, G, gpus))
+
+
+class TestBufferContract:
+    """docs/invariants.md, "Buffers across a collective": buckets are
+    views, so what an exchange hands back must not be."""
+
+    def test_mutating_a_tower_block_changes_nothing_else(self):
+        F = 7
+        sim, ebc = make_setup(hosts=2, gpus=2, F=F)
+        sptt = SPTTEmbeddingExchange(
+            sim, ebc, FeaturePartition.from_groups([[5, 0, 3], [1, 6, 2, 4]])
+        )
+        ids = make_ids(sim, F)
+        weights = [t.weight.data.copy() for t in ebc.tables]
+        reference = sptt.forward_to_towers(ids)
+
+        towers = sptt.forward_to_towers(ids)
+        towers[0][...] = np.nan
+        for t, w in zip(ebc.tables, weights):
+            np.testing.assert_array_equal(t.weight.data, w)
+        for r in range(1, sim.world_size):
+            np.testing.assert_array_equal(towers[r], reference[r])
+        again = sptt.forward_to_towers(ids)
+        for r in range(sim.world_size):
+            np.testing.assert_array_equal(again[r], reference[r])
+
+    def test_mutating_flat_embeddings_changes_nothing_else(self):
+        sim, ebc = make_setup(hosts=2, gpus=2, F=6)
+        flat = FlatEmbeddingExchange(sim, ebc)
+        ids = make_ids(sim, 6)
+        weights = [t.weight.data.copy() for t in ebc.tables]
+        reference = flat.forward(ids)
+        out = flat.forward(ids)
+        out[0][...] = np.nan
+        for t, w in zip(ebc.tables, weights):
+            np.testing.assert_array_equal(t.weight.data, w)
+        for r in range(1, sim.world_size):
+            np.testing.assert_array_equal(out[r], reference[r])
+
+    def test_backward_does_not_write_into_the_gradients_it_is_given(self):
+        F = 7
+        sim, ebc = make_setup(hosts=2, gpus=2, F=F)
+        sptt = SPTTEmbeddingExchange(
+            sim, ebc, FeaturePartition.from_groups([[5, 0, 3], [1, 6, 2, 4]])
+        )
+        towers = sptt.forward_to_towers(make_ids(sim, F))
+        rng = np.random.default_rng(3)
+        grads = {r: rng.standard_normal(t.shape) for r, t in towers.items()}
+        kept = {r: g.copy() for r, g in grads.items()}
+        sptt.backward_from_towers(grads)
+        for r in grads:
+            np.testing.assert_array_equal(grads[r], kept[r])
+
+
+class TestMissingRankIsATypedError:
+    """A dict that misses a rank is the collectives' membership
+    ``ValueError`` — not ``KeyError: 3`` — raised before any event of
+    the half-step is priced."""
+
+    @pytest.fixture
+    def started(self):
+        sim, ebc = make_setup(hosts=2, gpus=2, F=6)
+        sptt = SPTTEmbeddingExchange(sim, ebc, FeaturePartition.contiguous(6, 2))
+        towers = sptt.forward_to_towers(make_ids(sim, 6))
+        sim.timeline.clear()
+        return sim, sptt, towers
+
+    def test_forward_to_towers(self):
+        sim, ebc = make_setup(hosts=2, gpus=2, F=6)
+        sptt = SPTTEmbeddingExchange(sim, ebc, FeaturePartition.contiguous(6, 2))
+        ids = make_ids(sim, 6)
+        del ids[3]
+        with pytest.raises(ValueError, match=r"missing ranks \[3\]"):
+            sptt.forward_to_towers(ids)
+        assert len(sim.timeline) == 0
+
+    def test_exchange_tower_outputs(self, started):
+        sim, sptt, towers = started
+        outputs = {r: t.reshape(t.shape[0], -1) for r, t in towers.items() if r != 3}
+        with pytest.raises(ValueError, match=r"missing ranks \[3\]"):
+            sptt.exchange_tower_outputs(outputs)
+        assert len(sim.timeline) == 0
+
+    def test_backward_tower_exchange(self, started):
+        sim, sptt, towers = started
+        B = towers[0].shape[0] // sim.num_hosts
+        grads = {r: [np.zeros((B, 5))] * sim.num_hosts for r in range(3)}
+        with pytest.raises(ValueError, match=r"missing ranks \[3\]"):
+            sptt.backward_tower_exchange(grads)
+        assert len(sim.timeline) == 0
+
+    def test_backward_from_towers(self, started):
+        sim, sptt, towers = started
+        grads = {r: np.zeros_like(t) for r, t in towers.items() if r != 3}
+        with pytest.raises(ValueError, match=r"missing ranks \[3\]"):
+            sptt.backward_from_towers(grads)
+        assert len(sim.timeline) == 0  # was: local_shuffle_bwd, then KeyError

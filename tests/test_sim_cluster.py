@@ -83,6 +83,16 @@ class TestSimClusterCollectives:
                 [sim.world, sim.world], buffers, Phase.EMBEDDING_COMM, "bad"
             )
 
+    def test_concurrent_allreduce_rejects_overlapping_groups(self, sim):
+        """[host 0, world] used to return the world sum for ranks 0-1
+        and price the max, as if the two reductions could overlap."""
+        buffers = {r: np.full(2, float(r)) for r in range(4)}
+        with pytest.raises(ValueError, match="allreduce groups must be disjoint"):
+            sim.allreduce_concurrent(
+                [sim.host_groups[0], sim.world], buffers, Phase.DENSE_SYNC, "bad"
+            )
+        assert len(sim.timeline) == 0
+
     def test_concurrent_allreduce_per_host(self, sim):
         out = sim.allreduce_concurrent(
             sim.host_groups,
