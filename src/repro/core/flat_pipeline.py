@@ -67,6 +67,12 @@ class TableOwnerExchange:
         }
         self._batch: Optional[int] = None
 
+    def _require_forward(self, what: str) -> int:
+        """The local batch size the last forward fixed."""
+        if self._batch is None:
+            raise RuntimeError(f"{what} called before forward")
+        return self._batch
+
     def _lookup_global_batch(
         self, ids: Dict[int, np.ndarray]
     ) -> Dict[int, np.ndarray]:
@@ -170,9 +176,8 @@ class FlatEmbeddingExchange(TableOwnerExchange):
         for f, owner in enumerate(plan):
             if not 0 <= owner < sim.world_size:
                 raise ValueError(f"feature {f} assigned to invalid rank {owner}")
-        self.plan = plan
-        for f, owner in enumerate(plan):
             self.features_of[owner].append(f)
+        self.plan = plan
 
     # ------------------------------------------------------------------
     def forward(self, ids: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
@@ -199,10 +204,7 @@ class FlatEmbeddingExchange(TableOwnerExchange):
     def backward(self, grads: Dict[int, np.ndarray]) -> None:
         """Mirror of step (c) for gradients + scatter-add into tables."""
         sim = self.sim
-        G = sim.world_size
-        if self._batch is None:
-            raise RuntimeError("backward called before forward")
-        B = self._batch
+        G, B = sim.world_size, self._require_forward("backward")
         send = {}
         for r, g in grads.items():
             g = np.asarray(g, dtype=np.float64)

@@ -101,11 +101,6 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
     def tower_num_features(self, tower: int) -> int:
         return len(self.tower_feature_order[tower])
 
-    def _require_forward(self, what: str) -> int:
-        if self._batch is None:
-            raise RuntimeError(f"{what} before forward_to_towers")
-        return self._batch
-
     # ------------------------------------------------------------------
     # Forward half 1: steps (a)-(e)
     # ------------------------------------------------------------------
