@@ -17,9 +17,10 @@ switches one off and shows the paper-reproducing behaviour degrade:
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, Session, TrainSpec
+from repro.api.presets import quality_data_spec, quality_dlrm_model
 from repro.comm.calibration import ALLTOALL_NIC_EFFICIENCY
-from repro.experiments.common import dmt_profile_for_towers
-from repro.experiments.quality import quality_data
+from repro.experiments.common import block_purity
 from repro.hardware import Cluster
 from repro.partitioner import TowerPartitioner, interaction_from_activations
 from repro.perf import (
@@ -28,6 +29,7 @@ from repro.perf import (
     SpecializedSPTTModel,
     paper_dlrm_profile,
 )
+from repro.perf.profiles import dmt_profile_for_towers
 
 B = 16384
 
@@ -80,19 +82,19 @@ def test_ablation_overlap_ramp(benchmark):
 def test_ablation_tp_probe_processing(benchmark):
     """Centering + normalization are what make TP recover planted
     blocks from a lightly-trained probe (purity ~0.86 vs ~0.5)."""
-    dataset, (td, ti, tl), _ = quality_data()
-
-    from repro.experiments.quality import block_purity, learned_tp_partition
-    from repro.models import DLRM
-    from repro.experiments.quality import dlrm_factory, quality_arch
-    from repro.training import TrainConfig, Trainer
+    # The probe the session's partition stage trains, kept whole here
+    # so its activations can be re-processed both ways.
+    probe_spec = RunSpec(
+        name="ablation-probe",
+        data=quality_data_spec(),
+        model=quality_dlrm_model(seed=7),
+        train=TrainSpec(batch_size=256, epochs=2, seed=7, sparse_lr=0.05),
+    )
+    data = Session(probe_spec).load_data()
+    ti = data.train[1]
 
     def purity_with_and_without():
-        probe = dlrm_factory(np.random.default_rng(7))
-        Trainer(
-            probe,
-            TrainConfig(batch_size=256, epochs=2, seed=7, sparse_lr=0.05),
-        ).fit(td, ti, tl)
+        probe = Session(probe_spec).train().model
         acts = probe.embeddings(ti[:6000])
         purities = {}
         for name, center, normalize in (
@@ -109,7 +111,7 @@ def test_ablation_tp_probe_processing(benchmark):
             result = tp.partition_from_interaction(
                 interaction, rng=np.random.default_rng(0)
             )
-            purities[name] = block_purity(result.partition, dataset.block_of)
+            purities[name] = block_purity(result.partition, data.dataset.block_of)
         return purities
 
     purities = benchmark(purity_with_and_without)
@@ -120,17 +122,15 @@ def test_ablation_tp_probe_processing(benchmark):
 def test_ablation_planted_structure(benchmark):
     """Mechanism check: on a dataset with rho=0 (ids carry no block
     latent), TP has nothing to find — purity near chance."""
-    from repro.data import SyntheticCriteoConfig, SyntheticCriteoDataset
-    from repro.experiments.quality import block_purity
+    from repro.data import SyntheticCriteoDataset
 
     def purity_on_structureless_data():
-        config = SyntheticCriteoConfig(
-            num_sparse=26, num_blocks=4, cardinality=48, rho=0.0
-        )
+        config = quality_data_spec().replace(rho=0.0).generator_config()
         ds = SyntheticCriteoDataset(config, seed=0)
         _, ids, _ = ds.sample(4000, seed=1)
         values = np.stack(
-            [ds.decoded_value(f, ids[:, f]) for f in range(26)], axis=1
+            [ds.decoded_value(f, ids[:, f]) for f in range(ds.num_sparse)],
+            axis=1,
         )[:, :, None]
         interaction = interaction_from_activations(values, center=True)
         tp = TowerPartitioner(4, strategy="coherent", mds_iterations=400)

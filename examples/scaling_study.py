@@ -8,11 +8,14 @@ gain at one large scale into its SPTT and tower-module parts (Figure
 Run:  python examples/scaling_study.py
 """
 
-from repro.experiments.common import dmt_profile_for_towers
 from repro.hardware import Cluster
 from repro.models import criteo_table_configs
 from repro.perf.iteration_model import IterationLatencyModel
-from repro.perf.profiles import paper_dlrm_profile, sptt_only_profile
+from repro.perf.profiles import (
+    dmt_profile_for_towers,
+    paper_dlrm_profile,
+    sptt_only_profile,
+)
 from repro.planner import balance_analysis
 
 LOCAL_BATCH = 16384

@@ -7,8 +7,8 @@ facade so consumers stop re-wiring the pipeline by hand:
   (cluster / data / model / partition / train / perf sections) with
   validation and dict/JSON round-tripping;
 - :mod:`repro.api.session` — the :class:`Session` facade whose staged
-  methods lazily build and cache artifacts, plus the :func:`spec_auc_sweep`
-  seed-sweep helper;
+  methods lazily build and cache artifacts, plus the §5.2 seed
+  protocol (:func:`seeded_run`, :func:`spec_auc_sweep`);
 - :mod:`repro.api.results` — per-stage artifacts and the aggregate
   :class:`RunResult`;
 - :mod:`repro.api.presets` — canonical RunSpecs for the example
@@ -53,7 +53,7 @@ from repro.api.results import (
     TierPlanArtifact,
     TrainArtifact,
 )
-from repro.api.session import Session, spec_auc_sweep
+from repro.api.session import Session, seeded_run, spec_auc_sweep
 
 __all__ = [
     "ClusterSpec",
@@ -72,6 +72,7 @@ __all__ = [
     "RunSpec",
     "SpecError",
     "Session",
+    "seeded_run",
     "spec_auc_sweep",
     "DataArtifact",
     "PartitionArtifact",

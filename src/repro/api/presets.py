@@ -29,9 +29,9 @@ __all__ = [
 
 
 def quality_data_spec(num_samples: int = 12000) -> DataSpec:
-    """The §5.2 quality-experiment click logs (the shrunken setup of
-    `experiments/quality.py`): 26 features, 4 planted blocks, strong
-    block correlation."""
+    """The §5.2 quality-experiment click logs: 26 features, 4 planted
+    blocks, strong block correlation.  Every quality driver (Tables 2-6,
+    Figure 9, XLRM, e2e) trains on this data section."""
     return DataSpec(
         num_sparse=26,
         num_blocks=4,
@@ -44,7 +44,7 @@ def quality_data_spec(num_samples: int = 12000) -> DataSpec:
 
 
 def quality_dlrm_model(**overrides) -> ModelSpec:
-    """The tiny trainable DLRM sizing used by Tables 2-6."""
+    """The tiny trainable DLRM sizing used by the quality drivers."""
     base = ModelSpec(
         family="dlrm",
         variant="flat",
@@ -56,7 +56,7 @@ def quality_dlrm_model(**overrides) -> ModelSpec:
 
 
 def quality_dcn_model(**overrides) -> ModelSpec:
-    """The tiny trainable DCN sizing used by Tables 2-6."""
+    """The tiny trainable DCN sizing used by the quality drivers."""
     base = ModelSpec(
         family="dcn",
         variant="flat",

@@ -95,9 +95,14 @@ from repro.serving import (
 )
 from repro.online import OnlineDriver, RolloutPlanner
 from repro.sim import SimCluster
-from repro.training import MultiTaskEvalResult, TrainConfig, Trainer
+from repro.training import (
+    MultiTaskEvalResult,
+    TrainConfig,
+    Trainer,
+    run_seed_sweep,
+)
 
-__all__ = ["Session", "spec_auc_sweep"]
+__all__ = ["Session", "seeded_run", "spec_auc_sweep"]
 
 #: Probe-arch key: the dense sizing the probe model shares with the spec.
 _ArchKey = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
@@ -143,8 +148,7 @@ def _probed_partition(
     """Train a flat probe, measure interactions, run the TP pipeline.
 
     Returns ``(TPResult, probe EvalResult)``.  Cached across sessions:
-    a seed sweep re-partitions once, exactly like the hand-wired
-    ``learned_tp_partition`` helper it replaces.
+    a seed sweep re-partitions once.
     """
     embedding_dim, bottom_mlp, top_mlp = arch_key
     (td, ti, tl), (ed, ei, el) = _split_for(data)
@@ -995,8 +999,8 @@ class Session:
         For every seed ``s`` both arms train on the *identical*
         generated dataset and batch order (the session-layer data
         cache keys on the data section, which both arms share) under
-        the §5.2 protocol — ``model.seed = 100 + s``, ``train.seed =
-        s`` — so each seed yields one *paired* observation per task
+        the §5.2 protocol (:func:`seeded_run`), so each seed yields
+        one *paired* observation per task
         and metric.  The artifact reports the per-task mean deltas
         (B − A) with a Student-t confidence interval at the spec's
         ``confidence`` level.
@@ -1010,34 +1014,38 @@ class Session:
             model_a: ModelSpec = self._need("model")
             train_a = self._need("train")
             self._ensure_analyzed()
+            # Both arms train this spec's data with every other plane
+            # stripped; arm B swaps in its own model / train sections.
+            arm_a = self.spec.replace(
+                perf=None,
+                serve=None,
+                checkpoint=None,
+                tiers=None,
+                faults=None,
+                autoscale=None,
+                online=None,
+                ab=None,
+            )
             arms = (
-                (ab.label_a, model_a, train_a),
+                (ab.label_a, arm_a),
                 (
                     ab.label_b,
-                    ab.model_b if ab.model_b is not None else model_a,
-                    ab.train_b if ab.train_b is not None else train_a,
+                    arm_a.replace(
+                        model=ab.model_b if ab.model_b is not None else model_a,
+                        train=ab.train_b if ab.train_b is not None else train_a,
+                    ),
                 ),
             )
             tasks = model_a.tasks
             metric_names = ("auc", "log_loss", "normalized_entropy")
             values: Dict[str, Dict[str, Dict[str, List[float]]]] = {
                 label: {t: {m: [] for m in metric_names} for t in tasks}
-                for label, _, _ in arms
+                for label, _ in arms
             }
             for s in ab.seeds:
-                for label, model, train in arms:
-                    arm_spec = self.spec.replace(
-                        name=f"{self.spec.name}-{label}-s{s}",
-                        model=model.replace(seed=100 + s),
-                        train=train.replace(seed=s),
-                        perf=None,
-                        serve=None,
-                        checkpoint=None,
-                        tiers=None,
-                        faults=None,
-                        autoscale=None,
-                        online=None,
-                        ab=None,
+                for label, arm in arms:
+                    arm_spec = seeded_run(
+                        arm.replace(name=f"{self.spec.name}-{label}-s{s}"), s
                     )
                     res = (
                         Session(arm_spec, analyze=self.auto_analyze)
@@ -1126,15 +1134,29 @@ class Session:
 
 
 # ----------------------------------------------------------------------
+def seeded_run(spec: RunSpec, seed: int) -> RunSpec:
+    """Repeat ``seed`` of the §5.2 protocol: ``train.seed = seed`` and
+    model initialization ``model.seed = 100 + seed``.
+
+    Every seeded quality run — :func:`spec_auc_sweep`, the paired arms
+    of :meth:`Session.ab`, the NE sweep of the ``xlrm`` experiment —
+    goes through this one rewrite.
+    """
+    return spec.replace(
+        model=spec.model.replace(seed=100 + seed),
+        train=spec.train.replace(seed=seed),
+    )
+
+
 def spec_auc_sweep(
     spec: RunSpec, seeds: Tuple[int, ...]
 ) -> Tuple[float, float, List[float]]:
     """(median, std, values) of eval AUC across seeds — §5.2's statistic.
 
-    Per the quality protocol, seed ``s`` trains with ``train.seed = s``
-    and model initialization ``model.seed = 100 + s``; data and any
+    Seed ``s`` trains :func:`seeded_run` ``(spec, s)``; data and any
     probed partition are shared across the sweep via the session-layer
-    caches.
+    caches.  The summary is :func:`repro.training.run_seed_sweep`'s, so
+    one seed reports ``std = 0.0`` and no seeds raise ``ValueError``.
     """
     if spec.train is None or spec.model is None:
         raise SpecError(
@@ -1146,11 +1168,7 @@ def spec_auc_sweep(
             "training produces; got train.mode="
             f"{spec.train.mode!r}"
         )
-    values: List[float] = []
-    for s in seeds:
-        run = spec.replace(
-            model=spec.model.replace(seed=100 + s),
-            train=spec.train.replace(seed=s),
-        )
-        values.append(float(Session(run).train().eval_result.auc))
-    return float(np.median(values)), float(np.std(values, ddof=1)), values
+    sweep = run_seed_sweep(
+        lambda s: Session(seeded_run(spec, s)).train().eval_result.auc, seeds
+    )
+    return sweep.median, sweep.std, sweep.values.tolist()

@@ -90,8 +90,7 @@ def experiment_specs(fast: bool = True) -> "dict[str, RunSpec]":
 )
 def run(fast: bool = True) -> ExperimentResult:
     from repro.checkpoint import CheckpointManager, checkpoint_step
-    from repro.data import train_eval_split
-    from repro.training import TrainConfig, Trainer
+    from repro.training import Trainer
 
     tmp = tempfile.mkdtemp(prefix="dmt-ckpt-")
     try:
@@ -102,20 +101,11 @@ def run(fast: bool = True) -> ExperimentResult:
 
         # Arm 2: same run, crashed mid-epoch at a periodic checkpoint,
         # then resumed in a *fresh* session (fresh model + trainer).
-        crash_session = Session(
-            spec.replace(checkpoint=spec.checkpoint)
-        )
+        crash_session = Session(spec)
         data = crash_session.load_data()
         model = crash_session.build_model()
         train = spec.train
-        trainer = Trainer(
-            model,
-            TrainConfig(
-                batch_size=train.batch_size,
-                epochs=train.epochs,
-                seed=train.seed,
-            ),
-        )
+        trainer = Trainer(model, train.trainer_config())
         manager = CheckpointManager(
             os.path.join(tmp, "crash"),
             every_steps=spec.checkpoint.save_every_steps,

@@ -1,20 +1,31 @@
-"""Shared transcribed paper values for the experiment suite.
-
-The profile-selection helpers (``baseline_profile``,
-``dmt_profile_for_towers``) moved to :mod:`repro.perf.profiles` so the
-``repro.api`` session layer can use them without importing the
-experiment suite; they are re-exported here for backwards
-compatibility.
-"""
+"""Shared constants and helpers for the experiment suite: transcribed
+paper values, the §5.2 repeat counts, and the block-purity score."""
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.perf.profiles import (  # noqa: F401  (re-exports)
-    baseline_profile,
-    dmt_profile_for_towers,
-)
+import numpy as np
+
+from repro.core.partition import FeaturePartition
+
+#: §5.2 protocol: 9 repeats full, 5 fast.
+FULL_SEEDS = tuple(range(9))
+FAST_SEEDS = tuple(range(5))
+
+
+def block_purity(partition: FeaturePartition, block_of: np.ndarray) -> float:
+    """Fraction of same-group pairs that share a ground-truth block."""
+    correct = sum(
+        1
+        for g in partition.groups
+        for a in g
+        for b in g
+        if block_of[a] == block_of[b]
+    )
+    total = sum(len(g) ** 2 for g in partition.groups)
+    return correct / total
+
 
 #: Figure 10, transcribed: speedup of DMT over the Strong Baseline.
 #: (The paper's V100 cluster supports at most 16 hosts, hence 4 points.)

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    LOCAL_BATCH,
-    PAPER_FIGURE11,
-    SCALES,
-    dmt_profile_for_towers,
-)
+from repro.experiments.common import LOCAL_BATCH, PAPER_FIGURE11, SCALES
 from repro.experiments.registry import register
 from repro.experiments.result import ExperimentResult, format_table
 from repro.hardware import Cluster
 from repro.perf.iteration_model import IterationLatencyModel
-from repro.perf.profiles import paper_dlrm_profile, sptt_only_profile
+from repro.perf.profiles import (
+    dmt_profile_for_towers,
+    paper_dlrm_profile,
+    sptt_only_profile,
+)
 
 
 @register("figure11", "Speedup of Tower Modules over SPTT (DLRM)")

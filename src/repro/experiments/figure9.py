@@ -2,19 +2,20 @@
 
 Renders the interaction (similarity) matrix as an ASCII heatmap and
 the MDS-learned 2D coordinates with tower assignments — the textual
-equivalent of the paper's color-coded scatter.
+equivalent of the paper's color-coded scatter.  The TP result is the
+session layer's partition stage on the quality setup (probe -> TP,
+coherent strategy, one tower per planted block).
 """
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
-from repro.experiments.quality import (
-    NUM_BLOCKS,
-    block_purity,
-    learned_tp_partition,
-    quality_data,
-)
+from repro.api import PartitionSpec, RunSpec, Session
+from repro.api.presets import quality_data_spec, quality_dlrm_model
+from repro.experiments.common import block_purity
 from repro.experiments.registry import register
 from repro.experiments.result import ExperimentResult
 
@@ -47,11 +48,23 @@ def ascii_scatter(
     return "\n".join("".join(r) for r in grid)
 
 
+def experiment_specs(fast: bool = True) -> Dict[str, RunSpec]:
+    """The one probe -> TP run this figure renders."""
+    del fast
+    data = quality_data_spec()
+    tp = PartitionSpec(strategy="coherent", num_towers=data.num_blocks)
+    return {
+        "tp": RunSpec(
+            name="figure9", data=data, model=quality_dlrm_model(), partition=tp
+        )
+    }
+
+
 @register("figure9", "TP similarity matrix and 2D feature embedding")
 def run(fast: bool = True) -> ExperimentResult:
-    del fast
-    dataset, _, _ = quality_data()
-    result = learned_tp_partition(NUM_BLOCKS, strategy="coherent")
+    session = Session(experiment_specs(fast)["tp"])
+    dataset = session.load_data().dataset
+    result = session.partition().tp_result
     labels = np.empty(result.interaction.shape[0], dtype=int)
     for t, group in enumerate(result.partition.groups):
         labels[list(group)] = t

@@ -12,23 +12,20 @@ Two claims reproduce:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Dict
 
-from repro.experiments.quality import (
-    FAST_SEEDS,
-    FULL_SEEDS,
-    auc_sweep,
-    dcn_factory,
-    dlrm_factory,
-    quality_data,
+from repro.api import RunSpec, TrainSpec, spec_auc_sweep
+from repro.api.presets import (
+    quality_data_spec,
+    quality_dcn_model,
+    quality_dlrm_model,
 )
+from repro.experiments.common import FAST_SEEDS, FULL_SEEDS
 from repro.experiments.registry import register
 from repro.experiments.result import ExperimentResult, format_table
 from repro.hardware import Cluster
-from repro.models.configs import DenseArch
 from repro.perf.iteration_model import IterationLatencyModel
 from repro.perf.profiles import paper_dcn_profile, paper_dlrm_profile
-from repro.training import TrainConfig, Trainer
 
 PAPER_ROWS = {
     "Baseline (DLRM)": (2048, 0.8030, "6.5hrs"),
@@ -40,36 +37,29 @@ PAPER_ROWS = {
 #: Paper-scale epoch definition: Criteo at 4B samples (§5.2).
 EPOCH_SAMPLES = 4_000_000_000
 
-
-def _weak_auc(factory, seed: int) -> float:
-    """Default-recipe run: small batch, SGD, no schedule."""
-    _, (td, ti, tl), (ed, ei, el) = quality_data()
-    model = factory(np.random.default_rng(100 + seed))
-    trainer = Trainer(
-        model,
-        TrainConfig(
-            batch_size=64,
-            epochs=1,
-            seed=seed,
-            dense_optimizer="sgd",
-            dense_lr=0.05,
-            sparse_lr=0.01,
-        ),
-    )
-    trainer.fit(td, ti, tl)
-    return trainer.evaluate(ed, ei, el).auc
+#: The two recipes: default (small batch, SGD, no schedule) and
+#: strong (larger batch, Adam, warmup schedule).
+RECIPES = {
+    "weak": TrainSpec(
+        batch_size=64, epochs=1, dense_optimizer="sgd", dense_lr=0.05, sparse_lr=0.01
+    ),
+    "strong": TrainSpec(batch_size=512, epochs=2, warmup_steps=8),
+}
 
 
-def _strong_auc(factory, seed: int) -> float:
-    """Strong recipe: larger batch, Adam, warmup schedule."""
-    _, (td, ti, tl), (ed, ei, el) = quality_data()
-    model = factory(np.random.default_rng(100 + seed))
-    trainer = Trainer(
-        model,
-        TrainConfig(batch_size=512, epochs=2, seed=seed, warmup_steps=8),
-    )
-    trainer.fit(td, ti, tl)
-    return trainer.evaluate(ed, ei, el).auc
+def experiment_specs(fast: bool = True) -> Dict[str, RunSpec]:
+    """Every RunSpec this experiment sweeps, keyed ``<family>-<recipe>``."""
+    del fast  # fast mode only shortens the seed list
+    return {
+        f"{model.family}-{recipe}": RunSpec(
+            name=f"table2-{model.family}-{recipe}",
+            data=quality_data_spec(),
+            model=model,
+            train=train,
+        )
+        for model in (quality_dlrm_model(), quality_dcn_model())
+        for recipe, train in RECIPES.items()
+    }
 
 
 def _epoch_minutes(profile, global_batch: int) -> float:
@@ -84,38 +74,32 @@ def _epoch_minutes(profile, global_batch: int) -> float:
 @register("table2", "Strong Baseline: quality and epoch time")
 def run(fast: bool = True) -> ExperimentResult:
     seeds = FAST_SEEDS[:3] if fast else FULL_SEEDS
+    specs = experiment_specs(fast)
     rows, data = [], {}
-    for name, factory, profile in (
-        ("DLRM", dlrm_factory, paper_dlrm_profile()),
-        ("DCN", dcn_factory, paper_dcn_profile()),
-    ):
-        weak = [_weak_auc(factory, s) for s in seeds]
-        strong = [_strong_auc(factory, s) for s in seeds]
-        t_weak = _epoch_minutes(profile, 2048)
-        t_strong = _epoch_minutes(profile, 131072)
-        paper_base = PAPER_ROWS[f"Baseline ({name})"]
-        paper_strong = PAPER_ROWS[f"Strong Baseline ({name})"]
-        rows.append(
-            [
-                f"Baseline ({name})",
-                f"{np.median(weak):.4f}",
-                f"{t_weak:.0f} min",
-                f"{paper_base[1]:.4f} / {paper_base[2]}",
-            ]
-        )
-        rows.append(
-            [
-                f"Strong Baseline ({name})",
-                f"{np.median(strong):.4f}",
-                f"{t_strong:.0f} min",
-                f"{paper_strong[1]:.4f} / {paper_strong[2]}",
-            ]
-        )
+    for name, profile in (("DLRM", paper_dlrm_profile()), ("DCN", paper_dcn_profile())):
+        auc = {
+            recipe: spec_auc_sweep(specs[f"{name.lower()}-{recipe}"], seeds)[0]
+            for recipe in RECIPES
+        }
+        minutes = {
+            "weak": _epoch_minutes(profile, 2048),
+            "strong": _epoch_minutes(profile, 131072),
+        }
+        for recipe, label in (("weak", "Baseline"), ("strong", "Strong Baseline")):
+            paper = PAPER_ROWS[f"{label} ({name})"]
+            rows.append(
+                [
+                    f"{label} ({name})",
+                    f"{auc[recipe]:.4f}",
+                    f"{minutes[recipe]:.0f} min",
+                    f"{paper[1]:.4f} / {paper[2]}",
+                ]
+            )
         data[name] = {
-            "weak_auc": float(np.median(weak)),
-            "strong_auc": float(np.median(strong)),
-            "weak_epoch_min": t_weak,
-            "strong_epoch_min": t_strong,
+            "weak_auc": auc["weak"],
+            "strong_auc": auc["strong"],
+            "weak_epoch_min": minutes["weak"],
+            "strong_epoch_min": minutes["strong"],
         }
     body = format_table(
         ["Config", "AUC (ours)", "Epoch time (modeled)", "paper AUC / time"],

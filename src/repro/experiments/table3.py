@@ -10,46 +10,56 @@ the same evaluation AUC to float tolerance.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Dict
 
-from repro.core.dmt_pipeline import DistributedDMTTrainer, DistributedHybridTrainer
-from repro.core.partition import FeaturePartition
-from repro.experiments.quality import (
-    NUM_DENSE,
-    dlrm_factory,
-    dmt_dlrm_factory,
-    dcn_factory,
-    dmt_dcn_factory,
-    quality_data,
+from repro.api import PartitionSpec, RunSpec, Session
+from repro.api.presets import (
+    quality_data_spec,
+    quality_dcn_model,
+    quality_dlrm_model,
 )
+from repro.core.dmt_pipeline import DistributedDMTTrainer
 from repro.experiments.registry import register
 from repro.experiments.result import ExperimentResult, format_table
-from repro.hardware import Cluster
 from repro.nn import Adam, BCEWithLogitsLoss
 from repro.sim import SimCluster
 from repro.training.metrics import auc
 
 
+def experiment_specs(fast: bool = True) -> Dict[str, RunSpec]:
+    """Each family's flat model and its two-tower pass-through DMT twin."""
+    del fast  # fast mode only shortens the step count
+    specs: Dict[str, RunSpec] = {}
+    for model in (quality_dlrm_model(), quality_dcn_model()):
+        flat = RunSpec(
+            name=f"table3-{model.family}-flat",
+            data=quality_data_spec(),
+            model=model.replace(seed=55),
+        )
+        specs[f"{model.family}-flat"] = flat
+        specs[f"{model.family}-sptt"] = flat.replace(
+            name=f"table3-{model.family}-sptt",
+            model=model.replace(variant="dmt", pass_through=True, seed=66),
+            partition=PartitionSpec(strategy="contiguous", num_towers=2),
+        )
+    return specs
+
+
 def _distributed_sptt_auc(kind: str, steps: int, batch: int) -> "tuple[float, float]":
-    """Train pass-through DMT on a simulated 2x2 cluster; also train
-    the flat model single-process on identical data.  Returns both
-    AUCs (they must agree)."""
-    _, (td, ti, tl), (ed, ei, el) = quality_data()
-    partition = FeaturePartition.contiguous(26, 2)
-    if kind == "dlrm":
-        flat = dlrm_factory(np.random.default_rng(55))
-        dmt = dmt_dlrm_factory(partition, pass_through=True)(
-            np.random.default_rng(66)
-        )
-    else:
-        flat = dcn_factory(np.random.default_rng(55))
-        dmt = dmt_dcn_factory(partition, pass_through=True)(
-            np.random.default_rng(66)
-        )
+    """Train pass-through DMT on the spec's simulated 2x2 cluster; also
+    train the flat model single-process on identical data.  Returns
+    both AUCs (they must agree)."""
+    specs = experiment_specs()
+    flat_session = Session(specs[f"{kind}-flat"])
+    sptt_session = Session(specs[f"{kind}-sptt"])
+    data = flat_session.load_data()
+    (td, ti, tl), (ed, ei, el) = data.train, data.eval
+    flat = flat_session.build_model()
+    dmt = sptt_session.build_model()
     # Pass-through DMT has exactly the flat model's parameters.
     dmt.load_state_dict(flat.state_dict())
 
-    sim = SimCluster(Cluster(num_hosts=2, gpus_per_host=2, generation="A100"))
+    sim = SimCluster(sptt_session.build_cluster())
     trainer = DistributedDMTTrainer(sim, dmt)
     loss_mod = BCEWithLogitsLoss()
     opt_flat = Adam(flat.parameters(), lr=0.01)

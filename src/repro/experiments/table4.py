@@ -1,7 +1,8 @@
 """Table 4: DMT matches baseline AUC across tower counts.
 
 AUC columns come from real (small-scale) training driven through the
-:mod:`repro.api` session layer; the complexity columns (MFlops/sample,
+:mod:`repro.api` session layer (one §5.2 seed sweep per RunSpec in
+:func:`experiment_specs`); the complexity columns (MFlops/sample,
 parameters) come from the *paper-scale* model implementations via the
 perf profiles, so the tower-count/flops interplay is measured, not
 transcribed.
@@ -9,13 +10,15 @@ transcribed.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.api import PartitionSpec, RunSpec, TrainSpec, spec_auc_sweep
 from repro.api.presets import (
     quality_data_spec,
     quality_dcn_model,
     quality_dlrm_model,
 )
-from repro.experiments.quality import EMB_DIM, FAST_SEEDS, FULL_SEEDS
+from repro.experiments.common import FAST_SEEDS, FULL_SEEDS
 from repro.experiments.registry import register
 from repro.experiments.result import ExperimentResult, format_table
 from repro.models import criteo_table_configs
@@ -41,26 +44,41 @@ def _paper_scale_profile(kind: str, towers: "int | None"):
     return paper_dcn_profile() if towers is None else dmt_dcn_profile(towers)
 
 
-def _quality_run(model, partition=None) -> RunSpec:
-    return RunSpec(
-        name="table4",
-        data=quality_data_spec(),
-        model=model,
-        partition=partition,
-        train=TrainSpec(batch_size=256, epochs=2),
-    )
+def _tower_counts(fast: bool) -> "tuple[int, ...]":
+    return (2, 4) if fast else (2, 4, 8, 13)
+
+
+def experiment_specs(fast: bool = True) -> Dict[str, RunSpec]:
+    """Every RunSpec this experiment sweeps, keyed ``<family>-base`` and
+    ``<family>-<T>T``."""
+    specs: Dict[str, RunSpec] = {}
+    # DMT-DLRM towers compress 2x, DMT-DCN towers keep the full width.
+    for model, cr in ((quality_dlrm_model(), 2), (quality_dcn_model(), 1)):
+        base = RunSpec(
+            name=f"table4-{model.family}-base",
+            data=quality_data_spec(),
+            model=model,
+            train=TrainSpec(batch_size=256, epochs=2),
+        )
+        specs[f"{model.family}-base"] = base
+        for towers in _tower_counts(fast):
+            specs[f"{model.family}-{towers}T"] = base.replace(
+                name=f"table4-{model.family}-{towers}T",
+                model=model.replace(
+                    variant="dmt", tower_dim=model.embedding_dim // cr
+                ),
+                partition=PartitionSpec(strategy="contiguous", num_towers=towers),
+            )
+    return specs
 
 
 @register("table4", "AUC and complexity vs tower count")
 def run(fast: bool = True) -> ExperimentResult:
     seeds = FAST_SEEDS[:3] if fast else FULL_SEEDS
-    tower_counts = (2, 4) if fast else (2, 4, 8, 13)
+    specs = experiment_specs(fast)
     rows, data = [], {}
-    for kind, base_model, tower_dim in (
-        ("DLRM", quality_dlrm_model(), EMB_DIM // 2),
-        ("DCN", quality_dcn_model(), EMB_DIM),
-    ):
-        med, std, _ = spec_auc_sweep(_quality_run(base_model), seeds)
+    for kind in ("DLRM", "DCN"):
+        med, std, _ = spec_auc_sweep(specs[f"{kind.lower()}-base"], seeds)
         profile = _paper_scale_profile(kind, None)
         dense_params_g = profile.dense_param_bytes / 4 / 1e9
         rows.append(
@@ -73,14 +91,10 @@ def run(fast: bool = True) -> ExperimentResult:
             ]
         )
         data[f"{kind}/base"] = {"auc": med, "std": std}
-        for towers in tower_counts:
-            spec = _quality_run(
-                base_model.replace(variant="dmt", tower_dim=tower_dim),
-                partition=PartitionSpec(
-                    strategy="contiguous", num_towers=towers
-                ),
+        for towers in _tower_counts(fast):
+            med_t, std_t, _ = spec_auc_sweep(
+                specs[f"{kind.lower()}-{towers}T"], seeds
             )
-            med_t, std_t, _ = spec_auc_sweep(spec, seeds)
             # Paper-scale complexity for the nearest defined config.
             prof_towers = towers if towers in (2, 4, 8, 16) else 8
             dprof = _paper_scale_profile(kind, prof_towers)

@@ -14,9 +14,15 @@ configuration (p=1, c=0) scaled to our geometry.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.api import PartitionSpec, RunSpec, Session, TrainSpec, spec_auc_sweep
-from repro.api.presets import quality_data_spec, quality_dlrm_model
-from repro.experiments.quality import FAST_SEEDS, FULL_SEEDS, NUM_BLOCKS, block_purity
+from repro.api.presets import (
+    naive_control_spec,
+    quality_data_spec,
+    quality_dlrm_model,
+)
+from repro.experiments.common import FAST_SEEDS, FULL_SEEDS, block_purity
 from repro.experiments.registry import register
 from repro.experiments.result import ExperimentResult, format_table
 from repro.training import mann_whitney_u
@@ -27,20 +33,25 @@ PAPER = {
 }
 
 
-def _spec(strategy: str) -> RunSpec:
-    return RunSpec(
-        name=f"table6-{strategy}",
-        data=quality_data_spec(),
+def experiment_specs(fast: bool = True) -> Dict[str, RunSpec]:
+    """The TP arm and its naive control."""
+    del fast  # fast mode only shortens the seed list
+    data = quality_data_spec()
+    tp = RunSpec(
+        name="table6",
+        data=data,
         model=quality_dlrm_model(variant="dmt", tower_dim=1, c=0, p=1),
-        partition=PartitionSpec(strategy=strategy, num_towers=NUM_BLOCKS),
+        partition=PartitionSpec(strategy="coherent", num_towers=data.num_blocks),
         train=TrainSpec(batch_size=256, epochs=2),
     )
+    return {"tp": tp, "naive": naive_control_spec(tp)}
 
 
 @register("table6", "TP vs naive feature-to-tower assignment")
 def run(fast: bool = True) -> ExperimentResult:
     seeds = FAST_SEEDS if fast else FULL_SEEDS
-    tp_spec, naive_spec = _spec("coherent"), _spec("naive")
+    specs = experiment_specs(fast)
+    tp_spec, naive_spec = specs["tp"], specs["naive"]
 
     tp_session = Session(tp_spec)
     dataset = tp_session.load_data().dataset

@@ -3,8 +3,9 @@
 Two paper claims:
 
 1. DMT-XLRM improves normalized entropy by ~0.02% (quality-neutral to
-   slightly positive) — we check the NE delta of a DMT model against
-   its flat counterpart on the quality setup.
+   slightly positive) — we check the median NE of a DMT model against
+   its flat counterpart on the quality setup, one seeded session per
+   §5.2 repeat.
 2. XLRM's speedup is *smaller* than the open-source models' because the
    model is compute-bound (~700 MFlops/sample) — from the latency
    model on 128 GPUs.
@@ -12,18 +13,11 @@ Two paper claims:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Dict
 
-from repro.core.partition import FeaturePartition
-from repro.experiments.common import LOCAL_BATCH
-from repro.experiments.quality import (
-    FAST_SEEDS,
-    FULL_SEEDS,
-    NUM_BLOCKS,
-    dlrm_factory,
-    dmt_dlrm_factory,
-    quality_data,
-)
+from repro.api import PartitionSpec, RunSpec, Session, TrainSpec, seeded_run
+from repro.api.presets import quality_data_spec, quality_dlrm_model
+from repro.experiments.common import FAST_SEEDS, FULL_SEEDS, LOCAL_BATCH
 from repro.experiments.registry import register
 from repro.experiments.result import ExperimentResult, format_table
 from repro.hardware import Cluster
@@ -34,26 +28,44 @@ from repro.perf.profiles import (
     paper_dlrm_profile,
     xlrm_profile,
 )
-from repro.training import TrainConfig, Trainer
+from repro.training import run_seed_sweep
 
 
-def _ne(factory, seed: int) -> float:
-    _, (td, ti, tl), (ed, ei, el) = quality_data()
-    model = factory(np.random.default_rng(100 + seed))
-    trainer = Trainer(model, TrainConfig(batch_size=256, epochs=2, seed=seed))
-    trainer.fit(td, ti, tl)
-    return trainer.evaluate(ed, ei, el).normalized_entropy
+def experiment_specs(fast: bool = True) -> Dict[str, RunSpec]:
+    """The flat model and its DMT twin whose NE this experiment compares."""
+    del fast  # fast mode only shortens the seed list
+    data = quality_data_spec()
+    model = quality_dlrm_model()
+    flat = RunSpec(
+        name="xlrm-flat",
+        data=data,
+        model=model,
+        train=TrainSpec(batch_size=256, epochs=2),
+    )
+    return {
+        "flat": flat,
+        "dmt": flat.replace(
+            name="xlrm-dmt",
+            model=model.replace(variant="dmt", tower_dim=model.embedding_dim // 2),
+            partition=PartitionSpec(strategy="contiguous", num_towers=data.num_blocks),
+        ),
+    }
+
+
+def _median_ne(spec: RunSpec, seeds) -> float:
+    def ne(seed: int) -> float:
+        return Session(seeded_run(spec, seed)).train().eval_result.normalized_entropy
+
+    return run_seed_sweep(ne, seeds).median
 
 
 @register("xlrm", "XLRM: NE direction and compute-bound speedup")
 def run(fast: bool = True) -> ExperimentResult:
     seeds = FAST_SEEDS[:3] if fast else FULL_SEEDS
+    specs = experiment_specs(fast)
     # Quality: NE of DMT vs flat (lower NE is better).
-    partition = FeaturePartition.contiguous(26, NUM_BLOCKS)
-    flat_ne = np.median([_ne(dlrm_factory, s) for s in seeds])
-    dmt_ne = np.median(
-        [_ne(dmt_dlrm_factory(partition, tower_dim=8), s) for s in seeds]
-    )
+    flat_ne = _median_ne(specs["flat"], seeds)
+    dmt_ne = _median_ne(specs["dmt"], seeds)
     ne_improvement_pct = (flat_ne - dmt_ne) / flat_ne * 100.0
 
     # Throughput: XLRM speedup vs the open-source models on 128 GPUs.

@@ -32,9 +32,6 @@ class SeedSweepResult:
     def n(self) -> int:
         return len(self.values)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.median:.4f} ({self.std:.4f})"
-
 
 def run_seed_sweep(
     run: Callable[[int], float],

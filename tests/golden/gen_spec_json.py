@@ -16,32 +16,26 @@ the pinned one (exact string equality) and exits 1.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
 from typing import Dict, List
 
 from repro.api import presets
-from repro.experiments import (
-    checkpointing,
-    fault_tolerance,
-    model_freshness,
-    multi_task_ab,
-    serving,
-    serving_fleet,
-    tiered_serving,
-)
+from repro.experiments import fault_tolerance
+from repro.experiments.registry import DRIVER_MODULES
 
 FIXTURE = Path(__file__).with_name("spec_json.json")
 
-EXPERIMENTS = (
-    serving,
-    serving_fleet,
-    tiered_serving,
-    checkpointing,
-    fault_tolerance,
-    model_freshness,
-    multi_task_ab,
+#: Every registered driver that publishes its RunSpecs.
+EXPERIMENTS = tuple(
+    module
+    for module in (
+        importlib.import_module(f"repro.experiments.{name}")
+        for name in DRIVER_MODULES
+    )
+    if hasattr(module, "experiment_specs")
 )
 
 

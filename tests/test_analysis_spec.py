@@ -34,6 +34,7 @@ from repro.api.spec import (
     TrainSpec,
 )
 from repro.checkpoint import save_training_checkpoint
+from tests.golden.gen_spec_json import EXPERIMENTS as SPEC_DRIVERS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -86,49 +87,13 @@ class TestPropertyEveryRealSpecValidates:
 
     @pytest.mark.parametrize("fast", [True, False])
     def test_experiment_specs_pass(self, fast):
-        from repro.experiments import (
-            checkpointing,
-            fault_tolerance,
-            model_freshness,
-            multi_task_ab,
-            serving,
-            serving_fleet,
-            tiered_serving,
-        )
-
-        for mod in (
-            serving,
-            serving_fleet,
-            tiered_serving,
-            checkpointing,
-            fault_tolerance,
-            model_freshness,
-            multi_task_ab,
-        ):
+        for mod in SPEC_DRIVERS:
             for arm, spec in mod.experiment_specs(fast=fast).items():
                 bad = error_codes(spec)
                 assert bad == [], (mod.__name__, arm, bad)
 
     def test_session_analyze_passes_for_experiment_presets(self):
-        from repro.experiments import (
-            checkpointing,
-            fault_tolerance,
-            model_freshness,
-            multi_task_ab,
-            serving,
-            serving_fleet,
-            tiered_serving,
-        )
-
-        for mod in (
-            serving,
-            serving_fleet,
-            tiered_serving,
-            checkpointing,
-            fault_tolerance,
-            model_freshness,
-            multi_task_ab,
-        ):
+        for mod in SPEC_DRIVERS:
             for spec in mod.experiment_specs().values():
                 diags = Session(spec).analyze()
                 assert not [d for d in diags if d.severity == "error"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.api import (
     Session,
     SpecError,
     TrainSpec,
+    seeded_run,
     spec_auc_sweep,
 )
 from repro.api.presets import (
@@ -697,6 +699,20 @@ class TestSessionEndToEnd:
             train=TINY.train.replace(seed=0),
         )
         assert values[0] == Session(run0).train().eval_result.auc
+        assert run0 == seeded_run(TINY, 0)
+        assert std == float(np.std(values, ddof=1))
+
+    def test_auc_sweep_one_seed_has_zero_std(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            med, std, values = spec_auc_sweep(TINY, seeds=(0,))
+        assert std == 0.0
+        assert med == values[0]
+        assert not [w for w in caught if "freedom" in str(w.message)]
+
+    def test_auc_sweep_needs_a_seed(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            spec_auc_sweep(TINY, seeds=())
 
     def test_auc_sweep_rejects_simulated_mode(self):
         with pytest.raises(SpecError, match="single-process"):

@@ -1,22 +1,20 @@
-"""Tests for the shared quality-experiment harness."""
+"""Tests for the quality experiments' shared setup, through the session
+layer: the quality data split, block purity, and learned TP at the
+quality geometry."""
 
 import numpy as np
-import pytest
 
+from repro.api import PartitionSpec, RunSpec, Session
+from repro.api.presets import quality_data_spec, quality_dlrm_model
 from repro.core.partition import FeaturePartition
-from repro.experiments.quality import (
-    NUM_BLOCKS,
-    NUM_SPARSE,
-    auc_sweep,
-    block_purity,
-    dcn_factory,
-    dlrm_factory,
-    dmt_dcn_factory,
-    dmt_dlrm_factory,
-    learned_tp_partition,
-    quality_data,
-    train_and_eval_auc,
-)
+from repro.experiments.common import block_purity
+
+DATA = quality_data_spec()
+
+
+def quality_data():
+    art = Session(RunSpec(name="quality-data", data=DATA)).load_data()
+    return art.dataset, art.train, art.eval
 
 
 class TestQualityData:
@@ -29,44 +27,7 @@ class TestQualityData:
     def test_split_sizes(self):
         _, (td, ti, tl), (ed, ei, el) = quality_data()
         assert len(tl) == 8000 and len(el) == 4000
-        assert ti.shape[1] == NUM_SPARSE
-
-
-class TestFactories:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            dlrm_factory,
-            dcn_factory,
-            dmt_dlrm_factory(FeaturePartition.contiguous(NUM_SPARSE, 4)),
-            dmt_dcn_factory(FeaturePartition.contiguous(NUM_SPARSE, 4)),
-        ],
-    )
-    def test_factory_builds_trainable_model(self, factory):
-        model = factory(np.random.default_rng(0))
-        _, (td, ti, tl), _ = quality_data()
-        logits = model(td[:32], ti[:32])
-        assert logits.shape == (32,)
-
-    def test_factories_seeded(self):
-        a = dlrm_factory(np.random.default_rng(5))
-        b = dlrm_factory(np.random.default_rng(5))
-        _, (td, ti, _), _ = quality_data()
-        np.testing.assert_array_equal(a(td[:8], ti[:8]), b(td[:8], ti[:8]))
-
-
-class TestSweeps:
-    def test_train_and_eval_auc_deterministic(self):
-        a = train_and_eval_auc(dlrm_factory, seed=0, epochs=1)
-        b = train_and_eval_auc(dlrm_factory, seed=0, epochs=1)
-        assert a == b
-        assert a > 0.8
-
-    def test_auc_sweep_statistics(self):
-        med, std, values = auc_sweep(dlrm_factory, seeds=(0, 1, 2), epochs=1)
-        assert len(values) == 3
-        assert med == float(np.median(values))
-        assert std >= 0
+        assert ti.shape[1] == DATA.num_sparse
 
 
 class TestPartitionHelpers:
@@ -74,11 +35,23 @@ class TestPartitionHelpers:
         ds, _, _ = quality_data()
         perfect = ds.true_partition
         assert block_purity(perfect, ds.block_of) == 1.0
-        naive = FeaturePartition.strided(NUM_SPARSE, NUM_BLOCKS)
+        naive = FeaturePartition.strided(DATA.num_sparse, DATA.num_blocks)
         assert block_purity(naive, ds.block_of) < 0.5
 
     def test_learned_tp_partition_recovers_blocks(self):
-        ds, _, _ = quality_data()
-        result = learned_tp_partition(NUM_BLOCKS)
-        assert result.partition.num_towers == NUM_BLOCKS
-        assert block_purity(result.partition, ds.block_of) > 0.6
+        session = Session(
+            RunSpec(
+                name="quality-tp",
+                data=DATA,
+                model=quality_dlrm_model(),
+                partition=PartitionSpec(
+                    strategy="coherent", num_towers=DATA.num_blocks
+                ),
+            )
+        )
+        result = session.partition().tp_result
+        assert result.partition.num_towers == DATA.num_blocks
+        assert (
+            block_purity(result.partition, session.load_data().dataset.block_of)
+            > 0.6
+        )
