@@ -4,7 +4,8 @@ Two claims reproduce:
 
 1. **Quality**: large-batch Adam with warmup matches or beats
    small-batch default training in evaluation AUC (the paper improves
-   on stock TorchRec by 0.17%/0.39%).
+   on stock TorchRec by 0.17%/0.39%).  The two recipes are two
+   TrainSpecs (``RECIPES``), each a §5.2 seed sweep per family.
 2. **Epoch time**: at the paper's scale (one epoch = 4B Criteo
    samples), large batches collapse epoch time from hours to minutes —
    modeled with the iteration latency model on 8xA100.

@@ -2,10 +2,11 @@
 
 The paper creates a pass-through tower per feature and shows AUC is
 unchanged.  We go further: because our distributed SPTT pipeline is
-exact, the reproduction asserts *numeric identity* of the whole
-training trajectory — flat single-process training, distributed hybrid
-training, and distributed SPTT training produce the same losses and
-the same evaluation AUC to float tolerance.
+exact, the reproduction asserts *numeric identity* of the trained
+models — flat single-process training and distributed SPTT training
+(pass-through towers on a simulated 2x2 cluster, same batches) reach
+the same evaluation AUC to float tolerance.  Both models are built by
+the session layer from :func:`experiment_specs`.
 """
 
 from __future__ import annotations
