@@ -17,11 +17,19 @@ every parameter after the last step, and every ``sim.timeline`` event
 ``[phase, label, seconds, bytes, world]`` in order.  ``--check`` prints
 one line per differing leaf and exits 1; ints, labels and event order
 compare exactly, floats at ``rel_tol=1e-12``.
+
+The ``single/`` cases pin the one-process step the distributed ones are
+held to: three ``Trainer.train_batch`` steps of DMT-DLRM (c=1/p=0,
+c=1/p=1, c=0/p=1) and DMT-DCN (pass-through, projecting) over the
+scrambled and both uneven partitions, single-hot and multi-hot (P=3).
+They store every float as its ``repr`` plus a SHA-256 of every
+parameter's bytes, so they compare bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from functools import partial
@@ -40,6 +48,7 @@ from repro.models import DCN, DLRM, DMTDCN, DMTDLRM, tiny_table_configs
 from repro.models.configs import tiny_dcn_arch, tiny_dlrm_arch
 from repro.nn import Adam
 from repro.sim import SimCluster
+from repro.training import TrainConfig, Trainer
 
 try:
     from tests.golden.gen_serving_reports import diff_reports
@@ -60,6 +69,16 @@ UNEVEN_GROUPS = {
     "uneven_f7": [[5, 0, 3], [1, 6, 2, 4]],
     "idle_rank": [[6], [5, 0, 3, 1, 7, 2, 4]],
 }
+# Single-process cases: a batch with repeated rows in every table.
+B_SINGLE, ROWS_SINGLE = 48, 64
+SINGLE_MODELS = {
+    "dlrm/c1p0": ("dlrm", {"c": 1, "p": 0}),
+    "dlrm/c1p1": ("dlrm", {"c": 1, "p": 1}),
+    "dlrm/c0p1": ("dlrm", {"c": 0, "p": 1}),
+    "dcn/pass_through": ("dcn", {"pass_through": True}),
+    "dcn/projecting": ("dcn", {}),
+}
+SINGLE_PARTITIONS = {"scrambled": GROUPS[4], **UNEVEN_GROUPS}
 
 
 def _sim(hosts: int) -> SimCluster:
@@ -139,6 +158,42 @@ def _hybrid(hosts: int, family: str) -> Dict[str, Any]:
     return _steps(sim, model, step)
 
 
+def _single(kind: str, groups, pooling: int) -> Dict[str, Any]:
+    """Three ``Trainer.train_batch`` steps of a DMT model in one
+    process; every float stored as its ``repr``."""
+    family, knobs = SINGLE_MODELS[kind]
+    partition = FeaturePartition.from_groups(groups)
+    shape = (B_SINGLE, partition.num_features, pooling)
+    tables = tiny_table_configs(shape[1], ROWS_SINGLE, N, pooling)
+    cls, arch = (
+        (DMTDLRM, tiny_dlrm_arch(N))
+        if family == "dlrm"
+        else (DMTDCN, tiny_dcn_arch(N))
+    )
+    model = cls(
+        DENSE, tables, partition, arch, tower_dim=4,
+        rng=np.random.default_rng(17), **knobs,
+    )
+    trainer = Trainer(model, TrainConfig())
+    losses = []
+    for i in range(STEPS):
+        rng = np.random.default_rng(200 + i)
+        dense = rng.standard_normal((B_SINGLE, DENSE))
+        ids = rng.integers(0, ROWS_SINGLE, size=shape)
+        labels = rng.integers(0, 2, size=B_SINGLE).astype(float)
+        losses.append(repr(float(trainer.train_batch(dense, ids, labels))))
+    return {
+        "losses": losses,
+        "params": [
+            [name, repr(float(p.data.sum())), repr(float(abs(p.data).sum()))]
+            for name, p in model.named_parameters()
+        ],
+        "params_sha256": hashlib.sha256(
+            b"".join(p.data.tobytes() for p in model.parameters())
+        ).hexdigest(),
+    }
+
+
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     **{
         f"dmt/{hosts}x2/{family}/{'pass_through' if pt else 'projecting'}": (
@@ -158,6 +213,14 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
         f"hybrid/{hosts}x2/{family}": partial(_hybrid, hosts, family)
         for hosts in (2, 4)
         for family in ("dlrm", "dcn")
+    },
+    **{
+        f"single/{model}/{part}/P{pooling}": partial(
+            _single, model, groups, pooling
+        )
+        for model in SINGLE_MODELS
+        for part, groups in SINGLE_PARTITIONS.items()
+        for pooling in (1, 3)
     },
 }
 

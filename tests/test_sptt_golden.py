@@ -6,7 +6,9 @@ seeded models (see the generator beside it): losses, a per-parameter
 digest and every priced timeline event.  Ints, labels and event order
 must match exactly, floats at ``rel_tol=1e-12`` — any change to the
 exchanges, the tower stage, the dense plane or the order the step
-prices them in shows up here as a named leaf.
+prices them in shows up here as a named leaf.  The ``single/`` cases pin
+the one-process ``Trainer.train_batch`` of the DMT pair as ``repr``
+strings and a parameter SHA-256, so they hold bit for bit.
 """
 
 import json
