@@ -131,6 +131,7 @@ class SimCluster:
         phase: Phase,
         label: str,
     ) -> Dict[int, List[np.ndarray]]:
+        F.check_membership(group, buffers)  # typed, before any pricing
         nbytes = self._buffer_bytes(buffers)
         timing = self.cost_model.alltoall(group, nbytes)
         self.timeline.add(phase, label, timing.seconds, nbytes, group.world_size)
@@ -144,6 +145,7 @@ class SimCluster:
         label: str,
         axis: int = 0,
     ) -> Dict[int, np.ndarray]:
+        F.check_membership(group, buffers)  # typed, before any pricing
         nbytes = self._buffer_bytes(buffers)
         timing = self.cost_model.alltoall(group, nbytes)
         self.timeline.add(phase, label, timing.seconds, nbytes, group.world_size)
@@ -191,6 +193,7 @@ class SimCluster:
         phase: Phase,
         label: str,
     ) -> Dict[int, np.ndarray]:
+        F.check_membership(group, buffers)  # typed, before any pricing
         nbytes = self._buffer_bytes(buffers)
         timing = self.cost_model.allreduce(group, nbytes)
         self.timeline.add(phase, label, timing.seconds, nbytes, group.world_size)
@@ -233,6 +236,7 @@ class SimCluster:
         label: str,
         axis: int = 0,
     ) -> Dict[int, np.ndarray]:
+        F.check_membership(group, buffers)  # typed, before any pricing
         nbytes = self._buffer_bytes(buffers)
         timing = self.cost_model.reducescatter(group, nbytes)
         self.timeline.add(phase, label, timing.seconds, nbytes, group.world_size)
@@ -246,6 +250,7 @@ class SimCluster:
         label: str,
         axis: int = 0,
     ) -> Dict[int, np.ndarray]:
+        F.check_membership(group, buffers)  # typed, before any pricing
         nbytes = self._buffer_bytes(buffers)
         timing = self.cost_model.allgather(group, nbytes)
         self.timeline.add(phase, label, timing.seconds, nbytes, group.world_size)

@@ -156,6 +156,28 @@ class TestSimClusterCollectives:
         assert sim.timeline.total(Phase.SHUFFLE) > 0
         assert sim.timeline.total(Phase.COMPUTE) == pytest.approx(0.004)
 
+    @pytest.mark.parametrize(
+        "name, buffer",
+        [
+            ("alltoall", [np.zeros(2) for _ in range(4)]),
+            ("alltoall_single", np.zeros(4)),
+            ("allreduce", np.zeros(4)),
+            ("reducescatter", np.zeros(4)),
+            ("allgather", np.zeros(4)),
+        ],
+    )
+    @pytest.mark.parametrize("ranks", [[0, 1, 2], [0, 1, 2, 3, 4]])
+    def test_membership_checked_before_pricing(self, sim, name, buffer, ranks):
+        """A missing or extra rank used to add the timeline event first
+        and only then fail inside the functional collective."""
+        sim.compute(0.001, "before")
+        events = len(sim.timeline.events)
+        with pytest.raises(ValueError, match="process group membership"):
+            getattr(sim, name)(
+                sim.world, {r: buffer for r in ranks}, Phase.EMBEDDING_COMM, "bad"
+            )
+        assert len(sim.timeline.events) == events
+
     def test_group_accessors(self, sim):
         assert sim.host_group_of(3).ranks == (2, 3)
         assert sim.peer_group_of(3).ranks == (1, 3)
