@@ -16,7 +16,7 @@ cross hosts, which is exactly what the cost model needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.hardware.topology import Cluster
 
@@ -124,8 +124,3 @@ def peer_groups(cluster: Cluster) -> List[ProcessGroup]:
     restricted to one value of ``g % L``.
     """
     return [ProcessGroup(cluster, pg) for pg in cluster.peer_groups()]
-
-
-def group_for_ranks(cluster: Cluster, ranks: Sequence[int]) -> ProcessGroup:
-    """Ad-hoc group over explicit ranks (used by planner experiments)."""
-    return ProcessGroup(cluster, tuple(ranks))

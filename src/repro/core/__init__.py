@@ -11,7 +11,7 @@
 """
 
 from repro.core.partition import FeaturePartition
-from repro.core.peer import peer_order, peer_permutation, tower_of_host
+from repro.core.peer import peer_order
 from repro.core.flat_pipeline import FlatEmbeddingExchange
 from repro.core.sptt import SPTTEmbeddingExchange
 from repro.core.dmt_pipeline import DistributedDMTTrainer, DistributedHybridTrainer
@@ -19,8 +19,6 @@ from repro.core.dmt_pipeline import DistributedDMTTrainer, DistributedHybridTrai
 __all__ = [
     "FeaturePartition",
     "peer_order",
-    "peer_permutation",
-    "tower_of_host",
     "FlatEmbeddingExchange",
     "SPTTEmbeddingExchange",
     "DistributedDMTTrainer",

@@ -20,7 +20,7 @@ contiguous blocks per peer group.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.hardware.topology import Cluster
 
@@ -42,28 +42,6 @@ def peer_order(world_size: int, gpus_per_host: int) -> Tuple[int, ...]:
     return tuple(
         sorted(range(world_size), key=lambda g: (g % gpus_per_host, g // gpus_per_host))
     )
-
-
-def peer_permutation(cluster: Cluster) -> Tuple[int, ...]:
-    """Permutation ``P`` with ``P[i] = rank at peer position i``."""
-    return peer_order(cluster.world_size, cluster.gpus_per_host)
-
-
-def inverse_permutation(perm: "Tuple[int, ...]") -> Tuple[int, ...]:
-    """Inverse of a permutation given as a tuple of indices."""
-    inv: List[int] = [0] * len(perm)
-    for i, p in enumerate(perm):
-        if not 0 <= p < len(perm):
-            raise ValueError(f"invalid permutation entry {p}")
-        inv[p] = i
-    return tuple(inv)
-
-
-def tower_of_host(host_id: int, hosts_per_tower: int = 1) -> int:
-    """Tower index of a host (§3.1.3 allows K-host towers)."""
-    if hosts_per_tower <= 0:
-        raise ValueError("hosts_per_tower must be positive")
-    return host_id // hosts_per_tower
 
 
 def num_towers(cluster: Cluster, hosts_per_tower: int = 1) -> int:

@@ -15,7 +15,7 @@ Design goals, in order:
 """
 
 from repro.nn.module import Module, Parameter
-from repro.nn.init import xavier_uniform, normal_init, uniform_embedding_init
+from repro.nn.init import xavier_uniform, uniform_embedding_init
 from repro.nn.layers import Identity, Linear, ReLU, Sequential, Sigmoid
 from repro.nn.mlp import MLP
 from repro.nn.embedding import (
@@ -54,7 +54,6 @@ __all__ = [
     "Adagrad",
     "RowwiseAdagrad",
     "xavier_uniform",
-    "normal_init",
     "uniform_embedding_init",
     "functional",
 ]

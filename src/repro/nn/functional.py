@@ -15,11 +15,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_sigmoid(x: np.ndarray) -> np.ndarray:
-    """log(sigmoid(x)) computed without intermediate overflow."""
-    return -np.logaddexp(0.0, -x)
-
-
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-element binary cross entropy from logits.
 

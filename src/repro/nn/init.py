@@ -21,13 +21,6 @@ def xavier_uniform(
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def normal_init(
-    rng: np.random.Generator, shape: "tuple[int, ...]", std: float = 0.01
-) -> np.ndarray:
-    """Gaussian init used for output heads."""
-    return rng.normal(0.0, std, size=shape)
-
-
 def uniform_embedding_init(
     rng: np.random.Generator, num_embeddings: int, dim: int
 ) -> np.ndarray:

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition import FeaturePartition
-from repro.core.peer import (
-    inverse_permutation,
-    num_towers,
-    peer_order,
-    peer_permutation,
-    tower_of_host,
-)
+from repro.core.peer import num_towers, peer_order
 from repro.hardware import Cluster
 
 
@@ -110,19 +104,6 @@ class TestPeerOrder:
         with pytest.raises(ValueError):
             peer_order(10, 4)
 
-    def test_peer_permutation_matches_cluster(self):
-        cluster = Cluster(num_hosts=3, gpus_per_host=2)
-        assert peer_permutation(cluster) == (0, 2, 4, 1, 3, 5)
-
-    def test_inverse_permutation(self):
-        perm = peer_order(8, 2)
-        inv = inverse_permutation(perm)
-        for i, p in enumerate(perm):
-            assert inv[p] == i
-
-    def test_inverse_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            inverse_permutation((0, 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -130,17 +111,9 @@ class TestPeerOrder:
 def test_peer_order_is_permutation(hosts, gpus):
     order = peer_order(hosts * gpus, gpus)
     assert sorted(order) == list(range(hosts * gpus))
-    inv = inverse_permutation(order)
-    assert tuple(order[i] for i in inv) == tuple(range(hosts * gpus))
 
 
 class TestTowerGeometry:
-    def test_tower_of_host_identity(self):
-        assert tower_of_host(5) == 5
-
-    def test_k_host_towers(self):
-        assert tower_of_host(5, hosts_per_tower=2) == 2
-
     def test_num_towers(self):
         c = Cluster(num_hosts=8, gpus_per_host=2)
         assert num_towers(c) == 8
