@@ -11,10 +11,10 @@ interaction completeness for compute and communication (Tables 4-5).
 Everything after the tower modules is stated once, behind the
 **tower-output seam**: ``overarch_features(dense, tower_outs)`` /
 ``overarch_backward(grad_features)``, one pair per family.  The
-single-process path feeds it ``tower(embs[:, group])`` for every tower;
-:class:`repro.core.dmt_pipeline.DistributedDMTTrainer` feeds it what
-SPTT step (f) delivers — two dataflows over the same statement of the
-math.
+single-process step feeds it each tower's output on its block of the
+batch, gathered tower-major (the (B, F, N) ``features_*`` seam adapts);
+:class:`~repro.core.dmt_pipeline.DistributedDMTTrainer` feeds it what
+SPTT step (f) delivers — two dataflows over one statement of the math.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.models.tower_module import (
     PassThroughTower,
     TowerModuleBase,
 )
-from repro.nn.embedding import TableConfig
+from repro.nn.embedding import TableConfig, tower_blocks
 from repro.nn.interactions import CrossNet, DotInteraction
 from repro.nn.layers import Linear
 from repro.nn.mlp import MLP
@@ -66,33 +66,57 @@ class _DMTBase(RecModel):
         self.towers: List[TowerModuleBase] = []
 
     # ------------------------------------------------------------------
+    # Tower-major core: each tower reads its (B, F_t, N) block in place
+    # and writes its input gradient into its block of one buffer.
+    def forward(self, dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        groups = self.partition.groups
+        blocks = tower_blocks(self.embeddings(ids, groups), groups)
+        return self.top(self._tower_features(dense, blocks)).reshape(-1)
+
+    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
+        g_top_in = self.top.backward(np.asarray(grad_logits).reshape(-1, 1))
+        g_dense, g_embs = self._towers_backward(g_top_in)
+        self.embeddings.backward(g_embs)
+        return g_dense
+
+    def _tower_features(
+        self, dense: np.ndarray, blocks: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        outs = [tower(block) for tower, block in zip(self.towers, blocks)]
+        return self.overarch_features(dense, outs)
+
+    def _towers_backward(
+        self, grad_features: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(g_dense, the tower-major (B*F, N) embedding gradient)."""
+        g_dense, tower_grads = self.overarch_backward(grad_features)
+        g_embs = np.empty((len(grad_features) * self.num_sparse, self.embedding_dim))
+        blocks = tower_blocks(g_embs, self.partition.groups)
+        for tower, g, block in zip(self.towers, tower_grads, blocks):
+            tower.backward(g, out=block)
+        return g_dense, g_embs
+
+    # The feature-order seam: (B, F, N) in and out, over the same core.
     def features_with_embeddings(
         self, dense: np.ndarray, embs: np.ndarray
     ) -> np.ndarray:
         """Top-MLP input, (B, ``top_in_features``): every tower on its
         feature group of (B, F, N), then the overarch."""
         self._check_embeddings(dense, embs)
-        return self.overarch_features(
-            dense,
-            [
-                tower(embs[:, list(group), :])
-                for tower, group in zip(self.towers, self.partition.groups)
-            ],
+        return self._tower_features(
+            dense, [embs[:, list(g), :] for g in self.partition.groups]
         )
 
     def features_backward(
         self, grad_features: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Backprop from the top-MLP input; returns (g_dense, g_embs)."""
-        g_dense, tower_grads = self.overarch_backward(grad_features)
+        g_dense, g_major = self._towers_backward(grad_features)
         # The groups partition the features, so every slot is written.
-        g_embs = np.empty(
-            (grad_features.shape[0], self.num_sparse, self.embedding_dim)
-        )
-        for tower, group, g in zip(
-            self.towers, self.partition.groups, tower_grads
-        ):
-            g_embs[:, list(group), :] = tower.backward(g)
+        g_embs = np.empty((len(grad_features), self.num_sparse, self.embedding_dim))
+        groups = self.partition.groups
+        for group, block in zip(groups, tower_blocks(g_major, groups)):
+            g_embs[:, list(group), :] = block
         return g_dense, g_embs
 
     # ------------------------------------------------------------------
@@ -172,14 +196,19 @@ class DMTDLRM(_DMTBase):
         self, dense: np.ndarray, tower_outs: Sequence[np.ndarray]
     ) -> np.ndarray:
         """Top-MLP input [bvec, dots], shape (B, ``top_in_features``)."""
-        B = dense.shape[0]
+        if len(tower_outs) != len(self.towers):
+            raise ValueError(f"{len(tower_outs)} outputs, {len(self.towers)} towers")
+        B, vd = dense.shape[0], self.vector_dim
         bottom_out = self.bottom(dense)
         bvec = self.bottom_proj(bottom_out) if self.bottom_proj else bottom_out
-        views = [
-            out.reshape(B, t.out_vectors, self.vector_dim)
-            for out, t in zip(tower_outs, self.towers)
-        ]
-        stacked = np.concatenate([bvec[:, None, :]] + views, axis=1)
+        # The interaction input, written in place: bvec, then the towers.
+        stacked = np.empty((B, self.interaction.num_inputs, vd))
+        stacked[:, 0] = bvec
+        start = 1
+        for out, t in zip(tower_outs, self.towers):
+            stop = start + t.out_vectors
+            stacked[:, start:stop] = out.reshape(B, t.out_vectors, vd)
+            start = stop
         dots = self.interaction(stacked)
         return np.concatenate([bvec, dots], axis=1)
 

@@ -24,7 +24,9 @@ from repro.nn.module import Module
 
 
 class TowerModuleBase(Module):
-    """Common interface: (B, F_t, N) -> (B, out_vectors * vector_dim)."""
+    """Common interface: (B, F_t, N) -> (B, out_vectors * vector_dim);
+    ``backward(grad, out=None)`` writes the input gradient into ``out``
+    when given one (a tower's block of a tower-major buffer)."""
 
     num_features: int
     in_dim: int
@@ -52,6 +54,13 @@ class TowerModuleBase(Module):
             )
         return embs
 
+    @staticmethod
+    def _into(out: Optional[np.ndarray], grad: np.ndarray) -> np.ndarray:
+        if out is None:
+            return grad
+        out[...] = grad
+        return out
+
 
 class PassThroughTower(TowerModuleBase):
     """Identity tower: SPTT-only configurations (Table 3, 26T-DCN)."""
@@ -70,10 +79,12 @@ class PassThroughTower(TowerModuleBase):
         self._shape = embs.shape
         return embs.reshape(embs.shape[0], -1)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called before forward")
-        return np.asarray(grad_output).reshape(self._shape)
+        return self._into(out, np.asarray(grad_output).reshape(self._shape))
 
     def flops_per_sample(self) -> int:
         return 0
@@ -129,9 +140,11 @@ class DLRMTowerModule(TowerModuleBase):
             parts.append(self.flat_proj(embs.reshape(B, -1)))
         if self.emb_proj is not None:
             parts.append(self.emb_proj(embs).reshape(B, -1))
-        return np.concatenate(parts, axis=1)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         if self._batch is None:
             raise RuntimeError("backward called before forward")
         B = self._batch
@@ -149,11 +162,11 @@ class DLRMTowerModule(TowerModuleBase):
                 B, self.num_features, self.c * D
             )
             parts.append(self.emb_proj.backward(g_proj))
-        # The branch gradients sum from +0.0 in listing order.  Each is
-        # a fresh ``Linear.backward`` result, so the first one is the
-        # accumulator: no zero-filled (B, F_t, N) array per tower.
-        grad_embs = parts[0]
-        grad_embs += 0.0
+        # The branch gradients sum from +0.0 in listing order.  The +0.0
+        # pass writes the first branch into the accumulator: ``out``, or
+        # that fresh ``Linear.backward`` result itself — never a
+        # zero-filled (B, F_t, N) array per tower.
+        grad_embs = np.add(parts[0], 0.0, out=parts[0] if out is None else out)
         for part in parts[1:]:
             grad_embs += part
         return grad_embs
@@ -200,10 +213,12 @@ class DCNTowerModule(TowerModuleBase):
         crossed = self.cross(embs.reshape(B, -1))
         return self.proj(crossed)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         g_crossed = self.proj.backward(np.asarray(grad_output, dtype=np.float64))
         g_flat = self.cross.backward(g_crossed)
-        return g_flat.reshape(-1, self.num_features, self.in_dim)
+        return self._into(out, g_flat.reshape(-1, self.num_features, self.in_dim))
 
     def flops_per_sample(self) -> int:
         return self.cross.flops_per_sample() + self.proj.flops_per_sample()

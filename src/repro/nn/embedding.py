@@ -75,6 +75,20 @@ def normalize_ids(ids: np.ndarray, num_features: int) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
+def tower_blocks(
+    buffer: np.ndarray, groups: Sequence[Sequence[int]]
+) -> List[np.ndarray]:
+    """The ``(B, len(g), N)`` block views of a tower-major ``(B*F, N)``
+    buffer, one per group, in group order."""
+    batch = buffer.shape[0] // sum(len(g) for g in groups)
+    blocks, start = [], 0
+    for group in groups:
+        stop = start + batch * len(group)
+        blocks.append(buffer[start:stop].reshape(batch, len(group), -1))
+        start = stop
+    return blocks
+
+
 @dataclass(frozen=True)
 class TableConfig:
     """Configuration of one embedding table.
@@ -199,11 +213,13 @@ class EmbeddingBagCollection(Module):
     """One table per sparse feature; the model-parallel unit of DLRM.
 
     Input ids: (B, F) single-hot or (B, F, P) multi-hot (uniform P);
-    output: (B, F, N).  All tables must share ``dim`` — the paper's
-    models use a uniform N so embeddings stack into one dense tensor
-    for the interaction arch — which is also what lets the collection
-    fuse every table into one weight matrix with per-feature row
-    offsets (a single gather forward, a single segment-sum backward).
+    output: (B, F, N), or tower-major when ``forward`` is given the
+    feature groups of a tower partition.  All tables must share ``dim``
+    — the paper's models use a uniform N so embeddings stack into one
+    dense tensor for the interaction arch — which is also what lets the
+    collection fuse every table into one weight matrix with per-feature
+    row offsets (a single gather forward, a single segment-sum
+    backward).
     """
 
     def __init__(
@@ -243,6 +259,8 @@ class EmbeddingBagCollection(Module):
         self._offsets = offsets
         self._cards = cards
         self.sparse_grad_mode = "rowwise"
+        self._batch: Optional[int] = None
+        self._groups: Optional[List[List[int]]] = None
         self._rows: Optional[np.ndarray] = None
 
     @property
@@ -256,11 +274,6 @@ class EmbeddingBagCollection(Module):
     @property
     def total_rows(self) -> int:
         return self._stacked.shape[0]
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        """Stacked-matrix start row of each table (``(F,)`` int64)."""
-        return self._offsets.copy()
 
     def geometry(self) -> List[dict]:
         """Table geometry as plain JSON-able dicts.
@@ -297,55 +310,72 @@ class EmbeddingBagCollection(Module):
         the per-table path until the alias is restored."""
         return all(t.weight.data.base is self._stacked for t in self.tables)
 
-    def forward(self, ids: np.ndarray) -> np.ndarray:
+    def forward(
+        self, ids: np.ndarray, groups: Optional[Sequence[Sequence[int]]] = None
+    ) -> np.ndarray:
+        """(B, F, N) pooled embeddings; given a tower partition's feature
+        ``groups``, the batch *tower-major* instead: one (B*F, N) buffer
+        of contiguous (B, F_t, N) blocks in group order (see
+        :func:`tower_blocks`).  ``backward`` takes the same layout."""
         ids = normalize_ids(ids, self.num_features)
+        B, F, P = ids.shape
+        layout = [list(range(F))] if groups is None else [list(g) for g in groups]
+        if sorted(f for g in layout for f in g) != list(range(F)):
+            raise ValueError(f"groups must partition the {F} features: {groups}")
+        # The layout backward expects; ``_rows`` is None on the fallback.
+        self._batch, self._groups = B, None if groups is None else layout
+
+        def major(a: np.ndarray) -> np.ndarray:
+            """(B, F, X) -> (B*F, X), the groups' blocks one after another."""
+            return np.concatenate([a[:, g].reshape(-1, a.shape[2]) for g in layout])
+
         if not self._fused_intact():
             self._rows = None
-            outs = [table(ids[:, f]) for f, table in enumerate(self.tables)]
-            return np.stack(outs, axis=1)
-        # One fused validation against the stacked cardinalities (no
-        # per-table scans), then one gather over the stacked matrix.
-        bounds = self._cards.astype(np.uint64)[None, :, None]
-        if (ids.astype(np.uint64, copy=False) >= bounds).any():
-            bad = np.argwhere(ids.astype(np.uint64) >= bounds)[0]
-            f = int(bad[1])
-            raise IndexError(
-                f"ids out of range [0, {int(self._cards[f])}) for table "
-                f"{self.configs[f].name}"
-            )
-        rows = ids + self._offsets[None, :, None]
-        self._rows = rows
-        if rows.shape[2] == 1:
-            return _bags_of_one(self._stacked, rows[:, :, 0])
-        # (B, F, P, N) gather then sum-pool over P.
-        return self._stacked[rows].sum(axis=2)
+            embs = [t(ids[:, f]) for f, t in enumerate(self.tables)]
+            pooled = major(np.stack(embs, axis=1))
+        else:
+            # One fused validation against the stacked cardinalities (no
+            # per-table scans), then one gather over the stacked matrix.
+            bounds = self._cards.astype(np.uint64)[None, :, None]
+            if (ids.astype(np.uint64, copy=False) >= bounds).any():
+                bad = np.argwhere(ids.astype(np.uint64) >= bounds)[0]
+                f = int(bad[1])
+                raise IndexError(
+                    f"ids out of range [0, {int(self._cards[f])}) for table "
+                    f"{self.configs[f].name}"
+                )
+            # Every (sample, feature) bag in output order: (B*F, P) rows.
+            self._rows = rows = major(ids + self._offsets[None, :, None])
+            if P == 1:
+                pooled = _bags_of_one(self._stacked, rows[:, 0])
+            else:
+                # (B*F, P, N) gather then sum-pool over P.
+                pooled = self._stacked[rows].sum(axis=1)
+        return pooled.reshape(B, F, self.dim) if groups is None else pooled
 
     def backward(self, grad_output: np.ndarray) -> None:
+        if self._batch is None:
+            raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        if grad_output.ndim != 3 or grad_output.shape[1:] != (
-            self.num_features,
-            self.dim,
-        ):
-            raise ValueError(
-                f"grad must be (B, {self.num_features}, {self.dim}), "
-                f"got {grad_output.shape}"
-            )
+        F, N, B = self.num_features, self.dim, self._batch
+        want, shape = (B, F, N), f"(B, {F}, {N})"
+        if self._groups is not None:
+            want, shape = (B * F, N), f"tower-major (B*{F}, {N})"
+        if grad_output.shape != want:
+            raise ValueError(f"grad must be {shape} for B={B}, got {grad_output.shape}")
+        grads = grad_output.reshape(-1, N)
         if self._rows is None:
             # Forward ran on the per-table fallback path (see
             # _fused_intact); route gradients per table too.
-            for f, table in enumerate(self.tables):
-                table.backward(grad_output[:, f])
+            layout = self._groups or [list(range(F))]
+            for g, block in zip(layout, tower_blocks(grads, layout)):
+                for j, f in enumerate(g):
+                    self.tables[f].backward(block[:, j])
             return
-        B, _, P = self._rows.shape
-        if grad_output.shape[0] != B:
-            raise ValueError(
-                f"grad batch {grad_output.shape[0]} != forward batch {B}"
-            )
-        # One ordered segment-sum over the stacked row space: every
-        # (sample, feature) pair is one bag of P stacked rows ...
-        stacked = RowwiseGrad.from_pooled(
-            self._rows.reshape(-1, P), grad_output.reshape(-1, self.dim)
-        )
+        # One ordered segment-sum over the stacked row space: every bag
+        # is P stacked rows.  A table's bags keep sample order in either
+        # layout, so its sums are the same bits ...
+        stacked = RowwiseGrad.from_pooled(self._rows, grads)
         uniq, seg = stacked.rows, stacked.grads
         # ... then split at table boundaries (uniq is sorted, so each
         # table's rows form one contiguous slice — O(F) bookkeeping).
