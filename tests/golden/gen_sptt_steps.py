@@ -24,6 +24,10 @@ c=1/p=1, c=0/p=1) and DMT-DCN (pass-through, projecting) over the
 scrambled and both uneven partitions, single-hot and multi-hot (P=3).
 They store every float as its ``repr`` plus a SHA-256 of every
 parameter's bytes, so they compare bit for bit.
+
+``session/distributed_training`` pins ``Session(distributed_training_spec())
+.train()`` end to end: the step and reference losses and ``max_drift``
+as ``repr`` strings, the parameters' SHA-256 and every timeline event.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from typing import Any, Callable, Dict, List
 
 import numpy as np
 
+from repro.api import Session
+from repro.api.presets import distributed_training_spec
 from repro.core import (
     DistributedDMTTrainer,
     DistributedHybridTrainer,
@@ -87,6 +93,19 @@ def _sim(hosts: int) -> SimCluster:
     )
 
 
+def _events(sim: SimCluster) -> List[List[Any]]:
+    return [
+        [e.phase.value, e.label, e.seconds, e.nbytes, e.world_size]
+        for e in sim.timeline.events
+    ]
+
+
+def _params_sha256(model) -> str:
+    return hashlib.sha256(
+        b"".join(p.data.tobytes() for p in model.parameters())
+    ).hexdigest()
+
+
 def _steps(sim: SimCluster, model, step: Callable) -> Dict[str, Any]:
     """Three seeded global batches through ``step``; the pinned record."""
     opt = Adam(model.parameters(), lr=0.01)
@@ -105,10 +124,7 @@ def _steps(sim: SimCluster, model, step: Callable) -> Dict[str, Any]:
             [name, float(p.data.sum()), float(np.abs(p.data).sum())]
             for name, p in model.named_parameters()
         ],
-        "timeline": [
-            [e.phase.value, e.label, e.seconds, e.nbytes, e.world_size]
-            for e in sim.timeline.events
-        ],
+        "timeline": _events(sim),
     }
 
 
@@ -188,9 +204,19 @@ def _single(kind: str, groups, pooling: int) -> Dict[str, Any]:
             [name, repr(float(p.data.sum())), repr(float(abs(p.data).sum()))]
             for name, p in model.named_parameters()
         ],
-        "params_sha256": hashlib.sha256(
-            b"".join(p.data.tobytes() for p in model.parameters())
-        ).hexdigest(),
+        "params_sha256": _params_sha256(model),
+    }
+
+
+def _session() -> Dict[str, Any]:
+    """The distributed-training preset through ``Session.train()``."""
+    art = Session(distributed_training_spec()).train()
+    return {
+        "losses": [repr(float(x)) for x in art.losses],
+        "ref_losses": [repr(float(x)) for x in art.ref_losses],
+        "max_drift": repr(float(art.max_drift)),
+        "params_sha256": _params_sha256(art.model),
+        "timeline": _events(art.trainer.sim),
     }
 
 
@@ -222,6 +248,7 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
         for part, groups in SINGLE_PARTITIONS.items()
         for pooling in (1, 3)
     },
+    "session/distributed_training": _session,
 }
 
 
