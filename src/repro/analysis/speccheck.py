@@ -674,13 +674,16 @@ def _check_save_cadence(spec: RunSpec):
         or ck.save_every_steps == 0
         or spec.train is None
         or spec.data is None
-        or spec.train.mode != "single"
     ):
         return
-    split = _train_split_size(spec.data)
-    if split == 0 or spec.train.batch_size > split:
-        return  # reported by the split checks already
-    total_steps = (split // spec.train.batch_size) * spec.train.epochs
+    if spec.train.mode == "simulated":
+        total_steps, formula = spec.train.steps, "train.steps"
+    else:
+        split = _train_split_size(spec.data)
+        if split == 0 or spec.train.batch_size > split:
+            return  # reported by the split checks already
+        total_steps = (split // spec.train.batch_size) * spec.train.epochs
+        formula = "(train_split // batch_size) * epochs"
     if ck.save_every_steps > total_steps:
         yield _diag(
             "warning",
@@ -689,8 +692,7 @@ def _check_save_cadence(spec: RunSpec):
             f"run's {total_steps} total optimizer steps; periodic "
             f"autosave never fires",
             "checkpoint.save_every_steps",
-            "lower save_every_steps below "
-            "(train_split // batch_size) * epochs",
+            f"lower save_every_steps below {formula}",
         )
 
 

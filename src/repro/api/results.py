@@ -131,7 +131,8 @@ class PlanArtifact:
 class TrainArtifact:
     """Outcome of the training stage.
 
-    ``mode='single'``: ``trainer``/``eval_result``/``epoch_losses``.
+    ``trainer`` is the :class:`~repro.training.Trainer` in both modes.
+    ``mode='single'``: ``eval_result``/``epoch_losses``.
     ``mode='simulated'``: per-step ``losses`` (and, when verification
     is on, ``ref_losses`` plus the ``max_drift`` between distributed
     and single-process parameters), and the priced ``timeline`` text.

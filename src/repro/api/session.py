@@ -76,7 +76,7 @@ from repro.models import (
     tiny_table_configs,
 )
 from repro.models.configs import DenseArch
-from repro.nn import Adam, BCEWithLogitsLoss, TableConfig, set_sparse_grad_mode
+from repro.nn import TableConfig
 from repro.partitioner import TowerPartitioner, interaction_from_activations
 from repro.perf.iteration_model import IterationLatencyModel
 from repro.perf.profiles import baseline_profile, dmt_profile_for_towers
@@ -99,6 +99,7 @@ from repro.training import (
     MultiTaskEvalResult,
     TrainConfig,
     Trainer,
+    adam_pair,
     run_seed_sweep,
 )
 
@@ -424,22 +425,35 @@ class Session:
         return self._stage("plan", build)
 
     def train(self) -> TrainArtifact:
-        """Run the training stage (single-process or simulated cluster)."""
+        """Run the training stage: one :class:`Trainer` loop for the
+        single-process and the simulated-cluster mode (see
+        :class:`~repro.api.spec.TrainSpec`), sharing checkpoint resume,
+        autosave and the elastic plan."""
+        return self._stage("train", self._train)
 
-        def build() -> TrainArtifact:
-            train = self._need("train")
-            self._ensure_analyzed()
-            if train.mode == "single":
-                return self._train_single()
-            return self._train_simulated()
-
-        return self._stage("train", build)
-
-    def _train_single(self) -> TrainArtifact:
-        train = self.spec.train
-        art = self.load_data()
+    def _train(self) -> TrainArtifact:
+        train = self._need("train")
+        self._ensure_analyzed()
+        config = train.trainer_config()
         model = self.build_model()
-        trainer = Trainer(model, train.trainer_config())
+        ref: Optional[Trainer] = None
+        if train.mode == "single":
+            trainer = Trainer(model, config)
+        else:
+            sim = SimCluster(self.build_cluster())
+            trainer = Trainer(
+                model,
+                config,
+                DistributedDMTTrainer(sim, model),
+                adam_pair(model, train.dense_lr),
+            )
+            if train.verify:  # the same recipe in one process
+                ref_model = self._make_model()
+                ref = Trainer(
+                    ref_model,
+                    config,
+                    optimizers=adam_pair(ref_model, train.dense_lr),
+                )
         ck = self.spec.checkpoint
         on_step_end = None
         if ck is not None:
@@ -466,6 +480,9 @@ class Session:
                         f"bit-identical"
                     )
                 load_training_checkpoint(ck.resume_from, model, trainer)
+                if trainer.step is not None:
+                    # The tower replicas were copied before the restore.
+                    trainer.step.sync_replicas()
                 record.resumed_from = ck.resume_from
                 record.resumed_step = trainer.global_step
                 # A different cluster shape than the one the run was
@@ -476,7 +493,7 @@ class Session:
                         saved.get("gpus_per_host", 1)
                     )
                     if saved_world != self.spec.cluster.world_size:
-                        record.elastic = self._elastic_plan()
+                        self.elastic_plan()
             if ck.save_every_steps > 0:
                 manager = CheckpointManager(
                     os.path.join(ck.directory, self.spec.name),
@@ -494,14 +511,41 @@ class Session:
                     if path is not None:
                         self._checkpoint_record().saved_path = path
 
-        epoch_losses = trainer.fit(*art.train, on_step_end=on_step_end)
-        eval_result = trainer.evaluate(*art.eval)
+        if train.mode == "single":
+            art = self.load_data()
+            epoch_losses = trainer.fit(*art.train, on_step_end=on_step_end)
+            return TrainArtifact(
+                mode="single",
+                model=model,
+                trainer=trainer,
+                eval_result=trainer.evaluate(*art.eval),
+                epoch_losses=[float(x) for x in epoch_losses],
+            )
+        dataset = _dataset_for(self.spec.data)
+        # The reference is a pure function of the spec: after a resume
+        # it replays the steps the checkpoint skipped, bit for bit.
+        first = 0 if ref is not None else trainer.global_step
+        for step in range(first, train.steps):
+            batch = dataset.sample(
+                train.global_batch, seed=train.step_seed + step
+            )
+            if step == trainer.global_step:
+                trainer.train_batch(*batch)
+                if on_step_end is not None:
+                    on_step_end(trainer)
+            if ref is not None:
+                ref.train_batch(*batch)
         return TrainArtifact(
-            mode="single",
+            mode="simulated",
             model=model,
             trainer=trainer,
-            eval_result=eval_result,
-            epoch_losses=[float(x) for x in epoch_losses],
+            losses=list(trainer.loss_history),
+            ref_losses=list(ref.loss_history) if ref is not None else [],
+            max_drift=None if ref is None else max(
+                float(np.abs(p1.data - p2.data).max())
+                for p1, p2 in zip(model.parameters(), ref.model.parameters())
+            ),
+            timeline=sim.timeline.format_table(),
         )
 
     # ------------------------------------------------------------------
@@ -527,14 +571,9 @@ class Session:
         Runs the training stage first if it has not run yet.  The
         default path is ``<checkpoint.directory>/<run name>/final``
         (requiring a checkpoint section only when no explicit path is
-        given).  Only single-process training checkpoints.
+        given).  Both training modes checkpoint the same way.
         """
-        train = self._need("train")
-        if train.mode != "single":
-            raise SpecError(
-                "save_checkpoint covers single-process training; "
-                f"got train.mode={train.mode!r}"
-            )
+        self._need("train")
         if path is None:
             ck: CheckpointSpec = self._need("checkpoint")
             path = os.path.join(ck.directory, self.spec.name, "final")
@@ -561,79 +600,21 @@ class Session:
             )
         return self.train()
 
-    def _elastic_plan(self):
-        ck: CheckpointSpec = self._need("checkpoint")
-        if ck.resume_from is None:
-            raise SpecError(
-                "elastic_plan requires checkpoint.resume_from"
-            )
-        part = self.spec.partition
-        return plan_elastic_restore(
-            ck.resume_from,
-            self.build_cluster(),
-            num_towers=part.num_towers if part is not None else None,
-        )
-
     def elastic_plan(self):
         """Re-partition/re-shard/price the resume checkpoint onto this
         spec's cluster (an :class:`repro.checkpoint.ElasticRestorePlan`)."""
         record = self._checkpoint_record()
         if record.elastic is None:
-            record.elastic = self._elastic_plan()
+            ck: CheckpointSpec = self._need("checkpoint")
+            if ck.resume_from is None:
+                raise SpecError("elastic_plan requires checkpoint.resume_from")
+            part = self.spec.partition
+            record.elastic = plan_elastic_restore(
+                ck.resume_from,
+                self.build_cluster(),
+                num_towers=part.num_towers if part is not None else None,
+            )
         return record.elastic
-
-    def _train_simulated(self) -> TrainArtifact:
-        train = self.spec.train
-        dataset = _dataset_for(self._need("data"))
-        sim = SimCluster(self.build_cluster())
-        dist_model = self.build_model()
-        # The SPTT exchange scatter-adds into the shared tables; the
-        # spec knob decides whether that lands as compact row-wise
-        # gradients (densified only at the Adam step below) or as the
-        # dense reference.  Either way the update math is identical.
-        set_sparse_grad_mode(dist_model, train.sparse_grad_mode)
-        dmt_trainer = DistributedDMTTrainer(sim, dist_model)
-        opts = [Adam(dist_model.parameters(), lr=train.dense_lr)]
-        ref_model = self._make_model() if train.verify else None
-        if ref_model is not None:
-            set_sparse_grad_mode(ref_model, train.sparse_grad_mode)
-        ref_opt = (
-            Adam(ref_model.parameters(), lr=train.dense_lr)
-            if ref_model is not None
-            else None
-        )
-        loss_mod = BCEWithLogitsLoss()
-        losses: List[float] = []
-        ref_losses: List[float] = []
-        for step in range(train.steps):
-            dense, ids, labels = dataset.sample(
-                train.global_batch, seed=train.step_seed + step
-            )
-            losses.append(float(dmt_trainer.fit_step(dense, ids, labels, opts)))
-            if ref_model is not None:
-                ref_opt.zero_grad()
-                ref_losses.append(
-                    float(loss_mod(ref_model(dense, ids), labels))
-                )
-                ref_model.backward(loss_mod.backward())
-                ref_opt.step()
-        max_drift = None
-        if ref_model is not None:
-            max_drift = max(
-                float(np.abs(p1.data - p2.data).max())
-                for p1, p2 in zip(
-                    dist_model.parameters(), ref_model.parameters()
-                )
-            )
-        return TrainArtifact(
-            mode="simulated",
-            model=dist_model,
-            trainer=dmt_trainer,
-            losses=losses,
-            ref_losses=ref_losses,
-            max_drift=max_drift,
-            timeline=sim.timeline.format_table(),
-        )
 
     def price(self) -> PriceArtifact:
         """Model the per-iteration latency at paper scale."""

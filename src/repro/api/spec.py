@@ -547,10 +547,13 @@ class PartitionSpec(_SpecBase):
 class TrainSpec(_SpecBase):
     """Training protocol: single-process quality or simulated cluster.
 
-    ``mode='single'`` wraps :class:`repro.training.Trainer`;
-    ``mode='simulated'`` runs the model-parallel
+    Both modes train through :class:`repro.training.Trainer` and both
+    checkpoint, resume and autosave.  ``mode='single'`` runs the
+    model's own step over shuffled epochs; ``mode='simulated'`` runs
+    ``steps`` steps with the model-parallel
     :class:`repro.core.dmt_pipeline.DistributedDMTTrainer` on a
-    :class:`repro.sim.SimCluster` (optionally verifying step losses
+    :class:`repro.sim.SimCluster` as the step executor, one Adam over
+    every parameter at ``dense_lr`` (optionally verifying step losses
     against single-process training on the same global batches).
     """
 
@@ -1335,15 +1338,6 @@ class RunSpec(_SpecBase):
                 _require(
                     self.train is not None,
                     "checkpoint.save_every_steps requires a train section",
-                )
-            if self.train is not None and (
-                self.checkpoint.save_every_steps > 0
-                or self.checkpoint.resume_from is not None
-            ):
-                _require(
-                    self.train.mode == "single",
-                    "checkpoint save/resume covers single-process "
-                    "training; set train.mode='single'",
                 )
         if self.train is not None:
             _require(

@@ -1,13 +1,15 @@
 """Distributed training steps: hybrid-parallel baseline and DMT.
 
-Both trainers execute *real math* over the simulated cluster: model
-parallelism for tables (via the exchanges), data parallelism for the
-dense plane (rank-sequential execution with gradient accumulation —
-numerically the AllReduce sum), and for DMT the tower modules are
-replicated per rank within their host and synchronized intra-host
-exactly as §3.2 prescribes.
+Both are *step executors*: ``Trainer(model, config, step=executor)``
+owns the loop and the optimizers and calls ``train_step``, then
+``sync_replicas`` after its optimizer step.  They run *real math* over
+the simulated cluster: model parallelism for tables (via the
+exchanges), data parallelism for the dense plane (rank-sequential
+execution with gradient accumulation — numerically the AllReduce sum),
+and for DMT the tower modules are replicated per rank within their
+host and synchronized intra-host exactly as §3.2 prescribes.
 
-Neither trainer states any model math.  What they share — splitting
+Neither executor states any model math.  What they share — splitting
 the global batch, the per-rank loss/grad loop over the dense plane,
 pricing it, the global dense AllReduce — is :class:`_DataParallelStep`;
 each trainer adds the exchange it owns and which of the model's entry
@@ -16,7 +18,7 @@ the flat exchange's (B, F, N) embeddings, the tower-output seam
 (``overarch_features`` / ``overarch_backward``, see
 :mod:`repro.models.dmt`) for SPTT step (f)'s per-tower outputs.
 
-The integration tests assert these trainers match single-process
+The integration tests assert these executors match single-process
 training on the concatenated global batch to float tolerance, which is
 the strongest form of the paper's "semantic preserving" claim: an
 equality of two dataflows over one statement of the math.
@@ -116,6 +118,9 @@ class _DataParallelStep:
         )
         return loss_sum / total
 
+    def sync_replicas(self) -> None:
+        """Refresh per-rank copies after the optimizer step (none here)."""
+
 
 class DistributedHybridTrainer(_DataParallelStep):
     """The state-of-the-art baseline: TorchRec-style hybrid parallelism.
@@ -159,8 +164,9 @@ class DistributedDMTTrainer(_DataParallelStep):
     on each of host ``t``'s ``L`` ranks; each replica processes its
     rank's (H*B, F_t, N) peer block; gradients are summed intra-host
     (an NVLink AllReduce) into the canonical module on ``model``.
-    After the caller's optimizer step, :meth:`sync_replicas` refreshes
-    the replicas — or use :meth:`fit_step` to do it all.
+    After the optimizer step, :meth:`sync_replicas` refreshes the
+    replicas; ``Trainer`` calls it, and :meth:`fit_step` is the same
+    step with caller-held optimizers.
     """
 
     _dense_label = "overarch_fwd_bwd"

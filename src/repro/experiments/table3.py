@@ -6,7 +6,8 @@ exact, the reproduction asserts *numeric identity* of the trained
 models — flat single-process training and distributed SPTT training
 (pass-through towers on a simulated 2x2 cluster, same batches) reach
 the same evaluation AUC to float tolerance.  Both models are built by
-the session layer from :func:`experiment_specs`.
+the session layer from :func:`experiment_specs` and trained by two
+:class:`~repro.training.Trainer` s that differ only in the step executor.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from repro.api.presets import (
 from repro.core.dmt_pipeline import DistributedDMTTrainer
 from repro.experiments.registry import register
 from repro.experiments.result import ExperimentResult, format_table
-from repro.nn import Adam, BCEWithLogitsLoss
 from repro.sim import SimCluster
+from repro.training import TrainConfig, Trainer, adam_pair
 from repro.training.metrics import auc
 
 
@@ -60,23 +61,19 @@ def _distributed_sptt_auc(kind: str, steps: int, batch: int) -> "tuple[float, fl
     # Pass-through DMT has exactly the flat model's parameters.
     dmt.load_state_dict(flat.state_dict())
 
+    # Two Trainers, one recipe; only the step executor differs.
     sim = SimCluster(sptt_session.build_cluster())
-    trainer = DistributedDMTTrainer(sim, dmt)
-    loss_mod = BCEWithLogitsLoss()
-    opt_flat = Adam(flat.parameters(), lr=0.01)
-    opt_dmt = Adam(dmt.parameters(), lr=0.01)
-    for step in range(steps):
-        lo = (step * batch) % (len(tl) - batch)
+    executor = DistributedDMTTrainer(sim, dmt)
+    trainers = [
+        Trainer(model, TrainConfig(), step, adam_pair(model, 0.01))
+        for model, step in ((flat, None), (dmt, executor))
+    ]
+    for i in range(steps):
+        lo = (i * batch) % (len(tl) - batch)
         sl = slice(lo, lo + batch)
-        trainer.fit_step(td[sl], ti[sl], tl[sl], [opt_dmt])
-        opt_flat.zero_grad()
-        logits = flat(td[sl], ti[sl])
-        loss_mod(logits, tl[sl])
-        flat.backward(loss_mod.backward())
-        opt_flat.step()
-    flat_auc = auc(el, flat(ed, ei))
-    dmt_auc = auc(el, dmt.forward(ed, ei))
-    return flat_auc, dmt_auc
+        for trainer in trainers:
+            trainer.train_batch(td[sl], ti[sl], tl[sl])
+    return auc(el, flat(ed, ei)), auc(el, dmt.forward(ed, ei))
 
 
 @register("table3", "SPTT semantic preservation (AUC neutrality)")

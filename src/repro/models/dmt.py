@@ -13,8 +13,10 @@ Everything after the tower modules is stated once, behind the
 ``overarch_backward(grad_features)``, one pair per family.  The
 single-process step feeds it each tower's output on its block of the
 batch, gathered tower-major (the (B, F, N) ``features_*`` seam adapts);
-:class:`~repro.core.dmt_pipeline.DistributedDMTTrainer` feeds it what
-SPTT step (f) delivers — two dataflows over one statement of the math.
+:class:`~repro.core.dmt_pipeline.DistributedDMTTrainer`, the step
+executor :class:`repro.training.Trainer` runs over a simulated cluster,
+feeds it what SPTT step (f) delivers — two dataflows over one statement
+of the math, inside one training loop.
 """
 
 from __future__ import annotations

@@ -111,18 +111,47 @@ class SimCluster:
                 sizes.append(sum(np.asarray(b).nbytes for b in buf))
         return max(sizes) if sizes else 0
 
-    @staticmethod
-    def _check_disjoint(groups: Sequence[ProcessGroup], what: str) -> None:
-        """Groups priced as one parallel step must share no rank."""
+    def _concurrent(
+        self,
+        kind: str,
+        groups: Sequence[ProcessGroup],
+        buffers: Mapping[int, object],
+        phase: Phase,
+        label: str,
+    ) -> Dict[int, object]:
+        """Collective ``kind`` over disjoint groups as one parallel step:
+        buffers cover exactly the groups' union (checked before pricing),
+        data moves per group, and the timeline records the slowest group
+        and the largest per-rank buffer (the groups overlap in time)."""
         ranks_seen: set = set()
         for g in groups:
             overlap = ranks_seen & set(g.ranks)
             if overlap:
                 raise ValueError(
-                    f"concurrent {what} groups must be disjoint; ranks "
+                    f"concurrent {kind} groups must be disjoint; ranks "
                     f"{sorted(overlap)} appear twice"
                 )
             ranks_seen |= set(g.ranks)
+        union = ProcessGroup(self.cluster, tuple(sorted(ranks_seen)))
+        F.check_membership(union, buffers)
+        out: Dict[int, object] = {}
+        worst = 0.0
+        worst_bytes = 0
+        for g in groups:
+            sub = {r: buffers[r] for r in g.ranks}
+            nbytes = self._buffer_bytes(sub)
+            timing = getattr(self.cost_model, kind)(g, nbytes)
+            worst = max(worst, timing.seconds)
+            worst_bytes = max(worst_bytes, nbytes)
+            out.update(getattr(F, kind)(g, sub))
+        self.timeline.add(
+            phase,
+            label,
+            worst,
+            worst_bytes,
+            max((g.world_size for g in groups), default=1),
+        )
+        return out
 
     def alltoall(
         self,
@@ -158,33 +187,9 @@ class SimCluster:
         phase: Phase,
         label: str,
     ) -> Dict[int, List[np.ndarray]]:
-        """AlltoAll over several *disjoint* groups as one parallel step.
-
-        Data moves within each group independently; the timeline records
-        the slowest group (they share no ranks, so they overlap — the
-        SPTT step (f) pattern of ``L`` concurrent peer AlltoAlls).
-        """
-        self._check_disjoint(groups, "alltoall")
-        out: Dict[int, List[np.ndarray]] = {}
-        worst = 0.0
-        worst_bytes = 0
-        for g in groups:
-            sub = {r: buffers[r] for r in g.ranks}
-            nbytes = self._buffer_bytes(sub)
-            timing = self.cost_model.alltoall(g, nbytes)
-            worst = max(worst, timing.seconds)
-            worst_bytes = max(worst_bytes, nbytes)
-            out.update(F.alltoall(g, sub))
-        # nbytes is per-rank buffer size (the same convention as the
-        # plain collectives), maxed over the concurrent groups.
-        self.timeline.add(
-            phase,
-            label,
-            worst,
-            worst_bytes,
-            max((g.world_size for g in groups), default=1),
-        )
-        return out
+        """AlltoAll over disjoint groups as one parallel step (the SPTT
+        step (f) pattern of ``L`` concurrent peer AlltoAlls)."""
+        return self._concurrent("alltoall", groups, buffers, phase, label)
 
     def allreduce(
         self,
@@ -206,27 +211,9 @@ class SimCluster:
         phase: Phase,
         label: str,
     ) -> Dict[int, np.ndarray]:
-        """AllReduce over disjoint groups as one parallel step (tower
-        module gradient sync: one NVLink AllReduce per host)."""
-        self._check_disjoint(groups, "allreduce")
-        out: Dict[int, np.ndarray] = {}
-        worst = 0.0
-        worst_bytes = 0
-        for g in groups:
-            sub = {r: buffers[r] for r in g.ranks}
-            nbytes = self._buffer_bytes(sub)
-            timing = self.cost_model.allreduce(g, nbytes)
-            worst = max(worst, timing.seconds)
-            worst_bytes = max(worst_bytes, nbytes)
-            out.update(F.allreduce(g, sub))
-        self.timeline.add(
-            phase,
-            label,
-            worst,
-            worst_bytes,
-            max((g.world_size for g in groups), default=1),
-        )
-        return out
+        """AllReduce over disjoint groups as one parallel step (e.g. one
+        NVLink AllReduce per host)."""
+        return self._concurrent("allreduce", groups, buffers, phase, label)
 
     def reducescatter(
         self,

@@ -11,6 +11,7 @@ from repro.training.loop import (
     MultiTaskEvalResult,
     Trainer,
     TrainConfig,
+    adam_pair,
 )
 from repro.training.stats import (
     SeedSweepResult,
@@ -25,6 +26,7 @@ __all__ = [
     "normalized_entropy",
     "Trainer",
     "TrainConfig",
+    "adam_pair",
     "EvalResult",
     "MultiTaskEvalResult",
     "mann_whitney_u",

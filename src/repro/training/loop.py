@@ -1,10 +1,12 @@
-"""Single-process training loop used by every quality experiment.
+"""The training loop: every executed training step in the repo.
 
 One :class:`Trainer` wraps a model with separate dense and sparse
 optimizers (Adam for the dense arch — the paper's §5.1 choice — and
 Adagrad for embedding tables, the standard DLRM recipe), an optional
 warmup/decay schedule (the "Strong Baseline" ingredient of Table 2),
-and deterministic epoch iteration.
+and deterministic epoch iteration.  Forward and backward run in a step
+executor: the model itself, or a :mod:`repro.core.dmt_pipeline`
+trainer over a simulated cluster (§3.1: the same step, distributed).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from repro.nn.loss import BCEWithLogitsLoss, MultiLoss
 from repro.nn.optim import (
     Adagrad,
     Adam,
-    Optimizer,
     RowwiseAdagrad,
     SGD,
     WarmupDecaySchedule,
@@ -47,6 +48,15 @@ def _mix_epoch_seed(seed: int, epoch: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def adam_pair(model, lr: float) -> Tuple[Adam, Adam]:
+    """One Adam over every parameter as a :class:`Trainer`'s ``(dense,
+    sparse)`` pair — bit-identical to one Adam over ``parameters()``:
+    Adam updates each parameter on its own, and both halves advance
+    ``step_count`` once per step.  The executed SPTT run's recipe."""
+    dense = list(model.dense_parameters()) + list(model.tower_parameters())
+    return Adam(dense, lr=lr), Adam(model.sparse_parameters(), lr=lr)
 
 
 @dataclass(frozen=True)
@@ -162,27 +172,36 @@ class Trainer:
     ``MultiTaskModel`` do.  Tower-module parameters (``[]`` on a flat
     model) are folded into the dense optimizer: single-process training
     syncs nothing.
+
+    ``step`` is the step executor (``None``: the model's own
+    forward/loss/backward), e.g. a ``DistributedDMTTrainer``: its
+    ``train_step(dense, ids, labels)`` accumulates the gradients and
+    returns the loss, its ``sync_replicas()`` runs after the optimizer
+    update.  ``optimizers``, a ``(dense, sparse)`` pair (see
+    :func:`adam_pair`), replaces the config's recipe.
     """
 
-    def __init__(self, model, config: TrainConfig):
+    def __init__(self, model, config: TrainConfig, step=None, optimizers=None):
         self.model = model
         self.config = config
-        dense_params = list(model.dense_parameters()) + list(
-            model.tower_parameters()
-        )
-        if config.dense_optimizer == "adam":
-            self.dense_opt: Optimizer = Adam(dense_params, lr=config.dense_lr)
-        else:
-            self.dense_opt = SGD(dense_params, lr=config.dense_lr)
+        self.step = step
         set_sparse_grad_mode(model, config.sparse_grad_mode)
-        if config.sparse_grad_mode == "rowwise":
-            self.sparse_opt: Optimizer = RowwiseAdagrad(
-                model.sparse_parameters(), lr=config.sparse_lr
+        if optimizers is None:
+            dense = Adam if config.dense_optimizer == "adam" else SGD
+            sparse = (
+                RowwiseAdagrad
+                if config.sparse_grad_mode == "rowwise"
+                else Adagrad
             )
-        else:
-            self.sparse_opt = Adagrad(
-                model.sparse_parameters(), lr=config.sparse_lr
+            optimizers = (
+                dense(
+                    list(model.dense_parameters())
+                    + list(model.tower_parameters()),
+                    lr=config.dense_lr,
+                ),
+                sparse(model.sparse_parameters(), lr=config.sparse_lr),
             )
+        self.dense_opt, self.sparse_opt = optimizers
         self.schedule = (
             WarmupDecaySchedule(config.dense_lr, config.warmup_steps)
             if config.warmup_steps > 0
@@ -230,11 +249,16 @@ class Trainer:
             self.schedule.apply(self.dense_opt, self.global_step)
         self.dense_opt.zero_grad()
         self.sparse_opt.zero_grad()
-        logits = self.model(dense, ids)
-        loss = self.loss_module(logits, labels)
-        self.model.backward(self.loss_module.backward())
+        if self.step is None:
+            logits = self.model(dense, ids)
+            loss = self.loss_module(logits, labels)
+            self.model.backward(self.loss_module.backward())
+        else:
+            loss = self.step.train_step(dense, ids, labels)
         self.dense_opt.step()
         self.sparse_opt.step()
+        if self.step is not None:
+            self.step.sync_replicas()
         self.global_step += 1
         self.loss_history.append(loss)
         if self.tasks is not None:

@@ -100,7 +100,7 @@ def _events(sim: SimCluster) -> List[List[Any]]:
     ]
 
 
-def _params_sha256(model) -> str:
+def params_sha256(model) -> str:
     return hashlib.sha256(
         b"".join(p.data.tobytes() for p in model.parameters())
     ).hexdigest()
@@ -204,7 +204,7 @@ def _single(kind: str, groups, pooling: int) -> Dict[str, Any]:
             [name, repr(float(p.data.sum())), repr(float(abs(p.data).sum()))]
             for name, p in model.named_parameters()
         ],
-        "params_sha256": _params_sha256(model),
+        "params_sha256": params_sha256(model),
     }
 
 
@@ -215,8 +215,8 @@ def _session() -> Dict[str, Any]:
         "losses": [repr(float(x)) for x in art.losses],
         "ref_losses": [repr(float(x)) for x in art.ref_losses],
         "max_drift": repr(float(art.max_drift)),
-        "params_sha256": _params_sha256(art.model),
-        "timeline": _events(art.trainer.sim),
+        "params_sha256": params_sha256(art.model),
+        "timeline": _events(art.trainer.step.sim),
     }
 
 

@@ -1,0 +1,170 @@
+"""One training loop: every executed step is ``Trainer.train_batch``.
+
+The distributed trainers are step executors ``Trainer`` calls, so a
+simulated ``Session`` run trains, checkpoints and resumes through the
+same loop as a single-process one.  Held here:
+
+- ``Trainer(step=executor, optimizers=pair)`` equals the caller-held
+  step (``fit_step``) bit for bit on the SPTT-steps golden's 2x2 DMT and
+  hybrid geometries;
+- a simulated run saved after 4 steps and resumed for 4 more equals the
+  8-step run bit for bit (losses, reference losses, parameters);
+- simulated autosave and the ``checkpoint-never-saves`` warning count
+  ``train.steps``;
+- a 2x2 save resumed on 2x1 continues within reduction-order drift and
+  records the elastic plan; a different host count is a typed
+  ``CheckpointMismatchError``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.api import CheckpointSpec, ClusterSpec, Session
+from repro.api.presets import distributed_training_spec
+from repro.checkpoint import CheckpointManager, CheckpointMismatchError
+from repro.core import (
+    DistributedDMTTrainer,
+    DistributedHybridTrainer,
+    FeaturePartition,
+)
+from repro.hardware import Cluster
+from repro.models import DCN, DLRM, DMTDCN, DMTDLRM, tiny_table_configs
+from repro.models.configs import tiny_dcn_arch, tiny_dlrm_arch
+from repro.sim import SimCluster
+from repro.training import TrainConfig, Trainer, adam_pair
+from tests.golden.gen_sptt_steps import (
+    B_LOCAL,
+    DENSE,
+    GROUPS,
+    F,
+    N,
+    ROWS,
+    STEPS,
+    params_sha256,
+)
+
+
+def _executor(kind: str, family: str):
+    """A fresh 2x2 executor on the golden's seeded geometry."""
+    sim = SimCluster(Cluster(num_hosts=2, gpus_per_host=2, generation="A100"))
+    rng = np.random.default_rng(17)
+    arch = tiny_dlrm_arch(N) if family == "dlrm" else tiny_dcn_arch(N)
+    if kind == "dmt":
+        partition = FeaturePartition.from_groups(GROUPS[2])
+        cls = DMTDLRM if family == "dlrm" else DMTDCN
+        model = cls(
+            DENSE, tiny_table_configs(partition.num_features, ROWS, N),
+            partition, arch, tower_dim=4, rng=rng,
+        )
+        return DistributedDMTTrainer(sim, model)
+    cls = DLRM if family == "dlrm" else DCN
+    model = cls(DENSE, tiny_table_configs(F, ROWS, N), arch, rng=rng)
+    return DistributedHybridTrainer(sim, model)
+
+
+def _batches(executor):
+    total = executor.sim.world_size * B_LOCAL
+    for i in range(STEPS):
+        rng = np.random.default_rng(100 + i)
+        yield (
+            rng.standard_normal((total, DENSE)),
+            rng.integers(0, ROWS, size=(total, F)),
+            rng.integers(0, 2, size=total).astype(float),
+        )
+
+
+@pytest.mark.parametrize("family", ["dlrm", "dcn"])
+@pytest.mark.parametrize("kind", ["dmt", "hybrid"])
+def test_trainer_step_equals_caller_held_step(kind, family):
+    held = _executor(kind, family)
+    opts = adam_pair(held.model, 0.01)
+    # The hybrid executor has no fit_step; DMT's is the loop it names.
+    fit_step = DistributedDMTTrainer.fit_step
+    held_losses = [fit_step(held, *b, opts) for b in _batches(held)]
+
+    executor = _executor(kind, family)
+    trainer = Trainer(
+        executor.model,
+        TrainConfig(),
+        step=executor,
+        optimizers=adam_pair(executor.model, 0.01),
+    )
+    losses = [trainer.train_batch(*b) for b in _batches(executor)]
+
+    assert losses == held_losses
+    assert trainer.loss_history == held_losses
+    assert params_sha256(executor.model) == params_sha256(held.model)
+    assert executor.sim.timeline.events == held.sim.timeline.events
+
+
+# ----------------------------------------------------------------------
+def _spec(tmp_path, **checkpoint):
+    spec = distributed_training_spec()
+    return spec.replace(
+        checkpoint=CheckpointSpec(directory=str(tmp_path), **checkpoint)
+    )
+
+
+@pytest.fixture(scope="module")
+def unbroken():
+    return Session(distributed_training_spec()).train()
+
+
+def _save_half(tmp_path) -> str:
+    spec = _spec(tmp_path)
+    first = Session(spec.replace(train=spec.train.replace(steps=4)))
+    return first.save_checkpoint(str(tmp_path / "half"))
+
+
+def test_simulated_resume_is_bit_identical(tmp_path, unbroken):
+    path = _save_half(tmp_path)
+    spec = _spec(tmp_path, resume_from=path)
+    session = Session(spec)
+    art = session.resume()
+    assert art.losses == unbroken.losses
+    assert art.ref_losses == unbroken.ref_losses
+    assert art.max_drift == unbroken.max_drift
+    assert params_sha256(art.model) == params_sha256(unbroken.model)
+    assert session.run().checkpoint["resumed_step"] == 4
+
+
+def test_simulated_autosave_and_cadence_warning(tmp_path):
+    spec = _spec(tmp_path, save_every_steps=3)
+    session = Session(spec)
+    session.train()
+    manager = CheckpointManager(str(tmp_path / spec.name), 3)
+    assert manager.saved_steps() == [3, 6]
+    assert session.run().checkpoint["saved_path"] == manager.step_path(6)
+    codes = [d.code for d in session.analyze()]
+    assert "checkpoint-never-saves" not in codes
+    never = Session(_spec(tmp_path, save_every_steps=9))
+    assert "checkpoint-never-saves" in [d.code for d in never.analyze()]
+
+
+def test_resume_on_fewer_gpus_per_host_stays_within_drift(
+    tmp_path, unbroken
+):
+    path = _save_half(tmp_path)
+    spec = _spec(tmp_path, resume_from=path).replace(
+        cluster=ClusterSpec(num_hosts=2, gpus_per_host=1, generation="A100")
+    )
+    session = Session(spec)
+    art = session.resume()
+    assert art.losses[:4] == unbroken.losses[:4]
+    assert art.losses == pytest.approx(unbroken.losses, rel=0, abs=1e-9)
+    for p, q in zip(art.model.parameters(), unbroken.model.parameters()):
+        np.testing.assert_allclose(p.data, q.data, rtol=0, atol=1e-9)
+    plan = session.elastic_plan()
+    assert (plan.source_world, plan.target_world) == (4, 2)
+    assert session.run().checkpoint["elastic"]["target_world"] == 2
+
+
+def test_resume_on_a_different_host_count_is_typed(tmp_path):
+    path = _save_half(tmp_path)
+    spec = _spec(tmp_path, resume_from=path)
+    four_hosts = spec.replace(
+        cluster=ClusterSpec(num_hosts=4, gpus_per_host=1, generation="A100"),
+        partition=spec.partition.replace(num_towers=4),
+    )
+    with pytest.raises(CheckpointMismatchError):
+        Session(four_hosts).resume()

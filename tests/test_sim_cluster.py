@@ -178,6 +178,30 @@ class TestSimClusterCollectives:
             )
         assert len(sim.timeline.events) == events
 
+    @pytest.mark.parametrize(
+        "name, buffer",
+        [
+            ("alltoall_concurrent", [np.zeros(2) for _ in range(2)]),
+            ("allreduce_concurrent", np.zeros(2)),
+        ],
+    )
+    @pytest.mark.parametrize("ranks", [[0, 1, 3], [0, 1, 2, 3, 4]])
+    def test_concurrent_membership_checked_before_pricing(
+        self, name, buffer, ranks
+    ):
+        """The union of the groups is the membership: a missing rank
+        (2) used to raise a bare KeyError, and a rank outside every
+        group (4, of a third host) was silently ignored."""
+        sim = SimCluster(Cluster(num_hosts=3, gpus_per_host=2))
+        with pytest.raises(ValueError, match="process group membership"):
+            getattr(sim, name)(
+                sim.host_groups[:2],
+                {r: buffer for r in ranks},
+                Phase.EMBEDDING_COMM,
+                "bad",
+            )
+        assert len(sim.timeline) == 0
+
     def test_group_accessors(self, sim):
         assert sim.host_group_of(3).ranks == (2, 3)
         assert sim.peer_group_of(3).ranks == (1, 3)
