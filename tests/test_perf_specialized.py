@@ -1,19 +1,85 @@
 """Tests for the §3.1.3 specialized SPTT variants."""
 
-from dataclasses import replace
+import hashlib
+import itertools
+from dataclasses import fields, replace
 
 import pytest
 
+from repro.experiments.common import LOCAL_BATCH, SCALES
 from repro.hardware import Cluster
 from repro.perf import (
+    IterationBreakdown,
+    IterationLatencyModel,
     SpecializedSPTTModel,
     SPTTOptions,
     khost_peer_groups,
     tower_supergroups,
 )
-from repro.perf.profiles import dmt_dlrm_profile, dmt_xlrm_profile
+from repro.perf.profiles import (
+    dmt_dlrm_profile,
+    dmt_profile_for_towers,
+    dmt_xlrm_profile,
+)
 
 B = 16384
+
+#: SHA-256 of the sorted breakdown table below.  Any change to how a
+#: DMT iteration is priced, with or without §3.1.3 options, moves it.
+PINNED_BREAKDOWN_DIGEST = (
+    "515a09712218f3991732e6b7c601f409ac5bdb8d30f6b4d8383acdb86de42afa"
+)
+
+
+def _priced(profile, cluster, options):
+    return SpecializedSPTTModel().dmt(profile, cluster, B, options)
+
+
+def _breakdown_table():
+    """One line per priced iteration: a key, then the ``repr`` of every
+    :class:`IterationBreakdown` field except ``name``."""
+    values = [f.name for f in fields(IterationBreakdown) if f.name != "name"]
+
+    def line(key, bd):
+        return key + " " + " ".join(repr(getattr(bd, v)) for v in values)
+
+    rows = []
+    switches = list(itertools.product((False, True), repeat=3))
+    for k, (rs, swap, virtual), base, hosts in itertools.product(
+        (1, 2, 4),
+        switches,
+        (dmt_dlrm_profile(26), dmt_xlrm_profile(16)),
+        (8, 16, 64),
+    ):
+        options = SPTTOptions(
+            hosts_per_tower=k,
+            multi_hot_reducescatter=rs,
+            swap_shuffle=swap,
+            virtual_peer_order=virtual,
+        )
+        profile = replace(base, num_towers=hosts // k)
+        bd = _priced(profile, Cluster(hosts, 8, "A100"), options)
+        rows.append(
+            line(f"K{k}/rs{rs:d}/swap{swap:d}/vpo{virtual:d}/"
+                 f"{base.name}/{hosts}x8", bd)
+        )
+    model = IterationLatencyModel()
+    for kind, (gen, sizes) in itertools.product(("dlrm", "dcn"), SCALES.items()):
+        for gpus in sizes:
+            hosts = gpus // 8
+            bd = model.dmt(
+                dmt_profile_for_towers(kind, hosts),
+                Cluster(hosts, 8, gen),
+                LOCAL_BATCH,
+            )
+            rows.append(line(f"default/{kind}/{gen}/{gpus}", bd))
+    return sorted(rows)
+
+
+def test_pinned_breakdown_digest():
+    """Every priced DMT iteration on the grid is pinned bit for bit."""
+    table = "\n".join(_breakdown_table()).encode()
+    assert hashlib.sha256(table).hexdigest() == PINNED_BREAKDOWN_DIGEST
 
 
 def towers_profile(towers: int):
