@@ -26,7 +26,7 @@ from repro.partitioner import TowerPartitioner, interaction_from_activations
 from repro.perf import (
     IterationLatencyModel,
     PerfCalibration,
-    SpecializedSPTTModel,
+    SPTTOptions,
     paper_dlrm_profile,
 )
 from repro.perf.profiles import dmt_profile_for_towers
@@ -152,17 +152,16 @@ def test_ablation_khost_towers(benchmark):
     from repro.perf.profiles import dmt_dlrm_profile
 
     def sweep():
-        model = SpecializedSPTTModel()
+        model = IterationLatencyModel()
         cluster = Cluster(64, 8, "A100")
-
-        def prof(towers):
-            return replace(
-                dmt_dlrm_profile(26), num_towers=towers, name=f"{towers}T"
-            )
-
         return {
-            k: bd.total_s
-            for k, bd in model.khost_sweep(prof, cluster, B, (1, 2, 4)).items()
+            k: model.dmt(
+                replace(dmt_dlrm_profile(26), num_towers=64 // k),
+                cluster,
+                B,
+                SPTTOptions(hosts_per_tower=k),
+            ).total_s
+            for k in (1, 2, 4)
         }
 
     totals = benchmark(sweep)

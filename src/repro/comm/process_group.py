@@ -4,10 +4,16 @@ Three group families matter in this paper:
 
 - the **global group** (all ``G`` ranks) — the classic paradigm's
   AlltoAll/AllReduce world;
-- **intra-host groups** (``L`` ranks each) — SPTT step (d)'s NVLink
-  collectives and tower-module gradient synchronization;
-- **peer groups** (``T = G//L`` ranks, one per host, same local index)
-  — SPTT step (f)'s concurrent peer AlltoAlls.
+- **tower groups** (the ``K*L`` ranks of ``K`` consecutive hosts; one
+  host when ``K = 1``) — SPTT step (d)'s collectives and tower-module
+  gradient synchronization;
+- **peer groups** (``T = H/K`` ranks, one per tower at the same
+  position in it) — SPTT step (f)'s concurrent peer AlltoAlls.
+
+This module is the only place tower and peer groups are built: the
+priced iteration (:mod:`repro.perf.iteration_model`, including the
+§3.1.3 K-host towers) and the executed one (:class:`repro.sim.SimCluster`)
+both call :func:`intra_host_groups` and :func:`peer_groups`.
 
 A :class:`ProcessGroup` is topology-aware: it knows which of its edges
 cross hosts, which is exactly what the cost model needs.
@@ -108,19 +114,46 @@ def global_group(cluster: Cluster) -> ProcessGroup:
     return ProcessGroup(cluster, tuple(range(cluster.world_size)))
 
 
-def intra_host_groups(cluster: Cluster) -> List[ProcessGroup]:
-    """One group per host containing its local ranks (SPTT step d)."""
+def intra_host_groups(
+    cluster: Cluster, hosts_per_tower: int = 1
+) -> List[ProcessGroup]:
+    """One group per tower of ``K = hosts_per_tower`` consecutive hosts,
+    holding their local ranks in order (SPTT step d).
+
+    >>> c = Cluster(num_hosts=4, gpus_per_host=2)
+    >>> [g.ranks for g in intra_host_groups(c)]
+    [(0, 1), (2, 3), (4, 5), (6, 7)]
+    >>> [g.ranks for g in intra_host_groups(c, hosts_per_tower=2)]
+    [(0, 1, 2, 3), (4, 5, 6, 7)]
+    """
+    k = hosts_per_tower
+    if k < 1 or cluster.num_hosts % k != 0:
+        raise ValueError(f"{cluster.num_hosts} hosts not divisible by K={k}")
     return [
-        ProcessGroup(cluster, cluster.ranks_on_host(h))
-        for h in range(cluster.num_hosts)
+        ProcessGroup(
+            cluster,
+            sum((cluster.ranks_on_host(h) for h in range(start, start + k)), ()),
+        )
+        for start in range(0, cluster.num_hosts, k)
     ]
 
 
-def peer_groups(cluster: Cluster) -> List[ProcessGroup]:
-    """The ``L`` disjoint peer groups (SPTT step f).
+def peer_groups(
+    cluster: Cluster, hosts_per_tower: int = 1
+) -> List[ProcessGroup]:
+    """The ``K*L`` disjoint peer groups (SPTT step f).
 
-    Group ``l`` holds every rank with local index ``l``, ordered by
-    host — which is exactly the "peer order" key ``(g % L, g // L)``
-    restricted to one value of ``g % L``.
+    Group ``p`` holds the rank at position ``p`` of every tower, ordered
+    by tower.  With one tower per host that is every rank with local
+    index ``p``, ordered by host — the "peer order" key
+    ``(g % L, g // L)`` restricted to one value of ``g % L``.
+
+    >>> c = Cluster(num_hosts=2, gpus_per_host=2)  # the paper's example
+    >>> [g.ranks for g in peer_groups(c)]
+    [(0, 2), (1, 3)]
     """
-    return [ProcessGroup(cluster, pg) for pg in cluster.peer_groups()]
+    towers = intra_host_groups(cluster, hosts_per_tower)
+    return [
+        ProcessGroup(cluster, tuple(t.ranks[p] for t in towers))
+        for p in range(towers[0].world_size)
+    ]

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.hardware.topology import Cluster
-
 
 def peer_order(world_size: int, gpus_per_host: int) -> Tuple[int, ...]:
     """Ranks sorted by ``(g % L, g // L)``.
@@ -42,11 +40,3 @@ def peer_order(world_size: int, gpus_per_host: int) -> Tuple[int, ...]:
     return tuple(
         sorted(range(world_size), key=lambda g: (g % gpus_per_host, g // gpus_per_host))
     )
-
-
-def num_towers(cluster: Cluster, hosts_per_tower: int = 1) -> int:
-    if cluster.num_hosts % hosts_per_tower != 0:
-        raise ValueError(
-            f"{cluster.num_hosts} hosts not divisible by K={hosts_per_tower}"
-        )
-    return cluster.num_hosts // hosts_per_tower

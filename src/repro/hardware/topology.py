@@ -1,4 +1,4 @@
-"""Cluster topology: hosts, GPUs, links, and the peer/tower geometry.
+"""Cluster topology: hosts, GPUs and links.
 
 A :class:`Cluster` is the single source of truth for "who is fast to
 whom": GPUs on the same host talk over NVLink (``scale_up``), GPUs on
@@ -8,9 +8,10 @@ oversubscription (§5.1), which we model as every cross-host byte paying
 only the per-GPU NIC bandwidth plus a scale-dependent congestion factor
 (see :mod:`repro.comm.cost_model`).
 
-The module also owns the *rank geometry* used throughout SPTT: global
+The module also owns the *rank layout* used throughout SPTT: global
 rank ``g`` lives on host ``g // L`` with local index ``g % L`` where
-``L`` is GPUs per host.
+``L`` is GPUs per host.  The tower and peer groups built on that layout
+live in :mod:`repro.comm.process_group`.
 """
 
 from __future__ import annotations
@@ -170,25 +171,6 @@ class Cluster:
         if link is LinkType.SCALE_UP:
             return self.spec.scale_up_bytes_per_s
         return self.spec.scale_out_bytes_per_s
-
-    # ------------------------------------------------------------------
-    # Peer geometry (paper §3.1.1)
-    # ------------------------------------------------------------------
-    def peers_of(self, global_rank: int) -> "tuple[int, ...]":
-        """Peers of ``g``: all ranks ``g'`` with ``g' % L == g % L``.
-
-        One peer per host, including the rank itself; this is the world
-        of one of the ``L`` concurrent peer AlltoAlls in SPTT step (f).
-        """
-        self._check_rank(global_rank)
-        l = global_rank % self.gpus_per_host
-        return tuple(
-            h * self.gpus_per_host + l for h in range(self.num_hosts)
-        )
-
-    def peer_groups(self) -> "list[tuple[int, ...]]":
-        """All ``L`` disjoint peer groups covering the cluster."""
-        return [self.peers_of(l) for l in range(self.gpus_per_host)]
 
     # ------------------------------------------------------------------
     def _check_rank(self, rank: int) -> None:

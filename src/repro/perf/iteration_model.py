@@ -10,6 +10,11 @@ components mirror the paper's buckets:
 - **exposed dense synchronization**: gradient AllReduce(s), discounted
   by backward-overlap;
 - **others**: fixed per-iteration host overhead.
+
+:meth:`IterationLatencyModel.dmt` is the one DMT price.  The paper's
+four §3.1.3 specializations of the base transform are its
+:class:`SPTTOptions`: K-host towers, a ReduceScatter for multi-hot step
+(d), swapping steps (b)/(c), and virtual peer order.
 """
 
 from __future__ import annotations
@@ -26,6 +31,37 @@ from repro.comm.process_group import (
 from repro.hardware.topology import Cluster
 from repro.perf.paradigms import PerfCalibration, default_perf_calibration
 from repro.perf.profiles import ModelProfile
+
+
+@dataclass(frozen=True)
+class SPTTOptions:
+    """The §3.1.3 specializations of SPTT, as pricing options.
+
+    Attributes
+    ----------
+    hosts_per_tower:
+        ``K``: a tower spans ``K`` hosts, so step (d) crosses hosts and
+        the peer AlltoAll world shrinks to ``H/K``; 1 is the canonical
+        one-tower-per-host setup.
+    multi_hot_reducescatter:
+        Use row-wise shards + ReduceScatter for step (d); only
+        meaningful when the profile has pooling > 1.
+    swap_shuffle:
+        Shuffle the smaller of (ids, embeddings) in step (c).
+    virtual_peer_order:
+        Skip step (c) entirely via peer-ordered process groups.
+    """
+
+    hosts_per_tower: int = 1
+    multi_hot_reducescatter: bool = False
+    swap_shuffle: bool = False
+    virtual_peer_order: bool = False
+
+    def __post_init__(self) -> None:
+        if self.hosts_per_tower < 1:
+            raise ValueError(
+                f"hosts_per_tower must be >= 1, got {self.hosts_per_tower}"
+            )
 
 
 @dataclass(frozen=True)
@@ -128,12 +164,9 @@ class IterationLatencyModel:
     def _other_s(self, cluster: Cluster) -> float:
         return self.cal.other_ms[cluster.spec.generation] * 1e-3
 
-    def _input_dist_s(
-        self, profile: ModelProfile, cluster: Cluster, batch: int
-    ) -> float:
-        world = global_group(cluster)
-        nbytes = batch * profile.num_sparse * profile.pooling * self.cal.id_wire_bytes
-        return self.cost.alltoall(world, nbytes).seconds
+    def _id_bytes(self, profile: ModelProfile, batch: int) -> int:
+        """Per-rank sparse-id payload of the input distribution (step a)."""
+        return batch * profile.num_sparse * profile.pooling * self.cal.id_wire_bytes
 
     # ------------------------------------------------------------------
     # Paradigms
@@ -147,7 +180,7 @@ class IterationLatencyModel:
         S_emb = local_batch * profile.emb_bytes_per_sample(
             self.cal.emb_wire_itemsize
         )
-        t_in = self._input_dist_s(profile, cluster, local_batch)
+        t_in = self.cost.alltoall(world, self._id_bytes(profile, local_batch)).seconds
         t_out = self.cost.alltoall(world, S_emb).seconds
         t_grad = self.cost.alltoall(world, S_emb).seconds
         emb_total = t_in + t_out + t_grad
@@ -167,12 +200,26 @@ class IterationLatencyModel:
         )
 
     def dmt(
-        self, profile: ModelProfile, cluster: Cluster, local_batch: int
+        self,
+        profile: ModelProfile,
+        cluster: Cluster,
+        local_batch: int,
+        options: Optional[SPTTOptions] = None,
     ) -> IterationBreakdown:
         """DMT: SPTT steps + tower modules (Figure 7).
 
-        Requires ``profile.num_towers == cluster.num_hosts`` (one tower
-        pinned per host, the paper's §5.1 configuration).
+        Requires ``profile.num_towers == H/K`` for ``H`` hosts and
+        ``K = options.hosts_per_tower``; the default options are one
+        tower pinned per host, the paper's §5.1 configuration.
+
+        >>> from repro.hardware import Cluster
+        >>> from repro.perf.profiles import dmt_dlrm_profile
+        >>> cluster = Cluster(num_hosts=8, gpus_per_host=8, generation="A100")
+        >>> bd = IterationLatencyModel().dmt(
+        ...     dmt_dlrm_profile(4), cluster, 16384, SPTTOptions(hosts_per_tower=2)
+        ... )
+        >>> bd.name, bd.total_s > 0
+        ('dmt-K2/DMT-4T-DLRM', True)
         """
         self._check(profile, cluster, local_batch)
         if not profile.is_dmt:
@@ -180,31 +227,46 @@ class IterationLatencyModel:
                 f"profile {profile.name} has no towers; use hybrid() or a "
                 f"DMT/SPTT profile"
             )
-        if profile.num_towers != cluster.num_hosts:
+        options = options or SPTTOptions()
+        K = options.hosts_per_tower
+        tower_group = intra_host_groups(cluster, K)[0]
+        peer_group = peer_groups(cluster, K)[0]
+        if profile.num_towers != cluster.num_hosts // K:
             raise ValueError(
-                f"profile has {profile.num_towers} towers but cluster has "
-                f"{cluster.num_hosts} hosts"
+                f"profile has {profile.num_towers} towers; K={K} on "
+                f"{cluster.num_hosts} hosts needs {cluster.num_hosts // K}"
             )
-        spec = cluster.spec
-        host_group = intra_host_groups(cluster)[0]
-        peer_group = peer_groups(cluster)[0]
+        hbm = cluster.spec.hbm_bytes_per_s
+        S_ids = self._id_bytes(profile, local_batch)
         S_emb = local_batch * profile.emb_bytes_per_sample(
             self.cal.emb_wire_itemsize
         )
         S_peer = int(S_emb / profile.compression_ratio)
 
-        # Communication: step (a) + 2x step (d) + 2x step (f).
-        t_in = self._input_dist_s(profile, cluster, local_batch)
-        t_intra = self.cost.alltoall(host_group, S_emb).seconds
-        t_peer = self.cost.alltoall(peer_group, S_peer).seconds
-        emb_total = t_in + 2.0 * t_intra + 2.0 * t_peer
+        # Communication: step (a) + 2x step (d) + 2x step (f).  Step (d)
+        # runs within the tower, step (f) in a peer world of H/K.
+        t_in = self.cost.alltoall(global_group(cluster), S_ids).seconds
+        if options.multi_hot_reducescatter and profile.pooling > 1:
+            t_d = self.cost.reducescatter(tower_group, S_emb).seconds
+        else:
+            t_d = self.cost.alltoall(tower_group, S_emb).seconds
+        t_f = self.cost.alltoall(peer_group, S_peer).seconds
+        emb_total = t_in + 2.0 * t_d + 2.0 * t_f
 
         # Compute: lookup + overarch + TM + shuffles (steps c, e, fwd+bwd).
         # Tower-module kernels are fragmented (one small GEMM per
         # tower) and achieve a lower fraction of peak than monolithic
         # baseline GEMMs; the overarch runs the same kernels as the
-        # baseline and pays no penalty.
-        shuffles = 4.0 * 2.0 * S_emb / spec.hbm_bytes_per_s
+        # baseline and pays no penalty.  Virtual peer order removes
+        # step (c); swapping (b)/(c) shuffles the smaller object.
+        shuffle_e = 2.0 * S_emb / hbm
+        if options.virtual_peer_order:
+            shuffle_c = 0.0
+        elif options.swap_shuffle:
+            shuffle_c = 2.0 * min(S_ids, S_emb) / hbm
+        else:
+            shuffle_c = shuffle_e
+        shuffles = 2.0 * (shuffle_c + shuffle_e)
         compute = (
             self._lookup_s(profile, cluster, local_batch)
             + self._dense_s(profile.overarch_mflops, cluster, local_batch)
@@ -214,15 +276,16 @@ class IterationLatencyModel:
         )
 
         # Dense sync: global AllReduce for the overarch + concurrent
-        # intra-host AllReduces for tower modules (NVLink, tiny).
+        # per-tower AllReduces for tower modules (NVLink when K = 1).
         world = global_group(cluster)
         ar = self.cost.allreduce(world, profile.dense_param_bytes).seconds
-        if profile.tower_param_bytes > 0 and cluster.gpus_per_host > 1:
+        if profile.tower_param_bytes > 0 and tower_group.world_size > 1:
             per_tower = profile.tower_param_bytes // max(profile.num_towers, 1)
-            ar += self.cost.allreduce(host_group, per_tower).seconds
+            ar += self.cost.allreduce(tower_group, per_tower).seconds
         overlap = self.cal.dmt_overlap_at(profile.num_towers)
+        variant = "dmt" if options == SPTTOptions() else f"dmt-K{K}"
         return IterationBreakdown(
-            name=f"dmt/{profile.name}",
+            name=f"{variant}/{profile.name}",
             compute_s=compute,
             exposed_emb_s=emb_total * (1.0 - overlap),
             exposed_dense_s=ar * (1.0 - self.cal.allreduce_overlap),

@@ -4,8 +4,9 @@ The paper's rules of thumb (§4): large-batch single-hot features pin to
 **column-wise** shards (lower communication volume: each shard returns
 a slice of the embedding vector, summing to the same bytes, but the
 AlltoAll buckets stay balanced); small-batch multi-hot features use
-**row-wise** shards (pooling happens shard-side, so step (d) of
-specialized SPTT becomes a ReduceScatter).
+**row-wise** shards (pooling happens shard-side, so step (d) of SPTT
+becomes a ReduceScatter, priced by ``SPTTOptions.multi_hot_reducescatter``
+of :meth:`repro.perf.IterationLatencyModel.dmt`).
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition import FeaturePartition
-from repro.core.peer import num_towers, peer_order
-from repro.hardware import Cluster
+from repro.core.peer import peer_order
 
 
 class TestFeaturePartition:
@@ -111,12 +110,3 @@ class TestPeerOrder:
 def test_peer_order_is_permutation(hosts, gpus):
     order = peer_order(hosts * gpus, gpus)
     assert sorted(order) == list(range(hosts * gpus))
-
-
-class TestTowerGeometry:
-    def test_num_towers(self):
-        c = Cluster(num_hosts=8, gpus_per_host=2)
-        assert num_towers(c) == 8
-        assert num_towers(c, hosts_per_tower=4) == 2
-        with pytest.raises(ValueError):
-            num_towers(c, hosts_per_tower=3)

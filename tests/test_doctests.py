@@ -9,6 +9,7 @@ import repro.api.spec
 import repro.comm.calibration
 import repro.comm.cost_model
 import repro.comm.functional
+import repro.comm.process_group
 import repro.core.partition
 import repro.core.peer
 import repro.data.criteo
@@ -20,7 +21,6 @@ import repro.partitioner.mds
 import repro.partitioner.tower_partitioner
 import repro.perf.iteration_model
 import repro.perf.quantization
-import repro.perf.specialized
 import repro.sim.cluster
 import repro.training.metrics
 import repro.training.stats
@@ -31,6 +31,7 @@ MODULES = [
     repro.comm.calibration,
     repro.comm.cost_model,
     repro.comm.functional,
+    repro.comm.process_group,
     repro.sim.cluster,
     repro.core.partition,
     repro.core.peer,
@@ -39,7 +40,6 @@ MODULES = [
     repro.partitioner.tower_partitioner,
     repro.perf.iteration_model,
     repro.perf.quantization,
-    repro.perf.specialized,
     repro.data.criteo,
     repro.training.metrics,
     repro.training.stats,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.comm import peer_groups
 from repro.hardware import Cluster, LinkType
 
 
@@ -82,30 +83,34 @@ class TestLinks:
 
 
 class TestPeerGeometry:
-    """Peer math from §3.1.1: peers of g are all g' with g' % L == g % L."""
+    """Peer math from §3.1.1: peers of g are all g' with g' % L == g % L.
+
+    The groups are built by :func:`repro.comm.peer_groups`; group ``l``
+    is the peer group of every rank with local index ``l``."""
 
     def test_paper_example_peers(self, paper_example):
-        assert paper_example.peers_of(0) == (0, 2)
-        assert paper_example.peers_of(1) == (1, 3)
-        assert paper_example.peers_of(2) == (0, 2)
-        assert paper_example.peers_of(3) == (1, 3)
+        groups = peer_groups(paper_example)
+        assert [g.ranks for g in groups] == [(0, 2), (1, 3)]
+        for rank, peers in ((0, (0, 2)), (1, (1, 3)), (2, (0, 2)), (3, (1, 3))):
+            assert groups[paper_example.local_rank_of(rank)].ranks == peers
 
     def test_peer_groups_partition_cluster(self, rack):
-        groups = rack.peer_groups()
+        groups = peer_groups(rack)
         assert len(groups) == rack.gpus_per_host
-        seen = sorted(r for g in groups for r in g)
+        seen = sorted(r for g in groups for r in g.ranks)
         assert seen == list(range(rack.world_size))
 
     def test_peer_group_one_rank_per_host(self, rack):
-        for group in rack.peer_groups():
-            hosts = [rack.host_of(r) for r in group]
-            assert sorted(hosts) == list(range(rack.num_hosts))
-            assert len(set(rack.local_rank_of(r) for r in group)) == 1
+        for group in peer_groups(rack):
+            hosts = [rack.host_of(r) for r in group.ranks]
+            assert hosts == list(range(rack.num_hosts))
+            assert len(set(rack.local_rank_of(r) for r in group.ranks)) == 1
 
     def test_peers_include_self(self, rack):
+        groups = peer_groups(rack)
         for rank in range(rack.world_size):
-            assert rank in rack.peers_of(rank)
+            assert rank in groups[rack.local_rank_of(rank)]
 
     def test_peer_group_size_is_num_hosts(self, rack):
-        for rank in range(rack.world_size):
-            assert len(rack.peers_of(rank)) == rack.num_hosts
+        for group in peer_groups(rack):
+            assert group.world_size == rack.num_hosts

@@ -1,4 +1,5 @@
-"""Tests for the §3.1.3 specialized SPTT variants."""
+"""Tests for the §3.1.3 SPTT specializations: the options of the one
+DMT price, and the K-host tower and peer groups they run over."""
 
 import hashlib
 import itertools
@@ -6,16 +7,10 @@ from dataclasses import fields, replace
 
 import pytest
 
+from repro.comm import intra_host_groups, peer_groups
 from repro.experiments.common import LOCAL_BATCH, SCALES
 from repro.hardware import Cluster
-from repro.perf import (
-    IterationBreakdown,
-    IterationLatencyModel,
-    SpecializedSPTTModel,
-    SPTTOptions,
-    khost_peer_groups,
-    tower_supergroups,
-)
+from repro.perf import IterationBreakdown, IterationLatencyModel, SPTTOptions
 from repro.perf.profiles import (
     dmt_dlrm_profile,
     dmt_profile_for_towers,
@@ -32,7 +27,7 @@ PINNED_BREAKDOWN_DIGEST = (
 
 
 def _priced(profile, cluster, options):
-    return SpecializedSPTTModel().dmt(profile, cluster, B, options)
+    return IterationLatencyModel().dmt(profile, cluster, B, options)
 
 
 def _breakdown_table():
@@ -90,13 +85,13 @@ def towers_profile(towers: int):
 
 @pytest.fixture
 def model():
-    return SpecializedSPTTModel()
+    return IterationLatencyModel()
 
 
 class TestKHostGeometry:
     def test_supergroups_partition_cluster(self):
         cluster = Cluster(num_hosts=8, gpus_per_host=4)
-        groups = tower_supergroups(cluster, hosts_per_tower=2)
+        groups = intra_host_groups(cluster, hosts_per_tower=2)
         assert len(groups) == 4
         seen = sorted(r for g in groups for r in g.ranks)
         assert seen == list(range(32))
@@ -104,7 +99,7 @@ class TestKHostGeometry:
 
     def test_khost_peer_groups_world_size(self):
         cluster = Cluster(num_hosts=8, gpus_per_host=4)
-        peers = khost_peer_groups(cluster, hosts_per_tower=2)
+        peers = peer_groups(cluster, hosts_per_tower=2)
         assert len(peers) == 8  # K * L positions
         assert all(p.world_size == 4 for p in peers)  # H / K towers
         seen = sorted(r for p in peers for r in p.ranks)
@@ -112,31 +107,39 @@ class TestKHostGeometry:
 
     def test_k1_matches_canonical_groups(self):
         cluster = Cluster(num_hosts=4, gpus_per_host=2)
-        supers = tower_supergroups(cluster, 1)
-        assert [g.ranks for g in supers] == [
+        towers = intra_host_groups(cluster, hosts_per_tower=1)
+        assert [g.ranks for g in towers] == [
             cluster.ranks_on_host(h) for h in range(4)
+        ]
+        assert [g.ranks for g in peer_groups(cluster, 1)] == [
+            (0, 2, 4, 6),
+            (1, 3, 5, 7),
         ]
 
     def test_indivisible_hosts_rejected(self):
         cluster = Cluster(num_hosts=6, gpus_per_host=2)
-        with pytest.raises(ValueError):
-            tower_supergroups(cluster, 4)
+        for build in (intra_host_groups, peer_groups):
+            with pytest.raises(ValueError, match="hosts not divisible by K=4"):
+                build(cluster, 4)
+        with pytest.raises(ValueError, match="hosts not divisible by K=4"):
+            IterationLatencyModel().dmt(
+                towers_profile(1), cluster, B, SPTTOptions(hosts_per_tower=4)
+            )
+        assert len(intra_host_groups(cluster, 3)) == 2
 
 
 class TestSpecializedModel:
-    def test_k1_plain_options_match_base_model(self, model):
-        cluster = Cluster(8, 8, "A100")
-        bd_spec = model.dmt(towers_profile(8), cluster, B, SPTTOptions())
-        bd_base = model.base.dmt(towers_profile(8), cluster, B)
-        assert bd_spec.total_s == pytest.approx(bd_base.total_s)
-
     def test_khost_tradeoff_direction(self, model):
         """§3.1.3: larger K shrinks the peer world but raises step (d);
         with Figure 5's congestion curves the step-d cost dominates, so
         total embedding communication grows with K at this scale."""
         cluster = Cluster(64, 8, "A100")
-        sweep = model.khost_sweep(towers_profile, cluster, B, (1, 2, 4))
-        embs = [sweep[k].emb_comm_total_s for k in (1, 2, 4)]
+        embs = [
+            model.dmt(
+                towers_profile(64 // k), cluster, B, SPTTOptions(hosts_per_tower=k)
+            ).emb_comm_total_s
+            for k in (1, 2, 4)
+        ]
         assert embs[0] < embs[1] < embs[2]
 
     def test_khost_tower_count_validation(self, model):
@@ -150,8 +153,15 @@ class TestSpecializedModel:
         """Row-wise shards turn step (d) into a ReduceScatter."""
         cluster = Cluster(16, 8, "A100")
         profile = replace(dmt_xlrm_profile(16), num_towers=16)
-        a2a = model.dmt(profile, cluster, 4096, SPTTOptions(hosts_per_tower=1, multi_hot_reducescatter=False, virtual_peer_order=True))
-        rs = model.dmt(profile, cluster, 4096, SPTTOptions(hosts_per_tower=1, multi_hot_reducescatter=True, virtual_peer_order=True))
+        a2a = model.dmt(
+            profile, cluster, 4096, SPTTOptions(virtual_peer_order=True)
+        )
+        rs = model.dmt(
+            profile,
+            cluster,
+            4096,
+            SPTTOptions(multi_hot_reducescatter=True, virtual_peer_order=True),
+        )
         assert rs.emb_comm_total_s <= a2a.emb_comm_total_s
 
     def test_swap_shuffle_helps_when_ids_small(self, model):
