@@ -294,13 +294,10 @@ def _delta_model_entries(
     return dense, sparse
 
 
-def _apply_delta(
-    path: str,
-    manifest: Dict[str, Any],
-    model_state: Dict[str, np.ndarray],
-    sparse_slots: Dict[str, Dict[str, np.ndarray]],
+def _patch_model(
+    path: str, manifest: Dict[str, Any], model_state: Dict[str, np.ndarray]
 ) -> None:
-    """Scatter one delta's payloads into the staged merged state."""
+    """Scatter one delta's model payloads into the staged model state."""
     dense, sparse = _delta_model_entries(manifest)
     for name in dense:
         model_state[name] = read_array(path, _MODEL_PREFIX + name, manifest)
@@ -315,6 +312,14 @@ def _apply_delta(
                 f"from its base checkpoint"
             )
         model_state[name][rows] = data
+
+
+def _patch_sparse_slots(
+    path: str,
+    manifest: Dict[str, Any],
+    sparse_slots: Dict[str, Dict[str, np.ndarray]],
+) -> None:
+    """Scatter one delta's sparse-optimizer row slices into staged slots."""
     meta = manifest["metadata"]["trainer"]["optimizers"]["sparse"]
     for slot, keys in meta["slot_keys"].items():
         for key in keys:
@@ -336,6 +341,30 @@ def _apply_delta(
             target[rows] = data
 
 
+def _staged_sparse_slots(chain: List[str]) -> Dict[str, Dict[str, np.ndarray]]:
+    """The sparse optimizer's slot arrays at the tip of ``chain``.
+
+    ``chain`` is base-first, as :func:`resolve_delta_chain` returns it:
+    the base's full arrays are read, then every delta's row slices are
+    patched in, in order.  A bare full checkpoint (``[path]``) stages to
+    its own arrays.
+    """
+    base = chain[0]
+    manifest = read_manifest(base)
+    trainer_meta = manifest["metadata"].get("trainer")
+    if trainer_meta is None:
+        raise CheckpointChainError(
+            f"delta chain base at {base!r} has no trainer/optimizer "
+            f"state; a delta chain needs a resumable full base"
+        )
+    slots = _join_optimizer_state(
+        base, _OPT_PREFIX + "sparse", trainer_meta["optimizers"]["sparse"], manifest
+    )["slots"]
+    for link in chain[1:]:
+        _patch_sparse_slots(link, read_manifest(link), slots)
+    return slots
+
+
 def load_delta_checkpoint(
     path: str, model: Any, trainer: Any = None
 ) -> Dict[str, Any]:
@@ -348,41 +377,24 @@ def load_delta_checkpoint(
     to :func:`~repro.checkpoint.state.load_training_checkpoint`
     unchanged.  Returns the tip's manifest metadata.
     """
-    tip_meta = read_manifest(path)["metadata"]
-    if tip_meta.get("kind") == "training":
+    tip_manifest = read_manifest(path)
+    metadata = tip_manifest["metadata"]
+    if metadata.get("kind") == "training":
         from repro.checkpoint.state import load_training_checkpoint
 
         return load_training_checkpoint(path, model, trainer)
     chain = resolve_delta_chain(path)
     base = chain[0]
     base_manifest = read_manifest(base)
-    base_meta = base_manifest["metadata"]
-    _check_geometry(base, base_meta, model)
+    _check_geometry(base, base_manifest["metadata"], model)
     model_state = {
         key[len(_MODEL_PREFIX) :]: read_array(base, key, base_manifest)
         for key in base_manifest["arrays"]
         if key.startswith(_MODEL_PREFIX)
     }
-    base_trainer_meta = base_meta.get("trainer")
-    if base_trainer_meta is None:
-        raise CheckpointChainError(
-            f"delta chain base at {base!r} has no trainer/optimizer "
-            f"state; a delta chain needs a resumable full base"
-        )
-    sparse_full = _join_optimizer_state(
-        base,
-        _OPT_PREFIX + "sparse",
-        base_trainer_meta["optimizers"]["sparse"],
-        base_manifest,
-    )
-    sparse_slots = sparse_full["slots"]
-    tip_manifest = None
+    sparse_slots = _staged_sparse_slots(chain)
     for link in chain[1:]:
-        manifest = read_manifest(link)
-        _apply_delta(link, manifest, model_state, sparse_slots)
-        tip_manifest = manifest
-    assert tip_manifest is not None  # chain has >= 1 delta (tip is one)
-    metadata = tip_manifest["metadata"]
+        _patch_model(link, read_manifest(link), model_state)
 
     trainer_state: Optional[Dict[str, Any]] = None
     if trainer is not None:

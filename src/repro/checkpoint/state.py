@@ -250,45 +250,26 @@ def checkpoint_step(path: str) -> int:
 def hottest_rows(path: str, max_rows: int) -> np.ndarray:
     """Global stacked-row ids of the hottest saved embedding rows.
 
-    Hotness is the sparse optimizer's Adagrad accumulator mass per row
-    (elementwise accumulators are summed over the embedding dim; scalar
-    accumulators are used as-is): rows the training traffic never
-    touched score exactly zero and are never returned.  Rows are ranked
-    hottest-first (ties broken by ascending row id for determinism) in
-    the stacked row space of the saved tables — table ``f``'s rows start
-    at ``sum(cardinality[:f])``, mirroring the fused
-    :class:`~repro.nn.embedding.EmbeddingBagCollection` layout.
+    Hotness is :func:`accumulator_mass_by_table`'s per-row mass: rows
+    the training traffic never touched score exactly zero and are never
+    returned.  Rows are ranked hottest-first (ties broken by ascending
+    row id for determinism) in the stacked row space of the saved tables
+    — table ``f``'s rows start at ``sum(cardinality[:f])``, mirroring the
+    fused :class:`~repro.nn.embedding.EmbeddingBagCollection` layout.
     """
     if max_rows <= 0:
         return np.empty(0, dtype=np.int64)
-    manifest = read_manifest(path)
-    metadata = manifest["metadata"]
-    trainer = metadata.get("trainer")
-    if trainer is None:
-        raise CheckpointMismatchError(
-            f"checkpoint at {path!r} has no optimizer state to rank "
-            f"row hotness from"
-        )
-    tables = metadata.get("tables", [])
-    offsets = np.concatenate(
-        ([0], np.cumsum([t["num_embeddings"] for t in tables]))
-    ).astype(np.int64)
-    accum_keys = trainer["optimizers"]["sparse"]["slot_keys"].get("accum", [])
+    masses = accumulator_mass_by_table(path)
+    tables = read_manifest(path)["metadata"].get("tables", [])
+    offsets = np.cumsum([0] + [t["num_embeddings"] for t in tables])
     ids: List[np.ndarray] = []
     hotness: List[np.ndarray] = []
-    for key in accum_keys:
-        index = int(key)
-        if index >= len(tables):
-            raise CheckpointMismatchError(
-                f"checkpoint at {path!r}: sparse accumulator {index} has "
-                f"no matching table entry"
-            )
-        acc = read_array(
-            path, f"{_OPT_PREFIX}sparse/accum/{index:05d}", manifest
-        )
-        per_row = acc.sum(axis=1) if acc.ndim == 2 else np.asarray(acc)
+    for table, offset in zip(tables, offsets):
+        per_row = masses.get(str(table["name"]))
+        if per_row is None:
+            continue
         touched = np.flatnonzero(per_row > 0.0)
-        ids.append(touched + offsets[index])
+        ids.append(touched + offset)
         hotness.append(per_row[touched])
     if not ids:
         return np.empty(0, dtype=np.int64)
@@ -302,13 +283,21 @@ def hottest_rows(path: str, max_rows: int) -> np.ndarray:
 def accumulator_mass_by_table(path: str) -> "Dict[str, np.ndarray]":
     """Per-row Adagrad accumulator mass of every saved table, by name.
 
-    The same hotness proxy as :func:`hottest_rows`, but unstacked: the
-    tier planner (:mod:`repro.planner.tiering`) consumes per-table row
-    masses to assign row ranges to memory tiers.  Untouched rows carry
-    exactly 0.0 mass; each array has the table's full cardinality.
+    Elementwise accumulators are summed over the embedding dim; scalar
+    (row-wise) accumulators are used as-is.  Untouched rows carry
+    exactly 0.0 mass; each array has the table's full cardinality, and
+    tables come in manifest order.  The tier planner
+    (:mod:`repro.planner.tiering`) assigns row ranges to memory tiers by
+    these masses; :func:`hottest_rows` ranks rows by them.
+
+    ``path`` may be a full checkpoint or a delta tip, whose accumulators
+    are spread across its chain: they are staged base-first with every
+    delta's row slices patched in, exactly as
+    :func:`~repro.checkpoint.delta.load_delta_checkpoint` stages them.
     """
-    manifest = read_manifest(path)
-    metadata = manifest["metadata"]
+    from repro.checkpoint.delta import _staged_sparse_slots, resolve_delta_chain
+
+    metadata = read_manifest(path)["metadata"]
     trainer = metadata.get("trainer")
     if trainer is None:
         raise CheckpointMismatchError(
@@ -317,19 +306,20 @@ def accumulator_mass_by_table(path: str) -> "Dict[str, np.ndarray]":
         )
     tables = metadata.get("tables", [])
     accum_keys = trainer["optimizers"]["sparse"]["slot_keys"].get("accum", [])
-    masses: Dict[str, np.ndarray] = {}
     for key in accum_keys:
-        index = int(key)
-        if index >= len(tables):
+        if int(key) >= len(tables):
             raise CheckpointMismatchError(
-                f"checkpoint at {path!r}: sparse accumulator {index} has "
+                f"checkpoint at {path!r}: sparse accumulator {int(key)} has "
                 f"no matching table entry"
             )
-        acc = read_array(
-            path, f"{_OPT_PREFIX}sparse/accum/{index:05d}", manifest
-        )
-        per_row = acc.sum(axis=1) if acc.ndim == 2 else np.asarray(acc, dtype=float)
-        masses[str(tables[index]["name"])] = np.asarray(per_row, dtype=float)
+    if not accum_keys:
+        return {}
+    accum = _staged_sparse_slots(resolve_delta_chain(path))["accum"]
+    masses: Dict[str, np.ndarray] = {}
+    for key in accum_keys:
+        acc = accum[key]
+        per_row = acc.sum(axis=1) if acc.ndim == 2 else acc
+        masses[str(tables[int(key)]["name"])] = np.asarray(per_row, dtype=float)
     return masses
 
 

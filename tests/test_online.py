@@ -21,8 +21,10 @@ from repro.api import Session
 from repro.checkpoint import (
     CheckpointChainError,
     CheckpointManager,
+    accumulator_mass_by_table,
     checkpoint_nbytes,
     delta_touched_rows,
+    hottest_rows,
     load_delta_checkpoint,
     resolve_delta_chain,
     save_delta_checkpoint,
@@ -254,6 +256,22 @@ class TestDeltaEquivalence:
             fh.write("{ not json")
         with pytest.raises(CheckpointChainError):
             resolve_delta_chain(tip)
+
+    @pytest.mark.parametrize("mode", ["rowwise", "dense"])
+    def test_hotness_readers_accept_a_delta_tip(self, mode, tmp_path):
+        # Serving warm-start and the tier planner read row hotness from
+        # the online loop's delta tips exactly as from a full save.
+        model, trainer, _, tip = self._chain(mode, tmp_path)
+        full = save_training_checkpoint(
+            str(tmp_path / "tip_full"), model, trainer
+        )
+        want = accumulator_mass_by_table(full)
+        got = accumulator_mass_by_table(tip)
+        assert list(got) == list(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+        for n in (7, 10**6):
+            assert np.array_equal(hottest_rows(tip, n), hottest_rows(full, n))
 
     def test_empty_delta_restores_base_exactly(self, tmp_path):
         # Zero touched rows: the delta only re-states the dense arch,
