@@ -306,20 +306,20 @@ def accumulator_mass_by_table(path: str) -> "Dict[str, np.ndarray]":
         )
     tables = metadata.get("tables", [])
     accum_keys = trainer["optimizers"]["sparse"]["slot_keys"].get("accum", [])
-    for key in accum_keys:
-        if int(key) >= len(tables):
-            raise CheckpointMismatchError(
-                f"checkpoint at {path!r}: sparse accumulator {int(key)} has "
-                f"no matching table entry"
-            )
     if not accum_keys:
         return {}
     accum = _staged_sparse_slots(resolve_delta_chain(path))["accum"]
     masses: Dict[str, np.ndarray] = {}
     for key in accum_keys:
+        index = int(key)
+        if index >= len(tables):
+            raise CheckpointMismatchError(
+                f"checkpoint at {path!r}: sparse accumulator {index} has "
+                f"no matching table entry"
+            )
         acc = accum[key]
         per_row = acc.sum(axis=1) if acc.ndim == 2 else acc
-        masses[str(tables[int(key)]["name"])] = np.asarray(per_row, dtype=float)
+        masses[str(tables[index]["name"])] = np.asarray(per_row, dtype=float)
     return masses
 
 

@@ -236,6 +236,7 @@ class IterationLatencyModel:
                 f"profile has {profile.num_towers} towers; K={K} on "
                 f"{cluster.num_hosts} hosts needs {cluster.num_hosts // K}"
             )
+        world = global_group(cluster)
         hbm = cluster.spec.hbm_bytes_per_s
         S_ids = self._id_bytes(profile, local_batch)
         S_emb = local_batch * profile.emb_bytes_per_sample(
@@ -245,7 +246,7 @@ class IterationLatencyModel:
 
         # Communication: step (a) + 2x step (d) + 2x step (f).  Step (d)
         # runs within the tower, step (f) in a peer world of H/K.
-        t_in = self.cost.alltoall(global_group(cluster), S_ids).seconds
+        t_in = self.cost.alltoall(world, S_ids).seconds
         if options.multi_hot_reducescatter and profile.pooling > 1:
             t_d = self.cost.reducescatter(tower_group, S_emb).seconds
         else:
@@ -277,7 +278,6 @@ class IterationLatencyModel:
 
         # Dense sync: global AllReduce for the overarch + concurrent
         # per-tower AllReduces for tower modules (NVLink when K = 1).
-        world = global_group(cluster)
         ar = self.cost.allreduce(world, profile.dense_param_bytes).seconds
         if profile.tower_param_bytes > 0 and tower_group.world_size > 1:
             per_tower = profile.tower_param_bytes // max(profile.num_towers, 1)
