@@ -6,9 +6,11 @@ weights, optimizer state, eval AUC — to a run that never stopped,
 across both sparse gradient modes and both dense optimizers.  Plus the
 failure taxonomy (truncated payloads, version bumps, geometry
 mismatches, missing optimizer state all raise typed errors), periodic
-auto-save retention, elastic restore, and serving warm-start.
+auto-save retention, elastic restore, serving warm-start, and a
+SHA-256 pin on the bytes of a fixed full/delta/compaction chain.
 """
 
+import hashlib
 import json
 import os
 
@@ -36,21 +38,25 @@ from repro.checkpoint import (
     CheckpointNotFoundError,
     CheckpointVersionError,
     checkpoint_step,
+    delta_touched_rows,
     hottest_rows,
     load_training_checkpoint,
     plan_elastic_restore,
     read_arrays,
     read_manifest,
+    save_delta_checkpoint,
     save_training_checkpoint,
     write_checkpoint,
 )
+from repro.core.partition import FeaturePartition
 from repro.data import (
     BatchIterator,
     SyntheticCriteoConfig,
     SyntheticCriteoDataset,
+    random_batch,
 )
 from repro.hardware import Cluster
-from repro.models import DLRM, tiny_table_configs
+from repro.models import DLRM, DMTDLRM, tiny_table_configs
 from repro.models.configs import DenseArch
 from repro.nn import Adagrad, Adam, Parameter, RowwiseAdagrad, SGD
 from repro.serving import (
@@ -709,3 +715,81 @@ class TestFormatPrimitives:
         # A stale staging dir from the crash does not block the retry.
         write_checkpoint(path, {"x": np.zeros(3)}, {"v": 2})
         assert read_manifest(path)["metadata"]["v"] == 2
+
+
+# ----------------------------------------------------------------------
+def make_dmt_model(init_seed=5):
+    return DMTDLRM(
+        NUM_DENSE,
+        tiny_table_configs(NUM_SPARSE, CARDINALITY, DIM),
+        FeaturePartition.from_groups([[4, 0], [2, 5, 1], [3]]),
+        ARCH,
+        tower_dim=4,
+        rng=np.random.default_rng(init_seed),
+    )
+
+
+#: The saves of the pinned chain, in order: a full save, a delta, a
+#: delta with no touched rows, a compaction full save, one more delta.
+CHAIN = ("full", "delta", "empty", "full", "delta")
+
+
+def chain_digest(build, mode, root):
+    """SHA-256 over (relative path, bytes) of every file of the chain."""
+    model = build()
+    trainer = make_trainer(model, batch_size=16, sparse_grad_mode=mode)
+    rng = np.random.default_rng(11)
+    last = None
+    for i, kind in enumerate(CHAIN):
+        dense, ids, labels = random_batch(
+            48, NUM_DENSE, NUM_SPARSE, CARDINALITY, rng=rng
+        )
+        trainer.train_window(dense, ids, labels)
+        path = os.path.join(root, f"v{i}_{kind}")
+        if kind == "full":
+            last = save_training_checkpoint(path, model, trainer)
+        else:
+            last = save_delta_checkpoint(
+                path,
+                model,
+                trainer,
+                base=last,
+                touched=(
+                    {} if kind == "empty"
+                    else delta_touched_rows(ids, NUM_SPARSE)
+                ),
+            )
+    sha = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            full = os.path.join(dirpath, name)
+            sha.update(os.path.relpath(full, root).encode())
+            with open(full, "rb") as fh:
+                sha.update(fh.read())
+    return sha.hexdigest()
+
+
+PINNED_CHAIN_SHA256 = {
+    ("dlrm", "rowwise"): (
+        "e686eb2d074fa2b1c5309db97459501941f16bb67661125b911d4fc9e113814f"
+    ),
+    ("dlrm", "dense"): (
+        "b3fd1c23ef4b2baf45d04ac11903dec9f0d0ac690c6f0e96698629979ae43d95"
+    ),
+    ("dmt_dlrm", "rowwise"): (
+        "ce6ee60ac49ecd9321bef32b16d9e61222f66db0a3daae2cfebbf7f95b798d4c"
+    ),
+    ("dmt_dlrm", "dense"): (
+        "cea456c0add79b66fc61aaf0dd9d0e8bb90e985c11440bcfe362337497a56e72"
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["rowwise", "dense"])
+@pytest.mark.parametrize("name", ["dlrm", "dmt_dlrm"])
+def test_pinned_chain_bytes(name, mode, tmp_path):
+    """Every byte the checkpoint writer puts on disk, full and delta."""
+    build = {"dlrm": make_model, "dmt_dlrm": make_dmt_model}[name]
+    got = chain_digest(build, mode, str(tmp_path))
+    assert got == PINNED_CHAIN_SHA256[(name, mode)]
