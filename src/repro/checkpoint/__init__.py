@@ -7,20 +7,22 @@ re-placed when the cluster shape changes.  This package provides:
 - :mod:`repro.checkpoint.format` — the versioned on-disk format
   (JSON manifest + CRC-checked ``.npy`` payloads) and the typed error
   taxonomy (:class:`CheckpointError` and friends);
-- :mod:`repro.checkpoint.state` — training snapshots covering model
-  parameters, both optimizer states, trainer progress and data-loader
-  RNG, plus :class:`CheckpointManager` (periodic auto-save with
-  retention) and :func:`hottest_rows` (serving warm-start ranking);
+- :mod:`repro.checkpoint.state` — the one writer and the one reader of
+  training snapshots (:func:`save_training_checkpoint` /
+  :func:`load_training_checkpoint`) covering model parameters, both
+  optimizer states, trainer progress and data-loader RNG, plus
+  :class:`CheckpointManager` (periodic auto-save with retention) and
+  :func:`hottest_rows` (serving warm-start ranking);
 - :mod:`repro.checkpoint.elastic` — :func:`plan_elastic_restore`:
   re-run the tower partitioner over the saved tables, re-shard onto
   the new world size, and price the migration through the collective
   cost model;
-- :mod:`repro.checkpoint.delta` — delta checkpoints for online
-  training: row-slice saves of only the rows a stream window touched,
-  chained onto a base full save (:func:`save_delta_checkpoint` /
-  :func:`load_delta_checkpoint`), with typed
-  :class:`CheckpointChainError` diagnostics for orphaned or cyclic
-  chains.
+- :mod:`repro.checkpoint.delta` — the chain concerns of delta
+  checkpoints for online training: a save with a ``base`` keeps only
+  the rows a stream window touched, chained onto a full save, and a
+  full save is a chain of one; :func:`resolve_delta_chain` walks a
+  chain with typed :class:`CheckpointChainError` diagnostics for
+  orphaned or cyclic chains.
 """
 
 from repro.checkpoint.format import (
@@ -50,9 +52,7 @@ from repro.checkpoint.delta import (
     DELTA_KIND,
     checkpoint_nbytes,
     delta_touched_rows,
-    load_delta_checkpoint,
     resolve_delta_chain,
-    save_delta_checkpoint,
 )
 from repro.checkpoint.elastic import ElasticRestorePlan, plan_elastic_restore
 
@@ -77,8 +77,6 @@ __all__ = [
     "accumulator_mass_by_table",
     "CheckpointManager",
     "DELTA_KIND",
-    "save_delta_checkpoint",
-    "load_delta_checkpoint",
     "resolve_delta_chain",
     "delta_touched_rows",
     "checkpoint_nbytes",

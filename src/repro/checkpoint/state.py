@@ -18,6 +18,12 @@ run needs to resume **bit-identically**:
   :mod:`repro.checkpoint.elastic` needs to re-place the run on a
   different cluster.
 
+It is the one writer and the one reader of training state: given a
+``base``, :func:`save_training_checkpoint` writes a delta of the rows a
+window touched (:mod:`repro.checkpoint.delta`), and
+:func:`load_training_checkpoint` restores any chain — a full save is a
+chain of one.
+
 :class:`CheckpointManager` adds periodic auto-save with bounded
 retention; :func:`hottest_rows` ranks saved embedding rows by their
 Adagrad accumulator mass (rows the training traffic actually hit),
@@ -33,9 +39,15 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.checkpoint.delta import (
+    _FULL_KIND,
+    _delta_metadata,
+    _put_rows,
+    _staged_arrays,
+    resolve_delta_chain,
+)
 from repro.checkpoint.format import (
     CheckpointMismatchError,
-    read_array,
     read_manifest,
     write_checkpoint,
 )
@@ -67,35 +79,48 @@ def _model_geometry(model: Any) -> List[dict]:
 
 
 def _split_optimizer_state(
-    prefix: str, opt_state: Dict[str, Any], arrays: Dict[str, np.ndarray]
+    prefix: str,
+    opt_state: Dict[str, Any],
+    arrays: Dict[str, np.ndarray],
+    rows: Optional[Dict[int, np.ndarray]] = None,
 ) -> Dict[str, Any]:
     """Move an optimizer state's slot arrays into ``arrays`` payloads,
-    returning the JSON-able remainder (slot keys preserved by name)."""
+    returning the JSON-able remainder (slot keys preserved by name).
+
+    Given ``rows`` (slot key → row ids), each slot saves only the delta
+    slice of those rows instead of its full array."""
     meta = {k: v for k, v in opt_state.items() if k != "slots"}
     slot_keys: Dict[str, List[str]] = {}
     for slot, entries in opt_state["slots"].items():
         keys = sorted(entries, key=int)
         slot_keys[slot] = keys
         for key in keys:
-            arrays[f"{prefix}/{slot}/{int(key):05d}"] = entries[key]
+            name = f"{prefix}/{slot}/{int(key):05d}"
+            if rows is None:
+                arrays[name] = entries[key]
+            else:
+                _put_rows(arrays, name, entries[key], rows[int(key)])
     meta["slot_keys"] = slot_keys
     return meta
 
 
 def _join_optimizer_state(
     path: str,
+    staged: Dict[str, np.ndarray],
     prefix: str,
     meta: Dict[str, Any],
-    manifest: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """Inverse of :func:`_split_optimizer_state`, reading payloads."""
+    """Inverse of :func:`_split_optimizer_state`, over staged arrays."""
     slots: Dict[str, Dict[str, np.ndarray]] = {}
     for slot, keys in meta["slot_keys"].items():
         entries: Dict[str, np.ndarray] = {}
         for key in keys:
-            entries[key] = read_array(
-                path, f"{prefix}/{slot}/{int(key):05d}", manifest
-            )
+            name = f"{prefix}/{slot}/{int(key):05d}"
+            if name not in staged:
+                raise CheckpointMismatchError(
+                    f"checkpoint at {path!r} has no array {name!r}"
+                )
+            entries[key] = staged[name]
         slots[slot] = entries
     state = {k: v for k, v in meta.items() if k != "slot_keys"}
     state["slots"] = slots
@@ -108,6 +133,8 @@ def save_training_checkpoint(
     model: Any,
     trainer: Any = None,
     *,
+    base: Optional[str] = None,
+    touched: Optional[Dict[int, np.ndarray]] = None,
     spec: Any = None,
     partition: Any = None,
     interaction: Optional[np.ndarray] = None,
@@ -122,25 +149,53 @@ def save_training_checkpoint(
     ``interaction`` (the probed (F, F) feature-interaction matrix) are
     recorded when given so an elastic restore can re-run the tower
     partitioner and re-price placement without the original session.
+
+    With ``base`` (a full or delta checkpoint) the save is a **delta**
+    chained onto it (:mod:`repro.checkpoint.delta`): ``touched`` maps
+    sparse-parameter index (table order) to the row ids to save — a
+    superset of the rows modified since ``base``; tables absent from it
+    save zero rows.  Only the embedding tables and the sparse optimizer
+    slots are sliced; everything else is saved in full.
     """
-    arrays: Dict[str, np.ndarray] = {
-        _MODEL_PREFIX + name: value
-        for name, value in model.state_dict().items()
-    }
     metadata: Dict[str, Any] = {
-        "kind": "training",
+        "kind": _FULL_KIND,
         "model_class": type(model).__name__,
         "tables": _model_geometry(model),
     }
+    rows: Optional[Dict[int, np.ndarray]] = None  # table index -> row ids
+    sparse: Dict[int, int] = {}  # id(sparse parameter) -> table index
+    if base is not None:
+        if trainer is None:
+            raise ValueError("a delta checkpoint needs the trainer")
+        metadata.update(_delta_metadata(path, base))
+        rows, touched = {}, touched or {}
+        for idx, param in enumerate(trainer.sparse_opt.params):
+            ids = np.unique(np.asarray(touched.get(idx, ()), dtype=np.int64))
+            card = param.data.shape[0]
+            if ids.size and (ids[0] < 0 or ids[-1] >= card):
+                raise CheckpointMismatchError(
+                    f"touched rows for table {idx} out of range [0, {card})"
+                )
+            rows[idx], sparse[id(param)] = ids, idx
+        metadata["touched_rows"] = int(sum(r.size for r in rows.values()))
+    arrays: Dict[str, np.ndarray] = {}
+    for name, param in model.named_parameters():
+        idx = sparse.get(id(param))
+        if idx is None:
+            arrays[_MODEL_PREFIX + name] = param.data.copy()
+        else:
+            _put_rows(arrays, _MODEL_PREFIX + name, param.data, rows[idx])
     if trainer is not None:
         trainer_state = trainer.state_dict()
-        opt_meta = {}
-        for role in _OPT_ROLES:
-            opt_state = trainer_state.pop(f"{role}_opt")
-            opt_meta[role] = _split_optimizer_state(
-                _OPT_PREFIX + role, opt_state, arrays
+        trainer_state["optimizers"] = {
+            role: _split_optimizer_state(
+                _OPT_PREFIX + role,
+                trainer_state.pop(f"{role}_opt"),
+                arrays,
+                rows if role == "sparse" else None,
             )
-        trainer_state["optimizers"] = opt_meta
+            for role in _OPT_ROLES
+        }
         metadata["trainer"] = trainer_state
     if spec is not None:
         metadata["spec"] = spec.to_dict()
@@ -179,24 +234,20 @@ def load_training_checkpoint(
 ) -> Dict[str, Any]:
     """Restore ``model`` (and optionally ``trainer``) from a checkpoint.
 
-    Returns the manifest metadata.  All validation — format version,
-    payload integrity, table geometry, parameter-name and shape match,
-    optimizer compatibility — happens before any state is touched, and
-    every failure is a typed :class:`~repro.checkpoint.format.CheckpointError`.
+    ``path`` is a full save or a delta tip: its chain
+    (:func:`~repro.checkpoint.delta.resolve_delta_chain`; a full save is
+    a chain of one) is replayed base-first into staged arrays, so a
+    restored tip is bit-identical to a full save of the same state.
+    Returns the tip's manifest metadata.  All validation — format
+    version, chain links, payload integrity, table geometry,
+    parameter-name and shape match, optimizer compatibility — happens
+    before any state is touched, and every failure is a typed
+    :class:`~repro.checkpoint.format.CheckpointError`.
     """
-    manifest = read_manifest(path)
-    metadata = manifest["metadata"]
-    if metadata.get("kind") != "training":
-        raise CheckpointMismatchError(
-            f"checkpoint at {path!r} is not a training checkpoint "
-            f"(kind={metadata.get('kind')!r})"
-        )
+    chain = resolve_delta_chain(path)
+    metadata = read_manifest(path)["metadata"]
     _check_geometry(path, metadata, model)
-    state = {
-        key[len(_MODEL_PREFIX) :]: read_array(path, key, manifest)
-        for key in manifest["arrays"]
-        if key.startswith(_MODEL_PREFIX)
-    }
+    prefixes = [_MODEL_PREFIX]
     trainer_state: Optional[Dict[str, Any]] = None
     if trainer is not None:
         trainer_meta = metadata.get("trainer")
@@ -213,9 +264,17 @@ def load_training_checkpoint(
                 f"checkpoint at {path!r} is missing optimizer state for "
                 f"{sorted(set(_OPT_ROLES) - set(opt_meta or {}))}"
             )
+        prefixes.append(_OPT_PREFIX)
+    staged = _staged_arrays(chain, prefixes)
+    state = {
+        key[len(_MODEL_PREFIX) :]: value
+        for key, value in staged.items()
+        if key.startswith(_MODEL_PREFIX)
+    }
+    if trainer is not None:
         for role in _OPT_ROLES:
             trainer_state[f"{role}_opt"] = _join_optimizer_state(
-                path, _OPT_PREFIX + role, opt_meta[role], manifest
+                path, staged, _OPT_PREFIX + role, opt_meta[role]
             )
     # Everything staged — validate both targets before mutating either,
     # so a mismatch can never leave a half-loaded model/trainer pair.
@@ -291,12 +350,9 @@ def accumulator_mass_by_table(path: str) -> "Dict[str, np.ndarray]":
     these masses; :func:`hottest_rows` ranks rows by them.
 
     ``path`` may be a full checkpoint or a delta tip, whose accumulators
-    are spread across its chain: they are staged base-first with every
-    delta's row slices patched in, exactly as
-    :func:`~repro.checkpoint.delta.load_delta_checkpoint` stages them.
+    are staged through its chain exactly as
+    :func:`load_training_checkpoint` stages them.
     """
-    from repro.checkpoint.delta import _staged_sparse_slots, resolve_delta_chain
-
     metadata = read_manifest(path)["metadata"]
     trainer = metadata.get("trainer")
     if trainer is None:
@@ -305,10 +361,14 @@ def accumulator_mass_by_table(path: str) -> "Dict[str, np.ndarray]":
             f"row hotness from"
         )
     tables = metadata.get("tables", [])
-    accum_keys = trainer["optimizers"]["sparse"]["slot_keys"].get("accum", [])
+    sparse_meta = trainer["optimizers"]["sparse"]
+    accum_keys = sparse_meta["slot_keys"].get("accum", [])
     if not accum_keys:
         return {}
-    accum = _staged_sparse_slots(resolve_delta_chain(path))["accum"]
+    prefix = _OPT_PREFIX + "sparse"
+    staged = _staged_arrays(resolve_delta_chain(path), (prefix + "/",))
+    slots = _join_optimizer_state(path, staged, prefix, sparse_meta)["slots"]
+    accum = slots["accum"]
     masses: Dict[str, np.ndarray] = {}
     for key in accum_keys:
         index = int(key)

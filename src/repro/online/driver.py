@@ -32,15 +32,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.checkpoint.delta import (
-    checkpoint_nbytes,
-    delta_touched_rows,
-    save_delta_checkpoint,
-)
+from repro.checkpoint.delta import checkpoint_nbytes, delta_touched_rows
 from repro.checkpoint.state import save_training_checkpoint
 from repro.serving.faults import SwapEvent
 
@@ -140,7 +136,6 @@ class OnlineDriver:
         *,
         compact_every: int = 4,
         canary_threshold: float = 0.01,
-        save_kwargs: Optional[Dict[str, Any]] = None,
     ):
         if compact_every < 1:
             raise ValueError(
@@ -156,7 +151,6 @@ class OnlineDriver:
         self.directory = directory
         self.compact_every = compact_every
         self.canary_threshold = canary_threshold
-        self.save_kwargs = dict(save_kwargs or {})
         self.cardinalities = [
             int(p.data.shape[0]) for p in trainer.sparse_opt.params
         ]
@@ -203,10 +197,7 @@ class OnlineDriver:
         (train0, eval0) = windows[0]
         loss = self.trainer.train_window(*train0)
         base = save_training_checkpoint(
-            self._ckpt_path(1, "full"),
-            self.model,
-            self.trainer,
-            **self.save_kwargs,
+            self._ckpt_path(1, "full"), self.model, self.trainer
         )
         report.full_nbytes = checkpoint_nbytes(base)
         report.checkpoints.append(
@@ -266,28 +257,23 @@ class OnlineDriver:
 
             # Emit the window's checkpoint: delta, or compaction.
             deltas_since_full += 1
-            if deltas_since_full >= self.compact_every:
-                path = save_training_checkpoint(
-                    self._ckpt_path(w + 1, "full"),
-                    self.model,
-                    self.trainer,
-                    **self.save_kwargs,
-                )
-                kind = "full"
+            compact = deltas_since_full >= self.compact_every
+            kind = "full" if compact else "delta"
+            path = save_training_checkpoint(
+                self._ckpt_path(w + 1, kind),
+                self.model,
+                self.trainer,
+                base=None if compact else last_ckpt,
+                touched=touched,
+            )
+            nbytes = checkpoint_nbytes(path)
+            if compact:
                 deltas_since_full = 0
             else:
-                path = save_delta_checkpoint(
-                    self._ckpt_path(w + 1, "delta"),
-                    self.model,
-                    self.trainer,
-                    base=last_ckpt,
-                    touched=touched,
-                )
-                kind = "delta"
-                delta_bytes.append(checkpoint_nbytes(path))
+                delta_bytes.append(nbytes)
             last_ckpt = path
             report.checkpoints.append(
-                {"path": path, "kind": kind, "nbytes": checkpoint_nbytes(path)}
+                {"path": path, "kind": kind, "nbytes": nbytes}
             )
 
             # Canary gate: deploy unless ANY gated task's candidate

@@ -44,7 +44,6 @@ from repro.checkpoint import (
     plan_elastic_restore,
     read_arrays,
     read_manifest,
-    save_delta_checkpoint,
     save_training_checkpoint,
     write_checkpoint,
 )
@@ -746,19 +745,15 @@ def chain_digest(build, mode, root):
         )
         trainer.train_window(dense, ids, labels)
         path = os.path.join(root, f"v{i}_{kind}")
-        if kind == "full":
-            last = save_training_checkpoint(path, model, trainer)
-        else:
-            last = save_delta_checkpoint(
-                path,
-                model,
-                trainer,
-                base=last,
-                touched=(
-                    {} if kind == "empty"
-                    else delta_touched_rows(ids, NUM_SPARSE)
-                ),
-            )
+        last = save_training_checkpoint(
+            path,
+            model,
+            trainer,
+            base=None if kind == "full" else last,
+            touched=(
+                {} if kind == "empty" else delta_touched_rows(ids, NUM_SPARSE)
+            ),
+        )
     sha = hashlib.sha256()
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()

@@ -16,18 +16,27 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api import Session
+from repro.api import (
+    CheckpointSpec,
+    DataSpec,
+    ModelSpec,
+    RunSpec,
+    Session,
+    TrainSpec,
+)
 from repro.checkpoint import (
     CheckpointChainError,
+    CheckpointError,
     CheckpointManager,
     accumulator_mass_by_table,
     checkpoint_nbytes,
     delta_touched_rows,
     hottest_rows,
-    load_delta_checkpoint,
+    load_training_checkpoint,
     resolve_delta_chain,
-    save_delta_checkpoint,
     save_training_checkpoint,
 )
 from repro.data import random_batch
@@ -174,7 +183,7 @@ class TestDeltaEquivalence:
         for i in range(1, n_deltas + 1):
             wi = window(i)
             trainer.train_window(*wi)
-            last = save_delta_checkpoint(
+            last = save_training_checkpoint(
                 str(tmp_path / f"v{i + 1}_delta"),
                 model,
                 trainer,
@@ -187,7 +196,7 @@ class TestDeltaEquivalence:
     def test_base_plus_deltas_bit_identical(self, mode, tmp_path):
         model, trainer, base, tip = self._chain(mode, tmp_path)
         m2, t2 = build(mode, init_seed=7)  # different init: must be overwritten
-        load_delta_checkpoint(tip, m2, t2)
+        load_training_checkpoint(tip, m2, t2)
         for (n1, p1), (n2, p2) in zip(
             model.named_parameters(), m2.named_parameters()
         ):
@@ -222,7 +231,7 @@ class TestDeltaEquivalence:
             64, NUM_DENSE, NUM_TABLES, 4096, rng=np.random.default_rng(1)
         )
         trainer.train_window(*w1)
-        delta = save_delta_checkpoint(
+        delta = save_training_checkpoint(
             str(tmp_path / "v2_delta"),
             model,
             trainer,
@@ -247,7 +256,7 @@ class TestDeltaEquivalence:
             resolve_delta_chain(tip)
         m2, t2 = build()
         with pytest.raises(CheckpointChainError):
-            load_delta_checkpoint(tip, m2, t2)
+            load_training_checkpoint(tip, m2, t2)
 
     def test_corrupt_link_is_a_typed_error(self, tmp_path):
         _, _, base, tip = self._chain("rowwise", tmp_path, n_deltas=2)
@@ -282,7 +291,7 @@ class TestDeltaEquivalence:
             str(tmp_path / "v1_full"), model, trainer
         )
         want = {k: v.copy() for k, v in model.state_dict().items()}
-        delta = save_delta_checkpoint(
+        delta = save_training_checkpoint(
             str(tmp_path / "v2_delta"),
             model,
             trainer,
@@ -290,11 +299,175 @@ class TestDeltaEquivalence:
             touched={},
         )
         m2, t2 = build(init_seed=7)
-        load_delta_checkpoint(delta, m2, t2)
+        load_training_checkpoint(delta, m2, t2)
         got = m2.state_dict()
         assert set(got) == set(want)
         for key in want:
             assert np.array_equal(got[key], want[key]), key
+
+
+# ----------------------------------------------------------------------
+def snapshot(model, trainer):
+    """Flat copies of every model and trainer state array / value."""
+    flat = {}
+
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(f"{prefix}/{key}", item)
+        elif isinstance(value, np.ndarray):
+            flat[prefix] = value.copy()
+        else:
+            flat[prefix] = repr(value)
+
+    walk("model", model.state_dict())
+    walk("trainer", trainer.state_dict())
+    return flat
+
+
+def assert_same(a, b):
+    assert set(a) == set(b)
+    for key in a:
+        if isinstance(a[key], np.ndarray):
+            assert np.array_equal(a[key], b[key]), key
+        else:
+            assert a[key] == b[key], key
+
+
+def break_link(chain, fault, which):
+    """Inject one fault into the resolved ``chain`` (base-first)."""
+    if fault == "delete_base":
+        shutil.rmtree(chain[0])
+    elif fault == "garbage_manifest":
+        # A middle link when there is one; else the base or the tip.
+        middle = chain[1:-1] or chain
+        link = middle[which % len(middle)]
+        with open(os.path.join(link, "manifest.json"), "w") as fh:
+            fh.write("{ not json")
+    else:  # truncate one payload of any link
+        link = chain[which % len(chain)]
+        payloads = sorted(f for f in os.listdir(link) if f.endswith(".npy"))
+        victim = os.path.join(link, payloads[which % len(payloads)])
+        with open(victim, "rb") as fh:
+            raw = fh.read()
+        with open(victim, "wb") as fh:
+            fh.write(raw[: len(raw) // 2])
+
+
+class TestDeltaChainProperty:
+    """Any chain restores bit-identically to a full save of the same
+    state, or raises a typed error and touches nothing."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mode=st.sampled_from(["rowwise", "dense"]),
+        links=st.lists(
+            st.sampled_from(["delta", "full"]), min_size=0, max_size=4
+        ),
+        extra_seed=st.integers(0, 2**16),
+        fault=st.sampled_from(
+            [None, "truncate", "delete_base", "garbage_manifest"]
+        ),
+        which=st.integers(0, 64),
+    )
+    def test_restore_or_typed_error(
+        self, tmp_path_factory, mode, links, extra_seed, fault, which
+    ):
+        root = str(tmp_path_factory.mktemp("chain"))
+        model, trainer = build(mode)
+        extra = np.random.default_rng(extra_seed)
+        tip = None
+        for i, kind in enumerate(["full"] + links):
+            dense, ids, labels = window(i, n=64)
+            trainer.train_window(dense, ids, labels)
+            touched = {
+                f: np.concatenate([rows, extra.integers(0, CARD, size=3)])
+                for f, rows in delta_touched_rows(ids, NUM_TABLES).items()
+            }
+            tip = save_training_checkpoint(
+                os.path.join(root, f"v{i}_{kind}"),
+                model,
+                trainer,
+                base=None if kind == "full" else tip,
+                touched=touched,
+            )
+        ref = save_training_checkpoint(
+            os.path.join(root, "ref"), model, trainer
+        )
+        m2, t2 = build(mode, init_seed=7)
+        before = snapshot(m2, t2)
+        if fault is not None:
+            break_link(resolve_delta_chain(tip), fault, which)
+            with pytest.raises(CheckpointError):
+                load_training_checkpoint(tip, m2, t2)
+            assert_same(snapshot(m2, t2), before)
+            return
+        load_training_checkpoint(tip, m2, t2)
+        m3, t3 = build(mode, init_seed=7)
+        load_training_checkpoint(ref, m3, t3)
+        assert_same(snapshot(m2, t2), snapshot(m3, t3))
+        w = window(99, n=64)
+        assert t2.train_window(*w) == t3.train_window(*w)
+        assert_same(snapshot(m2, t2), snapshot(m3, t3))
+
+
+# ----------------------------------------------------------------------
+class TestSessionResumeFromDeltaTip:
+    """A delta tip resumes a Session exactly like a full save of the
+    same trainer state (the one reader serves both)."""
+
+    def test_resume_equals_full_save(self, tmp_path):
+        spec = RunSpec(
+            name="delta-resume",
+            data=DataSpec(
+                num_sparse=NUM_TABLES, cardinality=CARD, num_samples=1200
+            ),
+            model=ModelSpec(
+                family="dlrm",
+                variant="flat",
+                embedding_dim=DIM,
+                bottom_mlp=(16,),
+                top_mlp=(16,),
+            ),
+            train=TrainSpec(mode="single", batch_size=64, epochs=2),
+            checkpoint=CheckpointSpec(
+                directory=str(tmp_path), save_every_steps=7, keep_last=2
+            ),
+        )
+        session = Session(spec)
+        session.train()
+        # 24 steps: the two newest saves are steps 14 and 21.
+        manager = CheckpointManager(
+            os.path.join(str(tmp_path), spec.name), 7, keep_last=2
+        )
+        base, full = (manager.step_path(s) for s in manager.saved_steps())
+        # The state of ``full``, saved as a delta onto ``base``.
+        model = session.build_model()
+        trainer = Trainer(model, spec.train.trainer_config())
+        load_training_checkpoint(full, model, trainer)
+        ids = session.load_data().train[1]
+        tip = save_training_checkpoint(
+            str(tmp_path / "tip"),
+            model,
+            trainer,
+            base=base,
+            touched=delta_touched_rows(ids, NUM_TABLES),
+        )
+        assert resolve_delta_chain(tip) == [base, tip]
+
+        def resumed(path):
+            ck = spec.checkpoint.replace(save_every_steps=0, resume_from=path)
+            return Session(spec.replace(checkpoint=ck)).train()
+
+        got, want = resumed(tip), resumed(full)
+        assert got.trainer.global_step == want.trainer.global_step
+        assert got.trainer.global_step > trainer.global_step
+        assert got.eval_result.auc == want.eval_result.auc
+        for (n1, p1), (n2, p2) in zip(
+            got.model.named_parameters(), want.model.named_parameters()
+        ):
+            assert n1 == n2
+            assert np.array_equal(p1.data, p2.data), n1
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +532,7 @@ class TestOnlineDriver:
         # Every delta tip restores (the chain is well-formed on disk).
         tips = [c["path"] for c in report.checkpoints if c["kind"] == "delta"]
         m2, _ = build(init_seed=7)
-        load_delta_checkpoint(tips[-1], m2)
+        load_training_checkpoint(tips[-1], m2)
         curve = report.staleness_curve()
         assert [p["window"] for p in curve] == [0, 1, 2, 3]
 
