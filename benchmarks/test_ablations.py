@@ -26,7 +26,6 @@ from repro.partitioner import TowerPartitioner, interaction_from_activations
 from repro.perf import (
     IterationLatencyModel,
     PerfCalibration,
-    SPTTOptions,
     paper_dlrm_profile,
 )
 from repro.perf.profiles import dmt_profile_for_towers
@@ -156,10 +155,7 @@ def test_ablation_khost_towers(benchmark):
         cluster = Cluster(64, 8, "A100")
         return {
             k: model.dmt(
-                replace(dmt_dlrm_profile(26), num_towers=64 // k),
-                cluster,
-                B,
-                SPTTOptions(hosts_per_tower=k),
+                replace(dmt_dlrm_profile(26), num_towers=64 // k), cluster, B
             ).total_s
             for k in (1, 2, 4)
         }

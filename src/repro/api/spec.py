@@ -29,8 +29,10 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
+from repro.comm.process_group import tower_groups
 from repro.data import SyntheticCriteoConfig
 from repro.hardware.specs import GPUGeneration, get_spec
+from repro.hardware.topology import Cluster
 from repro.serving import (
     AutoscalePolicy,
     FaultConfig,
@@ -275,6 +277,15 @@ class ClusterSpec(_SpecBase):
     def world_size(self) -> int:
         return self.num_hosts * self.gpus_per_host
 
+    def require_towers_divide_hosts(self, num_towers: int, what: str) -> None:
+        """The tower geometry's one rule (:func:`repro.comm.tower_groups`):
+        a tower spans ``K = num_hosts / num_towers`` whole hosts."""
+        cluster = Cluster(self.num_hosts, self.gpus_per_host, self.generation)
+        try:
+            tower_groups(cluster, num_towers)
+        except ValueError as exc:
+            raise SpecError(f"{what} must divide cluster.num_hosts: {exc}") from None
+
 
 @dataclass(frozen=True)
 class DataSpec(_SpecBase):
@@ -502,8 +513,8 @@ class PartitionSpec(_SpecBase):
                 f"{len(self.groups)} given groups; drop it or make "
                 f"them agree",
             )
-            # num_towers is derived so cross-checks (one tower per host,
-            # num_towers <= num_sparse) validate the real tower count.
+            # num_towers is derived so cross-checks (towers divide
+            # hosts, num_towers <= num_sparse) validate the real tower count.
             object.__setattr__(self, "num_towers", len(self.groups))
         else:
             _require(
@@ -1361,12 +1372,13 @@ class RunSpec(_SpecBase):
                     f"model.tasks={self.model.tasks} needs "
                     "train.mode='single'",
                 )
-                _require(
-                    self.partition is not None
-                    and self.partition.num_towers == self.cluster.num_hosts,
-                    "simulated training pins one tower per host: "
-                    "partition.num_towers must equal cluster.num_hosts",
+                self.cluster.require_towers_divide_hosts(
+                    self.partition.num_towers, "partition.num_towers"
                 )
+        if self.perf is not None and self.perf.num_towers is not None:
+            self.cluster.require_towers_divide_hosts(
+                self.perf.num_towers, "perf.num_towers"
+            )
         if self.partition is not None and self.data is not None:
             _require(
                 self.partition.num_towers <= self.data.num_sparse,

@@ -10,7 +10,7 @@ Two planes, deliberately separated (priced vs moved, docs/invariants.md):
   Table 3) are testable as exact array equality.
 
 :mod:`repro.comm.process_group` defines the rank groups both planes
-share (global, intra-host, peer groups).
+share (global, tower and peer groups).
 """
 
 from repro.comm.calibration import (
@@ -25,6 +25,7 @@ from repro.comm.process_group import (
     global_group,
     intra_host_groups,
     peer_groups,
+    tower_groups,
 )
 from repro.comm import functional
 
@@ -39,5 +40,6 @@ __all__ = [
     "global_group",
     "intra_host_groups",
     "peer_groups",
+    "tower_groups",
     "functional",
 ]

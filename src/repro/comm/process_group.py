@@ -10,10 +10,9 @@ Three group families matter in this paper:
 - **peer groups** (``T = H/K`` ranks, one per tower at the same
   position in it) — SPTT step (f)'s concurrent peer AlltoAlls.
 
-This module is the only place tower and peer groups are built: the
-priced iteration (:mod:`repro.perf.iteration_model`, including the
-§3.1.3 K-host towers) and the executed one (:class:`repro.sim.SimCluster`)
-both call :func:`intra_host_groups` and :func:`peer_groups`.
+This module is the only place tower and peer groups are built, and
+:func:`tower_groups`, which the priced and the executed iteration both
+call with the model's tower count, the only place K is decided.
 
 A :class:`ProcessGroup` is topology-aware: it knows which of its edges
 cross hosts, which is exactly what the cost model needs.
@@ -146,7 +145,9 @@ def peer_groups(
     Group ``p`` holds the rank at position ``p`` of every tower, ordered
     by tower.  With one tower per host that is every rank with local
     index ``p``, ordered by host — the "peer order" key
-    ``(g % L, g // L)`` restricted to one value of ``g % L``.
+    ``(g % L, g // L)`` restricted to one value of ``g % L``.  (The
+    paper writes ``(g % T, g // L)``; its Figure 7 order and its peer
+    definition ``g_i % L == g_j % L`` need ``g % L``.)
 
     >>> c = Cluster(num_hosts=2, gpus_per_host=2)  # the paper's example
     >>> [g.ranks for g in peer_groups(c)]
@@ -157,3 +158,20 @@ def peer_groups(
         ProcessGroup(cluster, tuple(t.ranks[p] for t in towers))
         for p in range(towers[0].world_size)
     ]
+
+
+def tower_groups(
+    cluster: Cluster, num_towers: int
+) -> Tuple[List[ProcessGroup], List[ProcessGroup]]:
+    """Tower and peer groups of ``T`` towers: tower ``t`` spans the
+    ``K = H/T`` hosts ``tK .. tK+K-1`` (§3.1.3; ``K = 1`` is one per host).
+
+    >>> towers, peers = tower_groups(Cluster(num_hosts=4, gpus_per_host=2), 2)
+    >>> [g.ranks for g in towers], [g.ranks for g in peers]
+    ([(0, 1, 2, 3), (4, 5, 6, 7)], [(0, 4), (1, 5), (2, 6), (3, 7)])
+    """
+    hosts = cluster.num_hosts
+    if num_towers < 1 or hosts % num_towers != 0:
+        raise ValueError(f"{num_towers} towers do not divide {hosts} hosts")
+    k = hosts // num_towers
+    return intra_host_groups(cluster, k), peer_groups(cluster, k)

@@ -7,7 +7,7 @@ the simulated cluster: model parallelism for tables (via the
 exchanges), data parallelism for the dense plane (rank-sequential
 execution with gradient accumulation — numerically the AllReduce sum),
 and for DMT the tower modules are replicated per rank within their
-host and synchronized intra-host exactly as §3.2 prescribes.
+tower group and synchronized over it exactly as §3.2 prescribes.
 
 Neither executor states any model math.  What they share — splitting
 the global batch, the per-rank loss/grad loop over the dense plane,
@@ -157,13 +157,13 @@ class DistributedHybridTrainer(_DataParallelStep):
 
 
 class DistributedDMTTrainer(_DataParallelStep):
-    """DMT training: SPTT exchange + per-host tower modules + hybrid
-    dense parallelism.
+    """DMT training: SPTT exchange + per-tower modules + hybrid dense
+    parallelism.
 
     Tower module placement (§3.2): tower ``t``'s module is replicated
-    on each of host ``t``'s ``L`` ranks; each replica processes its
-    rank's (H*B, F_t, N) peer block; gradients are summed intra-host
-    (an NVLink AllReduce) into the canonical module on ``model``.
+    on the ``K*L`` ranks of its tower group; each replica processes its
+    rank's (T*B, F_t, N) peer block; gradients are summed over the group
+    (an NVLink AllReduce when ``K = 1``) into the canonical module.
     After the optimizer step, :meth:`sync_replicas` refreshes the
     replicas; ``Trainer`` calls it, and :meth:`fit_step` is the same
     step with caller-held optimizers.
@@ -177,26 +177,21 @@ class DistributedDMTTrainer(_DataParallelStep):
                 f"{type(model).__name__} does not expose the "
                 "overarch_features / overarch_backward tower-output seam"
             )
-        if model.partition.num_towers != sim.num_hosts:
-            raise ValueError(
-                f"model has {model.partition.num_towers} towers, cluster has "
-                f"{sim.num_hosts} hosts"
-            )
         super().__init__(sim, model)
         self.exchange = SPTTEmbeddingExchange(
             sim, model.embeddings, model.partition
         )
-        # Per-rank tower replicas (host h's ranks replicate tower h).
+        # Per-rank tower replicas (tower t's group replicates tower t).
         self.replicas: Dict[int, Module] = {
-            r: copy.deepcopy(model.towers[sim.cluster.host_of(r)])
-            for r in range(sim.world_size)
+            r: copy.deepcopy(model.towers[t])
+            for r, t in self.exchange.tower_of.items()
         }
 
     # ------------------------------------------------------------------
     def sync_replicas(self) -> None:
         """Broadcast canonical tower parameters to their replicas."""
         for r, replica in self.replicas.items():
-            tower = self.model.towers[self.sim.cluster.host_of(r)]
+            tower = self.model.towers[self.exchange.tower_of[r]]
             replica.load_state_dict(tower.state_dict())
 
     def fit_step(
@@ -253,7 +248,7 @@ class DistributedDMTTrainer(_DataParallelStep):
 
     def _exchange_backward(self, tower_out_grads):
         """Reverse step (f), tower-module backward per replica, reverse
-        (e)-(b), then the intra-host tower gradient sync."""
+        (e)-(b), then the tower gradient sync."""
         sim = self.sim
         grad_tm_out = self.exchange.backward_tower_exchange(tower_out_grads)
         self.exchange.backward_from_towers(
@@ -263,12 +258,13 @@ class DistributedDMTTrainer(_DataParallelStep):
             }
         )
 
-        # Tower gradient sync: sum replica grads per host (priced as
-        # concurrent intra-host AllReduces) into the canonical modules.
+        # Tower gradient sync: sum replica grads over each tower group
+        # (priced as concurrent AllReduces) into the canonical modules.
+        groups = self.exchange.tower_groups
         tm_bytes = 0
-        for t, tower in enumerate(self.model.towers):
+        for tower, group in zip(self.model.towers, groups):
             canonical = list(tower.parameters())
-            for r in sim.cluster.ranks_on_host(t):
+            for r in group.ranks:
                 for p_c, p_r in zip(canonical, self.replicas[r].parameters()):
                     # Tower modules are dense MLPs, but route through
                     # has_grad so a sparse replica grad would densify
@@ -277,9 +273,9 @@ class DistributedDMTTrainer(_DataParallelStep):
                         p_c.add_grad(p_r.grad)
                         p_r.zero_grad()
             tm_bytes = max(tm_bytes, _dense_param_bytes(canonical))
-        if tm_bytes and sim.gpus_per_host > 1:
-            timing = sim.cost_model.allreduce(sim.host_groups[0], tm_bytes)
+        if tm_bytes and groups[0].world_size > 1:
+            timing = sim.cost_model.allreduce(groups[0], tm_bytes)
             sim.timeline.add(
                 Phase.DENSE_SYNC, "tower_allreduce", timing.seconds,
-                tm_bytes, sim.gpus_per_host,
+                tm_bytes, groups[0].world_size,
             )

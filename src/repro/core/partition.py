@@ -3,12 +3,10 @@
 A :class:`FeaturePartition` is the contract between the tower
 partitioner (which produces one), the DMT models (which build one tower
 module per group), and the SPTT pipeline (which assigns each group's
-embedding tables to one host).  Groups are ordered: group ``t`` is
-tower ``t`` and lives on host ``t``.  The §3.1.3 K-host variant puts
-tower ``t`` on hosts ``tK .. tK+K-1``; it is priced
-(``SPTTOptions.hosts_per_tower`` of
-:meth:`repro.perf.IterationLatencyModel.dmt`) but not executed, and its
-groups come from :func:`repro.comm.intra_host_groups`.
+embedding tables to one tower group).  Groups are ordered: group ``t``
+is tower ``t`` and lives on hosts ``tK .. tK+K-1``, where ``K = H/T``
+(§3.1.3; ``K = 1`` is one tower per host).  The price and the executed
+step take those groups from :func:`repro.comm.tower_groups`.
 """
 
 from __future__ import annotations

@@ -6,26 +6,27 @@ into topology-aware steps:
 (a) global feature-distribution AlltoAll (ids; unchanged from flat);
 (b) local embedding lookup of the global batch for owned features;
 (c) **peer permute**: reorder the received-source axis into peer order;
-(d) **intra-host AlltoAll** (NVLink): afterwards each rank holds *all
-    its tower's features* for *its peer group's* batch slices;
+(d) **intra-tower AlltoAll**: afterwards each rank holds *all its
+    tower's features* for *its peer group's* batch slices;
 (e) **local data shuffle**: (features, peers) -> (peers, features),
     flattened;
-(f) **concurrent peer AlltoAlls**: ``L`` disjoint AlltoAlls of world
-    size ``T = G/L`` exchange tower blocks so each rank ends with all
-    features for its own local batch.
+(f) **concurrent peer AlltoAlls**: ``K*L`` disjoint AlltoAlls of world
+    size ``T`` exchange tower blocks so each rank ends with all
+    features for its own local batch.  A tower spans ``K = H/T`` hosts
+    (:func:`repro.comm.tower_groups`; ``K = 1`` is one per host).
 
 Tower modules slot in between (e) and (f): `forward_to_towers` stops
-after (e) handing each rank a (H*B, F_t, N) block — the full tower
+after (e) handing each rank a (T*B, F_t, N) block — the full tower
 feature set, in the partition's own order, for every peer — and
 `exchange_tower_outputs` performs (f) on the (possibly compressed)
 module outputs.
 
 Every step is still priced where Figure 7 has it, but the host moves an
-activation once per *hop*: peer order is the arithmetic progression
-``j, j + L, j + 2L, ...`` per peer group ``j`` (:mod:`repro.core.peer`),
-so step (c)+(d)'s bucket for local rank ``j`` is the strided view
-``[:, j::L]`` of the lookup buffer, and the receiver's one write into its
-tower block is step (e).  Steps (a)/(b) and the reverse-(b) scatter are
+activation once per *hop*: peer group ``j`` is the arithmetic
+progression ``j, j + KL, j + 2KL, ...`` of ranks, so step (c)+(d)'s
+bucket for tower position ``j`` is the strided view ``[:, j::KL]`` of
+the lookup buffer, and the receiver's one write into its tower block is
+step (e).  Steps (a)/(b) and the reverse-(b) scatter are
 :class:`~repro.core.flat_pipeline.TableOwnerExchange`'s, shared with the
 flat exchange.  The plain
 :meth:`SPTTEmbeddingExchange.forward` wires the two with pass-through
@@ -40,6 +41,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.comm.functional import check_membership
+from repro.comm.process_group import tower_groups
 from repro.core.partition import FeaturePartition
 from repro.core.flat_pipeline import TableOwnerExchange
 from repro.nn.embedding import EmbeddingBagCollection
@@ -53,8 +55,8 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
     Parameters
     ----------
     sim:
-        Simulated cluster; ``sim.num_hosts`` must equal
-        ``partition.num_towers`` (tower t lives on host t).
+        Simulated cluster; ``partition.num_towers`` must divide
+        ``sim.num_hosts``.
     ebc:
         Reference embedding collection (tables shared, model-parallel).
     partition:
@@ -70,32 +72,32 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
         ebc: EmbeddingBagCollection,
         partition: FeaturePartition,
     ):
-        if partition.num_towers != sim.num_hosts:
-            raise ValueError(
-                f"partition has {partition.num_towers} towers but cluster has "
-                f"{sim.num_hosts} hosts; SPTT pins one tower per host"
-            )
         if partition.num_features != ebc.num_features:
             raise ValueError(
                 f"partition covers {partition.num_features} features, "
                 f"collection has {ebc.num_features}"
             )
+        self.tower_groups, self.peer_groups = tower_groups(
+            sim.cluster, partition.num_towers
+        )
         super().__init__(sim, ebc)
         self.partition = partition
 
-        L = sim.gpus_per_host
-        # Owner plan: tower t's features round-robin over host t's
-        # ranks, so local rank i owns positions i::L of the tower.
-        for t, group in enumerate(partition.groups):
-            host_ranks = sim.cluster.ranks_on_host(t)
+        M = self.tower_groups[0].world_size  # K*L ranks per tower
+        # Owner plan: tower t's features round-robin over its group, so
+        # tower position i owns positions i::M of the tower.
+        for group, tower in zip(partition.groups, self.tower_groups):
             for i, f in enumerate(group):
-                self.features_of[host_ranks[i % L]].append(f)
+                self.features_of[tower.ranks[i % M]].append(f)
+        self.tower_of = {
+            r: t for t, g in enumerate(self.tower_groups) for r in g.ranks
+        }
         # Feature order of a tower block: the partition's own.
         self.tower_feature_order: List[List[int]] = [
             list(group) for group in partition.groups
         ]
         # Peer group j on the source-rank axis (peer order, blockwise).
-        self._peer_blocks = [slice(j, None, L) for j in range(L)]
+        self._peer_blocks = [slice(j, None, M) for j in range(M)]
 
     # ------------------------------------------------------------------
     def tower_num_features(self, tower: int) -> int:
@@ -105,14 +107,14 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
     # Forward half 1: steps (a)-(e)
     # ------------------------------------------------------------------
     def forward_to_towers(self, ids: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-        """Steps (a)-(e); returns per rank the (H*B, F_t, N) tower block,
+        """Steps (a)-(e); returns per rank the (T*B, F_t, N) tower block,
         features in partition order.
 
-        Row layout of the output: peer-host-major — rows
-        ``[j*B:(j+1)*B]`` are the batch of this rank's peer on host j.
+        Row layout of the output: peer-tower-major — rows
+        ``[j*B:(j+1)*B]`` are the batch of this rank's peer in tower j.
         """
         sim = self.sim
-        G, H, L = sim.world_size, sim.num_hosts, sim.gpus_per_host
+        T, M = len(self.tower_groups), len(self._peer_blocks)
         lookups = self._lookup_global_batch(ids)
         B = self._batch
 
@@ -122,25 +124,26 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
             max(a.nbytes for a in lookups.values()), label="sptt.peer_permute"
         )
 
-        # Step (d): intra-host AlltoAll (concurrent across hosts).
-        # Bucket for local rank j: peer group j's H sources.
+        # Step (d): intra-tower AlltoAll (concurrent across towers).
+        # Bucket for tower position j: peer group j's T sources.
         send = {
             o: [a[:, block] for block in self._peer_blocks]
             for o, a in lookups.items()
         }
         recv = sim.alltoall_concurrent(
-            sim.host_groups, send, phase=Phase.EMBEDDING_COMM, label="sptt.intra_host"
+            self.tower_groups, send, phase=Phase.EMBEDDING_COMM,
+            label="sptt.intra_host",
         )
 
-        # Step (e): local rank i's (F_i, H, B, N) piece lands at the
-        # tower's positions i::L as (peers, batch, features).
+        # Step (e): tower position i's (F_i, T, B, N) piece lands at the
+        # tower's positions i::M as (peers, batch, features).
         towers: Dict[int, np.ndarray] = {}
-        for r in range(G):
-            F_t = self.tower_num_features(sim.cluster.host_of(r))
-            block = np.empty((H, B, F_t, self.dim))
+        for r, t in self.tower_of.items():
+            F_t = self.tower_num_features(t)
+            block = np.empty((T, B, F_t, self.dim))
             for i, piece in enumerate(recv[r]):
-                block[:, :, i::L] = piece.transpose(1, 2, 0, 3)
-            towers[r] = block.reshape(H * B, F_t, self.dim)
+                block[:, :, i::M] = piece.transpose(1, 2, 0, 3)
+            towers[r] = block.reshape(T * B, F_t, self.dim)
         sim.shuffle(
             max(t.nbytes for t in towers.values()), label="sptt.local_shuffle"
         )
@@ -152,26 +155,26 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
     def exchange_tower_outputs(
         self, outputs: Dict[int, np.ndarray]
     ) -> Dict[int, List[np.ndarray]]:
-        """Concurrent peer AlltoAlls of (H*B, O_t) tower outputs.
+        """Concurrent peer AlltoAlls of (T*B, O_t) tower outputs.
 
         Returns per rank a list indexed by tower with that tower's
         (B, O_t) output for the rank's own local batch — row slices of
         the arrays passed in.
         """
         sim = self.sim
-        H = sim.num_hosts
+        T = len(self.tower_groups)
         B = self._require_forward("exchange_tower_outputs")
         check_membership(sim.world, outputs)
         send = {}
         for r, out in outputs.items():
             out = np.asarray(out, dtype=np.float64)
-            if out.ndim != 2 or out.shape[0] != H * B:
+            if out.ndim != 2 or out.shape[0] != T * B:
                 raise ValueError(
-                    f"rank {r}: tower output must be ({H * B}, O), got {out.shape}"
+                    f"rank {r}: tower output must be ({T * B}, O), got {out.shape}"
                 )
-            send[r] = [out[j * B : (j + 1) * B] for j in range(H)]
+            send[r] = [out[j * B : (j + 1) * B] for j in range(T)]
         return sim.alltoall_concurrent(
-            sim.peer_groups, send, phase=Phase.EMBEDDING_COMM, label="sptt.peer_a2a"
+            self.peer_groups, send, phase=Phase.EMBEDDING_COMM, label="sptt.peer_a2a"
         )
 
     # ------------------------------------------------------------------
@@ -180,21 +183,21 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
     def backward_tower_exchange(
         self, grads: Dict[int, Sequence[np.ndarray]]
     ) -> Dict[int, np.ndarray]:
-        """Mirror of step (f): per-tower output grads -> (H*B, O_t)."""
+        """Mirror of step (f): per-tower output grads -> (T*B, O_t)."""
         sim = self.sim
-        H = sim.num_hosts
+        T = len(self.tower_groups)
         self._require_forward("backward_tower_exchange")
         check_membership(sim.world, grads)
         send = {}
         for r, tower_grads in grads.items():
-            if len(tower_grads) != H:
+            if len(tower_grads) != T:
                 raise ValueError(
-                    f"rank {r}: need one grad per tower ({H}), got "
+                    f"rank {r}: need one grad per tower ({T}), got "
                     f"{len(tower_grads)}"
                 )
             send[r] = [np.asarray(g, dtype=np.float64) for g in tower_grads]
         recv = sim.alltoall_concurrent(
-            sim.peer_groups, send, phase=Phase.EMBEDDING_COMM,
+            self.peer_groups, send, phase=Phase.EMBEDDING_COMM,
             label="sptt.peer_a2a_bwd",
         )
         return {r: np.concatenate(blocks, axis=0) for r, blocks in recv.items()}
@@ -202,33 +205,33 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
     def backward_from_towers(self, grad_towers: Dict[int, np.ndarray]) -> None:
         """Mirror of steps (e)-(b): tower-block grads into the tables."""
         sim = self.sim
-        H, L = sim.num_hosts, sim.gpus_per_host
+        T, M = len(self.tower_groups), len(self._peer_blocks)
         B = self._require_forward("backward_from_towers")
         check_membership(sim.world, grad_towers)
 
-        # Reverse steps (e)+(d): local rank i gets back its features'
-        # rows, positions i::L of the block, as (F_i, H, B, N).
+        # Reverse steps (e)+(d): tower position i gets back its
+        # features' rows, positions i::M of the block, as (F_i, T, B, N).
         send = {}
         shuffle_bytes = 0
         for r, g in grad_towers.items():
             g = np.asarray(g, dtype=np.float64)
-            F_t = self.tower_num_features(sim.cluster.host_of(r))
-            if g.shape != (H * B, F_t, self.dim):
+            F_t = self.tower_num_features(self.tower_of[r])
+            if g.shape != (T * B, F_t, self.dim):
                 raise ValueError(
-                    f"rank {r}: expected ({H * B}, {F_t}, {self.dim}), "
+                    f"rank {r}: expected ({T * B}, {F_t}, {self.dim}), "
                     f"got {g.shape}"
                 )
-            peers = g.reshape(H, B, F_t, self.dim)
-            send[r] = [peers[:, :, i::L].transpose(2, 0, 1, 3) for i in range(L)]
+            peers = g.reshape(T, B, F_t, self.dim)
+            send[r] = [peers[:, :, i::M].transpose(2, 0, 1, 3) for i in range(M)]
             shuffle_bytes = max(shuffle_bytes, g.nbytes)
         sim.shuffle(shuffle_bytes, label="sptt.local_shuffle_bwd")
         recv = sim.alltoall_concurrent(
-            sim.host_groups, send, phase=Phase.EMBEDDING_COMM,
+            self.tower_groups, send, phase=Phase.EMBEDDING_COMM,
             label="sptt.intra_host_bwd",
         )
 
         # Reverse step (c) is the write of peer group j's piece at
-        # [:, j::L] of the owner's source axis; then reverse step (b).
+        # [:, j::M] of the owner's source axis; then reverse step (b).
         sim.shuffle(shuffle_bytes, label="sptt.peer_permute_bwd")
         self._scatter_into_tables(recv, self._peer_blocks)
 
@@ -253,7 +256,6 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
 
     def backward(self, grads: Dict[int, np.ndarray]) -> None:
         """Full SPTT backward for the pass-through configuration."""
-        sim = self.sim
         B = self._require_forward("backward")
         per_tower: Dict[int, List[np.ndarray]] = {}
         for r, g in grads.items():
@@ -271,9 +273,7 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
         self.backward_from_towers(
             {
                 r: gt.reshape(
-                    gt.shape[0],
-                    self.tower_num_features(sim.cluster.host_of(r)),
-                    self.dim,
+                    gt.shape[0], self.tower_num_features(self.tower_of[r]), self.dim
                 )
                 for r, gt in grad_towers_flat.items()
             }

@@ -11,10 +11,11 @@ components mirror the paper's buckets:
   by backward-overlap;
 - **others**: fixed per-iteration host overhead.
 
-:meth:`IterationLatencyModel.dmt` is the one DMT price.  The paper's
-four §3.1.3 specializations of the base transform are its
-:class:`SPTTOptions`: K-host towers, a ReduceScatter for multi-hot step
-(d), swapping steps (b)/(c), and virtual peer order.
+:meth:`IterationLatencyModel.dmt` is the one DMT price.  Of the paper's
+four §3.1.3 specializations of the base transform, K-host towers follow
+from the profile's tower count, and the other three are its
+:class:`SPTTOptions`: a ReduceScatter for multi-hot step (d), swapping
+steps (b)/(c), and virtual peer order.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.comm.cost_model import CollectiveCostModel
-from repro.comm.process_group import (
-    global_group,
-    intra_host_groups,
-    peer_groups,
-)
+from repro.comm.process_group import global_group, tower_groups
 from repro.hardware.topology import Cluster
 from repro.perf.paradigms import PerfCalibration, default_perf_calibration
 from repro.perf.profiles import ModelProfile
@@ -35,14 +32,11 @@ from repro.perf.profiles import ModelProfile
 
 @dataclass(frozen=True)
 class SPTTOptions:
-    """The §3.1.3 specializations of SPTT, as pricing options.
+    """The §3.1.3 switches of SPTT, as pricing options (K-host towers
+    follow from the profile's tower count).
 
     Attributes
     ----------
-    hosts_per_tower:
-        ``K``: a tower spans ``K`` hosts, so step (d) crosses hosts and
-        the peer AlltoAll world shrinks to ``H/K``; 1 is the canonical
-        one-tower-per-host setup.
     multi_hot_reducescatter:
         Use row-wise shards + ReduceScatter for step (d); only
         meaningful when the profile has pooling > 1.
@@ -52,16 +46,9 @@ class SPTTOptions:
         Skip step (c) entirely via peer-ordered process groups.
     """
 
-    hosts_per_tower: int = 1
     multi_hot_reducescatter: bool = False
     swap_shuffle: bool = False
     virtual_peer_order: bool = False
-
-    def __post_init__(self) -> None:
-        if self.hosts_per_tower < 1:
-            raise ValueError(
-                f"hosts_per_tower must be >= 1, got {self.hosts_per_tower}"
-            )
 
 
 @dataclass(frozen=True)
@@ -208,16 +195,14 @@ class IterationLatencyModel:
     ) -> IterationBreakdown:
         """DMT: SPTT steps + tower modules (Figure 7).
 
-        Requires ``profile.num_towers == H/K`` for ``H`` hosts and
-        ``K = options.hosts_per_tower``; the default options are one
-        tower pinned per host, the paper's §5.1 configuration.
+        Each of the ``profile.num_towers`` towers spans ``K = H/T`` hosts
+        (:func:`repro.comm.tower_groups`, as in the executed step);
+        ``K = 1`` is the paper's §5.1 configuration.
 
         >>> from repro.hardware import Cluster
         >>> from repro.perf.profiles import dmt_dlrm_profile
         >>> cluster = Cluster(num_hosts=8, gpus_per_host=8, generation="A100")
-        >>> bd = IterationLatencyModel().dmt(
-        ...     dmt_dlrm_profile(4), cluster, 16384, SPTTOptions(hosts_per_tower=2)
-        ... )
+        >>> bd = IterationLatencyModel().dmt(dmt_dlrm_profile(4), cluster, 16384)
         >>> bd.name, bd.total_s > 0
         ('dmt-K2/DMT-4T-DLRM', True)
         """
@@ -228,14 +213,9 @@ class IterationLatencyModel:
                 f"DMT/SPTT profile"
             )
         options = options or SPTTOptions()
-        K = options.hosts_per_tower
-        tower_group = intra_host_groups(cluster, K)[0]
-        peer_group = peer_groups(cluster, K)[0]
-        if profile.num_towers != cluster.num_hosts // K:
-            raise ValueError(
-                f"profile has {profile.num_towers} towers; K={K} on "
-                f"{cluster.num_hosts} hosts needs {cluster.num_hosts // K}"
-            )
+        towers, peers = tower_groups(cluster, profile.num_towers)
+        tower_group, peer_group = towers[0], peers[0]
+        K = tower_group.hosts_spanned
         world = global_group(cluster)
         hbm = cluster.spec.hbm_bytes_per_s
         S_ids = self._id_bytes(profile, local_batch)
@@ -283,7 +263,8 @@ class IterationLatencyModel:
             per_tower = profile.tower_param_bytes // max(profile.num_towers, 1)
             ar += self.cost.allreduce(tower_group, per_tower).seconds
         overlap = self.cal.dmt_overlap_at(profile.num_towers)
-        variant = "dmt" if options == SPTTOptions() else f"dmt-K{K}"
+        default = K == 1 and options == SPTTOptions()
+        variant = "dmt" if default else f"dmt-K{K}"
         return IterationBreakdown(
             name=f"{variant}/{profile.name}",
             compute_s=compute,

@@ -27,12 +27,7 @@ import numpy as np
 
 from repro.comm import functional as F
 from repro.comm.cost_model import CollectiveCostModel
-from repro.comm.process_group import (
-    ProcessGroup,
-    global_group,
-    intra_host_groups,
-    peer_groups,
-)
+from repro.comm.process_group import ProcessGroup, global_group
 from repro.hardware.topology import Cluster
 from repro.sim.tracing import Phase, Timeline
 
@@ -72,8 +67,6 @@ class SimCluster:
         self.cost_model = cost_model or CollectiveCostModel()
         self.timeline = timeline if timeline is not None else Timeline()
         self.world = global_group(cluster)
-        self.host_groups = intra_host_groups(cluster)
-        self.peer_groups = peer_groups(cluster)
 
     # ------------------------------------------------------------------
     # Geometry passthroughs
@@ -89,12 +82,6 @@ class SimCluster:
     @property
     def gpus_per_host(self) -> int:
         return self.cluster.gpus_per_host
-
-    def host_group_of(self, rank: int) -> ProcessGroup:
-        return self.host_groups[self.cluster.host_of(rank)]
-
-    def peer_group_of(self, rank: int) -> ProcessGroup:
-        return self.peer_groups[self.cluster.local_rank_of(rank)]
 
     # ------------------------------------------------------------------
     # Priced collectives

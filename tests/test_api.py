@@ -118,12 +118,35 @@ class TestSpecValidation:
                 train=TrainSpec(),
             )
 
-    def test_simulated_towers_must_match_hosts(self):
-        with pytest.raises(SpecError, match="num_hosts"):
+    def test_simulated_towers_must_divide_hosts(self):
+        with pytest.raises(SpecError, match="num_towers must divide"):
+            dataclasses.replace(
+                distributed_training_spec(),
+                cluster=ClusterSpec(num_hosts=4, gpus_per_host=2),
+                partition=PartitionSpec(strategy="contiguous", num_towers=3),
+            )
+
+    def test_simulated_towers_spanning_hosts_train(self):
+        """2 towers on 4x2 is K = 2 hosts per tower: it trains, and
+        matches single-process training to reduction-order drift."""
+        art = Session(
             dataclasses.replace(
                 distributed_training_spec(),
                 cluster=ClusterSpec(num_hosts=4, gpus_per_host=2),
             )
+        ).train()
+        assert art.max_drift < 1e-12
+        events = art.trainer.step.sim.timeline.events
+        assert {e.world_size for e in events if e.label == "tower_allreduce"} == {4}
+
+    def test_perf_towers_must_divide_hosts(self):
+        """The simulated-training rule: 3 towers on 8 hosts used to
+        analyze clean and then raise a bare ValueError in price()."""
+        cluster = ClusterSpec(8, 8, "H100")
+        with pytest.raises(SpecError, match="perf.num_towers must divide"):
+            RunSpec(cluster=cluster, perf=PerfSpec(num_towers=3))
+        spec = RunSpec(cluster=cluster, perf=PerfSpec(num_towers=4))
+        assert Session(spec).price().dmt.name == "dmt-K2/DMT-4T-DLRM"
 
     def test_simulated_training_rejects_multi_task(self):
         """The simulated step prices single-logit BCE only; a multi-task

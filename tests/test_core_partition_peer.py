@@ -1,12 +1,24 @@
-"""Tests for feature partitions and peer-order math."""
+"""Tests for feature partitions and peer-order math.
+
+The peer order of §3.1.1 is the flattened :func:`repro.comm.peer_groups`
+of a cluster: every rank sorted by ``(g % L, g // L)``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import peer_groups
 from repro.core.partition import FeaturePartition
-from repro.core.peer import peer_order
+from repro.hardware import Cluster
+
+
+def peer_order(hosts, gpus, hosts_per_tower=1):
+    """The cluster's ranks, peer group by peer group."""
+    cluster = Cluster(num_hosts=hosts, gpus_per_host=gpus)
+    return tuple(
+        r for g in peer_groups(cluster, hosts_per_tower) for r in g.ranks
+    )
 
 
 class TestFeaturePartition:
@@ -80,19 +92,19 @@ def test_partition_constructors_cover_exactly(f, data):
 class TestPeerOrder:
     def test_paper_example(self):
         """Figure 7's 2x2 cluster: peer order (0, 2, 1, 3)."""
-        assert peer_order(4, 2) == (0, 2, 1, 3)
+        assert peer_order(2, 2) == (0, 2, 1, 3)
 
     def test_eight_by_four(self):
-        assert peer_order(8, 4) == (0, 4, 1, 5, 2, 6, 3, 7)
+        assert peer_order(2, 4) == (0, 4, 1, 5, 2, 6, 3, 7)
 
     def test_single_host_identity(self):
-        assert peer_order(4, 4) == (0, 1, 2, 3)
+        assert peer_order(1, 4) == (0, 1, 2, 3)
 
     def test_one_gpu_per_host_identity(self):
         assert peer_order(4, 1) == (0, 1, 2, 3)
 
     def test_blocks_group_by_local_index(self):
-        order = peer_order(16, 4)
+        order = peer_order(4, 4)
         hosts = 4
         for j in range(4):
             block = order[j * hosts : (j + 1) * hosts]
@@ -101,12 +113,12 @@ class TestPeerOrder:
 
     def test_indivisible_world_raises(self):
         with pytest.raises(ValueError):
-            peer_order(10, 4)
+            peer_order(10, 4, hosts_per_tower=4)
 
 
 
 @settings(max_examples=30, deadline=None)
 @given(hosts=st.integers(1, 6), gpus=st.integers(1, 6))
 def test_peer_order_is_permutation(hosts, gpus):
-    order = peer_order(hosts * gpus, gpus)
+    order = peer_order(hosts, gpus)
     assert sorted(order) == list(range(hosts * gpus))

@@ -6,19 +6,28 @@ gradients back into every table, because SPTT only re-orchestrates
 dataflow.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import CollectiveCostModel, peer_groups
+from repro.core.dmt_pipeline import DistributedDMTTrainer
 from repro.core.flat_pipeline import FlatEmbeddingExchange
 from repro.core.partition import FeaturePartition
-from repro.core.peer import peer_order
 from repro.core.sptt import SPTTEmbeddingExchange
 from repro.hardware import Cluster
 from repro.nn import EmbeddingBagCollection
-from repro.models import tiny_table_configs
+from repro.models import DMTDLRM, tiny_table_configs
+from repro.models.configs import tiny_dlrm_arch
+from repro.perf import IterationLatencyModel
+from repro.perf.profiles import dmt_dlrm_profile
 from repro.sim import Phase, SimCluster
+
+#: (hosts, GPUs per host, towers): K = hosts / towers = 2, 4, 2, 4, 2.
+K_HOST_GEOMETRIES = [(4, 2, 2), (4, 2, 1), (8, 2, 2), (8, 2, 4), (4, 1, 2)]
 
 
 def make_setup(hosts=2, gpus=2, F=6, dim=4, rows=16, pooling=1, seed=0):
@@ -211,26 +220,15 @@ def row_grads(ebc):
     ]
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    hosts=st.integers(2, 3),
-    gpus=st.integers(1, 3),
-    extra=st.integers(0, 6),
-    batch=st.integers(1, 4),
-    pooling=st.integers(1, 3),
-    seed=st.integers(0, 1000),
-)
-def test_sptt_flat_equality_property(hosts, gpus, extra, batch, pooling, seed):
-    """Property: SPTT == flat, forward and backward, for arbitrary
-    shapes, scrambled uneven partitions, ranks with no table, multi-hot
-    ids and seeds."""
-    F = hosts + extra  # a feature per tower; a rank may own no table
+def assert_sptt_equals_flat(hosts, gpus, towers, F, batch, pooling, seed):
+    """SPTT == flat on a scrambled uneven ``towers``-way partition:
+    per-rank outputs and every table's pending row grads, bit for bit."""
     rng = np.random.default_rng(seed)
     sim_flat, ebc = make_setup(
         hosts=hosts, gpus=gpus, F=F, pooling=pooling, seed=seed
     )
     sim_sptt = SimCluster(sim_flat.cluster)
-    sptt = SPTTEmbeddingExchange(sim_sptt, ebc, scrambled_partition(F, hosts, rng))
+    sptt = SPTTEmbeddingExchange(sim_sptt, ebc, scrambled_partition(F, towers, rng))
     flat = FlatEmbeddingExchange(sim_flat, ebc, sptt_plan_matching_flat(sptt))
     ids = make_ids(sim_flat, F, B=batch, pooling=pooling, seed=seed + 1)
     grads = {r: rng.standard_normal((batch, F, ebc.dim)) for r in ids}
@@ -252,12 +250,97 @@ def test_sptt_flat_equality_property(hosts, gpus, extra, batch, pooling, seed):
         np.testing.assert_array_equal(g_a, g_b, err_msg=f"table {f}")
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    hosts=st.integers(2, 3),
+    gpus=st.integers(1, 3),
+    extra=st.integers(0, 6),
+    batch=st.integers(1, 4),
+    pooling=st.integers(1, 3),
+    seed=st.integers(0, 1000),
+)
+def test_sptt_flat_equality_property(hosts, gpus, extra, batch, pooling, seed):
+    """Property: SPTT == flat, forward and backward, for arbitrary
+    shapes, scrambled uneven partitions, ranks with no table, multi-hot
+    ids and seeds."""
+    # A feature per tower; a rank may own no table.
+    assert_sptt_equals_flat(hosts, gpus, hosts, hosts + extra, batch, pooling, seed)
+
+
+@pytest.mark.parametrize("hosts,gpus,towers", K_HOST_GEOMETRIES)
+def test_table3_holds_for_every_k(hosts, gpus, towers):
+    """Towers spanning K = H/T hosts: pass-through SPTT still equals the
+    flat exchange bit for bit, forward and on every table's row grads."""
+    assert_sptt_equals_flat(hosts, gpus, towers, 11, 3, 2, seed=hosts + towers)
+
+
+class _RecordingCostModel(CollectiveCostModel):
+    """Prices like the default model and records each group it prices."""
+
+    def __init__(self):
+        super().__init__()
+        self.priced = []
+
+    def alltoall(self, group, bytes_per_rank):
+        self.priced.append(group.ranks)
+        return super().alltoall(group, bytes_per_rank)
+
+
+@pytest.mark.parametrize(
+    "hosts,gpus,towers", K_HOST_GEOMETRIES + [(2, 2, 2), (2, 1, 2)]
+)
+def test_executed_geometry_is_the_priced_geometry(hosts, gpus, towers):
+    """One DMT step runs step (d) and the tower AllReduce over the tower
+    group ``IterationLatencyModel.dmt`` prices, and step (f) over its
+    peer group; a one-rank tower (K*L == 1) has no AllReduce."""
+    cluster = Cluster(num_hosts=hosts, gpus_per_host=gpus, generation="A100")
+    cost = _RecordingCostModel()
+    profile = replace(dmt_dlrm_profile(26), num_towers=towers)
+    IterationLatencyModel(cost_model=cost).dmt(profile, cluster, 1024)
+    _, priced_tower, priced_peer = cost.priced  # steps (a), (d), (f)
+
+    F, B = 9, 2
+    sim = SimCluster(cluster)
+    model = DMTDLRM(
+        4,
+        tiny_table_configs(F, 16, 4),
+        FeaturePartition.contiguous(F, towers),
+        tiny_dlrm_arch(4),
+        tower_dim=3,
+        rng=np.random.default_rng(0),
+    )
+    trainer = DistributedDMTTrainer(sim, model)
+    rng = np.random.default_rng(1)
+    total = sim.world_size * B
+    trainer.train_step(
+        rng.standard_normal((total, 4)),
+        rng.integers(0, 16, size=(total, F)),
+        rng.integers(0, 2, size=total).astype(float),
+    )
+    assert trainer.exchange.tower_groups[0].ranks == priced_tower
+    assert trainer.exchange.peer_groups[0].ranks == priced_peer
+
+    KL = hosts * gpus // towers
+    assert len(priced_tower) == KL and len(priced_peer) == towers
+
+    def sizes(prefix):
+        return [
+            e.world_size for e in sim.timeline.events
+            if e.label.startswith(prefix)
+        ]
+
+    assert sizes("sptt.intra_host") == [KL, KL]
+    assert sizes("sptt.peer_a2a") == [towers, towers]
+    assert sizes("tower_allreduce") == ([KL] if KL > 1 else [])
+
+
 @pytest.mark.parametrize("hosts,gpus", [(2, 1), (2, 2), (4, 2), (2, 4), (3, 3)])
 def test_peer_groups_are_strides_of_the_source_axis(hosts, gpus):
     """The exchange sends peer group j as the view ``[:, j::L]``: peer
     order must keep listing group j as ``j, j + L, j + 2L, ...``."""
     G = hosts * gpus
-    order = peer_order(G, gpus)
+    cluster = Cluster(num_hosts=hosts, gpus_per_host=gpus)
+    order = tuple(r for g in peer_groups(cluster) for r in g.ranks)
     for j in range(gpus):
         assert order[j * hosts : (j + 1) * hosts] == tuple(range(j, G, gpus))
 

@@ -235,6 +235,42 @@ class TestDMTTrainerEquivalence:
         ):
             np.testing.assert_allclose(p1.data, p2.data, rtol=1e-7, err_msg=n1)
 
+    @pytest.mark.parametrize("hosts,gpus", [(4, 2), (4, 1)])
+    def test_towers_spanning_two_hosts_match_single_process(self, hosts, gpus):
+        """Two towers on four hosts (K = 2): tower t is replicated on its
+        2L ranks and its gradients summed over them; four steps stay
+        within float summation drift of single-process training."""
+        sim = make_cluster(hosts=hosts, gpus=gpus)
+        partition = FeaturePartition.contiguous(F, 2)
+
+        def ctor(rng):
+            return DMTDLRM(
+                DENSE,
+                tiny_table_configs(F, ROWS, N),
+                partition,
+                tiny_dlrm_arch(N),
+                tower_dim=4,
+                rng=rng,
+            )
+
+        dist_model, ref_model = copy_model(ctor)
+        trainer = DistributedDMTTrainer(sim, dist_model)
+        opt_d = Adam(dist_model.parameters(), lr=0.01)
+        opt_r = Adam(ref_model.parameters(), lr=0.01)
+        for step in range(4):
+            dense, ids, labels = make_batch(sim, seed=20 + step)
+            dist_loss = trainer.fit_step(dense, ids, labels, [opt_d])
+            opt_r.zero_grad()
+            ref_loss = single_process_step(ref_model, dense, ids, labels)
+            opt_r.step()
+            assert dist_loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+        for (n1, p1), (_, p2) in zip(
+            dist_model.named_parameters(), ref_model.named_parameters()
+        ):
+            np.testing.assert_allclose(
+                p1.data, p2.data, rtol=0, atol=1e-12, err_msg=n1
+            )
+
     def test_tower_sync_is_intra_host(self):
         """§3.2: tower-module gradients synchronize within a host only."""
         sim = make_cluster(hosts=2, gpus=2)

@@ -11,7 +11,6 @@ import repro.comm.cost_model
 import repro.comm.functional
 import repro.comm.process_group
 import repro.core.partition
-import repro.core.peer
 import repro.data.criteo
 import repro.hardware.specs
 import repro.hardware.topology
@@ -34,7 +33,6 @@ MODULES = [
     repro.comm.process_group,
     repro.sim.cluster,
     repro.core.partition,
-    repro.core.peer,
     repro.partitioner.interaction_probe,
     repro.partitioner.mds,
     repro.partitioner.tower_partitioner,

@@ -12,8 +12,9 @@ same loop as a single-process one.  Held here:
 - simulated autosave and the ``checkpoint-never-saves`` warning count
   ``train.steps``;
 - a 2x2 save resumed on 2x1 continues within reduction-order drift and
-  records the elastic plan; a different host count is a typed
-  ``CheckpointMismatchError``.
+  records the elastic plan, and resumed on 4x1 (the same two towers,
+  each spanning K = 2 hosts) continues within that drift too; only a
+  different *tower* count is a typed ``CheckpointMismatchError``.
 """
 
 import numpy as np
@@ -157,6 +158,21 @@ def test_resume_on_fewer_gpus_per_host_stays_within_drift(
     plan = session.elastic_plan()
     assert (plan.source_world, plan.target_world) == (4, 2)
     assert session.run().checkpoint["elastic"]["target_world"] == 2
+
+
+def test_resume_with_towers_spanning_two_hosts_stays_within_drift(
+    tmp_path, unbroken
+):
+    path = _save_half(tmp_path)
+    spec = _spec(tmp_path, resume_from=path).replace(
+        cluster=ClusterSpec(num_hosts=4, gpus_per_host=1, generation="A100")
+    )
+    assert spec.partition.num_towers == 2
+    art = Session(spec).resume()
+    assert art.losses[:4] == unbroken.losses[:4]
+    assert art.losses == pytest.approx(unbroken.losses, rel=0, abs=1e-9)
+    for p, q in zip(art.model.parameters(), unbroken.model.parameters()):
+        np.testing.assert_allclose(p.data, q.data, rtol=0, atol=1e-9)
 
 
 def test_resume_on_a_different_host_count_is_typed(tmp_path):

@@ -47,7 +47,6 @@ def _breakdown_table():
         (8, 16, 64),
     ):
         options = SPTTOptions(
-            hosts_per_tower=k,
             multi_hot_reducescatter=rs,
             swap_shuffle=swap,
             virtual_peer_order=virtual,
@@ -121,10 +120,8 @@ class TestKHostGeometry:
         for build in (intra_host_groups, peer_groups):
             with pytest.raises(ValueError, match="hosts not divisible by K=4"):
                 build(cluster, 4)
-        with pytest.raises(ValueError, match="hosts not divisible by K=4"):
-            IterationLatencyModel().dmt(
-                towers_profile(1), cluster, B, SPTTOptions(hosts_per_tower=4)
-            )
+        with pytest.raises(ValueError, match="4 towers do not divide 6 hosts"):
+            IterationLatencyModel().dmt(towers_profile(4), cluster, B)
         assert len(intra_host_groups(cluster, 3)) == 2
 
 
@@ -135,19 +132,16 @@ class TestSpecializedModel:
         total embedding communication grows with K at this scale."""
         cluster = Cluster(64, 8, "A100")
         embs = [
-            model.dmt(
-                towers_profile(64 // k), cluster, B, SPTTOptions(hosts_per_tower=k)
-            ).emb_comm_total_s
+            model.dmt(towers_profile(64 // k), cluster, B).emb_comm_total_s
             for k in (1, 2, 4)
         ]
         assert embs[0] < embs[1] < embs[2]
 
-    def test_khost_tower_count_validation(self, model):
+    def test_towers_that_do_not_divide_hosts_rejected(self, model):
         cluster = Cluster(8, 8, "A100")
-        with pytest.raises(ValueError, match="towers"):
-            model.dmt(
-                towers_profile(8), cluster, B, SPTTOptions(hosts_per_tower=2)
-            )
+        for towers in (3, 5, 16):
+            with pytest.raises(ValueError, match="towers do not divide"):
+                model.dmt(towers_profile(towers), cluster, B)
 
     def test_multi_hot_reducescatter_cheaper(self, model):
         """Row-wise shards turn step (d) into a ReduceScatter."""
@@ -180,7 +174,3 @@ class TestSpecializedModel:
             profile, cluster, B, SPTTOptions(virtual_peer_order=True)
         )
         assert virtual.compute_s < plain.compute_s
-
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SPTTOptions(hosts_per_tower=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.comm import intra_host_groups, peer_groups
 from repro.hardware import Cluster
 from repro.sim import Phase, SimCluster, Timeline
 
@@ -65,12 +66,13 @@ class TestSimClusterCollectives:
     def test_concurrent_alltoall_prices_max_not_sum(self, sim):
         buffers = {r: [np.zeros(128) for _ in range(2)] for r in range(4)}
         sim.alltoall_concurrent(
-            sim.peer_groups, buffers, phase=Phase.EMBEDDING_COMM, label="peer"
+            peer_groups(sim.cluster), buffers, phase=Phase.EMBEDDING_COMM,
+            label="peer",
         )
         t_concurrent = sim.timeline.total()
 
         sim2 = SimCluster(sim.cluster)
-        for pg in sim2.peer_groups:
+        for pg in peer_groups(sim2.cluster):
             sub = {r: buffers[r] for r in pg.ranks}
             sim2.alltoall(pg, sub, phase=Phase.EMBEDDING_COMM, label="seq")
         t_sequential = sim2.timeline.total()
@@ -89,13 +91,14 @@ class TestSimClusterCollectives:
         buffers = {r: np.full(2, float(r)) for r in range(4)}
         with pytest.raises(ValueError, match="allreduce groups must be disjoint"):
             sim.allreduce_concurrent(
-                [sim.host_groups[0], sim.world], buffers, Phase.DENSE_SYNC, "bad"
+                [intra_host_groups(sim.cluster)[0], sim.world],
+                buffers, Phase.DENSE_SYNC, "bad",
             )
         assert len(sim.timeline) == 0
 
     def test_concurrent_allreduce_per_host(self, sim):
         out = sim.allreduce_concurrent(
-            sim.host_groups,
+            intra_host_groups(sim.cluster),
             {r: np.full(2, float(r)) for r in range(4)},
             phase=Phase.DENSE_SYNC,
             label="tm-sync",
@@ -195,16 +198,14 @@ class TestSimClusterCollectives:
         sim = SimCluster(Cluster(num_hosts=3, gpus_per_host=2))
         with pytest.raises(ValueError, match="process group membership"):
             getattr(sim, name)(
-                sim.host_groups[:2],
+                intra_host_groups(sim.cluster)[:2],
                 {r: buffer for r in ranks},
                 Phase.EMBEDDING_COMM,
                 "bad",
             )
         assert len(sim.timeline) == 0
 
-    def test_group_accessors(self, sim):
-        assert sim.host_group_of(3).ranks == (2, 3)
-        assert sim.peer_group_of(3).ranks == (1, 3)
+    def test_geometry_passthroughs(self, sim):
         assert sim.world_size == 4
         assert sim.num_hosts == 2
         assert sim.gpus_per_host == 2
