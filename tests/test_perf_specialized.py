@@ -137,7 +137,7 @@ class TestSpecializedModel:
         ]
         assert embs[0] < embs[1] < embs[2]
 
-    def test_towers_that_do_not_divide_hosts_rejected(self, model):
+    def test_khost_tower_count_validation(self, model):
         cluster = Cluster(8, 8, "A100")
         for towers in (3, 5, 16):
             with pytest.raises(ValueError, match="towers do not divide"):
@@ -174,3 +174,14 @@ class TestSpecializedModel:
             profile, cluster, B, SPTTOptions(virtual_peer_order=True)
         )
         assert virtual.compute_s < plain.compute_s
+
+    def test_options_validation(self, model):
+        """The tower span K is not an option: it follows from the
+        profile's tower count, so towers no DMT can run are rejected."""
+        cluster = Cluster(8, 8, "A100")
+        with pytest.raises(TypeError):
+            SPTTOptions(hosts_per_tower=2)
+        with pytest.raises(ValueError, match="no towers"):
+            model.dmt(towers_profile(0), cluster, B, SPTTOptions())
+        with pytest.raises(ValueError, match="local batch"):
+            model.dmt(towers_profile(8), cluster, 0, SPTTOptions())
