@@ -1,14 +1,14 @@
 """Checkpoint & resume: crash a training run, resume it bit-identically,
-then re-place it on a bigger cluster.
+then price moving it to a bigger cluster.
 
 One declarative RunSpec with a checkpoint section: periodic auto-saves
 land in ``--out`` every 5 optimizer steps; the run is "crashed"
 mid-epoch, resumed from the newest save in a fresh session, and the
 resumed loss history / eval AUC are compared bit-for-bit against an
-uninterrupted run.  Finally the saved checkpoint is elastically
-restored onto a cluster twice the size — the tower partitioner re-runs
-over the saved tables and the migration is priced through the
-collective cost model.
+uninterrupted run.  Finally an elastic restore of the same model onto
+a cluster twice the size is planned — the tables whose owner rank
+changes are priced as one migration through the collective cost
+model.
 
 Run:  python examples/checkpoint_resume.py [--out checkpoints]
 """
@@ -78,7 +78,7 @@ def main() -> None:
     plan = bigger.elastic_plan()
     summary = plan.summary()
     print(f"  {summary['source_world']} -> {summary['target_world']} ranks, "
-          f"{summary['num_towers']} towers ({summary['partition_source']})")
+          f"the same flat model")
     print(f"  migration: {summary['moved_mb']:.3f} MB "
           f"({summary['moved_fraction'] * 100:.0f}% of table bytes) "
           f"priced at {summary['migration_ms']:.3f} ms")

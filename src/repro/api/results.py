@@ -262,7 +262,7 @@ class ServeArtifact:
 class CheckpointArtifact:
     """Outcome of the checkpoint stage: what was saved/restored, and —
     when the spec's cluster differs from the saved one — the elastic
-    re-placement plan (:class:`repro.checkpoint.ElasticRestorePlan`)."""
+    restore plan (:class:`repro.checkpoint.ElasticRestorePlan`)."""
 
     saved_path: Optional[str] = None
     resumed_from: Optional[str] = None

@@ -479,21 +479,19 @@ class Session:
                         f"resuming on different data cannot be "
                         f"bit-identical"
                     )
+                # A resume keeps the model; a different cluster section
+                # than the saved one is an elastic restore, planned
+                # before any state is touched.
+                self._check_saved_towers(ck.resume_from, metadata)
+                saved = metadata.get("cluster")
+                if saved is not None and saved != self.spec.cluster.to_dict():
+                    self.elastic_plan()
                 load_training_checkpoint(ck.resume_from, model, trainer)
                 if trainer.step is not None:
                     # The tower replicas were copied before the restore.
                     trainer.step.sync_replicas()
                 record.resumed_from = ck.resume_from
                 record.resumed_step = trainer.global_step
-                # A different cluster shape than the one the run was
-                # saved under triggers the elastic re-placement plan.
-                saved = metadata.get("cluster")
-                if saved is not None:
-                    saved_world = int(saved.get("num_hosts", 1)) * int(
-                        saved.get("gpus_per_host", 1)
-                    )
-                    if saved_world != self.spec.cluster.world_size:
-                        self.elastic_plan()
             if ck.save_every_steps > 0:
                 manager = CheckpointManager(
                     os.path.join(ck.directory, self.spec.name),
@@ -556,14 +554,22 @@ class Session:
         return self._stage("checkpoint", CheckpointArtifact)
 
     def _checkpoint_save_kwargs(self) -> Dict[str, Any]:
-        """Partition provenance to embed in saved checkpoints."""
+        """The spec (saved cluster shape) and a DMT model's towers."""
         kwargs: Dict[str, Any] = {"spec": self.spec}
-        if self.spec.partition is not None:
-            part = self.partition()
-            kwargs["partition"] = part.partition
-            if part.tp_result is not None:
-                kwargs["interaction"] = part.tp_result.interaction
+        if self.spec.model.variant == "dmt":
+            kwargs["partition"] = self.partition().partition
         return kwargs
+
+    def _check_saved_towers(self, path: str, metadata: Dict[str, Any]) -> None:
+        """A resume keeps the model, so it keeps the saved tower count."""
+        groups = metadata.get("partition_groups")
+        part = self.spec.partition
+        if groups and part is not None and len(groups) != part.num_towers:
+            raise CheckpointMismatchError(
+                f"checkpoint {path!r} holds a {len(groups)}-tower model, "
+                f"this spec asks for partition.num_towers={part.num_towers}"
+                f" (a resume keeps the towers; only K = H/T may change)"
+            )
 
     def save_checkpoint(self, path: Optional[str] = None) -> str:
         """Snapshot the trained model + trainer state to ``path``.
@@ -589,8 +595,10 @@ class Session:
 
         With an unchanged spec the continued run is bit-identical to
         one that never stopped; with a different cluster section the
-        elastic re-placement plan is computed alongside (see
-        :meth:`elastic_plan`).
+        same model resumes there (towers of ``K = H/T`` hosts) and the
+        elastic restore's migration is priced first (see
+        :meth:`elastic_plan`).  A different tower count is a
+        :class:`~repro.checkpoint.CheckpointMismatchError`.
         """
         ck: CheckpointSpec = self._need("checkpoint")
         if ck.resume_from is None:
@@ -601,18 +609,17 @@ class Session:
         return self.train()
 
     def elastic_plan(self):
-        """Re-partition/re-shard/price the resume checkpoint onto this
-        spec's cluster (an :class:`repro.checkpoint.ElasticRestorePlan`)."""
+        """Price moving the resume checkpoint's model onto this spec's
+        cluster (an :class:`repro.checkpoint.ElasticRestorePlan`)."""
         record = self._checkpoint_record()
         if record.elastic is None:
             ck: CheckpointSpec = self._need("checkpoint")
             if ck.resume_from is None:
                 raise SpecError("elastic_plan requires checkpoint.resume_from")
-            part = self.spec.partition
+            metadata = read_manifest(ck.resume_from)["metadata"]
+            self._check_saved_towers(ck.resume_from, metadata)
             record.elastic = plan_elastic_restore(
-                ck.resume_from,
-                self.build_cluster(),
-                num_towers=part.num_towers if part is not None else None,
+                ck.resume_from, self.build_cluster()
             )
         return record.elastic
 

@@ -756,9 +756,11 @@ class CheckpointSpec(_SpecBase):
     trainer into ``<directory>/<run name>/step_<n>`` (keeping the
     newest ``keep_last``).  ``resume_from`` names a checkpoint
     directory to restore before training continues — bit-identically
-    when the rest of the spec matches the saved run, and with an
-    elastic re-placement plan (re-partition + re-shard + priced
-    migration) when the spec's cluster differs from the saved one.
+    when the rest of the spec matches the saved run.  A different
+    cluster section resumes the same model there (a ``T``-tower model
+    keeps ``T`` towers of ``K = H/T`` hosts) with its table migration
+    priced as an elastic restore; a different tower count is a
+    checkpoint mismatch.
     With a serve section, ``warm_start`` prefills each placement arm's
     LRU embedding cache from the checkpoint's hottest saved rows.
     """

@@ -1,4 +1,4 @@
-"""Fault-tolerant checkpoint/restore with elastic resharding.
+"""Fault-tolerant checkpoint/restore, elastic across cluster shapes.
 
 Long-lived multi-plane jobs only earn the disaggregated-placement
 argument if their state can be saved, restored **bit-identically**, and
@@ -14,9 +14,9 @@ re-placed when the cluster shape changes.  This package provides:
   :class:`CheckpointManager` (periodic auto-save with retention) and
   :func:`hottest_rows` (serving warm-start ranking);
 - :mod:`repro.checkpoint.elastic` — :func:`plan_elastic_restore`:
-  re-run the tower partitioner over the saved tables, re-shard onto
-  the new world size, and price the migration through the collective
-  cost model;
+  the same model on a new cluster (a ``T``-tower model keeps its ``T``
+  towers at ``K = H/T``); the tables whose executed owner rank changes
+  are priced as one migration through the collective cost model;
 - :mod:`repro.checkpoint.delta` — the chain concerns of delta
   checkpoints for online training: a save with a ``base`` keeps only
   the rows a stream window touched, chained onto a full save, and a

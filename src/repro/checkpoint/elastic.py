@@ -1,22 +1,19 @@
-"""Elastic restore: re-place a saved run on a different cluster shape.
+"""Elastic restore: the same model on a different cluster shape.
 
 The disaggregated-placement argument (and DisaggRec's independent
 scaling of the embedding vs dense planes) implies the cluster a job
-*resumes* on need not be the cluster it was saved from.  Restoring the
-tensors is the easy half; the systems half is re-deriving placement:
+*resumes* on need not be the cluster it was saved from.  Rescaling keeps
+the model: a ``T``-tower checkpoint resumes as the same ``T`` towers,
+each spanning ``K = H/T`` hosts of the new cluster (a flat checkpoint
+stays flat).  What changes is where each table lives, and that is
+decided by the one placement rule both exchanges execute,
+:func:`~repro.core.partition.feature_owners`:
 
-1. **Re-partition** — the tower partitioner runs again over the saved
-   tables for the new host count.  When the checkpoint carries the
-   probed feature-interaction matrix (sessions with a learned partition
-   save it), the §3.3 pipeline re-clusters it for the new tower count;
-   otherwise the contiguous fallback keeps groups block-aligned.
-2. **Re-shard** — the :class:`~repro.planner.AutoPlanner` plans the
-   saved tables over the new world size; the plan is coverage-validated
-   (every row x col of every table placed exactly once).
-3. **Price the migration** — rows whose owner rank changes between the
-   source plan and the target plan must cross the fabric once.  The
-   moved payload is priced as an AlltoAll over the target cluster's
-   global group through the calibrated
+1. **Owner maps** — the saved ``partition_groups`` (absent for a flat
+   model) placed on the saved cluster and on the new one.
+2. **Price the migration** — every table whose owner rank changes must
+   cross the fabric once.  The moved payload is priced as an AlltoAll
+   over the target cluster's global group through the calibrated
    :class:`~repro.comm.cost_model.CollectiveCostModel`, so "how
    expensive is rescaling this job" gets the same treatment as every
    other byte in the repo.
@@ -28,20 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
-from repro.checkpoint.format import (
-    CheckpointMismatchError,
-    read_array,
-    read_manifest,
-)
+from repro.checkpoint.format import CheckpointMismatchError, read_manifest
 from repro.comm.cost_model import CollectiveCostModel, CollectiveTiming
 from repro.comm.process_group import global_group
-from repro.core.partition import FeaturePartition
+from repro.core.partition import FeaturePartition, feature_owners
 from repro.hardware import Cluster
 from repro.nn.embedding import TableConfig
-from repro.partitioner import TowerPartitioner
-from repro.planner import AutoPlanner, ShardingPlan
 
 __all__ = ["ElasticRestorePlan", "plan_elastic_restore"]
 
@@ -56,11 +45,9 @@ class ElasticRestorePlan:
     source_world: Optional[int]  # ranks the checkpoint was saved under
     target_world: int
     tables: List[TableConfig]
-    partition: FeaturePartition  # re-partitioned towers (new cluster)
-    partition_source: str  # "interaction" | "contiguous"
-    plan: ShardingPlan  # validated shard placement on the new cluster
+    num_towers: Optional[int]  # the saved (and kept) towers; None: flat
     total_bytes: int  # full embedding payload
-    moved_bytes: int  # payload whose owner rank changes
+    moved_bytes: int  # payload of the tables whose owner rank changes
     migration: CollectiveTiming  # priced redistribution collective
 
     @property
@@ -72,10 +59,7 @@ class ElasticRestorePlan:
             "source_world": self.source_world,
             "target_world": self.target_world,
             "num_tables": len(self.tables),
-            "num_towers": self.partition.num_towers,
-            "partition_source": self.partition_source,
-            "groups": [list(g) for g in self.partition.groups],
-            "num_shards": len(self.plan.shards),
+            "num_towers": self.num_towers,
             "total_mb": self.total_bytes / 2**20,
             "moved_mb": self.moved_bytes / 2**20,
             "moved_fraction": self.moved_fraction,
@@ -83,59 +67,26 @@ class ElasticRestorePlan:
         }
 
 
-def _rects_by_table(
-    plan: ShardingPlan,
-) -> Dict[str, List["tuple[int, int, int, int, int]"]]:
-    """Per-table shard rectangles as (row0, row1, col0, col1, rank)."""
-    rects: Dict[str, List] = {}
-    for shard in plan.shards:
-        rects.setdefault(shard.table.name, []).append(
-            (shard.row_start, shard.row_end, shard.col_start, shard.col_end,
-             shard.rank)
-        )
-    return rects
-
-
-def _moved_bytes(
-    tables: List[TableConfig], old: ShardingPlan, new: ShardingPlan
-) -> int:
-    """Bytes whose owner rank differs between two validated plans.
-
-    Both plans tile each table exactly once, so the pairwise rectangle
-    intersections partition the table; cells where old and new owners
-    differ are what the migration must move.
-    """
-    rects_old = _rects_by_table(old)
-    rects_new = _rects_by_table(new)
-    moved = 0
-    for table in tables:
-        for r0, r1, c0, c1, rank_old in rects_old[table.name]:
-            for s0, s1, d0, d1, rank_new in rects_new[table.name]:
-                if rank_old == rank_new:
-                    continue
-                rows = min(r1, s1) - max(r0, s0)
-                cols = min(c1, d1) - max(c0, d0)
-                if rows > 0 and cols > 0:
-                    moved += rows * cols * _ITEMSIZE
-    return moved
+def _owner_of(
+    cluster: Cluster, num_features: int, partition: Optional[FeaturePartition]
+) -> Dict[int, int]:
+    """Feature -> the rank holding its table."""
+    owners = feature_owners(cluster, num_features, partition)
+    return {f: rank for rank, feats in owners.items() for f in feats}
 
 
 def plan_elastic_restore(
     path: str,
     cluster: Cluster,
-    num_towers: Optional[int] = None,
     cost_model: Optional[CollectiveCostModel] = None,
 ) -> ElasticRestorePlan:
-    """Re-partition, re-shard, and price a checkpoint onto ``cluster``.
+    """Price moving a checkpoint's tables onto ``cluster``.
 
-    ``num_towers`` defaults to one tower per host (capped at the
-    feature count), the paper's topology-aligned choice.  Raises a
-    typed checkpoint error when the manifest lacks table geometry, and
-    whatever :class:`~repro.planner.AutoPlanner` raises if the new plan
-    cannot cover the tables.
+    Raises a typed checkpoint error when the manifest lacks table
+    geometry, or when the saved towers do not divide ``cluster``'s
+    hosts (the model cannot run there unchanged).
     """
-    manifest = read_manifest(path)
-    metadata = manifest["metadata"]
+    metadata = read_manifest(path)["metadata"]
     geometry = metadata.get("tables")
     if not geometry:
         raise CheckpointMismatchError(
@@ -152,65 +103,37 @@ def plan_elastic_restore(
         for t in geometry
     ]
     num_features = len(tables)
-    towers = (
-        num_towers
-        if num_towers is not None
-        else min(cluster.num_hosts, num_features)
-    )
-    if not 1 <= towers <= num_features:
+    groups = metadata.get("partition_groups")
+    partition = FeaturePartition.from_groups(groups) if groups else None
+    if partition is not None and cluster.num_hosts % partition.num_towers:
         raise CheckpointMismatchError(
-            f"cannot split {num_features} saved tables into {towers} towers"
+            f"checkpoint at {path!r} holds a {partition.num_towers}-tower "
+            f"model; {partition.num_towers} towers do not divide the "
+            f"{cluster.num_hosts} hosts of the new cluster"
         )
+    table_bytes = [t.num_embeddings * t.dim * _ITEMSIZE for t in tables]
+    total_bytes = sum(table_bytes)
 
-    # 1. Re-run the tower partitioner over the saved tables.
-    if "partition/interaction" in manifest["arrays"]:
-        interaction = read_array(path, "partition/interaction", manifest)
-        if interaction.shape != (num_features, num_features):
-            raise CheckpointMismatchError(
-                f"saved interaction matrix is {interaction.shape}, "
-                f"expected ({num_features}, {num_features})"
-            )
-        tp = TowerPartitioner(towers)
-        partition = tp.partition_from_interaction(
-            interaction, rng=np.random.default_rng(0)
-        ).partition
-        partition_source = "interaction"
-    else:
-        partition = FeaturePartition.contiguous(num_features, towers)
-        partition_source = "contiguous"
-
-    # 2. Re-shard onto the new world (plan() coverage-validates).
-    new_plan = AutoPlanner(cluster.world_size).plan(tables)
-
-    # 3. Price the re-placement.
-    saved_cluster = metadata.get("cluster") or {}
-    source_world: Optional[int] = None
-    if saved_cluster:
-        source_world = int(saved_cluster.get("num_hosts", 1)) * int(
-            saved_cluster.get("gpus_per_host", 1)
-        )
-    total_bytes = sum(t.num_embeddings * t.dim * _ITEMSIZE for t in tables)
-    if source_world is not None and source_world != cluster.world_size:
-        old_plan = AutoPlanner(source_world).plan(tables)
-        moved = _moved_bytes(tables, old_plan, new_plan)
-    elif source_world is None:
-        # Unknown provenance: price the conservative full reshuffle.
+    saved = metadata.get("cluster")
+    source = Cluster(saved["num_hosts"], saved["gpus_per_host"]) if saved else None
+    if source is None or (
+        partition is not None and source.num_hosts % partition.num_towers
+    ):
+        # Unknown provenance, or a single-process run whose towers never
+        # spanned its hosts: price the conservative full reshuffle.
         moved = total_bytes
     else:
-        moved = 0
+        old = _owner_of(source, num_features, partition)
+        new = _owner_of(cluster, num_features, partition)
+        moved = sum(b for f, b in enumerate(table_bytes) if old[f] != new[f])
     model = cost_model if cost_model is not None else CollectiveCostModel()
     world = global_group(cluster)
-    per_rank = (
-        int(math.ceil(moved / world.world_size)) if moved else 0
-    )
-    migration = model.alltoall(world, per_rank)
+    migration = model.alltoall(world, math.ceil(moved / world.world_size))
     return ElasticRestorePlan(
-        source_world=source_world,
+        source_world=source.world_size if source is not None else None,
         target_world=cluster.world_size,
         tables=tables,
-        partition=partition,
-        partition_source=partition_source,
-        plan=new_plan,
+        num_towers=partition.num_towers if partition is not None else None,
         total_bytes=total_bytes,
         moved_bytes=moved,
         migration=migration,

@@ -13,10 +13,9 @@ run needs to resume **bit-identically**:
 - trainer progress (epoch, global step, complete loss history, the
   in-flight epoch's batch losses) and the data loader's RNG state, so a
   resumed run replays the exact shuffle order of an uninterrupted one;
-- the embedding-table geometry and (optionally) the spec, tower
-  partition, and feature-interaction matrix — the inputs
-  :mod:`repro.checkpoint.elastic` needs to re-place the run on a
-  different cluster.
+- the embedding-table geometry and (optionally) the spec and tower
+  partition — the inputs :mod:`repro.checkpoint.elastic` needs to
+  place the same model's tables on a different cluster.
 
 It is the one writer and the one reader of training state: given a
 ``base``, :func:`save_training_checkpoint` writes a delta of the rows a
@@ -137,18 +136,17 @@ def save_training_checkpoint(
     touched: Optional[Dict[int, np.ndarray]] = None,
     spec: Any = None,
     partition: Any = None,
-    interaction: Optional[np.ndarray] = None,
     extra_metadata: Optional[Dict[str, Any]] = None,
 ) -> str:
     """Write one training checkpoint directory; returns ``path``.
 
     ``model`` is any :class:`repro.nn.module.Module`; ``trainer`` (a
     :class:`repro.training.Trainer`, optional) contributes optimizer +
-    progress + data-RNG state.  ``spec`` (a ``RunSpec``), ``partition``
-    (a :class:`repro.core.partition.FeaturePartition`) and
-    ``interaction`` (the probed (F, F) feature-interaction matrix) are
-    recorded when given so an elastic restore can re-run the tower
-    partitioner and re-price placement without the original session.
+    progress + data-RNG state.  ``spec`` (a ``RunSpec``, whose cluster
+    section is the saved shape) and ``partition`` (the DMT model's
+    :class:`repro.core.partition.FeaturePartition`) are recorded when
+    given, so an elastic restore can price moving the same model's
+    tables onto another cluster without the original session.
 
     With ``base`` (a full or delta checkpoint) the save is a **delta**
     chained onto it (:mod:`repro.checkpoint.delta`): ``touched`` maps
@@ -202,10 +200,6 @@ def save_training_checkpoint(
         metadata["cluster"] = spec.cluster.to_dict()
     if partition is not None:
         metadata["partition_groups"] = [list(g) for g in partition.groups]
-    if interaction is not None:
-        arrays["partition/interaction"] = np.asarray(
-            interaction, dtype=np.float64
-        )
     if extra_metadata:
         metadata.update(extra_metadata)
     return write_checkpoint(path, arrays, metadata)
@@ -223,9 +217,9 @@ def _check_geometry(path: str, metadata: Dict[str, Any], model: Any) -> None:
         if dict(s) != dict(o):
             raise CheckpointMismatchError(
                 f"embedding table mismatch for {o['name']!r}: checkpoint "
-                f"saved {dict(s)}, model expects {dict(o)} (restoring "
-                f"across cardinalities requires an elastic restore, not "
-                f"a raw load)"
+                f"saved {dict(s)}, model expects {dict(o)} (a restore "
+                f"keeps the model; an elastic restore changes only the "
+                f"cluster it runs on)"
             )
 
 

@@ -28,17 +28,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.comm.functional import check_membership
+from repro.core.partition import feature_owners
 from repro.nn.embedding import EmbeddingBagCollection, normalize_ids
 from repro.sim.cluster import SimCluster
 from repro.sim.tracing import Phase
 
 ID_BYTES = 8  # int64 ids on the wire
 EMB_ITEMSIZE = 4  # the paper's models train embeddings in fp32
-
-
-def round_robin_plan(num_features: int, world_size: int) -> List[int]:
-    """Default table-wise sharding: feature f -> rank f % world."""
-    return [f % world_size for f in range(num_features)]
 
 
 class TableOwnerExchange:
@@ -48,7 +44,8 @@ class TableOwnerExchange:
     looks up the *global* batch (b), and in backward each owner
     scatters the returned gradients into its tables (reverse b).  A
     subclass sets ``features_of`` (owner rank -> its features, in
-    lookup order) and ``_label_prefix``, and routes the lookups.
+    lookup order; :func:`~repro.core.partition.feature_owners`) and
+    ``_label_prefix``, and routes the lookups.
 
     Buffer contract (docs/invariants.md): the buckets handed to a
     collective are views of the buffers built here; a receiver copies
@@ -56,15 +53,13 @@ class TableOwnerExchange:
     """
 
     _label_prefix = ""
+    features_of: Dict[int, List[int]]
 
     def __init__(self, sim: SimCluster, ebc: EmbeddingBagCollection):
         self.sim = sim
         self.ebc = ebc
         self.num_features = ebc.num_features
         self.dim = ebc.dim
-        self.features_of: Dict[int, List[int]] = {
-            r: [] for r in range(sim.world_size)
-        }
         self._batch: Optional[int] = None
 
     def _require_forward(self, what: str) -> int:
@@ -156,7 +151,8 @@ class FlatEmbeddingExchange(TableOwnerExchange):
         The reference embedding collection; its tables are placed on
         ranks according to ``plan``.
     plan:
-        ``plan[f]`` is the global rank owning feature ``f``'s table.
+        ``plan[f]`` is the global rank owning feature ``f``'s table;
+        by default rank ``f % G`` (:func:`feature_owners`).
     """
 
     def __init__(
@@ -166,18 +162,20 @@ class FlatEmbeddingExchange(TableOwnerExchange):
         plan: Optional[Sequence[int]] = None,
     ):
         super().__init__(sim, ebc)
-        plan = list(plan) if plan is not None else round_robin_plan(
-            self.num_features, sim.world_size
-        )
-        if len(plan) != self.num_features:
+        if plan is None:
+            self.features_of = feature_owners(sim.cluster, self.num_features)
+        elif len(plan) != self.num_features:
             raise ValueError(
                 f"plan covers {len(plan)} features, expected {self.num_features}"
             )
-        for f, owner in enumerate(plan):
-            if not 0 <= owner < sim.world_size:
-                raise ValueError(f"feature {f} assigned to invalid rank {owner}")
-            self.features_of[owner].append(f)
-        self.plan = plan
+        else:
+            self.features_of = {r: [] for r in range(sim.world_size)}
+            for f, owner in enumerate(plan):
+                if owner not in self.features_of:
+                    raise ValueError(
+                        f"feature {f} assigned to invalid rank {owner}"
+                    )
+                self.features_of[owner].append(f)
 
     # ------------------------------------------------------------------
     def forward(self, ids: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:

@@ -6,13 +6,17 @@ module per group), and the SPTT pipeline (which assigns each group's
 embedding tables to one tower group).  Groups are ordered: group ``t``
 is tower ``t`` and lives on hosts ``tK .. tK+K-1``, where ``K = H/T``
 (§3.1.3; ``K = 1`` is one tower per host).  The price and the executed
-step take those groups from :func:`repro.comm.tower_groups`.
+step take those groups from :func:`repro.comm.tower_groups`, and
+:func:`feature_owners` places every table on its owner rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.comm.process_group import tower_groups
+from repro.hardware.topology import Cluster
 
 
 @dataclass(frozen=True)
@@ -126,3 +130,36 @@ class FeaturePartition:
 
     def __len__(self) -> int:
         return self.num_towers
+
+
+def feature_owners(
+    cluster: Cluster,
+    num_features: int,
+    partition: Optional[FeaturePartition] = None,
+) -> Dict[int, List[int]]:
+    """Owner rank -> the features whose tables it holds, in lookup order.
+
+    The one table placement both exchanges execute: feature ``f`` on
+    rank ``f % G`` without a partition (flat); with one, tower ``t``'s
+    features round-robin over ``tower_groups(cluster, T)[t]`` (SPTT).
+
+    >>> part = FeaturePartition.contiguous(6, 2)
+    >>> feature_owners(Cluster(num_hosts=2, gpus_per_host=2), 6, part)
+    {0: [0, 2], 1: [1], 2: [3, 5], 3: [4]}
+    """
+    world = cluster.world_size
+    owners: Dict[int, List[int]] = {r: [] for r in range(world)}
+    if partition is None:
+        for f in range(num_features):
+            owners[f % world].append(f)
+        return owners
+    if partition.num_features != num_features:
+        raise ValueError(
+            f"partition covers {partition.num_features} features, "
+            f"expected {num_features}"
+        )
+    towers, _ = tower_groups(cluster, partition.num_towers)
+    for group, tower in zip(partition.groups, towers):
+        for i, f in enumerate(group):
+            owners[tower.ranks[i % tower.world_size]].append(f)
+    return owners

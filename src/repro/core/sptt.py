@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.comm.functional import check_membership
 from repro.comm.process_group import tower_groups
-from repro.core.partition import FeaturePartition
+from repro.core.partition import FeaturePartition, feature_owners
 from repro.core.flat_pipeline import TableOwnerExchange
 from repro.nn.embedding import EmbeddingBagCollection
 from repro.sim.cluster import SimCluster
@@ -72,23 +72,16 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
         ebc: EmbeddingBagCollection,
         partition: FeaturePartition,
     ):
-        if partition.num_features != ebc.num_features:
-            raise ValueError(
-                f"partition covers {partition.num_features} features, "
-                f"collection has {ebc.num_features}"
-            )
         self.tower_groups, self.peer_groups = tower_groups(
             sim.cluster, partition.num_towers
         )
         super().__init__(sim, ebc)
+        self.features_of = feature_owners(
+            sim.cluster, ebc.num_features, partition
+        )
         self.partition = partition
 
         M = self.tower_groups[0].world_size  # K*L ranks per tower
-        # Owner plan: tower t's features round-robin over its group, so
-        # tower position i owns positions i::M of the tower.
-        for group, tower in zip(partition.groups, self.tower_groups):
-            for i, f in enumerate(group):
-                self.features_of[tower.ranks[i % M]].append(f)
         self.tower_of = {
             r: t for t, g in enumerate(self.tower_groups) for r in g.ranks
         }

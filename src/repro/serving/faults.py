@@ -403,7 +403,7 @@ class RecoveryModel:
 
         ``plan`` is a
         :class:`~repro.checkpoint.elastic.ElasticRestorePlan` — its
-        priced shard-migration timing becomes ``restore_s``, so MTTR
+        priced table-migration timing becomes ``restore_s``, so MTTR
         reflects the actual bytes the recovery has to move on this
         cluster rather than a guessed constant.
         """

@@ -14,19 +14,28 @@ same loop as a single-process one.  Held here:
 - a 2x2 save resumed on 2x1 continues within reduction-order drift and
   records the elastic plan, and resumed on 4x1 (the same two towers,
   each spanning K = 2 hosts) continues within that drift too; only a
-  different *tower* count is a typed ``CheckpointMismatchError``.
+  different *tower* count is a typed ``CheckpointMismatchError``;
+- the elastic plan moves exactly the tables whose owner rank differs
+  between the exchanges that execute on the saved and the new cluster.
 """
 
 import numpy as np
 import pytest
 
-from repro.api import CheckpointSpec, ClusterSpec, Session
+from repro.api import CheckpointSpec, ClusterSpec, Session, TrainSpec
 from repro.api.presets import distributed_training_spec
-from repro.checkpoint import CheckpointManager, CheckpointMismatchError
+from repro.checkpoint import (
+    CheckpointManager,
+    CheckpointMismatchError,
+    plan_elastic_restore,
+    save_training_checkpoint,
+)
 from repro.core import (
     DistributedDMTTrainer,
     DistributedHybridTrainer,
     FeaturePartition,
+    FlatEmbeddingExchange,
+    SPTTEmbeddingExchange,
 )
 from repro.hardware import Cluster
 from repro.models import DCN, DLRM, DMTDCN, DMTDLRM, tiny_table_configs
@@ -184,3 +193,91 @@ def test_resume_on_a_different_host_count_is_typed(tmp_path):
     )
     with pytest.raises(CheckpointMismatchError):
         Session(four_hosts).resume()
+
+
+def test_a_different_tower_count_is_one_typed_error(tmp_path):
+    path = _save_half(tmp_path)
+    spec = _spec(tmp_path, resume_from=path)
+    four_towers = spec.replace(
+        cluster=ClusterSpec(num_hosts=4, gpus_per_host=1, generation="A100"),
+        partition=spec.partition.replace(num_towers=4),
+    )
+    message = r"2-tower model.*num_towers=4"
+    with pytest.raises(CheckpointMismatchError, match=message):
+        Session(four_towers).elastic_plan()
+    with pytest.raises(CheckpointMismatchError, match=message):
+        Session(four_towers).resume()
+    # The same model cannot run where its towers do not divide the hosts.
+    with pytest.raises(CheckpointMismatchError, match="do not divide the 3"):
+        plan_elastic_restore(path, Cluster(3, 1, "A100"))
+
+
+# ----------------------------------------------------------------------
+def _flat_spec(tmp_path, **checkpoint):
+    """The preset's data and tables in a flat DLRM (single-process)."""
+    spec = _spec(tmp_path, **checkpoint)
+    return spec.replace(
+        model=spec.model.replace(variant="flat"),
+        partition=None,
+        train=TrainSpec(mode="single", batch_size=64, epochs=1),
+    )
+
+
+def _owners(exchange) -> dict:
+    return {f: r for r, feats in exchange.features_of.items() for f in feats}
+
+
+@pytest.mark.parametrize(
+    "flat, hosts, gpus, moved_tables",
+    [
+        (False, 2, 1, 6),
+        (False, 4, 2, 6),
+        (False, 4, 1, 0),  # the same towers at K = 2: nothing moves
+        (True, 4, 2, 4),
+    ],
+)
+def test_elastic_plan_moves_the_executed_owner_changes(
+    tmp_path, flat, hosts, gpus, moved_tables
+):
+    make = _flat_spec if flat else _spec
+    saved = Session(make(tmp_path)).save_checkpoint(str(tmp_path / "src"))
+    spec = make(tmp_path, resume_from=saved).replace(
+        cluster=ClusterSpec(num_hosts=hosts, gpus_per_host=gpus)
+    )
+    plan = Session(spec).elastic_plan()
+
+    model = Session(spec).build_model()
+
+    def executed(num_hosts, gpus_per_host):
+        sim = SimCluster(Cluster(num_hosts, gpus_per_host, "A100"))
+        if flat:
+            return _owners(FlatEmbeddingExchange(sim, model.embeddings))
+        return _owners(
+            SPTTEmbeddingExchange(sim, model.embeddings, model.partition)
+        )
+
+    old, new = executed(2, 2), executed(hosts, gpus)
+    table_bytes = [
+        t.config.num_embeddings * t.config.dim * 4
+        for t in model.embeddings.tables
+    ]
+    oracle = sum(b for f, b in enumerate(table_bytes) if old[f] != new[f])
+    assert plan.moved_bytes == oracle == moved_tables * 2048
+    assert plan.num_towers == (None if flat else 2)
+    assert (plan.source_world, plan.target_world) == (4, hosts * gpus)
+
+
+def test_towers_that_never_spanned_the_saved_hosts_move_everything(tmp_path):
+    """A single-process DMT run may have more towers than hosts; no
+    exchange placed its tables, so the restore prices a full reshuffle."""
+    spec = _spec(tmp_path).replace(
+        partition=distributed_training_spec().partition.replace(num_towers=4),
+        train=TrainSpec(mode="single", batch_size=64, epochs=1),
+    )
+    model = Session(spec).build_model()
+    path = save_training_checkpoint(
+        str(tmp_path / "single"), model, spec=spec, partition=model.partition
+    )
+    plan = plan_elastic_restore(path, Cluster(4, 1, "A100"))
+    assert plan.num_towers == 4
+    assert plan.moved_bytes == plan.total_bytes
