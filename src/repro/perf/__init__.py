@@ -10,8 +10,7 @@ model profiles into the paper's evaluation figures:
   with provenance notes.
 - :mod:`repro.perf.iteration_model` — per-iteration latency breakdowns
   for hybrid-parallel baselines and DMT (Figures 1, 10, 11, 12, 13);
-  the §3.1.3 SPTT specializations are :class:`SPTTOptions` of the one
-  DMT price.
+  one DMT price, whose only §3.1.3 specialization is K-host towers.
 - :mod:`repro.perf.alpa_search` — Alpa-style (data, tensor, pipeline)
   enumeration over the dense part (Figure 6).
 - :mod:`repro.perf.quantization` — FP16/FP8 communication quantization
@@ -31,11 +30,7 @@ from repro.perf.profiles import (
     xlrm_profile,
 )
 from repro.perf.paradigms import PerfCalibration, default_perf_calibration
-from repro.perf.iteration_model import (
-    IterationBreakdown,
-    IterationLatencyModel,
-    SPTTOptions,
-)
+from repro.perf.iteration_model import IterationBreakdown, IterationLatencyModel
 from repro.perf.alpa_search import ParallelismConfig, enumerate_dense_parallelism
 from repro.perf.quantization import QuantizationAnalysis, quantization_discussion
 
@@ -54,7 +49,6 @@ __all__ = [
     "default_perf_calibration",
     "IterationBreakdown",
     "IterationLatencyModel",
-    "SPTTOptions",
     "ParallelismConfig",
     "enumerate_dense_parallelism",
     "QuantizationAnalysis",

@@ -11,11 +11,12 @@ components mirror the paper's buckets:
   by backward-overlap;
 - **others**: fixed per-iteration host overhead.
 
-:meth:`IterationLatencyModel.dmt` is the one DMT price.  Of the paper's
-four §3.1.3 specializations of the base transform, K-host towers follow
-from the profile's tower count, and the other three are its
-:class:`SPTTOptions`: a ReduceScatter for multi-hot step (d), swapping
-steps (b)/(c), and virtual peer order.
+:meth:`IterationLatencyModel.dmt` is the one DMT price, with no
+switches.  Of the paper's four §3.1.3 specializations of the base
+transform it prices K-host towers, which follow from the profile's
+tower count; the executed step implements none of the other three (a
+ReduceScatter for multi-hot step (d), swapping steps (b)/(c), virtual
+peer order), so neither does the price.
 """
 
 from __future__ import annotations
@@ -28,27 +29,6 @@ from repro.comm.process_group import global_group, tower_groups
 from repro.hardware.topology import Cluster
 from repro.perf.paradigms import PerfCalibration, default_perf_calibration
 from repro.perf.profiles import ModelProfile
-
-
-@dataclass(frozen=True)
-class SPTTOptions:
-    """The §3.1.3 switches of SPTT, as pricing options (K-host towers
-    follow from the profile's tower count).
-
-    Attributes
-    ----------
-    multi_hot_reducescatter:
-        Use row-wise shards + ReduceScatter for step (d); only
-        meaningful when the profile has pooling > 1.
-    swap_shuffle:
-        Shuffle the smaller of (ids, embeddings) in step (c).
-    virtual_peer_order:
-        Skip step (c) entirely via peer-ordered process groups.
-    """
-
-    multi_hot_reducescatter: bool = False
-    swap_shuffle: bool = False
-    virtual_peer_order: bool = False
 
 
 @dataclass(frozen=True)
@@ -121,10 +101,9 @@ class IterationLatencyModel:
     # ------------------------------------------------------------------
     # Shared terms
     # ------------------------------------------------------------------
-    def _check(self, profile: ModelProfile, cluster: Cluster, batch: int) -> None:
+    def _check(self, batch: int) -> None:
         if batch <= 0:
             raise ValueError(f"local batch must be positive, got {batch}")
-        del profile, cluster
 
     def _lookup_s(
         self, profile: ModelProfile, cluster: Cluster, batch: int
@@ -162,7 +141,7 @@ class IterationLatencyModel:
         self, profile: ModelProfile, cluster: Cluster, local_batch: int
     ) -> IterationBreakdown:
         """Classic TorchRec-style hybrid parallelism (Figure 4)."""
-        self._check(profile, cluster, local_batch)
+        self._check(local_batch)
         world = global_group(cluster)
         S_emb = local_batch * profile.emb_bytes_per_sample(
             self.cal.emb_wire_itemsize
@@ -191,7 +170,6 @@ class IterationLatencyModel:
         profile: ModelProfile,
         cluster: Cluster,
         local_batch: int,
-        options: Optional[SPTTOptions] = None,
     ) -> IterationBreakdown:
         """DMT: SPTT steps + tower modules (Figure 7).
 
@@ -206,19 +184,17 @@ class IterationLatencyModel:
         >>> bd.name, bd.total_s > 0
         ('dmt-K2/DMT-4T-DLRM', True)
         """
-        self._check(profile, cluster, local_batch)
+        self._check(local_batch)
         if not profile.is_dmt:
             raise ValueError(
                 f"profile {profile.name} has no towers; use hybrid() or a "
                 f"DMT/SPTT profile"
             )
-        options = options or SPTTOptions()
         towers, peers = tower_groups(cluster, profile.num_towers)
         tower_group, peer_group = towers[0], peers[0]
         K = tower_group.hosts_spanned
         world = global_group(cluster)
         hbm = cluster.spec.hbm_bytes_per_s
-        S_ids = self._id_bytes(profile, local_batch)
         S_emb = local_batch * profile.emb_bytes_per_sample(
             self.cal.emb_wire_itemsize
         )
@@ -226,11 +202,8 @@ class IterationLatencyModel:
 
         # Communication: step (a) + 2x step (d) + 2x step (f).  Step (d)
         # runs within the tower, step (f) in a peer world of H/K.
-        t_in = self.cost.alltoall(world, S_ids).seconds
-        if options.multi_hot_reducescatter and profile.pooling > 1:
-            t_d = self.cost.reducescatter(tower_group, S_emb).seconds
-        else:
-            t_d = self.cost.alltoall(tower_group, S_emb).seconds
+        t_in = self.cost.alltoall(world, self._id_bytes(profile, local_batch)).seconds
+        t_d = self.cost.alltoall(tower_group, S_emb).seconds
         t_f = self.cost.alltoall(peer_group, S_peer).seconds
         emb_total = t_in + 2.0 * t_d + 2.0 * t_f
 
@@ -238,16 +211,10 @@ class IterationLatencyModel:
         # Tower-module kernels are fragmented (one small GEMM per
         # tower) and achieve a lower fraction of peak than monolithic
         # baseline GEMMs; the overarch runs the same kernels as the
-        # baseline and pays no penalty.  Virtual peer order removes
-        # step (c); swapping (b)/(c) shuffles the smaller object.
-        shuffle_e = 2.0 * S_emb / hbm
-        if options.virtual_peer_order:
-            shuffle_c = 0.0
-        elif options.swap_shuffle:
-            shuffle_c = 2.0 * min(S_ids, S_emb) / hbm
-        else:
-            shuffle_c = shuffle_e
-        shuffles = 2.0 * (shuffle_c + shuffle_e)
+        # baseline and pays no penalty.  Steps (c) and (e) each permute
+        # the embeddings once forward and once backward.
+        shuffle = 2.0 * S_emb / hbm
+        shuffles = 2.0 * (shuffle + shuffle)
         compute = (
             self._lookup_s(profile, cluster, local_batch)
             + self._dense_s(profile.overarch_mflops, cluster, local_batch)
@@ -263,8 +230,7 @@ class IterationLatencyModel:
             per_tower = profile.tower_param_bytes // max(profile.num_towers, 1)
             ar += self.cost.allreduce(tower_group, per_tower).seconds
         overlap = self.cal.dmt_overlap_at(profile.num_towers)
-        default = K == 1 and options == SPTTOptions()
-        variant = "dmt" if default else f"dmt-K{K}"
+        variant = "dmt" if K == 1 else f"dmt-K{K}"
         return IterationBreakdown(
             name=f"{variant}/{profile.name}",
             compute_s=compute,

@@ -52,8 +52,8 @@ class ModelProfile:
     compression_ratio:
         CR of the tower outputs crossing hosts (1 = uncompressed).
     num_towers:
-        0 for flat models; otherwise must equal the cluster's host
-        count when evaluated under DMT.
+        0 for flat models; otherwise must divide the cluster's host
+        count when evaluated under DMT (towers of ``K = H/T`` hosts).
     """
 
     name: str
@@ -101,6 +101,26 @@ def _param_bytes(params) -> int:
     return sum(p.size for p in params) * 4
 
 
+def _measured(name: str, model, num_towers: int = 0) -> ModelProfile:
+    """The profile of a paper-scale Criteo model (one-hot, 128-wide
+    tables); a flat model (``num_towers=0``) has no tower terms."""
+    towers = num_towers > 0
+    return ModelProfile(
+        name=name,
+        total_mflops=model.flops_per_sample() / 1e6,
+        tower_mflops=model.tower_flops_per_sample() / 1e6 if towers else 0.0,
+        num_sparse=CRITEO_NUM_SPARSE,
+        embedding_dim=128,
+        pooling=1,
+        dense_param_bytes=_param_bytes(model.dense_parameters()),
+        tower_param_bytes=(
+            _param_bytes(model.tower_parameters()) if towers else 0
+        ),
+        compression_ratio=model.compression_ratio() if towers else 1.0,
+        num_towers=num_towers,
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def paper_dlrm_profile() -> ModelProfile:
     """Measured from the paper-scale DLRM dense arch (~14.3 MF vs the
@@ -111,18 +131,7 @@ def paper_dlrm_profile() -> ModelProfile:
         paper_dlrm_arch(),
         rng=np.random.default_rng(0),
     )
-    return ModelProfile(
-        name="DLRM",
-        total_mflops=model.flops_per_sample() / 1e6,
-        tower_mflops=0.0,
-        num_sparse=CRITEO_NUM_SPARSE,
-        embedding_dim=128,
-        pooling=1,
-        dense_param_bytes=_param_bytes(model.dense_parameters()),
-        tower_param_bytes=0,
-        compression_ratio=1.0,
-        num_towers=0,
-    )
+    return _measured("DLRM", model)
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,18 +143,7 @@ def paper_dcn_profile() -> ModelProfile:
         paper_dcn_arch(),
         rng=np.random.default_rng(0),
     )
-    return ModelProfile(
-        name="DCN",
-        total_mflops=model.flops_per_sample() / 1e6,
-        tower_mflops=0.0,
-        num_sparse=CRITEO_NUM_SPARSE,
-        embedding_dim=128,
-        pooling=1,
-        dense_param_bytes=_param_bytes(model.dense_parameters()),
-        tower_param_bytes=0,
-        compression_ratio=1.0,
-        num_towers=0,
-    )
+    return _measured("DCN", model)
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,18 +172,7 @@ def dmt_dlrm_profile(
         top_mlp=(1024, 512, 256),
         rng=np.random.default_rng(0),
     )
-    return ModelProfile(
-        name=f"DMT-{num_towers}T-DLRM",
-        total_mflops=model.flops_per_sample() / 1e6,
-        tower_mflops=model.tower_flops_per_sample() / 1e6,
-        num_sparse=CRITEO_NUM_SPARSE,
-        embedding_dim=128,
-        pooling=1,
-        dense_param_bytes=_param_bytes(model.dense_parameters()),
-        tower_param_bytes=_param_bytes(model.tower_parameters()),
-        compression_ratio=model.compression_ratio(),
-        num_towers=num_towers,
-    )
+    return _measured(f"DMT-{num_towers}T-DLRM", model, num_towers)
 
 
 #: Reconstructed DMT-DCN configuration per tower count: (tower D,
@@ -223,18 +210,7 @@ def dmt_dcn_profile(
         overarch_cross_layers=overarch_cross_layers,
         rng=np.random.default_rng(0),
     )
-    return ModelProfile(
-        name=f"DMT-{num_towers}T-DCN",
-        total_mflops=model.flops_per_sample() / 1e6,
-        tower_mflops=model.tower_flops_per_sample() / 1e6,
-        num_sparse=CRITEO_NUM_SPARSE,
-        embedding_dim=128,
-        pooling=1,
-        dense_param_bytes=_param_bytes(model.dense_parameters()),
-        tower_param_bytes=_param_bytes(model.tower_parameters()),
-        compression_ratio=model.compression_ratio(),
-        num_towers=num_towers,
-    )
+    return _measured(f"DMT-{num_towers}T-DCN", model, num_towers)
 
 
 def sptt_only_profile(base: ModelProfile, num_towers: int) -> ModelProfile:

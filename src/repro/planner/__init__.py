@@ -2,8 +2,8 @@
 
 Mirrors the TorchRec machinery the paper builds on (§4 "Embedding Table
 Sharding"): table-wise / column-wise / row-wise placement, an
-auto-planner that balances storage and traffic (with the §5.1 manual
-column-wise factor when GPUs outnumber tables), and a NeuroShard-style
+auto-planner that balances storage and traffic (table-wise unless the
+caller passes the §5.1 manual column-wise factor), and a NeuroShard-style
 perfectly-balanced baseline used to demonstrate §2.4's negative result
 — balance alone cannot fix global-AlltoAll latency.
 
@@ -18,7 +18,7 @@ from repro.planner.sharding import (
     TableShard,
     ShardingPlan,
 )
-from repro.planner.planner import AutoPlanner, PlannerConfig
+from repro.planner.planner import AutoPlanner
 from repro.planner.neuroshard import balanced_plan, balance_analysis
 from repro.planner.tiering import (
     TierAssignment,
@@ -33,7 +33,6 @@ __all__ = [
     "TableShard",
     "ShardingPlan",
     "AutoPlanner",
-    "PlannerConfig",
     "balanced_plan",
     "balance_analysis",
     "TierAssignment",

@@ -17,7 +17,7 @@ from repro.comm.cost_model import CollectiveCostModel
 from repro.comm.process_group import global_group
 from repro.hardware.topology import Cluster
 from repro.nn.embedding import TableConfig
-from repro.planner.planner import AutoPlanner, PlannerConfig
+from repro.planner.planner import AutoPlanner
 from repro.planner.sharding import ShardingPlan
 
 
@@ -30,7 +30,7 @@ def balanced_plan(
     construction, dims permitting)."""
     min_dim = min(t.dim for t in tables)
     factor = max(2, min(world_size, min_dim))
-    planner = AutoPlanner(world_size, PlannerConfig(column_factor=factor))
+    planner = AutoPlanner(world_size, column_factor=factor)
     return planner.plan(tables)
 
 
@@ -67,9 +67,7 @@ def balance_analysis(
     """
     cost_model = cost_model or CollectiveCostModel()
     world = global_group(cluster)
-    naive = AutoPlanner(
-        cluster.world_size, PlannerConfig(column_factor=1)
-    ).plan(tables)
+    naive = AutoPlanner(cluster.world_size).plan(tables)
     balanced = balanced_plan(tables, cluster.world_size)
 
     def a2a_seconds(plan: ShardingPlan) -> float:

@@ -3,10 +3,12 @@
 Strategy (mirroring §4 and the §5.1 Strong Baseline setup):
 
 1. Pick a sharding type per table: multi-hot tables go row-wise,
-   single-hot tables go column-wise when a column factor is requested
-   (or when GPUs outnumber tables — "we manually include a column-wise
-   sharding factor ... so TorchRec can tap into the collective
-   bandwidth of the whole cluster"), else table-wise.
+   single-hot tables go column-wise when a column factor above 1 is
+   given (the §5.1 "we manually include a column-wise sharding factor
+   ... so TorchRec can tap into the collective bandwidth of the whole
+   cluster"), else table-wise.  Nothing picks the factor for the
+   caller: the default of 1 keeps every single-hot table whole, even
+   when GPUs outnumber tables.
 2. Greedy longest-processing-time placement of the resulting shards
    onto ranks by load (storage + per-sample output traffic), the
    classic balance heuristic.
@@ -14,62 +16,39 @@ Strategy (mirroring §4 and the §5.1 Strong Baseline setup):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.nn.embedding import TableConfig
 from repro.planner.sharding import ShardingPlan, ShardingType, TableShard
 
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Planner knobs.
-
-    Attributes
-    ----------
-    column_factor:
-        Split single-hot tables into this many column shards; ``None``
-        auto-selects ceil(world / num_tables) so shards >= ranks.
-    multi_hot_row_wise:
-        Route pooling>1 tables to row-wise shards (§4 rule).
-    storage_weight / traffic_weight:
-        Load metric combination for placement.
-    """
-
-    column_factor: Optional[int] = None
-    multi_hot_row_wise: bool = True
-    storage_weight: float = 1.0
-    traffic_weight: float = 1e6  # traffic dominates placement decisions
-
-    def __post_init__(self) -> None:
-        if self.column_factor is not None and self.column_factor < 1:
-            raise ValueError(
-                f"column_factor must be >= 1, got {self.column_factor}"
-            )
+#: Placement load of one byte of per-sample output traffic, in bytes of
+#: storage: traffic dominates placement decisions.
+TRAFFIC_WEIGHT = 1e6
 
 
 class AutoPlanner:
-    """Greedy cost-based embedding sharding planner."""
+    """Greedy cost-based embedding sharding planner.
 
-    def __init__(self, world_size: int, config: Optional[PlannerConfig] = None):
+    ``column_factor`` splits each single-hot table into that many
+    column shards; the default 1 places every single-hot table whole
+    (table-wise).
+    """
+
+    def __init__(self, world_size: int, column_factor: int = 1):
         if world_size <= 0:
             raise ValueError(f"world_size must be positive, got {world_size}")
+        if column_factor < 1:
+            raise ValueError(f"column_factor must be >= 1, got {column_factor}")
         self.world_size = world_size
-        self.config = config or PlannerConfig()
+        self.column_factor = column_factor
 
     # ------------------------------------------------------------------
     def choose_sharding(self, table: TableConfig) -> ShardingType:
-        if self.config.multi_hot_row_wise and table.pooling > 1:
+        if table.pooling > 1:
             return ShardingType.ROW_WISE
-        factor = self._column_factor()
-        if factor > 1 and table.dim >= factor:
+        if self.column_factor > 1 and table.dim >= self.column_factor:
             return ShardingType.COLUMN_WISE
         return ShardingType.TABLE_WISE
-
-    def _column_factor(self) -> int:
-        if self.config.column_factor is not None:
-            return self.config.column_factor
-        return 1
 
     def _split(self, table: TableConfig) -> List[dict]:
         """Fragment a table into placement units (rank unassigned)."""
@@ -85,7 +64,7 @@ class AutoPlanner:
                 )
             ]
         if kind is ShardingType.COLUMN_WISE:
-            factor = min(self._column_factor(), table.dim)
+            factor = min(self.column_factor, table.dim)
             bounds = [
                 round(i * table.dim / factor) for i in range(factor + 1)
             ]
@@ -123,10 +102,7 @@ class AutoPlanner:
             traffic = table.dim * 4
         else:
             traffic = cols * 4
-        return (
-            self.config.storage_weight * storage
-            + self.config.traffic_weight * traffic
-        )
+        return storage + TRAFFIC_WEIGHT * traffic
 
     def plan(self, tables: Sequence[TableConfig]) -> ShardingPlan:
         """Shard and place all tables; returns a validated plan."""
@@ -151,16 +127,3 @@ class AutoPlanner:
             loads[rank] += self._load(table, frag)
         plan.validate_coverage(tables)
         return plan
-
-    def table_wise_plan(self, tables: Sequence[TableConfig]) -> List[int]:
-        """Flat owner list (feature -> rank) for the exchange pipelines."""
-        plan = AutoPlanner(
-            self.world_size,
-            PlannerConfig(column_factor=1, multi_hot_row_wise=False),
-        ).plan(tables)
-        owners = []
-        for t in tables:
-            shards = plan.shards_of(t.name)
-            assert len(shards) == 1
-            owners.append(shards[0].rank)
-        return owners

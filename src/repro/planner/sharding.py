@@ -5,8 +5,8 @@ The paper's rules of thumb (§4): large-batch single-hot features pin to
 a slice of the embedding vector, summing to the same bytes, but the
 AlltoAll buckets stay balanced); small-batch multi-hot features use
 **row-wise** shards (pooling happens shard-side, so step (d) of SPTT
-becomes a ReduceScatter, priced by ``SPTTOptions.multi_hot_reducescatter``
-of :meth:`repro.perf.IterationLatencyModel.dmt`).
+could become a ReduceScatter; neither the executed step nor
+:meth:`repro.perf.IterationLatencyModel.dmt` does that).
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Tests for the §3.1.3 SPTT specializations: the options of the one
-DMT price, and the K-host tower and peer groups they run over."""
+"""Tests for the one DMT price and its only §3.1.3 specialization,
+K-host towers: the price on a fixed grid, and the tower and peer groups
+it runs over."""
 
 import hashlib
 import itertools
@@ -10,7 +11,7 @@ import pytest
 from repro.comm import intra_host_groups, peer_groups
 from repro.experiments.common import LOCAL_BATCH, SCALES
 from repro.hardware import Cluster
-from repro.perf import IterationBreakdown, IterationLatencyModel, SPTTOptions
+from repro.perf import IterationBreakdown, IterationLatencyModel
 from repro.perf.profiles import (
     dmt_dlrm_profile,
     dmt_profile_for_towers,
@@ -20,14 +21,10 @@ from repro.perf.profiles import (
 B = 16384
 
 #: SHA-256 of the sorted breakdown table below.  Any change to how a
-#: DMT iteration is priced, with or without §3.1.3 options, moves it.
+#: DMT iteration is priced moves it.
 PINNED_BREAKDOWN_DIGEST = (
-    "515a09712218f3991732e6b7c601f409ac5bdb8d30f6b4d8383acdb86de42afa"
+    "6b1376b8f7afd6738835a07fd9e5f31a69bfa9056d0658a170ac7bd85e421c35"
 )
-
-
-def _priced(profile, cluster, options):
-    return IterationLatencyModel().dmt(profile, cluster, B, options)
 
 
 def _breakdown_table():
@@ -38,26 +35,16 @@ def _breakdown_table():
     def line(key, bd):
         return key + " " + " ".join(repr(getattr(bd, v)) for v in values)
 
+    model = IterationLatencyModel()
     rows = []
-    switches = list(itertools.product((False, True), repeat=3))
-    for k, (rs, swap, virtual), base, hosts in itertools.product(
+    for k, base, hosts in itertools.product(
         (1, 2, 4),
-        switches,
         (dmt_dlrm_profile(26), dmt_xlrm_profile(16)),
         (8, 16, 64),
     ):
-        options = SPTTOptions(
-            multi_hot_reducescatter=rs,
-            swap_shuffle=swap,
-            virtual_peer_order=virtual,
-        )
         profile = replace(base, num_towers=hosts // k)
-        bd = _priced(profile, Cluster(hosts, 8, "A100"), options)
-        rows.append(
-            line(f"K{k}/rs{rs:d}/swap{swap:d}/vpo{virtual:d}/"
-                 f"{base.name}/{hosts}x8", bd)
-        )
-    model = IterationLatencyModel()
+        bd = model.dmt(profile, Cluster(hosts, 8, "A100"), B)
+        rows.append(line(f"K{k}/{base.name}/{hosts}x8", bd))
     for kind, (gen, sizes) in itertools.product(("dlrm", "dcn"), SCALES.items()):
         for gpus in sizes:
             hosts = gpus // 8
@@ -143,45 +130,13 @@ class TestSpecializedModel:
             with pytest.raises(ValueError, match="towers do not divide"):
                 model.dmt(towers_profile(towers), cluster, B)
 
-    def test_multi_hot_reducescatter_cheaper(self, model):
-        """Row-wise shards turn step (d) into a ReduceScatter."""
-        cluster = Cluster(16, 8, "A100")
-        profile = replace(dmt_xlrm_profile(16), num_towers=16)
-        a2a = model.dmt(
-            profile, cluster, 4096, SPTTOptions(virtual_peer_order=True)
-        )
-        rs = model.dmt(
-            profile,
-            cluster,
-            4096,
-            SPTTOptions(multi_hot_reducescatter=True, virtual_peer_order=True),
-        )
-        assert rs.emb_comm_total_s <= a2a.emb_comm_total_s
-
-    def test_swap_shuffle_helps_when_ids_small(self, model):
-        """§3.1.3: permute the ids instead of the (larger) embeddings."""
-        cluster = Cluster(8, 8, "A100")
-        profile = towers_profile(8)
-        plain = model.dmt(profile, cluster, B, SPTTOptions(swap_shuffle=False))
-        swapped = model.dmt(profile, cluster, B, SPTTOptions(swap_shuffle=True))
-        assert swapped.compute_s <= plain.compute_s
-
-    def test_virtual_peer_order_removes_shuffle(self, model):
-        cluster = Cluster(8, 8, "A100")
-        profile = towers_profile(8)
-        plain = model.dmt(profile, cluster, B, SPTTOptions(swap_shuffle=True))
-        virtual = model.dmt(
-            profile, cluster, B, SPTTOptions(virtual_peer_order=True)
-        )
-        assert virtual.compute_s < plain.compute_s
-
     def test_options_validation(self, model):
-        """The tower span K is not an option: it follows from the
-        profile's tower count, so towers no DMT can run are rejected."""
+        """The price takes no options: the tower span K follows from the
+        profile's tower count, and towers no DMT can run are rejected."""
         cluster = Cluster(8, 8, "A100")
         with pytest.raises(TypeError):
-            SPTTOptions(hosts_per_tower=2)
+            model.dmt(towers_profile(8), cluster, B, options=None)
         with pytest.raises(ValueError, match="no towers"):
-            model.dmt(towers_profile(0), cluster, B, SPTTOptions())
+            model.dmt(towers_profile(0), cluster, B)
         with pytest.raises(ValueError, match="local batch"):
-            model.dmt(towers_profile(8), cluster, 0, SPTTOptions())
+            model.dmt(towers_profile(8), cluster, 0)

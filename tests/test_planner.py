@@ -7,7 +7,6 @@ from repro.models import criteo_table_configs
 from repro.nn.embedding import TableConfig
 from repro.planner import (
     AutoPlanner,
-    PlannerConfig,
     ShardingPlan,
     ShardingType,
     TableShard,
@@ -54,9 +53,14 @@ class TestAutoPlanner:
         plan.validate_coverage(tables())
 
     def test_table_wise_by_default(self):
-        planner = AutoPlanner(4, PlannerConfig(column_factor=1))
+        planner = AutoPlanner(4)
         for t in tables():
             assert planner.choose_sharding(t) is ShardingType.TABLE_WISE
+        # Even when ranks outnumber tables, no column factor is chosen.
+        plan = AutoPlanner(64).plan(criteo_table_configs())
+        assert len(plan.shards) == 26
+        assert all(s.sharding is ShardingType.TABLE_WISE for s in plan.shards)
+        assert plan.imbalance() == pytest.approx(2.462, abs=1e-3)
 
     def test_multi_hot_goes_row_wise(self):
         planner = AutoPlanner(4)
@@ -64,7 +68,7 @@ class TestAutoPlanner:
         assert planner.choose_sharding(t) is ShardingType.ROW_WISE
 
     def test_column_factor_splits_tables(self):
-        planner = AutoPlanner(8, PlannerConfig(column_factor=4))
+        planner = AutoPlanner(8, column_factor=4)
         plan = planner.plan(tables(n=2))
         for t in tables(n=2):
             assert len(plan.shards_of(t.name)) == 4
@@ -81,14 +85,9 @@ class TestAutoPlanner:
         skewed = [TableConfig("big", 10_000_000, 64)] + [
             TableConfig(f"s{i}", 1000, 64) for i in range(3)
         ]
-        naive = AutoPlanner(8, PlannerConfig(column_factor=1)).plan(skewed)
-        split = AutoPlanner(8, PlannerConfig(column_factor=8)).plan(skewed)
+        naive = AutoPlanner(8, column_factor=1).plan(skewed)
+        split = AutoPlanner(8, column_factor=8).plan(skewed)
         assert split.imbalance() < naive.imbalance()
-
-    def test_table_wise_plan_owner_list(self):
-        owners = AutoPlanner(4).table_wise_plan(tables())
-        assert len(owners) == 6
-        assert all(0 <= o < 4 for o in owners)
 
     def test_empty_tables_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +99,7 @@ class TestAutoPlanner:
 
     def test_invalid_column_factor(self):
         with pytest.raises(ValueError):
-            PlannerConfig(column_factor=0)
+            AutoPlanner(4, column_factor=0)
 
 
 class TestShardingPlan:
