@@ -1,40 +1,54 @@
-"""Distributed DMT training on a simulated cluster, verified exactly.
+"""Distributed DMT training on a simulated cluster, checked exactly.
 
 One RunSpec with ``train.mode='simulated'`` runs real multi-rank
 training — model-parallel embedding tables, SPTT exchange, per-host
 tower modules with intra-host gradient sync, and a data-parallel
-overarch — on a simulated 2-host x 2-GPU cluster, and (because
-``train.verify`` is on) checks step-by-step that it matches
-single-process training on the same global batches.  Finishes with the
-priced communication timeline.
+overarch — on a simulated 2-host x 2-GPU cluster.  Its
+``mode='single'`` twin trains the same model in one process: same
+data, same recipe, same batches.  ``mode`` picks only the step
+executor, so the two must reach the same eval AUC and the same
+parameters up to reduction order; the script asserts both, then prints
+the priced communication timeline.
 
 Run:  python examples/distributed_training.py
 """
+
+import numpy as np
 
 from repro.api import Session
 from repro.api.presets import distributed_training_spec
 
 
 def main() -> None:
-    session = Session(distributed_training_spec())
+    spec = distributed_training_spec()
+    session = Session(spec)
     print(f"simulated cluster: {session.build_cluster()}")
 
     art = session.train()
-    print(f"\n{'step':>4} {'distributed':>12} {'single-proc':>12} {'|delta|':>10}")
-    for step, (dist_loss, ref_loss) in enumerate(
-        zip(art.losses, art.ref_losses)
+    twin = Session(spec.replace(train=spec.train.replace(mode="single"))).train()
+
+    print(f"\n{'epoch':>5} {'distributed':>12} {'single-proc':>12} {'|delta|':>10}")
+    for epoch, (dist_loss, single_loss) in enumerate(
+        zip(art.epoch_losses, twin.epoch_losses)
     ):
         print(
-            f"{step:>4} {dist_loss:>12.6f} {ref_loss:>12.6f} "
-            f"{abs(dist_loss - ref_loss):>10.2e}"
+            f"{epoch:>5} {dist_loss:>12.6f} {single_loss:>12.6f} "
+            f"{abs(dist_loss - single_loss):>10.2e}"
         )
-
     print(
-        f"\nmax parameter drift after {len(art.losses)} steps: "
-        f"{art.max_drift:.2e}"
+        f"\neval AUC: distributed {art.eval_result.auc:.6f}, "
+        f"single-process {twin.eval_result.auc:.6f}"
     )
+    drift = max(
+        float(np.abs(p.data - q.data).max())
+        for p, q in zip(art.model.parameters(), twin.model.parameters())
+    )
+    steps = len(art.trainer.loss_history)
+    print(f"max parameter drift after {steps} steps: {drift:.2e}")
+    assert art.eval_result.auc == twin.eval_result.auc
+    assert drift <= 1e-12
 
-    print("\npriced timeline of the final step (per phase):")
+    print("\npriced timeline of the run (per phase):")
     print(art.timeline)
 
 

@@ -154,8 +154,6 @@ def _check_degenerate_split(spec: RunSpec):
 def _check_batch_fits_split(spec: RunSpec):
     if spec.train is None or spec.data is None:
         return
-    if spec.train.mode != "single":
-        return
     split = _train_split_size(spec.data)
     if split and spec.train.batch_size > split:
         yield _diag(
@@ -212,13 +210,13 @@ def _check_global_batch(spec: RunSpec):
     if spec.train is None or spec.train.mode != "simulated":
         return
     world = spec.cluster.world_size
-    if spec.train.global_batch % world != 0:
+    if spec.train.batch_size % world != 0:
         yield _diag(
             "error",
             "global-batch-indivisible",
-            f"train.global_batch={spec.train.global_batch} is not "
+            f"train.batch_size={spec.train.batch_size} is not "
             f"divisible by the {world}-rank simulated world",
-            "train.global_batch",
+            "train.batch_size",
             f"pick a multiple of {world} — the distributed pipeline "
             f"splits the global batch evenly per rank",
         )
@@ -676,14 +674,10 @@ def _check_save_cadence(spec: RunSpec):
         or spec.data is None
     ):
         return
-    if spec.train.mode == "simulated":
-        total_steps, formula = spec.train.steps, "train.steps"
-    else:
-        split = _train_split_size(spec.data)
-        if split == 0 or spec.train.batch_size > split:
-            return  # reported by the split checks already
-        total_steps = (split // spec.train.batch_size) * spec.train.epochs
-        formula = "(train_split // batch_size) * epochs"
+    split = _train_split_size(spec.data)
+    if split == 0 or spec.train.batch_size > split:
+        return  # reported by the split checks already
+    total_steps = (split // spec.train.batch_size) * spec.train.epochs
     if ck.save_every_steps > total_steps:
         yield _diag(
             "warning",
@@ -692,7 +686,8 @@ def _check_save_cadence(spec: RunSpec):
             f"run's {total_steps} total optimizer steps; periodic "
             f"autosave never fires",
             "checkpoint.save_every_steps",
-            f"lower save_every_steps below {formula}",
+            "lower save_every_steps below "
+            "(train_split // batch_size) * epochs",
         )
 
 

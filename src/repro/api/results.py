@@ -129,54 +129,44 @@ class PlanArtifact:
 
 @dataclass
 class TrainArtifact:
-    """Outcome of the training stage.
+    """Outcome of the training stage, in either ``mode``.
 
-    ``trainer`` is the :class:`~repro.training.Trainer` in both modes.
-    ``mode='single'``: ``eval_result``/``epoch_losses``.
-    ``mode='simulated'``: per-step ``losses`` (and, when verification
-    is on, ``ref_losses`` plus the ``max_drift`` between distributed
-    and single-process parameters), and the priced ``timeline`` text.
+    ``trainer`` is the :class:`~repro.training.Trainer` (its
+    ``loss_history`` holds every step's loss), ``eval_result`` the
+    held-out metrics and ``epoch_losses`` the per-epoch mean losses.
+    ``mode='simulated'`` also carries the priced ``timeline`` text of
+    the executed steps.
     """
 
     mode: str
     model: Any
-    eval_result: Optional[EvalResult] = None
+    eval_result: EvalResult
     epoch_losses: List[float] = field(default_factory=list)
     trainer: Any = None
-    losses: List[float] = field(default_factory=list)
-    ref_losses: List[float] = field(default_factory=list)
-    max_drift: Optional[float] = None
     timeline: Optional[str] = None
 
     def summary(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"mode": self.mode}
-        if self.eval_result is not None:
-            out.update(
-                auc=float(self.eval_result.auc),
-                log_loss=float(self.eval_result.log_loss),
-                normalized_entropy=float(self.eval_result.normalized_entropy),
-                epoch_losses=[float(x) for x in self.epoch_losses],
-            )
-            # Multi-task eval: the headline numbers above are the
-            # primary task's; the per-task breakdown rides alongside.
-            by_task = getattr(self.eval_result, "by_task", None)
-            if by_task is not None:
-                out["tasks"] = {
-                    name: {
-                        "auc": float(r.auc),
-                        "log_loss": float(r.log_loss),
-                        "normalized_entropy": float(r.normalized_entropy),
-                        "num_samples": int(r.num_samples),
-                        "auc_skipped": bool(r.auc_skipped),
-                    }
-                    for name, r in by_task.items()
+        out: Dict[str, Any] = {
+            "mode": self.mode,
+            "auc": float(self.eval_result.auc),
+            "log_loss": float(self.eval_result.log_loss),
+            "normalized_entropy": float(self.eval_result.normalized_entropy),
+            "epoch_losses": [float(x) for x in self.epoch_losses],
+        }
+        # Multi-task eval: the headline numbers above are the primary
+        # task's; the per-task breakdown rides alongside.
+        by_task = getattr(self.eval_result, "by_task", None)
+        if by_task is not None:
+            out["tasks"] = {
+                name: {
+                    "auc": float(r.auc),
+                    "log_loss": float(r.log_loss),
+                    "normalized_entropy": float(r.normalized_entropy),
+                    "num_samples": int(r.num_samples),
+                    "auc_skipped": bool(r.auc_skipped),
                 }
-        if self.losses:
-            out["step_losses"] = [float(x) for x in self.losses]
-        if self.ref_losses:
-            out["ref_step_losses"] = [float(x) for x in self.ref_losses]
-        if self.max_drift is not None:
-            out["max_drift"] = float(self.max_drift)
+                for name, r in by_task.items()
+            }
         if hasattr(self.model, "compression_ratio"):
             out["compression_ratio"] = float(self.model.compression_ratio())
         return out
@@ -506,18 +496,11 @@ class RunResult:
             )
         if self.train is not None:
             t = self.train
-            if "auc" in t:
-                lines.append(
-                    f"train [{t['mode']}]: AUC={t['auc']:.4f} "
-                    f"LogLoss={t['log_loss']:.4f} "
-                    f"NE={t['normalized_entropy']:.4f}"
-                )
-            else:
-                lines.append(
-                    f"train [{t['mode']}]: {len(t.get('step_losses', []))} "
-                    f"steps, final loss "
-                    f"{t.get('step_losses', [float('nan')])[-1]:.6f}"
-                )
+            lines.append(
+                f"train [{t['mode']}]: AUC={t['auc']:.4f} "
+                f"LogLoss={t['log_loss']:.4f} "
+                f"NE={t['normalized_entropy']:.4f}"
+            )
             if "tasks" in t:
                 for name, r in t["tasks"].items():
                     auc_txt = (
@@ -530,8 +513,6 @@ class RunResult:
                         f"LogLoss={r['log_loss']:.4f} "
                         f"({r['num_samples']} samples)"
                     )
-            if "max_drift" in t:
-                lines.append(f"  max drift vs single-process {t['max_drift']:.2e}")
             if "compression_ratio" in t:
                 lines.append(f"  compression ratio {t['compression_ratio']:.0f}")
         if self.price is not None:

@@ -99,7 +99,6 @@ from repro.training import (
     MultiTaskEvalResult,
     TrainConfig,
     Trainer,
-    adam_pair,
     run_seed_sweep,
 )
 
@@ -406,12 +405,7 @@ class Session:
                 )
                 scale = "tiny"
                 train = self.spec.train
-                if train is None:
-                    batch = 256
-                elif train.mode == "single":
-                    batch = train.batch_size
-                else:
-                    batch = train.global_batch
+                batch = 256 if train is None else train.batch_size
             else:
                 tables = criteo_table_configs()
                 scale, batch = "paper", (
@@ -425,8 +419,9 @@ class Session:
         return self._stage("plan", build)
 
     def train(self) -> TrainArtifact:
-        """Run the training stage: one :class:`Trainer` loop for the
-        single-process and the simulated-cluster mode (see
+        """Run the training stage: :meth:`Trainer.fit` over the train
+        split and an eval on the eval split, in either ``train.mode``
+        (which picks only the step executor, see
         :class:`~repro.api.spec.TrainSpec`), sharing checkpoint resume,
         autosave and the elastic plan."""
         return self._stage("train", self._train)
@@ -434,26 +429,11 @@ class Session:
     def _train(self) -> TrainArtifact:
         train = self._need("train")
         self._ensure_analyzed()
-        config = train.trainer_config()
         model = self.build_model()
-        ref: Optional[Trainer] = None
-        if train.mode == "single":
-            trainer = Trainer(model, config)
-        else:
-            sim = SimCluster(self.build_cluster())
-            trainer = Trainer(
-                model,
-                config,
-                DistributedDMTTrainer(sim, model),
-                adam_pair(model, train.dense_lr),
-            )
-            if train.verify:  # the same recipe in one process
-                ref_model = self._make_model()
-                ref = Trainer(
-                    ref_model,
-                    config,
-                    optimizers=adam_pair(ref_model, train.dense_lr),
-                )
+        step = None
+        if train.mode == "simulated":
+            step = DistributedDMTTrainer(SimCluster(self.build_cluster()), model)
+        trainer = Trainer(model, train.trainer_config(), step)
         ck = self.spec.checkpoint
         on_step_end = None
         if ck is not None:
@@ -509,41 +489,15 @@ class Session:
                     if path is not None:
                         self._checkpoint_record().saved_path = path
 
-        if train.mode == "single":
-            art = self.load_data()
-            epoch_losses = trainer.fit(*art.train, on_step_end=on_step_end)
-            return TrainArtifact(
-                mode="single",
-                model=model,
-                trainer=trainer,
-                eval_result=trainer.evaluate(*art.eval),
-                epoch_losses=[float(x) for x in epoch_losses],
-            )
-        dataset = _dataset_for(self.spec.data)
-        # The reference is a pure function of the spec: after a resume
-        # it replays the steps the checkpoint skipped, bit for bit.
-        first = 0 if ref is not None else trainer.global_step
-        for step in range(first, train.steps):
-            batch = dataset.sample(
-                train.global_batch, seed=train.step_seed + step
-            )
-            if step == trainer.global_step:
-                trainer.train_batch(*batch)
-                if on_step_end is not None:
-                    on_step_end(trainer)
-            if ref is not None:
-                ref.train_batch(*batch)
+        art = self.load_data()
+        epoch_losses = trainer.fit(*art.train, on_step_end=on_step_end)
         return TrainArtifact(
-            mode="simulated",
+            mode=train.mode,
             model=model,
             trainer=trainer,
-            losses=list(trainer.loss_history),
-            ref_losses=list(ref.loss_history) if ref is not None else [],
-            max_drift=None if ref is None else max(
-                float(np.abs(p1.data - p2.data).max())
-                for p1, p2 in zip(model.parameters(), ref.model.parameters())
-            ),
-            timeline=sim.timeline.format_table(),
+            eval_result=trainer.evaluate(*art.eval),
+            epoch_losses=[float(x) for x in epoch_losses],
+            timeline=None if step is None else step.sim.timeline.format_table(),
         )
 
     # ------------------------------------------------------------------
@@ -1149,12 +1103,6 @@ def spec_auc_sweep(
     if spec.train is None or spec.model is None:
         raise SpecError(
             "spec_auc_sweep needs a spec with model and train sections"
-        )
-    if spec.train.mode != "single":
-        raise SpecError(
-            "spec_auc_sweep measures eval AUC, which only single-process "
-            "training produces; got train.mode="
-            f"{spec.train.mode!r}"
         )
     sweep = run_seed_sweep(
         lambda s: Session(seeded_run(spec, s)).train().eval_result.auc, seeds

@@ -556,16 +556,16 @@ class PartitionSpec(_SpecBase):
 
 @dataclass(frozen=True)
 class TrainSpec(_SpecBase):
-    """Training protocol: single-process quality or simulated cluster.
+    """Training protocol: one recipe, two step executors.
 
-    Both modes train through :class:`repro.training.Trainer` and both
-    checkpoint, resume and autosave.  ``mode='single'`` runs the
-    model's own step over shuffled epochs; ``mode='simulated'`` runs
-    ``steps`` steps with the model-parallel
+    Both modes run :meth:`repro.training.Trainer.fit` over the data
+    section's train split with :meth:`trainer_config`'s optimizer pair,
+    evaluate on its eval split, and checkpoint, resume and autosave.
+    ``mode`` picks only who executes each step: the model itself
+    (``'single'``), or the model-parallel
     :class:`repro.core.dmt_pipeline.DistributedDMTTrainer` on a
-    :class:`repro.sim.SimCluster` as the step executor, one Adam over
-    every parameter at ``dense_lr`` (optionally verifying step losses
-    against single-process training on the same global batches).
+    :class:`repro.sim.SimCluster` of the cluster section
+    (``'simulated'``, §3.1's SPTT step, which also prices a timeline).
     """
 
     mode: str = "single"  # "single" | "simulated"
@@ -580,11 +580,6 @@ class TrainSpec(_SpecBase):
     sparse_grad_mode: str = "rowwise"
     warmup_steps: int = 0
     seed: int = 0
-    # simulated-mode knobs
-    steps: int = 8
-    global_batch: int = 128
-    step_seed: int = 100
-    verify: bool = True
 
     #: ``seed`` goes through the trainer's splitmix mix, not to numpy.
     _MIXED_SEED_FIELDS = ("seed",)
@@ -595,26 +590,9 @@ class TrainSpec(_SpecBase):
             f"mode must be 'single' or 'simulated', got {self.mode!r}",
         )
         self.trainer_config()
-        _require(self.steps >= 1, "steps must be >= 1")
-        _require(self.global_batch >= 1, "global_batch must be >= 1")
-        # Each mode reads only its own knobs (plus the shared dense_lr
-        # and sparse_grad_mode).
-        self._require_defaults(
-            (
-                "batch_size",
-                "epochs",
-                "sparse_lr",
-                "dense_optimizer",
-                "warmup_steps",
-                "seed",
-            )
-            if self.mode == "simulated"
-            else ("steps", "global_batch", "step_seed", "verify"),
-            f"with mode={self.mode!r}",
-        )
 
     def trainer_config(self) -> TrainConfig:
-        """The single-process trainer's hyperparameters."""
+        """The trainer's hyperparameters (both modes)."""
         return self.build(TrainConfig)
 
 

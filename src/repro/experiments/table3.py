@@ -5,83 +5,58 @@ unchanged.  We go further: because our distributed SPTT pipeline is
 exact, the reproduction asserts *numeric identity* of the trained
 models — flat single-process training and distributed SPTT training
 (pass-through towers on a simulated 2x2 cluster, same batches) reach
-the same evaluation AUC to float tolerance.  Both models are built by
-the session layer from :func:`experiment_specs` and trained by two
-:class:`~repro.training.Trainer` s that differ only in the step executor.
+the same evaluation AUC to float tolerance.  Each arm is one
+``Session.train()`` of a spec from :func:`experiment_specs`: the two
+specs share data, recipe and model seed (a pass-through DMT built from
+the flat model's seed has exactly its parameters) and differ only in
+the model variant and ``train.mode``, which picks the step executor.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.api import PartitionSpec, RunSpec, Session
+from repro.api import PartitionSpec, RunSpec, Session, TrainSpec
 from repro.api.presets import (
     quality_data_spec,
     quality_dcn_model,
     quality_dlrm_model,
 )
-from repro.core.dmt_pipeline import DistributedDMTTrainer
 from repro.experiments.registry import register
 from repro.experiments.result import ExperimentResult, format_table
-from repro.sim import SimCluster
-from repro.training import TrainConfig, Trainer, adam_pair
-from repro.training.metrics import auc
 
 
 def experiment_specs(fast: bool = True) -> Dict[str, RunSpec]:
-    """Each family's flat model and its two-tower pass-through DMT twin."""
-    del fast  # fast mode only shortens the step count
+    """Each family's flat model and its two-tower pass-through DMT twin,
+    trained single-process and on the simulated 2x2 cluster."""
+    del fast  # one geometry: the recipe's own epochs
     specs: Dict[str, RunSpec] = {}
     for model in (quality_dlrm_model(), quality_dcn_model()):
         flat = RunSpec(
             name=f"table3-{model.family}-flat",
             data=quality_data_spec(),
             model=model.replace(seed=55),
+            train=TrainSpec(),
         )
         specs[f"{model.family}-flat"] = flat
         specs[f"{model.family}-sptt"] = flat.replace(
             name=f"table3-{model.family}-sptt",
-            model=model.replace(variant="dmt", pass_through=True, seed=66),
+            model=flat.model.replace(variant="dmt", pass_through=True),
             partition=PartitionSpec(strategy="contiguous", num_towers=2),
+            train=TrainSpec(mode="simulated"),
         )
     return specs
 
 
-def _distributed_sptt_auc(kind: str, steps: int, batch: int) -> "tuple[float, float]":
-    """Train pass-through DMT on the spec's simulated 2x2 cluster; also
-    train the flat model single-process on identical data.  Returns
-    both AUCs (they must agree)."""
-    specs = experiment_specs()
-    flat_session = Session(specs[f"{kind}-flat"])
-    sptt_session = Session(specs[f"{kind}-sptt"])
-    data = flat_session.load_data()
-    (td, ti, tl), (ed, ei, el) = data.train, data.eval
-    flat = flat_session.build_model()
-    dmt = sptt_session.build_model()
-    # Pass-through DMT has exactly the flat model's parameters.
-    dmt.load_state_dict(flat.state_dict())
-
-    # Two Trainers, one recipe; only the step executor differs.
-    sim = SimCluster(sptt_session.build_cluster())
-    executor = DistributedDMTTrainer(sim, dmt)
-    trainers = [
-        Trainer(model, TrainConfig(), step, adam_pair(model, 0.01))
-        for model, step in ((flat, None), (dmt, executor))
-    ]
-    for i in range(steps):
-        lo = (i * batch) % (len(tl) - batch)
-        sl = slice(lo, lo + batch)
-        for trainer in trainers:
-            trainer.train_batch(td[sl], ti[sl], tl[sl])
-    return auc(el, flat(ed, ei)), auc(el, dmt.forward(ed, ei))
-
-
 @register("table3", "SPTT semantic preservation (AUC neutrality)")
 def run(fast: bool = True) -> ExperimentResult:
-    steps = 60 if fast else 150
+    specs = experiment_specs(fast)
     rows, data = [], {}
     for kind in ("dlrm", "dcn"):
-        flat_auc, sptt_auc = _distributed_sptt_auc(kind, steps=steps, batch=128)
+        flat_auc, sptt_auc = (
+            Session(specs[f"{kind}-{arm}"]).train().eval_result.auc
+            for arm in ("flat", "sptt")
+        )
         rows.append(
             [
                 kind.upper(),

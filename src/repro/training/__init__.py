@@ -11,7 +11,6 @@ from repro.training.loop import (
     MultiTaskEvalResult,
     Trainer,
     TrainConfig,
-    adam_pair,
 )
 from repro.training.stats import (
     SeedSweepResult,
@@ -26,7 +25,6 @@ __all__ = [
     "normalized_entropy",
     "Trainer",
     "TrainConfig",
-    "adam_pair",
     "EvalResult",
     "MultiTaskEvalResult",
     "mann_whitney_u",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -48,15 +48,6 @@ def _mix_epoch_seed(seed: int, epoch: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
-
-
-def adam_pair(model, lr: float) -> Tuple[Adam, Adam]:
-    """One Adam over every parameter as a :class:`Trainer`'s ``(dense,
-    sparse)`` pair — bit-identical to one Adam over ``parameters()``:
-    Adam updates each parameter on its own, and both halves advance
-    ``step_count`` once per step.  The executed SPTT run's recipe."""
-    dense = list(model.dense_parameters()) + list(model.tower_parameters())
-    return Adam(dense, lr=lr), Adam(model.sparse_parameters(), lr=lr)
 
 
 @dataclass(frozen=True)
@@ -177,31 +168,24 @@ class Trainer:
     forward/loss/backward), e.g. a ``DistributedDMTTrainer``: its
     ``train_step(dense, ids, labels)`` accumulates the gradients and
     returns the loss, its ``sync_replicas()`` runs after the optimizer
-    update.  ``optimizers``, a ``(dense, sparse)`` pair (see
-    :func:`adam_pair`), replaces the config's recipe.
+    update.  The executor changes who computes a step, never the
+    recipe: both optimizers come from ``config``.
     """
 
-    def __init__(self, model, config: TrainConfig, step=None, optimizers=None):
+    def __init__(self, model, config: TrainConfig, step=None):
         self.model = model
         self.config = config
         self.step = step
         set_sparse_grad_mode(model, config.sparse_grad_mode)
-        if optimizers is None:
-            dense = Adam if config.dense_optimizer == "adam" else SGD
-            sparse = (
-                RowwiseAdagrad
-                if config.sparse_grad_mode == "rowwise"
-                else Adagrad
-            )
-            optimizers = (
-                dense(
-                    list(model.dense_parameters())
-                    + list(model.tower_parameters()),
-                    lr=config.dense_lr,
-                ),
-                sparse(model.sparse_parameters(), lr=config.sparse_lr),
-            )
-        self.dense_opt, self.sparse_opt = optimizers
+        dense = Adam if config.dense_optimizer == "adam" else SGD
+        sparse = (
+            RowwiseAdagrad if config.sparse_grad_mode == "rowwise" else Adagrad
+        )
+        self.dense_opt = dense(
+            list(model.dense_parameters()) + list(model.tower_parameters()),
+            lr=config.dense_lr,
+        )
+        self.sparse_opt = sparse(model.sparse_parameters(), lr=config.sparse_lr)
         self.schedule = (
             WarmupDecaySchedule(config.dense_lr, config.warmup_steps)
             if config.warmup_steps > 0

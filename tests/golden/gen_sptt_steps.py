@@ -26,8 +26,9 @@ They store every float as its ``repr`` plus a SHA-256 of every
 parameter's bytes, so they compare bit for bit.
 
 ``session/distributed_training`` pins ``Session(distributed_training_spec())
-.train()`` end to end: the step and reference losses and ``max_drift``
-as ``repr`` strings, the parameters' SHA-256 and every timeline event.
+.train()`` end to end: the step losses and the eval AUC as ``repr``
+strings, the parameters' SHA-256 and every timeline event.  (Its
+``mode='single'`` twin is held equal to it in ``tests/test_api.py``.)
 """
 
 from __future__ import annotations
@@ -212,9 +213,8 @@ def _session() -> Dict[str, Any]:
     """The distributed-training preset through ``Session.train()``."""
     art = Session(distributed_training_spec()).train()
     return {
-        "losses": [repr(float(x)) for x in art.losses],
-        "ref_losses": [repr(float(x)) for x in art.ref_losses],
-        "max_drift": repr(float(art.max_drift)),
+        "losses": [repr(float(x)) for x in art.trainer.loss_history],
+        "auc": repr(float(art.eval_result.auc)),
         "params_sha256": params_sha256(art.model),
         "timeline": _events(art.trainer.step.sim),
     }

@@ -124,12 +124,23 @@ class TestNegativeSeededBrokenSpecs:
         )
         assert error_codes(spec) == ["probe-batch-exceeds-split"]
 
+    def test_simulated_batch_exceeds_train_split(self):
+        """Both modes batch the same train split, so the check holds
+        for the simulated executor too."""
+        spec = tiny_quality_spec(
+            model=ModelSpec(variant="dmt", embedding_dim=8,
+                            bottom_mlp=(16,), top_mlp=(16,)),
+            partition=PartitionSpec(strategy="contiguous", num_towers=2),
+            train=TrainSpec(mode="simulated", batch_size=512, epochs=1),
+        )
+        assert error_codes(spec) == ["batch-exceeds-train-split"]
+
     def test_global_batch_indivisible(self):
         spec = tiny_quality_spec(
             model=ModelSpec(variant="dmt", embedding_dim=8,
                             bottom_mlp=(16,), top_mlp=(16,)),
             partition=PartitionSpec(strategy="contiguous", num_towers=2),
-            train=TrainSpec(mode="simulated", global_batch=130),
+            train=TrainSpec(mode="simulated", batch_size=130, epochs=1),
         )
         assert error_codes(spec) == ["global-batch-indivisible"]
 

@@ -4,13 +4,13 @@ The distributed trainers are step executors ``Trainer`` calls, so a
 simulated ``Session`` run trains, checkpoints and resumes through the
 same loop as a single-process one.  Held here:
 
-- ``Trainer(step=executor, optimizers=pair)`` equals the caller-held
-  step (``fit_step``) bit for bit on the SPTT-steps golden's 2x2 DMT and
-  hybrid geometries;
-- a simulated run saved after 4 steps and resumed for 4 more equals the
-  8-step run bit for bit (losses, reference losses, parameters);
+- ``Trainer(model, config, step=executor)`` equals the caller-held step
+  (``fit_step`` with the config's ``(Adam, RowwiseAdagrad)`` pair) bit
+  for bit on the SPTT-steps golden's 2x2 DMT and hybrid geometries;
+- a simulated run autosaved at step 4 and resumed from that save equals
+  the 8-step run bit for bit (losses, eval AUC, parameters);
 - simulated autosave and the ``checkpoint-never-saves`` warning count
-  ``train.steps``;
+  the one step formula, ``(train_split // batch_size) * epochs``;
 - a 2x2 save resumed on 2x1 continues within reduction-order drift and
   records the elastic plan, and resumed on 4x1 (the same two towers,
   each spanning K = 2 hosts) continues within that drift too; only a
@@ -40,8 +40,9 @@ from repro.core import (
 from repro.hardware import Cluster
 from repro.models import DCN, DLRM, DMTDCN, DMTDLRM, tiny_table_configs
 from repro.models.configs import tiny_dcn_arch, tiny_dlrm_arch
+from repro.nn.optim import Adam, RowwiseAdagrad
 from repro.sim import SimCluster
-from repro.training import TrainConfig, Trainer, adam_pair
+from repro.training import TrainConfig, Trainer
 from tests.golden.gen_sptt_steps import (
     B_LOCAL,
     DENSE,
@@ -86,19 +87,22 @@ def _batches(executor):
 @pytest.mark.parametrize("family", ["dlrm", "dcn"])
 @pytest.mark.parametrize("kind", ["dmt", "hybrid"])
 def test_trainer_step_equals_caller_held_step(kind, family):
+    config = TrainConfig()
     held = _executor(kind, family)
-    opts = adam_pair(held.model, 0.01)
+    model = held.model
+    opts = (
+        Adam(
+            list(model.dense_parameters()) + list(model.tower_parameters()),
+            lr=config.dense_lr,
+        ),
+        RowwiseAdagrad(model.sparse_parameters(), lr=config.sparse_lr),
+    )
     # The hybrid executor has no fit_step; DMT's is the loop it names.
     fit_step = DistributedDMTTrainer.fit_step
     held_losses = [fit_step(held, *b, opts) for b in _batches(held)]
 
     executor = _executor(kind, family)
-    trainer = Trainer(
-        executor.model,
-        TrainConfig(),
-        step=executor,
-        optimizers=adam_pair(executor.model, 0.01),
-    )
+    trainer = Trainer(executor.model, config, step=executor)
     losses = [trainer.train_batch(*b) for b in _batches(executor)]
 
     assert losses == held_losses
@@ -121,9 +125,11 @@ def unbroken():
 
 
 def _save_half(tmp_path) -> str:
-    spec = _spec(tmp_path)
-    first = Session(spec.replace(train=spec.train.replace(steps=4)))
-    return first.save_checkpoint(str(tmp_path / "half"))
+    """The preset's run, autosaved every 4 of its 8 steps: the step-4
+    save is the mid-epoch checkpoint."""
+    spec = _spec(tmp_path, save_every_steps=4)
+    Session(spec).train()
+    return CheckpointManager(str(tmp_path / spec.name), 4).step_path(4)
 
 
 def test_simulated_resume_is_bit_identical(tmp_path, unbroken):
@@ -131,9 +137,9 @@ def test_simulated_resume_is_bit_identical(tmp_path, unbroken):
     spec = _spec(tmp_path, resume_from=path)
     session = Session(spec)
     art = session.resume()
-    assert art.losses == unbroken.losses
-    assert art.ref_losses == unbroken.ref_losses
-    assert art.max_drift == unbroken.max_drift
+    assert art.trainer.loss_history == unbroken.trainer.loss_history
+    assert art.epoch_losses == unbroken.epoch_losses
+    assert art.eval_result.auc == unbroken.eval_result.auc
     assert params_sha256(art.model) == params_sha256(unbroken.model)
     assert session.run().checkpoint["resumed_step"] == 4
 
@@ -160,8 +166,11 @@ def test_resume_on_fewer_gpus_per_host_stays_within_drift(
     )
     session = Session(spec)
     art = session.resume()
-    assert art.losses[:4] == unbroken.losses[:4]
-    assert art.losses == pytest.approx(unbroken.losses, rel=0, abs=1e-9)
+    losses = art.trainer.loss_history
+    assert losses[:4] == unbroken.trainer.loss_history[:4]
+    assert losses == pytest.approx(
+        unbroken.trainer.loss_history, rel=0, abs=1e-9
+    )
     for p, q in zip(art.model.parameters(), unbroken.model.parameters()):
         np.testing.assert_allclose(p.data, q.data, rtol=0, atol=1e-9)
     plan = session.elastic_plan()
@@ -178,8 +187,11 @@ def test_resume_with_towers_spanning_two_hosts_stays_within_drift(
     )
     assert spec.partition.num_towers == 2
     art = Session(spec).resume()
-    assert art.losses[:4] == unbroken.losses[:4]
-    assert art.losses == pytest.approx(unbroken.losses, rel=0, abs=1e-9)
+    losses = art.trainer.loss_history
+    assert losses[:4] == unbroken.trainer.loss_history[:4]
+    assert losses == pytest.approx(
+        unbroken.trainer.loss_history, rel=0, abs=1e-9
+    )
     for p, q in zip(art.model.parameters(), unbroken.model.parameters()):
         np.testing.assert_allclose(p.data, q.data, rtol=0, atol=1e-9)
 
