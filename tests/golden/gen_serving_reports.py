@@ -3,7 +3,9 @@
 The fixture pins the full ``to_dict()`` of every serving front door —
 ``InferenceService``, ``ServingFleet``, ``ResilientFleet`` and the
 tiered factories — on small seeded traces, so the reports survive any
-rewrite of the replay behind them::
+rewrite of the replay behind them, and the ``summary()`` of
+``Session.tier_plan()`` over a grid of tiered specs (generation x
+below-HBM levels x backing x HBM rows)::
 
     PYTHONPATH=src python tests/golden/gen_serving_reports.py          # rewrite
     PYTHONPATH=src python tests/golden/gen_serving_reports.py --check  # diff
@@ -18,6 +20,7 @@ Ints, strings, bools and ``None`` compare exactly; floats at
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -26,6 +29,15 @@ from typing import Any, Callable, Dict, List
 
 import numpy as np
 
+from repro.api import (
+    ClusterSpec,
+    DataSpec,
+    ModelSpec,
+    RunSpec,
+    ServeSpec,
+    Session,
+    TierSpec,
+)
 from repro.hardware import Cluster
 from repro.serving import (
     AutoscalePolicy,
@@ -270,6 +282,47 @@ def _resilient_chaos() -> Dict[str, Any]:
     return fleet.serve(requests).to_dict()
 
 
+#: Below-HBM level sets of the pinned tier plans, sized so every level
+#: is wider than the one above it and the chain stays under the key
+#: space (the remote backing still serves misses).
+_PLAN_LEVELS = {
+    "none": ((), ()),
+    "dram": (("dram",), (4096,)),
+    "ssd": (("ssd",), (16_384,)),
+    "dram+ssd": (("dram", "ssd"), (4096, 16_384)),
+}
+
+
+def _tier_plan(
+    generation: str,
+    levels: str,
+    backing: str,
+    hbm_rows: int,
+    model: bool = False,
+) -> Dict[str, Any]:
+    """``Session.tier_plan()`` of one tiered spec: the profile's
+    128-wide rows, or with ``model`` the model section's
+    ``embedding_dim``."""
+    names, rows = _PLAN_LEVELS[levels]
+    spec = RunSpec(
+        cluster=ClusterSpec(4, 2, generation),
+        serve=ServeSpec(
+            placement="disaggregated",
+            emb_hosts=1,
+            key_space=65_536,
+            skew=1.05,
+            cache_rows=hbm_rows,
+        ),
+        tiers=TierSpec(levels=names, cache_rows=rows, backing=backing),
+    )
+    if model:
+        spec = spec.replace(
+            data=DataSpec(num_samples=64),
+            model=ModelSpec(variant="flat", embedding_dim=8),
+        )
+    return Session(spec).tier_plan().summary()
+
+
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "service/colocated": lambda: _service("colocated"),
     "service/disaggregated": lambda: _service("disaggregated"),
@@ -286,6 +339,18 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "resilient/storm": lambda: _resilient_storm(True),
     "resilient/storm_no_degraded_mode": lambda: _resilient_storm(False),
     "resilient/chaos": _resilient_chaos,
+    **{
+        f"tier_plan/{gen}/{levels}/{backing}/{rows}": functools.partial(
+            _tier_plan, gen, levels, backing, rows
+        )
+        for gen in ("V100", "H100")
+        for levels in _PLAN_LEVELS
+        for backing in ("remote", "hbm")
+        for rows in (0, 1024)
+    },
+    "tier_plan/A100/dram/remote/1024/model": functools.partial(
+        _tier_plan, "A100", "dram", "remote", 1024, model=True
+    ),
 }
 
 
