@@ -20,13 +20,14 @@ stable and pinned by the negative-spec test suite.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Iterable, List, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.api.spec import RunSpec, SpecError
-from repro.hardware.specs import get_spec, memory_tiers
+from repro.hardware.specs import get_spec
 from repro.models.configs import criteo_table_configs, tiny_table_configs
 from repro.planner import AutoPlanner
+from repro.serving import TieredStorage
 
 __all__ = [
     "SpecAnalysisError",
@@ -128,6 +129,13 @@ def _serving_row_bytes(spec: RunSpec) -> int:
 
 def _rank_capacity_bytes(spec: RunSpec) -> float:
     return get_spec(spec.cluster.generation).hbm_capacity_bytes
+
+
+def _storage(spec: RunSpec) -> Optional[TieredStorage]:
+    """The replica storage the serve stage builds, if the spec is tiered."""
+    if spec.tiers is None or spec.serve is None:
+        return None
+    return spec.tiers.storage(spec.cluster.generation, spec.serve.cache_rows)
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +267,8 @@ def _check_fetch_tier_capacity(spec: RunSpec):
     serve = spec.serve
     if serve is None:
         return
-    remote_backed = spec.tiers is not None and spec.tiers.backing == "remote"
+    storage = _storage(spec)
+    remote_backed = storage is not None and not storage.backing.local
     if not remote_backed and not serve.serves_disaggregated:
         return
     tables = _spec_tables(spec)
@@ -268,8 +277,7 @@ def _check_fetch_tier_capacity(spec: RunSpec):
     )
     emb_hosts = serve.resolved_emb_hosts(spec.cluster.num_hosts)
     if remote_backed:
-        remote = memory_tiers(spec.cluster.generation)["remote"]
-        tier = emb_hosts * remote.capacity_bytes
+        tier = emb_hosts * storage.backing.capacity_bytes
         label = f"{emb_hosts}-host remote parameter-server tier"
     else:
         tier = (
@@ -331,18 +339,17 @@ def _check_tier_capacity_order(spec: RunSpec):
     deeper level smaller than the one over it can never hold anything
     the faster level does not already hold.
     """
-    if spec.tiers is None or spec.serve is None:
+    storage = _storage(spec)
+    if storage is None:
         return
-    chain = [("hbm", spec.serve.cache_rows)] + list(
-        zip(spec.tiers.levels, spec.tiers.cache_rows)
-    )
-    for (above, above_rows), (below, below_rows) in zip(chain, chain[1:]):
-        if below_rows < above_rows:
+    for above, below in zip(storage.levels, storage.levels[1:]):
+        if below.cache_rows < above.cache_rows:
             yield _diag(
                 "error",
                 "tier-capacity-misordered",
-                f"tier {below!r} holds {below_rows} rows under the "
-                f"{above_rows}-row {above!r} level above it; an "
+                f"tier {below.spec.name!r} holds {below.cache_rows} rows "
+                f"under the {above.cache_rows}-row {above.spec.name!r} "
+                f"level above it; an "
                 f"inclusive chain level smaller than its parent can "
                 f"never serve a hit",
                 "tiers.cache_rows",
@@ -354,7 +361,8 @@ def _check_tier_capacity_order(spec: RunSpec):
 @spec_check("tier-overflow")
 def _check_tier_overflow(spec: RunSpec):
     """Each chain level must fit its tier's physical per-host capacity."""
-    if spec.tiers is None or spec.serve is None:
+    storage = _storage(spec)
+    if storage is None:
         return
     serve = spec.serve
     replicas = serve.fleet_replicas if serve.uses_fleet else 1
@@ -362,10 +370,10 @@ def _check_tier_overflow(spec: RunSpec):
     dense_hosts = spec.cluster.num_hosts
     if serve.serves_disaggregated:
         dense_hosts -= serve.resolved_emb_hosts(spec.cluster.num_hosts)
-    tiers = memory_tiers(spec.cluster.generation)
-    for name, rows in zip(spec.tiers.levels, spec.tiers.cache_rows):
+    for level in storage.levels[1:]:
+        name, rows = level.spec.name, level.cache_rows
         need = replicas * rows * row_bytes
-        capacity = dense_hosts * tiers[name].capacity_bytes
+        capacity = dense_hosts * level.spec.capacity_bytes
         if need > capacity:
             yield _diag(
                 "error",
@@ -384,11 +392,10 @@ def _check_tier_dead_remote(spec: RunSpec):
     """A remote backing behind a chain that caches every key is dead
     weight: after warmup no miss ever crosses the NIC, yet the remote
     tier's capacity is provisioned (and priced) anyway."""
-    if spec.tiers is None or spec.serve is None:
+    storage = _storage(spec)
+    if storage is None or storage.backing.local:
         return
-    if spec.tiers.backing != "remote":
-        return
-    chain_rows = spec.serve.cache_rows + sum(spec.tiers.cache_rows)
+    chain_rows = storage.capacity_rows
     if chain_rows > spec.serve.key_space:
         yield _diag(
             "error",
@@ -564,9 +571,10 @@ def _check_degraded_backing(spec: RunSpec):
         return
     if not fs.degraded_mode or fs.fetch_outages == 0:
         return
-    chain_rows = spec.serve.cache_rows
-    if spec.tiers is not None:
-        chain_rows += sum(spec.tiers.cache_rows)
+    storage = _storage(spec)
+    chain_rows = (
+        spec.serve.cache_rows if storage is None else storage.capacity_rows
+    )
     if chain_rows == 0:
         yield _diag(
             "error",

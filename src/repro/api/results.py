@@ -277,17 +277,16 @@ class CheckpointArtifact:
 @dataclass
 class TierPlanArtifact:
     """Capacity-driven tier placement of the serving workload's rows
-    (:class:`repro.planner.tiering.TierPlacementPlan`), plus the
-    serving-side chain geometry it was planned against."""
+    (:class:`repro.planner.tiering.TierPlacementPlan`), summarized with
+    the serving-side chain geometry it was planned against."""
 
     plan: Any  # TierPlacementPlan
-    backing: str
-    chain_rows: Dict[str, int]
 
     def summary(self) -> Dict[str, Any]:
+        storage = self.plan.storage
         return {
-            "backing": self.backing,
-            "chain_rows": dict(self.chain_rows),
+            "backing": storage.backing.name,
+            "chain_rows": {t.spec.name: t.cache_rows for t in storage.levels},
             **self.plan.summary(),
         }
 

@@ -65,7 +65,7 @@ from repro.checkpoint import (
 from repro.core.dmt_pipeline import DistributedDMTTrainer
 from repro.core.partition import FeaturePartition
 from repro.data import SyntheticCriteoDataset, train_eval_split
-from repro.hardware import Cluster, tier_topology
+from repro.hardware import Cluster
 from repro.models import (
     DCN,
     DLRM,
@@ -91,7 +91,6 @@ from repro.serving import (
     ServingFleet,
     ServingModel,
     TieredPlacementEngine,
-    build_storage,
 )
 from repro.online import OnlineDriver, RolloutPlanner
 from repro.sim import SimCluster
@@ -701,14 +700,11 @@ class Session:
                 if ck is not None and ck.warm_start
                 else None
             )
-            tiers = self.spec.tiers
             storage = (
-                tiers.build(
-                    build_storage,
-                    self.spec.cluster.generation,
-                    serve.cache_rows,
+                self.spec.tiers.storage(
+                    self.spec.cluster.generation, serve.cache_rows
                 )
-                if tiers is not None
+                if self.spec.tiers is not None
                 else None
             )
             # Faults/autoscaling are a fleet story (the spec layer
@@ -775,8 +771,9 @@ class Session:
         """Hotness-driven row placement over the spec's tier hierarchy.
 
         Plans where the served key space's rows live — HBM cache, DRAM
-        / SSD chain levels, remote backing — under the byte budgets the
-        tiers section implies, using the analytic Zipf hotness model at
+        / SSD chain levels, remote backing — over the storage the tiers
+        section builds (:meth:`TierSpec.storage`, the one the serve
+        stage replays), using the analytic Zipf hotness model at
         ``serve.skew`` (the same skew the request sampler draws with).
         """
 
@@ -788,38 +785,17 @@ class Session:
                 if self.spec.model is not None
                 else 128
             )
-            row_bytes = dim * 4
             table = TableConfig(
                 name="served_rows",
                 num_embeddings=serve.key_space,
                 dim=dim,
                 pooling=1,
             )
-            names = ("hbm",) + tuple(tiers.levels)
-            if tiers.backing == "remote":
-                names = names + ("remote",)
-            topology = tier_topology(
-                self.spec.cluster.generation, names=names
+            storage = tiers.storage(
+                self.spec.cluster.generation, serve.cache_rows
             )
-            budgets: Dict[str, float] = {
-                "hbm": float(serve.cache_rows * row_bytes)
-            }
-            for name, rows in zip(tiers.levels, tiers.cache_rows):
-                budgets[name] = float(rows * row_bytes)
-            if tiers.backing == "hbm":
-                # HBM itself backs the table: every row is provisioned
-                # there, so its budget is unbounded and the chain
-                # levels only ever hold inclusive copies.
-                budgets["hbm"] = float("inf")
-            plan = TierPlanner(topology=topology, budgets=budgets).plan(
-                [table], serve.skew
-            )
-            chain_rows = {"hbm": serve.cache_rows}
-            for name, rows in zip(tiers.levels, tiers.cache_rows):
-                chain_rows[name] = rows
-            return TierPlanArtifact(
-                plan=plan, backing=tiers.backing, chain_rows=chain_rows
-            )
+            plan = TierPlanner(storage).plan([table], serve.skew)
+            return TierPlanArtifact(plan=plan)
 
         return self._stage("tier_plan", build)
 

@@ -39,7 +39,9 @@ from repro.serving import (
     MicroBatcher,
     RecoveryModel,
     RetryPolicy,
+    TieredStorage,
     WorkloadConfig,
+    build_storage,
 )
 from repro.serving.fleet import ROUTER_POLICIES
 from repro.serving.workload import SCENARIOS
@@ -788,13 +790,6 @@ class PerfSpec(_SpecBase):
         )
 
 
-#: Below-HBM local chain levels a TierSpec may name, in hierarchy order.
-TIER_LEVELS = ("dram", "ssd")
-
-#: Backing stores a TierSpec may name for chain misses.
-TIER_BACKINGS = ("remote", "hbm")
-
-
 @dataclass(frozen=True)
 class TierSpec(_SpecBase):
     """Tiered embedding storage for the serving stage.
@@ -818,33 +813,14 @@ class TierSpec(_SpecBase):
     _TUPLE_FIELDS = ("levels", "cache_rows")
 
     def _validate(self) -> None:
-        _require(
-            len(self.levels) == len(self.cache_rows),
-            f"levels and cache_rows must have equal length, got "
-            f"{len(self.levels)} and {len(self.cache_rows)}",
-        )
-        for name in self.levels:
-            _require(
-                name in TIER_LEVELS,
-                f"unknown tier level {name!r}; expected one of {TIER_LEVELS}",
-            )
-        ranks = [TIER_LEVELS.index(n) for n in self.levels]
-        _require(
-            len(set(ranks)) == len(ranks) and ranks == sorted(ranks),
-            f"levels must be unique and in hierarchy order {TIER_LEVELS}, "
-            f"got {self.levels}",
-        )
-        for rows in self.cache_rows:
-            _require(
-                isinstance(rows, int) and not isinstance(rows, bool)
-                and rows >= 0,
-                f"cache_rows entries must be ints >= 0, got {rows!r}",
-            )
-        _require(
-            self.backing in TIER_BACKINGS,
-            f"unknown backing {self.backing!r}; expected one of "
-            f"{TIER_BACKINGS}",
-        )
+        # The hierarchy's shape depends on neither the generation nor
+        # the HBM level's size; a run supplies its own when it serves.
+        self.storage(ClusterSpec.generation, 0)
+
+    def storage(self, generation: str, hbm_rows: int) -> TieredStorage:
+        """The replica's storage on ``generation``'s tier presets, with
+        an HBM level of ``hbm_rows`` (``serve.cache_rows``)."""
+        return self.build(build_storage, generation, hbm_rows)
 
 
 @dataclass(frozen=True)

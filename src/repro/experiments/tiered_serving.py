@@ -24,11 +24,7 @@ from typing import Any, Dict
 from repro.api import ClusterSpec, RunSpec, ServeSpec, Session, TierSpec
 from repro.experiments.registry import register
 from repro.experiments.result import ExperimentResult, format_table
-from repro.serving import (
-    build_storage,
-    dollars_per_1k_requests,
-    storage_dollars,
-)
+from repro.serving import dollars_per_1k_requests, storage_dollars
 
 #: Same serving cluster as the ``serving`` experiment: 8 hosts x 4
 #: A100, 2 hosts dedicated to the embedding side.
@@ -102,19 +98,12 @@ def _arm(ratio: int, num_requests: int, tiered: bool) -> Dict[str, Any]:
     spec = tiered_spec(ratio, num_requests, tiered)
     session = Session(spec)
     report = session.serve().reports["disaggregated"].to_dict()
-    key_space = spec.serve.key_space
-    if tiered:
-        storage = build_storage(
-            _CLUSTER.generation,
-            _CACHE_ROWS,
-            levels=spec.tiers.levels,
-            cache_rows=spec.tiers.cache_rows,
-            backing=spec.tiers.backing,
-        )
-    else:
-        # Naive disaggregation: the whole table provisioned in HBM.
-        storage = build_storage(_CLUSTER.generation, _CACHE_ROWS, backing="hbm")
-    dollars = storage_dollars(storage, _ROW_BYTES, backing_rows=key_space)
+    # Naive disaggregation: the whole table provisioned in HBM.
+    tiers = spec.tiers or TierSpec(levels=(), cache_rows=(), backing="hbm")
+    storage = tiers.storage(spec.cluster.generation, spec.serve.cache_rows)
+    dollars = storage_dollars(
+        storage, _ROW_BYTES, backing_rows=spec.serve.key_space
+    )
     out = {
         "spec": spec.to_dict(),
         "report": report,

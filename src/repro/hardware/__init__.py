@@ -16,11 +16,9 @@ from repro.hardware.specs import (
     GENERATIONS,
     MemoryTierSpec,
     TIER_ORDER,
-    TierTopology,
     get_spec,
     compute_network_gap,
     memory_tiers,
-    tier_topology,
 )
 from repro.hardware.topology import Cluster, Host, GPU, LinkType
 
@@ -34,11 +32,9 @@ __all__ = [
     "GENERATIONS",
     "MemoryTierSpec",
     "TIER_ORDER",
-    "TierTopology",
     "get_spec",
     "compute_network_gap",
     "memory_tiers",
-    "tier_topology",
     "Cluster",
     "Host",
     "GPU",

@@ -23,8 +23,8 @@ Every capacity and bandwidth in this module is **decimal** (SI):
 1 GB = 1 GByte = 1e9 bytes and 1 GB/s = 1e9 bytes/s, matching vendor
 datasheets and the paper's Table 1 — *not* GiB (2**30).  All
 GB→bytes conversions in the tree go through the :data:`GB` constant
-below so the convention is auditable in one place; a module-level
-self-check asserts the tier presets follow it.  Network bandwidths
+below so the convention is auditable in one place; the hardware tests
+assert the tier presets follow it.  Network bandwidths
 quoted in Gbit/s divide by 8 *first*, then multiply by :data:`GB`.
 """
 
@@ -200,9 +200,10 @@ def compute_network_gap(old: GPUSpec, new: GPUSpec) -> "tuple[float, float]":
 # Memory tiers: the HBM / DRAM / SSD / remote-parameter-server spectrum.
 # ---------------------------------------------------------------------------
 
-#: Canonical tier order, fastest to slowest.  Topologies must list
-#: tiers in this order; the remote parameter-server tier, when present,
-#: is always last (it sits across the scale-out fabric).
+#: Canonical tier order, fastest to slowest.  A tiered storage's chain
+#: levels follow it (:class:`repro.serving.TieredStorage`); the remote
+#: parameter-server tier is last because it sits across the scale-out
+#: fabric, and it can only back the chain.
 TIER_ORDER: Tuple[str, ...] = ("hbm", "dram", "ssd", "remote")
 
 
@@ -266,74 +267,6 @@ class MemoryTierSpec:
         return self.bandwidth_gbs * GB
 
 
-@dataclass(frozen=True)
-class TierTopology:
-    """An ordered memory hierarchy: which tiers exist, on which fabric side.
-
-    Tiers must appear in :data:`TIER_ORDER` order with unique names.
-    Among the *local* tiers, bandwidth must be non-increasing and
-    latency/capacity non-decreasing going down the hierarchy — a slower
-    local tier that is also smaller than the one above it could never
-    be the right spill target, so such topologies are rejected at
-    construction.  The remote tier is exempt from the device-latency
-    ordering: a DRAM-backed parameter server has lower *device* latency
-    than local flash — its real cost is the NIC hop, which the serving
-    plane prices separately.
-    """
-
-    tiers: Tuple[MemoryTierSpec, ...]
-
-    def __post_init__(self) -> None:
-        if not self.tiers:
-            raise ValueError("TierTopology requires at least one tier")
-        names = [t.name for t in self.tiers]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate tier names: {names}")
-        ranks = [TIER_ORDER.index(n) for n in names]
-        if ranks != sorted(ranks):
-            raise ValueError(
-                f"tiers must follow canonical order {TIER_ORDER}, got {names}"
-            )
-        for t in self.tiers:
-            if t.local != (t.name != "remote"):
-                raise ValueError(
-                    f"tier {t.name!r}: only the 'remote' tier may set local=False"
-                )
-        local = self.local_tiers
-        for above, below in zip(local, local[1:]):
-            if below.latency_s < above.latency_s:
-                raise ValueError(
-                    f"tier {below.name!r} has lower latency than {above.name!r}"
-                )
-            if below.bandwidth_gbs > above.bandwidth_gbs:
-                raise ValueError(
-                    f"tier {below.name!r} has higher bandwidth than {above.name!r}"
-                )
-            if below.capacity_gb < above.capacity_gb:
-                raise ValueError(
-                    f"tier {below.name!r} is smaller than {above.name!r}"
-                )
-
-    @property
-    def local_tiers(self) -> Tuple[MemoryTierSpec, ...]:
-        """Tiers on the serving replica's side of the fabric."""
-        return tuple(t for t in self.tiers if t.local)
-
-    @property
-    def remote(self) -> "MemoryTierSpec | None":
-        """The remote parameter-server tier, if present."""
-        for t in self.tiers:
-            if not t.local:
-                return t
-        return None
-
-    def get(self, name: str) -> MemoryTierSpec:
-        for t in self.tiers:
-            if t.name == name:
-                return t
-        raise KeyError(f"topology has no tier {name!r}")
-
-
 def memory_tiers(generation: "GPUGeneration | str") -> Dict[str, MemoryTierSpec]:
     """Per-generation presets for the embedding storage hierarchy.
 
@@ -342,7 +275,10 @@ def memory_tiers(generation: "GPUGeneration | str") -> Dict[str, MemoryTierSpec]
     flash, and a DRAM-backed parameter-server tier reached over the
     generation's NIC).  $/GB figures are coarse 2023 street prices —
     they only need the right *ordering* (HBM >> DRAM > SSD) for the
-    capacity-driven placement argument.
+    capacity-driven placement argument.  Going down the local tiers,
+    latency and capacity never fall and bandwidth never rises; the
+    remote tier is exempt, since its real cost is the NIC hop the
+    serving plane prices separately.
     """
     spec = get_spec(generation)
     return {
@@ -379,29 +315,3 @@ def memory_tiers(generation: "GPUGeneration | str") -> Dict[str, MemoryTierSpec]
             local=False,
         ),
     }
-
-
-def tier_topology(
-    generation: "GPUGeneration | str",
-    names: "Tuple[str, ...]" = TIER_ORDER,
-) -> TierTopology:
-    """Build a :class:`TierTopology` from preset tiers, by name.
-
-    >>> tier_topology("A100", ("hbm", "dram", "remote")).remote.name
-    'remote'
-    """
-    presets = memory_tiers(generation)
-    return TierTopology(tiers=tuple(presets[n] for n in names))
-
-
-def _check_tier_conventions() -> None:
-    """Assert the presets follow the decimal-GB convention (satellite a)."""
-    for gen in GENERATIONS.values():
-        for tier in memory_tiers(gen.generation).values():
-            assert tier.capacity_bytes == tier.capacity_gb * 1e9, tier.name
-            assert tier.bytes_per_s == tier.bandwidth_gbs * 1e9, tier.name
-        # The full topology must construct cleanly (ordering invariants).
-        tier_topology(gen.generation)
-
-
-_check_tier_conventions()

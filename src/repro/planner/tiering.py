@@ -2,13 +2,17 @@
 
 The serving plane's capacity question — *where do embedding rows live
 when tables outgrow HBM?* — is a fractional-knapsack instance: rank
-rows by access frequency and pour them, hottest first, into the tier
-hierarchy (:class:`repro.hardware.TierTopology`) until each tier's
-byte budget fills.  This module implements that pass and prices the
-result: a :class:`TierPlacementPlan` reports how many bytes sit in
-each tier, what fraction of lookups each tier absorbs, the capital
-cost of the provisioned capacity, and the expected per-lookup fetch
-time the spill adds.
+rows by access frequency and pour them, hottest first, into a serving
+replica's storage hierarchy (:class:`repro.serving.TieredStorage`)
+until each tier's row budget fills.  The budgets are the storage's own:
+each chain level holds its ``cache_rows``, an ``"hbm"`` backing makes
+level 0 unbounded (the whole table is provisioned there), and a
+``"remote"`` backing is one more, unbounded tier below the chain.  This
+module implements that pass and prices the result: a
+:class:`TierPlacementPlan` reports how many bytes sit in each tier,
+what fraction of lookups each tier absorbs, the capital cost of the
+provisioned capacity, and the expected per-lookup fetch time the spill
+adds.
 
 Hotness comes from one of two sources, mirroring the serving plane's
 warm-start (PR 4):
@@ -29,13 +33,16 @@ Zipf case and the accumulator argsort in the measured case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.hardware.specs import GB, MemoryTierSpec, TierTopology
+from repro.hardware.specs import GB, MemoryTierSpec
 from repro.nn.embedding import TableConfig
+
+if TYPE_CHECKING:
+    from repro.serving.tiers import TieredStorage
 
 __all__ = [
     "TierAssignment",
@@ -115,33 +122,44 @@ class TierAssignment:
         return self.row_end - self.row_start
 
 
+def _tiers(storage: "TieredStorage") -> Tuple[MemoryTierSpec, ...]:
+    """The tiers rows are placed on, fastest first: the chain levels,
+    then a remote backing."""
+    levels = tuple(t.spec for t in storage.levels)
+    return levels if storage.backing.local else levels + (storage.backing,)
+
+
 @dataclass(frozen=True)
 class TierPlacementPlan:
     """Where every embedding row lives, and what that placement costs."""
 
-    topology: TierTopology
+    storage: "TieredStorage"
     tables: Tuple[TableConfig, ...]
     assignments: Tuple[TierAssignment, ...]
     itemsize: int = 4
+
+    @property
+    def tiers(self) -> Tuple[MemoryTierSpec, ...]:
+        return _tiers(self.storage)
 
     def _row_bytes(self, table: TableConfig) -> int:
         return table.dim * self.itemsize
 
     def rows_by_tier(self) -> Dict[str, int]:
-        out = {t.name: 0 for t in self.topology.tiers}
+        out = {t.name: 0 for t in self.tiers}
         for a in self.assignments:
             out[a.tier] += a.num_rows
         return out
 
     def bytes_by_tier(self) -> Dict[str, float]:
         by_table = {t.name: self._row_bytes(t) for t in self.tables}
-        out = {t.name: 0.0 for t in self.topology.tiers}
+        out = {t.name: 0.0 for t in self.tiers}
         for a in self.assignments:
             out[a.tier] += a.num_rows * by_table[a.table]
         return out
 
     def access_fraction_by_tier(self) -> Dict[str, float]:
-        out = {t.name: 0.0 for t in self.topology.tiers}
+        out = {t.name: 0.0 for t in self.tiers}
         for a in self.assignments:
             out[a.tier] += a.access_fraction
         return out
@@ -150,13 +168,13 @@ class TierPlacementPlan:
         """Capital cost of the bytes actually placed, per tier's $/GB."""
         per_tier = self.bytes_by_tier()
         return sum(
-            per_tier[t.name] / GB * t.dollars_per_gb for t in self.topology.tiers
+            per_tier[t.name] / GB * t.dollars_per_gb for t in self.tiers
         )
 
     @property
     def spill_fraction(self) -> float:
         """Fraction of lookups that miss the fastest tier."""
-        fastest = self.topology.tiers[0].name
+        fastest = self.tiers[0].name
         return 1.0 - self.access_fraction_by_tier()[fastest]
 
     def expected_fetch_seconds_per_lookup(self, row_bytes: int) -> float:
@@ -164,7 +182,7 @@ class TierPlacementPlan:
         fracs = self.access_fraction_by_tier()
         return sum(
             fracs[t.name] * (t.latency_s + row_bytes / t.bytes_per_s)
-            for t in self.topology.tiers
+            for t in self.tiers
         )
 
     def summary(self) -> Dict[str, object]:
@@ -206,27 +224,26 @@ class _Chunk:
 
 @dataclass
 class TierPlanner:
-    """Greedy hotness-density placement over a tier hierarchy.
+    """Greedy hotness-density placement over a replica's storage.
 
     Fractional knapsack: chunks of hotness-ranked rows are sorted by
-    access-mass-per-byte and poured into the topology's tiers in order,
+    access-mass-per-byte and poured into the storage's tiers in order,
     splitting chunks at tier boundaries.  Optimal for this objective
-    (maximize fast-tier access mass subject to byte budgets) because
+    (maximize fast-tier access mass subject to row budgets) because
     chunks are divisible at row granularity.
     """
 
-    topology: TierTopology
+    storage: "TieredStorage"
     itemsize: int = 4
-    #: Per-tier byte budgets; defaults to each tier's ``capacity_bytes``
-    #: with the remote tier unbounded (it backs the whole table).
-    budgets: Optional[Dict[str, float]] = field(default=None)
 
-    def _budget(self, tier: MemoryTierSpec) -> float:
-        if self.budgets is not None and tier.name in self.budgets:
-            return float(self.budgets[tier.name])
-        if not tier.local:
-            return float("inf")
-        return tier.capacity_bytes
+    def _budgets(self) -> List[float]:
+        """Rows each tier of :func:`_tiers` holds (module docstring)."""
+        rows: List[float] = [t.cache_rows for t in self.storage.levels]
+        if self.storage.backing.local:
+            rows[0] = float("inf")
+        else:
+            rows.append(float("inf"))
+        return rows
 
     def _chunks(
         self,
@@ -273,36 +290,30 @@ class TierPlanner:
 
         ``hotness`` is either a Zipf ``skew`` float (the analytic
         model) or a dict of per-row accumulator masses keyed by table
-        name (the measured model).  Raises :class:`ValueError` when the
-        rows cannot fit in the combined tier budgets.
+        name (the measured model).  Every row is placed: the last tier
+        is unbounded.  Raises :class:`ValueError` when the tables' dims
+        differ (the chain caches rows of one width).
         """
+        dims = sorted({t.dim for t in tables})
+        if len(dims) > 1:
+            raise ValueError(
+                f"tables must share one dim, the width of the rows the "
+                f"chain caches; got dims {dims}"
+            )
+        tiers = _tiers(self.storage)
         chunks = self._chunks(tables, hotness)
         total_mass = sum(c.mass for c in chunks)
         # Deterministic order: density desc, then (table, rank) ties.
         chunks.sort(key=lambda c: (-c.density, c.table, c.row_start))
-        remaining = [self._budget(t) for t in self.topology.tiers]
+        remaining = self._budgets()
         assignments: List[TierAssignment] = []
         level = 0
         for chunk in chunks:
             start = chunk.row_start
             while start < chunk.row_end:
-                while (
-                    level < len(remaining)
-                    and remaining[level] < chunk.row_bytes
-                ):
+                while remaining[level] < 1:
                     level += 1
-                if level >= len(remaining):
-                    raise ValueError(
-                        "tables do not fit in the tier budgets: "
-                        f"{sum(t.num_embeddings for t in tables)} rows over "
-                        f"{[t.name for t in self.topology.tiers]}"
-                    )
-                tier = self.topology.tiers[level]
-                if np.isinf(remaining[level]):
-                    take = chunk.row_end - start
-                else:
-                    fit = int(remaining[level] // chunk.row_bytes)
-                    take = min(fit, chunk.row_end - start)
+                take = min(remaining[level], chunk.row_end - start)
                 frac = (
                     chunk.mass * take / chunk.num_rows / total_mass
                     if total_mass > 0.0
@@ -311,16 +322,16 @@ class TierPlanner:
                 assignments.append(
                     TierAssignment(
                         table=chunk.table,
-                        tier=tier.name,
+                        tier=tiers[level].name,
                         row_start=start,
                         row_end=start + take,
                         access_fraction=frac,
                     )
                 )
-                remaining[level] -= take * chunk.row_bytes
+                remaining[level] -= take
                 start += take
         return TierPlacementPlan(
-            topology=self.topology,
+            storage=self.storage,
             tables=tuple(tables),
             assignments=tuple(assignments),
             itemsize=self.itemsize,
@@ -330,9 +341,8 @@ class TierPlanner:
 def plan_from_checkpoint(
     path: str,
     tables: Sequence[TableConfig],
-    topology: TierTopology,
+    storage: "TieredStorage",
     itemsize: int = 4,
-    budgets: Optional[Dict[str, float]] = None,
 ) -> TierPlacementPlan:
     """Tier placement from a training checkpoint's measured hotness.
 
@@ -350,5 +360,4 @@ def plan_from_checkpoint(
         )
         for t in tables
     }
-    planner = TierPlanner(topology=topology, itemsize=itemsize, budgets=budgets)
-    return planner.plan(tables, hotness)
+    return TierPlanner(storage, itemsize).plan(tables, hotness)

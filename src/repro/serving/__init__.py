@@ -87,8 +87,6 @@ from repro.serving.tiers import (
     TieredStorage,
     build_storage,
     dollars_per_1k_requests,
-    make_tiered_fleet,
-    make_tiered_service,
     storage_dollars,
 )
 from repro.serving.workload import (
@@ -131,8 +129,6 @@ __all__ = [
     "TieredStorage",
     "TieredPlacementEngine",
     "build_storage",
-    "make_tiered_service",
-    "make_tiered_fleet",
     "storage_dollars",
     "dollars_per_1k_requests",
     "DEFAULT_AMORTIZATION_S",

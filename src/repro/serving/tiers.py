@@ -41,7 +41,7 @@ bytes priced per tier; :func:`dollars_per_1k_requests` amortizes it over
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -51,12 +51,9 @@ from repro.hardware.specs import (
     TIER_ORDER,
     memory_tiers,
 )
-from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import CacheStats, LRUEmbeddingCache, _LRUCacheBase
-from repro.serving.fleet import ServingFleet
 from repro.serving.service import (
     ID_WIRE_BYTES,
-    InferenceService,
     Placement,
     PlacementEngine,
     ServingModel,
@@ -69,8 +66,6 @@ __all__ = [
     "TieredStorage",
     "TieredPlacementEngine",
     "build_storage",
-    "make_tiered_service",
-    "make_tiered_fleet",
     "storage_dollars",
     "dollars_per_1k_requests",
     "DEFAULT_AMORTIZATION_S",
@@ -185,10 +180,11 @@ class ServingTier:
     cache_rows: int
 
     def __post_init__(self) -> None:
-        if self.cache_rows < 0:
+        rows = self.cache_rows
+        if isinstance(rows, bool) or not isinstance(rows, int) or rows < 0:
             raise ValueError(
-                f"tier {self.spec.name!r}: cache_rows must be >= 0, "
-                f"got {self.cache_rows}"
+                f"tier {self.spec.name!r}: cache_rows must be ints >= 0, "
+                f"got {rows!r}"
             )
 
 
@@ -220,12 +216,12 @@ class TieredStorage:
                 f"level 0 must be the 'hbm' tier, got {names[0]!r}"
             )
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate chain levels: {names}")
+            raise ValueError(f"duplicate tier names in the chain: {names}")
         ranks = [TIER_ORDER.index(n) for n in names]
         if ranks != sorted(ranks):
             raise ValueError(
-                f"chain levels must follow tier order {TIER_ORDER}, "
-                f"got {names}"
+                f"chain levels must be in hierarchy order, the tier order "
+                f"{TIER_ORDER}; got {names}"
             )
         for t in self.levels:
             if not t.spec.local:
@@ -310,8 +306,9 @@ def build_storage(
 
     ``hbm_rows`` sizes the HBM level (the classic ``serve.cache_rows``
     knob); ``levels``/``cache_rows`` name and size the below-HBM local
-    levels in order (subset of ``("dram", "ssd")``).  This is the
-    mapping :class:`repro.api.TierSpec` resolves through.
+    levels in order (subset of ``("dram", "ssd")``); ``backing`` names
+    the store behind the chain.  This is the mapping
+    :meth:`repro.api.TierSpec.storage` resolves through.
     """
     if len(levels) != len(cache_rows):
         raise ValueError(
@@ -319,58 +316,18 @@ def build_storage(
             f"{len(levels)} and {len(cache_rows)}"
         )
     presets = memory_tiers(generation)
-    tiers = [ServingTier(presets["hbm"], int(hbm_rows))]
-    for name, rows in zip(levels, cache_rows):
+    for name in levels:
         if name not in presets:
-            raise ValueError(f"unknown tier level {name!r}")
-        tiers.append(ServingTier(presets[name], int(rows)))
+            raise ValueError(
+                f"unknown tier level {name!r}; expected 'dram' or 'ssd'"
+            )
+    if backing not in presets:
+        raise ValueError(
+            f"unknown backing {backing!r}; expected 'hbm' or 'remote'"
+        )
+    tiers = [ServingTier(presets["hbm"], hbm_rows)]
+    tiers += [ServingTier(presets[n], r) for n, r in zip(levels, cache_rows)]
     return TieredStorage(levels=tuple(tiers), backing=presets[backing])
-
-
-def make_tiered_service(
-    sim: SimCluster,
-    model: ServingModel,
-    placement: Placement,
-    batcher: MicroBatcher,
-    storage: TieredStorage,
-    cache_factory: Callable[[int], _LRUCacheBase] = LRUEmbeddingCache,
-) -> InferenceService:
-    """An :class:`InferenceService` over a tiered storage hierarchy."""
-    engine = TieredPlacementEngine(sim, model, placement, storage)
-    return InferenceService(
-        sim,
-        model,
-        placement,
-        batcher,
-        cache=storage.make_chain(cache_factory),
-        engine=engine,
-    )
-
-
-def make_tiered_fleet(
-    sim: SimCluster,
-    model: ServingModel,
-    placement: Placement,
-    batcher: MicroBatcher,
-    storage: TieredStorage,
-    router: str = "round_robin",
-    num_replicas: Optional[int] = None,
-    router_seed: int = 0,
-    cache_factory: Callable[[int], _LRUCacheBase] = LRUEmbeddingCache,
-) -> ServingFleet:
-    """A :class:`ServingFleet` whose replicas each own a tiered chain."""
-    engine = TieredPlacementEngine(sim, model, placement, storage)
-    return ServingFleet(
-        sim,
-        model,
-        placement,
-        batcher,
-        router=router,
-        num_replicas=num_replicas,
-        cache_factory=lambda: storage.make_chain(cache_factory),
-        router_seed=router_seed,
-        engine=engine,
-    )
 
 
 def storage_dollars(

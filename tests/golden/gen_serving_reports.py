@@ -1,10 +1,10 @@
 """Generator (and checker) for ``tests/golden/serving_reports.json``.
 
 The fixture pins the full ``to_dict()`` of every serving front door —
-``InferenceService``, ``ServingFleet``, ``ResilientFleet`` and the
-tiered factories — on small seeded traces, so the reports survive any
-rewrite of the replay behind them, and the ``summary()`` of
-``Session.tier_plan()`` over a grid of tiered specs (generation x
+``InferenceService``, ``ServingFleet`` and ``ResilientFleet``, each
+also over a tiered storage — on small seeded traces, so the reports
+survive any rewrite of the replay behind them, and the ``summary()``
+of ``Session.tier_plan()`` over a grid of tiered specs (generation x
 below-HBM levels x backing x HBM rows)::
 
     PYTHONPATH=src python tests/golden/gen_serving_reports.py          # rewrite
@@ -58,8 +58,6 @@ from repro.serving import (
     TieredPlacementEngine,
     WorkloadConfig,
     build_storage,
-    make_tiered_fleet,
-    make_tiered_service,
 )
 from repro.sim import SimCluster
 
@@ -119,25 +117,31 @@ def _storage():
 
 
 def _tiered_service() -> Dict[str, Any]:
-    service = make_tiered_service(
-        _sim(),
+    sim, storage = _sim(), _storage()
+    placement = Placement("disaggregated", emb_hosts=1)
+    service = InferenceService(
+        sim,
         MODEL,
-        Placement("disaggregated", emb_hosts=1),
+        placement,
         _batcher(),
-        _storage(),
+        storage.make_chain(),
+        TieredPlacementEngine(sim, MODEL, placement, storage),
     )
     return service.serve(_trace()).to_dict()
 
 
 def _tiered_fleet() -> Dict[str, Any]:
-    fleet = make_tiered_fleet(
-        _sim(),
+    sim, storage = _sim(), _storage()
+    placement = Placement("colocated")
+    fleet = ServingFleet(
+        sim,
         MODEL,
-        Placement("colocated"),
+        placement,
         _batcher(),
-        _storage(),
         router="hash",
         num_replicas=3,
+        cache_factory=storage.make_chain,
+        engine=TieredPlacementEngine(sim, MODEL, placement, storage),
     )
     return fleet.serve(_trace()).to_dict()
 

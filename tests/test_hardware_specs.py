@@ -10,13 +10,12 @@ from repro.hardware import (
     H100,
     MemoryTierSpec,
     TIER_ORDER,
-    TierTopology,
     V100,
     compute_network_gap,
     get_spec,
     memory_tiers,
-    tier_topology,
 )
+from repro.serving import ServingTier, TieredStorage
 
 
 class TestTable1Values:
@@ -154,23 +153,17 @@ class TestMemoryTiers:
 
 
 class TestTierTopology:
-    @pytest.mark.parametrize("generation", ["V100", "A100", "H100"])
-    def test_full_topology_constructs(self, generation):
-        topo = tier_topology(generation)
-        assert tuple(t.name for t in topo.tiers) == TIER_ORDER
-        assert topo.remote is not None
-        assert tuple(t.name for t in topo.local_tiers) == (
-            "hbm", "dram", "ssd",
-        )
-
     def test_local_monotonicity(self):
-        """Latency up, bandwidth down, capacity up — across local tiers."""
-        topo = tier_topology("A100")
-        local = topo.local_tiers
-        for fast, slow in zip(local, local[1:]):
-            assert fast.latency_s <= slow.latency_s
-            assert fast.bytes_per_s >= slow.bytes_per_s
-            assert fast.capacity_bytes <= slow.capacity_bytes
+        """Latency up, bandwidth down, capacity up — across local tiers,
+        in every generation's presets."""
+        for generation in ("V100", "A100", "H100"):
+            tiers = memory_tiers(generation)
+            local = [tiers[n] for n in TIER_ORDER if tiers[n].local]
+            assert [t.name for t in local] == ["hbm", "dram", "ssd"]
+            for fast, slow in zip(local, local[1:]):
+                assert fast.latency_s <= slow.latency_s
+                assert fast.bytes_per_s >= slow.bytes_per_s
+                assert fast.capacity_bytes <= slow.capacity_bytes
 
     def test_remote_may_beat_local_ssd_on_device_latency(self):
         """The DRAM-backed remote PS is faster than NVMe at the device;
@@ -178,22 +171,13 @@ class TestTierTopology:
         tiers = memory_tiers("A100")
         assert tiers["remote"].latency_s < tiers["ssd"].latency_s
 
-    def test_subset_topology(self):
-        topo = tier_topology("A100", names=("hbm", "dram"))
-        assert tuple(t.name for t in topo.tiers) == ("hbm", "dram")
-        assert topo.remote is None
-
-    def test_misordered_names_rejected(self):
-        with pytest.raises(ValueError, match="canonical"):
-            tier_topology("A100", names=("dram", "hbm"))
-
     def test_duplicate_names_rejected(self):
         tiers = memory_tiers("A100")
         with pytest.raises(ValueError, match="duplicate tier names"):
-            TierTopology(tiers=(tiers["hbm"], tiers["hbm"]))
-
-    def test_get_by_name(self):
-        topo = tier_topology("A100")
-        assert topo.get("dram").name == "dram"
-        with pytest.raises(KeyError):
-            topo.get("l2")
+            TieredStorage(
+                levels=(
+                    ServingTier(tiers["hbm"], 4),
+                    ServingTier(tiers["hbm"], 4),
+                ),
+                backing=tiers["remote"],
+            )

@@ -20,8 +20,6 @@ from repro.serving import (
     WorkloadConfig,
     build_storage,
     dollars_per_1k_requests,
-    make_tiered_fleet,
-    make_tiered_service,
     storage_dollars,
 )
 from repro.sim import SimCluster
@@ -163,6 +161,15 @@ class TestTieredStorage:
         with pytest.raises(ValueError, match="equal length"):
             build_storage("A100", 16, levels=("dram",), cache_rows=())
 
+    def test_build_storage_rejects_unknown_backing(self):
+        with pytest.raises(ValueError, match="unknown backing 'l2'"):
+            build_storage("A100", 16, backing="l2")
+
+    @pytest.mark.parametrize("rows", [1.5, True])
+    def test_level_rows_must_be_ints(self, rows):
+        with pytest.raises(ValueError, match="ints >= 0"):
+            build_storage("A100", 16, levels=("dram",), cache_rows=(rows,))
+
     def test_build_storage_resolves_presets(self):
         storage = build_storage(
             "A100", 16, levels=("dram", "ssd"), cache_rows=(64, 256)
@@ -190,8 +197,15 @@ class TestBitIdenticalPreset:
             batcher = MicroBatcher(16, 0.001)
             if tiered:
                 storage = build_storage("A100", 256, backing="hbm")
-                svc = make_tiered_service(
-                    sim, tiny_model(), placement, batcher, storage
+                svc = InferenceService(
+                    sim,
+                    tiny_model(),
+                    placement,
+                    batcher,
+                    storage.make_chain(),
+                    TieredPlacementEngine(
+                        sim, tiny_model(), placement, storage
+                    ),
                 )
             else:
                 svc = InferenceService(
@@ -213,9 +227,17 @@ class TestBitIdenticalPreset:
             batcher = MicroBatcher(16, 0.001)
             if tiered:
                 storage = build_storage("A100", 256, backing="hbm")
-                fleet = make_tiered_fleet(
-                    sim, tiny_model(), placement, batcher, storage,
-                    router="p2c", num_replicas=3,
+                fleet = ServingFleet(
+                    sim,
+                    tiny_model(),
+                    placement,
+                    batcher,
+                    router="p2c",
+                    num_replicas=3,
+                    cache_factory=storage.make_chain,
+                    engine=TieredPlacementEngine(
+                        sim, tiny_model(), placement, storage
+                    ),
                 )
             else:
                 fleet = ServingFleet(
@@ -235,12 +257,14 @@ class TestBitIdenticalPreset:
 class TestTieredPricing:
     def _serve(self, storage):
         sim = SimCluster(Cluster(4, 2, "A100"))
-        svc = make_tiered_service(
+        placement = Placement("disaggregated", emb_hosts=1)
+        svc = InferenceService(
             sim,
             tiny_model(),
-            Placement("disaggregated", emb_hosts=1),
+            placement,
             MicroBatcher(16, 0.001),
-            storage,
+            storage.make_chain(),
+            TieredPlacementEngine(sim, tiny_model(), placement, storage),
         )
         return svc.serve(trace())
 

@@ -8,7 +8,7 @@ from repro.checkpoint import (
     save_training_checkpoint,
 )
 from repro.data import SyntheticCriteoConfig, SyntheticCriteoDataset
-from repro.hardware import tier_topology
+from repro.hardware import memory_tiers
 from repro.models import DLRM, tiny_table_configs
 from repro.models.configs import DenseArch, criteo_table_configs
 from repro.nn import TableConfig
@@ -18,7 +18,26 @@ from repro.planner import (
     plan_from_checkpoint,
     zipf_mass,
 )
+from repro.serving import ServingTier, TieredStorage
 from repro.training import TrainConfig, Trainer
+
+
+A100 = memory_tiers("A100")
+
+
+def storage(backing="remote", **rows):
+    """An A100 storage whose levels hold ``rows`` (tier -> rows, in
+    tier order); the planner appends a remote backing as an unbounded
+    tier and makes level 0 unbounded over an "hbm" backing."""
+    levels = tuple(ServingTier(A100[n], r) for n, r in rows.items())
+    return TieredStorage(levels=levels, backing=A100[backing])
+
+
+def physical_rows(tier, row_bytes):
+    """Rows of ``row_bytes`` in the tier's whole per-host capacity."""
+    rows, rest = divmod(A100[tier].capacity_bytes, row_bytes)
+    assert rest == 0
+    return int(rows)
 
 
 def small_tables():
@@ -54,25 +73,28 @@ class TestZipfMass:
 
 
 class TestTierPlanner:
-    def _plan(self, budgets=None, skew=1.1, tables=None):
-        topo = tier_topology("A100")
-        planner = TierPlanner(topology=topo, budgets=budgets)
+    """``small_tables`` rows are 16 x 4 = 64 B wide."""
+
+    def _plan(self, hbm, dram, skew=1.1, tables=None):
+        planner = TierPlanner(
+            storage(hbm=hbm, dram=dram, ssd=physical_rows("ssd", 64))
+        )
         return planner.plan(tables or small_tables(), skew)
 
     def test_every_row_placed_exactly_once(self):
-        plan = self._plan(budgets={"hbm": 64_000.0, "dram": 640_000.0})
+        plan = self._plan(hbm=1000, dram=10_000)
         placed = {t.name: 0 for t in plan.tables}
         for a in plan.assignments:
             placed[a.table] += a.num_rows
         assert placed == {"hot": 10_000, "cold": 50_000}
 
     def test_access_fractions_sum_to_one(self):
-        plan = self._plan(budgets={"hbm": 64_000.0, "dram": 640_000.0})
+        plan = self._plan(hbm=1000, dram=10_000)
         total = sum(a.access_fraction for a in plan.assignments)
         assert total == pytest.approx(1.0)
 
     def test_hottest_ranks_land_in_fastest_tier(self):
-        plan = self._plan(budgets={"hbm": 64_000.0, "dram": 640_000.0})
+        plan = self._plan(hbm=1000, dram=10_000)
         by_tier = {}
         for a in plan.assignments:
             by_tier.setdefault((a.table, a.tier), []).append(a.row_start)
@@ -81,23 +103,30 @@ class TestTierPlanner:
         assert min(by_tier[("hot", "hbm")]) == 0
 
     def test_budgets_respected(self):
-        budgets = {"hbm": 64_000.0, "dram": 640_000.0}
-        plan = self._plan(budgets=budgets)
+        plan = self._plan(hbm=1000, dram=10_000)
         by_tier = plan.bytes_by_tier()
-        assert by_tier["hbm"] <= budgets["hbm"]
-        assert by_tier["dram"] <= budgets["dram"]
+        assert by_tier["hbm"] <= 1000 * 64
+        assert by_tier["dram"] <= 10_000 * 64
 
-    def test_overflow_raises(self):
-        topo = tier_topology("A100", names=("hbm",))
-        planner = TierPlanner(topology=topo, budgets={"hbm": 1_000.0})
-        with pytest.raises(ValueError, match="do not fit"):
-            planner.plan(small_tables(), 1.1)
+    def test_unbounded_tier_takes_the_overflow(self):
+        """Rows past a 15-row chain land on the backing: appended as
+        the last tier when remote, level 0 itself when HBM backs the
+        table."""
+        for backing, backed in (("remote", 60_000 - 15), ("hbm", 60_000)):
+            planner = TierPlanner(storage(backing, hbm=15))
+            rows = planner.plan(small_tables(), 1.1).rows_by_tier()
+            assert sum(rows.values()) == 60_000
+            assert rows[backing] == backed
+
+    def test_mixed_dims_rejected(self):
+        tables = small_tables() + [TableConfig("wide", 100, 32, pooling=1)]
+        with pytest.raises(ValueError, match="share one dim"):
+            TierPlanner(storage(hbm=1000)).plan(tables, 1.1)
 
     def test_skewed_spill_fraction_beats_table_fraction(self):
         """At skew > 1 the HBM-resident head absorbs far more than its
         share of rows — the entire point of hotness-aware placement."""
-        budgets = {"hbm": 64_000.0, "dram": 64_000_000.0}
-        plan = self._plan(budgets=budgets, skew=1.2)
+        plan = self._plan(hbm=1000, dram=1_000_000, skew=1.2)
         rows = plan.rows_by_tier()
         hbm_row_share = rows["hbm"] / sum(rows.values())
         hbm_access = plan.access_fraction_by_tier()["hbm"]
@@ -109,8 +138,7 @@ class TestTierPlanner:
         (Across tables, mass is normalized per table and weighted by
         pooling — each table contributes `pooling` lookups/sample.)"""
         tables = [TableConfig("t", 60_000, 16, pooling=1)]
-        budgets = {"hbm": 64_000.0, "dram": 64_000_000.0}
-        plan = self._plan(budgets=budgets, skew=0.0, tables=tables)
+        plan = self._plan(hbm=1000, dram=1_000_000, skew=0.0, tables=tables)
         rows = plan.rows_by_tier()
         fracs = plan.access_fraction_by_tier()
         share = rows["hbm"] / sum(rows.values())
@@ -122,19 +150,19 @@ class TestTierPlanner:
         tables = [TableConfig("t", 1024, 16, pooling=1)]
         mass = np.zeros(1024)
         mass[::2] = 100.0  # even ids hot
-        topo = tier_topology("A100", names=("hbm", "dram"))
         # Budget aligned to the geometric chunk boundary at rank 512,
         # so the 512 hot ranks land in HBM whole.
-        planner = TierPlanner(
-            topology=topo, budgets={"hbm": 512 * 64.0, "dram": 1e12}
-        )
+        planner = TierPlanner(storage(hbm=512, dram=15_625_000_000))
         plan = planner.plan(tables, {"t": mass})
         fracs = plan.access_fraction_by_tier()
         assert fracs["hbm"] == pytest.approx(1.0)
 
     def test_mismatched_hotness_length_raises(self):
-        topo = tier_topology("A100", names=("hbm", "dram"))
-        planner = TierPlanner(topology=topo)
+        planner = TierPlanner(
+            storage(
+                hbm=physical_rows("hbm", 64), dram=physical_rows("dram", 64)
+            )
+        )
         with pytest.raises(ValueError, match="rows"):
             planner.plan(
                 [TableConfig("t", 100, 16, pooling=1)],
@@ -144,9 +172,12 @@ class TestTierPlanner:
     def test_paper_scale_criteo_fits_hierarchy(self):
         """The acceptance geometry: Criteo tables outgrow one GPU's
         HBM and the hierarchy absorbs the spill with tiny access
-        loss."""
-        topo = tier_topology("A100")
-        plan = TierPlanner(topology=topo).plan(
+        loss.  The levels hold the tiers' physical capacities in
+        128 x 4 = 512 B rows."""
+        physical = {
+            name: physical_rows(name, 512) for name in ("hbm", "dram", "ssd")
+        }
+        plan = TierPlanner(storage(**physical)).plan(
             criteo_table_configs(), 1.05
         )
         summary = plan.summary()
@@ -160,16 +191,19 @@ class TestTierPlanner:
     def test_summary_is_json_shaped(self):
         import json
 
-        plan = self._plan(budgets={"hbm": 64_000.0, "dram": 640_000.0})
+        plan = self._plan(hbm=1000, dram=10_000)
         json.dumps(plan.summary())
 
     def test_plan_is_deterministic(self):
-        a = self._plan(budgets={"hbm": 64_000.0, "dram": 640_000.0})
-        b = self._plan(budgets={"hbm": 64_000.0, "dram": 640_000.0})
+        a = self._plan(hbm=1000, dram=10_000)
+        b = self._plan(hbm=1000, dram=10_000)
         assert a.assignments == b.assignments
 
 
 class TestPlanFromCheckpoint:
+    #: 40 HBM rows of 8 x 4 = 32 B; the DRAM level holds every row.
+    STORAGE = storage(hbm=40, dram=31_250_000_000)
+
     def _checkpoint(self, tmp_path):
         config = SyntheticCriteoConfig(
             num_dense=4, num_sparse=4, cardinality=50
@@ -203,10 +237,7 @@ class TestPlanFromCheckpoint:
 
     def test_plan_from_checkpoint_places_all_rows(self, tmp_path):
         path, tables = self._checkpoint(tmp_path)
-        topo = tier_topology("A100", names=("hbm", "dram"))
-        plan = plan_from_checkpoint(
-            path, tables, topo, budgets={"hbm": 40 * 32.0, "dram": 1e12}
-        )
+        plan = plan_from_checkpoint(path, tables, self.STORAGE)
         assert isinstance(plan, TierPlacementPlan)
         rows = plan.rows_by_tier()
         assert sum(rows.values()) == sum(t.num_embeddings for t in tables)
@@ -217,10 +248,7 @@ class TestPlanFromCheckpoint:
     def test_missing_table_falls_back_to_cold(self, tmp_path):
         path, tables = self._checkpoint(tmp_path)
         extra = list(tables) + [TableConfig("absent", 100, 8, pooling=1)]
-        topo = tier_topology("A100", names=("hbm", "dram"))
-        plan = plan_from_checkpoint(
-            path, extra, topo, budgets={"hbm": 40 * 32.0, "dram": 1e12}
-        )
+        plan = plan_from_checkpoint(path, extra, self.STORAGE)
         # The absent table has zero mass everywhere: no HBM claim.
         absent = [
             a for a in plan.assignments
