@@ -162,8 +162,9 @@ class TowerPartitioner:
             [int(f) for f in np.flatnonzero(labels == t)]
             for t in range(self.num_towers)
         ]
-        # Constrained K-Means guarantees non-empty groups for R=1, but a
-        # generous cap can starve one; backfill from the largest group.
+        # Constrained K-Means caps group sizes but sets no lower bound,
+        # so a cluster can come out empty even at R=1 (whenever the
+        # T * cap - F spare slots reach cap); backfill from the largest.
         for t, g in enumerate(groups):
             while not g:
                 donor = max(range(len(groups)), key=lambda k: len(groups[k]))

@@ -13,6 +13,7 @@ from repro.partitioner import (
     interaction_from_activations,
     mds_embed,
 )
+from repro.partitioner.constrained_kmeans import _linear_sum_assignment
 
 
 @pytest.fixture
@@ -183,6 +184,97 @@ class TestConstrainedKMeans:
         assert max(km.group_sizes()) <= 2  # cap = ceil(8/4)
 
 
+    def test_cap_bounds_the_largest_group_only(self):
+        """R=1 sets no lower bound: at F=26, T=8 the cap is 4 and 6 of
+        the 32 slots stay free, so a far-away centre is left empty."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((26, 2))
+        centers = np.vstack([rng.standard_normal((7, 2)), [[1e3, 1e3]]])
+        km = ConstrainedKMeans(n_clusters=8)
+        labels = km._assign(x, centers, km._cap(26))
+        sizes = np.bincount(labels, minlength=8)
+        assert sizes.sum() == 26 and sizes.max() <= 4
+        assert sizes[7] == 0
+
+
+def _scipy_lsap(cost):
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost)
+
+
+def _slot_costs(kind, n, towers, seed):
+    """A (points x slots) cost as ``_assign`` builds it: each of
+    ``towers`` columns repeated ``cap`` times."""
+    rng = np.random.default_rng(seed)
+    cap = -(-n // towers)
+    if kind == "uniform":
+        d2 = rng.random((n, towers))
+    elif kind == "ties":
+        d2 = rng.integers(0, 4, (n, towers)).astype(np.float64)
+    elif kind == "equal":
+        d2 = np.full((n, towers), 0.5)
+    else:  # square: every slot filled
+        d2 = rng.random((n, towers))
+        cap = n // towers
+    return np.repeat(d2, cap, axis=1)
+
+
+class TestAssignmentMatchesScipy:
+    """``_linear_sum_assignment`` is a port of scipy's solver: the same
+    ``(rows, cols)`` — ties included — not only the same total cost."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "ties", "equal"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_slot_expanded_costs(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        towers = int(rng.integers(1, 9))
+        n = int(rng.integers(towers, 30))
+        cost = _slot_costs(kind, n, towers, seed)
+        rows, cols = _linear_sum_assignment(cost)
+        want_rows, want_cols = _scipy_lsap(cost)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(cols, want_cols)
+
+    @pytest.mark.parametrize(
+        "kind,n,towers",
+        [("square", 24, 4), ("square", 26, 2), ("uniform", 1, 3),
+         ("ties", 1, 1), ("uniform", 12, 1), ("ties", 7, 1)],
+    )
+    def test_square_one_point_and_one_tower(self, kind, n, towers):
+        cost = _slot_costs(kind, n, towers, seed=n)
+        if kind == "square":
+            assert cost.shape == (n, n)
+        rows, cols = _linear_sum_assignment(cost)
+        want_rows, want_cols = _scipy_lsap(cost)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(cols, want_cols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 12),
+        extra=st.integers(0, 6),
+        levels=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_wide_integer_costs_property(self, rows, extra, levels, seed):
+        cost = np.random.default_rng(seed).integers(
+            0, levels, (rows, rows + extra)
+        ).astype(np.float64)
+        got, want = _linear_sum_assignment(cost), _scipy_lsap(cost)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_cost_is_a_value_error(self, bad):
+        cost = np.ones((3, 4))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError):
+            _scipy_lsap(cost)
+        with pytest.raises(ValueError, match="non-finite"):
+            _linear_sum_assignment(cost)
+
+
 class TestTowerPartitioner:
     def test_coherent_recovers_planted_blocks(self, rng):
         I = block_interaction([4, 4, 4])
@@ -244,6 +336,23 @@ class TestTowerPartitioner:
             tp.partition_from_interaction(np.eye(4) * 2, rng=rng)
         with pytest.raises(ValueError):
             TowerPartitioner(num_towers=0)
+
+    def test_backfill_leaves_no_tower_empty(self, rng, monkeypatch):
+        """The K-Means may empty a cluster (no lower bound); the
+        partitioner backfills it from the largest group."""
+        labels = np.array([0] * 4 + [1] * 4 + [2] * 4 + [4] * 4 + [5] * 4
+                          + [6] * 4 + [7] * 2)
+        monkeypatch.setattr(
+            ConstrainedKMeans, "fit_predict", lambda self, x, rng=None: labels
+        )
+        I = block_interaction([4] * 6 + [2])
+        result = TowerPartitioner(num_towers=8).partition_from_interaction(
+            I, rng=rng
+        )
+        sizes = result.partition.sizes()
+        assert result.partition.num_towers == 8
+        assert min(sizes) >= 1 and sum(sizes) == 26
+        assert sorted(sizes) == [1, 2, 3, 4, 4, 4, 4, 4]
 
     def test_result_carries_artifacts_for_figure9(self, rng):
         I = block_interaction([4, 4])
