@@ -13,9 +13,9 @@ into ``cap`` slots and solving the (points x slots) squared-distance
 assignment with `_linear_sum_assignment`, a numpy port of scipy's
 solver.  On one Xeon core a call takes ~2 ms at 26 x 32 and 15-30 ms
 at 128 x 128, a 5-iteration fit ~0.17 s at 128 points and ~0.65 s at
-256, against the ~0.4 s that importing scipy costs once.  So the port is the cheaper choice up
-to ~200 points (this repo partitions F <= 26 features); beyond that,
-the compiled solver would win.
+256, against the ~0.4 s that importing scipy costs once.  So the port
+is the cheaper choice up to ~200 points (this repo partitions F <= 26
+features); beyond that, the compiled solver would win.
 """
 
 from __future__ import annotations

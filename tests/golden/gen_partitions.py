@@ -29,8 +29,7 @@ from typing import Any, Callable, Dict, List
 
 import numpy as np
 
-from repro.partitioner import ConstrainedKMeans, TowerPartitioner
-from repro.partitioner import tower_partitioner
+from repro.partitioner import ConstrainedKMeans, TowerPartitioner, tower_partitioner
 
 FIXTURE = Path(__file__).with_name("partitions.json")
 
@@ -76,6 +75,18 @@ def planted(num_features: int, seed: int) -> np.ndarray:
     return interaction
 
 
+def _planted_case(
+    num_features: int, towers: int, strategy: str, ratio: float, seed: int
+) -> Dict[str, Any]:
+    return _partitioned(
+        planted(num_features, seed),
+        seed,
+        num_towers=towers,
+        strategy=strategy,
+        balance_ratio=ratio,
+    )
+
+
 def duplicates() -> np.ndarray:
     """Three blocks of four features with exactly equal rows: 12 points
     that tie pairwise in every distance the partitioner computes."""
@@ -107,14 +118,7 @@ def train_dmt_probe() -> np.ndarray:
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     **{
         f"planted/F{f}/T{t}/{strategy}/R{ratio}/seed{seed}": functools.partial(
-            lambda f, t, strategy, ratio, seed: _partitioned(
-                planted(f, seed),
-                seed,
-                num_towers=t,
-                strategy=strategy,
-                balance_ratio=ratio,
-            ),
-            f, t, strategy, ratio, seed,
+            _planted_case, f, t, strategy, ratio, seed
         )
         for f in (6, 8, 12, 26, 40)
         for t in (2, 3, 4, 8)

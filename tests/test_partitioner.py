@@ -274,6 +274,12 @@ class TestAssignmentMatchesScipy:
         with pytest.raises(ValueError, match="non-finite"):
             _linear_sum_assignment(cost)
 
+    def test_tall_cost_is_a_value_error(self):
+        """The port solves the wide case only: slot expansion gives
+        ``points <= T * cap`` columns."""
+        with pytest.raises(ValueError, match="rows <= columns"):
+            _linear_sum_assignment(np.ones((4, 3)))
+
 
 class TestTowerPartitioner:
     def test_coherent_recovers_planted_blocks(self, rng):
