@@ -3,9 +3,12 @@
 The fixture pins the full ``to_dict()`` of every serving front door —
 ``InferenceService``, ``ServingFleet`` and ``ResilientFleet``, each
 also over a tiered storage — on small seeded traces, so the reports
-survive any rewrite of the replay behind them, and the ``summary()``
-of ``Session.tier_plan()`` over a grid of tiered specs (generation x
-below-HBM levels x backing x HBM rows)::
+survive any rewrite of the replay behind them, the ``summary()`` of
+``Session.tier_plan()`` over a grid of tiered specs (generation x
+below-HBM levels x backing x HBM rows), and the ``summary()`` of
+``Session.plan()`` with the ``analyze_spec`` error codes, over a grid of
+pricing-only DLRM specs (generation x cluster) and every pinned
+``spec_json.json`` spec with a model or perf section::
 
     PYTHONPATH=src python tests/golden/gen_serving_reports.py          # rewrite
     PYTHONPATH=src python tests/golden/gen_serving_reports.py --check  # diff
@@ -29,10 +32,12 @@ from typing import Any, Callable, Dict, List
 
 import numpy as np
 
+from repro.analysis.speccheck import analyze_spec
 from repro.api import (
     ClusterSpec,
     DataSpec,
     ModelSpec,
+    PerfSpec,
     RunSpec,
     ServeSpec,
     Session,
@@ -62,6 +67,7 @@ from repro.serving import (
 from repro.sim import SimCluster
 
 FIXTURE = Path(__file__).with_name("serving_reports.json")
+SPEC_FIXTURE = Path(__file__).with_name("spec_json.json")
 REL_TOL = 1e-12
 
 MODEL = ServingModel(
@@ -327,6 +333,40 @@ def _tier_plan(
     return Session(spec).tier_plan().summary()
 
 
+def _plan(spec: RunSpec) -> Dict[str, Any]:
+    """``Session.plan()`` of one spec, with the error codes of its
+    static analysis (``shard-capacity-overflow`` reads the same
+    placement)."""
+    errors = sorted(
+        d.code for d in analyze_spec(spec) if d.severity == "error"
+    )
+    return {"summary": Session(spec).plan().summary(), "errors": errors}
+
+
+def _perf_plan(generation: str, hosts: int, gpus: int) -> Dict[str, Any]:
+    """A pricing-only spec plans the paper-scale Criteo tables."""
+    return _plan(
+        RunSpec(
+            cluster=ClusterSpec(hosts, gpus, generation),
+            perf=PerfSpec(kind="dlrm"),
+        )
+    )
+
+
+def _planned_specs() -> Dict[str, RunSpec]:
+    """The pinned ``spec_json.json`` specs that plan tables: those with
+    a model or a perf section."""
+    specs = {
+        name: RunSpec.from_json(text)
+        for name, text in json.loads(SPEC_FIXTURE.read_text()).items()
+    }
+    return {
+        name: spec
+        for name, spec in specs.items()
+        if spec.model is not None or spec.perf is not None
+    }
+
+
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "service/colocated": lambda: _service("colocated"),
     "service/disaggregated": lambda: _service("disaggregated"),
@@ -355,6 +395,20 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "tier_plan/A100/dram/remote/1024/model": functools.partial(
         _tier_plan, "A100", "dram", "remote", 1024, model=True
     ),
+    **{
+        f"plan/{gen}/{hosts}x{gpus}": functools.partial(
+            _perf_plan, gen, hosts, gpus
+        )
+        for gen in ("V100", "A100", "H100")
+        for hosts, gpus in (
+            (1, 1), (1, 2), (2, 2), (2, 4), (4, 4), (3, 6), (4, 8), (8, 8),
+            (64, 8),
+        )
+    },
+    **{
+        f"plan/{name}": functools.partial(_plan, spec)
+        for name, spec in _planned_specs().items()
+    },
 }
 
 
