@@ -13,8 +13,8 @@ Subpackages
 - ``repro.core`` — SPTT, the flat baseline exchange, distributed
   trainers (the paper's primary contribution).
 - ``repro.partitioner`` — the learned Tower Partitioner (TP).
-- ``repro.planner`` — embedding sharding planner and NeuroShard-style
-  baseline.
+- ``repro.planner`` — the executed table placement, the §2.4
+  NeuroShard balance line, and row tiering.
 - ``repro.perf`` — iteration latency model, Alpa-style parallelism
   search, quantization analysis (evaluation engine).
 - ``repro.data`` — synthetic Criteo-like datasets with planted feature

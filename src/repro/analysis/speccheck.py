@@ -34,6 +34,7 @@ __all__ = [
     "analyze_spec",
     "registered_checks",
     "spec_check",
+    "spec_tables",
 ]
 
 #: Embedding itemsize (fp32) and the profile dim served without a model
@@ -106,10 +107,11 @@ def _train_split_size(data) -> int:
     return int(data.num_samples * (1.0 - data.eval_fraction))
 
 
-def _spec_tables(spec: RunSpec):
-    """The embedding tables the plan stage would shard (same logic as
-    ``Session.plan``: tiny trainable tables with a data section,
-    paper-scale Criteo tables otherwise)."""
+def spec_tables(spec: RunSpec):
+    """The embedding tables a spec plans: tiny trainable tables with a
+    data section, paper-scale Criteo tables otherwise.
+    :meth:`Session.plan <repro.api.Session.plan>` and the capacity
+    checks below read them from here."""
     if spec.data is not None:
         dim = (
             spec.model.embedding_dim if spec.model is not None else 16
@@ -237,7 +239,7 @@ def _check_global_batch(spec: RunSpec):
 def _check_shard_capacity(spec: RunSpec):
     if spec.model is None and spec.perf is None:
         return
-    tables = _spec_tables(spec)
+    tables = spec_tables(spec)
     plan = AutoPlanner(spec.cluster.world_size).plan(tables)
     capacity = _rank_capacity_bytes(spec)
     worst = max(plan.storage_by_rank(itemsize=_ITEMSIZE))
@@ -271,7 +273,7 @@ def _check_fetch_tier_capacity(spec: RunSpec):
     remote_backed = storage is not None and not storage.backing.local
     if not remote_backed and not serve.serves_disaggregated:
         return
-    tables = _spec_tables(spec)
+    tables = spec_tables(spec)
     total = sum(
         t.num_embeddings * t.dim * _ITEMSIZE for t in tables
     )

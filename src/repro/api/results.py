@@ -122,7 +122,7 @@ class PlanArtifact:
         return {
             "scale": self.scale,
             "world_size": self.plan.world_size,
-            "num_shards": len(self.plan.shards),
+            "num_shards": len(self.plan.tables),
             "imbalance": float(self.plan.imbalance(self.batch_size)),
         }
 

@@ -72,7 +72,6 @@ from repro.models import (
     DMTDCN,
     DMTDLRM,
     MultiTaskModel,
-    criteo_table_configs,
     tiny_table_configs,
 )
 from repro.models.configs import DenseArch
@@ -384,35 +383,28 @@ class Session:
         return self._stage("model", self._make_model)
 
     def plan(self) -> PlanArtifact:
-        """Shard the embedding tables across the cluster's ranks.
+        """Place the embedding tables on the cluster's ranks: the owner
+        map the flat exchange executes (:class:`~repro.planner.AutoPlanner`).
 
-        Quality specs (with a data section) shard the tiny tables they
-        train; pricing-only specs shard the paper-scale Criteo tables
+        Quality specs (with a data section) place the tiny tables they
+        train; pricing-only specs place the paper-scale Criteo tables
         (§5.1's setting).
         """
 
         def build() -> PlanArtifact:
+            # Imported lazily, as in analyze().
+            from repro.analysis.speccheck import spec_tables
+
             cluster = self.build_cluster()
             if self.spec.data is not None:
-                dim = (
-                    self.spec.model.embedding_dim
-                    if self.spec.model is not None
-                    else 16
-                )
-                tables = tiny_table_configs(
-                    self.spec.data.num_sparse, self.spec.data.cardinality, dim
-                )
-                scale = "tiny"
                 train = self.spec.train
+                scale = "tiny"
                 batch = 256 if train is None else train.batch_size
             else:
-                tables = criteo_table_configs()
-                scale, batch = "paper", (
-                    self.spec.perf.local_batch
-                    if self.spec.perf is not None
-                    else 16384
-                )
-            plan = AutoPlanner(cluster.world_size).plan(tables)
+                perf = self.spec.perf
+                scale = "paper"
+                batch = 16384 if perf is None else perf.local_batch
+            plan = AutoPlanner(cluster.world_size).plan(spec_tables(self.spec))
             return PlanArtifact(plan=plan, scale=scale, batch_size=batch)
 
         return self._stage("plan", build)

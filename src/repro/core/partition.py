@@ -132,6 +132,19 @@ class FeaturePartition:
         return self.num_towers
 
 
+def flat_owners(world_size: int, num_features: int) -> Dict[int, List[int]]:
+    """Owner rank -> its features under the flat placement: feature
+    ``f`` on rank ``f % G``.
+
+    >>> flat_owners(4, 6)
+    {0: [0, 4], 1: [1, 5], 2: [2], 3: [3]}
+    """
+    owners: Dict[int, List[int]] = {r: [] for r in range(world_size)}
+    for f in range(num_features):
+        owners[f % world_size].append(f)
+    return owners
+
+
 def feature_owners(
     cluster: Cluster,
     num_features: int,
@@ -139,25 +152,24 @@ def feature_owners(
 ) -> Dict[int, List[int]]:
     """Owner rank -> the features whose tables it holds, in lookup order.
 
-    The one table placement both exchanges execute: feature ``f`` on
-    rank ``f % G`` without a partition (flat); with one, tower ``t``'s
-    features round-robin over ``tower_groups(cluster, T)[t]`` (SPTT).
+    The one table placement both exchanges execute: :func:`flat_owners`
+    without a partition (flat, which :meth:`AutoPlanner.plan
+    <repro.planner.AutoPlanner.plan>` also returns); with one, tower
+    ``t``'s features round-robin over ``tower_groups(cluster, T)[t]``
+    (SPTT).
 
     >>> part = FeaturePartition.contiguous(6, 2)
     >>> feature_owners(Cluster(num_hosts=2, gpus_per_host=2), 6, part)
     {0: [0, 2], 1: [1], 2: [3, 5], 3: [4]}
     """
-    world = cluster.world_size
-    owners: Dict[int, List[int]] = {r: [] for r in range(world)}
     if partition is None:
-        for f in range(num_features):
-            owners[f % world].append(f)
-        return owners
+        return flat_owners(cluster.world_size, num_features)
     if partition.num_features != num_features:
         raise ValueError(
             f"partition covers {partition.num_features} features, "
             f"expected {num_features}"
         )
+    owners: Dict[int, List[int]] = {r: [] for r in range(cluster.world_size)}
     towers, _ = tower_groups(cluster, partition.num_towers)
     for group, tower in zip(partition.groups, towers):
         for i, f in enumerate(group):

@@ -1,18 +1,16 @@
-"""Tests for the sharding planner and NeuroShard-style baseline."""
+"""Tests for the table placement and the §2.4 NeuroShard balance line."""
 
+import numpy as np
 import pytest
 
+from repro.comm.cost_model import CollectiveCostModel
+from repro.comm.process_group import global_group
+from repro.core import FlatEmbeddingExchange
 from repro.hardware import Cluster
 from repro.models import criteo_table_configs
-from repro.nn.embedding import TableConfig
-from repro.planner import (
-    AutoPlanner,
-    ShardingPlan,
-    ShardingType,
-    TableShard,
-    balance_analysis,
-    balanced_plan,
-)
+from repro.nn.embedding import EmbeddingBagCollection, TableConfig
+from repro.planner import AutoPlanner, ShardingPlan, balance_analysis
+from repro.sim import SimCluster
 
 
 def tables(n=6, rows=1000, dim=32, pooling=1):
@@ -22,72 +20,32 @@ def tables(n=6, rows=1000, dim=32, pooling=1):
     ]
 
 
-class TestTableShard:
-    def test_valid_shard(self):
-        t = TableConfig("t", 100, 16)
-        s = TableShard(t, 0, ShardingType.TABLE_WISE, 0, 100, 0, 16)
-        assert s.num_rows == 100 and s.num_cols == 16
-        assert s.storage_bytes() == 100 * 16 * 4
-
-    def test_invalid_ranges(self):
-        t = TableConfig("t", 100, 16)
-        with pytest.raises(ValueError):
-            TableShard(t, 0, ShardingType.TABLE_WISE, 0, 101, 0, 16)
-        with pytest.raises(ValueError):
-            TableShard(t, 0, ShardingType.COLUMN_WISE, 0, 100, 8, 8)
-
-    def test_output_bytes_column_wise(self):
-        t = TableConfig("t", 100, 16)
-        s = TableShard(t, 0, ShardingType.COLUMN_WISE, 0, 100, 0, 8)
-        assert s.output_bytes_per_sample() == 8 * 4
-
-    def test_output_bytes_row_wise_full_dim(self):
-        t = TableConfig("t", 100, 16, pooling=4)
-        s = TableShard(t, 0, ShardingType.ROW_WISE, 0, 50, 0, 16)
-        assert s.output_bytes_per_sample() == 16 * 4
-
-
 class TestAutoPlanner:
     def test_plan_covers_all_tables(self):
         plan = AutoPlanner(4).plan(tables())
-        plan.validate_coverage(tables())
+        assert sorted(f for fs in plan.owners.values() for f in fs) == list(
+            range(6)
+        )
 
     def test_table_wise_by_default(self):
-        planner = AutoPlanner(4)
-        for t in tables():
-            assert planner.choose_sharding(t) is ShardingType.TABLE_WISE
-        # Even when ranks outnumber tables, no column factor is chosen.
+        # Even when ranks outnumber tables, every table stays whole.
         plan = AutoPlanner(64).plan(criteo_table_configs())
-        assert len(plan.shards) == 26
-        assert all(s.sharding is ShardingType.TABLE_WISE for s in plan.shards)
+        assert len(plan.tables) == 26
+        assert [len(fs) for fs in plan.owners.values()] == [1] * 26 + [0] * 38
         assert plan.imbalance() == pytest.approx(2.462, abs=1e-3)
 
-    def test_multi_hot_goes_row_wise(self):
-        planner = AutoPlanner(4)
-        t = TableConfig("mh", 1000, 32, pooling=8)
-        assert planner.choose_sharding(t) is ShardingType.ROW_WISE
-
-    def test_column_factor_splits_tables(self):
-        planner = AutoPlanner(8, column_factor=4)
-        plan = planner.plan(tables(n=2))
-        for t in tables(n=2):
-            assert len(plan.shards_of(t.name)) == 4
-
-    def test_row_wise_spreads_across_ranks(self):
-        planner = AutoPlanner(4)
-        plan = planner.plan([TableConfig("mh", 1000, 32, pooling=8)])
-        shards = plan.shards_of("mh")
-        assert len(shards) == 4
-        assert sorted(s.rank for s in shards) == [0, 1, 2, 3]
-
-    def test_balance_better_with_column_sharding(self):
-        """§5.1: column factor taps the whole cluster's bandwidth."""
-        skewed = [TableConfig("big", 10_000_000, 64)] + [
-            TableConfig(f"s{i}", 1000, 64) for i in range(3)
-        ]
-        naive = AutoPlanner(8, column_factor=1).plan(skewed)
-        split = AutoPlanner(8, column_factor=8).plan(skewed)
-        assert split.imbalance() < naive.imbalance()
+    @pytest.mark.parametrize(
+        "hosts, gpus, num_tables",
+        [(1, 1, 5), (2, 2, 5), (4, 2, 5), (3, 1, 5), (8, 8, 26)],
+    )
+    def test_plan_is_the_executed_placement(self, hosts, gpus, num_tables):
+        """The plan is the owner map the flat exchange executes."""
+        configs = tables(n=num_tables, rows=10, dim=4)
+        cluster = Cluster(num_hosts=hosts, gpus_per_host=gpus)
+        ebc = EmbeddingBagCollection(configs, rng=np.random.default_rng(0))
+        exchange = FlatEmbeddingExchange(SimCluster(cluster), ebc)
+        plan = AutoPlanner(cluster.world_size).plan(configs)
+        assert plan.owners == exchange.features_of
 
     def test_empty_tables_rejected(self):
         with pytest.raises(ValueError):
@@ -97,41 +55,37 @@ class TestAutoPlanner:
         with pytest.raises(ValueError):
             AutoPlanner(0)
 
-    def test_invalid_column_factor(self):
-        with pytest.raises(ValueError):
-            AutoPlanner(4, column_factor=0)
-
 
 class TestShardingPlan:
     def test_rank_accounting(self):
-        plan = ShardingPlan(world_size=2)
         t = TableConfig("t", 100, 16)
-        plan.add(TableShard(t, 0, ShardingType.TABLE_WISE, 0, 100, 0, 16))
+        plan = ShardingPlan(2, (t,), {0: [0], 1: []})
         assert plan.storage_by_rank() == [100 * 16 * 4, 0]
-        assert len(plan.shards_on(0)) == 1 and not plan.shards_on(1)
-
-    def test_invalid_rank_rejected(self):
-        plan = ShardingPlan(world_size=2)
-        t = TableConfig("t", 100, 16)
-        with pytest.raises(ValueError):
-            plan.add(TableShard(t, 5, ShardingType.TABLE_WISE, 0, 100, 0, 16))
-
-    def test_coverage_detects_missing(self):
-        plan = ShardingPlan(world_size=2)
-        t = TableConfig("t", 100, 16)
-        plan.add(TableShard(t, 0, ShardingType.COLUMN_WISE, 0, 100, 0, 8))
-        with pytest.raises(ValueError, match="cover"):
-            plan.validate_coverage([t])
+        assert plan.output_bytes_by_rank(8) == [16 * 4 * 8, 0]
 
     def test_imbalance_of_empty_plan_raises(self):
         with pytest.raises(ValueError):
-            ShardingPlan(world_size=2).imbalance()
+            ShardingPlan(2, (), {0: [], 1: []}).imbalance()
 
 
 class TestNeuroShardBaseline:
-    def test_balanced_plan_is_balanced(self):
-        plan = balanced_plan(criteo_table_configs(), 64)
-        assert plan.imbalance(batch_size=128) < 1.5
+    def test_balanced_arm_is_the_ideal(self):
+        """The balanced arm is NeuroShard's ideal: total / G bytes on
+        every rank."""
+        cluster = Cluster(num_hosts=2, gpus_per_host=4, generation="A100")
+        analysis = balance_analysis(
+            criteo_table_configs(), cluster, batch_size=128
+        )
+        assert analysis.imbalance_balanced == 1.0
+        per_rank = (
+            AutoPlanner(8)
+            .plan(criteo_table_configs())
+            .output_bytes_by_rank(128)
+        )
+        ideal = CollectiveCostModel().alltoall(
+            global_group(cluster), sum(per_rank) / 8
+        )
+        assert analysis.alltoall_seconds_balanced == ideal.seconds
 
     def test_balance_analysis_reproduces_negative_result(self):
         """§2.4: balance gain >> AlltoAll gain."""
