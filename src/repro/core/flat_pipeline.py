@@ -34,7 +34,6 @@ from repro.sim.cluster import SimCluster
 from repro.sim.tracing import Phase
 
 ID_BYTES = 8  # int64 ids on the wire
-EMB_ITEMSIZE = 4  # the paper's models train embeddings in fp32
 
 
 class TableOwnerExchange:
@@ -50,6 +49,7 @@ class TableOwnerExchange:
     Buffer contract (docs/invariants.md): the buckets handed to a
     collective are views of the buffers built here; a receiver copies
     what it received into memory of its own and never writes into it.
+    Every buffer an exchange moves is in the tables' dtype (``dtype``).
     """
 
     _label_prefix = ""
@@ -60,6 +60,7 @@ class TableOwnerExchange:
         self.ebc = ebc
         self.num_features = ebc.num_features
         self.dim = ebc.dim
+        self.dtype = ebc.dtype
         self._batch: Optional[int] = None
 
     def _require_forward(self, what: str) -> int:
@@ -102,12 +103,13 @@ class TableOwnerExchange:
         for o in range(G):
             feats = self.features_of[o]
             global_ids = np.concatenate(recv[o], axis=0)  # (G*B, F_o, P)
-            lookups[o] = np.empty((len(feats), G, B, self.dim))
+            lookups[o] = np.empty((len(feats), G, B, self.dim), self.dtype)
             rows = lookups[o].reshape(len(feats), G * B, self.dim)
             for i, f in enumerate(feats):
                 table = self.ebc.tables[f]
                 rows[i] = table(global_ids[:, i])
-                lookup_bytes += table.bytes_per_sample(EMB_ITEMSIZE) * G * B
+                itemsize = table.weight.data.itemsize
+                lookup_bytes += table.bytes_per_sample(itemsize) * G * B
         # All ranks look up concurrently; price the heaviest.
         sim.compute(
             lookup_bytes / G / sim.cluster.spec.hbm_bytes_per_s,
@@ -127,7 +129,7 @@ class TableOwnerExchange:
         scatter_bytes = 0
         for o in range(G):
             feats = self.features_of[o]
-            grad = np.empty((len(feats), G, B, self.dim))
+            grad = np.empty((len(feats), G, B, self.dim), self.dtype)
             for piece, source in zip(recv[o], sources):
                 grad[:, source] = piece
             rows = grad.reshape(len(feats), G * B, self.dim)
@@ -193,7 +195,7 @@ class FlatEmbeddingExchange(TableOwnerExchange):
 
         out: Dict[int, np.ndarray] = {}
         for r in range(G):
-            embs = np.empty((self._batch, self.num_features, self.dim))
+            embs = np.empty((self._batch, self.num_features, self.dim), self.dtype)
             for o in range(G):
                 embs[:, self.features_of[o], :] = recv_back[r][o].transpose(1, 0, 2)
             out[r] = embs
@@ -205,7 +207,7 @@ class FlatEmbeddingExchange(TableOwnerExchange):
         G, B = sim.world_size, self._require_forward("backward")
         send = {}
         for r, g in grads.items():
-            g = np.asarray(g, dtype=np.float64)
+            g = np.asarray(g, dtype=self.dtype)
             if g.shape != (B, self.num_features, self.dim):
                 raise ValueError(
                     f"rank {r}: grad shape {g.shape} != "

@@ -133,7 +133,7 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
         towers: Dict[int, np.ndarray] = {}
         for r, t in self.tower_of.items():
             F_t = self.tower_num_features(t)
-            block = np.empty((T, B, F_t, self.dim))
+            block = np.empty((T, B, F_t, self.dim), self.dtype)
             for i, piece in enumerate(recv[r]):
                 block[:, :, i::M] = piece.transpose(1, 2, 0, 3)
             towers[r] = block.reshape(T * B, F_t, self.dim)
@@ -160,7 +160,7 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
         check_membership(sim.world, outputs)
         send = {}
         for r, out in outputs.items():
-            out = np.asarray(out, dtype=np.float64)
+            out = np.asarray(out, dtype=self.dtype)
             if out.ndim != 2 or out.shape[0] != T * B:
                 raise ValueError(
                     f"rank {r}: tower output must be ({T * B}, O), got {out.shape}"
@@ -188,7 +188,7 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
                     f"rank {r}: need one grad per tower ({T}), got "
                     f"{len(tower_grads)}"
                 )
-            send[r] = [np.asarray(g, dtype=np.float64) for g in tower_grads]
+            send[r] = [np.asarray(g, dtype=self.dtype) for g in tower_grads]
         recv = sim.alltoall_concurrent(
             self.peer_groups, send, phase=Phase.EMBEDDING_COMM,
             label="sptt.peer_a2a_bwd",
@@ -207,7 +207,7 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
         send = {}
         shuffle_bytes = 0
         for r, g in grad_towers.items():
-            g = np.asarray(g, dtype=np.float64)
+            g = np.asarray(g, dtype=self.dtype)
             F_t = self.tower_num_features(self.tower_of[r])
             if g.shape != (T * B, F_t, self.dim):
                 raise ValueError(
@@ -240,7 +240,7 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
         exchanged = self.exchange_tower_outputs(flat_out)
         out: Dict[int, np.ndarray] = {}
         for r in range(sim.world_size):
-            embs = np.empty((B, self.num_features, self.dim))
+            embs = np.empty((B, self.num_features, self.dim), self.dtype)
             for t, block in enumerate(exchanged[r]):
                 feats = self.tower_feature_order[t]
                 embs[:, feats, :] = block.reshape(B, len(feats), self.dim)
@@ -252,7 +252,7 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
         B = self._require_forward("backward")
         per_tower: Dict[int, List[np.ndarray]] = {}
         for r, g in grads.items():
-            g = np.asarray(g, dtype=np.float64)
+            g = np.asarray(g, dtype=self.dtype)
             if g.shape != (B, self.num_features, self.dim):
                 raise ValueError(
                     f"rank {r}: grad shape {g.shape} != "

@@ -156,7 +156,9 @@ class EmbeddingTable(Module):
         else:
             rng = rng or np.random.default_rng(0)
             self.weight = Parameter(
-                uniform_embedding_init(rng, config.num_embeddings, config.dim),
+                uniform_embedding_init(
+                    rng, config.num_embeddings, config.dim
+                ).astype(np.float32),
                 name=f"emb.{config.name}",
             )
         self.sparse_grad_mode = "rowwise"
@@ -185,7 +187,7 @@ class EmbeddingTable(Module):
         """
         if self._ids is None:
             raise RuntimeError("backward called before forward")
-        grad_output = np.asarray(grad_output, dtype=np.float64)
+        grad_output = np.asarray(grad_output, dtype=self.weight.data.dtype)
         B, P = self._ids.shape
         if grad_output.shape != (B, self.config.dim):
             raise ValueError(
@@ -244,7 +246,7 @@ class EmbeddingBagCollection(Module):
         # draw sequence as independently allocated tables.
         cards = np.array([c.num_embeddings for c in configs], dtype=np.int64)
         offsets = np.concatenate(([0], np.cumsum(cards)[:-1]))
-        stacked = np.empty((int(cards.sum()), configs[0].dim))
+        stacked = np.empty((int(cards.sum()), configs[0].dim), dtype=np.float32)
         tables = []
         for c, off in zip(configs, offsets):
             block = stacked[off : off + c.num_embeddings]
@@ -270,6 +272,12 @@ class EmbeddingBagCollection(Module):
     @property
     def dim(self) -> int:
         return self.configs[0].dim
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The tables' dtype (float32), which every embedding buffer of
+        the lookup, its gradient and the exchanges carries."""
+        return self._stacked.dtype
 
     @property
     def total_rows(self) -> int:
@@ -356,18 +364,19 @@ class EmbeddingBagCollection(Module):
     def backward(self, grad_output: np.ndarray) -> None:
         if self._batch is None:
             raise RuntimeError("backward called before forward")
-        grad_output = np.asarray(grad_output, dtype=np.float64)
+        grad_output = np.asarray(grad_output)
         F, N, B = self.num_features, self.dim, self._batch
         want, shape = (B, F, N), f"(B, {F}, {N})"
         if self._groups is not None:
             want, shape = (B * F, N), f"tower-major (B*{F}, {N})"
         if grad_output.shape != want:
             raise ValueError(f"grad must be {shape} for B={B}, got {grad_output.shape}")
-        grads = grad_output.reshape(-1, N)
         if self._rows is None:
             # Forward ran on the per-table fallback path (see
-            # _fused_intact); route gradients per table too.
+            # _fused_intact); route gradients per table too, each
+            # rounded to its own table's dtype.
             layout = self._groups or [list(range(F))]
+            grads = grad_output.reshape(-1, N)
             for g, block in zip(layout, tower_blocks(grads, layout)):
                 for j, f in enumerate(g):
                     self.tables[f].backward(block[:, j])
@@ -375,6 +384,7 @@ class EmbeddingBagCollection(Module):
         # One ordered segment-sum over the stacked row space: every bag
         # is P stacked rows.  A table's bags keep sample order in either
         # layout, so its sums are the same bits ...
+        grads = grad_output.astype(self.dtype, copy=False).reshape(-1, N)
         stacked = RowwiseGrad.from_pooled(self._rows, grads)
         uniq, seg = stacked.rows, stacked.grads
         # ... then split at table boundaries (uniq is sorted, so each

@@ -27,7 +27,9 @@ class Parameter:
     __slots__ = ("data", "_grad", "row_grad", "name")
 
     def __init__(self, data: np.ndarray, name: str = "param"):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        # float32 stays float32 (the embedding plane); all else is float64.
+        dtype = np.float32 if np.asarray(data).dtype == np.float32 else np.float64
+        self.data = np.ascontiguousarray(data, dtype=dtype)
         self._grad: Optional[np.ndarray] = None
         self.row_grad: Optional["RowwiseGrad"] = None
         self.name = name
@@ -83,7 +85,7 @@ class Parameter:
             )
         self._flush_row_grad()
         if self._grad is None:
-            self._grad = grad.astype(np.float64, copy=True)
+            self._grad = grad.astype(self.data.dtype, copy=True)
         else:
             self._grad += grad
 

@@ -84,7 +84,7 @@ class Optimizer:
             "config": self._config_state(),
             "slots": {
                 slot: {
-                    str(i): np.array(arr, dtype=np.float64, copy=True)
+                    str(i): np.array(arr, copy=True)
                     for i, arr in entries.items()
                 }
                 for slot, entries in self._slot_dicts().items()
@@ -106,7 +106,8 @@ class Optimizer:
     ) -> Dict[str, Dict[int, np.ndarray]]:
         """Validate a snapshot without mutating anything.
 
-        Returns the staged (copied, float64) slot arrays; raises
+        Returns the staged slot arrays, copied in their parameter's
+        dtype (a float32 table keeps float32 state); raises
         ``ValueError`` on any incompatibility.  :meth:`load_state_dict`
         is exactly validate-then-commit, and callers that need
         whole-checkpoint atomicity (the checkpoint loader) validate
@@ -150,7 +151,7 @@ class Optimizer:
                         f"slot {slot!r} references parameter index {i}, "
                         f"out of range for {len(self.params)} parameters"
                     )
-                arr = np.array(arr, dtype=np.float64, copy=True)
+                arr = np.array(arr, dtype=self.params[i].data.dtype, copy=True)
                 want = self._expected_slot_shape(slot, self.params[i])
                 if arr.shape != tuple(want):
                     raise ValueError(
@@ -273,7 +274,7 @@ class RowwiseAdagrad(Optimizer):
                 if self.accumulator == "elementwise"
                 else param.data.shape[:1]
             )
-            acc = np.zeros(shape)
+            acc = np.zeros(shape, dtype=param.data.dtype)
             self._accum[index] = acc
         return acc
 

@@ -50,7 +50,8 @@ class RowwiseGrad:
     rows:
         ``(U,)`` int64, strictly increasing unique row indices.
     grads:
-        ``(U, dim)`` float64, the summed gradient of each touched row.
+        ``(U, dim)``, the summed gradient of each touched row, in the
+        dtype of the gradient it was compacted from (the table's).
     """
 
     rows: np.ndarray
@@ -58,7 +59,7 @@ class RowwiseGrad:
 
     def __post_init__(self) -> None:
         self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.grads = np.asarray(self.grads, dtype=np.float64)
+        self.grads = np.asarray(self.grads)
         if self.rows.ndim != 1 or self.grads.ndim != 2:
             raise ValueError(
                 f"rows must be (U,) and grads (U, dim), got "
@@ -85,7 +86,7 @@ class RowwiseGrad:
         """
         ids = np.asarray(ids)
         B, P = ids.shape
-        grad_output = np.asarray(grad_output, dtype=np.float64)
+        grad_output = np.asarray(grad_output)
         if grad_output.ndim != 2 or grad_output.shape[0] != B:
             raise ValueError(
                 f"grad_output must be ({B}, N) for ids {ids.shape}, "
@@ -158,7 +159,7 @@ class RowwiseGrad:
             raise ValueError(
                 f"row {int(self.rows[-1])} out of range for {shape}"
             )
-        dense = np.zeros(shape)
+        dense = np.zeros(shape, dtype=self.grads.dtype)
         dense[self.rows] = self.grads
         return dense
 

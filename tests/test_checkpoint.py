@@ -763,16 +763,16 @@ def chain_digest(build, mode, root):
 
 PINNED_CHAIN_SHA256 = {
     ("dlrm", "rowwise"): (
-        "e686eb2d074fa2b1c5309db97459501941f16bb67661125b911d4fc9e113814f"
+        "a9085a493a13fc36605addafcd5a36a83dea1d3a40524a7411cc4a08957450d5"
     ),
     ("dlrm", "dense"): (
-        "b3fd1c23ef4b2baf45d04ac11903dec9f0d0ac690c6f0e96698629979ae43d95"
+        "fbf83b7577b1d00f4bad42679d57ee20c66cdf8d7310f052f7c702cc332c67ee"
     ),
     ("dmt_dlrm", "rowwise"): (
-        "ce6ee60ac49ecd9321bef32b16d9e61222f66db0a3daae2cfebbf7f95b798d4c"
+        "f50ac4b2f574fa6665096d838fd2bf9a2b750f1af2c82cbd134c6dd9b38242da"
     ),
     ("dmt_dlrm", "dense"): (
-        "cea456c0add79b66fc61aaf0dd9d0e8bb90e985c11440bcfe362337497a56e72"
+        "ff8f81bd14d3167a76b4a2b9bd81167c25fbf81c360e0aeb162f068308afe629"
     ),
 }
 

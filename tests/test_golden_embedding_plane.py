@@ -95,27 +95,27 @@ def observed(name: str, sparse_grad_mode: str = "rowwise"):
 GOLDEN = {
     "dlrm_multihot_p3": (
         [
-            "0.6970543326468769", "0.7105738009204753", "0.6868446390569242",
-            "0.7051856035603352", "0.6922118697125584", "0.6932769116939199",
-            "0.6973821537150316", "0.6897652436142178", "0.6844632200138389",
-            "0.6754939073303677", "0.7128022490856957", "0.7074581902430822",
-            "0.6940088476623144", "0.7116524354700072", "0.6974579988692499",
-            "0.692512367343249", "0.7020902815868896", "0.6890818530038233",
-            "0.6944676711060026", "0.6881846696337046",
+            "0.6970543322080668", "0.7105738001889413", "0.6868446391179969",
+            "0.7051856033191365", "0.6922118701204781", "0.6932769109641184",
+            "0.6973821528482418", "0.6897652446713375", "0.6844632182114131",
+            "0.6754939073643488", "0.7128022483692845", "0.7074581896077955",
+            "0.6940088478766238", "0.7116524343479181", "0.697457999719027",
+            "0.6925123681644267", "0.7020902818371583", "0.6890818507767892",
+            "0.6944676721912649", "0.6881846707038394",
         ],
-        "85f94eb194ea3166bc59b145d906adfb9debb0b3e051d9779cc7dc08471a3f1a",
+        "ea82fcc9f9c66771cdceea7cf2f6f336d6ea7ac25d7c72b3ed9e8478e86c2ae5",
     ),
     "dmt_towers_c1_p0": (
         [
-            "0.6909522723018293", "0.6939958454784753", "0.6914180175265164",
-            "0.6982681545084105", "0.689284234237329", "0.6916440385983744",
-            "0.6937518419480057", "0.6918610404201798", "0.6963797613516949",
-            "0.6966949119187115", "0.6941335021398677", "0.6977254908712002",
-            "0.6894323380695284", "0.691993389262254", "0.6953170938287986",
-            "0.6935124122374815", "0.6899309137788129", "0.6973707712892977",
-            "0.6954970973190807", "0.6923479667368575",
+            "0.6909522723629596", "0.6939958455344346", "0.6914180175147809",
+            "0.6982681544089965", "0.6892842342608949", "0.691644038785427",
+            "0.6937518419636692", "0.6918610403136333", "0.6963797612560075",
+            "0.6966949115039268", "0.6941335022565452", "0.6977254905145337",
+            "0.6894323380828956", "0.6919933891011447", "0.6953170936740906",
+            "0.693512411984174", "0.6899309136308505", "0.6973707711065352",
+            "0.6954970973628951", "0.6923479666340757",
         ],
-        "fe8f309127edd18cb1629015be2a98cf0c74a1f2da9ae2ffd183227a4fd28241",
+        "377dbd0ce1f93ca9480dc680a5479173a9ee223c2281b2690c7958ab2d84e597",
     ),
 }
 

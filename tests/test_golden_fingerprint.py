@@ -33,19 +33,19 @@ from repro.training import TrainConfig, Trainer
 
 #: 28 batch losses (2 epochs x 14 batches) followed by the eval AUC.
 GOLDEN = [
-    0.833487765605, 0.816192011442, 0.836835499778,
-    0.795245771871, 0.764402675781, 0.791043800947,
-    0.742818192512, 0.760873794374, 0.728420681596,
-    0.740130415685, 0.730276213825, 0.732686567642,
-    0.723492324657, 0.731058475509, 0.696444351395,
-    0.687265607994, 0.672676812477, 0.662603426091,
-    0.686103885826, 0.658400381475, 0.670174889076,
-    0.664023520884, 0.659491878401, 0.640669474800,
-    0.655251458760, 0.668424023004, 0.636917609443,
-    0.650226857573, 0.642532534600,
+    0.833487765415, 0.816192011561, 0.836835499290,
+    0.795245772127, 0.764402675645, 0.791043800673,
+    0.742818192763, 0.760873794374, 0.728420682061,
+    0.740130415946, 0.730276214031, 0.732686566712,
+    0.723492325546, 0.731058475262, 0.696444351760,
+    0.687265607352, 0.672676812281, 0.662603425871,
+    0.686103886227, 0.658400380837, 0.670174889528,
+    0.664023519289, 0.659491879114, 0.640669475800,
+    0.655251459501, 0.668424023222, 0.636917609390,
+    0.650226857887, 0.642532534600,
 ]
 GOLDEN_SHA256 = (
-    "ddae2cd2ec91e3feb8f298b5d16c047f27c645acdd0dd3a6b3dd0d432a37ceba"
+    "65f9c25ed237fa6098999da6efc08a8850e41eff7d8e0b19217a609a58dc2e3a"
 )
 TOLERANCE = 1e-9
 

@@ -49,8 +49,14 @@ def batch(rng, f=F, dense=DENSE, b=B, cardinality=12):
 
 
 def end_to_end_grad_check(model, dense, ids, labels, rng, atol=1e-5):
-    """Full-model gradient check through BCE loss."""
+    """Full-model gradient check through BCE loss.
+
+    The tables (and so the tower outputs) are float32, too coarse for
+    central differences, so the check rebinds every table to float64;
+    the collection then takes its per-table fallback path."""
     loss_mod = BCEWithLogitsLoss()
+    for table in model.embeddings.tables:
+        table.weight.data = table.weight.data.astype(np.float64)
 
     model.zero_grad()
     loss_mod(model(dense, ids), labels)
