@@ -5,8 +5,9 @@ the fused single-hot gather (forward), the ordered segment-sum
 ``RowwiseGrad.from_pooled`` plus the split into per-table row
 gradients (backward), and ``RowwiseAdagrad``'s one read and one write
 per touched row (optimizer) — and asserts the row-wise path's headline
-properties against ``sparse_grad_mode="dense"``: a multiple-x
-train-step speedup and a collapse in per-step transient allocation.
+properties against ``sparse_grad_mode="dense"`` (dense Adagrad over the
+densified gradient): a multiple-x train-step speedup and a collapse in
+per-step transient allocation.
 Train-step wall-clock with its per-layer split is ``perfbench/run.py``'s
 ``train_dmt`` workload, compared run against run with
 ``perfbench/compare.py`` — these stay small enough for every CI run.
@@ -27,13 +28,11 @@ from repro.training import TrainConfig, Trainer
 TABLES, ROWS, DIM, BATCH = 8, 100_000, 64, 256
 
 
-def make_ebc(mode="rowwise"):
-    ebc = EmbeddingBagCollection(
+def make_ebc():
+    return EmbeddingBagCollection(
         [TableConfig(f"t{i}", ROWS, DIM) for i in range(TABLES)],
         rng=np.random.default_rng(0),
     )
-    ebc.set_sparse_grad_mode(mode)
-    return ebc
 
 
 @pytest.fixture(scope="module")

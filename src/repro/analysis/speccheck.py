@@ -26,6 +26,7 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.api.spec import RunSpec, SpecError
 from repro.hardware.specs import get_spec
 from repro.models.configs import criteo_table_configs, tiny_table_configs
+from repro.nn.embedding import TABLE_DTYPE
 from repro.planner import AutoPlanner
 from repro.serving import TieredStorage
 
@@ -37,9 +38,8 @@ __all__ = [
     "spec_tables",
 ]
 
-#: Embedding itemsize (fp32) and the profile dim served without a model
-#: section — mirrors ``ServingModel``/``criteo_table_configs`` defaults.
-_ITEMSIZE = 4
+#: The profile dim served without a model section — mirrors the
+#: ``criteo_table_configs`` default.
 _PROFILE_EMBEDDING_DIM = 128
 
 
@@ -125,8 +125,8 @@ def spec_tables(spec: RunSpec):
 def _serving_row_bytes(spec: RunSpec) -> int:
     """Bytes per cached embedding row on the serving tier."""
     if spec.model is not None:
-        return spec.model.embedding_dim * _ITEMSIZE
-    return _PROFILE_EMBEDDING_DIM * _ITEMSIZE
+        return spec.model.embedding_dim * TABLE_DTYPE.itemsize
+    return _PROFILE_EMBEDDING_DIM * TABLE_DTYPE.itemsize
 
 
 def _rank_capacity_bytes(spec: RunSpec) -> float:
@@ -242,7 +242,7 @@ def _check_shard_capacity(spec: RunSpec):
     tables = spec_tables(spec)
     plan = AutoPlanner(spec.cluster.world_size).plan(tables)
     capacity = _rank_capacity_bytes(spec)
-    worst = max(plan.storage_by_rank(itemsize=_ITEMSIZE))
+    worst = max(plan.storage_by_rank())
     if worst > capacity:
         yield _diag(
             "error",
@@ -274,9 +274,7 @@ def _check_fetch_tier_capacity(spec: RunSpec):
     if not remote_backed and not serve.serves_disaggregated:
         return
     tables = spec_tables(spec)
-    total = sum(
-        t.num_embeddings * t.dim * _ITEMSIZE for t in tables
-    )
+    total = sum(t.storage_bytes for t in tables)
     emb_hosts = serve.resolved_emb_hosts(spec.cluster.num_hosts)
     if remote_backed:
         tier = emb_hosts * storage.backing.capacity_bytes

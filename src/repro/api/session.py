@@ -182,14 +182,6 @@ def _probed_partition(
     return result, probe_eval
 
 
-def clear_caches() -> None:
-    """Drop the cross-session dataset / probe caches (mainly for tests)."""
-    _dataset_for.cache_clear()
-    _split_for.cache_clear()
-    _task_split_for.cache_clear()
-    _probed_partition.cache_clear()
-
-
 # ----------------------------------------------------------------------
 class Session:
     """Staged, cached execution of one :class:`RunSpec`.

@@ -576,9 +576,10 @@ class TrainSpec(_SpecBase):
     dense_lr: float = 1e-3
     sparse_lr: float = 0.03
     dense_optimizer: str = "adam"
-    #: Embedding gradient path, honored in both modes: "rowwise"
-    #: carries compact touched-row gradients (the fast path), "dense"
-    #: is the table-sized reference.  Numerically equivalent.
+    #: Table optimizer, honored in both modes: "rowwise" updates the
+    #: touched rows from their row-wise gradients (the fast path),
+    #: "dense" runs Adagrad over the densified gradient.  Bit for bit
+    #: the same training.
     sparse_grad_mode: str = "rowwise"
     warmup_steps: int = 0
     seed: int = 0

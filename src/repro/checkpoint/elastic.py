@@ -34,9 +34,6 @@ from repro.nn.embedding import TableConfig
 
 __all__ = ["ElasticRestorePlan", "plan_elastic_restore"]
 
-#: Serving/storage itemsize convention (fp32 rows on the wire).
-_ITEMSIZE = 4
-
 
 @dataclass
 class ElasticRestorePlan:
@@ -111,7 +108,7 @@ def plan_elastic_restore(
             f"model; {partition.num_towers} towers do not divide the "
             f"{cluster.num_hosts} hosts of the new cluster"
         )
-    table_bytes = [t.num_embeddings * t.dim * _ITEMSIZE for t in tables]
+    table_bytes = [t.storage_bytes for t in tables]
     total_bytes = sum(table_bytes)
 
     saved = metadata.get("cluster")

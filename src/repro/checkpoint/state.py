@@ -336,12 +336,12 @@ def hottest_rows(path: str, max_rows: int) -> np.ndarray:
 def accumulator_mass_by_table(path: str) -> "Dict[str, np.ndarray]":
     """Per-row Adagrad accumulator mass of every saved table, by name.
 
-    Elementwise accumulators are summed over the embedding dim; scalar
-    (row-wise) accumulators are used as-is.  Untouched rows carry
-    exactly 0.0 mass; each array has the table's full cardinality, and
-    tables come in manifest order.  The tier planner
-    (:mod:`repro.planner.tiering`) assigns row ranges to memory tiers by
-    these masses; :func:`hottest_rows` ranks rows by them.
+    Each table's elementwise accumulator is summed over the embedding
+    dim.  Untouched rows carry exactly 0.0 mass; each array has the
+    table's full cardinality, and tables come in manifest order.  The
+    tier planner (:mod:`repro.planner.tiering`) assigns row ranges to
+    memory tiers by these masses; :func:`hottest_rows` ranks rows by
+    them.
 
     ``path`` may be a full checkpoint or a delta tip, whose accumulators
     are staged through its chain exactly as
@@ -371,8 +371,7 @@ def accumulator_mass_by_table(path: str) -> "Dict[str, np.ndarray]":
                 f"checkpoint at {path!r}: sparse accumulator {index} has "
                 f"no matching table entry"
             )
-        acc = accum[key]
-        per_row = acc.sum(axis=1) if acc.ndim == 2 else acc
+        per_row = accum[key].sum(axis=1)
         masses[str(tables[index]["name"])] = np.asarray(per_row, dtype=float)
     return masses
 

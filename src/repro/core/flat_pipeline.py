@@ -108,8 +108,7 @@ class TableOwnerExchange:
             for i, f in enumerate(feats):
                 table = self.ebc.tables[f]
                 rows[i] = table(global_ids[:, i])
-                itemsize = table.weight.data.itemsize
-                lookup_bytes += table.bytes_per_sample(itemsize) * G * B
+                lookup_bytes += table.bytes_per_sample() * G * B
         # All ranks look up concurrently; price the heaviest.
         sim.compute(
             lookup_bytes / G / sim.cluster.spec.hbm_bytes_per_s,

@@ -118,9 +118,3 @@ def paper_dcn_arch() -> DenseArch:
 
 def tiny_dlrm_arch(dim: int = 16) -> DenseArch:
     return DenseArch(embedding_dim=dim, bottom_mlp=(32,), top_mlp=(64, 32))
-
-
-def tiny_dcn_arch(dim: int = 16) -> DenseArch:
-    return DenseArch(
-        embedding_dim=dim, bottom_mlp=(32,), top_mlp=(32,), cross_layers=2
-    )

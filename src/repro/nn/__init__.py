@@ -18,12 +18,7 @@ from repro.nn.module import Module, Parameter
 from repro.nn.init import xavier_uniform, uniform_embedding_init
 from repro.nn.layers import Identity, Linear, ReLU, Sequential, Sigmoid
 from repro.nn.mlp import MLP
-from repro.nn.embedding import (
-    EmbeddingBagCollection,
-    EmbeddingTable,
-    TableConfig,
-    set_sparse_grad_mode,
-)
+from repro.nn.embedding import EmbeddingBagCollection, EmbeddingTable, TableConfig
 from repro.nn.sparse import RowwiseGrad
 from repro.nn.interactions import CrossNet, DotInteraction
 from repro.nn.loss import BCEWithLogitsLoss, MultiLoss
@@ -43,7 +38,6 @@ __all__ = [
     "EmbeddingBagCollection",
     "TableConfig",
     "RowwiseGrad",
-    "set_sparse_grad_mode",
     "DotInteraction",
     "CrossNet",
     "BCEWithLogitsLoss",

@@ -13,16 +13,20 @@ path.  Each table's :class:`~repro.nn.module.Parameter` is a row-slice
 view into the stacked matrix, so parameter names, sharding plans, and
 per-table use by the distributed exchanges are unchanged.
 
-Gradients default to the compact row-wise representation
+The fused matrix is the only layout a collection runs: a table whose
+``weight.data`` no longer views it is an error at ``forward``, not a
+second path.  Gradients are always the compact row-wise representation
 (:class:`~repro.nn.sparse.RowwiseGrad`): a batch touches at most
 ``B * pooling`` rows, and materializing the table-sized dense gradient
 is exactly the memory-bound waste the paper's embedding plane must
-avoid.  ``sparse_grad_mode="dense"`` keeps the original dense
-scatter-add as the reference implementation.
+avoid.  A dense optimizer still works: reading ``Parameter.grad``
+densifies the pending row-wise gradient.
 
-Lookup is modeled as memory traffic, not flops (the paper's
-MFlops/sample numbers cover the dense arch); ``bytes_per_sample`` feeds
-the iteration latency model's HBM term.
+Tables are :data:`TABLE_DTYPE` (float32, the paper's precision), and
+every byte count of a table derives from it.  Lookup is modeled as
+memory traffic, not flops (the paper's MFlops/sample numbers cover the
+dense arch); ``bytes_per_sample`` feeds the iteration latency model's
+HBM term.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from repro.nn.init import uniform_embedding_init
 from repro.nn.module import Module, Parameter
 from repro.nn.sparse import RowwiseGrad
 
-#: Valid values of the ``sparse_grad_mode`` knob.
-SPARSE_GRAD_MODES = ("rowwise", "dense")
+#: The dtype of every embedding table, row-wise gradient and exchange
+#: buffer; table byte counts derive from its itemsize.
+TABLE_DTYPE = np.dtype(np.float32)
 
 
 def _check_ids_in_range(ids: np.ndarray, limit: int, name: str) -> None:
@@ -123,10 +128,20 @@ class TableConfig:
     def num_parameters(self) -> int:
         return self.num_embeddings * self.dim
 
-    def bytes_per_sample(self, itemsize: int = 4) -> int:
+    @property
+    def row_bytes(self) -> int:
+        """Bytes of one row in :data:`TABLE_DTYPE`."""
+        return self.dim * TABLE_DTYPE.itemsize
+
+    @property
+    def storage_bytes(self) -> int:
+        """Bytes of the whole table."""
+        return self.num_embeddings * self.row_bytes
+
+    def bytes_per_sample(self) -> int:
         """HBM bytes touched per sample: pooled rows read (+written in
         the backward scatter, accounted by the caller)."""
-        return self.pooling * self.dim * itemsize
+        return self.pooling * self.row_bytes
 
 
 class EmbeddingTable(Module):
@@ -158,10 +173,9 @@ class EmbeddingTable(Module):
             self.weight = Parameter(
                 uniform_embedding_init(
                     rng, config.num_embeddings, config.dim
-                ).astype(np.float32),
+                ).astype(TABLE_DTYPE),
                 name=f"emb.{config.name}",
             )
-        self.sparse_grad_mode = "rowwise"
         self._ids: Optional[np.ndarray] = None
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
@@ -178,37 +192,26 @@ class EmbeddingTable(Module):
         return self.weight.data[ids].sum(axis=1)
 
     def backward(self, grad_output: np.ndarray) -> None:
-        """Route pooled gradients into the table rows.
-
-        Row-wise mode (default) compacts to the touched rows without
-        ever materializing the (num_embeddings, dim) array; dense mode
-        is the original scatter-add reference.  Returns None: ids are
+        """Route pooled gradients into the table rows as one
+        :class:`RowwiseGrad` over the touched rows, never materializing
+        the (num_embeddings, dim) array.  Returns None: ids are
         integers, there is no upstream gradient.
         """
         if self._ids is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=self.weight.data.dtype)
-        B, P = self._ids.shape
+        B = self._ids.shape[0]
         if grad_output.shape != (B, self.config.dim):
             raise ValueError(
                 f"grad shape {grad_output.shape} != ({B}, {self.config.dim})"
             )
-        if self.sparse_grad_mode == "rowwise":
-            self.weight.add_row_grad(
-                RowwiseGrad.from_pooled(self._ids, grad_output)
-            )
-            return
-        grad_table = np.zeros_like(self.weight.data)
-        # Sum pooling: every pooled id receives the full output gradient.
-        flat_ids = self._ids.reshape(-1)
-        np.add.at(grad_table, flat_ids, np.repeat(grad_output, P, axis=0))
-        self.weight.add_grad(grad_table)
+        self.weight.add_row_grad(RowwiseGrad.from_pooled(self._ids, grad_output))
 
     def flops_per_sample(self) -> int:
         return 0  # memory-bound; see bytes_per_sample
 
-    def bytes_per_sample(self, itemsize: int = 4) -> int:
-        return self.config.bytes_per_sample(itemsize)
+    def bytes_per_sample(self) -> int:
+        return self.config.bytes_per_sample()
 
 
 class EmbeddingBagCollection(Module):
@@ -246,7 +249,7 @@ class EmbeddingBagCollection(Module):
         # draw sequence as independently allocated tables.
         cards = np.array([c.num_embeddings for c in configs], dtype=np.int64)
         offsets = np.concatenate(([0], np.cumsum(cards)[:-1]))
-        stacked = np.empty((int(cards.sum()), configs[0].dim), dtype=np.float32)
+        stacked = np.empty((int(cards.sum()), configs[0].dim), TABLE_DTYPE)
         tables = []
         for c, off in zip(configs, offsets):
             block = stacked[off : off + c.num_embeddings]
@@ -260,7 +263,6 @@ class EmbeddingBagCollection(Module):
         self._stacked = stacked
         self._offsets = offsets
         self._cards = cards
-        self.sparse_grad_mode = "rowwise"
         self._batch: Optional[int] = None
         self._groups: Optional[List[List[int]]] = None
         self._rows: Optional[np.ndarray] = None
@@ -275,8 +277,9 @@ class EmbeddingBagCollection(Module):
 
     @property
     def dtype(self) -> np.dtype:
-        """The tables' dtype (float32), which every embedding buffer of
-        the lookup, its gradient and the exchanges carries."""
+        """The stacked matrix's dtype (:data:`TABLE_DTYPE`), which every
+        embedding buffer of the lookup, its gradient and the exchanges
+        carries."""
         return self._stacked.dtype
 
     @property
@@ -301,22 +304,17 @@ class EmbeddingBagCollection(Module):
             for c in self.configs
         ]
 
-    def set_sparse_grad_mode(self, mode: str) -> None:
-        if mode not in SPARSE_GRAD_MODES:
-            raise ValueError(
-                f"sparse_grad_mode must be one of {SPARSE_GRAD_MODES}, "
-                f"got {mode!r}"
-            )
-        self.sparse_grad_mode = mode
+    def _check_fused(self) -> None:
+        """Every table parameter must still view the stacked matrix:
+        the lookup and the gradient run on it alone, so a rebound
+        ``weight.data`` would be read stale and never trained."""
         for table in self.tables:
-            table.sparse_grad_mode = mode
-
-    def _fused_intact(self) -> bool:
-        """True while every table parameter still aliases the stacked
-        matrix.  External code may temporarily rebind ``weight.data``
-        (numeric gradient checks do); the collection then falls back to
-        the per-table path until the alias is restored."""
-        return all(t.weight.data.base is self._stacked for t in self.tables)
+            if table.weight.data.base is not self._stacked:
+                raise RuntimeError(
+                    f"table {table.config.name}'s weight no longer views "
+                    f"the collection's stacked matrix; write into "
+                    f"weight.data in place instead of rebinding it"
+                )
 
     def forward(
         self, ids: np.ndarray, groups: Optional[Sequence[Sequence[int]]] = None
@@ -330,35 +328,30 @@ class EmbeddingBagCollection(Module):
         layout = [list(range(F))] if groups is None else [list(g) for g in groups]
         if sorted(f for g in layout for f in g) != list(range(F)):
             raise ValueError(f"groups must partition the {F} features: {groups}")
-        # The layout backward expects; ``_rows`` is None on the fallback.
+        self._check_fused()
+        # One fused validation against the stacked cardinalities (no
+        # per-table scans), then one gather over the stacked matrix.
+        bounds = self._cards.astype(np.uint64)[None, :, None]
+        if (ids.astype(np.uint64, copy=False) >= bounds).any():
+            bad = np.argwhere(ids.astype(np.uint64) >= bounds)[0]
+            f = int(bad[1])
+            raise IndexError(
+                f"ids out of range [0, {int(self._cards[f])}) for table "
+                f"{self.configs[f].name}"
+            )
+        # The layout backward expects.
         self._batch, self._groups = B, None if groups is None else layout
-
-        def major(a: np.ndarray) -> np.ndarray:
-            """(B, F, X) -> (B*F, X), the groups' blocks one after another."""
-            return np.concatenate([a[:, g].reshape(-1, a.shape[2]) for g in layout])
-
-        if not self._fused_intact():
-            self._rows = None
-            embs = [t(ids[:, f]) for f, t in enumerate(self.tables)]
-            pooled = major(np.stack(embs, axis=1))
+        # Every (sample, feature) bag in output order, the groups' blocks
+        # one after another: (B*F, P) stacked rows.
+        stacked_ids = ids + self._offsets[None, :, None]
+        self._rows = rows = np.concatenate(
+            [stacked_ids[:, g].reshape(-1, P) for g in layout]
+        )
+        if P == 1:
+            pooled = _bags_of_one(self._stacked, rows[:, 0])
         else:
-            # One fused validation against the stacked cardinalities (no
-            # per-table scans), then one gather over the stacked matrix.
-            bounds = self._cards.astype(np.uint64)[None, :, None]
-            if (ids.astype(np.uint64, copy=False) >= bounds).any():
-                bad = np.argwhere(ids.astype(np.uint64) >= bounds)[0]
-                f = int(bad[1])
-                raise IndexError(
-                    f"ids out of range [0, {int(self._cards[f])}) for table "
-                    f"{self.configs[f].name}"
-                )
-            # Every (sample, feature) bag in output order: (B*F, P) rows.
-            self._rows = rows = major(ids + self._offsets[None, :, None])
-            if P == 1:
-                pooled = _bags_of_one(self._stacked, rows[:, 0])
-            else:
-                # (B*F, P, N) gather then sum-pool over P.
-                pooled = self._stacked[rows].sum(axis=1)
+            # (B*F, P, N) gather then sum-pool over P.
+            pooled = self._stacked[rows].sum(axis=1)
         return pooled.reshape(B, F, self.dim) if groups is None else pooled
 
     def backward(self, grad_output: np.ndarray) -> None:
@@ -371,16 +364,6 @@ class EmbeddingBagCollection(Module):
             want, shape = (B * F, N), f"tower-major (B*{F}, {N})"
         if grad_output.shape != want:
             raise ValueError(f"grad must be {shape} for B={B}, got {grad_output.shape}")
-        if self._rows is None:
-            # Forward ran on the per-table fallback path (see
-            # _fused_intact); route gradients per table too, each
-            # rounded to its own table's dtype.
-            layout = self._groups or [list(range(F))]
-            grads = grad_output.reshape(-1, N)
-            for g, block in zip(layout, tower_blocks(grads, layout)):
-                for j, f in enumerate(g):
-                    self.tables[f].backward(block[:, j])
-            return
         # One ordered segment-sum over the stacked row space: every bag
         # is P stacked rows.  A table's bags keep sample order in either
         # layout, so its sums are the same bits ...
@@ -395,34 +378,13 @@ class EmbeddingBagCollection(Module):
             s, e = int(starts[f]), int(ends[f])
             if s == e:
                 continue
-            row_grad = RowwiseGrad(
-                rows=uniq[s:e] - self._offsets[f], grads=seg[s:e]
+            table.weight.add_row_grad(
+                RowwiseGrad(rows=uniq[s:e] - self._offsets[f], grads=seg[s:e])
             )
-            if self.sparse_grad_mode == "rowwise":
-                table.weight.add_row_grad(row_grad)
-            else:
-                table.weight.add_grad(row_grad.to_dense(table.weight.shape))
 
-    def bytes_per_sample(self, itemsize: int = 4) -> int:
-        return sum(t.bytes_per_sample(itemsize) for t in self.tables)
+    def bytes_per_sample(self) -> int:
+        return sum(t.bytes_per_sample() for t in self.tables)
 
     def flops_per_sample(self) -> int:
         return 0
 
-
-def set_sparse_grad_mode(module: Module, mode: str) -> None:
-    """Set the gradient representation on every embedding in a model.
-
-    Walks the module tree and flips each :class:`EmbeddingBagCollection`
-    (and standalone :class:`EmbeddingTable`) to ``mode``; the trainer
-    calls this once from its config knob.
-    """
-    if mode not in SPARSE_GRAD_MODES:
-        raise ValueError(
-            f"sparse_grad_mode must be one of {SPARSE_GRAD_MODES}, got {mode!r}"
-        )
-    for m in module.modules():
-        if isinstance(m, EmbeddingBagCollection):
-            m.set_sparse_grad_mode(mode)
-        elif isinstance(m, EmbeddingTable):
-            m.sparse_grad_mode = mode

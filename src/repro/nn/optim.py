@@ -10,7 +10,7 @@ statistics in Tables 4-6.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -220,104 +220,54 @@ class Adagrad(Optimizer):
 class RowwiseAdagrad(Optimizer):
     """Adagrad that updates only the rows a batch touched.
 
-    The fast path consumes :class:`~repro.nn.sparse.RowwiseGrad`
-    directly: accumulator and weight writes cost O(touched rows x dim)
-    instead of O(table).  With ``accumulator="elementwise"`` the state
-    and arithmetic are exactly dense Adagrad's (untouched rows are a
-    strict no-op there: ``acc += 0`` then a zero update), so the two
-    paths produce bit-identical training;  ``accumulator="scalar"``
-    keeps one momentum scalar per row (TorchRec's row_wise_adagrad),
-    an 8x state-memory saving at N=128 that is *not* equivalent to
-    dense Adagrad.
-
-    Parameters with plain dense gradients fall back to the dense
-    update, so a mixed parameter list is safe.
+    It consumes :class:`~repro.nn.sparse.RowwiseGrad` directly:
+    accumulator and weight writes cost O(touched rows x dim) instead of
+    O(table).  The state and arithmetic are exactly :class:`Adagrad`'s
+    (an untouched row is a strict no-op there: ``acc += 0`` then a zero
+    update), so the two train bit-identically.  A parameter with a
+    dense gradient is a ``TypeError``: :class:`Adagrad` is the dense
+    update.
     """
 
-    ACCUMULATORS = ("elementwise", "scalar")
-
     def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float,
-        eps: float = 1e-10,
-        accumulator: str = "elementwise",
+        self, params: Sequence[Parameter], lr: float, eps: float = 1e-10
     ):
         super().__init__(params, lr)
-        if accumulator not in self.ACCUMULATORS:
-            raise ValueError(
-                f"accumulator must be one of {self.ACCUMULATORS}, "
-                f"got {accumulator!r}"
-            )
         self.eps = eps
-        self.accumulator = accumulator
         self._accum: Dict[int, np.ndarray] = {}
 
     def _slot_dicts(self) -> Dict[str, Dict[int, np.ndarray]]:
         return {"accum": self._accum}
 
-    def _config_state(self) -> Dict[str, Any]:
-        return {"eps": float(self.eps), "accumulator": self.accumulator}
-
-    def _expected_slot_shape(
-        self, slot: str, param: Parameter
-    ) -> "Tuple[int, ...]":
-        if self.accumulator == "scalar":
-            return param.data.shape[:1]
-        return param.data.shape
-
-    def _accum_for(self, index: int, param: Parameter) -> np.ndarray:
-        acc = self._accum.get(index)
-        if acc is None:
-            shape = (
-                param.data.shape
-                if self.accumulator == "elementwise"
-                else param.data.shape[:1]
-            )
-            acc = np.zeros(shape, dtype=param.data.dtype)
-            self._accum[index] = acc
-        return acc
+    def _config_state(self) -> Dict[str, float]:
+        return {"eps": float(self.eps)}
 
     def _update(self, index: int, param: Parameter) -> None:
         rg = param.row_grad
         if rg is None:
-            self._dense_update(index, param)
-            return
-        acc = self._accum_for(index, param)
+            raise TypeError(
+                f"RowwiseAdagrad takes row-wise gradients; parameter "
+                f"{param.name} has a dense one (use Adagrad)"
+            )
+        acc = self._accum.get(index)
+        if acc is None:
+            acc = self._accum[index] = np.zeros_like(param.data)
         rows, g = rg.rows, rg.grads
         # Each touched row is read once and written once per array
         # (rows are unique); ``state`` and ``update`` are the only two
         # (U, dim) temporaries.  The elementwise operations and their
-        # order are the dense update's.
+        # order are Adagrad's.
         update = g * g
         state = acc[rows]
-        if self.accumulator == "elementwise":
-            state += update
-            acc[rows] = state
-            denom = np.sqrt(state, out=state)
-            denom += self.eps
-        else:
-            state += update.mean(axis=1)
-            acc[rows] = state
-            denom = (np.sqrt(state) + self.eps)[:, None]
+        state += update
+        acc[rows] = state
+        denom = np.sqrt(state, out=state)
+        denom += self.eps
         np.multiply(self.lr, g, out=update)
         update /= denom
         weights = param.data[rows]
         weights -= update
         param.data[rows] = weights
-
-    def _dense_update(self, index: int, param: Parameter) -> None:
-        g = param.grad
-        acc = self._accum_for(index, param)
-        if self.accumulator == "elementwise":
-            acc += g * g
-            param.data -= self.lr * g / (np.sqrt(acc) + self.eps)
-        else:
-            acc += (g * g).mean(axis=tuple(range(1, g.ndim)))
-            denom = np.sqrt(acc).reshape(
-                acc.shape + (1,) * (g.ndim - 1)
-            ) + self.eps
-            param.data -= self.lr * g / denom
 
 
 class Adam(Optimizer):

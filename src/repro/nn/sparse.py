@@ -12,9 +12,9 @@ The invariant is about *order*, not about which numpy call does the
 adding: every touched row's gradient is the sum of its occurrences'
 gradients, **starting from +0.0 and added one at a time in occurrence
 order** (flat ``(b, p)`` order of the ids) — exactly the float
-operations the dense scatter-add (sequential, unbuffered adds into a
-zero-filled table) performs, so the row-wise path is *bit-identical* to
-the dense reference, not merely close.  The segment-sum keeps it with a
+operations a dense scatter-add (sequential, unbuffered adds into a
+zero-filled table) performs, so the row-wise gradient, densified, is
+*bit-identical* to that reference, not merely close.  The segment-sum keeps it with a
 sort instead of ``np.ufunc.at``: a *stable* argsort groups equal ids
 while preserving occurrence order inside each group, the first
 occurrence of every row is gathered and has ``+0.0`` added (which is
@@ -164,5 +164,6 @@ class RowwiseGrad:
         return dense
 
     def scatter_into(self, dense: np.ndarray) -> None:
-        """Add into an existing dense gradient array, in place."""
-        np.add.at(dense, self.rows, self.grads)
+        """Add into an existing dense gradient array, in place (rows are
+        unique, so one fancy ``+=`` adds each row once)."""
+        dense[self.rows] += self.grads

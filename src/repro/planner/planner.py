@@ -29,22 +29,17 @@ class ShardingPlan:
     tables: Tuple[TableConfig, ...]
     owners: Dict[int, List[int]]
 
-    def storage_by_rank(self, itemsize: int = 4) -> List[int]:
+    def storage_by_rank(self) -> List[int]:
         return [
-            sum(
-                self.tables[f].num_embeddings * self.tables[f].dim * itemsize
-                for f in self.owners[r]
-            )
+            sum(self.tables[f].storage_bytes for f in self.owners[r])
             for r in range(self.world_size)
         ]
 
-    def output_bytes_by_rank(
-        self, batch_size: int, itemsize: int = 4
-    ) -> List[int]:
+    def output_bytes_by_rank(self, batch_size: int) -> List[int]:
         """Per-rank embedding bytes produced for a global batch — the
         AlltoAll bucket sizes whose imbalance NeuroShard minimizes."""
         return [
-            sum(self.tables[f].dim * itemsize * batch_size for f in self.owners[r])
+            sum(self.tables[f].row_bytes * batch_size for f in self.owners[r])
             for r in range(self.world_size)
         ]
 

@@ -136,14 +136,10 @@ class TierPlacementPlan:
     storage: "TieredStorage"
     tables: Tuple[TableConfig, ...]
     assignments: Tuple[TierAssignment, ...]
-    itemsize: int = 4
 
     @property
     def tiers(self) -> Tuple[MemoryTierSpec, ...]:
         return _tiers(self.storage)
-
-    def _row_bytes(self, table: TableConfig) -> int:
-        return table.dim * self.itemsize
 
     def rows_by_tier(self) -> Dict[str, int]:
         out = {t.name: 0 for t in self.tiers}
@@ -152,7 +148,7 @@ class TierPlacementPlan:
         return out
 
     def bytes_by_tier(self) -> Dict[str, float]:
-        by_table = {t.name: self._row_bytes(t) for t in self.tables}
+        by_table = {t.name: t.row_bytes for t in self.tables}
         out = {t.name: 0.0 for t in self.tiers}
         for a in self.assignments:
             out[a.tier] += a.num_rows * by_table[a.table]
@@ -186,7 +182,7 @@ class TierPlacementPlan:
         )
 
     def summary(self) -> Dict[str, object]:
-        row_bytes = max((self._row_bytes(t) for t in self.tables), default=0)
+        row_bytes = max((t.row_bytes for t in self.tables), default=0)
         return {
             "rows_by_tier": self.rows_by_tier(),
             "gb_by_tier": {
@@ -234,7 +230,6 @@ class TierPlanner:
     """
 
     storage: "TieredStorage"
-    itemsize: int = 4
 
     def _budgets(self) -> List[float]:
         """Rows each tier of :func:`_tiers` holds (module docstring)."""
@@ -252,7 +247,6 @@ class TierPlanner:
     ) -> List[_Chunk]:
         chunks: List[_Chunk] = []
         for table in tables:
-            row_bytes = table.dim * self.itemsize
             bounds = _geometric_boundaries(table.num_embeddings)
             if isinstance(hotness, dict):
                 mass = np.asarray(hotness.get(table.name, ()), dtype=np.float64)
@@ -276,7 +270,7 @@ class TierPlanner:
                         row_start=int(a),
                         row_end=int(b),
                         mass=float(m) * weight,
-                        row_bytes=row_bytes,
+                        row_bytes=table.row_bytes,
                     )
                 )
         return chunks
@@ -334,7 +328,6 @@ class TierPlanner:
             storage=self.storage,
             tables=tuple(tables),
             assignments=tuple(assignments),
-            itemsize=self.itemsize,
         )
 
 
@@ -342,7 +335,6 @@ def plan_from_checkpoint(
     path: str,
     tables: Sequence[TableConfig],
     storage: "TieredStorage",
-    itemsize: int = 4,
 ) -> TierPlacementPlan:
     """Tier placement from a training checkpoint's measured hotness.
 
@@ -360,4 +352,4 @@ def plan_from_checkpoint(
         )
         for t in tables
     }
-    return TierPlanner(storage, itemsize).plan(tables, hotness)
+    return TierPlanner(storage).plan(tables, hotness)

@@ -46,6 +46,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.process_group import global_group
+from repro.nn.embedding import TABLE_DTYPE
 from repro.perf.profiles import ModelProfile
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import LRUEmbeddingCache
@@ -68,7 +69,6 @@ class ServingModel:
     num_lookups: int  # embedding rows per request
     embedding_dim: int
     dense_mflops: float  # forward MFlops per request
-    itemsize: int = 4
     num_towers: int = 0
 
     def __post_init__(self) -> None:
@@ -81,7 +81,7 @@ class ServingModel:
 
     @property
     def row_bytes(self) -> int:
-        return self.embedding_dim * self.itemsize
+        return self.embedding_dim * TABLE_DTYPE.itemsize
 
     @classmethod
     def from_profile(cls, profile: ModelProfile) -> "ServingModel":

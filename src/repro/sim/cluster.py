@@ -140,6 +140,26 @@ class SimCluster:
         )
         return out
 
+    def _priced(
+        self,
+        price: str,
+        move,
+        group: ProcessGroup,
+        buffers: Mapping[int, object],
+        phase: Phase,
+        label: str,
+        **kwargs,
+    ):
+        """One collective over ``group``: membership checked (typed,
+        before any pricing), the per-rank payload priced by the cost
+        model's ``price`` and recorded on the timeline, then the data
+        moved by ``move(group, buffers, **kwargs)``."""
+        F.check_membership(group, buffers)
+        nbytes = self._buffer_bytes(buffers)
+        timing = getattr(self.cost_model, price)(group, nbytes)
+        self.timeline.add(phase, label, timing.seconds, nbytes, group.world_size)
+        return move(group, buffers, **kwargs)
+
     def alltoall(
         self,
         group: ProcessGroup,
@@ -147,11 +167,7 @@ class SimCluster:
         phase: Phase,
         label: str,
     ) -> Dict[int, List[np.ndarray]]:
-        F.check_membership(group, buffers)  # typed, before any pricing
-        nbytes = self._buffer_bytes(buffers)
-        timing = self.cost_model.alltoall(group, nbytes)
-        self.timeline.add(phase, label, timing.seconds, nbytes, group.world_size)
-        return F.alltoall(group, buffers)
+        return self._priced("alltoall", F.alltoall, group, buffers, phase, label)
 
     def alltoall_single(
         self,
@@ -161,11 +177,10 @@ class SimCluster:
         label: str,
         axis: int = 0,
     ) -> Dict[int, np.ndarray]:
-        F.check_membership(group, buffers)  # typed, before any pricing
-        nbytes = self._buffer_bytes(buffers)
-        timing = self.cost_model.alltoall(group, nbytes)
-        self.timeline.add(phase, label, timing.seconds, nbytes, group.world_size)
-        return F.alltoall_single(group, buffers, axis=axis)
+        return self._priced(
+            "alltoall", F.alltoall_single, group, buffers, phase, label,
+            axis=axis,
+        )
 
     def alltoall_concurrent(
         self,
@@ -185,11 +200,7 @@ class SimCluster:
         phase: Phase,
         label: str,
     ) -> Dict[int, np.ndarray]:
-        F.check_membership(group, buffers)  # typed, before any pricing
-        nbytes = self._buffer_bytes(buffers)
-        timing = self.cost_model.allreduce(group, nbytes)
-        self.timeline.add(phase, label, timing.seconds, nbytes, group.world_size)
-        return F.allreduce(group, buffers)
+        return self._priced("allreduce", F.allreduce, group, buffers, phase, label)
 
     def allreduce_concurrent(
         self,
@@ -210,11 +221,10 @@ class SimCluster:
         label: str,
         axis: int = 0,
     ) -> Dict[int, np.ndarray]:
-        F.check_membership(group, buffers)  # typed, before any pricing
-        nbytes = self._buffer_bytes(buffers)
-        timing = self.cost_model.reducescatter(group, nbytes)
-        self.timeline.add(phase, label, timing.seconds, nbytes, group.world_size)
-        return F.reducescatter(group, buffers, axis=axis)
+        return self._priced(
+            "reducescatter", F.reducescatter, group, buffers, phase, label,
+            axis=axis,
+        )
 
     def allgather(
         self,
@@ -224,11 +234,9 @@ class SimCluster:
         label: str,
         axis: int = 0,
     ) -> Dict[int, np.ndarray]:
-        F.check_membership(group, buffers)  # typed, before any pricing
-        nbytes = self._buffer_bytes(buffers)
-        timing = self.cost_model.allgather(group, nbytes)
-        self.timeline.add(phase, label, timing.seconds, nbytes, group.world_size)
-        return F.allgather(group, buffers, axis=axis)
+        return self._priced(
+            "allgather", F.allgather, group, buffers, phase, label, axis=axis
+        )
 
     # ------------------------------------------------------------------
     # Local (per-rank) priced operations

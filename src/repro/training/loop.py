@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from repro.data.loader import BatchIterator
-from repro.nn.embedding import SPARSE_GRAD_MODES, set_sparse_grad_mode
 from repro.nn.loss import BCEWithLogitsLoss, MultiLoss
 from repro.nn.optim import (
     Adagrad,
@@ -31,6 +30,9 @@ from repro.nn.optim import (
 from repro.training.metrics import auc, log_loss, normalized_entropy
 
 _MASK64 = (1 << 64) - 1
+
+#: The table optimizer each ``sparse_grad_mode`` picks.
+_SPARSE_OPTIMIZERS = {"rowwise": RowwiseAdagrad, "dense": Adagrad}
 
 
 def _mix_epoch_seed(seed: int, epoch: int) -> int:
@@ -54,12 +56,13 @@ def _mix_epoch_seed(seed: int, epoch: int) -> int:
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    ``sparse_grad_mode`` selects the embedding-plane gradient path:
-    ``"rowwise"`` (default) carries compact touched-row gradients into
-    :class:`~repro.nn.optim.RowwiseAdagrad`; ``"dense"`` is the
-    original table-sized scatter-add + dense Adagrad reference.  The
-    two are numerically equivalent (same accumulator arithmetic, same
-    summation order); only the cost differs.
+    The embedding plane always emits row-wise gradients;
+    ``sparse_grad_mode`` picks only the table optimizer:
+    ``"rowwise"`` (default) is :class:`~repro.nn.optim.RowwiseAdagrad`
+    on the touched rows, ``"dense"`` is :class:`~repro.nn.optim.Adagrad`
+    over the densified ``Parameter.grad``.  The two train bit for bit
+    alike (same accumulator arithmetic, same summation order); only
+    the cost differs.
     """
 
     batch_size: int = 256
@@ -80,9 +83,9 @@ class TrainConfig:
             raise ValueError(
                 f"unknown dense optimizer {self.dense_optimizer!r}"
             )
-        if self.sparse_grad_mode not in SPARSE_GRAD_MODES:
+        if self.sparse_grad_mode not in _SPARSE_OPTIMIZERS:
             raise ValueError(
-                f"sparse_grad_mode must be one of {SPARSE_GRAD_MODES}, "
+                f"sparse_grad_mode must be one of {tuple(_SPARSE_OPTIMIZERS)}, "
                 f"got {self.sparse_grad_mode!r}"
             )
         if not self.warmup_steps >= 0:
@@ -176,11 +179,8 @@ class Trainer:
         self.model = model
         self.config = config
         self.step = step
-        set_sparse_grad_mode(model, config.sparse_grad_mode)
         dense = Adam if config.dense_optimizer == "adam" else SGD
-        sparse = (
-            RowwiseAdagrad if config.sparse_grad_mode == "rowwise" else Adagrad
-        )
+        sparse = _SPARSE_OPTIMIZERS[config.sparse_grad_mode]
         self.dense_opt = dense(
             list(model.dense_parameters()) + list(model.tower_parameters()),
             lr=config.dense_lr,

@@ -52,15 +52,17 @@ from repro.core import (
 )
 from repro.hardware import Cluster
 from repro.models import DCN, DLRM, DMTDCN, DMTDLRM, tiny_table_configs
-from repro.models.configs import tiny_dcn_arch, tiny_dlrm_arch
+from repro.models.configs import tiny_dlrm_arch
 from repro.nn import Adam
 from repro.sim import SimCluster
 from repro.training import TrainConfig, Trainer
 
-try:
-    from tests.golden.gen_serving_reports import diff_reports
-except ImportError:  # run as a script: tests/golden is sys.path[0]
-    from gen_serving_reports import diff_reports
+ROOT = Path(__file__).resolve().parents[2]
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT))
+
+from tests.golden.gen_serving_reports import diff_reports  # noqa: E402
+from tests.util import tiny_dcn_arch  # noqa: E402
 
 FIXTURE = Path(__file__).with_name("sptt_steps.json")
 

@@ -764,9 +764,9 @@ class TestSessionEndToEnd:
         assert executed == pytest.approx(single, rel=0, abs=1e-12)
 
     def test_probe_cache_shared_across_alias_strategies(self):
-        from repro.api.session import _probed_partition, clear_caches
+        from repro.api.session import _probed_partition
 
-        clear_caches()
+        _probed_partition.cache_clear()
         probe = Session(dataclasses.replace(
             TINY, partition=TINY.partition.replace(strategy="probe")
         )).partition()

@@ -192,25 +192,6 @@ class TestCrashResumeEquivalence:
         for table in fresh.embeddings.tables:
             assert table.weight.data.base is stacked
 
-    def test_scalar_accumulator_round_trips(self, data, tmp_path):
-        """RowwiseAdagrad's torchrec-style scalar mode (one momentum
-        scalar per row) restores exactly too."""
-        (td, ti, tl), _ = data
-        model = make_model()
-        trainer = make_trainer(model, epochs=1)
-        trainer.sparse_opt = RowwiseAdagrad(
-            model.sparse_parameters(), lr=0.03, accumulator="scalar"
-        )
-        trainer.fit(td, ti, tl)
-        path = save_training_checkpoint(str(tmp_path / "sc"), model, trainer)
-        fresh_model = make_model(init_seed=8)
-        fresh_trainer = make_trainer(fresh_model, epochs=1)
-        fresh_trainer.sparse_opt = RowwiseAdagrad(
-            fresh_model.sparse_parameters(), lr=0.03, accumulator="scalar"
-        )
-        load_training_checkpoint(path, fresh_model, fresh_trainer)
-        assert_same_optimizer_state(trainer.sparse_opt, fresh_trainer.sparse_opt)
-
     def test_mid_epoch_iterator_state_round_trips(self, data):
         """BatchIterator resumes the exact shuffle order mid-pass."""
         (td, ti, tl), _ = data
@@ -357,12 +338,31 @@ class TestFailureTaxonomy:
         with pytest.raises(ValueError, match="Adam"):
             sgd.load_state_dict(adam.state_dict())
         ada = Adagrad(params, lr=0.1)
-        row = RowwiseAdagrad(params, lr=0.1, accumulator="scalar")
+        row = RowwiseAdagrad(params, lr=0.1, eps=1e-6)
         with pytest.raises(ValueError, match="config mismatch"):
             row.load_state_dict(
                 RowwiseAdagrad(params, lr=0.1).state_dict()
             )
         assert ada.state_dict()["type"] == "Adagrad"
+
+    def test_accumulator_key_of_older_checkpoints_refused(self, data, tmp_path):
+        """RowwiseAdagrad's config used to carry an ``accumulator`` key;
+        a checkpoint saved with it is refused by the config check."""
+        (td, ti, tl), _ = data
+        model = make_model()
+        trainer = make_trainer(model, epochs=1)
+        trainer.fit(td, ti, tl)
+        path = save_training_checkpoint(str(tmp_path / "old"), model, trainer)
+        manifest_path = os.path.join(path, MANIFEST_NAME)
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        sparse = manifest["metadata"]["trainer"]["optimizers"]["sparse"]
+        sparse["config"]["accumulator"] = "elementwise"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        fresh = make_model(init_seed=8)
+        with pytest.raises(CheckpointMismatchError, match="config mismatch"):
+            load_training_checkpoint(path, fresh, make_trainer(fresh, epochs=1))
 
 
 # ----------------------------------------------------------------------
@@ -763,13 +763,13 @@ def chain_digest(build, mode, root):
 
 PINNED_CHAIN_SHA256 = {
     ("dlrm", "rowwise"): (
-        "a9085a493a13fc36605addafcd5a36a83dea1d3a40524a7411cc4a08957450d5"
+        "b3affbe2f6b369afe228607d62a0e4b01423e2f59ed97185e54efdca05cb258d"
     ),
     ("dlrm", "dense"): (
         "fbf83b7577b1d00f4bad42679d57ee20c66cdf8d7310f052f7c702cc332c67ee"
     ),
     ("dmt_dlrm", "rowwise"): (
-        "f50ac4b2f574fa6665096d838fd2bf9a2b750f1af2c82cbd134c6dd9b38242da"
+        "3b5cbc59b38dcdf63a7447ff40e0ef2c0766814970759d633817f48d0556af1e"
     ),
     ("dmt_dlrm", "dense"): (
         "ff8f81bd14d3167a76b4a2b9bd81167c25fbf81c360e0aeb162f068308afe629"

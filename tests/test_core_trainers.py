@@ -21,9 +21,10 @@ from repro.models import (
     MultiTaskModel,
     tiny_table_configs,
 )
-from repro.models.configs import tiny_dcn_arch, tiny_dlrm_arch
+from repro.models.configs import tiny_dlrm_arch
 from repro.nn import Adam, BCEWithLogitsLoss, SGD
-from repro.sim import Phase, SimCluster
+from repro.sim import SimCluster
+from tests.util import tiny_dcn_arch
 
 F, N, DENSE = 6, 8, 4
 ROWS = 16

@@ -22,11 +22,11 @@ from repro.models import (
     paper_dlrm_arch,
     tiny_table_configs,
 )
-from repro.models.configs import tiny_dcn_arch, tiny_dlrm_arch
+from repro.models.configs import tiny_dlrm_arch
 from repro.nn import BCEWithLogitsLoss
 from repro.sim import SimCluster
 from repro.training import TrainConfig, Trainer
-from tests.util import numeric_grad
+from tests.util import numeric_grad, restack_float64, tiny_dcn_arch
 
 F, N, B, DENSE = 6, 8, 5, 4
 
@@ -52,11 +52,11 @@ def end_to_end_grad_check(model, dense, ids, labels, rng, atol=1e-5):
     """Full-model gradient check through BCE loss.
 
     The tables (and so the tower outputs) are float32, too coarse for
-    central differences, so the check rebinds every table to float64;
-    the collection then takes its per-table fallback path."""
+    central differences, so the check re-stacks them in float64 first;
+    perturbations write into each parameter in place, which keeps the
+    tables viewing the stacked matrix."""
     loss_mod = BCEWithLogitsLoss()
-    for table in model.embeddings.tables:
-        table.weight.data = table.weight.data.astype(np.float64)
+    restack_float64(model.embeddings)
 
     model.zero_grad()
     loss_mod(model(dense, ids), labels)
@@ -69,12 +69,12 @@ def end_to_end_grad_check(model, dense, ids, labels, rng, atol=1e-5):
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
 
         def f(val, p=p):
-            old = p.data
-            p.data = val
+            old = p.data.copy()
+            p.data[...] = val
             try:
                 return BCEWithLogitsLoss()(model(dense, ids), labels)
             finally:
-                p.data = old
+                p.data[...] = old
 
         num = numeric_grad(f, p.data.copy())
         np.testing.assert_allclose(

@@ -21,7 +21,6 @@ from repro.nn import (
     RowwiseAdagrad,
     RowwiseGrad,
     TableConfig,
-    set_sparse_grad_mode,
 )
 from repro.nn.optim import WarmupDecaySchedule
 from tests.test_golden_embedding_plane import RUNS, state_arrays, trained
@@ -150,29 +149,6 @@ class TestRowwiseAdagrad:
             np.testing.assert_array_equal(p_dense.data, p_row.data)
         np.testing.assert_array_equal(opt_dense._accum[0], opt_row._accum[0])
 
-    def test_scalar_accumulator_state_is_per_row(self, rng):
-        p, _ = self._pair()
-        opt = RowwiseAdagrad([p], lr=0.1, accumulator="scalar")
-        p.add_row_grad(
-            RowwiseGrad(rows=np.array([2, 7]), grads=rng.standard_normal((2, 4)))
-        )
-        opt.step()
-        assert opt._accum[0].shape == (32,)
-        assert opt._accum[0][2] > 0 and opt._accum[0][0] == 0
-
-    def test_scalar_dense_fallback_matches_sparse(self, rng):
-        p_a, p_b = self._pair()
-        opt_a = RowwiseAdagrad([p_a], lr=0.1, accumulator="scalar")
-        opt_b = RowwiseAdagrad([p_b], lr=0.1, accumulator="scalar")
-        rg = RowwiseGrad(
-            rows=np.arange(32), grads=rng.standard_normal((32, 4))
-        )
-        p_a.add_row_grad(rg)
-        p_b.add_grad(rg.to_dense((32, 4)))
-        opt_a.step()
-        opt_b.step()
-        np.testing.assert_allclose(p_a.data, p_b.data, atol=1e-15)
-
     def test_untouched_rows_never_move(self, rng):
         p, _ = self._pair()
         before = p.data.copy()
@@ -184,18 +160,17 @@ class TestRowwiseAdagrad:
         np.testing.assert_array_equal(p.data[1:], before[1:])
         assert not np.array_equal(p.data[0], before[0])
 
-    def test_dense_fallback_matches_adagrad(self, rng):
-        p_a, p_b = self._pair()
-        g = rng.standard_normal((32, 4))
-        p_a.add_grad(g)
-        p_b.add_grad(g)
-        RowwiseAdagrad([p_a], lr=0.1).step()
-        Adagrad([p_b], lr=0.1).step()
-        np.testing.assert_array_equal(p_a.data, p_b.data)
-
-    def test_bad_accumulator_rejected(self):
-        with pytest.raises(ValueError, match="accumulator"):
-            RowwiseAdagrad([Parameter(np.zeros((2, 2)))], lr=0.1, accumulator="row")
+    def test_dense_grad_raises(self, rng):
+        """A dense gradient is Adagrad's to apply: RowwiseAdagrad
+        refuses it before touching the weights or its state."""
+        p, _ = self._pair()
+        before = p.data.copy()
+        p.add_grad(rng.standard_normal((32, 4)))
+        opt = RowwiseAdagrad([p], lr=0.1)
+        with pytest.raises(TypeError, match="dense"):
+            opt.step()
+        np.testing.assert_array_equal(p.data, before)
+        assert opt._accum == {}
 
 
 class TestFusedCollection:
@@ -227,33 +202,20 @@ class TestFusedCollection:
             assert t.weight.row_grad is not None
             assert t.weight.row_grad.num_rows <= 4
 
-    def test_dense_mode_emits_dense(self, rng):
-        ebc = self.make_ebc(rng)
-        ebc.set_sparse_grad_mode("dense")
-        ids = rng.integers(0, 8, size=(4, 3))
-        ebc(ids)
-        ebc.backward(rng.standard_normal((4, 3, 4)))
-        for t in ebc.tables:
-            assert t.weight.row_grad is None
-            assert t.weight.grad.shape == t.weight.shape
-
-    def test_rebound_weight_falls_back_and_recovers(self, rng):
-        """Temporarily rebinding weight.data (numeric grad checks do
-        this) must not read stale fused storage."""
+    def test_rebound_weight_raises(self, rng):
+        """A table whose weight.data no longer views the stacked matrix
+        would be read stale and never trained: forward refuses it, in
+        either layout, and runs again once the view is restored."""
         ebc = self.make_ebc(rng)
         ids = rng.integers(0, 8, size=(2, 3))
         before = ebc(ids).copy()
         old = ebc.tables[1].weight.data
-        try:
-            ebc.tables[1].weight.data = old + 1.0
-            bumped = ebc(ids)
-            np.testing.assert_allclose(bumped[:, 1], before[:, 1] + 1.0)
-            np.testing.assert_array_equal(bumped[:, 0], before[:, 0])
-            # Fallback backward routes per table.
-            ebc.backward(np.ones((2, 3, 4)))
-            assert ebc.tables[1].weight.has_grad
-        finally:
-            ebc.tables[1].weight.data = old
+        ebc.tables[1].weight.data = old + 1.0
+        with pytest.raises(RuntimeError, match="f1.*stacked matrix"):
+            ebc(ids)
+        with pytest.raises(RuntimeError, match="f1"):
+            ebc(ids, [[0, 2], [1]])
+        ebc.tables[1].weight.data = old
         np.testing.assert_array_equal(ebc(ids), before)
 
     def test_load_state_dict_preserves_aliasing(self, rng):
@@ -314,14 +276,6 @@ class TestFusedCollection:
         expected = ebc._offsets + 1
         np.testing.assert_array_equal(changed, expected)
 
-    def test_set_sparse_grad_mode_walks_model(self, rng):
-        ebc = self.make_ebc(rng)
-        set_sparse_grad_mode(ebc, "dense")
-        assert ebc.sparse_grad_mode == "dense"
-        assert all(t.sparse_grad_mode == "dense" for t in ebc.tables)
-        with pytest.raises(ValueError, match="sparse_grad_mode"):
-            set_sparse_grad_mode(ebc, "sparse")
-
 
 class TestSingleTableRowwise:
     def test_table_backward_rowwise_no_dense_array(self, rng):
@@ -336,17 +290,18 @@ class TestSingleTableRowwise:
         np.testing.assert_allclose(rg.grads[0], 2.0)
 
     def test_rowwise_matches_dense_reference(self, rng):
-        cfg = TableConfig("t", num_embeddings=20, dim=3, pooling=2)
-        t_row = EmbeddingTable(cfg, rng=np.random.default_rng(1))
-        t_dense = EmbeddingTable(cfg, rng=np.random.default_rng(1))
-        t_dense.sparse_grad_mode = "dense"
+        table = EmbeddingTable(
+            TableConfig("t", num_embeddings=20, dim=3, pooling=2),
+            rng=np.random.default_rng(1),
+        )
         ids = rng.integers(0, 20, size=(6, 2))
-        grad = rng.standard_normal((6, 3))
-        t_row(ids)
-        t_row.backward(grad)
-        t_dense(ids)
-        t_dense.backward(grad)
-        np.testing.assert_array_equal(t_row.weight.grad, t_dense.weight.grad)
+        grad = rng.standard_normal((6, 3)).astype(np.float32)
+        table(ids)
+        table.backward(grad)
+        # Sum pooling: every pooled id receives the full output gradient.
+        dense = np.zeros((20, 3), dtype=np.float32)
+        np.add.at(dense, ids.reshape(-1), np.repeat(grad, 2, axis=0))
+        np.testing.assert_array_equal(table.weight.grad, dense)
 
 
 class TestWarmupDecayRegression:

@@ -39,7 +39,7 @@ from repro.core import (
 )
 from repro.hardware import Cluster
 from repro.models import DCN, DLRM, DMTDCN, DMTDLRM, tiny_table_configs
-from repro.models.configs import tiny_dcn_arch, tiny_dlrm_arch
+from repro.models.configs import tiny_dlrm_arch
 from repro.nn.optim import Adam, RowwiseAdagrad
 from repro.sim import SimCluster
 from repro.training import TrainConfig, Trainer
@@ -53,6 +53,7 @@ from tests.golden.gen_sptt_steps import (
     STEPS,
     params_sha256,
 )
+from tests.util import tiny_dcn_arch
 
 
 def _executor(kind: str, family: str):

@@ -1,14 +1,13 @@
 """Dense-vs-rowwise equivalence suite (the tentpole's hard constraint).
 
-Training with ``sparse_grad_mode="rowwise"`` must reproduce the dense
-reference exactly: identical loss history, identical final weights,
-identical Adagrad accumulator state, identical eval AUC — across
-seeds, pooling factors, duplicate-heavy id batches, and multi-epoch
-runs.  The row-wise path preserves the dense path's per-row summation
-order (sequential ``np.add.at``) and the elementwise accumulator is
-arithmetically the dense one restricted to touched rows, so the
-tolerance here is essentially bitwise (1e-12 guard for platform
-libm differences).
+Training with ``sparse_grad_mode="rowwise"`` (``RowwiseAdagrad`` on the
+touched rows) must reproduce ``"dense"`` (``Adagrad`` over the
+densified row-wise gradient) exactly: identical loss history, identical
+final weights, identical Adagrad accumulator state, identical eval AUC
+— across seeds, pooling factors, duplicate-heavy id batches, and
+multi-epoch runs.  The row-wise update is arithmetically the dense one
+restricted to touched rows, so the tolerance here is essentially
+bitwise (1e-12 guard for platform libm differences).
 """
 
 import dataclasses
@@ -149,4 +148,3 @@ def test_rowwise_is_the_default():
     model = make_model(1)
     trainer = Trainer(model, TrainConfig(batch_size=32))
     assert isinstance(trainer.sparse_opt, RowwiseAdagrad)
-    assert model.embeddings.sparse_grad_mode == "rowwise"

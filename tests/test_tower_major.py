@@ -6,8 +6,7 @@ tower writes its input gradient into its block of one tower-major
 gradient buffer.  The feature-order seam (``features_with_embeddings``
 / ``features_backward`` over (B, F, N)) is a thin adapter over the same
 core; on one batch the two must agree bit for bit — logits, the dense
-gradient and every table's row-wise gradient — on the fused path and
-on the per-table fallback alike.
+gradient and every table's row-wise gradient.
 """
 
 import numpy as np
@@ -17,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core import FeaturePartition
 from repro.models import DMTDCN, DMTDLRM, tiny_table_configs
-from repro.models.configs import tiny_dcn_arch, tiny_dlrm_arch
+from repro.models.configs import tiny_dlrm_arch
 from repro.nn.embedding import tower_blocks
+from tests.util import tiny_dcn_arch
 
 N, B, DENSE, ROWS = 8, 7, 4, 5  # few rows: every table repeats some
 SCRAMBLED = [[3, 0], [5, 1, 4], [2]]
@@ -123,31 +123,6 @@ def test_tower_major_backward_checks_its_layout():
     with pytest.raises(ValueError, match="grad must be tower-major"):
         model.embeddings.backward(np.ones((B, model.num_sparse, N)))
     assert not any(t.weight.has_grad for t in model.embeddings.tables)
-
-
-@pytest.mark.parametrize("pooling", [1, 3])
-@pytest.mark.parametrize("config", ["dlrm/c1p1", "dcn/projecting"])
-def test_per_table_fallback(config, pooling):
-    """A rebound ``weight.data`` (the numeric gradient checks rebind
-    it) sends the collection down its per-table path: with the same
-    values it is the fused step bit for bit, and with new values it
-    still equals the feature-order seam on that path."""
-    model = make(config, SCRAMBLED, pooling)
-    batch = inputs(model, pooling, seed=4)
-    fused = tower_major_step(model, *batch)
-    table = model.embeddings.tables[4]
-    old = table.weight.data
-    try:
-        table.weight.data = old.copy()
-        assert_same_bits(tower_major_step(model, *batch), fused)
-        assert model.embeddings._rows is None
-        table.weight.data = old + 0.5
-        bumped = tower_major_step(model, *batch)
-        assert bumped[0].tobytes() != fused[0].tobytes()
-        assert_same_bits(bumped, seam_step(model, *batch))
-    finally:
-        table.weight.data = old
-    assert_same_bits(tower_major_step(model, *batch), fused)
 
 
 @st.composite

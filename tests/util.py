@@ -1,10 +1,29 @@
-"""Shared test helpers: numerical gradient checking."""
+"""Shared test helpers: numerical gradient checking and small models."""
 
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+
+from repro.models.configs import DenseArch
+from repro.nn import EmbeddingBagCollection
+
+
+def tiny_dcn_arch(dim: int = 16) -> DenseArch:
+    return DenseArch(
+        embedding_dim=dim, bottom_mlp=(32,), top_mlp=(32,), cross_layers=2
+    )
+
+
+def restack_float64(ebc: EmbeddingBagCollection) -> None:
+    """Re-stack a collection's tables in float64, every table a view of
+    the new stacked matrix, so lookups still run on the fused path.
+    Float32 tables (and the tower outputs they feed) are too coarse for
+    central differences."""
+    ebc._stacked = ebc._stacked.astype(np.float64)
+    for table, offset, rows in zip(ebc.tables, ebc._offsets, ebc._cards):
+        table.weight.data = ebc._stacked[offset : offset + rows]
 
 
 def numeric_grad(
