@@ -18,6 +18,7 @@ from repro.core.partition import FeaturePartition
 from repro.data import SyntheticCriteoDataset
 from repro.hardware import Cluster
 from repro.jsonutil import jsonable
+from repro.models import DMTDCN, DMTDLRM
 from repro.partitioner import TPResult
 from repro.perf.iteration_model import IterationBreakdown
 from repro.planner import ShardingPlan
@@ -167,7 +168,9 @@ class TrainArtifact:
                 }
                 for name, r in by_task.items()
             }
-        if hasattr(self.model, "compression_ratio"):
+        # A DMT variant reports its CR; a flat model (one pass-through
+        # tower, CR 1) and a multi-task wrapper report none.
+        if type(self.model) in (DMTDCN, DMTDLRM):
             out["compression_ratio"] = float(self.model.compression_ratio())
         return out
 

@@ -41,7 +41,10 @@ from repro.sim.tracing import Phase
 WIRE_ITEMSIZE = 4  # gradients synchronized in fp32 on the wire
 
 
-def _dense_param_bytes(params: Sequence) -> int:
+def grad_wire_bytes(params: Sequence) -> int:
+    """Bytes an AllReduce of ``params``' gradients moves: fp32 on the
+    wire, whatever the parameters' own dtype (the executed step and the
+    latency model's profiles both price this)."""
     return sum(p.size for p in params) * WIRE_ITEMSIZE
 
 
@@ -111,7 +114,7 @@ class _DataParallelStep:
 
         # Global dense AllReduce (grads already summed by accumulation;
         # record the collective's cost).
-        nbytes = _dense_param_bytes(self.model.dense_parameters())
+        nbytes = grad_wire_bytes(self.model.dense_parameters())
         timing = sim.cost_model.allreduce(sim.world, nbytes)
         sim.timeline.add(
             Phase.DENSE_SYNC, "dense_allreduce", timing.seconds, nbytes, G
@@ -272,7 +275,7 @@ class DistributedDMTTrainer(_DataParallelStep):
                     if p_r.has_grad:
                         p_c.add_grad(p_r.grad)
                         p_r.zero_grad()
-            tm_bytes = max(tm_bytes, _dense_param_bytes(canonical))
+            tm_bytes = max(tm_bytes, grad_wire_bytes(canonical))
         if tm_bytes and groups[0].world_size > 1:
             timing = sim.cost_model.allreduce(groups[0], tm_bytes)
             sim.timeline.add(

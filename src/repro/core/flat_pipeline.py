@@ -33,8 +33,6 @@ from repro.nn.embedding import EmbeddingBagCollection, normalize_ids
 from repro.sim.cluster import SimCluster
 from repro.sim.tracing import Phase
 
-ID_BYTES = 8  # int64 ids on the wire
-
 
 class TableOwnerExchange:
     """What an exchange does on the ranks that own the tables.

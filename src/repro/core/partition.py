@@ -62,7 +62,11 @@ class FeaturePartition:
 
     @classmethod
     def single_tower(cls, num_features: int) -> "FeaturePartition":
-        """The degenerate 'flat model' partition (one global tower)."""
+        """The flat models' partition: one tower spanning every feature.
+
+        ``DLRM`` / ``DCN`` are ``DMTDLRM`` / ``DMTDCN`` over it with a
+        pass-through tower.
+        """
         return cls.from_groups([list(range(num_features))])
 
     @classmethod

@@ -1,13 +1,17 @@
 """Recommendation models: DLRM, DCN, their DMT multi-tower variants,
 and the XLRM scaled configuration.
 
-Model semantics live here, once: :mod:`repro.core` runs the same
-methods over what its exchanges deliver (``*_with_embeddings`` for the
-flat exchange, the DMT pair's ``overarch_features`` /
-``overarch_backward`` for SPTT).  The DMT variants implement the
-*model-side* of the technique (tower modules + hierarchical feature
-interaction); equality between a pass-through DMT model and its flat
-original is the Table 3 claim and is covered by tests.
+Model semantics live here, once.  Every model is a DMT model: the flat
+DLRM and DCN *are* the one-tower pass-through configuration of
+:class:`DMTDLRM` / :class:`DMTDCN` (Table 3's SPTT-neutrality as a
+construction, not a test), so the four classes share one forward, one
+backward and one (B, F, N) seam (:class:`~repro.models.base.RecModel`)
+and each family states its overarch once.  :mod:`repro.core` runs the
+same methods over what its exchanges deliver (``*_with_embeddings`` for
+the flat exchange, ``overarch_features`` / ``overarch_backward`` for
+SPTT).  With projecting tower modules the DMT variants implement the
+*model side* of the technique (tower modules + hierarchical feature
+interaction).
 """
 
 from repro.models.configs import (

@@ -1,18 +1,22 @@
-"""DMT model variants: multi-tower DLRM and DCN (§3.2).
+"""DMT model variants: multi-tower DLRM and DCN (§3.2), the two
+families every model here is built from.
 
 These classes implement the *model semantics* of DMT: features are
 partitioned into towers, each tower's embeddings pass through a tower
 module, and the global interaction runs over the (possibly compressed)
 tower outputs — hierarchical feature interaction.  With pass-through
 towers the models are exactly their flat originals (SPTT alone changes
-dataflow, not math — Table 3); with projecting tower modules they trade
+dataflow, not math — Table 3): the flat :class:`~repro.models.dlrm.DLRM`
+and :class:`~repro.models.dcn.DCN` *are* these classes over one
+pass-through tower.  With projecting tower modules they trade
 interaction completeness for compute and communication (Tables 4-5).
 
-Everything after the tower modules is stated once, behind the
-**tower-output seam**: ``overarch_features(dense, tower_outs)`` /
-``overarch_backward(grad_features)``, one pair per family.  The
-single-process step feeds it each tower's output on its block of the
-batch, gathered tower-major (the (B, F, N) ``features_*`` seam adapts);
+Each family states only its overarch, behind the **tower-output
+seam** ``overarch_features(dense, tower_outs)`` /
+``overarch_backward(grad_features)``; the tower dispatch around it is
+:class:`~repro.models.base.RecModel`'s.  The single-process step feeds
+the seam each tower's output on its block of the batch, gathered
+tower-major (the (B, F, N) ``features_*`` seam adapts);
 :class:`~repro.core.dmt_pipeline.DistributedDMTTrainer`, the step
 executor :class:`repro.training.Trainer` runs over a simulated cluster,
 feeds it what SPTT step (f) delivers — two dataflows over one statement
@@ -32,110 +36,14 @@ from repro.models.tower_module import (
     DCNTowerModule,
     DLRMTowerModule,
     PassThroughTower,
-    TowerModuleBase,
 )
-from repro.nn.embedding import TableConfig, tower_blocks
+from repro.nn.embedding import TableConfig
 from repro.nn.interactions import CrossNet, DotInteraction
 from repro.nn.layers import Linear
 from repro.nn.mlp import MLP
 
 
-class _DMTBase(RecModel):
-    """Tower dispatch around the family's overarch.
-
-    A family defines the tower-output seam:
-    ``overarch_features(dense, tower_outs) -> (B, top_in_features)``
-    from the per-tower ``(B, out_dim_t)`` outputs, and
-    ``overarch_backward(grad_features) -> (g_dense, per-tower output
-    grads)``.
-    """
-
-    def __init__(
-        self,
-        num_dense: int,
-        table_configs: Sequence[TableConfig],
-        partition: FeaturePartition,
-        arch: DenseArch,
-        rng: np.random.Generator,
-    ):
-        if partition.num_features != len(table_configs):
-            raise ValueError(
-                f"partition covers {partition.num_features} features but "
-                f"{len(table_configs)} tables were given"
-            )
-        super().__init__(num_dense, table_configs, arch, rng)
-        self.partition = partition
-        self.towers: List[TowerModuleBase] = []
-
-    # ------------------------------------------------------------------
-    # Tower-major core: each tower reads its (B, F_t, N) block in place
-    # and writes its input gradient into its block of one buffer.
-    def forward(self, dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        groups = self.partition.groups
-        blocks = tower_blocks(self.embeddings(ids, groups), groups)
-        return self.top(self._tower_features(dense, blocks)).reshape(-1)
-
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        g_top_in = self.top.backward(np.asarray(grad_logits).reshape(-1, 1))
-        g_dense, g_embs = self._towers_backward(g_top_in)
-        self.embeddings.backward(g_embs)
-        return g_dense
-
-    def _tower_features(
-        self, dense: np.ndarray, blocks: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        outs = [tower(block) for tower, block in zip(self.towers, blocks)]
-        return self.overarch_features(dense, outs)
-
-    def _towers_backward(
-        self, grad_features: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(g_dense, the tower-major (B*F, N) embedding gradient)."""
-        g_dense, tower_grads = self.overarch_backward(grad_features)
-        g_embs = np.empty((len(grad_features) * self.num_sparse, self.embedding_dim))
-        blocks = tower_blocks(g_embs, self.partition.groups)
-        for tower, g, block in zip(self.towers, tower_grads, blocks):
-            tower.backward(g, out=block)
-        return g_dense, g_embs
-
-    # The feature-order seam: (B, F, N) in and out, over the same core.
-    def features_with_embeddings(
-        self, dense: np.ndarray, embs: np.ndarray
-    ) -> np.ndarray:
-        """Top-MLP input, (B, ``top_in_features``): every tower on its
-        feature group of (B, F, N), then the overarch."""
-        self._check_embeddings(dense, embs)
-        return self._tower_features(
-            dense, [embs[:, list(g), :] for g in self.partition.groups]
-        )
-
-    def features_backward(
-        self, grad_features: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Backprop from the top-MLP input; returns (g_dense, g_embs)."""
-        g_dense, g_major = self._towers_backward(grad_features)
-        # The groups partition the features, so every slot is written.
-        g_embs = np.empty((len(grad_features), self.num_sparse, self.embedding_dim))
-        groups = self.partition.groups
-        for group, block in zip(groups, tower_blocks(g_major, groups)):
-            g_embs[:, list(group), :] = block
-        return g_dense, g_embs
-
-    # ------------------------------------------------------------------
-    def compression_ratio(self) -> float:
-        """CR of §4: uncompressed tower bytes / tower-module output bytes."""
-        out = sum(t.out_dim for t in self.towers)
-        return self.num_sparse * self.embedding_dim / out
-
-    def tower_flops_per_sample(self) -> int:
-        return sum(t.flops_per_sample() for t in self.towers)
-
-    def tower_parameters(self) -> List:
-        """Tower-local parameters (AllReduce world = one host, §3.2)."""
-        return [p for t in self.towers for p in t.parameters()]
-
-
-class DMTDLRM(_DMTBase):
+class DMTDLRM(RecModel):
     """Multi-tower DLRM with Listing 1 tower modules.
 
     Parameters
@@ -251,13 +159,12 @@ class DMTDLRM(_DMTBase):
         return flops
 
 
-class DMTDCN(_DMTBase):
+class DMTDCN(RecModel):
     """Multi-tower DCN with Listing 2 tower modules.
 
     The overarch CrossNet consumes the concatenation of the bottom
-    vector and every tower's projected output; with ``tower_dim == N``,
-    pass-through towers and matching layer counts it is byte-identical
-    to flat DCN.
+    vector and every tower's projected output; over pass-through towers
+    it is flat DCN's CrossNet (which is this class over one such tower).
 
     ``overarch_cross_layers`` overrides ``arch.cross_layers`` for the
     global CrossNet: hierarchical interaction lets DMT trade tower-local
@@ -279,7 +186,9 @@ class DMTDCN(_DMTBase):
     ):
         rng = rng or np.random.default_rng(0)
         if arch.cross_layers <= 0:
-            raise ValueError("DMT-DCN requires arch.cross_layers >= 1")
+            raise ValueError(
+                f"{type(self).__name__} requires arch.cross_layers >= 1"
+            )
         super().__init__(num_dense, table_configs, partition, arch, rng)
         N = arch.embedding_dim
         if pass_through:

@@ -72,7 +72,8 @@ class TowerModuleBase(Module):
 
 
 class PassThroughTower(TowerModuleBase):
-    """Identity tower: SPTT-only configurations (Table 3, 26T-DCN)."""
+    """Identity tower: SPTT-only configurations (Table 3, 26T-DCN) and
+    the flat models' one tower."""
 
     def __init__(self, num_features: int, in_dim: int):
         if num_features <= 0 or in_dim <= 0:

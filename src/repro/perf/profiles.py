@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.dmt_pipeline import grad_wire_bytes
 from repro.core.partition import FeaturePartition
 from repro.models.configs import (
     CRITEO_NUM_DENSE,
@@ -97,26 +98,23 @@ class ModelProfile:
         return self.num_sparse * self.embedding_dim * itemsize
 
 
-def _param_bytes(params) -> int:
-    return sum(p.size for p in params) * 4
-
-
 def _measured(name: str, model, num_towers: int = 0) -> ModelProfile:
-    """The profile of a paper-scale Criteo model (one-hot, 128-wide
-    tables); a flat model (``num_towers=0``) has no tower terms."""
-    towers = num_towers > 0
+    """The profile of a measured model: flops and parameter bytes from
+    its modules, the exchange geometry from its tables.  A flat model
+    (``num_towers=0``) is its one pass-through tower: no tower flops,
+    no tower parameters, CR 1."""
+    # One pooling factor across the tables: a mixed set does not unpack.
+    (pooling,) = {c.pooling for c in model.embeddings.configs}
     return ModelProfile(
         name=name,
         total_mflops=model.flops_per_sample() / 1e6,
-        tower_mflops=model.tower_flops_per_sample() / 1e6 if towers else 0.0,
-        num_sparse=CRITEO_NUM_SPARSE,
-        embedding_dim=128,
-        pooling=1,
-        dense_param_bytes=_param_bytes(model.dense_parameters()),
-        tower_param_bytes=(
-            _param_bytes(model.tower_parameters()) if towers else 0
-        ),
-        compression_ratio=model.compression_ratio() if towers else 1.0,
+        tower_mflops=model.tower_flops_per_sample() / 1e6,
+        num_sparse=model.num_sparse,
+        embedding_dim=model.embedding_dim,
+        pooling=pooling,
+        dense_param_bytes=grad_wire_bytes(model.dense_parameters()),
+        tower_param_bytes=grad_wire_bytes(model.tower_parameters()),
+        compression_ratio=model.compression_ratio(),
         num_towers=num_towers,
     )
 

@@ -24,6 +24,7 @@ from repro.models import (
 from repro.models.configs import tiny_dlrm_arch
 from repro.nn import Adam, BCEWithLogitsLoss, SGD
 from repro.sim import SimCluster
+from repro.training import TrainConfig, Trainer
 from tests.util import tiny_dcn_arch
 
 F, N, DENSE = 6, 8, 4
@@ -408,13 +409,31 @@ class TestSharedStepPrologue:
 class TestTowerOutputSeamRequired:
     @pytest.mark.parametrize(
         "build",
-        [
-            _flat_dlrm,
-            lambda: MultiTaskModel(_dmt_dlrm(), ("ctr", "cvr")),
-        ],
-        ids=["flat-dlrm", "multitask-over-dmt"],
+        [lambda: MultiTaskModel(_dmt_dlrm(), ("ctr", "cvr"))],
+        ids=["multitask-over-dmt"],
     )
     def test_model_without_the_seam_is_a_type_error(self, build):
         model = build()
         with pytest.raises(TypeError, match="overarch_features"):
             DistributedDMTTrainer(make_cluster(), model)
+
+    @pytest.mark.parametrize(
+        "hosts, gpus", [(2, 2), (3, 1), (1, 4)], ids=["2x2", "3x1", "1x4"]
+    )
+    def test_flat_dlrm_is_one_tower(self, hosts, gpus):
+        """A flat DLRM is the one-tower pass-through DMT-DLRM, so SPTT
+        over one tower spanning every host trains it exactly as the
+        hybrid baseline does: the same losses, bit for bit."""
+
+        def losses(executor):
+            sim = make_cluster(hosts, gpus)
+            model = _flat_dlrm()
+            trainer = Trainer(model, TrainConfig(), executor(sim, model))
+            return [
+                trainer.train_batch(*make_batch(sim, seed=step))
+                for step in range(4)
+            ]
+
+        assert losses(DistributedDMTTrainer) == losses(
+            DistributedHybridTrainer
+        )

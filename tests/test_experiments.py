@@ -5,6 +5,7 @@ here we cover the registry/CLI machinery and the model-driven
 experiments end to end.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -132,6 +133,13 @@ class TestResultFormatting:
         assert back.render() == result.render()
 
 
+@functools.lru_cache(maxsize=None)
+def light_result(exp_id):
+    """One fast run of ``exp_id`` per test session, shared by every
+    test below that only reads it."""
+    return get_experiment(exp_id)(fast=True)
+
+
 class TestLightExperiments:
     @pytest.mark.parametrize(
         "exp_id",
@@ -157,14 +165,14 @@ class TestLightExperiments:
         ],
     )
     def test_runs_and_produces_body(self, exp_id):
-        result = get_experiment(exp_id)(fast=True)
+        result = light_result(exp_id)
         assert result.exp_id == exp_id
         assert len(result.body) > 40
         assert result.paper_reference
 
     def test_serving_headline(self):
         """Acceptance: past saturation the disaggregated tier wins p99."""
-        result = get_experiment("serving")(fast=True)
+        result = light_result("serving")
         assert result.data["high_qps"]["p99_speedup_disaggregated"] > 1.5
         coloc = result.data["high_qps"]["placements"]["colocated"]
         assert 0.0 < coloc["cache"]["hit_rate"] < 1.0
@@ -173,7 +181,7 @@ class TestLightExperiments:
     def test_serving_fleet_headline(self):
         """Hash routing's affinity concentrates the flash crowd on the
         hot replica; depth-aware p2c spreads it like round-robin."""
-        result = get_experiment("serving_fleet")(fast=True)
+        result = light_result("serving_fleet")
         static = result.data["static"]
 
         def p99(router):
@@ -194,7 +202,7 @@ class TestLightExperiments:
     def test_multi_task_ab_headline(self):
         """Acceptance: the DBMTL CVR AUC delta's CI excludes zero at
         the driver's default seeds, while CTR stays matched."""
-        result = get_experiment("multi_task_ab")(fast=True)
+        result = light_result("multi_task_ab")
         cvr = result.data["cvr_auc_delta"]
         assert cvr["excludes_zero"] is True
         assert cvr["mean_delta"] > 0
@@ -204,7 +212,7 @@ class TestLightExperiments:
     def test_tiered_serving_headline(self):
         """Acceptance: the tiered chain holds the p99 SLO at a fraction
         of the all-HBM cost, and the saving widens with pressure."""
-        data = get_experiment("tiered_serving")(fast=True).data
+        data = light_result("tiered_serving").data
         assert data["slo_held"] is True
         assert data["worst_p99_ratio"] <= data["slo_factor"]
         points = [data["points"][f"{r}x"] for r in (4, 16, 64)]
@@ -215,7 +223,7 @@ class TestLightExperiments:
     def test_fault_tolerance_headline(self):
         """Acceptance: MTTR rises with checkpoint period below the cold
         rebuild; mitigation holds the SLO the bare fleet blows."""
-        data = get_experiment("fault_tolerance")(fast=True).data
+        data = light_result("fault_tolerance").data
         assert data["mttr_monotone_in_cadence"] is True
         mit = data["mitigated"]["report"]
         non = data["no_mitigation"]["report"]
@@ -226,18 +234,18 @@ class TestLightExperiments:
     def test_model_freshness_headline_and_determinism(self):
         """Acceptance: the hot-swapped arm strictly dominates, deltas
         compress, and the record carries no per-run scratch path."""
-        run = get_experiment("model_freshness")
-        first = run(fast=True)
+        first = light_result("model_freshness")
         assert first.data["online"]["freshness_dominates"] is True
         assert first.data["online"]["delta_compression"] > 1
+        run = get_experiment("model_freshness")
         assert run(fast=True).to_json() == first.to_json()
 
     def test_figure10_headline(self):
-        result = get_experiment("figure10")(fast=True)
+        result = light_result("figure10")
         assert result.data["max_speedup"] > 1.5
 
     def test_figure13_anchors(self):
-        result = get_experiment("figure13")(fast=True)
+        result = light_result("figure13")
         assert result.data["baseline_compute_ms"] == pytest.approx(29.4, rel=0.2)
 
 
