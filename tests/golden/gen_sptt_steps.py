@@ -25,6 +25,12 @@ scrambled and both uneven partitions, single-hot and multi-hot (P=3).
 They store every float as its ``repr`` plus a SHA-256 of every
 parameter's bytes, so they compare bit for bit.
 
+The ``multitask/`` cases pin the same three steps of a two-task
+(``ctr``, ``cvr``) ``MultiTaskModel`` in ``shared_bottom`` and
+``dbmtl`` mode over the flat DLRM and DCN and over projecting DMT-DLRM
+and DMT-DCN on the scrambled partition, single-hot and multi-hot, with
+the same ``repr`` floats and SHA-256 digests.
+
 ``session/distributed_training`` pins ``Session(distributed_training_spec())
 .train()`` end to end: the step losses and the eval AUC as ``repr``
 strings, the parameters' SHA-256 and every timeline event.  (Its
@@ -53,6 +59,7 @@ from repro.core import (
 from repro.hardware import Cluster
 from repro.models import DCN, DLRM, DMTDCN, DMTDLRM, tiny_table_configs
 from repro.models.configs import tiny_dlrm_arch
+from repro.models.multitask import HEAD_MODES, MultiTaskModel
 from repro.nn import Adam
 from repro.sim import SimCluster
 from repro.training import TrainConfig, Trainer
@@ -88,6 +95,7 @@ SINGLE_MODELS = {
     "dcn/projecting": ("dcn", {}),
 }
 SINGLE_PARTITIONS = {"scrambled": GROUPS[4], **UNEVEN_GROUPS}
+MULTITASK_BASES = ("dlrm", "dcn", "dmt-dlrm", "dmt-dcn")
 
 
 def _sim(hosts: int) -> SimCluster:
@@ -182,8 +190,7 @@ def _single(kind: str, groups, pooling: int) -> Dict[str, Any]:
     process; every float stored as its ``repr``."""
     family, knobs = SINGLE_MODELS[kind]
     partition = FeaturePartition.from_groups(groups)
-    shape = (B_SINGLE, partition.num_features, pooling)
-    tables = tiny_table_configs(shape[1], ROWS_SINGLE, N, pooling)
+    tables = tiny_table_configs(partition.num_features, ROWS_SINGLE, N, pooling)
     cls, arch = (
         (DMTDLRM, tiny_dlrm_arch(N))
         if family == "dlrm"
@@ -193,13 +200,48 @@ def _single(kind: str, groups, pooling: int) -> Dict[str, Any]:
         DENSE, tables, partition, arch, tower_dim=4,
         rng=np.random.default_rng(17), **knobs,
     )
+    return _single_steps(model, pooling, tasks=1)
+
+
+def _multitask(base: str, head: str, pooling: int) -> Dict[str, Any]:
+    """Three ``Trainer.train_batch`` steps of a two-task model; the
+    cvr labels are gated on the ctr ones, like the dataset's."""
+    tables = tiny_table_configs(F, ROWS_SINGLE, N, pooling)
+    rng = np.random.default_rng(17)
+    if base == "dlrm":
+        model = DLRM(DENSE, tables, tiny_dlrm_arch(N), rng=rng)
+    elif base == "dcn":
+        model = DCN(DENSE, tables, tiny_dcn_arch(N), rng=rng)
+    else:
+        cls, arch = (
+            (DMTDLRM, tiny_dlrm_arch(N))
+            if base == "dmt-dlrm"
+            else (DMTDCN, tiny_dcn_arch(N))
+        )
+        model = cls(
+            DENSE, tables, FeaturePartition.from_groups(GROUPS[4]), arch,
+            tower_dim=4, rng=rng,
+        )
+    return _single_steps(
+        MultiTaskModel(model, ("ctr", "cvr"), head=head, rng=rng),
+        pooling,
+        tasks=2,
+    )
+
+
+def _single_steps(model, pooling: int, tasks: int) -> Dict[str, Any]:
     trainer = Trainer(model, TrainConfig())
+    shape = (B_SINGLE, model.num_sparse, pooling)
     losses = []
     for i in range(STEPS):
         rng = np.random.default_rng(200 + i)
         dense = rng.standard_normal((B_SINGLE, DENSE))
         ids = rng.integers(0, ROWS_SINGLE, size=shape)
-        labels = rng.integers(0, 2, size=B_SINGLE).astype(float)
+        labels = rng.integers(0, 2, size=(B_SINGLE, tasks)).astype(float)
+        if tasks == 1:
+            labels = labels[:, 0]
+        else:
+            labels[:, 1] *= labels[:, 0]
         losses.append(repr(float(trainer.train_batch(dense, ids, labels))))
     return {
         "losses": losses,
@@ -248,6 +290,14 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
         )
         for model in SINGLE_MODELS
         for part, groups in SINGLE_PARTITIONS.items()
+        for pooling in (1, 3)
+    },
+    **{
+        f"multitask/{base}/{head}/P{pooling}": partial(
+            _multitask, base, head, pooling
+        )
+        for base in MULTITASK_BASES
+        for head in HEAD_MODES
         for pooling in (1, 3)
     },
     "session/distributed_training": _session,

@@ -8,7 +8,9 @@ must match exactly, floats at ``rel_tol=1e-12`` — any change to the
 exchanges, the tower stage, the dense plane or the order the step
 prices them in shows up here as a named leaf.  The ``single/`` cases pin
 the one-process ``Trainer.train_batch`` of the DMT pair as ``repr``
-strings and a parameter SHA-256, so they hold bit for bit.
+strings and a parameter SHA-256, so they hold bit for bit; the
+``multitask/`` cases pin a two-task ``MultiTaskModel`` over each of the
+four families the same way.
 """
 
 import json
