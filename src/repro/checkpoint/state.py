@@ -136,7 +136,6 @@ def save_training_checkpoint(
     touched: Optional[Dict[int, np.ndarray]] = None,
     spec: Any = None,
     partition: Any = None,
-    extra_metadata: Optional[Dict[str, Any]] = None,
 ) -> str:
     """Write one training checkpoint directory; returns ``path``.
 
@@ -200,8 +199,6 @@ def save_training_checkpoint(
         metadata["cluster"] = spec.cluster.to_dict()
     if partition is not None:
         metadata["partition_groups"] = [list(g) for g in partition.groups]
-    if extra_metadata:
-        metadata.update(extra_metadata)
     return write_checkpoint(path, arrays, metadata)
 
 

@@ -11,12 +11,13 @@ tower group and synchronized over it exactly as §3.2 prescribes.
 
 Neither executor states any model math.  What they share — splitting
 the global batch, the per-rank loss/grad loop over the dense plane,
-pricing it, the global dense AllReduce — is :class:`_DataParallelStep`;
-each trainer adds the exchange it owns and which of the model's entry
-points consumes what that exchange delivers: ``*_with_embeddings`` for
-the flat exchange's (B, F, N) embeddings, the tower-output seam
-(``overarch_features`` / ``overarch_backward``, see
-:mod:`repro.models.dmt`) for SPTT step (f)'s per-tower outputs.
+pricing it over the model's tower-output seam (``overarch_features`` /
+``overarch_backward``, see :mod:`repro.models.dmt`), the global dense
+AllReduce — is :class:`_DataParallelStep`.  Each trainer adds only the
+exchange it owns and the towers around it: the hybrid passes the flat
+exchange's (B, F, N) embeddings through the flat model's one
+pass-through tower, DMT runs each rank's tower replica on its SPTT peer
+block before step (f).
 
 The integration tests assert these executors match single-process
 training on the concatenated global batch to float tolerance, which is
@@ -52,10 +53,9 @@ class _DataParallelStep:
     """One iteration over the global batch, shared by both trainers.
 
     Subclasses own an embedding exchange and define its two halves
-    around the data-parallel dense plane (``_exchange_forward`` /
-    ``_exchange_backward``), the plane itself on one rank's batch
-    (``_dense_forward`` / ``_dense_backward``) and how it is priced
-    (``_dense_label``, ``_dense_flops``).
+    around the data-parallel dense plane: ``_exchange_forward`` delivers
+    each rank's per-tower outputs, ``_exchange_backward`` takes their
+    gradients.  The plane is the overarch and ``top`` on one rank's batch.
     """
 
     _dense_label: str
@@ -121,6 +121,21 @@ class _DataParallelStep:
         )
         return loss_sum / total
 
+    def _dense_forward(self, dense, tower_outs):
+        model = self.model
+        return model.top(model.overarch_features(dense, tower_outs)).reshape(-1)
+
+    def _dense_backward(self, grad_logits):
+        model = self.model
+        return model.overarch_backward(
+            model.top.backward(grad_logits.reshape(-1, 1))
+        )[1]
+
+    def _dense_flops(self) -> int:
+        return (
+            self.model.flops_per_sample() - self.model.tower_flops_per_sample()
+        )
+
     def sync_replicas(self) -> None:
         """Refresh per-rank copies after the optimizer step (none here)."""
 
@@ -128,8 +143,9 @@ class _DataParallelStep:
 class DistributedHybridTrainer(_DataParallelStep):
     """The state-of-the-art baseline: TorchRec-style hybrid parallelism.
 
-    Embedding tables are model-parallel through the flat exchange;
-    the dense arch is data-parallel with a global gradient AllReduce.
+    Embedding tables are model-parallel through the flat exchange,
+    whose (B, F, N) embeddings feed the flat model's one pass-through
+    tower; the dense arch is data-parallel with a global AllReduce.
     """
 
     _dense_label = "dense_fwd_bwd"
@@ -140,23 +156,27 @@ class DistributedHybridTrainer(_DataParallelStep):
         model: Module,
         plan: Optional[Sequence[int]] = None,
     ):
+        # Imported here: repro.core sits below repro.models.
+        from repro.models.tower_module import PassThroughTower
+
+        towers = getattr(model, "towers", [])
+        if len(towers) != 1 or type(towers[0]) is not PassThroughTower:
+            raise TypeError(
+                f"{type(model).__name__} is not a one-tower pass-through "
+                "model; DistributedDMTTrainer replicates other towers"
+            )
         super().__init__(sim, model)
+        self.tower = towers[0]
         self.exchange = FlatEmbeddingExchange(sim, model.embeddings, plan)
 
     def _exchange_forward(self, ids_parts):
-        return self.exchange.forward(ids_parts)
+        embs = self.exchange.forward(ids_parts)
+        return {r: [self.tower(e)] for r, e in embs.items()}
 
-    def _dense_forward(self, dense, embs):
-        return self.model.forward_with_embeddings(dense, embs)
-
-    def _dense_backward(self, grad_logits):
-        return self.model.backward_with_embeddings(grad_logits)[1]
-
-    def _dense_flops(self) -> int:
-        return self.model.flops_per_sample()
-
-    def _exchange_backward(self, grad_embs):
-        self.exchange.backward(grad_embs)
+    def _exchange_backward(self, tower_out_grads):
+        self.exchange.backward(
+            {r: self.tower.backward(g) for r, (g,) in tower_out_grads.items()}
+        )
 
 
 class DistributedDMTTrainer(_DataParallelStep):
@@ -233,21 +253,6 @@ class DistributedDMTTrainer(_DataParallelStep):
             label="tower_modules",
         )
         return self.exchange.exchange_tower_outputs(tm_out)
-
-    def _dense_forward(self, dense, tower_outs):
-        model = self.model
-        return model.top(model.overarch_features(dense, tower_outs)).reshape(-1)
-
-    def _dense_backward(self, grad_logits):
-        model = self.model
-        return model.overarch_backward(
-            model.top.backward(grad_logits.reshape(-1, 1))
-        )[1]
-
-    def _dense_flops(self) -> int:
-        return (
-            self.model.flops_per_sample() - self.model.tower_flops_per_sample()
-        )
 
     def _exchange_backward(self, tower_out_grads):
         """Reverse step (f), tower-module backward per replica, reverse

@@ -4,12 +4,13 @@ and the XLRM scaled configuration.
 Model semantics live here, once.  Every model is a DMT model: the flat
 DLRM and DCN *are* the one-tower pass-through configuration of
 :class:`DMTDLRM` / :class:`DMTDCN` (Table 3's SPTT-neutrality as a
-construction, not a test), so the four classes share one forward, one
-backward and one (B, F, N) seam (:class:`~repro.models.base.RecModel`)
-and each family states its overarch once.  :mod:`repro.core` runs the
-same methods over what its exchanges deliver (``*_with_embeddings`` for
-the flat exchange, ``overarch_features`` / ``overarch_backward`` for
-SPTT).  With projecting tower modules the DMT variants implement the
+construction, not a test), so the four classes share one forward and
+one backward around one single-process seam, ``features`` /
+``features_backward`` (:class:`~repro.models.base.RecModel`), and each
+family states its overarch once.  :mod:`repro.core` feeds the tower-output
+seam, ``overarch_features`` / ``overarch_backward``, what its exchanges
+deliver (through the flat model's one pass-through tower for the flat
+exchange, through tower replicas for SPTT).  With projecting tower modules the DMT variants implement the
 *model side* of the technique (tower modules + hierarchical feature
 interaction).
 """

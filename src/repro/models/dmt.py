@@ -14,9 +14,9 @@ interaction completeness for compute and communication (Tables 4-5).
 Each family states only its overarch, behind the **tower-output
 seam** ``overarch_features(dense, tower_outs)`` /
 ``overarch_backward(grad_features)``; the tower dispatch around it is
-:class:`~repro.models.base.RecModel`'s.  The single-process step feeds
-the seam each tower's output on its block of the batch, gathered
-tower-major (the (B, F, N) ``features_*`` seam adapts);
+:class:`~repro.models.base.RecModel`'s.  The single-process step
+(``RecModel.features``) feeds the seam each tower's output on its block
+of the batch, gathered tower-major;
 :class:`~repro.core.dmt_pipeline.DistributedDMTTrainer`, the step
 executor :class:`repro.training.Trainer` runs over a simulated cluster,
 feeds it what SPTT step (f) delivers — two dataflows over one statement

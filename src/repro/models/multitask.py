@@ -3,8 +3,10 @@
 Production recommenders are multi-objective: the same embedding plane
 feeds a CTR tower and a CVR tower, where conversion labels exist only
 on clicked impressions.  This module composes extra task towers onto
-any base model that exposes the ``features_with_embeddings`` /
-``features_backward`` seam (DLRM, DCN, DMT-DLRM, DMT-DCN):
+the single-process seam every base model shares, ``features(dense,
+ids)`` / ``features_backward`` (DLRM, DCN, DMT-DLRM, DMT-DCN), so a
+multi-task step runs the same tower-major gather and embedding
+backward as a single-task one:
 
 - **shared_bottom** — each auxiliary task gets its own small MLP tower
   over the shared interaction features; tasks interact only through
@@ -145,10 +147,10 @@ class MultiTaskModel(Module):
         unknown = set(tasks) - set(KNOWN_TASKS)
         if unknown:
             raise ValueError(f"unknown tasks {sorted(unknown)}")
-        if not hasattr(base, "features_with_embeddings"):
+        if not hasattr(base, "features_backward"):
             raise TypeError(
                 f"{type(base).__name__} does not expose the "
-                "features_with_embeddings seam"
+                "features / features_backward seam"
             )
         self.base = base
         self.tasks = tasks
@@ -202,19 +204,15 @@ class MultiTaskModel(Module):
         return self.base.embeddings
 
     # ------------------------------------------------------------------
-    def forward_with_embeddings(
-        self, dense: np.ndarray, embs: np.ndarray
-    ) -> np.ndarray:
-        features = self.base.features_with_embeddings(dense, embs)
+    def forward(self, dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        features = self.base.features(dense, ids)
         primary = self.base.top(features).reshape(-1)
         if self.head is None:
             return primary[:, None]
         aux = self.head(features, primary)
         return np.concatenate([primary[:, None], aux], axis=1)
 
-    def backward_with_embeddings(
-        self, grad_logits: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
         grad_logits = np.asarray(grad_logits)
         if self.head is None:
             g_features = self.base.top.backward(grad_logits.reshape(-1, 1))
@@ -229,15 +227,6 @@ class MultiTaskModel(Module):
             self.base.top.backward(g_primary.reshape(-1, 1)) + g_features_aux
         )
         return self.base.features_backward(g_features)
-
-    def forward(self, dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        embs = self.base.embeddings(ids)
-        return self.forward_with_embeddings(dense, embs)
-
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        g_dense, g_embs = self.backward_with_embeddings(grad_logits)
-        self.base.embeddings.backward(g_embs)
-        return g_dense
 
     # ------------------------------------------------------------------
     def dense_parameters(self) -> List:

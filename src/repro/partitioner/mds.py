@@ -21,6 +21,8 @@ import numpy as np
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
 
+LOG_EVERY = 25  # iterations between recorded stress values
+
 
 @dataclass
 class MDSResult:
@@ -28,7 +30,7 @@ class MDSResult:
 
     coordinates: np.ndarray  # (F, n)
     stress: float
-    history: np.ndarray  # stress per logging step
+    history: np.ndarray  # stress every LOG_EVERY iterations, then the final
 
     @property
     def num_points(self) -> int:
@@ -68,7 +70,6 @@ def mds_embed(
     iterations: int = 500,
     lr: float = 0.05,
     rng: Optional[np.random.Generator] = None,
-    log_every: int = 25,
 ) -> MDSResult:
     """Embed a distance matrix into ``dim`` dimensions with Adam.
 
@@ -98,7 +99,7 @@ def mds_embed(
     stress = np.inf
     for it in range(iterations):
         stress, grad = _stress_and_grad(x.data, D)
-        if it % log_every == 0:
+        if it % LOG_EVERY == 0:
             history.append(stress)
         opt.zero_grad()
         x.add_grad(grad)

@@ -68,12 +68,12 @@ class TowerPartitioner:
         Target group count (the data-center topology's host count).
     strategy:
         ``coherent`` or ``diverse`` distance construction.
-    embed_dim:
-        MDS dimensionality ``n < N``; the paper uses a 2D plane.
     balance_ratio:
         Constrained K-Means cap factor ``R`` (paper: 1).
-    mds_iterations / mds_lr:
-        Stress-minimization budget.
+    mds_iterations:
+        Stress-minimization budget.  MDS embeds into the paper's 2D
+        plane with :func:`~repro.partitioner.mds.mds_embed`'s Adam
+        step size.
     normalize_interaction:
         Min-max rescale the off-diagonal interaction values before the
         distance conversion.  §3.3 requires only *relative* distances
@@ -97,10 +97,8 @@ class TowerPartitioner:
         self,
         num_towers: int,
         strategy: "PartitionStrategy | str" = PartitionStrategy.COHERENT,
-        embed_dim: int = 2,
         balance_ratio: float = 1.0,
         mds_iterations: int = 500,
-        mds_lr: float = 0.05,
         normalize_interaction: bool = True,
     ):
         if num_towers <= 0:
@@ -111,10 +109,8 @@ class TowerPartitioner:
             if isinstance(strategy, PartitionStrategy)
             else PartitionStrategy(str(strategy).lower())
         )
-        self.embed_dim = embed_dim
         self.balance_ratio = balance_ratio
         self.mds_iterations = mds_iterations
-        self.mds_lr = mds_lr
         self.normalize_interaction = normalize_interaction
 
     @staticmethod
@@ -147,13 +143,7 @@ class TowerPartitioner:
             raise ValueError("interaction values must lie in [0, 1]")
         scaled = self._normalize_offdiag(I) if self.normalize_interaction else I
         distances = self.strategy.to_distance(scaled)
-        embedding = mds_embed(
-            distances,
-            dim=self.embed_dim,
-            iterations=self.mds_iterations,
-            lr=self.mds_lr,
-            rng=rng,
-        )
+        embedding = mds_embed(distances, iterations=self.mds_iterations, rng=rng)
         km = ConstrainedKMeans(
             n_clusters=self.num_towers, balance_ratio=self.balance_ratio
         )

@@ -7,7 +7,7 @@ space.  We reproduce the argument by enumerating every ``dp*tp*pp = G``
 factorization and pricing it:
 
 - **compute** divides perfectly across GPUs but pays the pipeline
-  bubble ``1 + (pp - 1) / microbatches``;
+  bubble ``1 + (pp - 1) / MICROBATCHES``;
 - **tensor parallelism** synchronizes activations twice per layer
   across the tp group — for recommendation models the batch is huge
   (16K/GPU) and parameters tiny (~60 MB), so activation traffic dwarfs
@@ -32,6 +32,12 @@ from repro.comm.process_group import ProcessGroup
 from repro.hardware.topology import Cluster
 from repro.perf.paradigms import PerfCalibration, default_perf_calibration
 from repro.perf.profiles import ModelProfile
+
+# The dense arch being meshed: LAYERS layers of HIDDEN_WIDTH fp32
+# activations, pipelined in MICROBATCHES microbatches.
+LAYERS = 6
+HIDDEN_WIDTH = 2048
+MICROBATCHES = 8
 
 
 @dataclass(frozen=True)
@@ -69,9 +75,6 @@ def enumerate_dense_parallelism(
     profile: ModelProfile,
     cluster: Cluster,
     local_batch: int,
-    layers: int = 6,
-    hidden_width: int = 2048,
-    microbatches: int = 8,
     calibration: Optional[PerfCalibration] = None,
     cost_model: Optional[CollectiveCostModel] = None,
 ) -> List[ParallelismConfig]:
@@ -82,8 +85,8 @@ def enumerate_dense_parallelism(
     ``G * local_batch`` is fixed across configs (what Alpa holds
     constant when comparing parallelisms).
     """
-    if local_batch <= 0 or layers <= 0 or microbatches <= 0:
-        raise ValueError("batch, layers, microbatches must be positive")
+    if local_batch <= 0:
+        raise ValueError(f"local_batch must be positive, got {local_batch}")
     cal = calibration or default_perf_calibration()
     cost = cost_model or CollectiveCostModel()
     G = cluster.world_size
@@ -101,37 +104,35 @@ def enumerate_dense_parallelism(
             cluster, tuple(range(0, dp * dp_stride, dp_stride))
         )
 
-        bubble = 1.0 + (pp - 1) / microbatches
+        bubble = 1.0 + (pp - 1) / MICROBATCHES
         compute = flops_total / G / (spec.peak_flops * util) * bubble
 
         batch_per_replica = global_batch // dp
-        act_bytes = batch_per_replica * hidden_width * 4
+        act_bytes = batch_per_replica * HIDDEN_WIDTH * 4
 
         tp_comm = 0.0
         if tp > 1:
             # Two activation AllReduces per layer (fwd + bwd), layers
             # split across pipeline stages.
-            per_stage_layers = max(layers // pp, 1)
+            per_stage_layers = max(LAYERS // pp, 1)
             tp_comm = (
                 2.0
                 * per_stage_layers
-                * cost.allreduce(tp_group, act_bytes // microbatches).seconds
-                * microbatches
+                * cost.allreduce(tp_group, act_bytes // MICROBATCHES).seconds
+                * MICROBATCHES
             )
 
         pp_comm = 0.0
         if pp > 1:
             # Stage boundary transfers: fwd + bwd per microbatch; the
             # boundary usually crosses hosts in a packed mesh.
-            src, dst = 0, min(tp * 1, G - 1)
             per_micro = cost.point_to_point(
                 ProcessGroup(cluster, tuple(range(G))),
-                src,
-                cluster.world_size - 1,
-                act_bytes // microbatches,
+                0,
+                G - 1,
+                act_bytes // MICROBATCHES,
             ).seconds
-            pp_comm = 2.0 * (pp - 1) * per_micro * microbatches / pp
-            del src, dst
+            pp_comm = 2.0 * (pp - 1) * per_micro * MICROBATCHES / pp
 
         dp_comm = 0.0
         if dp > 1:

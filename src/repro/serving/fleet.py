@@ -469,14 +469,12 @@ class ServingFleet:
             1.0, self.engine.num_dense_hosts / self.num_replicas
         )
 
-    def warm_start_from_checkpoint(
-        self, path: str, max_rows: Optional[int] = None
-    ) -> int:
+    def warm_start_from_checkpoint(self, path: str) -> int:
         """Prefill every initial replica's cache from a checkpoint (see
         :func:`~repro.serving.service.warm_start`).  A resilient
         fleet's scale-up slots stay cold on purpose — their warm-start
         is the autoscaler's priced prefill."""
-        return warm_start(self.caches[: self.num_replicas], path, max_rows)
+        return warm_start(self.caches[: self.num_replicas], path)
 
     def _replay(
         self, requests: Sequence[Request], control: Optional[ControlPlane]

@@ -422,9 +422,7 @@ def build_report(
     )
 
 
-def warm_start(
-    caches: Sequence[Any], path: str, max_rows: Optional[int] = None
-) -> int:
+def warm_start(caches: Sequence[Any], path: str) -> int:
     """Prefill ``caches`` from a training checkpoint's hottest saved
     embedding rows (ranked by Adagrad accumulator mass — the rows the
     training traffic actually hit); every cache gets the same
@@ -435,8 +433,6 @@ def warm_start(
     cold-start fetch storm — the FlexEMR-style warm start.
     """
     limit = max(cache.capacity_rows for cache in caches)
-    if max_rows is not None:
-        limit = min(limit, max_rows)
     if limit <= 0:
         return 0
     # Local import: serving stays importable without dragging the
@@ -483,11 +479,9 @@ class InferenceService:
         self.cache = cache if cache is not None else LRUEmbeddingCache(0)
         self._world = self.engine.world
 
-    def warm_start_from_checkpoint(
-        self, path: str, max_rows: Optional[int] = None
-    ) -> int:
+    def warm_start_from_checkpoint(self, path: str) -> int:
         """Prefill the cache from a checkpoint (see :func:`warm_start`)."""
-        return warm_start([self.cache], path, max_rows)
+        return warm_start([self.cache], path)
 
     def serve(self, requests: Sequence[Request]) -> ServingReport:
         """Replay the trace; returns the latency/throughput report."""

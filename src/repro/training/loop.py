@@ -312,7 +312,6 @@ class Trainer:
         dense: np.ndarray,
         ids: np.ndarray,
         labels: np.ndarray,
-        on_epoch_end: Optional[Callable[[int, float], None]] = None,
         on_step_end: Optional[Callable[["Trainer"], None]] = None,
     ) -> List[float]:
         """Full training run per the config; returns per-epoch losses.
@@ -326,11 +325,7 @@ class Trainer:
         hook periodic checkpointing is wired through.
         """
         while self.epoch < self.config.epochs:
-            epoch_loss = self._run_epoch(
-                dense, ids, labels, on_step_end=on_step_end
-            )
-            if on_epoch_end is not None:
-                on_epoch_end(self.epoch - 1, epoch_loss)
+            self._run_epoch(dense, ids, labels, on_step_end=on_step_end)
         return list(self.epoch_losses)
 
     # ------------------------------------------------------------------

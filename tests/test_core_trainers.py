@@ -418,6 +418,32 @@ class TestTowerOutputSeamRequired:
             DistributedDMTTrainer(make_cluster(), model)
 
     @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DMTDLRM(
+                DENSE, tiny_table_configs(F, ROWS, N),
+                FeaturePartition.contiguous(F, 2), tiny_dlrm_arch(N),
+                pass_through=True, rng=np.random.default_rng(0),
+            ),
+            lambda: DMTDCN(
+                DENSE, tiny_table_configs(F, ROWS, N),
+                FeaturePartition.single_tower(F), tiny_dcn_arch(N),
+                tower_dim=4, rng=np.random.default_rng(0),
+            ),
+            lambda: MultiTaskModel(_flat_dlrm(), ("ctr", "cvr")),
+        ],
+        ids=["two-towers", "one-projecting-tower", "multitask-over-flat"],
+    )
+    def test_hybrid_needs_one_pass_through_tower(self, build):
+        """The hybrid shares the model's one tower across ranks: more
+        towers, a projecting (stateful) tower or no towers at all are a
+        TypeError at construction, before anything is priced."""
+        sim = make_cluster()
+        with pytest.raises(TypeError, match="one-tower pass-through"):
+            DistributedHybridTrainer(sim, build())
+        assert sim.timeline.events == []
+
+    @pytest.mark.parametrize(
         "hosts, gpus", [(2, 2), (3, 1), (1, 4)], ids=["2x2", "3x1", "1x4"]
     )
     def test_flat_dlrm_is_one_tower(self, hosts, gpus):

@@ -364,13 +364,18 @@ class TestSharedPlumbing:
         "shape", [(B, F + 2, N), (B, F - 1, N), (B + 1, F, N), (B, F, N + 1)]
     )
     def test_wrong_embeddings_shape_rejected(self, rng, kind, shape):
-        """The DMT pair used to ignore surplus features and raise raw
-        numpy errors on the rest."""
-        model = build_model(kind, rng)
-        with pytest.raises(ValueError, match="embeddings shape"):
-            model.forward_with_embeddings(
-                rng.standard_normal((B, DENSE)), rng.standard_normal(shape)
-            )
+        """Feature-order (B, F, N) embeddings exist only at the flat
+        exchange: a gradient of any other shape handed back to it is a
+        ValueError before anything moves or reaches a table."""
+        sim = SimCluster(Cluster(num_hosts=2, gpus_per_host=1, generation="A100"))
+        ebc = build_model(kind, rng).embeddings
+        ex = FlatEmbeddingExchange(sim, ebc)
+        ex.forward({r: np.zeros((B, F), dtype=int) for r in range(2)})
+        events = list(sim.timeline.events)
+        with pytest.raises(ValueError, match="grad shape"):
+            ex.backward({r: rng.standard_normal(shape) for r in range(2)})
+        assert sim.timeline.events == events
+        assert not any(t.weight.has_grad for t in ebc.tables)
 
     @pytest.mark.parametrize("exchange", ["flat", "sptt"])
     def test_exchanges_reject_surplus_id_columns(self, rng, exchange):
@@ -416,7 +421,8 @@ class TestSharedPlumbing:
 
 
 class TestTowerOutputSeam:
-    """features_* is the seam applied to every tower's own output."""
+    """The single-process seam ``features`` / ``features_backward`` is
+    the tower-output seam applied to every tower's own output."""
 
     @pytest.mark.parametrize("kind", ["dmt-dlrm", "dmt-dcn"])
     @pytest.mark.parametrize("pass_through", [True, False])
@@ -426,13 +432,13 @@ class TestTowerOutputSeam:
         model = build_model(kind, rng, pass_through)
         twin = build_model(kind, np.random.default_rng(0), pass_through)
         twin.load_state_dict(model.state_dict())
-        dense = rng.standard_normal((B, DENSE))
-        embs = rng.standard_normal((B, F, N))
+        dense, ids, _ = batch(rng)
         g_features = rng.standard_normal((B, model.top_in_features))
 
-        features = model.features_with_embeddings(dense, embs)
-        g_dense, g_embs = model.features_backward(g_features)
+        features = model.features(dense, ids)
+        g_dense = model.features_backward(g_features)
 
+        embs = twin.embeddings(ids)
         outs = [
             tower(embs[:, list(group), :])
             for tower, group in zip(twin.towers, SCRAMBLED.groups)
@@ -441,11 +447,14 @@ class TestTowerOutputSeam:
         twin_g_dense, tower_grads = twin.overarch_backward(g_features)
         assert np.array_equal(twin_g_dense, g_dense)
         assert len(tower_grads) == len(twin.towers)
+        g_embs = np.empty((B, F, N))
         for tower, group, g in zip(twin.towers, SCRAMBLED.groups, tower_grads):
             assert g.shape == (B, tower.out_dim)
-            assert np.array_equal(tower.backward(g), g_embs[:, list(group), :])
+            g_embs[:, list(group), :] = tower.backward(g)
+        twin.embeddings.backward(g_embs)
         for (name, p), (_, q) in zip(
             model.named_parameters(), twin.named_parameters()
         ):
-            if p.has_grad or q.has_grad:
+            assert p.has_grad == q.has_grad, name
+            if p.has_grad:
                 assert np.array_equal(p.grad, q.grad), name

@@ -3,10 +3,12 @@
 ``DMTDLRM`` / ``DMTDCN`` ``forward(dense, ids)`` asks the embedding
 collection for one contiguous (B, F_t, N) block per tower, and every
 tower writes its input gradient into its block of one tower-major
-gradient buffer.  The feature-order seam (``features_with_embeddings``
-/ ``features_backward`` over (B, F, N)) is a thin adapter over the same
-core; on one batch the two must agree bit for bit — logits, the dense
-gradient and every table's row-wise gradient.
+gradient buffer.  The reference here is the same step in feature
+order, built from public pieces only: the (B, F, N) lookup, each tower
+on its group's slice of it, the overarch and ``top``, and the
+collection's backward of the (B, F, N) gradient.  On one batch the two
+must agree bit for bit — logits, the dense gradient and every table's
+row-wise gradient.
 """
 
 import numpy as np
@@ -59,11 +61,19 @@ def tower_major_step(model, dense, ids, g_logits):
 
 
 def seam_step(model, dense, ids, g_logits):
-    """The feature-order seam, as MultiTaskModel and the hybrid
-    trainer drive it."""
+    """The feature-order reference: towers on (B, F, N) slices, their
+    input gradients scattered back into one (B, F, N) buffer."""
     model.zero_grad()
-    logits = model.forward_with_embeddings(dense, model.embeddings(ids))
-    g_dense, g_embs = model.backward_with_embeddings(g_logits)
+    embs = model.embeddings(ids)
+    groups = [list(g) for g in model.partition.groups]
+    outs = [tower(embs[:, g]) for tower, g in zip(model.towers, groups)]
+    logits = model.top(model.overarch_features(dense, outs)).reshape(-1)
+    g_dense, tower_grads = model.overarch_backward(
+        model.top.backward(g_logits.reshape(-1, 1))
+    )
+    g_embs = np.empty((len(dense), model.num_sparse, N))
+    for tower, g, group in zip(model.towers, tower_grads, groups):
+        g_embs[:, group] = tower.backward(g)
     model.embeddings.backward(g_embs)
     return logits, g_dense, pending(model)
 

@@ -135,13 +135,6 @@ class TestTrainerLoop:
         trainer.fit(td, ti, tl)
         assert trainer.dense_opt.lr <= trainer.config.dense_lr + 1e-12
 
-    def test_epoch_end_hook(self):
-        (td, ti, tl), _ = self.data(1200)
-        trainer = self.make_trainer()
-        seen = []
-        trainer.fit(td, ti, tl, on_epoch_end=lambda e, l: seen.append((e, l)))
-        assert len(seen) == 1
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
