@@ -35,6 +35,15 @@ the same ``repr`` floats and SHA-256 digests.
 .train()`` end to end: the step losses and the eval AUC as ``repr``
 strings, the parameters' SHA-256 and every timeline event.  (Its
 ``mode='single'`` twin is held equal to it in ``tests/test_api.py``.)
+
+``session/data/ctr`` and ``session/data/ctr+cvr`` pin the SHA-256 of
+the six train/eval arrays ``Session.load_data()`` returns for a
+single-task and a two-task spec.  ``session/online/ctr`` pins a 3-window
+single-task ``Session.online()`` run of ``model_freshness``'s spec: each
+window's ``train_loss``, ``online_auc``, ``frozen_auc`` and
+``candidate_auc`` as ``repr`` strings and each rollout's
+``rolled_back`` flag (checkpoint paths differ run to run and are left
+out).
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List
@@ -51,6 +61,7 @@ import numpy as np
 
 from repro.api import Session
 from repro.api.presets import distributed_training_spec
+from repro.experiments.model_freshness import freshness_spec
 from repro.core import (
     DistributedDMTTrainer,
     DistributedHybridTrainer,
@@ -264,6 +275,35 @@ def _session() -> Dict[str, Any]:
     }
 
 
+def _session_data(tasks) -> Dict[str, str]:
+    """SHA-256 of every array ``Session.load_data()`` returns."""
+    spec = freshness_spec()
+    art = Session(spec.replace(model=spec.model.replace(tasks=tasks))).load_data()
+    return {
+        f"{split}/{name}": hashlib.sha256(array.tobytes()).hexdigest()
+        for split, arrays in (("train", art.train), ("eval", art.eval))
+        for name, array in zip(("dense", "ids", "labels"), arrays)
+    }
+
+
+def _session_online() -> Dict[str, Any]:
+    """A 3-window single-task ``Session.online()`` run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = freshness_spec(directory=tmp)
+        report = (
+            Session(spec.replace(online=spec.online.replace(windows=3)))
+            .online()
+            .report
+        )
+    keys = ("train_loss", "online_auc", "frozen_auc", "candidate_auc")
+    return {
+        "windows": [
+            {k: repr(float(w[k])) for k in keys} for w in report.windows
+        ],
+        "rolled_back": [bool(r["rolled_back"]) for r in report.rollouts],
+    }
+
+
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     **{
         f"dmt/{hosts}x2/{family}/{'pass_through' if pt else 'projecting'}": (
@@ -301,6 +341,9 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
         for pooling in (1, 3)
     },
     "session/distributed_training": _session,
+    "session/data/ctr": partial(_session_data, ("ctr",)),
+    "session/data/ctr+cvr": partial(_session_data, ("ctr", "cvr")),
+    "session/online/ctr": _session_online,
 }
 
 
