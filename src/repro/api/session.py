@@ -113,28 +113,16 @@ def _dataset_for(data: DataSpec) -> SyntheticCriteoDataset:
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _split_for(data: DataSpec):
-    dataset = _dataset_for(data)
-    return train_eval_split(
-        *dataset.sample(data.num_samples, seed=data.sample_seed),
-        eval_fraction=data.eval_fraction,
-    )
+def _draw(data: DataSpec, tasks: Tuple[str, ...], n: int, seed: int):
+    """``n`` samples of ``tasks``: labels 1-D for one task, else (n, T)."""
+    dense, ids, labels = _dataset_for(data).sample_tasks(n, tasks, seed)
+    return dense, ids, labels[:, 0] if len(tasks) == 1 else labels
 
 
 @functools.lru_cache(maxsize=16)
-def _task_split_for(data: DataSpec, tasks: Tuple[str, ...]):
-    """Multi-task variant of :func:`_split_for` — (n, T) label matrix.
-
-    A separate cache entry per task tuple; the single-task path keeps
-    using :func:`_split_for` untouched (its labels stay 1-D and its
-    RNG consumption is the bit-identical golden path).
-    """
-    dataset = _dataset_for(data)
+def _split_for(data: DataSpec, tasks: Tuple[str, ...]):
     return train_eval_split(
-        *dataset.sample_tasks(
-            data.num_samples, tasks=tasks, seed=data.sample_seed
-        ),
+        *_draw(data, tasks, data.num_samples, data.sample_seed),
         eval_fraction=data.eval_fraction,
     )
 
@@ -149,7 +137,7 @@ def _probed_partition(
     a seed sweep re-partitions once.
     """
     embedding_dim, bottom_mlp, top_mlp = arch_key
-    (td, ti, tl), (ed, ei, el) = _split_for(data)
+    (td, ti, tl), (ed, ei, el) = _split_for(data, ("ctr",))
     tables = tiny_table_configs(data.num_sparse, data.cardinality, embedding_dim)
     arch = DenseArch(
         embedding_dim=embedding_dim, bottom_mlp=bottom_mlp, top_mlp=top_mlp
@@ -275,15 +263,10 @@ class Session:
 
         def build() -> DataArtifact:
             data = self._need("data")
-            # A multi-task model section switches the labels to the
-            # (n, T) per-task matrix; everything else (features, split
-            # point, CTR column values) is bit-identical to the
-            # single-task draw.
             model = self.spec.model
-            if model is not None and len(model.tasks) > 1:
-                train, evals = _task_split_for(data, model.tasks)
-            else:
-                train, evals = _split_for(data)
+            train, evals = _split_for(
+                data, model.tasks if model is not None else ("ctr",)
+            )
             return DataArtifact(
                 dataset=_dataset_for(data), train=train, eval=evals
             )
@@ -361,10 +344,8 @@ class Session:
                 arch,
                 rng=rng,
             )
-        if len(model.tasks) <= 1:
-            # Degenerate preset: the base model itself — same object,
-            # same RNG draws, bit-identical to the pre-multi-task path.
-            return base
+        if len(model.tasks) == 1:
+            return base  # one task is the base model itself
         # The head draws from the same stream *after* the base model,
         # so the shared plane's initialization is unchanged by adding
         # tasks (same model.seed => same base weights either way).
@@ -787,9 +768,10 @@ class Session:
         """Run the train→serve freshness loop (online section).
 
         Streams ``online.windows`` windows of the data section's click
-        logs through a fresh trainer under **hot-set churn**: the live
-        vocabulary (``data.cardinality`` ids per feature) is embedded
-        into tables ``online.table_multiplier``\\ x larger, and every
+        logs, labeled with the model's tasks, through a fresh trainer
+        under **hot-set churn**: the live vocabulary
+        (``data.cardinality`` ids per feature) is embedded into tables
+        ``online.table_multiplier``\\ x larger, and every
         window boundary ``online.churn_fraction`` of the live slots
         remap to fresh (untrained) rows.  The
         :class:`~repro.online.OnlineDriver` emits a delta checkpoint
@@ -807,7 +789,7 @@ class Session:
             ck: CheckpointSpec = self._need("checkpoint")
             data: DataSpec = self._need("data")
             self._ensure_analyzed()
-            dataset = _dataset_for(data)
+            tasks = self._need("model").tasks
 
             hot = data.cardinality
             card = hot * on.table_multiplier
@@ -834,13 +816,9 @@ class Session:
                         maps[f, slots] = rng.choice(
                             card, size=churned, replace=False
                         )
-                td, ti, tl = dataset.sample(
-                    on.window_samples, seed=data.sample_seed + 1000 * (w + 1)
-                )
-                ed, ei, el = dataset.sample(
-                    on.eval_samples,
-                    seed=data.sample_seed + 1000 * (w + 1) + 500,
-                )
+                seed = data.sample_seed + 1000 * (w + 1)
+                td, ti, tl = _draw(data, tasks, on.window_samples, seed)
+                ed, ei, el = _draw(data, tasks, on.eval_samples, seed + 500)
                 windows.append(
                     ((td, maps[cols, ti], tl), (ed, maps[cols, ei], el))
                 )

@@ -31,8 +31,10 @@ from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.comm.process_group import tower_groups
 from repro.data import SyntheticCriteoConfig
+from repro.data.criteo import TASKS
 from repro.hardware.specs import GPUGeneration, get_spec
 from repro.hardware.topology import Cluster
+from repro.models.multitask import HEAD_MODES
 from repro.serving import (
     AutoscalePolicy,
     FaultConfig,
@@ -340,12 +342,6 @@ class DataSpec(_SpecBase):
         return bool(self._non_default(self._CVR_FIELDS))
 
 
-#: Prediction tasks the model zoo understands.
-MODEL_TASKS = ("ctr", "cvr")
-#: Multi-task head architectures (see repro.models.multitask).
-MODEL_HEADS = ("shared_bottom", "dbmtl")
-
-
 @dataclass(frozen=True)
 class ModelSpec(_SpecBase):
     """One recommendation model: family, variant, and dense sizing.
@@ -355,8 +351,9 @@ class ModelSpec(_SpecBase):
     model's top MLP, every further task gets its own ``head_mlp``
     tower (:class:`~repro.models.multitask.MultiTaskHead`) in ``head``
     mode — ``"shared_bottom"`` towers only, ``"dbmtl"`` adds a learned
-    residual link from the primary logit.  The default
-    ``tasks=("ctr",)`` is the bit-identical degenerate preset.
+    residual link from the primary logit.  A single task (the default
+    ``tasks=("ctr",)``) is the base model itself.  The data section's
+    labels follow ``tasks``: 1-D for one task, ``(n, T)`` otherwise.
     """
 
     _TUPLE_FIELDS = ("bottom_mlp", "top_mlp", "tasks", "head_mlp",
@@ -401,8 +398,8 @@ class ModelSpec(_SpecBase):
         _require(self.c >= 0 and self.p >= 0, "c and p must be non-negative")
         _require(len(self.tasks) >= 1, "tasks must name at least one task")
         _require(
-            all(t in MODEL_TASKS for t in self.tasks),
-            f"unknown task(s) in {self.tasks}; expected from {MODEL_TASKS}",
+            all(t in TASKS for t in self.tasks),
+            f"unknown task(s) in {self.tasks}; expected from {TASKS}",
         )
         _require(
             len(set(self.tasks)) == len(self.tasks),
@@ -411,8 +408,8 @@ class ModelSpec(_SpecBase):
         # 'cvr' without 'ctr' constructs (the cvr-without-ctr speccheck
         # owns the diagnosis) but fails at data generation.
         _require(
-            self.head in MODEL_HEADS,
-            f"head must be one of {MODEL_HEADS}, got {self.head!r}",
+            self.head in HEAD_MODES,
+            f"head must be one of {HEAD_MODES}, got {self.head!r}",
         )
         _require(
             all(

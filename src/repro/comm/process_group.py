@@ -86,10 +86,6 @@ class ProcessGroup:
             )
         return values.pop()
 
-    @property
-    def is_single_host(self) -> bool:
-        return self.hosts_spanned == 1
-
     def cross_host_fraction(self) -> float:
         """Fraction of uniform all-pairs traffic that crosses hosts.
 

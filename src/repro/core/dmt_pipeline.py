@@ -28,7 +28,7 @@ equality of two dataflows over one statement of the math.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
@@ -150,12 +150,7 @@ class DistributedHybridTrainer(_DataParallelStep):
 
     _dense_label = "dense_fwd_bwd"
 
-    def __init__(
-        self,
-        sim: SimCluster,
-        model: Module,
-        plan: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, sim: SimCluster, model: Module):
         # Imported here: repro.core sits below repro.models.
         from repro.models.tower_module import PassThroughTower
 
@@ -167,7 +162,7 @@ class DistributedHybridTrainer(_DataParallelStep):
             )
         super().__init__(sim, model)
         self.tower = towers[0]
-        self.exchange = FlatEmbeddingExchange(sim, model.embeddings, plan)
+        self.exchange = FlatEmbeddingExchange(sim, model.embeddings)
 
     def _exchange_forward(self, ids_parts):
         embs = self.exchange.forward(ids_parts)

@@ -22,13 +22,16 @@ a coherent one — the mechanism behind the paper's Table 6 gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.partition import FeaturePartition
 from repro.nn.functional import sigmoid
+
+#: The prediction tasks the generator draws label columns for.
+TASKS = ("ctr", "cvr")
 
 
 @dataclass(frozen=True)
@@ -153,39 +156,31 @@ class SyntheticCriteoDataset:
     def sample(
         self, n: int, seed: "int | None" = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Draw ``n`` labeled samples: (dense, sparse ids, labels)."""
-        if n <= 0:
-            raise ValueError(f"sample count must be positive, got {n}")
-        rng = (
-            np.random.default_rng(seed)
-            if seed is not None
-            else self._structure_rng
-        )
-        dense, u, ids = self._features(n, rng)
-        labels = rng.binomial(1, sigmoid(self._logits(dense, u, rng))).astype(
-            np.float64
-        )
-        return dense, ids, labels
+        """Draw ``n`` click-labeled samples: (dense, sparse ids, labels).
+
+        The ``ctr`` column of :meth:`sample_tasks` with ``("ctr",)``:
+        the same draws, with 1-D labels.
+        """
+        dense, ids, labels = self.sample_tasks(n, ("ctr",), seed)
+        return dense, ids, labels[:, 0]
 
     def sample_tasks(
         self,
         n: int,
-        tasks: Tuple[str, ...] = ("ctr", "cvr"),
+        tasks: Tuple[str, ...] = TASKS,
         seed: "int | None" = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw ``n`` samples with per-task labels: (dense, ids, (n, T)).
 
-        Label columns follow ``tasks`` order.  The RNG draw sequence
-        replays :meth:`sample` exactly through the CTR binomial, so for
-        a given seed the features and the ``ctr`` column are
-        bit-identical to the single-task path; CVR draws come after.
-        Conversion labels are gated on clicks: ``cvr`` is 1 only where
-        ``ctr`` is 1.
+        Label columns follow ``tasks`` order.  The features and the
+        ``ctr`` column are drawn first, so for a given seed they do not
+        depend on the task list; CVR draws come after.  Conversion
+        labels are gated on clicks: ``cvr`` is 1 only where ``ctr`` is 1.
         """
         if n <= 0:
             raise ValueError(f"sample count must be positive, got {n}")
         tasks = tuple(tasks)
-        unknown = set(tasks) - {"ctr", "cvr"}
+        unknown = set(tasks) - set(TASKS)
         if unknown:
             raise ValueError(f"unknown tasks {sorted(unknown)}")
         if len(set(tasks)) != len(tasks):

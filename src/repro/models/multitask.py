@@ -17,10 +17,9 @@ backward as a single-task one:
   of DBMTL's Bayesian p(cvr | x, ctr) coupling: the well-estimated
   all-impressions CTR ranking transfers into the clicks-only CVR task.
 
-The primary task's tower IS the base model's ``top`` MLP — a one-task
-``MultiTaskModel`` therefore runs the exact arithmetic of the base
-model and stays bit-identical to the single-task path (the golden
-fingerprint oracle).
+The primary task's tower IS the base model's ``top`` MLP.  A one-task
+list is the base model itself (what ``Session`` builds for it), so a
+``MultiTaskModel`` always has at least two tasks and an auxiliary head.
 """
 
 from __future__ import annotations
@@ -29,11 +28,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.data.criteo import TASKS
 from repro.nn.mlp import MLP
 from repro.nn.module import Module, Parameter
 
+#: Multi-task head architectures.
 HEAD_MODES = ("shared_bottom", "dbmtl")
-KNOWN_TASKS = ("ctr", "cvr")
 
 
 class MultiTaskHead(Module):
@@ -140,11 +140,14 @@ class MultiTaskModel(Module):
         rng: Optional[np.random.Generator] = None,
     ):
         tasks = tuple(tasks)
-        if not tasks:
-            raise ValueError("MultiTaskModel needs at least one task")
+        if len(tasks) < 2:
+            raise ValueError(
+                f"MultiTaskModel needs at least two tasks, got {tasks}; "
+                "one task is the base model itself"
+            )
         if len(set(tasks)) != len(tasks):
             raise ValueError(f"duplicate tasks in {tasks}")
-        unknown = set(tasks) - set(KNOWN_TASKS)
+        unknown = set(tasks) - set(TASKS)
         if unknown:
             raise ValueError(f"unknown tasks {sorted(unknown)}")
         if not hasattr(base, "features_backward"):
@@ -170,16 +173,8 @@ class MultiTaskModel(Module):
             for i, t in enumerate(tasks)
             if t == "cvr" and "ctr" in tasks
         }
-        self.head: Optional[MultiTaskHead] = (
-            MultiTaskHead(
-                base.top_in_features,
-                tasks[1:],
-                mode=head,
-                hidden=head_mlp,
-                rng=rng,
-            )
-            if len(tasks) > 1
-            else None
+        self.head = MultiTaskHead(
+            base.top_in_features, tasks[1:], mode=head, hidden=head_mlp, rng=rng
         )
 
     # ------------------------------------------------------------------
@@ -207,16 +202,11 @@ class MultiTaskModel(Module):
     def forward(self, dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
         features = self.base.features(dense, ids)
         primary = self.base.top(features).reshape(-1)
-        if self.head is None:
-            return primary[:, None]
         aux = self.head(features, primary)
         return np.concatenate([primary[:, None], aux], axis=1)
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
         grad_logits = np.asarray(grad_logits)
-        if self.head is None:
-            g_features = self.base.top.backward(grad_logits.reshape(-1, 1))
-            return self.base.features_backward(g_features)
         if grad_logits.ndim != 2 or grad_logits.shape[1] != self.num_tasks:
             raise ValueError(
                 f"expected (B, {self.num_tasks}) grad, got {grad_logits.shape}"
@@ -230,10 +220,7 @@ class MultiTaskModel(Module):
 
     # ------------------------------------------------------------------
     def dense_parameters(self) -> List:
-        params = list(self.base.dense_parameters())
-        if self.head is not None:
-            params += self.head.parameters()
-        return params
+        return list(self.base.dense_parameters()) + self.head.parameters()
 
     def tower_parameters(self) -> List:
         """DMT tower-local parameters of the base model, if any."""
@@ -243,10 +230,7 @@ class MultiTaskModel(Module):
         return self.base.sparse_parameters()
 
     def flops_per_sample(self) -> int:
-        flops = self.base.flops_per_sample()
-        if self.head is not None:
-            flops += self.head.flops_per_sample()
-        return flops
+        return self.base.flops_per_sample() + self.head.flops_per_sample()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

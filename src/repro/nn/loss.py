@@ -47,9 +47,8 @@ class BCEWithLogitsLoss(Module):
 class MultiLoss(Module):
     """Weighted sum of per-task :class:`BCEWithLogitsLoss` terms.
 
-    ``forward(logits, targets)`` takes (B, T) arrays — or 1-D arrays
-    for the one-task degenerate preset — and returns the scalar
-    ``sum_t w_t * mean-BCE_t``.  ``backward()`` returns the (B, T)
+    ``forward(logits, targets)`` takes (B, T) arrays and returns the
+    scalar ``sum_t w_t * mean-BCE_t``.  ``backward()`` returns the (B, T)
     gradient of that scalar w.r.t. the logits, each column scaled by
     its task weight.
 
@@ -58,11 +57,7 @@ class MultiLoss(Module):
     is defined only on clicked impressions).  Ungated rows contribute
     neither loss nor gradient; a window with no gated rows yields a
     NaN entry in ``task_losses`` and a zero loss/grad contribution.
-
-    With one task, weight 1.0 and no gates, forward and backward are
-    bit-identical to ``BCEWithLogitsLoss`` (``1.0 * x == x`` and
-    ``0.0 + x == x`` exactly in IEEE-754), which is what the golden
-    fingerprint tests pin.
+    A single-logit model trains with :class:`BCEWithLogitsLoss` itself.
     """
 
     def __init__(
@@ -107,10 +102,6 @@ class MultiLoss(Module):
     def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
         logits = np.asarray(logits, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
-        if logits.ndim == 1:
-            logits = logits[:, None]
-        if targets.ndim == 1:
-            targets = targets[:, None]
         if logits.shape != targets.shape:
             raise ValueError(
                 f"logits {logits.shape} and targets {targets.shape} mismatch"

@@ -109,10 +109,6 @@ class CacheChain:
         self.last_level_hits: List[int] = [0] * len(self.levels)
 
     @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
-    @property
     def capacity_rows(self) -> int:
         """Total rows the chain can hold (warm-start seeding limit)."""
         return sum(level.capacity_rows for level in self.levels)
@@ -123,10 +119,6 @@ class CacheChain:
     @property
     def stats(self) -> CacheStats:
         return CacheStats(hits=self._hits, misses=self._misses)
-
-    def level_stats(self) -> Tuple[CacheStats, ...]:
-        """Per-level cumulative accounting (level 0 fastest)."""
-        return tuple(level.stats for level in self.levels)
 
     def probe(self, keys: np.ndarray) -> Tuple[int, np.ndarray]:
         """Cascade the batch down the chain.

@@ -148,9 +148,6 @@ class MultiTaskEvalResult:
     def auc_skipped(self) -> bool:
         return self.by_task[self.primary].auc_skipped
 
-    def task_auc(self, name: str) -> float:
-        return self.by_task[name].auc
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return " | ".join(
             f"{name}: {res}" for name, res in self.by_task.items()
@@ -446,28 +443,21 @@ class Trainer:
                 "cannot evaluate on an empty eval set; check the "
                 "eval_fraction / split producing these arrays"
             )
-        if self.tasks is None:
-            # Preallocate and fill in place (no per-batch list + concat
-            # copy).
-            logits = np.empty(len(labels))
-            for i in range(0, len(labels), batch_size):
-                logits[i : i + batch_size] = self.model(
-                    dense[i : i + batch_size], ids[i : i + batch_size]
-                )
-            return self._metrics(labels, logits, single_class)
-        labels = np.asarray(labels, dtype=np.float64)
-        if labels.ndim == 1:
-            labels = labels[:, None]
-        num_tasks = len(self.tasks)
-        if labels.shape[1] != num_tasks:
-            raise ValueError(
-                f"expected (n, {num_tasks}) labels for tasks {self.tasks}, "
-                f"got {labels.shape}"
-            )
-        logits = np.empty((len(labels), num_tasks))
+        # One preallocated logits array, filled in place: (n,) for a
+        # single-logit model, (n, T) for a multi-task one.
+        width = () if self.tasks is None else (len(self.tasks),)
+        logits = np.empty((len(labels),) + width)
         for i in range(0, len(labels), batch_size):
             logits[i : i + batch_size] = self.model(
                 dense[i : i + batch_size], ids[i : i + batch_size]
+            )
+        if self.tasks is None:
+            return self._metrics(labels, logits, single_class)
+        labels = np.asarray(labels, dtype=np.float64)
+        if labels.shape != logits.shape:
+            raise ValueError(
+                f"expected {logits.shape} labels for tasks {self.tasks}, "
+                f"got {labels.shape}"
             )
         by_task: Dict[str, EvalResult] = {}
         for t, name in enumerate(self.tasks):

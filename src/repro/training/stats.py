@@ -50,9 +50,7 @@ def run_seed_sweep(
 
 
 def mann_whitney_u(
-    treatment: Sequence[float],
-    control: Sequence[float],
-    alternative: str = "greater",
+    treatment: Sequence[float], control: Sequence[float]
 ) -> float:
     """p-value that ``treatment`` stochastically dominates ``control``.
 
@@ -67,6 +65,6 @@ def mann_whitney_u(
     if len(treatment) < 2 or len(control) < 2:
         raise ValueError("need at least two observations per group")
     result = scipy_stats.mannwhitneyu(
-        treatment, control, alternative=alternative
+        treatment, control, alternative="greater"
     )
     return float(result.pvalue)

@@ -3,14 +3,13 @@
 Covers the tentpole seams end to end — correlated task labels from
 :meth:`SyntheticCriteoDataset.sample_tasks`, the
 :class:`~repro.nn.loss.MultiLoss` weighted sum (gradient-checked
-against finite differences and bit-identical to ``BCEWithLogitsLoss``
-in the one-task degenerate preset), :class:`~repro.models.multitask.
+against finite differences), :class:`~repro.models.multitask.
 MultiTaskModel` composition and state round trips, per-task trainer
 bookkeeping through checkpoint/resume, :meth:`Session.ab` paired
 deltas with Student-t CIs — plus the metric satellites (``auc``'s
 typed single-class skip, ``calibration``'s symmetric degenerate
 rejection) and the :class:`~repro.online.OnlineDriver`'s per-task
-canary gate.
+canary gate, through ``Session.online()`` too.
 """
 
 import json
@@ -137,16 +136,6 @@ class TestSampleTasksOracle:
 
 # ----------------------------------------------------------------------
 class TestMultiLoss:
-    def test_one_task_bit_identical_to_bce(self):
-        rng = np.random.default_rng(0)
-        logits = rng.standard_normal(64)
-        targets = rng.binomial(1, 0.4, size=64).astype(np.float64)
-        multi, bce = MultiLoss(1), BCEWithLogitsLoss()
-        assert multi(logits, targets) == bce(logits, targets)
-        grad = multi.backward()
-        assert grad.shape == (64, 1)
-        assert np.array_equal(grad[:, 0], bce.backward())
-
     def test_weights_scale_loss_and_grad(self):
         rng = np.random.default_rng(1)
         logits = rng.standard_normal((32, 2))
@@ -203,6 +192,8 @@ class TestMultiLoss:
             MultiLoss(2, names=("ctr",))
         with pytest.raises(RuntimeError, match="before forward"):
             MultiLoss(2).backward()
+        with pytest.raises(ValueError, match=r"\(B, 1\)"):
+            MultiLoss(1)(np.zeros(4), np.zeros(4))  # (B, T) arrays only
 
     @pytest.mark.parametrize("head", ["shared_bottom", "dbmtl"])
     def test_finite_differences_through_the_model(self, head):
@@ -249,18 +240,6 @@ class TestMultiLoss:
 
 # ----------------------------------------------------------------------
 class TestMultiTaskModel:
-    def test_single_task_wrap_is_bit_identical_to_base(self):
-        plain = base_model(0)
-        wrapped = MultiTaskModel(base_model(0), tasks=("ctr",))
-        dense, ids, _ = random_batch(
-            64, NUM_DENSE, NUM_TABLES, CARD, rng=np.random.default_rng(0)
-        )
-        out = wrapped(dense, ids)
-        assert out.shape == (64, 1)
-        assert np.array_equal(out[:, 0], plain(dense, ids).reshape(-1))
-        assert wrapped.flops_per_sample() == plain.flops_per_sample()
-        assert wrapped.head is None
-
     def test_dbmtl_is_shared_bottom_plus_linked_primary(self):
         # Same init rng => identical towers; the unit-initialized link
         # makes the dbmtl aux logit exactly tower + primary.
@@ -285,8 +264,10 @@ class TestMultiTaskModel:
             assert np.array_equal(p1.data, p2.data)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="at least two"):
             MultiTaskModel(base_model(), tasks=())
+        with pytest.raises(ValueError, match="at least two"):
+            MultiTaskModel(base_model(), tasks=("ctr",))
         with pytest.raises(ValueError, match="duplicate"):
             MultiTaskModel(base_model(), tasks=("ctr", "ctr"))
         with pytest.raises(ValueError, match="unknown tasks"):
@@ -296,47 +277,20 @@ class TestMultiTaskModel:
                 base_model(), tasks=("ctr", "cvr"), task_weights=(1.0,)
             )
         with pytest.raises(TypeError, match="seam"):
-            MultiTaskModel(object(), tasks=("ctr",))
+            MultiTaskModel(object(), tasks=("ctr", "cvr"))
         with pytest.raises(ValueError, match="head mode"):
             MultiTaskHead(8, ("cvr",), mode="moe")
 
     def test_cvr_gates_on_ctr_column(self):
         model = mt_model()
         assert model.task_gates == {1: 0}
-        # Without ctr in the task list there is nothing to gate on —
-        # the spec layer rejects that combination before it gets here.
-        solo = MultiTaskModel(base_model(), tasks=("ctr",))
-        assert solo.task_gates == {}
+        # The gate follows the ctr column wherever the task list puts it.
+        swapped = MultiTaskModel(base_model(), tasks=("cvr", "ctr"))
+        assert swapped.task_gates == {0: 1}
 
 
 # ----------------------------------------------------------------------
 class TestTrainerMultiTask:
-    @pytest.mark.parametrize("mode", ["rowwise", "dense"])
-    def test_one_task_training_bit_identical_to_bce(self, mode):
-        """The whole training loop — not just the loss — is bit-equal
-        between a bare DLRM (BCEWithLogitsLoss) and its one-task
-        MultiTaskModel wrap (MultiLoss), under both gradient paths."""
-        config = TrainConfig(
-            batch_size=32, epochs=2, sparse_grad_mode=mode, seed=0
-        )
-        plain = base_model(0)
-        t_plain = Trainer(plain, config)
-        wrapped = MultiTaskModel(base_model(0), tasks=("ctr",))
-        t_wrapped = Trainer(wrapped, config)
-        assert isinstance(t_plain.loss_module, BCEWithLogitsLoss)
-        assert isinstance(t_wrapped.loss_module, MultiLoss)
-        dense, ids, labels = random_batch(
-            256, NUM_DENSE, NUM_TABLES, CARD, rng=np.random.default_rng(0)
-        )
-        losses_plain = t_plain.fit(dense, ids, labels)
-        losses_wrapped = t_wrapped.fit(dense, ids, labels[:, None])
-        assert losses_plain == losses_wrapped
-        for (n1, p1), (n2, p2) in zip(
-            plain.named_parameters(), wrapped.base.named_parameters()
-        ):
-            assert n1 == n2
-            assert np.array_equal(p1.data, p2.data), n1
-
     def test_per_task_loss_history(self):
         model = mt_model()
         trainer = Trainer(model, TrainConfig(batch_size=32, epochs=1))
@@ -679,3 +633,22 @@ class TestOnlineDriverPerTaskGate:
         healthy = report.windows[2]
         assert healthy["canary_skipped_tasks"] == []
         assert not math.isnan(healthy["online_auc"])
+
+    def test_two_task_session_online_runs_end_to_end(self, tmp_path):
+        """Regression: ``Session.online()`` drew its stream windows with
+        CTR-only labels, so a two-task model died in the first training
+        step with a logits/targets shape mismatch."""
+        from repro.analysis import analyze_spec
+        from repro.experiments.model_freshness import freshness_spec
+
+        spec = freshness_spec(fast=True, directory=str(tmp_path))
+        spec = spec.replace(
+            model=spec.model.replace(tasks=("ctr", "cvr")),
+            online=spec.online.replace(windows=3),
+        )
+        assert analyze_spec(spec) == []
+        report = Session(spec).online().report
+        assert len(report.windows) == 3
+        for w in report.windows:
+            assert set(w["online_auc_by_task"]) == {"ctr", "cvr"}
+            assert set(w["candidate_auc_by_task"]) == {"ctr", "cvr"}
