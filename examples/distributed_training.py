@@ -2,13 +2,14 @@
 
 One RunSpec with ``train.mode='simulated'`` runs real multi-rank
 training — model-parallel embedding tables, SPTT exchange, per-host
-tower modules with intra-host gradient sync, and a data-parallel
-overarch — on a simulated 2-host x 2-GPU cluster.  Its
+tower modules with a priced intra-host gradient sync, and a
+data-parallel overarch — on a simulated 2-host x 2-GPU cluster.  Its
 ``mode='single'`` twin trains the same model in one process: same
 data, same recipe, same batches.  ``mode`` picks only the step
-executor, so the two must reach the same eval AUC and the same
-parameters up to reduction order; the script asserts both, then prints
-the priced communication timeline.
+executor, and the executor runs every module once over the global
+batch, so the two reach the same epoch losses, the same eval AUC and
+the same parameters bit for bit; the script asserts all three, then
+prints the priced communication timeline.
 
 Run:  python examples/distributed_training.py
 """
@@ -45,8 +46,9 @@ def main() -> None:
     )
     steps = len(art.trainer.loss_history)
     print(f"max parameter drift after {steps} steps: {drift:.2e}")
+    assert art.epoch_losses == twin.epoch_losses
     assert art.eval_result.auc == twin.eval_result.auc
-    assert drift <= 1e-12
+    assert drift == 0
 
     print("\npriced timeline of the run (per phase):")
     print(art.timeline)

@@ -55,12 +55,12 @@ def main() -> None:
     sptt = SPTTEmbeddingExchange(sim_sptt, ebc, partition)
     towers = sptt.forward_to_towers(ids)
     print("\nafter steps (a)-(e), each rank holds its tower's features, in the")
-    print("partition's own order, for every peer's batch (T*B rows x F_t x N):")
-    for r in range(4):
-        t = sptt.tower_of[r]
+    print("partition's own order, for every peer's batch (T*B rows x F_t x N),")
+    print("as its column of its tower's one batch-ordered buffer:")
+    for t, group in enumerate(sptt.tower_groups):
         print(
-            f"  rank {r}: shape {towers[r].shape} "
-            f"(tower {t}, feature order {sptt.tower_feature_order[t]})"
+            f"  tower {t}: shape {towers[t].shape} over ranks {group.ranks} "
+            f"(feature order {sptt.tower_feature_order[t]})"
         )
     sim_sptt.timeline.clear()  # re-run the full pipeline for a clean trace
     out_sptt = sptt.forward(ids)

@@ -100,8 +100,8 @@ def train_dmt_criteo_spec() -> RunSpec:
 def distributed_training_spec() -> RunSpec:
     """Simulated 2x2 cluster running real multi-rank DMT training: one
     epoch of 8 steps of 128 over the 1024-sample train split.  Its
-    ``mode='single'`` twin reaches the same eval AUC and the same
-    parameters up to reduction order."""
+    ``mode='single'`` twin reaches the same losses, eval AUC and
+    parameters bit for bit."""
     return RunSpec(
         name="distributed-training",
         cluster=ClusterSpec(num_hosts=2, gpus_per_host=2, generation="A100"),

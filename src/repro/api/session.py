@@ -431,9 +431,6 @@ class Session:
                 if saved is not None and saved != self.spec.cluster.to_dict():
                     self.elastic_plan()
                 load_training_checkpoint(ck.resume_from, model, trainer)
-                if trainer.step is not None:
-                    # The tower replicas were copied before the restore.
-                    trainer.step.sync_replicas()
                 record.resumed_from = ck.resume_from
                 record.resumed_step = trainer.global_step
             if ck.save_every_steps > 0:
@@ -829,6 +826,7 @@ class Session:
                 model,
                 trainer,
                 os.path.join(ck.directory, self.spec.name, "online"),
+                task=tasks[0],
             )
             report = driver.run(windows)
 

@@ -1320,12 +1320,6 @@ class RunSpec(_SpecBase):
                     "simulated training runs the DMT pipeline; "
                     "set model.variant='dmt'",
                 )
-                _require(
-                    len(self.model.tasks) == 1,
-                    "simulated training prices single-logit BCE only: "
-                    f"model.tasks={self.model.tasks} needs "
-                    "train.mode='single'",
-                )
                 self.cluster.require_towers_divide_hosts(
                     self.partition.num_towers, "partition.num_towers"
                 )

@@ -16,10 +16,12 @@ into topology-aware steps:
     (:func:`repro.comm.tower_groups`; ``K = 1`` is one per host).
 
 Tower modules slot in between (e) and (f): `forward_to_towers` stops
-after (e) handing each rank a (T*B, F_t, N) block — the full tower
-feature set, in the partition's own order, for every peer — and
+after (e) with each rank's (T*B, F_t, N) block — the full tower
+feature set, in the partition's own order, for every peer — written
+as its column of one batch-ordered (G*B, F_t, N) buffer per tower, so
+a tower module runs once over its group's rows; and
 `exchange_tower_outputs` performs (f) on the (possibly compressed)
-module outputs.
+module outputs, receiving into one batch-ordered buffer per tower.
 
 Every step is still priced where Figure 7 has it, but the host moves an
 activation once per *hop*: peer group ``j`` is the arithmetic
@@ -82,9 +84,6 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
         self.partition = partition
 
         M = self.tower_groups[0].world_size  # K*L ranks per tower
-        self.tower_of = {
-            r: t for t, g in enumerate(self.tower_groups) for r in g.ranks
-        }
         # Feature order of a tower block: the partition's own.
         self.tower_feature_order: List[List[int]] = [
             list(group) for group in partition.groups
@@ -99,12 +98,14 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
     # ------------------------------------------------------------------
     # Forward half 1: steps (a)-(e)
     # ------------------------------------------------------------------
-    def forward_to_towers(self, ids: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-        """Steps (a)-(e); returns per rank the (T*B, F_t, N) tower block,
-        features in partition order.
+    def forward_to_towers(self, ids: Dict[int, np.ndarray]) -> List[np.ndarray]:
+        """Steps (a)-(e); returns per tower its group's (G*B, F_t, N)
+        block, features in partition order, rows in batch order.
 
-        Row layout of the output: peer-tower-major — rows
-        ``[j*B:(j+1)*B]`` are the batch of this rank's peer in tower j.
+        The block is one ``(T, M, B, F_t, N)`` buffer: rank ``(t, i)``
+        (position ``i`` of tower ``t``'s group) holds column ``[:, i]``,
+        its (T*B, F_t, N) peer block, whose rows ``[j*B:(j+1)*B]`` are
+        the batch of its peer in tower ``j`` — rank ``j*M + i``.
         """
         sim = self.sim
         T, M = len(self.tower_groups), len(self._peer_blocks)
@@ -128,99 +129,91 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
             label="sptt.intra_host",
         )
 
-        # Step (e): tower position i's (F_i, T, B, N) piece lands at the
-        # tower's positions i::M as (peers, batch, features).
-        towers: Dict[int, np.ndarray] = {}
-        for r, t in self.tower_of.items():
-            F_t = self.tower_num_features(t)
-            block = np.empty((T, B, F_t, self.dim), self.dtype)
-            for i, piece in enumerate(recv[r]):
-                block[:, :, i::M] = piece.transpose(1, 2, 0, 3)
-            towers[r] = block.reshape(T * B, F_t, self.dim)
+        # Step (e): at rank (t, i), tower position k's (F_k, T, B, N)
+        # piece lands at the tower's features k::M of its column.
+        blocks = [
+            np.empty((T * M * B, self.tower_num_features(t), self.dim), self.dtype)
+            for t in range(T)
+        ]
+        for r, column in self._columns(blocks):
+            for k, piece in enumerate(recv[r]):
+                column[:, :, k::M] = piece.transpose(1, 2, 0, 3)
         sim.shuffle(
-            max(t.nbytes for t in towers.values()), label="sptt.local_shuffle"
+            max(b.nbytes for b in blocks) // M, label="sptt.local_shuffle"
         )
-        return towers
+        return blocks
 
     # ------------------------------------------------------------------
     # Forward half 2: step (f) on tower-module outputs
     # ------------------------------------------------------------------
     def exchange_tower_outputs(
-        self, outputs: Dict[int, np.ndarray]
-    ) -> Dict[int, List[np.ndarray]]:
-        """Concurrent peer AlltoAlls of (T*B, O_t) tower outputs.
-
-        Returns per rank a list indexed by tower with that tower's
-        (B, O_t) output for the rank's own local batch — row slices of
-        the arrays passed in.
-        """
-        sim = self.sim
-        T = len(self.tower_groups)
-        B = self._require_forward("exchange_tower_outputs")
-        check_membership(sim.world, outputs)
-        send = {}
-        for r, out in outputs.items():
-            out = np.asarray(out, dtype=self.dtype)
-            if out.ndim != 2 or out.shape[0] != T * B:
-                raise ValueError(
-                    f"rank {r}: tower output must be ({T * B}, O), got {out.shape}"
-                )
-            send[r] = [out[j * B : (j + 1) * B] for j in range(T)]
-        return sim.alltoall_concurrent(
-            self.peer_groups, send, phase=Phase.EMBEDDING_COMM, label="sptt.peer_a2a"
+        self, outputs: Sequence[np.ndarray]
+    ) -> List[np.ndarray]:
+        """Concurrent peer AlltoAlls of the (G*B, O_t) tower outputs:
+        each rank sends its peers their rows of its column, and
+        receives its B rows of every tower into one batch-ordered
+        (G*B, O_t) buffer per tower, which is returned."""
+        outputs = self._per_tower(outputs, "output", "exchange_tower_outputs")
+        recv = self.sim.alltoall_concurrent(
+            self.peer_groups,
+            {r: list(column) for r, column in self._columns(outputs)},
+            phase=Phase.EMBEDDING_COMM, label="sptt.peer_a2a",
         )
+        B = self._batch
+        received = [np.empty_like(out) for out in outputs]
+        for r, pieces in recv.items():
+            for buf, piece in zip(received, pieces):
+                buf[r * B : (r + 1) * B] = piece
+        return received
 
     # ------------------------------------------------------------------
     # Backward halves (mirrors)
     # ------------------------------------------------------------------
     def backward_tower_exchange(
-        self, grads: Dict[int, Sequence[np.ndarray]]
-    ) -> Dict[int, np.ndarray]:
-        """Mirror of step (f): per-tower output grads -> (T*B, O_t)."""
-        sim = self.sim
-        T = len(self.tower_groups)
-        self._require_forward("backward_tower_exchange")
-        check_membership(sim.world, grads)
-        send = {}
-        for r, tower_grads in grads.items():
-            if len(tower_grads) != T:
-                raise ValueError(
-                    f"rank {r}: need one grad per tower ({T}), got "
-                    f"{len(tower_grads)}"
-                )
-            send[r] = [np.asarray(g, dtype=self.dtype) for g in tower_grads]
-        recv = sim.alltoall_concurrent(
-            self.peer_groups, send, phase=Phase.EMBEDDING_COMM,
-            label="sptt.peer_a2a_bwd",
+        self, grads: Sequence[np.ndarray]
+    ) -> List[np.ndarray]:
+        """Mirror of step (f): per-tower (G*B, O_t) output grads back
+        into each rank's column of one batch-ordered buffer per tower."""
+        grads = self._per_tower(grads, "gradient", "backward_tower_exchange")
+        B = self._batch
+        recv = self.sim.alltoall_concurrent(
+            self.peer_groups,
+            {
+                r: [g[r * B : (r + 1) * B] for g in grads]
+                for r in range(self.sim.world_size)
+            },
+            phase=Phase.EMBEDDING_COMM, label="sptt.peer_a2a_bwd",
         )
-        return {r: np.concatenate(blocks, axis=0) for r, blocks in recv.items()}
+        received = [np.empty_like(g) for g in grads]
+        for r, column in self._columns(received):
+            for j, piece in enumerate(recv[r]):
+                column[j] = piece
+        return received
 
-    def backward_from_towers(self, grad_towers: Dict[int, np.ndarray]) -> None:
-        """Mirror of steps (e)-(b): tower-block grads into the tables."""
+    def backward_from_towers(self, grad_towers: Sequence[np.ndarray]) -> None:
+        """Mirror of steps (e)-(b): per-tower (G*B, F_t, N) block grads,
+        in :meth:`forward_to_towers`' layout, into the tables."""
         sim = self.sim
-        T, M = len(self.tower_groups), len(self._peer_blocks)
-        B = self._require_forward("backward_from_towers")
-        check_membership(sim.world, grad_towers)
-
-        # Reverse steps (e)+(d): tower position i gets back its
-        # features' rows, positions i::M of the block, as (F_i, T, B, N).
-        send = {}
-        shuffle_bytes = 0
-        for r, g in grad_towers.items():
-            g = np.asarray(g, dtype=self.dtype)
-            F_t = self.tower_num_features(self.tower_of[r])
-            if g.shape != (T * B, F_t, self.dim):
+        M = len(self._peer_blocks)
+        grads = self._per_tower(grad_towers, "block gradient", "backward_from_towers")
+        for t, g in enumerate(grads):
+            if g.shape[1:] != (self.tower_num_features(t), self.dim):
                 raise ValueError(
-                    f"rank {r}: expected ({T * B}, {F_t}, {self.dim}), "
-                    f"got {g.shape}"
+                    f"tower {t}: block gradient {g.shape} is not "
+                    f"(G*B, {self.tower_num_features(t)}, {self.dim})"
                 )
-            peers = g.reshape(T, B, F_t, self.dim)
-            send[r] = [peers[:, :, i::M].transpose(2, 0, 1, 3) for i in range(M)]
-            shuffle_bytes = max(shuffle_bytes, g.nbytes)
+
+        # Reverse steps (e)+(d): rank (t, i) sends tower position k its
+        # features' rows, k::M of its column, as (F_k, T, B, N).
+        shuffle_bytes = max(g.nbytes for g in grads) // M
         sim.shuffle(shuffle_bytes, label="sptt.local_shuffle_bwd")
         recv = sim.alltoall_concurrent(
-            self.tower_groups, send, phase=Phase.EMBEDDING_COMM,
-            label="sptt.intra_host_bwd",
+            self.tower_groups,
+            {
+                r: [column[:, :, k::M].transpose(2, 0, 1, 3) for k in range(M)]
+                for r, column in self._columns(grads)
+            },
+            phase=Phase.EMBEDDING_COMM, label="sptt.intra_host_bwd",
         )
 
         # Reverse step (c) is the write of peer group j's piece at
@@ -229,45 +222,58 @@ class SPTTEmbeddingExchange(TableOwnerExchange):
         self._scatter_into_tables(recv, self._peer_blocks)
 
     # ------------------------------------------------------------------
+    def _columns(self, arrays: Sequence[np.ndarray]):
+        """``(rank, column)`` of every rank ``(t, i)``: the (T, B, ...)
+        view ``[:, i]`` of tower ``t``'s batch-ordered array as
+        ``(T, M, B, ...)``; peer ``j``'s (rank ``j*M + i``'s) rows at
+        ``[j]``."""
+        T, M = len(self.tower_groups), len(self._peer_blocks)
+        for a, group in zip(arrays, self.tower_groups):
+            peers = a.reshape(T, M, self._batch, *a.shape[1:])
+            for i, r in enumerate(group.ranks):
+                yield r, peers[:, i]
+
+    def _per_tower(self, arrays, what: str, caller: str) -> List[np.ndarray]:
+        """One (G*B, ...) array per tower in the tables' dtype, checked
+        before any event is priced."""
+        rows = self.sim.world_size * self._require_forward(caller)
+        T = len(self.tower_groups)
+        if len(arrays) != T:
+            raise ValueError(f"need one {what} per tower ({T}), got {len(arrays)}")
+        arrays = [np.asarray(a, dtype=self.dtype) for a in arrays]
+        for t, a in enumerate(arrays):
+            if a.ndim < 2 or len(a) != rows:
+                raise ValueError(f"tower {t}: {what} {a.shape} has not {rows} rows")
+        return arrays
+
+    # ------------------------------------------------------------------
     # Pass-through end-to-end (the Table 3 configuration)
     # ------------------------------------------------------------------
     def forward(self, ids: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
         """Full SPTT with identity towers; must equal the flat exchange."""
-        sim = self.sim
-        towers = self.forward_to_towers(ids)
+        blocks = self.forward_to_towers(ids)
+        exchanged = self.exchange_tower_outputs(
+            [b.reshape(len(b), -1) for b in blocks]
+        )
         B = self._batch
-        flat_out = {r: t.reshape(t.shape[0], -1) for r, t in towers.items()}
-        exchanged = self.exchange_tower_outputs(flat_out)
-        out: Dict[int, np.ndarray] = {}
-        for r in range(sim.world_size):
-            embs = np.empty((B, self.num_features, self.dim), self.dtype)
-            for t, block in enumerate(exchanged[r]):
-                feats = self.tower_feature_order[t]
-                embs[:, feats, :] = block.reshape(B, len(feats), self.dim)
-            out[r] = embs
-        return out
+        embs = np.empty((len(blocks[0]), self.num_features, self.dim), self.dtype)
+        for feats, block in zip(self.tower_feature_order, exchanged):
+            embs[:, feats, :] = block.reshape(len(block), len(feats), self.dim)
+        return {r: embs[r * B : (r + 1) * B] for r in range(self.sim.world_size)}
 
     def backward(self, grads: Dict[int, np.ndarray]) -> None:
         """Full SPTT backward for the pass-through configuration."""
+        sim = self.sim
         B = self._require_forward("backward")
-        per_tower: Dict[int, List[np.ndarray]] = {}
+        check_membership(sim.world, grads)
+        shape = (B, self.num_features, self.dim)
         for r, g in grads.items():
-            g = np.asarray(g, dtype=self.dtype)
-            if g.shape != (B, self.num_features, self.dim):
-                raise ValueError(
-                    f"rank {r}: grad shape {g.shape} != "
-                    f"({B}, {self.num_features}, {self.dim})"
-                )
-            per_tower[r] = [
-                g[:, feats, :].reshape(B, -1)
-                for feats in self.tower_feature_order
-            ]
-        grad_towers_flat = self.backward_tower_exchange(per_tower)
+            if np.shape(g) != shape:
+                raise ValueError(f"rank {r}: grad shape {np.shape(g)} != {shape}")
+        g = np.concatenate([grads[r] for r in range(sim.world_size)])
+        grad_towers = self.backward_tower_exchange(
+            [g[:, feats, :].reshape(len(g), -1) for feats in self.tower_feature_order]
+        )
         self.backward_from_towers(
-            {
-                r: gt.reshape(
-                    gt.shape[0], self.tower_num_features(self.tower_of[r]), self.dim
-                )
-                for r, gt in grad_towers_flat.items()
-            }
+            [gt.reshape(len(gt), -1, self.dim) for gt in grad_towers]
         )

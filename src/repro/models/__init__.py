@@ -10,7 +10,7 @@ one backward around one single-process seam, ``features`` /
 family states its overarch once.  :mod:`repro.core` feeds the tower-output
 seam, ``overarch_features`` / ``overarch_backward``, what its exchanges
 deliver (through the flat model's one pass-through tower for the flat
-exchange, through tower replicas for SPTT).  With projecting tower modules the DMT variants implement the
+exchange, through each tower once over its group's rows for SPTT).  With projecting tower modules the DMT variants implement the
 *model side* of the technique (tower modules + hierarchical feature
 interaction).
 """

@@ -40,9 +40,12 @@ class RecModel(Module):
     ``features_backward(grad_features)``: the batch is gathered
     tower-major, each tower reads its ``(B, F_t, N)`` block in place
     and writes its input gradient into its block of one buffer.
-    ``forward`` / ``backward`` are ``top`` around it, and
-    :class:`~repro.models.multitask.MultiTaskModel` attaches its task
-    towers to it.
+    ``forward`` / ``backward`` are the logit head ``logits`` /
+    ``logits_backward`` (``top``) around it;
+    :class:`~repro.models.multitask.MultiTaskModel` has the same head
+    pair over the same seam, and the step executors in
+    :mod:`repro.core.dmt_pipeline` run that head around the tower-output
+    seam.
     """
 
     top: MLP
@@ -83,11 +86,17 @@ class RecModel(Module):
     # The single-process seam, and ``top`` wrapped around it
     # ------------------------------------------------------------------
     def forward(self, dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        return self.top(self.features(dense, ids)).reshape(-1)
+        return self.logits(self.features(dense, ids))
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        g_top_in = self.top.backward(np.asarray(grad_logits).reshape(-1, 1))
-        return self.features_backward(g_top_in)
+        return self.features_backward(self.logits_backward(grad_logits))
+
+    def logits(self, features: np.ndarray) -> np.ndarray:
+        """The logit head: ``top`` over the top-MLP input, (B,)."""
+        return self.top(features).reshape(-1)
+
+    def logits_backward(self, grad_logits: np.ndarray) -> np.ndarray:
+        return self.top.backward(np.asarray(grad_logits).reshape(-1, 1))
 
     def features(self, dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Top-MLP input, (B, ``top_in_features``): the batch gathered

@@ -200,12 +200,18 @@ class MultiTaskModel(Module):
 
     # ------------------------------------------------------------------
     def forward(self, dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        features = self.base.features(dense, ids)
-        primary = self.base.top(features).reshape(-1)
+        return self.logits(self.base.features(dense, ids))
+
+    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
+        return self.base.features_backward(self.logits_backward(grad_logits))
+
+    def logits(self, features: np.ndarray) -> np.ndarray:
+        """The (B, T) logits over the base model's top-MLP input."""
+        primary = self.base.logits(features)
         aux = self.head(features, primary)
         return np.concatenate([primary[:, None], aux], axis=1)
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
+    def logits_backward(self, grad_logits: np.ndarray) -> np.ndarray:
         grad_logits = np.asarray(grad_logits)
         if grad_logits.ndim != 2 or grad_logits.shape[1] != self.num_tasks:
             raise ValueError(
@@ -213,10 +219,7 @@ class MultiTaskModel(Module):
             )
         g_features_aux, g_primary_link = self.head.backward(grad_logits[:, 1:])
         g_primary = grad_logits[:, 0] + g_primary_link
-        g_features = (
-            self.base.top.backward(g_primary.reshape(-1, 1)) + g_features_aux
-        )
-        return self.base.features_backward(g_features)
+        return self.base.logits_backward(g_primary) + g_features_aux
 
     # ------------------------------------------------------------------
     def dense_parameters(self) -> List:

@@ -71,6 +71,21 @@ def _factorizations(world: int) -> List["tuple[int, int, int]"]:
     return out
 
 
+def slowest_stage_boundary(
+    cost: CollectiveCostModel, cluster: Cluster, tp: int, pp: int, nbytes: int
+) -> float:
+    """Seconds of the slowest pipeline-stage boundary transfer of
+    ``nbytes`` in the mesh (tp contiguous, then pp, then dp): rank ``r``
+    of stage ``s < pp - 1`` sends to rank ``r + tp``, over NVLink when
+    both sit on one host and over the NIC otherwise."""
+    world = ProcessGroup(cluster, tuple(range(cluster.world_size)))
+    return max(
+        cost.point_to_point(world, r, r + tp, nbytes).seconds
+        for r in range(cluster.world_size)
+        if (r // tp) % pp != pp - 1
+    )
+
+
 def enumerate_dense_parallelism(
     profile: ModelProfile,
     cluster: Cluster,
@@ -124,14 +139,10 @@ def enumerate_dense_parallelism(
 
         pp_comm = 0.0
         if pp > 1:
-            # Stage boundary transfers: fwd + bwd per microbatch; the
-            # boundary usually crosses hosts in a packed mesh.
-            per_micro = cost.point_to_point(
-                ProcessGroup(cluster, tuple(range(G))),
-                0,
-                G - 1,
-                act_bytes // MICROBATCHES,
-            ).seconds
+            # Stage boundary transfers: fwd + bwd per microbatch.
+            per_micro = slowest_stage_boundary(
+                cost, cluster, tp, pp, act_bytes // MICROBATCHES
+            )
             pp_comm = 2.0 * (pp - 1) * per_micro * MICROBATCHES / pp
 
         dp_comm = 0.0

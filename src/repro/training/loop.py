@@ -164,18 +164,21 @@ class Trainer:
     model) are folded into the dense optimizer: single-process training
     syncs nothing.
 
-    ``step`` is the step executor (``None``: the model's own
-    forward/loss/backward), e.g. a ``DistributedDMTTrainer``: its
-    ``train_step(dense, ids, labels)`` accumulates the gradients and
-    returns the loss, its ``sync_replicas()`` runs after the optimizer
-    update.  The executor changes who computes a step, never the
-    recipe: both optimizers come from ``config``.
+    ``step`` is the step executor (``None``: the model itself), e.g. a
+    ``DistributedDMTTrainer``: it runs where the model would,
+    ``step(dense, ids)`` then ``step.backward(grad_logits)``, around
+    this trainer's one loss (``BCEWithLogitsLoss``, or ``MultiLoss``
+    for a multi-task model).  The executor changes who computes a step,
+    never the recipe or the numbers: both optimizers come from
+    ``config``, and the step equals the model's own bit for bit.
     """
 
     def __init__(self, model, config: TrainConfig, step=None):
         self.model = model
         self.config = config
         self.step = step
+        # Who runs forward/backward: the model, or the executor.
+        self.runner = model if step is None else step
         dense = Adam if config.dense_optimizer == "adam" else SGD
         sparse = _SPARSE_OPTIMIZERS[config.sparse_grad_mode]
         self.dense_opt = dense(
@@ -230,16 +233,11 @@ class Trainer:
             self.schedule.apply(self.dense_opt, self.global_step)
         self.dense_opt.zero_grad()
         self.sparse_opt.zero_grad()
-        if self.step is None:
-            logits = self.model(dense, ids)
-            loss = self.loss_module(logits, labels)
-            self.model.backward(self.loss_module.backward())
-        else:
-            loss = self.step.train_step(dense, ids, labels)
+        logits = self.runner(dense, ids)
+        loss = self.loss_module(logits, labels)
+        self.runner.backward(self.loss_module.backward())
         self.dense_opt.step()
         self.sparse_opt.step()
-        if self.step is not None:
-            self.step.sync_replicas()
         self.global_step += 1
         self.loss_history.append(loss)
         if self.tasks is not None:

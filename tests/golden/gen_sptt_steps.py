@@ -33,8 +33,11 @@ the same ``repr`` floats and SHA-256 digests.
 
 ``session/distributed_training`` pins ``Session(distributed_training_spec())
 .train()`` end to end: the step losses and the eval AUC as ``repr``
-strings, the parameters' SHA-256 and every timeline event.  (Its
-``mode='single'`` twin is held equal to it in ``tests/test_api.py``.)
+strings, the parameters' SHA-256 and every timeline event.
+``session/distributed_training/ctr+cvr`` pins the same run of the
+preset with ``model.tasks=("ctr", "cvr")``, with each task's eval AUC.
+(Their ``mode='single'`` twins are held equal to them in
+``tests/test_api.py``.)
 
 ``session/data/ctr`` and ``session/data/ctr+cvr`` pin the SHA-256 of
 the six train/eval arrays ``Session.load_data()`` returns for a
@@ -264,15 +267,22 @@ def _single_steps(model, pooling: int, tasks: int) -> Dict[str, Any]:
     }
 
 
-def _session() -> Dict[str, Any]:
+def _session(tasks=("ctr",)) -> Dict[str, Any]:
     """The distributed-training preset through ``Session.train()``."""
-    art = Session(distributed_training_spec()).train()
-    return {
+    spec = distributed_training_spec()
+    art = Session(spec.replace(model=spec.model.replace(tasks=tasks))).train()
+    record = {
         "losses": [repr(float(x)) for x in art.trainer.loss_history],
         "auc": repr(float(art.eval_result.auc)),
         "params_sha256": params_sha256(art.model),
         "timeline": _events(art.trainer.step.sim),
     }
+    if len(tasks) > 1:
+        record["auc_by_task"] = {
+            name: repr(float(result.auc))
+            for name, result in art.eval_result.by_task.items()
+        }
+    return record
 
 
 def _session_data(tasks) -> Dict[str, str]:
@@ -341,6 +351,7 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
         for pooling in (1, 3)
     },
     "session/distributed_training": _session,
+    "session/distributed_training/ctr+cvr": partial(_session, ("ctr", "cvr")),
     "session/data/ctr": partial(_session_data, ("ctr",)),
     "session/data/ctr+cvr": partial(_session_data, ("ctr", "cvr")),
     "session/online/ctr": _session_online,

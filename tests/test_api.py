@@ -39,17 +39,22 @@ FRESH_SPEC_JSON = spec_jsons()
 
 
 def assert_equals_single_twin(spec: RunSpec, art) -> None:
-    """A simulated run equals its ``mode='single'`` twin: the same eval
-    AUC, and parameters within reduction-order drift."""
+    """A simulated run equals its ``mode='single'`` twin bit for bit:
+    the same step losses, the same eval AUC of every task and the same
+    parameters."""
     twin = Session(
         spec.replace(train=spec.train.replace(mode="single"))
     ).train()
+    assert art.trainer.loss_history == twin.trainer.loss_history
     assert art.eval_result.auc == twin.eval_result.auc
+    by_task = getattr(art.eval_result, "by_task", {})
+    for name, result in by_task.items():
+        assert result.auc == twin.eval_result.by_task[name].auc, name
     drift = max(
         float(np.abs(p.data - q.data).max())
         for p, q in zip(art.model.parameters(), twin.model.parameters())
     )
-    assert drift <= 1e-12
+    assert drift == 0
 
 
 #: A shrunken end-to-end quality spec: probe -> TP -> DMT in ~a second.
@@ -144,7 +149,7 @@ class TestSpecValidation:
 
     def test_simulated_towers_spanning_hosts_train(self):
         """2 towers on 4x2 is K = 2 hosts per tower: it trains, and
-        matches single-process training to reduction-order drift."""
+        equals single-process training bit for bit."""
         spec = dataclasses.replace(
             distributed_training_spec(),
             cluster=ClusterSpec(num_hosts=4, gpus_per_host=2),
@@ -162,17 +167,6 @@ class TestSpecValidation:
             RunSpec(cluster=cluster, perf=PerfSpec(num_towers=3))
         spec = RunSpec(cluster=cluster, perf=PerfSpec(num_towers=4))
         assert Session(spec).price().dmt.name == "dmt-K2/DMT-4T-DLRM"
-
-    def test_simulated_training_rejects_multi_task(self):
-        """The simulated step prices single-logit BCE only; a multi-task
-        model used to construct, analyze clean and then die inside
-        DistributedDMTTrainer with an AttributeError."""
-        base = distributed_training_spec()
-        multi = dataclasses.replace(base.model, tasks=("ctr", "cvr"))
-        with pytest.raises(SpecError, match=r"model\.tasks.*train\.mode"):
-            dataclasses.replace(base, model=multi)
-        with pytest.raises(SpecError, match=r"model\.tasks.*train\.mode"):
-            RunSpec.from_dict({**base.to_dict(), "model": multi.to_dict()})
 
     def test_too_many_towers_for_features(self):
         with pytest.raises(SpecError, match="towers"):
@@ -724,6 +718,19 @@ class TestSessionEndToEnd:
         assert_equals_single_twin(spec, art)
         assert "embedding_comm" in art.timeline
 
+    @pytest.mark.parametrize("hosts, gpus", [(2, 2), (4, 1)])
+    def test_simulated_multi_task_training_is_exact(self, hosts, gpus):
+        """A two-task model trains on the simulated executor (MultiLoss
+        gates cvr over the global batch) and equals its single twin."""
+        base = distributed_training_spec()
+        spec = base.replace(
+            cluster=ClusterSpec(num_hosts=hosts, gpus_per_host=gpus),
+            model=base.model.replace(tasks=("ctr", "cvr")),
+        )
+        art = Session(spec).train()
+        assert set(art.eval_result.by_task) == {"ctr", "cvr"}
+        assert_equals_single_twin(spec, art)
+
     def test_auc_sweep_protocol(self):
         med, std, values = spec_auc_sweep(TINY, seeds=(0, 1))
         assert len(values) == 2
@@ -761,7 +768,7 @@ class TestSessionEndToEnd:
         )
         executed = spec_auc_sweep(simulated, seeds=(0,))[2]
         single = spec_auc_sweep(spec, seeds=(0,))[2]
-        assert executed == pytest.approx(single, rel=0, abs=1e-12)
+        assert executed == single
 
     def test_probe_cache_shared_across_alias_strategies(self):
         from repro.api.session import _probed_partition

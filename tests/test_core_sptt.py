@@ -363,11 +363,11 @@ class TestBufferContract:
         towers[0][...] = np.nan
         for t, w in zip(ebc.tables, weights):
             np.testing.assert_array_equal(t.weight.data, w)
-        for r in range(1, sim.world_size):
-            np.testing.assert_array_equal(towers[r], reference[r])
+        for t in range(1, len(towers)):
+            np.testing.assert_array_equal(towers[t], reference[t])
         again = sptt.forward_to_towers(ids)
-        for r in range(sim.world_size):
-            np.testing.assert_array_equal(again[r], reference[r])
+        for t in range(len(towers)):
+            np.testing.assert_array_equal(again[t], reference[t])
 
     def test_mutating_flat_embeddings_changes_nothing_else(self):
         sim, ebc = make_setup(hosts=2, gpus=2, F=6)
@@ -390,17 +390,18 @@ class TestBufferContract:
         )
         towers = sptt.forward_to_towers(make_ids(sim, F))
         rng = np.random.default_rng(3)
-        grads = {r: rng.standard_normal(t.shape) for r, t in towers.items()}
-        kept = {r: g.copy() for r, g in grads.items()}
+        grads = [rng.standard_normal(t.shape) for t in towers]
+        kept = [g.copy() for g in grads]
         sptt.backward_from_towers(grads)
-        for r in grads:
-            np.testing.assert_array_equal(grads[r], kept[r])
+        for g, k in zip(grads, kept):
+            np.testing.assert_array_equal(g, k)
 
 
 class TestMissingRankIsATypedError:
     """A dict that misses a rank is the collectives' membership
     ``ValueError`` — not ``KeyError: 3`` — raised before any event of
-    the half-step is priced."""
+    the half-step is priced; so is a per-tower list that misses a
+    tower."""
 
     @pytest.fixture
     def started(self):
@@ -421,22 +422,21 @@ class TestMissingRankIsATypedError:
 
     def test_exchange_tower_outputs(self, started):
         sim, sptt, towers = started
-        outputs = {r: t.reshape(t.shape[0], -1) for r, t in towers.items() if r != 3}
-        with pytest.raises(ValueError, match=r"missing ranks \[3\]"):
+        outputs = [t.reshape(t.shape[0], -1) for t in towers[:-1]]
+        with pytest.raises(ValueError, match="one output per tower"):
             sptt.exchange_tower_outputs(outputs)
         assert len(sim.timeline) == 0
 
     def test_backward_tower_exchange(self, started):
         sim, sptt, towers = started
-        B = towers[0].shape[0] // sim.num_hosts
-        grads = {r: [np.zeros((B, 5))] * sim.num_hosts for r in range(3)}
-        with pytest.raises(ValueError, match=r"missing ranks \[3\]"):
+        grads = [np.zeros((len(towers[0]), 5))] * (len(towers) - 1)
+        with pytest.raises(ValueError, match="one gradient per tower"):
             sptt.backward_tower_exchange(grads)
         assert len(sim.timeline) == 0
 
     def test_backward_from_towers(self, started):
         sim, sptt, towers = started
-        grads = {r: np.zeros_like(t) for r, t in towers.items() if r != 3}
-        with pytest.raises(ValueError, match=r"missing ranks \[3\]"):
+        grads = [np.zeros_like(t) for t in towers[:-1]]
+        with pytest.raises(ValueError, match="one block gradient per tower"):
             sptt.backward_from_towers(grads)
-        assert len(sim.timeline) == 0  # was: local_shuffle_bwd, then KeyError
+        assert len(sim.timeline) == 0

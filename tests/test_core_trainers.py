@@ -4,7 +4,8 @@ The strongest integration claim in the repo: one simulated distributed
 training step (model-parallel tables + data-parallel dense + SPTT +
 tower modules + intra-host tower sync) produces the same losses and the
 same parameters as single-process training on the concatenated global
-batch, to floating-point summation tolerance.
+batch, bit for bit: the executors run every module once over the global
+batch, in batch order.
 """
 
 import numpy as np
@@ -82,7 +83,7 @@ class TestHybridTrainerEquivalence:
         dist_model.zero_grad()
         dist_loss = trainer.train_step(dense, ids, labels)
         ref_loss = single_process_step(ref_model, dense, ids, labels)
-        assert dist_loss == pytest.approx(ref_loss, rel=1e-12)
+        assert dist_loss == ref_loss
 
         ref_params = dict(ref_model.named_parameters())
         for name, p in dist_model.named_parameters():
@@ -90,9 +91,7 @@ class TestHybridTrainerEquivalence:
             if ref_grad is None:
                 assert p.grad is None or not np.abs(p.grad).any()
             else:
-                np.testing.assert_allclose(
-                    p.grad, ref_grad, rtol=1e-9, atol=1e-12, err_msg=name
-                )
+                np.testing.assert_array_equal(p.grad, ref_grad, err_msg=name)
 
     def test_multi_step_training_stays_in_sync(self):
         sim = make_cluster()
@@ -114,11 +113,11 @@ class TestHybridTrainerEquivalence:
             opt_r.zero_grad()
             ref_loss = single_process_step(ref_model, dense, ids, labels)
             opt_r.step()
-            assert dist_loss == pytest.approx(ref_loss, rel=1e-9)
+            assert dist_loss == ref_loss
         for (n1, p1), (n2, p2) in zip(
             dist_model.named_parameters(), ref_model.named_parameters()
         ):
-            np.testing.assert_allclose(p1.data, p2.data, rtol=1e-8, err_msg=n1)
+            np.testing.assert_array_equal(p1.data, p2.data, err_msg=n1)
 
     def test_timeline_has_three_alltoalls_and_allreduce(self):
         """§2.3.1: AlltoAll >= 3x, AllReduce >= 1x per iteration."""
@@ -189,18 +188,16 @@ class TestDMTTrainerEquivalence:
         dist_model.zero_grad()
         dist_loss = trainer.train_step(dense, ids, labels)
         ref_loss = single_process_step(ref_model, dense, ids, labels)
-        assert dist_loss == pytest.approx(ref_loss, rel=1e-12)
+        assert dist_loss == ref_loss
 
         ref_params = dict(ref_model.named_parameters())
         for name, p in dist_model.named_parameters():
             ref_grad = ref_params[name].grad
             if ref_grad is None:
                 continue
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 p.grad if p.grad is not None else np.zeros_like(p.data),
                 ref_grad,
-                rtol=1e-8,
-                atol=1e-12,
                 err_msg=name,
             )
 
@@ -231,17 +228,17 @@ class TestDMTTrainerEquivalence:
             ref_loss = loss_mod(logits, labels)
             ref_model.backward(loss_mod.backward())
             opt_r.step()
-            assert dist_loss == pytest.approx(ref_loss, rel=1e-8)
+            assert dist_loss == ref_loss
         for (n1, p1), (n2, p2) in zip(
             dist_model.named_parameters(), ref_model.named_parameters()
         ):
-            np.testing.assert_allclose(p1.data, p2.data, rtol=1e-7, err_msg=n1)
+            np.testing.assert_array_equal(p1.data, p2.data, err_msg=n1)
 
     @pytest.mark.parametrize("hosts,gpus", [(4, 2), (4, 1)])
     def test_towers_spanning_two_hosts_match_single_process(self, hosts, gpus):
-        """Two towers on four hosts (K = 2): tower t is replicated on its
-        2L ranks and its gradients summed over them; four steps stay
-        within float summation drift of single-process training."""
+        """Two towers on four hosts (K = 2): tower t serves its 2L ranks,
+        runs once over their rows and its gradient sync is priced over
+        them; four steps equal single-process training bit for bit."""
         sim = make_cluster(hosts=hosts, gpus=gpus)
         partition = FeaturePartition.contiguous(F, 2)
 
@@ -265,13 +262,11 @@ class TestDMTTrainerEquivalence:
             opt_r.zero_grad()
             ref_loss = single_process_step(ref_model, dense, ids, labels)
             opt_r.step()
-            assert dist_loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+            assert dist_loss == ref_loss
         for (n1, p1), (_, p2) in zip(
             dist_model.named_parameters(), ref_model.named_parameters()
         ):
-            np.testing.assert_allclose(
-                p1.data, p2.data, rtol=0, atol=1e-12, err_msg=n1
-            )
+            np.testing.assert_array_equal(p1.data, p2.data, err_msg=n1)
 
     def test_tower_sync_is_intra_host(self):
         """§3.2: tower-module gradients synchronize within a host only."""
@@ -409,16 +404,6 @@ class TestSharedStepPrologue:
 class TestTowerOutputSeamRequired:
     @pytest.mark.parametrize(
         "build",
-        [lambda: MultiTaskModel(_dmt_dlrm(), ("ctr", "cvr"))],
-        ids=["multitask-over-dmt"],
-    )
-    def test_model_without_the_seam_is_a_type_error(self, build):
-        model = build()
-        with pytest.raises(TypeError, match="overarch_features"):
-            DistributedDMTTrainer(make_cluster(), model)
-
-    @pytest.mark.parametrize(
-        "build",
         [
             lambda: DMTDLRM(
                 DENSE, tiny_table_configs(F, ROWS, N),
@@ -430,14 +415,13 @@ class TestTowerOutputSeamRequired:
                 FeaturePartition.single_tower(F), tiny_dcn_arch(N),
                 tower_dim=4, rng=np.random.default_rng(0),
             ),
-            lambda: MultiTaskModel(_flat_dlrm(), ("ctr", "cvr")),
         ],
-        ids=["two-towers", "one-projecting-tower", "multitask-over-flat"],
+        ids=["two-towers", "one-projecting-tower"],
     )
     def test_hybrid_needs_one_pass_through_tower(self, build):
-        """The hybrid shares the model's one tower across ranks: more
-        towers, a projecting (stateful) tower or no towers at all are a
-        TypeError at construction, before anything is priced."""
+        """The hybrid runs the model's one pass-through tower: more
+        towers or a projecting (stateful) tower are a TypeError at
+        construction, before anything is priced."""
         sim = make_cluster()
         with pytest.raises(TypeError, match="one-tower pass-through"):
             DistributedHybridTrainer(sim, build())
@@ -463,3 +447,37 @@ class TestTowerOutputSeamRequired:
         assert losses(DistributedDMTTrainer) == losses(
             DistributedHybridTrainer
         )
+
+
+@pytest.mark.parametrize(
+    "executor, build",
+    [
+        (DistributedHybridTrainer, _flat_dlrm),
+        (DistributedDMTTrainer, _dmt_dlrm),
+    ],
+    ids=["hybrid-over-flat", "dmt-over-dmt"],
+)
+def test_multi_task_model_equals_single_process(executor, build):
+    """A two-task MultiTaskModel runs on either executor (the tower seam
+    is its base model's) and its four ``Trainer`` steps equal
+    single-process training bit for bit: losses, per-task losses and
+    every parameter."""
+
+    def run(simulated):
+        sim = make_cluster()
+        model = MultiTaskModel(build(), ("ctr", "cvr"))
+        step = executor(sim, model) if simulated else None
+        trainer = Trainer(model, TrainConfig(), step)
+        for i in range(4):
+            dense, ids, ctr = make_batch(sim, seed=30 + i)
+            cvr = ctr * np.random.default_rng(40 + i).integers(0, 2, len(ctr))
+            trainer.train_batch(dense, ids, np.stack([ctr, cvr], axis=1))
+        return trainer
+
+    simulated, single = run(True), run(False)
+    assert simulated.loss_history == single.loss_history
+    assert simulated.task_loss_history == single.task_loss_history
+    for (name, p), (_, q) in zip(
+        simulated.model.named_parameters(), single.model.named_parameters()
+    ):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)

@@ -626,7 +626,7 @@ class TestOnlineDriverPerTaskGate:
         windows[1] = (windows[1][0], (dense, ids, np.ones_like(labels)))
         report = driver.run(windows)  # must not raise
         skipped = report.windows[1]
-        assert skipped["canary_skipped_tasks"] == ["primary"]
+        assert skipped["canary_skipped_tasks"] == ["ctr"]
         assert math.isnan(skipped["online_auc"])
         # No gateable evidence of regression: the deploy proceeds.
         assert skipped["rolled_out"] is True

@@ -19,7 +19,9 @@ from repro.perf import (
     sptt_only_profile,
     xlrm_profile,
 )
-from repro.perf.alpa_search import latency_cdf
+from repro.comm.cost_model import CollectiveCostModel
+from repro.comm.process_group import ProcessGroup
+from repro.perf.alpa_search import latency_cdf, slowest_stage_boundary
 from repro.perf.quantization import precision_sweep
 
 B = 16384
@@ -188,6 +190,25 @@ class TestAlpaSearch:
         )
         by_label = {c.label: c.iteration_seconds for c in configs}
         assert by_label["dp1-tp64-pp1"] > 2 * by_label["dp64-tp1-pp1"]
+
+    @pytest.mark.parametrize(
+        "tp, pp, crosses",
+        [(1, 4, False), (2, 2, False), (1, 8, True), (2, 4, True)],
+    )
+    def test_stage_boundary_priced_between_adjacent_stages(
+        self, tp, pp, crosses
+    ):
+        """On 2x4, a mesh whose stages of one replica share a host pays
+        NVLink at every boundary; one boundary across hosts makes the
+        slowest one a NIC transfer."""
+        cluster = Cluster(2, 4, "A100")
+        cost = CollectiveCostModel()
+        world = ProcessGroup(cluster, tuple(range(8)))
+        nvlink = cost.point_to_point(world, 0, 1, 1 << 20).seconds
+        nic = cost.point_to_point(world, 0, 4, 1 << 20).seconds
+        assert nvlink < nic
+        got = slowest_stage_boundary(cost, cluster, tp, pp, 1 << 20)
+        assert got == (nic if crosses else nvlink)
 
     def test_cdf_shape(self):
         configs = enumerate_dense_parallelism(

@@ -184,7 +184,7 @@ def sptt_step():
         RowwiseAdagrad(model.sparse_parameters(), lr=0.05),
     ]
     moved, tower_out = [], []
-    _record_outputs(trainer.replicas.values(), tower_out)
+    _record_outputs(model.towers, tower_out)
     alltoall = comm_functional.alltoall
     mp = pytest.MonkeyPatch()
 
