@@ -826,7 +826,6 @@ class Session:
                 model,
                 trainer,
                 os.path.join(ck.directory, self.spec.name, "online"),
-                task=tasks[0],
             )
             report = driver.run(windows)
 

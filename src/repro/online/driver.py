@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.checkpoint.delta import checkpoint_nbytes, delta_touched_rows
 from repro.checkpoint.state import save_training_checkpoint
+from repro.data.criteo import TASKS
 from repro.serving.faults import SwapEvent
 
 __all__ = [
@@ -126,8 +127,6 @@ class OnlineDriver:
     ``model``/``trainer`` arrive freshly constructed; the driver owns
     them for the run.  ``directory`` receives the checkpoint chain
     (``v00001_full``, ``v00002_delta``, ... with periodic compaction).
-    ``task`` names a single-logit model's task in the per-task reports
-    (a multi-task model's results name their own).
     """
 
     def __init__(
@@ -138,7 +137,6 @@ class OnlineDriver:
         *,
         compact_every: int = 4,
         canary_threshold: float = 0.01,
-        task: str = "ctr",
     ):
         if compact_every < 1:
             raise ValueError(
@@ -153,18 +151,18 @@ class OnlineDriver:
         self.trainer = trainer
         self.directory = directory
         self.compact_every = compact_every
-        self.task = task
         self.canary_threshold = canary_threshold
         self.cardinalities = [
             int(p.data.shape[0]) for p in trainer.sparse_opt.params
         ]
 
     # ------------------------------------------------------------------
-    def _auc_by_task(self, result: Any) -> Dict[str, float]:
-        """Per-task eval AUCs; a single-task result maps to ``task``."""
+    @staticmethod
+    def _auc_by_task(result: Any) -> Dict[str, float]:
+        """Per-task eval AUCs; a single-logit model is the CTR model."""
         by_task = getattr(result, "by_task", None)
         if by_task is None:
-            return {self.task: float(result.auc)}
+            return {TASKS[0]: float(result.auc)}
         return {name: float(r.auc) for name, r in by_task.items()}
 
     def _eval_window(
