@@ -53,9 +53,10 @@ class DotInteraction(Module):
             raise RuntimeError("backward called before forward")
         x = self._input
         B = x.shape[0]
+        # One (B, T, T) buffer, symmetric: dZ_ij hits both X_i and X_j.
         g = np.zeros((B, self.num_inputs, self.num_inputs))
         g[:, self._rows, self._cols] = grad_output
-        g = g + g.transpose(0, 2, 1)  # symmetrize: dZ_ij hits both X_i, X_j
+        g[:, self._cols, self._rows] = grad_output
         return g @ x
 
     def flops_per_sample(self) -> int:
