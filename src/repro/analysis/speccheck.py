@@ -26,7 +26,7 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.api.spec import RunSpec, SpecError
 from repro.hardware.specs import get_spec
 from repro.models.configs import criteo_table_configs, tiny_table_configs
-from repro.nn.embedding import TABLE_DTYPE
+from repro.nn.module import DTYPE
 from repro.planner import AutoPlanner
 from repro.serving import TieredStorage
 
@@ -125,8 +125,8 @@ def spec_tables(spec: RunSpec):
 def _serving_row_bytes(spec: RunSpec) -> int:
     """Bytes per cached embedding row on the serving tier."""
     if spec.model is not None:
-        return spec.model.embedding_dim * TABLE_DTYPE.itemsize
-    return _PROFILE_EMBEDDING_DIM * TABLE_DTYPE.itemsize
+        return spec.model.embedding_dim * DTYPE.itemsize
+    return _PROFILE_EMBEDDING_DIM * DTYPE.itemsize
 
 
 def _rank_capacity_bytes(spec: RunSpec) -> float:

@@ -71,7 +71,7 @@ class _DataParallelStep:
         """Logits of the global batch, as ``model(dense, ids)``."""
         sim = self.sim
         G = sim.world_size
-        dense = np.asarray(dense, dtype=np.float64)
+        dense = np.asarray(dense)
         ids = np.asarray(ids)
         total = ids.shape[0]
         if dense.shape[:1] != (total,):
@@ -109,7 +109,7 @@ class _DataParallelStep:
     ) -> float:
         """forward, mean BCE and backward over the global batch; returns
         the loss.  The caller owns zero_grad and the optimizer step."""
-        labels = np.asarray(labels, dtype=np.float64).reshape(-1)
+        labels = np.asarray(labels).reshape(-1)
         for name, array in (("dense", dense), ("ids", ids)):
             if np.shape(array)[:1] != labels.shape:
                 raise ValueError(

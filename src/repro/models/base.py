@@ -110,7 +110,10 @@ class RecModel(Module):
         """Backprop from the top-MLP input through the towers into the
         tables; returns the dense-input gradient."""
         g_dense, tower_grads = self.overarch_backward(grad_features)
-        g_embs = np.empty((len(grad_features) * self.num_sparse, self.embedding_dim))
+        g_embs = np.empty(
+            (len(grad_features) * self.num_sparse, self.embedding_dim),
+            self.embeddings.dtype,
+        )
         blocks = tower_blocks(g_embs, self.partition.groups)
         for tower, g, block in zip(self.towers, tower_grads, blocks):
             tower.backward(g, out=block)

@@ -112,7 +112,7 @@ class DMTDLRM(RecModel):
         bottom_out = self.bottom(dense)
         bvec = self.bottom_proj(bottom_out) if self.bottom_proj else bottom_out
         # The interaction input, written in place: bvec, then the towers.
-        stacked = np.empty((B, self.interaction.num_inputs, vd))
+        stacked = np.empty((B, self.interaction.num_inputs, vd), bvec.dtype)
         stacked[:, 0] = bvec
         start = 1
         for out, t in zip(tower_outs, self.towers):

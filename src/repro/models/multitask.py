@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.data.criteo import TASKS
 from repro.nn.mlp import MLP
-from repro.nn.module import Module, Parameter
+from repro.nn.module import DTYPE, Module, Parameter
 
 #: Multi-task head architectures.
 HEAD_MODES = ("shared_bottom", "dbmtl")
@@ -71,7 +71,7 @@ class MultiTaskHead(Module):
             for t in self.tasks
         ]
         self.links: List[Parameter] = (
-            [Parameter(np.ones(1), name=f"link_{t}") for t in self.tasks]
+            [Parameter(np.ones(1, DTYPE), name=f"link_{t}") for t in self.tasks]
             if mode == "dbmtl"
             else []
         )
@@ -99,8 +99,10 @@ class MultiTaskHead(Module):
         if self._primary is None:
             raise RuntimeError("backward called before forward")
         grad = np.asarray(grad)
-        g_features = np.zeros((grad.shape[0], self.in_features))
-        g_primary = np.zeros(grad.shape[0])
+        # In the plane's dtype, the primary logits'.
+        dtype = self._primary.dtype
+        g_features = np.zeros((grad.shape[0], self.in_features), dtype)
+        g_primary = np.zeros(grad.shape[0], dtype)
         for i, tower in enumerate(self.towers):
             g_i = grad[:, i]
             g_features += tower.backward(g_i.reshape(-1, 1))

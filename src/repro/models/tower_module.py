@@ -28,13 +28,11 @@ class TowerModuleBase(Module):
     ``backward(grad, out=None)`` writes the input gradient into ``out``
     when given one (a tower's block of a tower-major buffer).
 
-    The output is in the input's dtype (the tables', float32), because
-    it is what SPTT step (f) moves; ``backward`` rounds the incoming
-    gradient to it for the same reason.  The parameters and the math in
-    between are the dense plane's float64.
+    Parameters, output and gradients are in the one training precision
+    (:data:`~repro.nn.module.DTYPE`, the tables' float32): the output
+    is what SPTT step (f) moves, so the wire carries what the tower
+    computed, with no cast on either side.
     """
-
-    _dtype: np.dtype = np.dtype(np.float64)
 
     num_features: int
     in_dim: int
@@ -55,7 +53,6 @@ class TowerModuleBase(Module):
 
     def _check_input(self, embs: np.ndarray) -> np.ndarray:
         embs = np.asarray(embs)
-        self._dtype = embs.dtype
         if embs.ndim != 3 or embs.shape[1:] != (self.num_features, self.in_dim):
             raise ValueError(
                 f"expected (B, {self.num_features}, {self.in_dim}), "
@@ -94,8 +91,7 @@ class PassThroughTower(TowerModuleBase):
     ) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called before forward")
-        grad = np.asarray(grad_output, dtype=self._dtype)
-        return self._into(out, grad.reshape(self._shape))
+        return self._into(out, np.asarray(grad_output).reshape(self._shape))
 
     def flops_per_sample(self) -> int:
         return 0
@@ -151,8 +147,7 @@ class DLRMTowerModule(TowerModuleBase):
             parts.append(self.flat_proj(embs.reshape(B, -1)))
         if self.emb_proj is not None:
             parts.append(self.emb_proj(embs).reshape(B, -1))
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return out.astype(self._dtype, copy=False)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def backward(
         self, grad_output: np.ndarray, out: Optional[np.ndarray] = None
@@ -160,7 +155,7 @@ class DLRMTowerModule(TowerModuleBase):
         if self._batch is None:
             raise RuntimeError("backward called before forward")
         B = self._batch
-        grad_output = np.asarray(grad_output, dtype=self._dtype)
+        grad_output = np.asarray(grad_output)
         D = self.vector_dim
         parts = []
         offset = 0
@@ -223,12 +218,12 @@ class DCNTowerModule(TowerModuleBase):
         embs = self._check_input(embs)
         B = embs.shape[0]
         crossed = self.cross(embs.reshape(B, -1))
-        return self.proj(crossed).astype(self._dtype, copy=False)
+        return self.proj(crossed)
 
     def backward(
         self, grad_output: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        g_crossed = self.proj.backward(np.asarray(grad_output, dtype=self._dtype))
+        g_crossed = self.proj.backward(grad_output)
         g_flat = self.cross.backward(g_crossed)
         return self._into(out, g_flat.reshape(-1, self.num_features, self.in_dim))
 

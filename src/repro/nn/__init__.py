@@ -14,7 +14,7 @@ Design goals, in order:
    per-sample Python loops on hot paths.
 """
 
-from repro.nn.module import Module, Parameter
+from repro.nn.module import DTYPE, Module, Parameter
 from repro.nn.init import xavier_uniform, uniform_embedding_init
 from repro.nn.layers import Identity, Linear, ReLU, Sequential, Sigmoid
 from repro.nn.mlp import MLP
@@ -26,6 +26,7 @@ from repro.nn.optim import SGD, Adagrad, Adam, Optimizer, RowwiseAdagrad
 from repro.nn import functional
 
 __all__ = [
+    "DTYPE",
     "Module",
     "Parameter",
     "Linear",

@@ -22,8 +22,8 @@ is exactly the memory-bound waste the paper's embedding plane must
 avoid.  A dense optimizer still works: reading ``Parameter.grad``
 densifies the pending row-wise gradient.
 
-Tables are :data:`TABLE_DTYPE` (float32, the paper's precision), and
-every byte count of a table derives from it.  Lookup is modeled as
+Tables are :data:`~repro.nn.module.DTYPE` (float32, the paper's
+precision), and every byte count of a table derives from it.  Lookup is modeled as
 memory traffic, not flops (the paper's MFlops/sample numbers cover the
 dense arch); ``bytes_per_sample`` feeds the iteration latency model's
 HBM term.
@@ -37,12 +37,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.nn.init import uniform_embedding_init
-from repro.nn.module import Module, Parameter
+from repro.nn.module import DTYPE, Module, Parameter
 from repro.nn.sparse import RowwiseGrad
-
-#: The dtype of every embedding table, row-wise gradient and exchange
-#: buffer; table byte counts derive from its itemsize.
-TABLE_DTYPE = np.dtype(np.float32)
 
 
 def _check_ids_in_range(ids: np.ndarray, limit: int, name: str) -> None:
@@ -130,8 +126,8 @@ class TableConfig:
 
     @property
     def row_bytes(self) -> int:
-        """Bytes of one row in :data:`TABLE_DTYPE`."""
-        return self.dim * TABLE_DTYPE.itemsize
+        """Bytes of one row in :data:`~repro.nn.module.DTYPE`."""
+        return self.dim * DTYPE.itemsize
 
     @property
     def storage_bytes(self) -> int:
@@ -173,7 +169,7 @@ class EmbeddingTable(Module):
             self.weight = Parameter(
                 uniform_embedding_init(
                     rng, config.num_embeddings, config.dim
-                ).astype(TABLE_DTYPE),
+                ).astype(DTYPE),
                 name=f"emb.{config.name}",
             )
         self._ids: Optional[np.ndarray] = None
@@ -249,7 +245,7 @@ class EmbeddingBagCollection(Module):
         # draw sequence as independently allocated tables.
         cards = np.array([c.num_embeddings for c in configs], dtype=np.int64)
         offsets = np.concatenate(([0], np.cumsum(cards)[:-1]))
-        stacked = np.empty((int(cards.sum()), configs[0].dim), TABLE_DTYPE)
+        stacked = np.empty((int(cards.sum()), configs[0].dim), DTYPE)
         tables = []
         for c, off in zip(configs, offsets):
             block = stacked[off : off + c.num_embeddings]
@@ -277,9 +273,9 @@ class EmbeddingBagCollection(Module):
 
     @property
     def dtype(self) -> np.dtype:
-        """The stacked matrix's dtype (:data:`TABLE_DTYPE`), which every
-        embedding buffer of the lookup, its gradient and the exchanges
-        carries."""
+        """The stacked matrix's dtype (:data:`~repro.nn.module.DTYPE`),
+        which every embedding buffer of the lookup, its gradient and the
+        exchanges carries."""
         return self._stacked.dtype
 
     @property

@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.nn.init import xavier_uniform
-from repro.nn.module import Module, Parameter
+from repro.nn.module import DTYPE, Module, Parameter
 
 
 class DotInteraction(Module):
@@ -39,7 +39,7 @@ class DotInteraction(Module):
         return self.num_inputs * (self.num_inputs - 1) // 2
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.ndim != 3 or x.shape[1:] != (self.num_inputs, self.dim):
             raise ValueError(
                 f"expected (B, {self.num_inputs}, {self.dim}), got {x.shape}"
@@ -54,7 +54,7 @@ class DotInteraction(Module):
         x = self._input
         B = x.shape[0]
         # One (B, T, T) buffer, symmetric: dZ_ij hits both X_i and X_j.
-        g = np.zeros((B, self.num_inputs, self.num_inputs))
+        g = np.zeros((B, self.num_inputs, self.num_inputs), x.dtype)
         g[:, self._rows, self._cols] = grad_output
         g[:, self._cols, self._rows] = grad_output
         return g @ x
@@ -88,11 +88,14 @@ class CrossNet(Module):
         # Xavier over (D, D) keeps activations stable through the
         # multiplicative recurrence.
         self.weights = [
-            Parameter(xavier_uniform(rng, dim, dim), name=f"{name}.w{l}")
+            Parameter(
+                xavier_uniform(rng, dim, dim).astype(DTYPE), name=f"{name}.w{l}"
+            )
             for l in range(num_layers)
         ]
         self.biases = [
-            Parameter(np.zeros(dim), name=f"{name}.b{l}") for l in range(num_layers)
+            Parameter(np.zeros(dim, DTYPE), name=f"{name}.b{l}")
+            for l in range(num_layers)
         ]
         self._x0: Optional[np.ndarray] = None
         self._xs: List[np.ndarray] = []
@@ -103,7 +106,7 @@ class CrossNet(Module):
         return self.dim
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.weights[0].data.dtype)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"expected (B, {self.dim}), got {x.shape}")
         self._x0 = x
@@ -121,7 +124,7 @@ class CrossNet(Module):
         if self._x0 is None:
             raise RuntimeError("backward called before forward")
         x0 = self._x0
-        g = np.asarray(grad_output, dtype=np.float64)
+        g = np.asarray(grad_output, dtype=x0.dtype)
         dx0 = np.zeros_like(x0)
         for l in reversed(range(self.num_layers)):
             u = self._us[l]

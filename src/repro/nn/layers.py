@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.init import xavier_uniform
-from repro.nn.module import Module, Parameter
+from repro.nn.module import DTYPE, Module, Parameter
 
 
 class Linear(Module):
@@ -35,15 +35,18 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(
-            xavier_uniform(rng, in_features, out_features), name=f"{name}.weight"
+            xavier_uniform(rng, in_features, out_features).astype(DTYPE),
+            name=f"{name}.weight",
         )
         self.bias = (
-            Parameter(np.zeros(out_features), name=f"{name}.bias") if bias else None
+            Parameter(np.zeros(out_features, DTYPE), name=f"{name}.bias")
+            if bias
+            else None
         )
         self._input: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.weight.data.dtype)
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"expected last dim {self.in_features}, got shape {x.shape}"
@@ -58,7 +61,7 @@ class Linear(Module):
         if self._input is None:
             raise RuntimeError("backward called before forward")
         x = self._input
-        grad_output = np.asarray(grad_output, dtype=np.float64)
+        grad_output = np.asarray(grad_output, dtype=self.weight.data.dtype)
         # Collapse leading dims for the weight gradient.
         x2 = x.reshape(-1, self.in_features)
         g2 = grad_output.reshape(-1, self.out_features)
@@ -84,7 +87,7 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
@@ -104,7 +107,8 @@ class Sigmoid(Module):
         self._output: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._output = F.sigmoid(np.asarray(x, dtype=np.float64))
+        x = np.asarray(x)
+        self._output = F.sigmoid(x).astype(x.dtype, copy=False)
         return self._output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

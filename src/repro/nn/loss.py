@@ -14,7 +14,9 @@ class BCEWithLogitsLoss(Module):
     """Mean binary cross entropy from logits (CTR training loss).
 
     ``forward(logits, targets)`` returns a scalar; ``backward()``
-    returns d(mean loss)/d(logits).
+    returns d(mean loss)/d(logits).  The loss computes in float64
+    whatever the logits' dtype: its mean is an accumulator over the
+    batch.  The dense layers round the gradient to their own dtype.
     """
 
     def __init__(self) -> None:
@@ -22,6 +24,7 @@ class BCEWithLogitsLoss(Module):
         self._targets: Optional[np.ndarray] = None
 
     def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
+        # Float64: the mean below is an accumulator over the batch.
         logits = np.asarray(logits, dtype=np.float64).reshape(-1)
         targets = np.asarray(targets, dtype=np.float64).reshape(-1)
         if logits.shape != targets.shape:
@@ -100,6 +103,7 @@ class MultiLoss(Module):
         self._shape: Optional[Tuple[int, int]] = None
 
     def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
+        # Float64, as BCEWithLogitsLoss: the loss is an accumulator.
         logits = np.asarray(logits, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
         if logits.shape != targets.shape:
@@ -133,7 +137,7 @@ class MultiLoss(Module):
     def backward(self) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called before forward")
-        grad = np.zeros(self._shape)
+        grad = np.zeros(self._shape)  # float64, the loss's accumulator
         for t in range(self.num_tasks):
             mask = self._masks[t]
             if mask is not None and not mask.any():

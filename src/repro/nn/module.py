@@ -9,6 +9,11 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.nn.sparse import RowwiseGrad
 
+#: The one training precision, the paper's fp32: every embedding table,
+#: dense parameter, activation, gradient, optimizer slot and exchange
+#: buffer.  Table byte counts derive from its itemsize.
+DTYPE = np.dtype(np.float32)
+
 
 class Parameter:
     """A trainable array with an accumulated gradient.
@@ -27,9 +32,10 @@ class Parameter:
     __slots__ = ("data", "_grad", "row_grad", "name")
 
     def __init__(self, data: np.ndarray, name: str = "param"):
-        # float32 stays float32 (the embedding plane); all else is float64.
-        dtype = np.float32 if np.asarray(data).dtype == np.float32 else np.float64
-        self.data = np.ascontiguousarray(data, dtype=dtype)
+        # The dtype it is given: the layers build theirs at DTYPE.
+        self.data = np.ascontiguousarray(data)
+        if self.data.dtype.kind != "f":
+            raise TypeError(f"parameter {name} must be floating, got {self.data.dtype}")
         self._grad: Optional[np.ndarray] = None
         self.row_grad: Optional["RowwiseGrad"] = None
         self.name = name
@@ -200,14 +206,20 @@ class Module:
                 f"state dict mismatch: missing {sorted(missing)}, "
                 f"unexpected {sorted(unexpected)}"
             )
-        # Validate every shape before touching anything: a mismatch
-        # surfacing mid-copy would leave the model half-loaded, which
-        # the checkpoint layer's no-partial-load guarantee forbids.
+        # Validate every shape and dtype before touching anything: a
+        # mismatch surfacing mid-copy would leave the model half-loaded,
+        # which the checkpoint layer's no-partial-load guarantee
+        # forbids, and a cast would resume rounded instead of exact.
         for name, p in own.items():
-            if state[name].shape != p.data.shape:
+            saved = np.asarray(state[name])
+            if saved.shape != p.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: "
-                    f"{state[name].shape} vs {p.data.shape}"
+                    f"{saved.shape} vs {p.data.shape}"
+                )
+            if saved.dtype != p.data.dtype:
+                raise ValueError(
+                    f"dtype mismatch for {name}: {saved.dtype} vs {p.data.dtype}"
                 )
         for name, p in own.items():
             # In-place copy (not rebinding): fused embedding collections

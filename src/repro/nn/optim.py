@@ -10,6 +10,7 @@ statistics in Tables 4-6.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,9 +107,9 @@ class Optimizer:
     ) -> Dict[str, Dict[int, np.ndarray]]:
         """Validate a snapshot without mutating anything.
 
-        Returns the staged slot arrays, copied in their parameter's
-        dtype (a float32 table keeps float32 state); raises
-        ``ValueError`` on any incompatibility.  :meth:`load_state_dict`
+        Returns the staged slot arrays, copied; raises ``ValueError`` on
+        any incompatibility, a slot whose dtype is not its parameter's
+        included (a cast would resume rounded instead of exact).  :meth:`load_state_dict`
         is exactly validate-then-commit, and callers that need
         whole-checkpoint atomicity (the checkpoint loader) validate
         every component up front before committing any of them.
@@ -151,14 +152,20 @@ class Optimizer:
                         f"slot {slot!r} references parameter index {i}, "
                         f"out of range for {len(self.params)} parameters"
                     )
-                arr = np.array(arr, dtype=self.params[i].data.dtype, copy=True)
+                arr = np.asarray(arr)
                 want = self._expected_slot_shape(slot, self.params[i])
                 if arr.shape != tuple(want):
                     raise ValueError(
                         f"slot {slot!r}[{i}] shape {arr.shape} != expected "
                         f"{tuple(want)} for parameter {self.params[i].name}"
                     )
-                new[i] = arr
+                if arr.dtype != self.params[i].data.dtype:
+                    raise ValueError(
+                        f"slot {slot!r}[{i}] dtype {arr.dtype} != its "
+                        f"parameter {self.params[i].name}'s "
+                        f"{self.params[i].data.dtype}"
+                    )
+                new[i] = arr.copy()
             restored[slot] = new
         return restored
 
@@ -336,7 +343,8 @@ class WarmupDecaySchedule:
             return self.peak_lr * (step + 1) / self.warmup_steps
         if step <= self.decay_start:
             return self.peak_lr
-        return self.peak_lr * np.sqrt(self.decay_start / step)
+        # A Python float, so the update runs in the parameters' dtype.
+        return self.peak_lr * math.sqrt(self.decay_start / step)
 
     def apply(self, optimizer: Optimizer, step: int) -> float:
         lr = self.lr_at(step)

@@ -46,7 +46,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.process_group import global_group
-from repro.nn.embedding import TABLE_DTYPE
+from repro.nn.module import DTYPE
 from repro.perf.profiles import ModelProfile
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import LRUEmbeddingCache
@@ -81,7 +81,7 @@ class ServingModel:
 
     @property
     def row_bytes(self) -> int:
-        return self.embedding_dim * TABLE_DTYPE.itemsize
+        return self.embedding_dim * DTYPE.itemsize
 
     @classmethod
     def from_profile(cls, profile: ModelProfile) -> "ServingModel":

@@ -763,16 +763,16 @@ def chain_digest(build, mode, root):
 
 PINNED_CHAIN_SHA256 = {
     ("dlrm", "rowwise"): (
-        "b3affbe2f6b369afe228607d62a0e4b01423e2f59ed97185e54efdca05cb258d"
+        "a09fbe6e9825b7d0ea8c9ee0ac9a683329d1f9f72b152f17b90029fa399ab3f6"
     ),
     ("dlrm", "dense"): (
-        "fbf83b7577b1d00f4bad42679d57ee20c66cdf8d7310f052f7c702cc332c67ee"
+        "aa9425133d227fa2a02292fc72d1aa228eb77d3697a375956bddd5321bc36a1c"
     ),
     ("dmt_dlrm", "rowwise"): (
-        "3b5cbc59b38dcdf63a7447ff40e0ef2c0766814970759d633817f48d0556af1e"
+        "70f614c78e929c12ab31e05fa0e70ad183c15c0872dbe72fff5b8a8d140be8de"
     ),
     ("dmt_dlrm", "dense"): (
-        "ff8f81bd14d3167a76b4a2b9bd81167c25fbf81c360e0aeb162f068308afe629"
+        "37410a9bb06266856b00870f79356902e4b3a885c80a07adaef735da9aa60c81"
     ),
 }
 

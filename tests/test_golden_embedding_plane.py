@@ -95,27 +95,27 @@ def observed(name: str, sparse_grad_mode: str = "rowwise"):
 GOLDEN = {
     "dlrm_multihot_p3": (
         [
-            "0.6970543322080668", "0.7105738001889413", "0.6868446391179969",
-            "0.7051856033191365", "0.6922118701204781", "0.6932769109641184",
-            "0.6973821528482418", "0.6897652446713375", "0.6844632182114131",
-            "0.6754939073643488", "0.7128022483692845", "0.7074581896077955",
-            "0.6940088478766238", "0.7116524343479181", "0.697457999719027",
-            "0.6925123681644267", "0.7020902818371583", "0.6890818507767892",
-            "0.6944676721912649", "0.6881846707038394",
+            "0.6970543311811487", "0.7105738020333695", "0.686844637910678",
+            "0.7051856027049155", "0.6922118761189422", "0.6932769099973287",
+            "0.6973821536151572", "0.6897652411281899", "0.6844632193805098",
+            "0.6754939068405609", "0.7128022458214979", "0.7074581927341924",
+            "0.6940088461574468", "0.7116524343534852", "0.6974579972137751",
+            "0.6925123684769857", "0.7020902789356717", "0.6890818538828821",
+            "0.6944676708994123", "0.6881846702929142",
         ],
-        "ea82fcc9f9c66771cdceea7cf2f6f336d6ea7ac25d7c72b3ed9e8478e86c2ae5",
+        "22d30f759c7152ca92f52d25ed5522ef3cd0e096e9fdb6e91f5b92f64b79a042",
     ),
     "dmt_towers_c1_p0": (
         [
-            "0.6909522723629596", "0.6939958455344346", "0.6914180175147809",
-            "0.6982681544089965", "0.6892842342608949", "0.691644038785427",
-            "0.6937518419636692", "0.6918610403136333", "0.6963797612560075",
-            "0.6966949115039268", "0.6941335022565452", "0.6977254905145337",
-            "0.6894323380828956", "0.6919933891011447", "0.6953170936740906",
-            "0.693512411984174", "0.6899309136308505", "0.6973707711065352",
-            "0.6954970973628951", "0.6923479666340757",
+            "0.6909522725890097", "0.6939958466809714", "0.6914180192541176",
+            "0.6982681537956149", "0.6892842363459285", "0.6916440389426141",
+            "0.6937518423568907", "0.6918610405647253", "0.6963797612916717",
+            "0.6966949122981007", "0.6941335020658408", "0.6977254905771687",
+            "0.6894323414099377", "0.6919933896386053", "0.6953170934399949",
+            "0.6935124133623868", "0.6899309144404261", "0.6973707675848919",
+            "0.6954970972350738", "0.6923479671486078",
         ],
-        "377dbd0ce1f93ca9480dc680a5479173a9ee223c2281b2690c7958ab2d84e597",
+        "a0dc291b0ba3295da35fa7ccfb3c645c48a048c3b651b6fbbfa5e5757a9c7a7c",
     ),
 }
 

@@ -33,19 +33,19 @@ from repro.training import TrainConfig, Trainer
 
 #: 28 batch losses (2 epochs x 14 batches) followed by the eval AUC.
 GOLDEN = [
-    0.833487765415, 0.816192011561, 0.836835499290,
-    0.795245772127, 0.764402675645, 0.791043800673,
-    0.742818192763, 0.760873794374, 0.728420682061,
-    0.740130415946, 0.730276214031, 0.732686566712,
-    0.723492325546, 0.731058475262, 0.696444351760,
-    0.687265607352, 0.672676812281, 0.662603425871,
-    0.686103886227, 0.658400380837, 0.670174889528,
-    0.664023519289, 0.659491879114, 0.640669475800,
-    0.655251459501, 0.668424023222, 0.636917609390,
-    0.650226857887, 0.642532534600,
+    0.833487771453, 0.816192043005, 0.836835522697,
+    0.795245792252, 0.764402692881, 0.791043823211,
+    0.742818195847, 0.760873811126, 0.728420692061,
+    0.740130424129, 0.730276223850, 0.732686587428,
+    0.723492342620, 0.731058486821, 0.696444366074,
+    0.687265618307, 0.672676827591, 0.662603435873,
+    0.686103894062, 0.658400388249, 0.670174897031,
+    0.664023534486, 0.659491886329, 0.640669478548,
+    0.655251468329, 0.668424033708, 0.636917627044,
+    0.650226855454, 0.642532534600,
 ]
 GOLDEN_SHA256 = (
-    "65f9c25ed237fa6098999da6efc08a8850e41eff7d8e0b19217a609a58dc2e3a"
+    "94ac5c290c7bf5743daae8b7f648da49086d4d2688c3a23172dd54603c13f360"
 )
 TOLERANCE = 1e-9
 

@@ -26,7 +26,7 @@ from repro.models.configs import tiny_dlrm_arch
 from repro.nn import BCEWithLogitsLoss
 from repro.sim import SimCluster
 from repro.training import TrainConfig, Trainer
-from tests.util import numeric_grad, restack_float64, tiny_dcn_arch
+from tests.util import numeric_grad, tiny_dcn_arch, upcast_float64
 
 F, N, B, DENSE = 6, 8, 5, 4
 
@@ -51,12 +51,12 @@ def batch(rng, f=F, dense=DENSE, b=B, cardinality=12):
 def end_to_end_grad_check(model, dense, ids, labels, rng, atol=1e-5):
     """Full-model gradient check through BCE loss.
 
-    The tables (and so the tower outputs) are float32, too coarse for
-    central differences, so the check re-stacks them in float64 first;
-    perturbations write into each parameter in place, which keeps the
-    tables viewing the stacked matrix."""
+    The model trains in float32, too coarse for central differences, so
+    the check upcasts it to float64 first; perturbations write into each
+    parameter in place, which keeps the tables viewing the stacked
+    matrix."""
     loss_mod = BCEWithLogitsLoss()
-    restack_float64(model.embeddings)
+    upcast_float64(model)
 
     model.zero_grad()
     loss_mod(model(dense, ids), labels)

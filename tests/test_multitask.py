@@ -40,6 +40,7 @@ from repro.online import OnlineDriver
 from repro.training import TrainConfig, Trainer
 from repro.training.loop import EvalResult, MultiTaskEvalResult
 from repro.training.metrics import auc, calibration, normalized_entropy
+from tests.util import upcast_float64
 
 NUM_DENSE = 4
 NUM_TABLES = 4
@@ -200,6 +201,7 @@ class TestMultiLoss:
         """d(weighted loss)/d(theta) matches central differences for
         every kind of dense parameter the multi-task stack adds."""
         model = mt_model(head, task_weights=(1.0, 0.7))
+        upcast_float64(model)  # float32 is too coarse for central differences
         dense, ids, labels = mt_batch(0, n=32)
         loss_fn = MultiLoss(
             2, weights=model.task_weights, gates=model.task_gates

@@ -67,7 +67,7 @@ class TestCrossNet:
 
     def test_single_layer_matches_manual(self, rng):
         net = CrossNet(dim=4, num_layers=1, rng=rng)
-        x = rng.standard_normal((3, 4))
+        x = rng.standard_normal((3, 4)).astype(net.weights[0].data.dtype)
         u = x @ net.weights[0].data + net.biases[0].data
         np.testing.assert_allclose(net(x), x * u + x)
 

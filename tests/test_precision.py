@@ -1,13 +1,16 @@
-"""The precision split: a float32 embedding plane, a float64 dense plane.
+"""One training precision: float32 everywhere the step computes.
 
-Tables, their row-wise gradients, their Adagrad state, every buffer the
-embedding exchanges move and every tower-module output are float32 (the
-paper trains embeddings in fp32, and the price assumes an fp32 wire);
-MLPs, interactions, tower-module parameters, losses and Adam stay
-float64.  These tests hold that split through a single-process DMT
-step, a simulated SPTT step and a checkpoint round trip, and check the
-executed wire against float32 byte counts at ``train_sptt_sim``'s
-geometry (4x2 A100, global batch 1024, 26 tables x dim 32, 4 towers).
+Tables, their row-wise gradients and Adagrad state, every buffer the
+embedding exchanges move, and the whole dense plane -- MLPs,
+interactions, tower modules, their activations and gradients, and
+Adam's slots -- are float32 (``repro.nn.DTYPE``, the paper's fp32,
+which the price's wire already assumes).  Only the loss's mean and
+sigmoid accumulate in float64, and the tower partitioner's MDS, which
+is not part of the step, keeps float64.  These tests hold that through
+a single-process DMT step, a simulated SPTT step and a checkpoint round
+trip, and check the executed wire against float32 byte counts at
+``train_sptt_sim``'s geometry (4x2 A100, global batch 1024, 26 tables x
+dim 32, 4 towers).
 """
 
 import dataclasses
@@ -16,14 +19,21 @@ import numpy as np
 import pytest
 
 import repro.comm.functional as comm_functional
-from repro.checkpoint import load_training_checkpoint, save_training_checkpoint
+from repro.checkpoint import (
+    CheckpointMismatchError,
+    load_training_checkpoint,
+    save_training_checkpoint,
+)
 from repro.core import DistributedDMTTrainer, FeaturePartition
 from repro.data import random_batch
 from repro.hardware import Cluster
 from repro.models import DLRM, DMTDLRM, paper_dlrm_arch, tiny_table_configs
-from repro.nn import Adam, Linear, RowwiseAdagrad
+from repro.nn import DTYPE, Adam, Parameter, RowwiseAdagrad
+from repro.nn.loss import BCEWithLogitsLoss
+from repro.partitioner.mds import mds_embed
 from repro.sim import Phase, SimCluster
 from repro.training import TrainConfig, Trainer
+from tests.util import upcast_float64
 
 F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
 NUM_DENSE, NUM_SPARSE = 13, 26
@@ -35,35 +45,56 @@ def _arch(dim, bottom, top):
     )
 
 
-def _record_outputs(modules, sink):
-    """Wrap each module's ``forward`` so its output dtype lands in
-    ``sink``."""
-    for m in modules:
-        def forward(*args, _orig=m.forward, **kwargs):
-            out = _orig(*args, **kwargs)
-            sink.append(out.dtype)
+def _dense_modules(model):
+    """Every module of the step but the model itself and the embedding
+    plane: layers, MLPs, interactions, tower modules."""
+    skip = {id(model), *map(id, model.embeddings.modules())}
+    return [m for m in model.modules() if id(m) not in skip]
+
+
+def _record_dtypes(model, mp):
+    """Wrap (through the MonkeyPatch ``mp``) the forward and backward of
+    every dense module and ``Parameter.add_grad``; the returned dict maps
+    "forward", "backward" and "grad" to the set of dtypes each saw."""
+    seen = {"forward": set(), "backward": set(), "grad": set()}
+    add_grad = Parameter.add_grad
+
+    def recording_add_grad(self, grad):
+        seen["grad"].add(np.asarray(grad).dtype)
+        return add_grad(self, grad)
+
+    mp.setattr(Parameter, "add_grad", recording_add_grad)
+
+    def wrap(m, attr):
+        orig = getattr(m, attr)
+
+        def call(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            seen[attr].add(out.dtype)
             return out
 
-        m.forward = forward
+        setattr(m, attr, call)
+
+    for m in _dense_modules(model):
+        wrap(m, "forward")
+        wrap(m, "backward")
+    return seen
 
 
-def _dense_modules(model):
-    return [m for m in model.modules() if isinstance(m, Linear)]
+ONE_PRECISION = {"forward": {F32}, "backward": {F32}, "grad": {F32}}
 
 
-def _assert_planes(model, opts):
-    """Tables and their optimizer state float32; dense plane float64."""
+def _assert_one_precision(model, opts):
+    """Every parameter and optimizer slot is float32."""
     dense_opt, sparse_opt = opts
+    assert DTYPE == F32
     assert model.embeddings.dtype == F32
-    for p in model.sparse_parameters():
+    for p in model.parameters():
         assert p.data.dtype == F32, p.name
     for acc in sparse_opt._accum.values():
         assert acc.dtype == F32
-    dense = list(model.dense_parameters()) + list(model.tower_parameters())
-    for p in dense:
-        assert p.data.dtype == F64, p.name
     for slot in (dense_opt._m, dense_opt._v):
-        assert slot and all(a.dtype == F64 for a in slot.values())
+        assert slot and all(a.dtype == F32 for a in slot.values())
 
 
 # ----------------------------------------------------------------------
@@ -86,33 +117,89 @@ def _batch(n, rows, seed):
     )
 
 
-def test_single_process_step_keeps_the_split():
+def test_single_process_step_runs_at_one_precision(monkeypatch):
     trainer = _train_dmt_trainer()
     model = trainer.model
-    tower_out, dense_out = [], []
-    _record_outputs(model.towers, tower_out)
-    _record_outputs(_dense_modules(model), dense_out)
+    seen = _record_dtypes(model, monkeypatch)
     trainer.train_batch(*_batch(256, 2_000, 1))
 
-    assert tower_out == [F32] * len(model.towers)
-    assert dense_out and set(dense_out) == {F64}
+    assert seen == ONE_PRECISION
     for table in model.embeddings.tables:
         assert table.weight.row_grad.grads.dtype == F32
-    _assert_planes(model, (trainer.dense_opt, trainer.sparse_opt))
+    _assert_one_precision(model, (trainer.dense_opt, trainer.sparse_opt))
 
 
-def test_checkpoint_round_trip_keeps_both_dtypes(tmp_path):
+def test_the_loss_accumulates_in_float64():
+    logits = np.linspace(-3, 3, 8, dtype=F32)
+    loss = BCEWithLogitsLoss()
+    assert isinstance(loss(logits, np.ones(8)), float)
+    assert loss.backward().dtype == F64
+
+
+def test_mds_keeps_float64():
+    D = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    res = mds_embed(D, dim=2, iterations=20, rng=np.random.default_rng(0))
+    assert res.coordinates.dtype == F64
+
+
+def test_checkpoint_round_trip_keeps_one_precision(tmp_path):
     trainer = _train_dmt_trainer()
     trainer.train_batch(*_batch(256, 2_000, 1))
     path = save_training_checkpoint(str(tmp_path / "ck"), trainer.model, trainer)
 
     fresh = _train_dmt_trainer(seed=99)
     load_training_checkpoint(path, fresh.model, fresh)
-    _assert_planes(fresh.model, (fresh.dense_opt, fresh.sparse_opt))
+    _assert_one_precision(fresh.model, (fresh.dense_opt, fresh.sparse_opt))
     for a, b in zip(trainer.model.parameters(), fresh.model.parameters()):
         np.testing.assert_array_equal(a.data, b.data)
     stacked = fresh.model.embeddings._stacked
     assert all(t.weight.data.base is stacked for t in fresh.model.embeddings.tables)
+
+
+def test_a_float64_checkpoint_is_a_typed_error_and_loads_nothing(tmp_path):
+    """A checkpoint of float64 weights and Adam moments (what a float64
+    dense plane wrote) does not resume rounded: both the model and the
+    optimizers refuse it before anything is touched."""
+    old = _train_dmt_trainer()
+    upcast_float64(old.model)
+    old.train_batch(*_batch(256, 2_000, 1))
+    assert old.dense_opt._m[0].dtype == F64
+    path = save_training_checkpoint(str(tmp_path / "f64"), old.model, old)
+
+    trainer = _train_dmt_trainer(seed=99)
+    trainer.train_batch(*_batch(256, 2_000, 2))
+    params = {n: p.data.copy() for n, p in trainer.model.named_parameters()}
+    opt_state = trainer.state_dict()
+    with pytest.raises(CheckpointMismatchError, match="dtype"):
+        load_training_checkpoint(path, trainer.model, trainer)
+    with pytest.raises(CheckpointMismatchError, match="dtype"):
+        load_training_checkpoint(path, trainer.model)
+    for name, p in trainer.model.named_parameters():
+        np.testing.assert_array_equal(p.data, params[name])
+        assert p.data.dtype == F32
+    after = trainer.state_dict()
+    assert after["global_step"] == opt_state["global_step"] == 1
+    for role in ("dense_opt", "sparse_opt"):
+        for slot, entries in opt_state[role]["slots"].items():
+            for i, arr in entries.items():
+                got = after[role]["slots"][slot][i]
+                assert got.dtype == F32
+                np.testing.assert_array_equal(got, arr)
+
+
+def test_an_optimizer_slot_of_another_dtype_is_refused():
+    param = Parameter(np.zeros(3, F32), name="w")
+    opt = Adam([param], lr=0.1)
+    param.add_grad(np.ones(3, F32))
+    opt.step()
+    state = opt.state_dict()
+    state["slots"]["v"]["0"] = state["slots"]["v"]["0"].astype(F64)
+    m, v = opt._m[0].copy(), opt._v[0].copy()
+    with pytest.raises(ValueError, match="dtype float64"):
+        opt.load_state_dict(state)
+    np.testing.assert_array_equal(opt._m[0], m)
+    np.testing.assert_array_equal(opt._v[0], v)
+    assert opt._v[0].dtype == F32
 
 
 # ----------------------------------------------------------------------
@@ -183,10 +270,10 @@ def sptt_step():
         Adam(model.dense_parameters() + model.tower_parameters(), lr=1e-3),
         RowwiseAdagrad(model.sparse_parameters(), lr=0.05),
     ]
-    moved, tower_out = [], []
-    _record_outputs(model.towers, tower_out)
+    moved = []
     alltoall = comm_functional.alltoall
     mp = pytest.MonkeyPatch()
+    seen = _record_dtypes(model, mp)
 
     def recording(group, buffers):
         moved.append({r: list(b) for r, b in buffers.items()})
@@ -197,7 +284,7 @@ def sptt_step():
         trainer.fit_step(*_batch(1024, 2_000, 7), opts)
     finally:
         mp.undo()
-    return model, opts, sim.timeline.events, moved, tower_out
+    return model, opts, sim.timeline.events, moved, seen
 
 
 def _events_by_collective(events, moved):
@@ -213,14 +300,14 @@ def _events_by_collective(events, moved):
     return pairs
 
 
-def test_sptt_step_moves_float32_and_keeps_dense_float64(sptt_step):
-    model, opts, events, moved, tower_out = sptt_step
-    assert tower_out and set(tower_out) == {F32}
+def test_sptt_step_moves_float32_at_one_precision(sptt_step):
+    model, opts, events, moved, seen = sptt_step
+    assert seen == ONE_PRECISION
     for label_event, buffers in _events_by_collective(events, moved):
         dtypes = {b.dtype for bufs in buffers.values() for b in bufs}
         want = {np.dtype(np.int64)} if label_event.label == "sptt.input_dist" else {F32}
         assert dtypes == want, label_event.label
-    _assert_planes(model, opts)
+    _assert_one_precision(model, opts)
 
 
 def test_every_embedding_event_is_the_float32_size_of_its_buffers(sptt_step):

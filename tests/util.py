@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 
 from repro.models.configs import DenseArch
-from repro.nn import EmbeddingBagCollection
+from repro.nn import EmbeddingBagCollection, Module
 
 
 def tiny_dcn_arch(dim: int = 16) -> DenseArch:
@@ -16,14 +16,22 @@ def tiny_dcn_arch(dim: int = 16) -> DenseArch:
     )
 
 
-def restack_float64(ebc: EmbeddingBagCollection) -> None:
-    """Re-stack a collection's tables in float64, every table a view of
-    the new stacked matrix, so lookups still run on the fused path.
-    Float32 tables (and the tower outputs they feed) are too coarse for
-    central differences."""
-    ebc._stacked = ebc._stacked.astype(np.float64)
-    for table, offset, rows in zip(ebc.tables, ebc._offsets, ebc._cards):
-        table.weight.data = ebc._stacked[offset : offset + rows]
+def upcast_float64(module: Module) -> None:
+    """Rebuild every parameter of ``module`` in float64, in place.
+
+    The training precision (float32) is too coarse for central
+    differences; the layers compute in their parameters' dtype, so an
+    upcast module runs its forward and backward in float64.  Embedding
+    collections are re-stacked first, every table a view of the new
+    stacked matrix, so lookups still run on the fused path.
+    """
+    for m in module.modules():
+        if isinstance(m, EmbeddingBagCollection):
+            m._stacked = m._stacked.astype(np.float64)
+            for table, offset, rows in zip(m.tables, m._offsets, m._cards):
+                table.weight.data = m._stacked[offset : offset + rows]
+    for p in module.parameters():
+        p.data = p.data.astype(np.float64, copy=False)
 
 
 def numeric_grad(
@@ -51,8 +59,10 @@ def check_module_gradients(
     """Verify analytic input+parameter grads against central differences.
 
     Uses a random linear functional of the module output as the scalar
-    loss so every output element participates.
+    loss so every output element participates.  The module is upcast to
+    float64 first (:func:`upcast_float64`).
     """
+    upcast_float64(module)
     out = module(x)
     proj = rng.standard_normal(out.shape)
 
