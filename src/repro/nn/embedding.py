@@ -23,10 +23,10 @@ avoid.  A dense optimizer still works: reading ``Parameter.grad``
 densifies the pending row-wise gradient.
 
 Tables are :data:`~repro.nn.module.DTYPE` (float32, the paper's
-precision), and every byte count of a table derives from it.  Lookup is modeled as
-memory traffic, not flops (the paper's MFlops/sample numbers cover the
-dense arch); ``bytes_per_sample`` feeds the iteration latency model's
-HBM term.
+precision), and every byte count of a table derives from it.  Lookup is
+modeled as memory traffic, not flops (the paper's MFlops/sample numbers
+cover the dense arch); ``bytes_per_sample`` feeds the iteration latency
+model's HBM term.
 """
 
 from __future__ import annotations

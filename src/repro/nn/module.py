@@ -35,7 +35,9 @@ class Parameter:
         # The dtype it is given: the layers build theirs at DTYPE.
         self.data = np.ascontiguousarray(data)
         if self.data.dtype.kind != "f":
-            raise TypeError(f"parameter {name} must be floating, got {self.data.dtype}")
+            raise TypeError(
+                f"parameter {name} must be floating, got {self.data.dtype}"
+            )
         self._grad: Optional[np.ndarray] = None
         self.row_grad: Optional["RowwiseGrad"] = None
         self.name = name

@@ -109,8 +109,8 @@ class Optimizer:
 
         Returns the staged slot arrays, copied; raises ``ValueError`` on
         any incompatibility, a slot whose dtype is not its parameter's
-        included (a cast would resume rounded instead of exact).  :meth:`load_state_dict`
-        is exactly validate-then-commit, and callers that need
+        included (a cast would resume rounded instead of exact).
+        :meth:`load_state_dict` is exactly validate-then-commit, and callers that need
         whole-checkpoint atomicity (the checkpoint loader) validate
         every component up front before committing any of them.
         """
