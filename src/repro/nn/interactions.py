@@ -32,6 +32,11 @@ class DotInteraction(Module):
         self.dim = dim
         iu = np.triu_indices(num_inputs, k=1)
         self._rows, self._cols = iu
+        # (T, T) -> position in the (K + 1)-wide gradient row: pair k at
+        # (i, j) and (j, i), the zero column K on the diagonal.
+        pair = np.full((num_inputs, num_inputs), len(iu[0]), np.intp)
+        pair[iu] = pair[iu[::-1]] = np.arange(len(iu[0]))
+        self._pair = pair
         self._input: Optional[np.ndarray] = None
 
     @property
@@ -52,12 +57,13 @@ class DotInteraction(Module):
         if self._input is None:
             raise RuntimeError("backward called before forward")
         x = self._input
-        B = x.shape[0]
-        # One (B, T, T) buffer, symmetric: dZ_ij hits both X_i and X_j.
-        g = np.zeros((B, self.num_inputs, self.num_inputs), x.dtype)
-        g[:, self._rows, self._cols] = grad_output
-        g[:, self._cols, self._rows] = grad_output
-        return g @ x
+        K = self.out_features
+        # dZ_ij hits both X_i and X_j: one gather builds the symmetric
+        # (B, T, T) gradient from the pair row plus a zero column.
+        padded = np.empty((x.shape[0], K + 1), x.dtype)
+        padded[:, :K] = grad_output
+        padded[:, K] = 0.0
+        return np.take(padded, self._pair, axis=1) @ x
 
     def flops_per_sample(self) -> int:
         return 2 * self.out_features * self.dim

@@ -54,7 +54,7 @@ class Linear(Module):
         self._input = x
         y = x @ self.weight.data
         if self.bias is not None:
-            y = y + self.bias.data
+            y += self.bias.data
         return y
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -80,21 +80,39 @@ class Linear(Module):
         return f"Linear({self.in_features}, {self.out_features})"
 
 
+def _keep(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``a`` where ``mask`` is -1 (all bits set), +0.0 where it is 0.
+
+    A bitwise AND on ``a``'s bits viewed as integers of its width; the
+    int8 mask sign-extends to that width under promotion.
+    """
+    a = np.asarray(a)
+    return np.bitwise_and(a.view(f"i{a.itemsize}"), mask).view(a.dtype)
+
+
 class ReLU(Module):
-    """Elementwise max(x, 0)."""
+    """Elementwise max(x, 0), as ``np.where(x > 0, x, 0.0)`` bit for bit.
+
+    ``x > 0`` is kept as a 0/-1 ``int8`` mask and both passes AND the
+    float bits with it: no data-dependent branch, unlike ``np.where`` on
+    a random sign pattern.  Every input maps to the same bits as the
+    ``np.where`` form: -0.0 and NaN to +0.0, +inf to itself, and a
+    gradient of another float width (float64 through a float32 forward)
+    is masked at its own width.
+    """
 
     def __init__(self) -> None:
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        self._mask = np.negative((x > 0).view(np.int8))
+        return _keep(x, self._mask)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        return np.where(self._mask, grad_output, 0.0)
+        return _keep(grad_output, self._mask)
 
     def flops_per_sample(self) -> int:
         return 0

@@ -37,6 +37,23 @@ class TestDotInteraction:
         dot = DotInteraction(num_inputs=4, dim=3)
         check_module_gradients(dot, rng.standard_normal((2, 4, 3)), rng)
 
+    @pytest.mark.parametrize("batch", [1, 1024])
+    @pytest.mark.parametrize("t", [2, 3, 27])
+    def test_backward_is_the_two_scatter_reference(self, t, batch, rng):
+        """The one-gather backward equals a zero-filled (B, T, T) buffer
+        scattered into both triangles, times X — bit for bit."""
+        dot = DotInteraction(num_inputs=t, dim=8)
+        x = rng.standard_normal((batch, t, 8)).astype(np.float32)
+        grad = rng.standard_normal((batch, dot.out_features)).astype(np.float32)
+        dot(x)
+        rows, cols = np.triu_indices(t, k=1)
+        g = np.zeros((batch, t, t), np.float32)
+        g[:, rows, cols] = grad
+        g[:, cols, rows] = grad
+        got = dot.backward(grad)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32), (g @ x).view(np.uint32))
+
     def test_parameter_free(self):
         """§5.2.2: 'dot-product is parameter-free' — drives Table 4."""
         assert DotInteraction(8, 16).num_parameters() == 0

@@ -81,6 +81,42 @@ class TestActivations:
         relu(np.array([-1.0, 3.0]))
         np.testing.assert_array_equal(relu.backward(np.array([5.0, 5.0])), [0.0, 5.0])
 
+    @staticmethod
+    def _special(dtype, rng):
+        """Random values led by -0.0, +0.0, NaNs of both signs, +-inf,
+        subnormals of both signs and +-max."""
+        info = np.finfo(dtype)
+        tiny = info.smallest_subnormal
+        head = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                info.max, -info.max]
+        return np.concatenate(
+            [np.array(head, dtype), rng.standard_normal(246).astype(dtype)]
+        ).reshape(16, 16)
+
+    @staticmethod
+    def _assert_same_bits(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_is_np_where_bit_for_bit(self, dtype, rng):
+        x = self._special(dtype, rng)
+        grad = self._special(dtype, rng)[::-1].copy()
+        relu = ReLU()
+        self._assert_same_bits(relu(x), np.where(x > 0, x, 0.0))
+        self._assert_same_bits(
+            relu.backward(grad), np.where(x > 0, grad, 0.0)
+        )
+
+    def test_relu_float64_gradient_through_float32_forward(self, rng):
+        x = self._special(np.float32, rng)
+        grad = self._special(np.float64, rng)
+        relu = ReLU()
+        self._assert_same_bits(relu(x), np.where(x > 0, x, 0.0))
+        self._assert_same_bits(
+            relu.backward(grad), np.where(x > 0, grad, 0.0)
+        )
+
     def test_sigmoid_range_and_extremes(self):
         out = Sigmoid()(np.array([-1000.0, 0.0, 1000.0]))
         assert out[0] == pytest.approx(0.0, abs=1e-12)
