@@ -8,8 +8,10 @@ global interaction.
 
 Implementation note: the paper replaces the generated
 ``cublasGemvTensorStridedBatched`` kernel with a manual pairwise
-routine for large-batch/small-F dot products; irrelevant for numpy —
-``Linear`` already broadcasts over the (B, F_t) leading axes.
+routine for large-batch/small-F dot products.  numpy's analogue of that
+strided-batched kernel is the batched 3-D matmul, B small (F_t, N)
+products; ``Linear`` no longer runs it, but projects the (B, F_t, N)
+block as one (B*F_t, N) matmul, forward and input gradient alike.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ class Linear(Module):
 
     Leading dimensions are treated as batch; the tower modules exploit
     this to project (B, F, N) tensors along their last axis (Listing 1's
-    per-feature projection).
+    per-feature projection).  Every rank runs as one 2-D matmul on the
+    ``(-1, in_features)`` view, forward and input gradient alike, never
+    numpy's batched 3-D matmul of many small (F, N) products.
     """
 
     def __init__(
@@ -52,23 +54,23 @@ class Linear(Module):
                 f"expected last dim {self.in_features}, got shape {x.shape}"
             )
         self._input = x
-        y = x @ self.weight.data
+        y = x.reshape(-1, self.in_features) @ self.weight.data
         if self.bias is not None:
             y += self.bias.data
-        return y
+        return y.reshape(*x.shape[:-1], self.out_features)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise RuntimeError("backward called before forward")
         x = self._input
         grad_output = np.asarray(grad_output, dtype=self.weight.data.dtype)
-        # Collapse leading dims for the weight gradient.
+        # Collapse leading dims: both products run on 2-D views.
         x2 = x.reshape(-1, self.in_features)
         g2 = grad_output.reshape(-1, self.out_features)
         self.weight.add_grad(x2.T @ g2)
         if self.bias is not None:
             self.bias.add_grad(g2.sum(axis=0))
-        return grad_output @ self.weight.data.T
+        return (g2 @ self.weight.data.T).reshape(x.shape)
 
     def flops_per_sample(self) -> int:
         # One MAC per weight element; leading batch-like dims beyond the

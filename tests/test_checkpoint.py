@@ -769,10 +769,10 @@ PINNED_CHAIN_SHA256 = {
         "aa9425133d227fa2a02292fc72d1aa228eb77d3697a375956bddd5321bc36a1c"
     ),
     ("dmt_dlrm", "rowwise"): (
-        "70f614c78e929c12ab31e05fa0e70ad183c15c0872dbe72fff5b8a8d140be8de"
+        "af016b01881725476f0f81f432eebee77cdb80da3c513362de249ff69f24cbbf"
     ),
     ("dmt_dlrm", "dense"): (
-        "37410a9bb06266856b00870f79356902e4b3a885c80a07adaef735da9aa60c81"
+        "1b242196379a026bcb712594bc35af0827afeed7ffbc404b8b3bea106b87197e"
     ),
 }
 

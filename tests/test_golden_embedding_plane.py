@@ -107,15 +107,15 @@ GOLDEN = {
     ),
     "dmt_towers_c1_p0": (
         [
-            "0.6909522725890097", "0.6939958466809714", "0.6914180192541176",
-            "0.6982681537956149", "0.6892842363459285", "0.6916440389426141",
-            "0.6937518423568907", "0.6918610405647253", "0.6963797612916717",
-            "0.6966949122981007", "0.6941335020658408", "0.6977254905771687",
-            "0.6894323414099377", "0.6919933896386053", "0.6953170934399949",
-            "0.6935124133623868", "0.6899309144404261", "0.6973707675848919",
-            "0.6954970972350738", "0.6923479671486078",
+            "0.6909522725890097", "0.6939958466809714", "0.691418019270941",
+            "0.6982681535940426", "0.6892842360014798", "0.6916440389099394",
+            "0.6937518426383896", "0.6918610407006053", "0.6963797614055626",
+            "0.6966949121196763", "0.6941335018507248", "0.6977254901328293",
+            "0.6894323415235024", "0.6919933907449941", "0.6953170936895847",
+            "0.6935124136700684", "0.6899309139915388", "0.6973707681850412",
+            "0.6954970975318471", "0.6923479674683662",
         ],
-        "a0dc291b0ba3295da35fa7ccfb3c645c48a048c3b651b6fbbfa5e5757a9c7a7c",
+        "3d1f5c459d4dd0b10c4f76eae43aad1b78038a0999512be3f00242c1b2c0b001",
     ),
 }
 

@@ -32,6 +32,24 @@ class TestLinear:
         x = rng.standard_normal((2, 5, 4))
         assert layer(x).shape == (2, 5, 6)
 
+    def test_3d_input_is_its_2d_view_bit_for_bit(self, rng):
+        """(B, F, N) runs as the (B*F, N) matmul: output, input gradient,
+        weight and bias gradients all equal those of the 2-D reshape."""
+        x = rng.standard_normal((1024, 3, 64)).astype(np.float32)
+        grad = rng.standard_normal((1024, 3, 32)).astype(np.float32)
+        flat = Linear(64, 32, rng=np.random.default_rng(5))
+        batched = Linear(64, 32, rng=np.random.default_rng(5))
+        y2 = flat(x.reshape(-1, 64))
+        y3 = batched(x)
+        assert y3.shape == (1024, 3, 32)
+        np.testing.assert_array_equal(y3, y2.reshape(y3.shape))
+        g2 = flat.backward(grad.reshape(-1, 32))
+        g3 = batched.backward(grad)
+        assert g3.shape == x.shape
+        np.testing.assert_array_equal(g3, g2.reshape(x.shape))
+        np.testing.assert_array_equal(batched.weight.grad, flat.weight.grad)
+        np.testing.assert_array_equal(batched.bias.grad, flat.bias.grad)
+
     def test_gradients(self, rng):
         layer = Linear(4, 3, rng=rng)
         check_module_gradients(layer, rng.standard_normal((6, 4)), rng)
