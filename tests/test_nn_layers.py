@@ -116,19 +116,17 @@ class TestActivations:
         assert a.dtype == b.dtype and a.shape == b.shape
         np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_relu_is_np_where_bit_for_bit(self, dtype, rng):
-        x = self._special(dtype, rng)
-        grad = self._special(dtype, rng)[::-1].copy()
-        relu = ReLU()
-        self._assert_same_bits(relu(x), np.where(x > 0, x, 0.0))
-        self._assert_same_bits(
-            relu.backward(grad), np.where(x > 0, grad, 0.0)
-        )
-
-    def test_relu_float64_gradient_through_float32_forward(self, rng):
-        x = self._special(np.float32, rng)
-        grad = self._special(np.float64, rng)
+    @pytest.mark.parametrize(
+        "x_dtype, grad_dtype",
+        [
+            (np.float32, np.float32),
+            (np.float64, np.float64),
+            (np.float32, np.float64),  # float64 gradient, float32 forward
+        ],
+    )
+    def test_relu_is_np_where_bit_for_bit(self, x_dtype, grad_dtype, rng):
+        x = self._special(x_dtype, rng)
+        grad = self._special(grad_dtype, rng)[::-1].copy()
         relu = ReLU()
         self._assert_same_bits(relu(x), np.where(x > 0, x, 0.0))
         self._assert_same_bits(
