@@ -5,9 +5,10 @@ the fused single-hot gather (forward), the ordered segment-sum
 ``RowwiseGrad.from_pooled`` plus the split into per-table row
 gradients (backward), and ``RowwiseAdagrad``'s one read and one write
 per touched row (optimizer) — and asserts the row-wise path's headline
-properties against ``sparse_grad_mode="dense"`` (dense Adagrad over the
-densified gradient): a multiple-x train-step speedup and a collapse in
-per-step transient allocation.
+properties against the dense Adagrad reference (``tests.util.Adagrad``
+over the densified gradient, swapped into ``trainer.sparse_opt``): a
+multiple-x train-step speedup and a collapse in per-step transient
+allocation.
 Train-step wall-clock with its per-layer split is ``perfbench/run.py``'s
 ``train_dmt`` workload, compared run against run with
 ``perfbench/compare.py`` — these stay small enough for every CI run.
@@ -24,6 +25,7 @@ from repro.models import DLRM
 from repro.models.configs import DenseArch
 from repro.nn import EmbeddingBagCollection, RowwiseAdagrad, TableConfig
 from repro.training import TrainConfig, Trainer
+from tests.util import with_dense_adagrad
 
 TABLES, ROWS, DIM, BATCH = 8, 100_000, 64, 256
 
@@ -80,10 +82,11 @@ def test_bench_rowwise_optimizer_step(benchmark, batch_ids, grad_out):
     benchmark(step)
 
 
-def _train_step_timer(mode, steps=3):
+def _train_step_timer(dense_reference=False, steps=3):
     """Best-of seconds/step and peak transient bytes of a DLRM train
-    step.  Min over steps (not mean) so a contention spike on a busy CI
-    runner cannot flip the speedup assertion."""
+    step, its tables on ``RowwiseAdagrad`` or the dense reference.  Min
+    over steps (not mean) so a contention spike on a busy CI runner
+    cannot flip the speedup assertion."""
     arch = DenseArch(embedding_dim=DIM, bottom_mlp=(32,), top_mlp=(32,))
     model = DLRM(
         13,
@@ -91,9 +94,9 @@ def _train_step_timer(mode, steps=3):
         arch,
         rng=np.random.default_rng(0),
     )
-    trainer = Trainer(
-        model, TrainConfig(batch_size=BATCH, sparse_grad_mode=mode)
-    )
+    trainer = Trainer(model, TrainConfig(batch_size=BATCH))
+    if dense_reference:
+        with_dense_adagrad(trainer)
     dense_x, ids, labels = random_batch(
         BATCH, 13, TABLES, ROWS, rng=np.random.default_rng(3)
     )
@@ -112,9 +115,9 @@ def _train_step_timer(mode, steps=3):
 
 
 def test_rowwise_step_beats_dense(benchmark):
-    dense_sec, dense_bytes = _train_step_timer("dense")
+    dense_sec, dense_bytes = _train_step_timer(dense_reference=True)
     row_sec, row_bytes = benchmark.pedantic(
-        _train_step_timer, args=("rowwise",), iterations=1, rounds=1
+        _train_step_timer, iterations=1, rounds=1
     )
     speedup = dense_sec / row_sec
     mem_ratio = dense_bytes / max(row_bytes, 1)
@@ -128,6 +131,6 @@ def test_rowwise_step_beats_dense(benchmark):
 
 def test_rowwise_step_touches_only_batch_rows():
     """Transient allocation of a rowwise step is O(batch), not O(table)."""
-    _, row_bytes = _train_step_timer("rowwise", steps=1)
+    _, row_bytes = _train_step_timer(steps=1)
     table_bytes = TABLES * ROWS * DIM * 8
     assert row_bytes < table_bytes / 10

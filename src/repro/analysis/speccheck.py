@@ -160,21 +160,37 @@ def _check_degenerate_split(spec: RunSpec):
         )
 
 
+def _train_sections(spec: RunSpec):
+    """(name, section) of every train section that runs: ``train``
+    and, when the ab section sets one, arm B's ``ab.train_b``."""
+    if spec.train is not None:
+        yield "train", spec.train
+    if spec.ab is not None and spec.ab.train_b is not None:
+        yield "ab.train_b", spec.ab.train_b
+
+
 @spec_check("batch-exceeds-train-split")
 def _check_batch_fits_split(spec: RunSpec):
-    if spec.train is None or spec.data is None:
+    if spec.data is None:
         return
+    # Every arm trains on the split; the online loop's trainer on each
+    # stream window.
     split = _train_split_size(spec.data)
-    if split and spec.train.batch_size > split:
-        yield _diag(
-            "error",
-            "batch-exceeds-train-split",
-            f"train.batch_size={spec.train.batch_size} exceeds the "
-            f"{split}-sample training split",
-            "train.batch_size",
-            "shrink batch_size or grow data.num_samples — the batch "
-            "iterator rejects batches larger than the split",
-        )
+    passes = [(name, t, split, "training split") for name, t in _train_sections(spec)]
+    if spec.online is not None and spec.train is not None:
+        window = spec.online.window_samples
+        passes.append(("train", spec.train, window, "online window"))
+    for name, train, samples, what in passes:
+        if samples and train.batch_size > samples:
+            yield _diag(
+                "error",
+                "batch-exceeds-train-split",
+                f"{name}.batch_size={train.batch_size} exceeds the "
+                f"{samples}-sample {what}",
+                f"{name}.batch_size",
+                f"shrink batch_size or grow the {what} — the batch "
+                f"iterator rejects batches larger than its samples",
+            )
 
 
 @spec_check("probe-batch-exceeds-split")
@@ -217,19 +233,18 @@ def _check_probe_samples(spec: RunSpec):
 
 @spec_check("global-batch-indivisible")
 def _check_global_batch(spec: RunSpec):
-    if spec.train is None or spec.train.mode != "simulated":
-        return
     world = spec.cluster.world_size
-    if spec.train.batch_size % world != 0:
-        yield _diag(
-            "error",
-            "global-batch-indivisible",
-            f"train.batch_size={spec.train.batch_size} is not "
-            f"divisible by the {world}-rank simulated world",
-            "train.batch_size",
-            f"pick a multiple of {world} — the distributed pipeline "
-            f"splits the global batch evenly per rank",
-        )
+    for name, train in _train_sections(spec):
+        if train.mode == "simulated" and train.batch_size % world != 0:
+            yield _diag(
+                "error",
+                "global-batch-indivisible",
+                f"{name}.batch_size={train.batch_size} is not "
+                f"divisible by the {world}-rank simulated world",
+                f"{name}.batch_size",
+                f"pick a multiple of {world} — the distributed pipeline "
+                f"splits the global batch evenly per rank",
+            )
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,7 @@ from repro.checkpoint import (
     read_manifest,
     save_training_checkpoint,
 )
-from repro.core.dmt_pipeline import DistributedDMTTrainer
+from repro.core.dmt_pipeline import DistributedDMTTrainer, DistributedHybridTrainer
 from repro.core.partition import FeaturePartition
 from repro.data import SyntheticCriteoDataset, train_eval_split
 from repro.hardware import Cluster
@@ -382,6 +382,19 @@ class Session:
 
         return self._stage("plan", build)
 
+    def build_trainer(self, model, config: TrainConfig) -> Trainer:
+        """The :class:`Trainer` of every spec-driven training run, whose
+        step executor ``train.mode`` and ``model.variant`` pick: none
+        (the model itself) for ``'single'``; on a simulated cluster,
+        ``DistributedDMTTrainer`` for ``'dmt'`` and
+        ``DistributedHybridTrainer`` for ``'flat'``."""
+        step = None
+        if self._need("train").mode == "simulated":
+            dmt = self._need("model").variant == "dmt"
+            executor = DistributedDMTTrainer if dmt else DistributedHybridTrainer
+            step = executor(SimCluster(self.build_cluster()), model)
+        return Trainer(model, config, step)
+
     def train(self) -> TrainArtifact:
         """Run the training stage: :meth:`Trainer.fit` over the train
         split and an eval on the eval split, in either ``train.mode``
@@ -394,10 +407,8 @@ class Session:
         train = self._need("train")
         self._ensure_analyzed()
         model = self.build_model()
-        step = None
-        if train.mode == "simulated":
-            step = DistributedDMTTrainer(SimCluster(self.build_cluster()), model)
-        trainer = Trainer(model, train.trainer_config(), step)
+        trainer = self.build_trainer(model, train.trainer_config())
+        step = trainer.step
         ck = self.spec.checkpoint
         on_step_end = None
         if ck is not None:
@@ -791,7 +802,7 @@ class Session:
             hot = data.cardinality
             card = hot * on.table_multiplier
             model = self._make_model(cardinality=card)
-            trainer = Trainer(model, train.trainer_config())
+            trainer = self.build_trainer(model, train.trainer_config())
 
             # The churned stream: per-feature hot-slot -> table-row
             # maps, re-pointed for a fraction of slots each boundary.

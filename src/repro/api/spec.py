@@ -557,14 +557,14 @@ class PartitionSpec(_SpecBase):
 class TrainSpec(_SpecBase):
     """Training protocol: one recipe, two step executors.
 
-    Both modes run :meth:`repro.training.Trainer.fit` over the data
-    section's train split with :meth:`trainer_config`'s optimizer pair,
-    evaluate on its eval split, and checkpoint, resume and autosave.
-    ``mode`` picks only who executes each step: the model itself
-    (``'single'``), or the model-parallel
-    :class:`repro.core.dmt_pipeline.DistributedDMTTrainer` on a
+    Every plane that trains (``train``, ``online``, both ``ab`` arms)
+    runs :class:`repro.training.Trainer` with :meth:`trainer_config`'s
+    optimizer pair and checkpoints, resumes and autosaves alike.
+    ``mode`` picks only who executes each step (see
+    :meth:`repro.api.Session.build_trainer`): the model itself
+    (``'single'``), or the DMT or hybrid-parallel executor on a
     :class:`repro.sim.SimCluster` of the cluster section
-    (``'simulated'``, §3.1's SPTT step, which also prices a timeline).
+    (``'simulated'``, which also prices a timeline).
     """
 
     mode: str = "single"  # "single" | "simulated"
@@ -573,11 +573,6 @@ class TrainSpec(_SpecBase):
     dense_lr: float = 1e-3
     sparse_lr: float = 0.03
     dense_optimizer: str = "adam"
-    #: Table optimizer, honored in both modes: "rowwise" updates the
-    #: touched rows from their row-wise gradients (the fast path),
-    #: "dense" runs Adagrad over the densified gradient.  Bit for bit
-    #: the same training.
-    sparse_grad_mode: str = "rowwise"
     warmup_steps: int = 0
     seed: int = 0
 
@@ -1123,11 +1118,6 @@ class ABSpec(_SpecBase):
             self.train_b is None or isinstance(self.train_b, TrainSpec),
             "train_b must be a TrainSpec or None",
         )
-        if self.train_b is not None:
-            _require(
-                self.train_b.mode == "single",
-                "ab arm B trains single-process; set train_b.mode='single'",
-            )
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ABSpec":
@@ -1254,10 +1244,9 @@ class RunSpec(_SpecBase):
             )
         if self.online is not None:
             _require(
-                self.train is not None and self.train.mode == "single",
-                "an online section streams windows through the single-"
-                "process trainer; it needs a train section with "
-                "mode='single'",
+                self.train is not None,
+                "an online section streams windows through the trainer; "
+                "it needs a train section",
             )
             _require(
                 self.serve is not None and self.serve.uses_fleet,
@@ -1266,10 +1255,9 @@ class RunSpec(_SpecBase):
             )
         if self.ab is not None:
             _require(
-                self.train is not None and self.train.mode == "single",
-                "an ab section replays two single-process training arms; "
-                "it needs data, model, and train sections with "
-                "train.mode='single'",
+                self.train is not None,
+                "an ab section replays two training arms; it needs data, "
+                "model, and train sections",
             )
             if self.ab.model_b is not None:
                 assert self.model is not None  # train requires a model
@@ -1314,15 +1302,15 @@ class RunSpec(_SpecBase):
                     self.partition is not None,
                     "training a DMT variant requires a partition section",
                 )
-            if self.train.mode == "simulated":
-                _require(
-                    self.model.variant == "dmt",
-                    "simulated training runs the DMT pipeline; "
-                    "set model.variant='dmt'",
-                )
-                self.cluster.require_towers_divide_hosts(
-                    self.partition.num_towers, "partition.num_towers"
-                )
+            arms = [(self.model, self.train)]
+            if self.ab is not None:
+                ab = self.ab
+                arms.append((ab.model_b or self.model, ab.train_b or self.train))
+            for model, train in arms:
+                if train.mode == "simulated" and model.variant == "dmt":
+                    self.cluster.require_towers_divide_hosts(
+                        self.partition.num_towers, "partition.num_towers"
+                    )
         if self.perf is not None and self.perf.num_towers is not None:
             self.cluster.require_towers_divide_hosts(
                 self.perf.num_towers, "perf.num_towers"

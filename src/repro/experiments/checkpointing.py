@@ -90,7 +90,6 @@ def experiment_specs(fast: bool = True) -> "dict[str, RunSpec]":
 )
 def run(fast: bool = True) -> ExperimentResult:
     from repro.checkpoint import CheckpointManager, checkpoint_step
-    from repro.training import Trainer
 
     tmp = tempfile.mkdtemp(prefix="dmt-ckpt-")
     try:
@@ -105,7 +104,7 @@ def run(fast: bool = True) -> ExperimentResult:
         data = crash_session.load_data()
         model = crash_session.build_model()
         train = spec.train
-        trainer = Trainer(model, train.trainer_config())
+        trainer = crash_session.build_trainer(model, train.trainer_config())
         manager = CheckpointManager(
             os.path.join(tmp, "crash"),
             every_steps=spec.checkpoint.save_every_steps,

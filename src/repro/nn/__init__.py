@@ -22,7 +22,7 @@ from repro.nn.embedding import EmbeddingBagCollection, EmbeddingTable, TableConf
 from repro.nn.sparse import RowwiseGrad
 from repro.nn.interactions import CrossNet, DotInteraction
 from repro.nn.loss import BCEWithLogitsLoss, MultiLoss
-from repro.nn.optim import SGD, Adagrad, Adam, Optimizer, RowwiseAdagrad
+from repro.nn.optim import SGD, Adam, Optimizer, RowwiseAdagrad
 from repro.nn import functional
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "Adagrad",
     "RowwiseAdagrad",
     "xavier_uniform",
     "uniform_embedding_init",

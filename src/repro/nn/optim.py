@@ -1,4 +1,5 @@
-"""Optimizers: SGD, Adagrad, Adam (the paper trains with Adam, §5.1).
+"""Optimizers: SGD, Adam (the paper trains with Adam, §5.1) and the
+row-wise Adagrad every embedding table trains with.
 
 Optimizers hold references to :class:`~repro.nn.module.Parameter`
 objects and update in place from accumulated ``grad`` fields.  State is
@@ -198,42 +199,15 @@ class SGD(Optimizer):
         param.data -= self.lr * g
 
 
-class Adagrad(Optimizer):
-    """Adagrad — the classic choice for DLRM embedding tables."""
-
-    def __init__(
-        self, params: Sequence[Parameter], lr: float, eps: float = 1e-10
-    ):
-        super().__init__(params, lr)
-        self.eps = eps
-        self._accum: Dict[int, np.ndarray] = {}
-
-    def _slot_dicts(self) -> Dict[str, Dict[int, np.ndarray]]:
-        return {"accum": self._accum}
-
-    def _config_state(self) -> Dict[str, float]:
-        return {"eps": float(self.eps)}
-
-    def _update(self, index: int, param: Parameter) -> None:
-        g = param.grad
-        acc = self._accum.get(index)
-        if acc is None:
-            acc = np.zeros_like(param.data)
-            self._accum[index] = acc
-        acc += g * g
-        param.data -= self.lr * g / (np.sqrt(acc) + self.eps)
-
-
 class RowwiseAdagrad(Optimizer):
     """Adagrad that updates only the rows a batch touched.
 
     It consumes :class:`~repro.nn.sparse.RowwiseGrad` directly:
     accumulator and weight writes cost O(touched rows x dim) instead of
-    O(table).  The state and arithmetic are exactly :class:`Adagrad`'s
-    (an untouched row is a strict no-op there: ``acc += 0`` then a zero
+    O(table).  The state and arithmetic are dense Adagrad's (an
+    untouched row is a strict no-op there: ``acc += 0`` then a zero
     update), so the two train bit-identically.  A parameter with a
-    dense gradient is a ``TypeError``: :class:`Adagrad` is the dense
-    update.
+    dense gradient is a ``TypeError``.
     """
 
     def __init__(
@@ -254,7 +228,7 @@ class RowwiseAdagrad(Optimizer):
         if rg is None:
             raise TypeError(
                 f"RowwiseAdagrad takes row-wise gradients; parameter "
-                f"{param.name} has a dense one (use Adagrad)"
+                f"{param.name} has a dense one"
             )
         acc = self._accum.get(index)
         if acc is None:

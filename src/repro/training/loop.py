@@ -20,19 +20,10 @@ import numpy as np
 
 from repro.data.loader import BatchIterator
 from repro.nn.loss import BCEWithLogitsLoss, MultiLoss
-from repro.nn.optim import (
-    Adagrad,
-    Adam,
-    RowwiseAdagrad,
-    SGD,
-    WarmupDecaySchedule,
-)
+from repro.nn.optim import Adam, RowwiseAdagrad, SGD, WarmupDecaySchedule
 from repro.training.metrics import auc, log_loss, normalized_entropy
 
 _MASK64 = (1 << 64) - 1
-
-#: The table optimizer each ``sparse_grad_mode`` picks.
-_SPARSE_OPTIMIZERS = {"rowwise": RowwiseAdagrad, "dense": Adagrad}
 
 
 def _mix_epoch_seed(seed: int, epoch: int) -> int:
@@ -56,13 +47,9 @@ def _mix_epoch_seed(seed: int, epoch: int) -> int:
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    The embedding plane always emits row-wise gradients;
-    ``sparse_grad_mode`` picks only the table optimizer:
-    ``"rowwise"`` (default) is :class:`~repro.nn.optim.RowwiseAdagrad`
-    on the touched rows, ``"dense"`` is :class:`~repro.nn.optim.Adagrad`
-    over the densified ``Parameter.grad``.  The two train bit for bit
-    alike (same accumulator arithmetic, same summation order); only
-    the cost differs.
+    The embedding plane emits row-wise gradients and the tables have
+    one optimizer, :class:`~repro.nn.optim.RowwiseAdagrad` at
+    ``sparse_lr``, which updates only the rows a batch touched.
     """
 
     batch_size: int = 256
@@ -70,7 +57,6 @@ class TrainConfig:
     dense_lr: float = 1e-3
     sparse_lr: float = 0.03
     dense_optimizer: str = "adam"  # "adam" | "sgd"
-    sparse_grad_mode: str = "rowwise"  # "rowwise" | "dense"
     warmup_steps: int = 0
     seed: int = 0
 
@@ -82,11 +68,6 @@ class TrainConfig:
         if self.dense_optimizer not in ("adam", "sgd"):
             raise ValueError(
                 f"unknown dense optimizer {self.dense_optimizer!r}"
-            )
-        if self.sparse_grad_mode not in _SPARSE_OPTIMIZERS:
-            raise ValueError(
-                f"sparse_grad_mode must be one of {tuple(_SPARSE_OPTIMIZERS)}, "
-                f"got {self.sparse_grad_mode!r}"
             )
         if not self.warmup_steps >= 0:
             raise ValueError("warmup_steps must be >= 0")
@@ -180,12 +161,11 @@ class Trainer:
         # Who runs forward/backward: the model, or the executor.
         self.runner = model if step is None else step
         dense = Adam if config.dense_optimizer == "adam" else SGD
-        sparse = _SPARSE_OPTIMIZERS[config.sparse_grad_mode]
         self.dense_opt = dense(
             list(model.dense_parameters()) + list(model.tower_parameters()),
             lr=config.dense_lr,
         )
-        self.sparse_opt = sparse(model.sparse_parameters(), lr=config.sparse_lr)
+        self.sparse_opt = RowwiseAdagrad(model.sparse_parameters(), lr=config.sparse_lr)
         self.schedule = (
             WarmupDecaySchedule(config.dense_lr, config.warmup_steps)
             if config.warmup_steps > 0

@@ -144,6 +144,40 @@ class TestNegativeSeededBrokenSpecs:
         )
         assert error_codes(spec) == ["global-batch-indivisible"]
 
+    def test_online_window_smaller_than_batch(self):
+        """The online loop's trainer batches each stream window: a
+        window below the batch size is refused before any training,
+        not mid-run by the batch iterator."""
+        from repro.experiments.model_freshness import freshness_spec
+
+        base = freshness_spec()
+        spec = base.replace(online=base.online.replace(window_samples=32))
+        diags = [d for d in analyze_spec(spec) if d.severity == "error"]
+        assert [d.code for d in diags] == ["batch-exceeds-train-split"]
+        assert diags[0].path == "train.batch_size"
+        assert "32-sample online window" in diags[0].message
+        with pytest.raises(SpecAnalysisError, match="online window"):
+            Session(spec).online()
+
+    @pytest.mark.parametrize(
+        "train_b, code",
+        [
+            (TrainSpec(batch_size=512, epochs=1), "batch-exceeds-train-split"),
+            (
+                TrainSpec(mode="simulated", batch_size=130, epochs=1),
+                "global-batch-indivisible",
+            ),
+        ],
+    )
+    def test_ab_arm_b_batch_rules(self, train_b, code):
+        """Arm B's train section is checked like arm A's, at analyze
+        time rather than after arm A has trained."""
+        spec = tiny_quality_spec(ab=ABSpec(seeds=(0, 1), train_b=train_b))
+        diags = [d for d in analyze_spec(spec) if d.severity == "error"]
+        assert [(d.code, d.path) for d in diags] == [
+            (code, "ab.train_b.batch_size")
+        ]
+
     def test_shard_capacity_overflow(self):
         # Paper-scale Criteo tables (~91 GB) cannot fit one A100.
         spec = RunSpec(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    ABSpec,
     AutoscaleSpec,
     ClusterSpec,
     DataSpec,
@@ -29,6 +30,7 @@ from repro.api.presets import (
     quickstart_spec,
     train_dmt_criteo_spec,
 )
+from repro.core.dmt_pipeline import DistributedDMTTrainer, DistributedHybridTrainer
 from repro.experiments import table4
 from repro.experiments.runner import main as cli_main
 from tests.golden.gen_spec_json import FIXTURE as SPEC_JSON_FIXTURE
@@ -435,8 +437,7 @@ class TestSpecProjection:
     def test_train_spec_builds_trainer_config(self):
         spec = TrainSpec(
             batch_size=96, epochs=3, dense_lr=0.02, sparse_lr=0.2,
-            dense_optimizer="sgd", sparse_grad_mode="dense",
-            warmup_steps=7, seed=13,
+            dense_optimizer="sgd", warmup_steps=7, seed=13,
         )
         assert_projection(spec, spec.trainer_config())
 
@@ -711,6 +712,16 @@ class TestSessionEndToEnd:
             expected.log_loss, abs=1e-12
         )
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="SPTT runs a width-1 tower projection (tower_dim=1, c=0, "
+        "p=1) over a differently laid out gradient than single-process, "
+        "and BLAS sums its weight gradient in another order: ~1e-10 drift",
+    )
+    def test_simulated_width_one_tower_projection_is_exact(self):
+        spec = TINY.replace(train=TINY.train.replace(mode="simulated"))
+        assert_equals_single_twin(spec, Session(spec).train())
+
     def test_simulated_training_is_exact(self):
         spec = distributed_training_spec()
         art = Session(spec).train()
@@ -783,6 +794,111 @@ class TestSessionEndToEnd:
         # 'probe' and 'coherent' share one entry: first call misses,
         # second hits.
         assert info.misses == 1 and info.hits == 1
+
+
+def single_twin(spec: RunSpec) -> RunSpec:
+    """``spec`` with every train section on the single-process executor."""
+    twin = spec.replace(train=spec.train.replace(mode="single"))
+    if spec.ab is not None and spec.ab.train_b is not None:
+        train_b = spec.ab.train_b.replace(mode="single")
+        twin = twin.replace(ab=spec.ab.replace(train_b=train_b))
+    return twin
+
+
+def summary_bytes(artifact) -> str:
+    return json.dumps(artifact.summary(), sort_keys=True)
+
+
+@pytest.fixture
+def built_executors(monkeypatch):
+    """The step executor of every trainer ``Session.build_trainer``
+    builds (``None`` for single-process), in build order."""
+    steps = []
+    build = Session.build_trainer
+
+    def spy(self, model, config):
+        trainer = build(self, model, config)
+        steps.append(trainer.step)
+        return trainer
+
+    monkeypatch.setattr(Session, "build_trainer", spy)
+    return steps
+
+
+class TestEveryPlaneOnEitherExecutor:
+    """``online`` and both ``ab`` arms train through
+    ``Session.build_trainer`` too: on ``mode='simulated'`` (a flat
+    model on the hybrid executor, a DMT one on SPTT) each equals its
+    single-process twin byte for byte."""
+
+    @pytest.mark.parametrize("tasks", [("ctr",), ("ctr", "cvr")])
+    def test_online_on_the_hybrid_executor(
+        self, tmp_path, tasks, built_executors
+    ):
+        from repro.experiments.model_freshness import freshness_spec
+
+        base = freshness_spec(directory=str(tmp_path))
+        spec = base.replace(
+            cluster=ClusterSpec(num_hosts=2, gpus_per_host=2),
+            model=base.model.replace(tasks=tasks),
+            train=base.train.replace(mode="simulated"),
+        )
+        art = Session(spec).online()
+        (step,) = built_executors
+        assert type(step) is DistributedHybridTrainer
+        assert step.sim.timeline.events
+        twin = Session(single_twin(spec)).online()
+        assert summary_bytes(art) == summary_bytes(twin)
+        windows = json.dumps(art.report.windows, sort_keys=True)
+        assert windows == json.dumps(twin.report.windows, sort_keys=True)
+        # Every task is gated per window (cvr's AUC only where clicked).
+        for w in art.report.windows[1:]:
+            assert set(w["candidate_auc_by_task"]) == set(tasks)
+
+    def test_multi_task_ab_on_the_hybrid_executor(self, built_executors):
+        from repro.experiments.multi_task_ab import ab_spec
+
+        base = ab_spec()
+        spec = base.replace(
+            cluster=ClusterSpec(num_hosts=2, gpus_per_host=2),
+            train=base.train.replace(mode="simulated"),
+        )
+        art = Session(spec).ab()
+        # Two arms x five seeds, each on the hybrid executor.
+        assert len(built_executors) == 10
+        assert all(
+            type(step) is DistributedHybridTrainer for step in built_executors
+        )
+        assert summary_bytes(art) == summary_bytes(
+            Session(single_twin(spec)).ab()
+        )
+
+    def test_ab_arm_b_alone_simulated(self, built_executors):
+        """Arm B's own train section picks its executor: a DMT arm B
+        runs on SPTT while arm A, a flat model, trains single-process."""
+        base = distributed_training_spec()
+        flat = ModelSpec(
+            family="dlrm",
+            variant="flat",
+            embedding_dim=16,
+            bottom_mlp=(32,),
+            top_mlp=(32,),
+            seed=42,
+        )
+        spec = base.replace(
+            model=flat,
+            train=base.train.replace(mode="single"),
+            ab=ABSpec(seeds=(0, 1), model_b=base.model, train_b=base.train),
+        )
+        art = Session(spec).ab()
+        # Per seed: arm A single-process, then arm B on SPTT.
+        assert [type(step) for step in built_executors] == [
+            type(None),
+            DistributedDMTTrainer,
+        ] * 2
+        assert summary_bytes(art) == summary_bytes(
+            Session(single_twin(spec)).ab()
+        )
 
 
 class TestRunSpecCLI:

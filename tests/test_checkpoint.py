@@ -3,7 +3,8 @@
 The core claim: a training run interrupted mid-epoch and resumed from a
 checkpoint in a fresh process is **bit-identical** — loss history,
 weights, optimizer state, eval AUC — to a run that never stopped,
-across both sparse gradient modes and both dense optimizers.  Plus the
+under the row-wise table optimizer and the dense Adagrad reference
+(``tests.util``) and both dense optimizers.  Plus the
 failure taxonomy (truncated payloads, version bumps, geometry
 mismatches, missing optimizer state all raise typed errors), periodic
 auto-save retention, elastic restore, serving warm-start, and a
@@ -57,7 +58,7 @@ from repro.data import (
 from repro.hardware import Cluster
 from repro.models import DLRM, DMTDLRM, tiny_table_configs
 from repro.models.configs import DenseArch
-from repro.nn import Adagrad, Adam, Parameter, RowwiseAdagrad, SGD
+from repro.nn import Adam, Parameter, RowwiseAdagrad, SGD
 from repro.serving import (
     InferenceService,
     LRUEmbeddingCache,
@@ -69,6 +70,7 @@ from repro.serving import (
 )
 from repro.sim import SimCluster
 from repro.training import TrainConfig, Trainer
+from tests.util import Adagrad, with_dense_adagrad
 
 NUM_DENSE = 4
 NUM_SPARSE = 6
@@ -100,10 +102,13 @@ def make_model(init_seed=5):
     )
 
 
-def make_trainer(model, **overrides):
+def make_trainer(model, table_optimizer="rowwise", **overrides):
+    """A trainer of ``model``; ``table_optimizer="dense"`` swaps in the
+    dense Adagrad reference for the tables."""
     cfg = dict(batch_size=64, epochs=2, seed=3)
     cfg.update(overrides)
-    return Trainer(model, TrainConfig(**cfg))
+    trainer = Trainer(model, TrainConfig(**cfg))
+    return with_dense_adagrad(trainer) if table_optimizer == "dense" else trainer
 
 
 class _Crash(Exception):
@@ -125,16 +130,16 @@ def assert_same_optimizer_state(opt_a, opt_b):
 
 # ----------------------------------------------------------------------
 class TestCrashResumeEquivalence:
-    @pytest.mark.parametrize("sparse_grad_mode", ["rowwise", "dense"])
+    @pytest.mark.parametrize("table_optimizer", ["rowwise", "dense"])
     @pytest.mark.parametrize("dense_optimizer", ["adam", "sgd"])
     def test_resume_is_bit_identical(
-        self, data, tmp_path, sparse_grad_mode, dense_optimizer
+        self, data, tmp_path, table_optimizer, dense_optimizer
     ):
         """Train -> crash mid-epoch -> restore into fresh objects ->
         resumed run equals the uninterrupted run bit for bit."""
         (td, ti, tl), (ed, ei, el) = data
         overrides = dict(
-            sparse_grad_mode=sparse_grad_mode,
+            table_optimizer=table_optimizer,
             dense_optimizer=dense_optimizer,
         )
 
@@ -363,6 +368,41 @@ class TestFailureTaxonomy:
         fresh = make_model(init_seed=8)
         with pytest.raises(CheckpointMismatchError, match="config mismatch"):
             load_training_checkpoint(path, fresh, make_trainer(fresh, epochs=1))
+
+    @pytest.mark.parametrize("old", ["dense_table_optimizer", "config_echo"])
+    def test_checkpoint_of_the_table_optimizer_knob_refused(
+        self, data, tmp_path, old
+    ):
+        """The tables have one optimizer, with no compatibility shim: a
+        checkpoint saved while a trainer config picked it (a dense
+        ``Adagrad`` table state, or the knob in the config echo) is a
+        typed error naming the key, and nothing is loaded."""
+        (td, ti, tl), _ = data
+        model = make_model()
+        trainer = make_trainer(model, epochs=1)
+        trainer.fit(td, ti, tl)
+        path = save_training_checkpoint(str(tmp_path / "old"), model, trainer)
+        manifest_path = os.path.join(path, MANIFEST_NAME)
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        saved = manifest["metadata"]["trainer"]
+        if old == "dense_table_optimizer":
+            key = "Adagrad"
+            saved["optimizers"]["sparse"]["type"] = key
+        else:
+            key = "sparse_grad_mode"
+            saved["config"][key] = "rowwise"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        fresh = make_model(init_seed=8)
+        resumed = make_trainer(fresh, epochs=1)
+        before = {n: p.data.copy() for n, p in fresh.named_parameters()}
+        with pytest.raises(CheckpointMismatchError, match=key):
+            load_training_checkpoint(path, fresh, resumed)
+        for name, p in fresh.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name])
+        assert resumed.global_step == 0 and resumed.loss_history == []
+        assert resumed.sparse_opt.state_dict()["slots"]["accum"] == {}
 
 
 # ----------------------------------------------------------------------
@@ -729,10 +769,10 @@ def make_dmt_model(init_seed=5):
 CHAIN = ("full", "delta", "empty", "full", "delta")
 
 
-def chain_digest(build, mode, root):
+def chain_digest(build, root):
     """SHA-256 over (relative path, bytes) of every file of the chain."""
     model = build()
-    trainer = make_trainer(model, batch_size=16, sparse_grad_mode=mode)
+    trainer = make_trainer(model, batch_size=16)
     rng = np.random.default_rng(11)
     last = None
     for i, kind in enumerate(CHAIN):
@@ -762,25 +802,18 @@ def chain_digest(build, mode, root):
 
 
 PINNED_CHAIN_SHA256 = {
-    ("dlrm", "rowwise"): (
-        "a09fbe6e9825b7d0ea8c9ee0ac9a683329d1f9f72b152f17b90029fa399ab3f6"
+    "dlrm": (
+        "9fdd348d8eb9d8d74daa9e4e84aaa9b1483c5eb7bfbf71a855b45ecc473a7b1c"
     ),
-    ("dlrm", "dense"): (
-        "aa9425133d227fa2a02292fc72d1aa228eb77d3697a375956bddd5321bc36a1c"
-    ),
-    ("dmt_dlrm", "rowwise"): (
-        "af016b01881725476f0f81f432eebee77cdb80da3c513362de249ff69f24cbbf"
-    ),
-    ("dmt_dlrm", "dense"): (
-        "1b242196379a026bcb712594bc35af0827afeed7ffbc404b8b3bea106b87197e"
+    "dmt_dlrm": (
+        "16f27114a04f00de59b31c259f78a6c3283750371cc60ca6c3c73b61c99ff993"
     ),
 }
 
 
-@pytest.mark.parametrize("mode", ["rowwise", "dense"])
 @pytest.mark.parametrize("name", ["dlrm", "dmt_dlrm"])
-def test_pinned_chain_bytes(name, mode, tmp_path):
+def test_pinned_chain_bytes(name, tmp_path):
     """Every byte the checkpoint writer puts on disk, full and delta."""
     build = {"dlrm": make_model, "dmt_dlrm": make_dmt_model}[name]
-    got = chain_digest(build, mode, str(tmp_path))
-    assert got == PINNED_CHAIN_SHA256[(name, mode)]
+    got = chain_digest(build, str(tmp_path))
+    assert got == PINNED_CHAIN_SHA256[name]

@@ -15,8 +15,9 @@ rewritten (same pattern as the serving / spec / SPTT fixtures).  If you
 change training numerics intentionally, re-pin ``GOLDEN`` from
 ``observed(name)`` and say why in the commit message.  The dense layers
 go through BLAS, so a different BLAS build can move the digests too;
-what must hold on every host is that the two ``sparse_grad_mode``s
-still share one digest.
+what must hold on every host is that the trainer's ``RowwiseAdagrad``
+and the dense Adagrad reference (``tests.util.Adagrad``, swapped in as
+the ``dense`` case) still share one digest.
 """
 
 import hashlib
@@ -29,6 +30,7 @@ from repro.data import random_batch
 from repro.models import DLRM, DMTDLRM, tiny_table_configs
 from repro.models.configs import tiny_dlrm_arch
 from repro.training import TrainConfig, Trainer
+from tests.util import with_dense_adagrad
 
 DENSE, F, N, ROWS, BATCH, STEPS = 4, 6, 8, 24, 48, 20
 
@@ -60,13 +62,16 @@ RUNS = {
 }
 
 
-def trained(name: str, sparse_grad_mode: str = "rowwise") -> Trainer:
-    """The named model after ``STEPS`` seeded ``train_batch`` calls."""
+def trained(name: str, optimizer: str = "rowwise") -> Trainer:
+    """The named model after ``STEPS`` seeded ``train_batch`` calls,
+    its tables trained by ``RowwiseAdagrad`` or, for ``"dense"``, by
+    the dense Adagrad reference."""
     build, pooling = RUNS[name]
     trainer = Trainer(
-        build(np.random.default_rng(23)),
-        TrainConfig(batch_size=BATCH, sparse_grad_mode=sparse_grad_mode),
+        build(np.random.default_rng(23)), TrainConfig(batch_size=BATCH)
     )
+    if optimizer == "dense":
+        with_dense_adagrad(trainer)
     data = np.random.default_rng(5)
     for _ in range(STEPS):
         # 24-row tables under 48 x pooling ids: every batch repeats rows.
@@ -84,8 +89,8 @@ def state_arrays(trainer: Trainer):
     ]
 
 
-def observed(name: str, sparse_grad_mode: str = "rowwise"):
-    trainer = trained(name, sparse_grad_mode)
+def observed(name: str, optimizer: str = "rowwise"):
+    trainer = trained(name, optimizer)
     sha = hashlib.sha256()
     for arr in state_arrays(trainer):
         sha.update(np.ascontiguousarray(arr).tobytes())
@@ -120,10 +125,10 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("mode", ["rowwise", "dense"])
+@pytest.mark.parametrize("optimizer", ["rowwise", "dense"])
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_losses_and_state_digest_match_golden(name, mode):
-    losses, digest = observed(name, mode)
+def test_losses_and_state_digest_match_golden(name, optimizer):
+    losses, digest = observed(name, optimizer)
     want_losses, want_digest = GOLDEN[name]
     assert losses == want_losses
     assert digest == want_digest

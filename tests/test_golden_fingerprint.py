@@ -30,6 +30,7 @@ from repro.data import SyntheticCriteoConfig, SyntheticCriteoDataset
 from repro.models import DLRM, tiny_table_configs
 from repro.models.configs import DenseArch
 from repro.training import TrainConfig, Trainer
+from tests.util import with_dense_adagrad
 
 #: 28 batch losses (2 epochs x 14 batches) followed by the eval AUC.
 GOLDEN = [
@@ -50,7 +51,9 @@ GOLDEN_SHA256 = (
 TOLERANCE = 1e-9
 
 
-def _canonical_run(sparse_grad_mode: str = "rowwise"):
+def _canonical_run(dense_reference: bool = False):
+    """Loss history + eval AUC; ``dense_reference`` trains the tables
+    with the dense Adagrad reference instead of ``RowwiseAdagrad``."""
     cfg = SyntheticCriteoConfig(num_dense=4, num_sparse=8, cardinality=32)
     dense, ids, labels = SyntheticCriteoDataset(cfg, seed=0).sample(
         1200, seed=1
@@ -61,12 +64,9 @@ def _canonical_run(sparse_grad_mode: str = "rowwise"):
         DenseArch(embedding_dim=8, bottom_mlp=(16,), top_mlp=(16,)),
         rng=np.random.default_rng(7),
     )
-    trainer = Trainer(
-        model,
-        TrainConfig(
-            batch_size=64, epochs=2, seed=11, sparse_grad_mode=sparse_grad_mode
-        ),
-    )
+    trainer = Trainer(model, TrainConfig(batch_size=64, epochs=2, seed=11))
+    if dense_reference:
+        with_dense_adagrad(trainer)
     trainer.fit(dense[:900], ids[:900], labels[:900])
     evaluation = trainer.evaluate(dense[900:], ids[900:], labels[900:])
     return list(trainer.loss_history) + [evaluation.auc]
@@ -86,10 +86,10 @@ class TestGoldenFingerprint:
             observed, GOLDEN, atol=TOLERANCE, rtol=0
         )
 
-    def test_both_sparse_grad_modes_share_the_fingerprint(self):
-        """The rowwise fast path is bit-identical to the dense
+    def test_dense_reference_shares_the_fingerprint(self):
+        """The row-wise table optimizer is bit-identical to the dense
         reference, so one golden sequence pins both."""
-        observed = _canonical_run(sparse_grad_mode="dense")
+        observed = _canonical_run(dense_reference=True)
         np.testing.assert_allclose(
             observed, GOLDEN, atol=TOLERANCE, rtol=0
         )

@@ -40,7 +40,7 @@ from repro.online import OnlineDriver
 from repro.training import TrainConfig, Trainer
 from repro.training.loop import EvalResult, MultiTaskEvalResult
 from repro.training.metrics import auc, calibration, normalized_entropy
-from tests.util import upcast_float64
+from tests.util import upcast_float64, with_dense_adagrad
 
 NUM_DENSE = 4
 NUM_TABLES = 4
@@ -306,16 +306,16 @@ class TestTrainerMultiTask:
 
     @pytest.mark.parametrize("mode", ["rowwise", "dense"])
     def test_checkpoint_resume_bit_identical(self, mode, tmp_path):
-        config = TrainConfig(
-            batch_size=32, epochs=1, sparse_grad_mode=mode, seed=0
-        )
+        """Also with the tables on the dense Adagrad reference."""
+        swap = with_dense_adagrad if mode == "dense" else lambda t: t
+        config = TrainConfig(batch_size=32, epochs=1, seed=0)
         model = mt_model("dbmtl")
-        trainer = Trainer(model, config)
+        trainer = swap(Trainer(model, config))
         trainer.train_window(*mt_batch(0))
         path = save_training_checkpoint(str(tmp_path / "ck"), model, trainer)
 
         m2 = mt_model("dbmtl", init_seed=7)
-        t2 = Trainer(m2, config)
+        t2 = swap(Trainer(m2, config))
         load_training_checkpoint(path, m2, t2)
         assert t2.task_loss_history == trainer.task_loss_history
         w1 = mt_batch(1)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adagrad, Adam, BCEWithLogitsLoss, Linear, Parameter
+from repro.nn import SGD, Adam, BCEWithLogitsLoss, Linear, Parameter
 from repro.nn.functional import bce_with_logits, sigmoid
 from repro.nn.optim import WarmupDecaySchedule
-from tests.util import numeric_grad
+from tests.util import Adagrad, numeric_grad
 
 
 @pytest.fixture

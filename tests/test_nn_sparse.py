@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import (
-    Adagrad,
     EmbeddingBagCollection,
     EmbeddingTable,
     Parameter,
@@ -24,6 +23,7 @@ from repro.nn import (
 )
 from repro.nn.optim import WarmupDecaySchedule
 from tests.test_golden_embedding_plane import RUNS, state_arrays, trained
+from tests.util import Adagrad
 
 
 @pytest.fixture
@@ -161,8 +161,8 @@ class TestRowwiseAdagrad:
         assert not np.array_equal(p.data[0], before[0])
 
     def test_dense_grad_raises(self, rng):
-        """A dense gradient is Adagrad's to apply: RowwiseAdagrad
-        refuses it before touching the weights or its state."""
+        """RowwiseAdagrad refuses a dense gradient before touching the
+        weights or its state."""
         p, _ = self._pair()
         before = p.data.copy()
         p.add_grad(rng.standard_normal((32, 4)))
@@ -539,7 +539,7 @@ class TestOrderedSegmentSumProperties:
 def test_twenty_steps_rowwise_equals_dense_exactly(name):
     """The pinned 20-step runs (DMT-DLRM with c=1 / p=0 towers; DLRM
     with pooling 3): every weight and every Adagrad accumulator is
-    ``array_equal`` between the two gradient representations."""
+    ``array_equal`` between ``RowwiseAdagrad`` and the dense reference."""
     rowwise, dense = trained(name, "rowwise"), trained(name, "dense")
     assert rowwise.loss_history == dense.loss_history
     for got, want in zip(state_arrays(rowwise), state_arrays(dense)):

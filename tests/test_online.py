@@ -56,6 +56,7 @@ from repro.serving import (
 from repro.sim import SimCluster
 from repro.training import TrainConfig, Trainer
 from repro.training.loop import _mix_epoch_seed
+from tests.util import with_dense_adagrad
 
 NUM_DENSE = 4
 NUM_TABLES = 4
@@ -64,17 +65,17 @@ DIM = 8
 
 
 def build(mode="rowwise", init_seed=0):
-    """A tiny trainable DLRM + trainer (geometry shared by all tests)."""
+    """A tiny trainable DLRM + trainer (geometry shared by all tests);
+    ``mode="dense"`` trains the tables with the dense Adagrad reference."""
     model = DLRM(
         NUM_DENSE,
         tiny_table_configs(NUM_TABLES, CARD, DIM),
         DenseArch(embedding_dim=DIM, bottom_mlp=(16,), top_mlp=(16,)),
         rng=np.random.default_rng(init_seed),
     )
-    trainer = Trainer(
-        model,
-        TrainConfig(batch_size=32, epochs=1, sparse_grad_mode=mode, seed=0),
-    )
+    trainer = Trainer(model, TrainConfig(batch_size=32, epochs=1, seed=0))
+    if mode == "dense":
+        with_dense_adagrad(trainer)
     return model, trainer
 
 

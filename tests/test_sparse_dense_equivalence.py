@@ -1,12 +1,12 @@
-"""Dense-vs-rowwise equivalence suite (the tentpole's hard constraint).
+"""Dense-vs-rowwise equivalence suite.
 
-Training with ``sparse_grad_mode="rowwise"`` (``RowwiseAdagrad`` on the
-touched rows) must reproduce ``"dense"`` (``Adagrad`` over the
-densified row-wise gradient) exactly: identical loss history, identical
-final weights, identical Adagrad accumulator state, identical eval AUC
-— across seeds, pooling factors, duplicate-heavy id batches, and
-multi-epoch runs.  The row-wise update is arithmetically the dense one
-restricted to touched rows, so the tolerance here is essentially
+Training with the trainer's table optimizer (``RowwiseAdagrad`` on the
+touched rows) must reproduce the dense reference (``tests.util.Adagrad``
+over the densified row-wise gradient) exactly: identical loss history,
+identical final weights, identical Adagrad accumulator state, identical
+eval AUC — across seeds, pooling factors, duplicate-heavy id batches,
+and multi-epoch runs.  The row-wise update is arithmetically the dense
+one restricted to touched rows, so the tolerance here is essentially
 bitwise (1e-12 guard for platform libm differences).
 """
 
@@ -15,12 +15,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.nn
 from repro.data import random_batch, train_eval_split
 from repro.models import DLRM, DMTDLRM, tiny_table_configs
 from repro.models.configs import tiny_dlrm_arch
 from repro.core.partition import FeaturePartition
 from repro.nn import RowwiseAdagrad
 from repro.training import TrainConfig, Trainer
+from tests.util import with_dense_adagrad
 
 DENSE, F, N, ROWS = 4, 6, 8, 32
 
@@ -48,18 +50,16 @@ def make_model(seed, pooling=1):
 
 
 def run_pair(config_kwargs, data_kwargs, model_seed=11):
-    """Train twins under dense and rowwise modes; return both trainers
-    plus the shared eval split."""
+    """Train twins under the dense reference and the row-wise table
+    optimizer; return both trainers plus the shared eval split."""
     (td, ti, tl), (ed, ei, el) = make_data(**data_kwargs)
-    trainers = {}
-    for mode in ("dense", "rowwise"):
+    trainers = []
+    for swap in (with_dense_adagrad, lambda trainer: trainer):
         model = make_model(model_seed, pooling=data_kwargs.get("pooling", 1))
-        trainer = Trainer(
-            model, TrainConfig(sparse_grad_mode=mode, **config_kwargs)
-        )
+        trainer = swap(Trainer(model, TrainConfig(**config_kwargs)))
         trainer.fit(td, ti, tl)
-        trainers[mode] = trainer
-    return trainers["dense"], trainers["rowwise"], (ed, ei, el)
+        trainers.append(trainer)
+    return trainers[0], trainers[1], (ed, ei, el)
 
 
 def assert_equivalent(dense_tr, row_tr, eval_data):
@@ -120,11 +120,11 @@ def test_equivalence_multi_epoch():
 
 
 def test_equivalence_dmt_model_with_towers():
-    """The knob reaches embeddings nested inside DMT models too."""
+    """The equality holds for embeddings nested inside DMT models too."""
     (td, ti, tl), (ed, ei, el) = make_data(seed=7)
     partition = FeaturePartition.contiguous(F, 2)
-    trainers = {}
-    for mode in ("dense", "rowwise"):
+    trainers = []
+    for swap in (with_dense_adagrad, lambda trainer: trainer):
         model = DMTDLRM(
             DENSE,
             tiny_table_configs(F, ROWS, N),
@@ -135,16 +135,17 @@ def test_equivalence_dmt_model_with_towers():
             p=0,
             rng=np.random.default_rng(21),
         )
-        trainer = Trainer(
-            model,
-            TrainConfig(batch_size=64, epochs=1, seed=7, sparse_grad_mode=mode),
+        trainer = swap(
+            Trainer(model, TrainConfig(batch_size=64, epochs=1, seed=7))
         )
         trainer.fit(td, ti, tl)
-        trainers[mode] = trainer
-    assert_equivalent(trainers["dense"], trainers["rowwise"], (ed, ei, el))
+        trainers.append(trainer)
+    assert_equivalent(*trainers, (ed, ei, el))
 
 
 def test_rowwise_is_the_default():
+    """The tables have one optimizer, on every trainer."""
     model = make_model(1)
     trainer = Trainer(model, TrainConfig(batch_size=32))
     assert isinstance(trainer.sparse_opt, RowwiseAdagrad)
+    assert not hasattr(repro.nn, "Adagrad")

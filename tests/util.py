@@ -1,13 +1,54 @@
-"""Shared test helpers: numerical gradient checking and small models."""
+"""Shared test helpers: numerical gradient checking, small models and
+the dense Adagrad reference of the table optimizer."""
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.models.configs import DenseArch
-from repro.nn import EmbeddingBagCollection, Module
+from repro.nn import EmbeddingBagCollection, Module, Optimizer, Parameter
+from repro.training import Trainer
+
+
+class Adagrad(Optimizer):
+    """Dense Adagrad: the reference :class:`~repro.nn.RowwiseAdagrad` is
+    held to bit for bit.
+
+    It reads each table's densified ``Parameter.grad`` and updates every
+    row; an untouched row is a strict no-op (``acc += 0``, then a zero
+    update), which is why the row-wise update may skip it.
+    """
+
+    def __init__(self, params, lr: float, eps: float = 1e-10):
+        super().__init__(params, lr)
+        self.eps = eps
+        self._accum: Dict[int, np.ndarray] = {}
+
+    def _slot_dicts(self) -> Dict[str, Dict[int, np.ndarray]]:
+        return {"accum": self._accum}
+
+    def _config_state(self) -> Dict[str, float]:
+        return {"eps": float(self.eps)}
+
+    def _update(self, index: int, param: Parameter) -> None:
+        g = param.grad
+        acc = self._accum.get(index)
+        if acc is None:
+            acc = np.zeros_like(param.data)
+            self._accum[index] = acc
+        acc += g * g
+        param.data -= self.lr * g / (np.sqrt(acc) + self.eps)
+
+
+def with_dense_adagrad(trainer: Trainer) -> Trainer:
+    """``trainer`` with its tables' :class:`~repro.nn.RowwiseAdagrad`
+    swapped for the dense :class:`Adagrad` reference (same ``sparse_lr``)."""
+    trainer.sparse_opt = Adagrad(
+        trainer.model.sparse_parameters(), lr=trainer.config.sparse_lr
+    )
+    return trainer
 
 
 def tiny_dcn_arch(dim: int = 16) -> DenseArch:
