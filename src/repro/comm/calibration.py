@@ -158,7 +158,7 @@ NVLINK_ALLTOALL_EFFICIENCY = _nvlink_efficiency("alltoall")
 NVLINK_ALLREDUCE_EFFICIENCY = _nvlink_efficiency("allreduce")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CongestionCurve:
     """Piecewise-log-linear efficiency curve ``hosts -> efficiency``.
 
@@ -194,7 +194,16 @@ class CongestionCurve:
             raise ValueError("efficiencies must be in (0, 1.5]")
         return cls(log_hosts=np.log2(hosts), efficiency=eff, floor=floor)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_memo", {})  # frozen: one value per host count
+
     def __call__(self, hosts: float) -> float:
+        eff = self._memo.get(hosts)
+        if eff is None:
+            eff = self._memo[hosts] = self._efficiency(hosts)
+        return eff
+
+    def _efficiency(self, hosts: float) -> float:
         if hosts < 1:
             raise ValueError(f"hosts must be >= 1, got {hosts}")
         x = math.log2(max(hosts, 1.0))

@@ -19,16 +19,38 @@ is exclusive — a batch opened at ``t`` accepts arrivals in
 deadline starts the next batch (the timer has already fired).  With
 ``max_delay_s=0`` this degrades to no batching at all: every request
 is served as a singleton, even under simultaneous arrivals.
+The rule is stated once, in :func:`cut_batches`, for
+:meth:`MicroBatcher.form_batches` and the healthy serving replay.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.serving.workload import Request, RequestTrace
+
+
+def cut_batches(
+    arrival: Sequence[float], max_batch_size: int, max_delay_s: float
+) -> Iterator[Tuple[int, int, float, bool]]:
+    """``(start, stop, ready_s, full)`` of each batch of the sorted
+    ``arrival``, in order, found with one bisect: a batch flushes on
+    full at its last row if the ``max_batch_size``-th row arrives
+    before the deadline (or ``max_batch_size == 1``), else at it."""
+    n, start = len(arrival), 0
+    while start < n:
+        deadline = arrival[start] + max_delay_s
+        cap = start + max_batch_size
+        stop = bisect_left(arrival, deadline, start + 1, min(cap, n))
+        if stop == cap:
+            yield start, stop, arrival[stop - 1], True
+        else:
+            yield start, stop, deadline, False
+        start = stop
 
 
 @dataclass(frozen=True)
@@ -89,27 +111,6 @@ class MicroBatcher:
 
     def form_batches(self, requests: Sequence[Request]) -> List[MicroBatch]:
         ordered = RequestTrace.of(requests).sorted()
-        batches: List[MicroBatch] = []
-        start = 0  # the open batch is ordered[start:i]
-        deadline = 0.0
-        for i, arrival in enumerate(ordered.arrival_s.tolist()):
-            if i > start and arrival >= deadline:
-                # Deadline fired at or before this arrival:
-                # flush-on-deadline.  The boundary is exclusive — an
-                # arrival exactly on the deadline must not join a batch
-                # that already closed (with max_delay_s=0 the old
-                # strict compare glued simultaneous arrivals into one
-                # never-delayed batch).
-                batches.append(MicroBatch(ordered[start:i], ready_s=deadline))
-                start = i
-            if i == start:
-                deadline = arrival + self.max_delay_s
-            if i + 1 - start == self.max_batch_size:
-                # Flush-on-full at the closing request's arrival.
-                batches.append(
-                    MicroBatch(ordered[start : i + 1], ready_s=arrival)
-                )
-                start = i + 1
-        if start < len(ordered):
-            batches.append(MicroBatch(ordered[start:], ready_s=deadline))
-        return batches
+        arrival = ordered.arrival_s.tolist()
+        cuts = cut_batches(arrival, self.max_batch_size, self.max_delay_s)
+        return [MicroBatch(ordered[lo:hi], ready_s=t) for lo, hi, t, _ in cuts]

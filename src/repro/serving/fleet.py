@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -307,18 +306,19 @@ class PowerOfTwoChoicesRouter(Router):
         rng = np.random.default_rng(self.seed)
         first = rng.integers(0, num, size=n)
         second = (first + 1 + rng.integers(0, num - 1, size=n)) % num
-        windows: List[deque] = [deque() for _ in range(num)]
-        arrivals = RequestTrace.of(requests).arrival_s.tolist()
-        chosen_pos = []
-        for now, a, b in zip(arrivals, first.tolist(), second.tolist()):
-            expired = now - window_s
-            qa, qb = windows[a], windows[b]
-            while qa and qa[0] <= expired:
-                qa.popleft()
-            while qb and qb[0] <= expired:
-                qb.popleft()
-            chosen, q = (a, qa) if len(qa) <= len(qb) else (b, qb)
-            q.append(now)
+        # Depth = a replica's rows inside the window.  Rows leave it in
+        # trace order (``out_by[i]`` are out by row i), so one pointer
+        # into the trace, ``gone``, expires every replica.
+        arrivals = RequestTrace.of(requests).arrival_s
+        out_by = np.searchsorted(arrivals, arrivals - window_s, side="right")
+        out_by = np.minimum(out_by, np.arange(n))
+        depth, chosen_pos, gone = [0] * num, [], 0
+        for a, b, out in zip(first.tolist(), second.tolist(), out_by.tolist()):
+            while gone < out:
+                depth[chosen_pos[gone]] -= 1
+                gone += 1
+            chosen = a if depth[a] <= depth[b] else b
+            depth[chosen] += 1
             chosen_pos.append(chosen)
         return live[chosen_pos]
 

@@ -1,26 +1,28 @@
 """The one replay core behind every serving front door.
 
-A served trace is replayed by a single event loop over **replica
-slots**.  A :class:`Slot` owns a batch queue, a cache and ``k``
-servers; the three front doors are three configurations of it:
+A served trace is replayed over **replica slots**.  A :class:`Slot`
+owns a batch queue, a cache and ``k`` servers; the three front doors
+are three configurations of it:
 
 - :class:`~repro.serving.service.InferenceService` — one slot whose
   ``k = num_dense_hosts`` servers share one queue and one cache, no
   router;
 - :class:`~repro.serving.fleet.ServingFleet` — N one-server slots
-  behind a router, with an empty control schedule;
+  behind a router, with no control plane;
 - :class:`~repro.serving.faults.ResilientFleet` — the same N slots
   (plus autoscaler headroom) with a :class:`ControlPlane`: the fault /
   swap / observation-window schedule, the client retry policy, crash
   recovery and the autoscaler.
 
-The loop merges the arrival-sorted trace against a small heap of
-control events (trace arrivals never enter the heap), closes batches
-on flush-on-full / flush-on-deadline exactly like
-:class:`~repro.serving.batcher.MicroBatcher`, probes the slot's cache
-and prices every batch through the shared
-:class:`~repro.serving.service.PlacementEngine` — one ``cache.probe``
-and one ``price_batch`` call site for the whole package.
+With no control plane no slot changes state, so the replay closes a
+**batch plan** (:meth:`Replay._run_planned`), bit for bit what the
+**event loop** does; that loop, under a control plane, merges the
+arrival-sorted trace against a small heap of control events (trace
+arrivals never enter the heap).  Both close batches on flush-on-full /
+flush-on-deadline exactly like :class:`~repro.serving.batcher.MicroBatcher`,
+and :meth:`Replay._close` probes the slot's cache and prices every batch
+through the shared :class:`~repro.serving.service.PlacementEngine` — one
+``cache.probe`` and one ``price_batch`` call site for the whole package.
 
 Routing is read off the *router*.  A policy whose choice depends only
 on a row's primary key and the live mask (``routes_by_key``: consistent
@@ -62,12 +64,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.batcher import MicroBatch, MicroBatcher
+from repro.serving.batcher import MicroBatch, MicroBatcher, cut_batches
 from repro.serving.workload import Request, RequestTrace
 from repro.sim.tracing import Phase, Timeline
 
@@ -171,10 +174,10 @@ class Replay:
         # Routing (see the module docstring): slot 0, the whole trace
         # per membership epoch, or per arrival with incrementally kept
         # queue depths.
-        self.assignment: Optional[List[int]] = None
+        self.assignment: Optional[np.ndarray] = None
         self.depths: Optional[np.ndarray] = None
         if router is None:
-            self.assignment = [0] * len(self.trace)
+            self.assignment = np.zeros(len(self.trace), dtype=np.int64)
         else:
             router.bind(len(slots))
             router.set_live([s.state == "active" for s in slots])
@@ -236,9 +239,7 @@ class Replay:
 
     def _route_epoch(self) -> None:
         """Route every row under the router's current live mask."""
-        self.assignment = self.router.route_trace(
-            self.trace, self.batcher.max_delay_s
-        ).tolist()
+        self.assignment = self.router.route_trace(self.trace, self.batcher.max_delay_s)
 
     def _push(self, t: float, handler: Optional[Callable], payload: Any) -> None:
         self.seq += 1
@@ -248,8 +249,36 @@ class Replay:
     # The loop
     # ------------------------------------------------------------------
     def run(self) -> "Replay":
+        if self.control is None:
+            self._run_planned()
+        else:
+            self._run_per_arrival()
+        return self
+
+    def _run_planned(self) -> None:
+        """Close each slot's ``cut_batches`` in the event loop's order: by
+        the arrival that triggers the flush (a full batch's last row; else
+        the first later arrival at or past the deadline, or the trace
+        end), deadline flushes first, then by deadline, then by slot."""
+        rows = [np.flatnonzero(self.assignment == slot.idx) for slot in self.slots]
+        times = [self.trace.arrival_s[mine] for mine in rows]
+        plan, cut = [], (self.batcher.max_batch_size, self.batcher.max_delay_s)
+        for slot, mine, at in zip(self.slots, rows, times):
+            for start, stop, ready_s, full in cut_batches(at.tolist(), *cut):
+                last = int(mine[stop - 1])
+                if not full:
+                    last = max(last + 1, bisect_left(self.arrival, ready_s))
+                plan.append((last, full, ready_s, slot.idx, start, stop))
+        host_share = self._host_share(self.t0)
+        for _, _, ready_s, idx, lo, hi in sorted(plan):
+            batch = rows[idx][lo:hi], times[idx][lo:hi]  # rows, their arrivals
+            self._close(self.slots[idx], *batch, ready_s, host_share)
+
+    def _run_per_arrival(self) -> None:
+        """The event loop: every arrival, merged with the control heap."""
         trace, arrival, heap, slots = self.trace, self.arrival, self.heap, self.slots
-        assignment, depths = self.assignment, self.depths
+        depths, routed = self.depths, self.assignment
+        assignment = None if routed is None else routed.tolist()
         max_batch_size = self.batcher.max_batch_size
         max_delay_s = self.batcher.max_delay_s
         # Lower bound on the open batches' deadlines: the slots are
@@ -271,7 +300,9 @@ class Replay:
                 next_deadline = self._flush_due(t)
             if handler is not None:
                 handler(t, idx)
-                assignment = self.assignment  # a new epoch re-routed it
+                if self.assignment is not routed:  # a new epoch re-routed it
+                    routed = self.assignment
+                    assignment = routed.tolist()
                 continue
             rep = (
                 assignment[idx]
@@ -297,7 +328,6 @@ class Replay:
                 self._flush(slot, t)  # flush-on-full at the closing arrival
         self._flush_due(math.inf)
         self._close_tail_windows()
-        return self
 
     def _flush_due(self, now_s: float) -> float:
         """Flush-on-deadline for every open batch due by ``now_s``;
@@ -322,10 +352,22 @@ class Replay:
         return entries
 
     def _flush(self, slot: Slot, ready_s: float) -> None:
-        """Close, probe and price one slot's open batch."""
+        """Close one slot's open batch."""
         pending, arrived = self._take_open_batch(slot)
-        trace, idx = self.trace, np.asarray(pending)
-        arrived = np.asarray(arrived)
+        host_share = self._host_share(ready_s)
+        self._close(slot, np.asarray(pending), np.asarray(arrived), ready_s, host_share)
+
+    def _close(
+        self,
+        slot: Slot,
+        idx: np.ndarray,
+        arrived: np.ndarray,
+        ready_s: float,
+        host_share: float,
+    ) -> None:
+        """Probe and price trace rows ``idx`` as one of ``slot``'s
+        batches; ``arrived`` is when each reached this replica."""
+        trace = self.trace
         batch = MicroBatch(
             RequestTrace.view(arrived, trace.keys[idx], trace.req_id[idx]),
             ready_s=ready_s,
@@ -352,7 +394,7 @@ class Replay:
             self.fetch_free,
             hits_eff,
             miss_eff,
-            host_share=self._host_share(ready_s),
+            host_share=host_share,
             label_suffix=slot.label,
             extra_compute_s=extra,
             fetch_scale=self._fetch_scale_at(start),

@@ -58,6 +58,8 @@ import numpy as np
 SCENARIOS = ("poisson", "diurnal", "flash")
 #: Longest guided scan; draws in a fuller bucket use ``np.searchsorted``.
 _MAX_SCAN = 8
+#: Draws per pass of the rank sampler: a pass's arrays stay in L2.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,6 +251,8 @@ class RequestStream:
         )
         self._guide = np.zeros(self._buckets + 2, dtype=np.int32)
         np.cumsum(filled, out=self._guide[1:])
+        # CDF entries per bucket, capped one past the longest scan.
+        self._width = np.minimum(filled, _MAX_SCAN + 1).astype(np.uint8)
 
     # ------------------------------------------------------------------
     def rate_at(self, t: np.ndarray) -> np.ndarray:
@@ -300,22 +304,25 @@ class RequestStream:
         return out
 
     def _sample_ranks(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``searchsorted(cdf, u)`` of ``count`` uniform draws."""
-        u = rng.random(count)
-        cdf = self._cdf
-        bucket = (u * self._buckets).astype(np.int32)
-        ranks = self._guide[bucket]  # lower bound, scanned up to `stop`
-        stop = self._guide[bucket + 1]
-        width = stop - ranks
-        flat = np.flatnonzero(width > _MAX_SCAN)
-        ranks[flat] = np.searchsorted(cdf, u[flat])
-        width[flat] = 0
-        active = np.flatnonzero(width)
-        while active.size:
-            active = active[cdf[ranks[active]] < u[active]]
-            ranks[active] += 1
-            active = active[ranks[active] < stop[active]]
-        return ranks.astype(np.int64)
+        """``searchsorted(cdf, u)`` of ``count`` uniform draws, taken
+        ``_CHUNK`` at a time from the one stream of ``rng.random(count)``."""
+        cdf, ranks = self._cdf, np.empty(count, dtype=np.int64)
+        for lo in range(0, count, _CHUNK):
+            u = rng.random(min(_CHUNK, count - lo))
+            bucket = (u * self._buckets).astype(np.intp)
+            rank = self._guide.take(bucket)  # lower bound, scanned up to `stop`
+            width = self._width.take(bucket)
+            flat = np.flatnonzero(width > _MAX_SCAN)
+            rank[flat] = np.searchsorted(cdf, u[flat])
+            width[flat] = 0
+            stop = rank + width
+            active = np.flatnonzero(width)
+            while active.size:
+                active = active[cdf.take(rank.take(active)) < u.take(active)]
+                rank[active] += 1
+                active = active[rank.take(active) < stop.take(active)]
+            ranks[lo : lo + len(u)] = rank
+        return ranks
 
     def generate(self) -> RequestTrace:
         """The full stream, sorted by arrival time."""

@@ -26,6 +26,7 @@ from repro.serving import (
     WorkloadConfig,
 )
 from repro.serving.faults import _hash_unit
+from repro.serving.workload import _CHUNK
 from repro.serving.fleet import _splitmix64, _splitmix64_int
 from repro.sim import SimCluster
 
@@ -40,18 +41,24 @@ def stream(key_space: int, skew: float) -> RequestStream:
 
 
 class FixedDraws:
-    """Stands in for the generator: ``random(n)`` hands back ``u``."""
+    """Stands in for the generator: ``random(n)`` hands back the next
+    ``n`` entries of ``u``."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
+        self.taken = 0
 
     def random(self, count):
-        assert count == len(self.u)
-        return self.u
+        assert self.taken + count <= len(self.u)
+        self.taken += count
+        return self.u[self.taken - count : self.taken]
 
 
 def ranks_of(s: RequestStream, u) -> np.ndarray:
-    return s._sample_ranks(FixedDraws(u), len(u))
+    draws = FixedDraws(u)
+    ranks = s._sample_ranks(draws, len(u))
+    assert draws.taken == len(u)  # every draw used, none twice
+    return ranks
 
 
 # ----------------------------------------------------------------------
@@ -70,9 +77,11 @@ class TestGuidedSampler:
                 on,
                 np.nextafter(on, 0.0),
                 np.minimum(np.nextafter(on, 1.0), ALMOST_ONE),
-                np.random.default_rng(key_space).random(20_000),
+                # past two chunk boundaries, ending mid-chunk
+                np.random.default_rng(key_space).random(2 * _CHUNK + 20_000),
             ]
         )
+        assert len(u) > 2 * _CHUNK and len(u) % _CHUNK
         got = ranks_of(s, u)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.searchsorted(cdf, u))

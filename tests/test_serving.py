@@ -1,5 +1,7 @@
 """Tests for the serving subsystem (workload, batcher, cache, service)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.serving import (
     WorkloadConfig,
     build_report,
 )
+from repro.serving.replay import Replay
 from repro.serving.service import ID_WIRE_BYTES
 from repro.sim import Phase, SimCluster
 
@@ -119,6 +122,42 @@ class TestMicroBatcher:
         assert [b.size for b in batches] == [1, 2]
         assert batches[0].ready_s == pytest.approx(0.005)
         assert batches[1].ready_s == pytest.approx(0.010)
+
+    @pytest.mark.parametrize(
+        "max_batch_size, max_delay_s, times",
+        [
+            # rows exactly on a deadline, the second a would-be closing row
+            (2, 0.25, (0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 1.125)),
+            (3, 0.25, (0.0, 0.125, 0.25, 0.25, 0.375, 0.5, 0.5, 0.5)),
+            (1, 0.0, (0.0, 0.0, 0.25, 0.25, 0.25, 0.5)),
+        ],
+    )
+    def test_shared_cut_equals_the_event_loops_flushes(
+        self, max_batch_size, max_delay_s, times
+    ):
+        reqs = [req(i, t) for i, t in enumerate(times)]
+        batcher = MicroBatcher(max_batch_size, max_delay_s)
+        closed = []
+        close = Replay._close
+
+        def recording_close(self, slot, idx, arrived, ready_s, host_share):
+            closed.append((len(idx), ready_s))
+            close(self, slot, idx, arrived, ready_s, host_share)
+
+        service = InferenceService(
+            SimCluster(Cluster(num_hosts=2, gpus_per_host=2)),
+            tiny_model(num_lookups=1),
+            Placement("colocated"),
+            batcher,
+            LRUEmbeddingCache(4),
+        )
+        with mock.patch.object(Replay, "_close", recording_close):
+            with mock.patch.object(
+                Replay, "_run_planned", Replay._run_per_arrival
+            ):
+                service.serve(reqs)
+        batches = batcher.form_batches(reqs)
+        assert [(b.size, b.ready_s) for b in batches] == closed
 
     def test_no_request_lost_or_duplicated(self):
         stream = RequestStream(WorkloadConfig(qps=2000.0, num_requests=333, seed=5))

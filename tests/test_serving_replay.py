@@ -1,10 +1,12 @@
 """Invariants of the one replay core behind the three serving front
 doors: no run state on the door, replay-twice determinism, the
-tie rule at equal timestamps, the all-lost fleet report, and routing
-by membership epoch against the per-arrival ``route_one`` oracle."""
+tie rule at equal timestamps, the all-lost fleet report, routing
+by membership epoch against the per-arrival ``route_one`` oracle, and
+the healthy doors' batch plan against the per-arrival loop."""
 
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -518,3 +520,93 @@ class TestWindowInFlightCount:
         monkeypatch.setattr(Replay, "_on_window", checking_window)
         make_stormy().serve(poisson_trace())
         assert len(checked) >= 20 and all(checked)
+
+
+# ----------------------------------------------------------------------
+def per_arrival(serve, trace):
+    """``serve(trace)`` with the healthy replay forced through the
+    per-arrival loop — the oracle the batch plan is held to."""
+    with mock.patch.object(
+        Replay, "_run_planned", Replay._run_per_arrival
+    ):
+        return serve(trace)
+
+
+@st.composite
+def healthy_cases(draw):
+    """A healthy door and a trace on a coarse grid: many arrivals tie,
+    and many land exactly on a batch deadline."""
+    batcher = MicroBatcher(
+        draw(st.sampled_from([1, 2, 3, 8])),
+        draw(st.sampled_from([0.0, 1e-4, 2.5e-4, 1e-3])),
+    )
+    router = draw(st.sampled_from([None, "round_robin", "hash", "p2c"]))
+    replicas = draw(st.integers(1, 3))
+    ticks = draw(st.lists(st.integers(0, 60), min_size=1, max_size=120))
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 40)),
+            min_size=len(ticks),
+            max_size=len(ticks),
+        )
+    )
+    trace = [
+        Request(i, 5e-5 * tick, np.array(key))
+        for i, (tick, key) in enumerate(zip(ticks, keys))
+    ]
+    return batcher, router, replicas, trace
+
+
+def healthy_door(batcher, router, replicas):
+    placement = Placement("disaggregated", emb_hosts=1)
+    if router is None:
+        return InferenceService(
+            sim(), MODEL, placement, batcher, LRUEmbeddingCache(16)
+        )
+    return ServingFleet(
+        sim(),
+        MODEL,
+        placement,
+        batcher,
+        router=router,
+        num_replicas=replicas,
+        cache_rows=16,
+    )
+
+
+class TestBatchPlanAgainstThePerArrivalLoop:
+    """A healthy door closes its batches from a plan; the per-arrival
+    loop on the same replay must report the same run, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=healthy_cases())
+    def test_healthy_doors(self, case):
+        batcher, router, replicas, trace = case
+        planned = healthy_door(batcher, router, replicas).serve(trace)
+        oracle = per_arrival(
+            healthy_door(batcher, router, replicas).serve, trace
+        )
+        assert planned.to_dict() == oracle.to_dict()
+
+    @pytest.mark.parametrize("make", [make_service, make_fleet])
+    def test_poisson_trace(self, make):
+        planned = make().serve(poisson_trace())
+        oracle = per_arrival(make().serve, poisson_trace())
+        assert planned.to_dict() == oracle.to_dict()
+
+    def test_healthy_doors_never_walk_arrivals(self, monkeypatch):
+        walked = []
+        loop = Replay._run_per_arrival
+
+        def spy(self):
+            walked.append(self.control is not None)
+            loop(self)
+
+        monkeypatch.setattr(Replay, "_run_per_arrival", spy)
+        make_service().serve(poisson_trace())
+        for router in ("round_robin", "hash", "p2c"):
+            make_fleet(router=router).serve(poisson_trace())
+        assert walked == []
+        make_resilient().serve(poisson_trace())  # no faults scheduled
+        make_stormy().serve(poisson_trace())
+        assert walked == [True, True]
