@@ -331,8 +331,8 @@ class SpecKnobDriftRule(LintRule):
     hand-written unused-knob validation was added for).  Reads inside
     ``repro/api/spec.py`` itself (validation, serialization) do not
     count as consumption.  A field a section forwards by name is read
-    where the runtime object reads that name; a renamed one counts
-    through its ``_From`` declaration.
+    where the runtime object reads that name; one forwarded in other
+    units counts through its ``_From`` declaration.
     """
 
     code = "spec-knob-drift"
@@ -394,9 +394,9 @@ class SpecKnobDriftRule(LintRule):
 
     @staticmethod
     def _projected_fields(spec_mods: Sequence[ModuleUnderLint]) -> Set[str]:
-        """Fields a section hands to a runtime keyword under another
-        name (``_From("field", ...)`` in a ``build`` override): the
-        renamed half of the spec -> runtime projection, which is
+        """Fields a section hands to a runtime keyword in other units
+        (``_From("field_ms", 1e-3)`` in a ``build`` override): the
+        converted half of the spec -> runtime projection, which is
         consumption even though it is written in the spec module."""
         return {
             node.args[0].value

@@ -527,26 +527,19 @@ def _check_fault_window(spec: RunSpec):
 @spec_check("retry-budget-zero-with-faults")
 def _check_retry_budget(spec: RunSpec):
     fs = spec.faults
-    if fs is None:
+    if fs is None or fs.replica_crashes == 0 or fs.max_retries > 0:
         return
-    if fs.replica_crashes + fs.replica_hangs == 0:
-        return
-    if fs.max_retries == 0 or fs.retry_budget == 0:
-        knob = (
-            "max_retries" if fs.max_retries == 0 else "retry_budget"
-        )
-        yield _diag(
-            "error",
-            "retry-budget-zero-with-faults",
-            f"faults.{knob}=0 with "
-            f"{fs.replica_crashes + fs.replica_hangs} replica "
-            f"crash/hang fault(s): every request caught on a down "
-            f"replica is silently lost",
-            f"faults.{knob}",
-            "give the client retries (max_retries >= 1 and "
-            "retry_budget > 0), or drop the replica faults if lost "
-            "requests are the experiment's control arm",
-        )
+    yield _diag(
+        "error",
+        "retry-budget-zero-with-faults",
+        f"faults.max_retries=0 with {fs.replica_crashes} replica crash "
+        f"fault(s): every request caught on a down replica is silently "
+        f"lost",
+        "faults.max_retries",
+        "give the client retries (max_retries >= 1), or drop the "
+        "replica crashes if lost requests are the experiment's control "
+        "arm",
+    )
 
 
 @spec_check("autoscale-bounds-inverted")
@@ -579,31 +572,6 @@ def _check_autoscale_bounds(spec: RunSpec):
         )
 
 
-@spec_check("degraded-mode-without-backing")
-def _check_degraded_backing(spec: RunSpec):
-    fs = spec.faults
-    if fs is None or spec.serve is None:
-        return
-    if not fs.degraded_mode or fs.fetch_outages == 0:
-        return
-    storage = _storage(spec)
-    chain_rows = (
-        spec.serve.cache_rows if storage is None else storage.capacity_rows
-    )
-    if chain_rows == 0:
-        yield _diag(
-            "error",
-            "degraded-mode-without-backing",
-            "faults.degraded_mode serves stale rows from the local "
-            "cache during a fetch outage, but serve.cache_rows=0 "
-            "(and no tier levels) leaves nothing to serve stale",
-            "serve.cache_rows",
-            "give the replicas cache capacity, or set "
-            "faults.degraded_mode=False so outage fetches block "
-            "until the tier recovers",
-        )
-
-
 # ----------------------------------------------------------------------
 # Online-training checks
 # ----------------------------------------------------------------------
@@ -621,29 +589,6 @@ def _check_delta_base(spec: RunSpec):
             "online",
             "add a checkpoint section (its directory roots the "
             "online delta chain)",
-        )
-
-
-@spec_check("rollout-exceeds-replicas")
-def _check_rollout_stages(spec: RunSpec):
-    on = spec.online
-    if on is None or not on.rollout_stages:
-        return
-    if spec.serve is None or spec.serve.fleet_replicas is None:
-        return  # missing fleet is diagnosed at spec construction
-    top = max(on.rollout_stages)
-    if top > spec.serve.fleet_replicas:
-        yield _diag(
-            "error",
-            "rollout-exceeds-replicas",
-            f"online.rollout_stages peaks at {top} replicas but the "
-            f"fleet only has serve.fleet_replicas="
-            f"{spec.serve.fleet_replicas}; the final rollout stage "
-            f"can never complete",
-            "online.rollout_stages",
-            "cap the last stage at fleet_replicas (or drop "
-            "rollout_stages for the automatic canary/half/all "
-            "schedule)",
         )
 
 
@@ -717,22 +662,17 @@ def _check_save_cadence(spec: RunSpec):
 @spec_check("warm-start-dead-cache")
 def _check_warm_start_cache(spec: RunSpec):
     ck = spec.checkpoint
-    if (
-        ck is None
-        or ck.resume_from is None
-        or not ck.warm_start
-        or spec.serve is None
-    ):
+    if ck is None or ck.resume_from is None or spec.serve is None:
         return
     if spec.serve.cache_rows == 0:
         yield _diag(
             "error",
             "warm-start-dead-cache",
-            "checkpoint.warm_start is set but serve.cache_rows=0 "
-            "disables the cache the hottest rows would prefill",
+            "checkpoint.resume_from warm-starts the serving cache, but "
+            "serve.cache_rows=0 disables the cache the hottest rows "
+            "would prefill",
             "serve.cache_rows",
-            "give the cache capacity, or set checkpoint.warm_start="
-            "False for the cold-cache control arm",
+            "give the cache capacity",
         )
 
 
@@ -756,30 +696,6 @@ def _check_cvr_without_ctr(spec: RunSpec):
         )
 
 
-@spec_check("task-weight-degenerate")
-def _check_task_weight_degenerate(spec: RunSpec):
-    model = spec.model
-    if model is None or model.task_weights is None:
-        return
-    bad = [
-        (name, w)
-        for name, w in zip(model.tasks, model.task_weights)
-        if w <= 0.0
-    ]
-    if bad:
-        listed = ", ".join(f"{name}={w:g}" for name, w in bad)
-        yield _diag(
-            "error",
-            "task-weight-degenerate",
-            f"task_weights silence or invert their task's loss: "
-            f"{listed}",
-            "model.task_weights",
-            "every weight must be > 0 — a zero weight trains a dead "
-            "tower and a negative one maximizes its loss; drop the "
-            "task instead of zero-weighting it",
-        )
-
-
 @spec_check("ab-arms-identical")
 def _check_ab_arms_identical(spec: RunSpec):
     ab = spec.ab
@@ -796,7 +712,7 @@ def _check_ab_arms_identical(spec: RunSpec):
             f"exactly zero by construction",
             "ab",
             "set ab.model_b and/or ab.train_b to the variant under "
-            "test (e.g. a different head mode or task weighting)",
+            "test (e.g. a different head mode)",
         )
 
 

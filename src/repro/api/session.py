@@ -105,6 +105,9 @@ __all__ = ["Session", "seeded_run", "spec_auc_sweep"]
 #: Probe-arch key: the dense sizing the probe model shares with the spec.
 _ArchKey = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
+#: The level of the ab stage's paired confidence intervals.
+AB_CONFIDENCE = 0.95
+
 
 @functools.lru_cache(maxsize=16)
 def _dataset_for(data: DataSpec) -> SyntheticCriteoDataset:
@@ -668,11 +671,7 @@ class Session:
                 else (serve.placement,)
             )
             ck = self.spec.checkpoint
-            warm_from = (
-                ck.resume_from
-                if ck is not None and ck.warm_start
-                else None
-            )
+            warm_from = ck.resume_from if ck is not None else None
             storage = (
                 self.spec.tiers.storage(
                     self.spec.cluster.generation, serve.cache_rows
@@ -692,10 +691,8 @@ class Session:
                 control.update(
                     faults=fs.fault_config(),
                     retry=fs.retry_policy(),
-                    degraded_mode=fs.degraded_mode,
-                    stale_penalty=fs.stale_penalty,
                 )
-                if fs.replica_crashes > 0 and fs.recover_crashes:
+                if fs.replica_crashes > 0:
                     # A resumable checkpoint on this cluster prices the
                     # restore leg with the actual elastic re-placement
                     # migration instead of a constant.
@@ -861,8 +858,6 @@ class Session:
                 serve.fleet_replicas,
                 on.windows,
                 span_s,
-                stages=on.rollout_stages,
-                swap_s=on.swap_downtime_ms * 1e-3,
             )
             swaps = planner.plan(report.rollouts)
 
@@ -890,8 +885,8 @@ class Session:
         the §5.2 protocol (:func:`seeded_run`), so each seed yields
         one *paired* observation per task
         and metric.  The artifact reports the per-task mean deltas
-        (B − A) with a Student-t confidence interval at the spec's
-        ``confidence`` level.
+        (B − A) with a Student-t confidence interval at level
+        :data:`AB_CONFIDENCE`.
         """
 
         def build() -> ABArtifact:
@@ -956,7 +951,7 @@ class Session:
                         )
             n = len(ab.seeds)
             tcrit = float(
-                _scipy_stats.t.ppf(0.5 + ab.confidence / 2.0, n - 1)
+                _scipy_stats.t.ppf(0.5 + AB_CONFIDENCE / 2.0, n - 1)
             )
             metrics: Dict[str, Dict[str, Dict[str, Any]]] = {}
             for t in tasks:
@@ -982,8 +977,13 @@ class Session:
                             ci_low > 0.0 or ci_high < 0.0
                         ),
                     }
-            # Forwards the arm labels, seeds and confidence level.
-            return ab.build(ABArtifact, tasks=tuple(tasks), metrics=metrics)
+            # Forwards the arm labels and seeds.
+            return ab.build(
+                ABArtifact,
+                tasks=tuple(tasks),
+                metrics=metrics,
+                confidence=AB_CONFIDENCE,
+            )
 
         return self._stage("ab", build)
 

@@ -15,7 +15,9 @@ A knob that reaches a runtime object is stated once, there: the section
 forwards it by name (:meth:`_SpecBase.build`), validates by building
 the runtime object, and keeps only the checks the runtime cannot know —
 spec-only fields, cross-field / cross-section rules, and the
-unused-knob guards.
+unused-knob guards.  A section exposes only what some experiment,
+preset, example or workload sets; the runtime classes hold the rest of
+the knobs at their defaults.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import dataclasses
 import functools
 import inspect
 import json
-import math
 import re
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
@@ -87,12 +88,11 @@ def _as_index(value: Any) -> int:
 
 
 class _From(NamedTuple):
-    """A :meth:`_SpecBase.build` override fed from a differently named
-    spec field: a rename, or with ``scale`` a unit conversion
-    (``x_s=_From("x_ms", 1e-3)``)."""
+    """A :meth:`_SpecBase.build` override fed from a spec field in other
+    units: ``x_s=_From("x_ms", 1e-3)``."""
 
     field: str
-    scale: Optional[float] = None
+    scale: float
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,7 +154,7 @@ class _SpecBase:
         Every keyword of ``target`` (past the positional ``args``) that
         is also a field of this section is forwarded by name;
         ``overrides`` carry the rest: values the section does not hold,
-        and renames / unit conversions as :class:`_From`.  The
+        and unit conversions as :class:`_From`.  The
         runtime's ``ValueError`` / ``TypeError`` comes back as a
         :class:`SpecError`, so a knob's range is stated once, on the
         runtime side.
@@ -165,23 +165,19 @@ class _SpecBase:
             for name in _parameters(target)[len(args):]
             if name in mine
         }
-        renamed: Dict[str, str] = {}
+        converted: Dict[str, str] = {}
         try:
             for name, value in overrides.items():
                 if isinstance(value, _From):
-                    source, scale = value
-                    value = getattr(self, source)
-                    if scale is not None:
-                        value = value * scale
-                        source = f"{source} * {scale}"
-                    renamed[name] = source
+                    converted[name] = f"{value.field} * {value.scale}"
+                    value = getattr(self, value.field) * value.scale
                 kwargs[name] = value
             return target(*args, **kwargs)
         except SpecError:
             raise
         except (TypeError, ValueError) as exc:
             message = str(exc)
-            for name, source in renamed.items():
+            for name, source in converted.items():
                 if re.search(rf"\b{name}\b", message):
                     message += f" ({name} = {source})"
             raise SpecError(f"{type(self).__name__}: {message}") from exc
@@ -356,8 +352,7 @@ class ModelSpec(_SpecBase):
     labels follow ``tasks``: 1-D for one task, ``(n, T)`` otherwise.
     """
 
-    _TUPLE_FIELDS = ("bottom_mlp", "top_mlp", "tasks", "head_mlp",
-                     "task_weights")
+    _TUPLE_FIELDS = ("bottom_mlp", "top_mlp", "tasks", "head_mlp")
 
     family: str = "dlrm"  # "dlrm" | "dcn"
     variant: str = "dmt"  # "flat" | "dmt"
@@ -374,7 +369,6 @@ class ModelSpec(_SpecBase):
     tasks: Tuple[str, ...] = ("ctr",)
     head: str = "shared_bottom"  # "shared_bottom" | "dbmtl"
     head_mlp: Tuple[int, ...] = (32,)
-    task_weights: Optional[Tuple[float, ...]] = None
 
     def _validate(self) -> None:
         _require(
@@ -418,27 +412,9 @@ class ModelSpec(_SpecBase):
             ),
             "head_mlp hidden sizes must be positive ints",
         )
-        if self.task_weights is not None:
-            _require(
-                len(self.task_weights) == len(self.tasks),
-                f"{len(self.task_weights)} task_weights for "
-                f"{len(self.tasks)} tasks",
-            )
-            _require(
-                all(
-                    isinstance(w, (int, float))
-                    and not isinstance(w, bool)
-                    and math.isfinite(w)
-                    for w in self.task_weights
-                ),
-                f"task_weights must be finite numbers, got "
-                f"{self.task_weights}",
-            )
-            # Non-positive weights construct (the task-weight-degenerate
-            # speccheck owns that diagnosis).
         if len(self.tasks) == 1:
             self._require_defaults(
-                ("head", "head_mlp", "task_weights"), "with a single task"
+                ("head", "head_mlp"), "with a single task"
             )
 
 
@@ -634,8 +610,6 @@ class ServeSpec(_SpecBase):
     seed: int = 0
     # Scenario shaping (see repro.serving.workload).
     scenario: str = "poisson"
-    diurnal_period_s: float = 1.0
-    diurnal_amplitude: float = 0.5
     flash_start_s: float = 0.0
     flash_duration_s: float = 0.0
     flash_factor: float = 5.0
@@ -682,11 +656,6 @@ class ServeSpec(_SpecBase):
             f"unknown router {self.router!r}; expected one of "
             f"{SERVE_ROUTERS}",
         )
-        if self.scenario != "diurnal":
-            self._require_defaults(
-                ("diurnal_period_s", "diurnal_amplitude"),
-                f"with scenario={self.scenario!r}",
-            )
         if self.scenario != "flash":
             self._require_defaults(
                 ("flash_start_s", "flash_duration_s", "flash_factor"),
@@ -734,15 +703,14 @@ class CheckpointSpec(_SpecBase):
     keeps ``T`` towers of ``K = H/T`` hosts) with its table migration
     priced as an elastic restore; a different tower count is a
     checkpoint mismatch.
-    With a serve section, ``warm_start`` prefills each placement arm's
-    LRU embedding cache from the checkpoint's hottest saved rows.
+    With a serve section, ``resume_from`` also prefills each placement
+    arm's LRU embedding cache from the checkpoint's hottest saved rows.
     """
 
     directory: str = "checkpoints"
     save_every_steps: int = 0
     keep_last: int = 2
     resume_from: Optional[str] = None
-    warm_start: bool = True
 
     def _validate(self) -> None:
         _require(
@@ -822,42 +790,29 @@ class FaultSpec(_SpecBase):
 
     The fault half (``replica_crashes`` .. ``end_s``) expands into a
     deterministic :class:`repro.serving.FaultConfig` schedule over the
-    served trace; the client half (``timeout_ms`` .. ``retry_budget``)
-    becomes the :class:`repro.serving.RetryPolicy`; ``degraded_mode`` /
-    ``stale_penalty`` control stale serving during fetch outages; and
-    the recovery knobs (``recover_crashes`` .. ``warm_rows``) build the
+    served trace; ``timeout_ms`` / ``max_retries`` become the
+    :class:`repro.serving.RetryPolicy`; and the recovery knobs
+    (``detection_ms`` .. ``warm_rows``) build the
     :class:`repro.serving.RecoveryModel` that prices MTTR against
     checkpoint cadence.  Requires ``serve.fleet_replicas`` — faults are
-    a fleet story.
+    a fleet story.  The runtime classes hold the knobs no experiment
+    sets (hangs, outages, backoff, stale serving) at their defaults.
     """
 
     seed: int = 0
     # Fault schedule (counts expand via the seed).
     replica_crashes: int = 0
-    replica_hangs: int = 0
-    hang_duration_s: float = 0.0
     fetch_degrades: int = 0
     degrade_duration_s: float = 0.0
-    degrade_factor: float = 4.0
-    fetch_outages: int = 0
-    outage_duration_s: float = 0.0
     start_s: float = 0.0  # injection window; both 0 = middle 90%
     end_s: float = 0.0
     # Client-side robustness.
     timeout_ms: float = 1.0
     max_retries: int = 3
-    backoff_base_ms: float = 0.25
-    backoff_cap_ms: float = 2.0
-    backoff_jitter: float = 0.5
-    retry_budget: float = 0.25
-    degraded_mode: bool = True
-    stale_penalty: float = 0.05
     # Crash recovery (MTTR model); only read when replica_crashes > 0.
-    recover_crashes: bool = True
     detection_ms: float = 1.0
     restore_ms: float = 2.0
     checkpoint_period_s: float = 0.0  # 0 = no checkpoints (cold rebuild)
-    replay_rate: float = 0.5
     cold_rebuild_ms: float = 50.0
     warm_rows: int = 0
 
@@ -865,31 +820,16 @@ class FaultSpec(_SpecBase):
         self.fault_config()
         self.retry_policy()
         self.recovery_model()
-        _require(
-            self.stale_penalty >= 0,
-            f"stale_penalty must be >= 0, got {self.stale_penalty}",
-        )
-        if self.replica_hangs == 0:
-            self._require_defaults(
-                ("hang_duration_s",), "with replica_hangs=0"
-            )
         if self.fetch_degrades == 0:
             self._require_defaults(
-                ("degrade_duration_s", "degrade_factor"),
-                "with fetch_degrades=0",
-            )
-        if self.fetch_outages == 0:
-            self._require_defaults(
-                ("outage_duration_s",), "with fetch_outages=0"
+                ("degrade_duration_s",), "with fetch_degrades=0"
             )
         if self.replica_crashes == 0:
             self._require_defaults(
                 (
-                    "recover_crashes",
                     "detection_ms",
                     "restore_ms",
                     "checkpoint_period_s",
-                    "replay_rate",
                     "cold_rebuild_ms",
                     "warm_rows",
                 ),
@@ -902,7 +842,7 @@ class FaultSpec(_SpecBase):
 
     def retry_policy(self) -> RetryPolicy:
         """The client-side timeout / retry / backoff discipline."""
-        return self.build(RetryPolicy, jitter=_From("backoff_jitter"))
+        return self.build(RetryPolicy)
 
     def recovery_model(self, elastic_plan: Any = None) -> RecoveryModel:
         """The MTTR model for a crashed replica.
@@ -927,12 +867,7 @@ class FaultSpec(_SpecBase):
     @property
     def num_faults(self) -> int:
         """Total faults the schedule will inject."""
-        return (
-            self.replica_crashes
-            + self.replica_hangs
-            + self.fetch_degrades
-            + self.fetch_outages
-        )
+        return self.replica_crashes + self.fetch_degrades
 
 
 @dataclass(frozen=True)
@@ -950,12 +885,8 @@ class AutoscaleSpec(_SpecBase):
     slo_p99_ms: float = 5.0
     min_replicas: int = 1
     max_replicas: int = 8
-    window_ms: float = 0.0  # observation window; 0 = trace span / 20
-    scale_step: int = 1
     provision_ms: float = 2.0
     cooldown_windows: int = 1
-    queue_high: float = 16.0
-    scale_down_margin: float = 0.5
     warm_rows: int = 0
 
     def _validate(self) -> None:
@@ -972,7 +903,6 @@ class AutoscaleSpec(_SpecBase):
         """The autoscaler's knobs (rejects inverted replica bounds)."""
         return self.build(
             AutoscalePolicy,
-            window_s=_From("window_ms", 1e-3),
             provision_s=_From("provision_ms", 1e-3),
             **overrides,
         )
@@ -993,19 +923,14 @@ class OnlineSpec(_SpecBase):
     save every ``compact_every`` deltas) and gating each deploy on a
     canary eval; the :class:`~repro.online.RolloutPlanner` turns the
     deploys into staged :class:`~repro.serving.SwapEvent` schedules
-    (cumulative replica counts ``rollout_stages``, default canary →
-    half → all) that the serving fleet replays against a frozen arm
-    at equal provisioned cost.
+    (canary → half → all) that the serving fleet replays against a
+    frozen arm at equal provisioned cost.
 
     ``canary_threshold`` (the tolerated eval-AUC regression before
     automatic rollback) is deliberately *not* range-checked here — the
     ``canary-threshold-invalid`` speccheck owns that diagnosis, so a
-    stored pathological spec still loads for analysis.  Likewise
-    ``rollout_stages`` vs. the fleet size is cross-field and belongs
-    to the ``rollout-exceeds-replicas`` speccheck.
+    stored pathological spec still loads for analysis.
     """
-
-    _TUPLE_FIELDS = ("rollout_stages",)
 
     windows: int = 6
     window_samples: int = 768
@@ -1014,8 +939,6 @@ class OnlineSpec(_SpecBase):
     table_multiplier: int = 16
     compact_every: int = 4
     canary_threshold: float = 0.01
-    rollout_stages: Tuple[int, ...] = ()
-    swap_downtime_ms: float = 2.0
     seed: int = 0
 
     def _validate(self) -> None:
@@ -1037,20 +960,6 @@ class OnlineSpec(_SpecBase):
             self.compact_every >= 1,
             f"compact_every must be >= 1, got {self.compact_every}",
         )
-        _require(
-            all(
-                isinstance(s, int) and not isinstance(s, bool) and s >= 1
-                for s in self.rollout_stages
-            )
-            and list(self.rollout_stages)
-            == sorted(set(self.rollout_stages)),
-            f"rollout_stages must be strictly increasing positive "
-            f"replica counts, got {self.rollout_stages}",
-        )
-        _require(
-            self.swap_downtime_ms >= 0,
-            f"swap_downtime_ms must be >= 0, got {self.swap_downtime_ms}",
-        )
 
 
 @dataclass(frozen=True)
@@ -1063,8 +972,8 @@ class ABSpec(_SpecBase):
     on the *same* generated dataset and batch order (§5.2 protocol:
     ``model.seed = 100 + s``, ``train.seed = s``), so the per-seed
     metric difference is a paired observation; :meth:`Session.ab`
-    reports per-task mean deltas with a Student-t confidence interval
-    at level ``confidence``.
+    reports per-task mean deltas with a 95 % Student-t confidence
+    interval.
 
     Two arms resolving to the identical model+train is the
     ``ab-arms-identical`` speccheck's diagnosis, not a construction
@@ -1074,7 +983,6 @@ class ABSpec(_SpecBase):
     _TUPLE_FIELDS = ("seeds",)
 
     seeds: Tuple[int, ...] = (0, 1, 2, 3, 4)
-    confidence: float = 0.95
     label_a: str = "A"
     label_b: str = "B"
     model_b: Optional[ModelSpec] = None
@@ -1096,10 +1004,6 @@ class ABSpec(_SpecBase):
         _require(
             len(set(self.seeds)) == len(self.seeds),
             f"seeds must be distinct, got {self.seeds}",
-        )
-        _require(
-            0.0 < self.confidence < 1.0,
-            f"confidence must be in (0, 1), got {self.confidence}",
         )
         for label in (self.label_a, self.label_b):
             _require(

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -158,7 +157,6 @@ class Replay:
         if len(requests) == 0:
             raise ValueError("cannot serve an empty request trace")
         self.trace = RequestTrace.of(requests).sorted()
-        self.arrival = self.trace.arrival_s.tolist()
         self.slots = slots
         self.engine = engine
         self.batcher = batcher
@@ -168,7 +166,7 @@ class Replay:
         self.control = control
         self.fetch_free = np.zeros(engine.num_fetch_servers)
         self.served: List[np.ndarray] = []  # original arrivals, per batch
-        self.t0 = self.arrival[0]
+        self.t0 = float(self.trace.arrival_s[0])
         self.num_initial = sum(1 for s in slots if s.state == "active")
 
         # Routing (see the module docstring): slot 0, the whole trace
@@ -215,7 +213,7 @@ class Replay:
     def _seed_schedule(self, control: ControlPlane) -> None:
         """Pre-seed the heap: faults, then planned swaps, then window
         boundaries — the head of the tie rule."""
-        span = self.arrival[-1] - self.t0
+        span = float(self.trace.arrival_s[-1]) - self.t0
         self.req_id = self.trace.req_id.tolist()  # read per retry
         self.budget_left = int(
             math.ceil(control.retry.retry_budget * len(self.trace))
@@ -260,14 +258,16 @@ class Replay:
         the arrival that triggers the flush (a full batch's last row; else
         the first later arrival at or past the deadline, or the trace
         end), deadline flushes first, then by deadline, then by slot."""
+        arrival_s = self.trace.arrival_s
         rows = [np.flatnonzero(self.assignment == slot.idx) for slot in self.slots]
-        times = [self.trace.arrival_s[mine] for mine in rows]
+        times = [arrival_s[mine] for mine in rows]
         plan, cut = [], (self.batcher.max_batch_size, self.batcher.max_delay_s)
         for slot, mine, at in zip(self.slots, rows, times):
             for start, stop, ready_s, full in cut_batches(at.tolist(), *cut):
                 last = int(mine[stop - 1])
                 if not full:
-                    last = max(last + 1, bisect_left(self.arrival, ready_s))
+                    at_ready = int(np.searchsorted(arrival_s, ready_s, "left"))
+                    last = max(last + 1, at_ready)
                 plan.append((last, full, ready_s, slot.idx, start, stop))
         host_share = self._host_share(self.t0)
         for _, _, ready_s, idx, lo, hi in sorted(plan):
@@ -276,7 +276,8 @@ class Replay:
 
     def _run_per_arrival(self) -> None:
         """The event loop: every arrival, merged with the control heap."""
-        trace, arrival, heap, slots = self.trace, self.arrival, self.heap, self.slots
+        trace, heap, slots = self.trace, self.heap, self.slots
+        arrival = trace.arrival_s.tolist()
         depths, routed = self.depths, self.assignment
         assignment = None if routed is None else routed.tolist()
         max_batch_size = self.batcher.max_batch_size

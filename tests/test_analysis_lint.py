@@ -271,15 +271,17 @@ class TestSpecKnobDrift:
             "from dataclasses import dataclass\n"
             "@dataclass\n"
             "class FaultSpec:\n"
-            "    backoff_jitter: float = 0.5\n"
+            "    detection_ms: float = 1.0\n"
             "    dead_knob: int = 0\n"
             "    def _validate(self):\n"
             "        assert self.dead_knob >= 0\n"
-            "    def retry_policy(self):\n"
-            "        return self.build(\n"
-            "            RetryPolicy, jitter=_From('backoff_jitter'))\n"
+            "    def recovery_model(self):\n"
+            "        return self.build(RecoveryModel,\n"
+            "            detection_s=_From('detection_ms', 1e-3))\n"
         )
-        diags = self._mods(spec_src, "def go(policy):\n    return policy.jitter\n")
+        diags = self._mods(
+            spec_src, "def go(model):\n    return model.detection_s\n"
+        )
         assert [d.message.split()[0] for d in diags] == ["FaultSpec.dead_knob"]
 
     def test_repo_spec_has_no_dead_knobs(self):

@@ -1,7 +1,9 @@
 """Tests for the repro.api session layer: specs, sessions, CLI."""
 
+import ast
 import dataclasses
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -320,72 +322,110 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "cls, kwargs, names",
         [
-            (FaultSpec, dict(replica_crashes=-1), "replica_crashes"),
-            (FaultSpec, dict(replica_hangs=1), "hang_duration_s"),
-            (FaultSpec, dict(fetch_degrades=1), "degrade_duration_s"),
-            (FaultSpec, dict(fetch_outages=1), "outage_duration_s"),
-            (
-                FaultSpec,
-                dict(
-                    fetch_degrades=1, degrade_duration_s=0.01,
-                    degrade_factor=0.5,
-                ),
-                "degrade_factor",
+            # Fixed ids keep these cases' test names stable.
+            pytest.param(
+                FaultSpec, dict(replica_crashes=-1), "replica_crashes",
+                id="FaultSpec-kwargs0-replica_crashes",
             ),
-            (FaultSpec, dict(start_s=-1.0), "injection window"),
-            (FaultSpec, dict(start_s=2.0, end_s=1.0), "injection window end"),
-            (FaultSpec, dict(timeout_ms=0.0), "timeout_ms"),
-            (FaultSpec, dict(max_retries=-1), "max_retries"),
-            (FaultSpec, dict(backoff_base_ms=-1.0), "backoff"),
-            (
-                FaultSpec,
-                dict(backoff_base_ms=3.0, backoff_cap_ms=2.0),
-                "backoff_cap_ms",
+            pytest.param(
+                FaultSpec, dict(fetch_degrades=1), "degrade_duration_s",
+                id="FaultSpec-kwargs2-degrade_duration_s",
             ),
-            (FaultSpec, dict(backoff_jitter=2.0), "backoff_jitter"),
-            (FaultSpec, dict(retry_budget=-0.1), "retry_budget"),
-            (FaultSpec, dict(stale_penalty=-0.1), "stale_penalty"),
-            (
-                FaultSpec,
-                dict(replica_crashes=1, detection_ms=-1.0),
+            pytest.param(
+                FaultSpec, dict(start_s=-1.0), "injection window",
+                id="FaultSpec-kwargs5-injection window",
+            ),
+            pytest.param(
+                FaultSpec, dict(start_s=2.0, end_s=1.0),
+                "injection window end",
+                id="FaultSpec-kwargs6-injection window end",
+            ),
+            pytest.param(
+                FaultSpec, dict(timeout_ms=0.0), "timeout_ms",
+                id="FaultSpec-kwargs7-timeout_ms",
+            ),
+            pytest.param(
+                FaultSpec, dict(max_retries=-1), "max_retries",
+                id="FaultSpec-kwargs8-max_retries",
+            ),
+            pytest.param(
+                FaultSpec, dict(replica_crashes=1, detection_ms=-1.0),
                 "detection_ms",
+                id="FaultSpec-kwargs14-detection_ms",
             ),
-            (FaultSpec, dict(replica_crashes=1, restore_ms=-1.0), "restore_ms"),
-            (
-                FaultSpec,
-                dict(replica_crashes=1, checkpoint_period_s=-1.0),
+            pytest.param(
+                FaultSpec, dict(replica_crashes=1, restore_ms=-1.0),
+                "restore_ms",
+                id="FaultSpec-kwargs15-restore_ms",
+            ),
+            pytest.param(
+                FaultSpec, dict(replica_crashes=1, checkpoint_period_s=-1.0),
                 "checkpoint_period_s",
+                id="FaultSpec-kwargs16-checkpoint_period_s",
             ),
-            (FaultSpec, dict(replica_crashes=1, replay_rate=-1.0), "replay_rate"),
-            (
-                FaultSpec,
-                dict(replica_crashes=1, cold_rebuild_ms=-1.0),
+            pytest.param(
+                FaultSpec, dict(replica_crashes=1, cold_rebuild_ms=-1.0),
                 "cold_rebuild_ms",
+                id="FaultSpec-kwargs18-cold_rebuild_ms",
             ),
-            (FaultSpec, dict(replica_crashes=1, warm_rows=-1), "warm_rows"),
+            pytest.param(
+                FaultSpec, dict(replica_crashes=1, warm_rows=-1), "warm_rows",
+                id="FaultSpec-kwargs19-warm_rows",
+            ),
             # unused knobs stay at their defaults
-            (FaultSpec, dict(hang_duration_s=0.1), "hang_duration_s"),
-            (FaultSpec, dict(degrade_factor=2.0), "degrade_factor"),
-            (FaultSpec, dict(outage_duration_s=0.1), "outage_duration_s"),
-            (FaultSpec, dict(cold_rebuild_ms=5.0), "cold_rebuild_ms"),
-            (AutoscaleSpec, dict(slo_p99_ms=0.0), "slo_p99_ms"),
-            (AutoscaleSpec, dict(min_replicas=0), "min_replicas"),
-            (AutoscaleSpec, dict(max_replicas=0), "max_replicas"),
-            (AutoscaleSpec, dict(window_ms=-1.0), "window_ms"),
-            (AutoscaleSpec, dict(scale_step=0), "scale_step"),
-            (AutoscaleSpec, dict(provision_ms=-1.0), "provision_ms"),
-            (AutoscaleSpec, dict(cooldown_windows=-1), "cooldown_windows"),
-            (AutoscaleSpec, dict(queue_high=0.0), "queue_high"),
-            (AutoscaleSpec, dict(scale_down_margin=1.0), "scale_down_margin"),
-            (AutoscaleSpec, dict(warm_rows=-1), "warm_rows"),
+            pytest.param(
+                FaultSpec, dict(cold_rebuild_ms=5.0), "cold_rebuild_ms",
+                id="FaultSpec-kwargs23-cold_rebuild_ms",
+            ),
+            pytest.param(
+                AutoscaleSpec, dict(slo_p99_ms=0.0), "slo_p99_ms",
+                id="AutoscaleSpec-kwargs24-slo_p99_ms",
+            ),
+            pytest.param(
+                AutoscaleSpec, dict(min_replicas=0), "min_replicas",
+                id="AutoscaleSpec-kwargs25-min_replicas",
+            ),
+            pytest.param(
+                AutoscaleSpec, dict(max_replicas=0), "max_replicas",
+                id="AutoscaleSpec-kwargs26-max_replicas",
+            ),
+            pytest.param(
+                AutoscaleSpec, dict(provision_ms=-1.0), "provision_ms",
+                id="AutoscaleSpec-kwargs29-provision_ms",
+            ),
+            pytest.param(
+                AutoscaleSpec, dict(cooldown_windows=-1), "cooldown_windows",
+                id="AutoscaleSpec-kwargs30-cooldown_windows",
+            ),
+            pytest.param(
+                AutoscaleSpec, dict(warm_rows=-1), "warm_rows",
+                id="AutoscaleSpec-kwargs33-warm_rows",
+            ),
             # NaN fails every range (the runtime checks are written
             # `not x >= 0`, as the spec's were)
-            (FaultSpec, dict(timeout_ms=float("nan")), "timeout_ms"),
-            (FaultSpec, dict(replica_crashes=float("nan")), "replica_crashes"),
-            (AutoscaleSpec, dict(window_ms=float("nan")), "window_ms"),
+            pytest.param(
+                FaultSpec, dict(timeout_ms=float("nan")), "timeout_ms",
+                id="FaultSpec-kwargs34-timeout_ms",
+            ),
+            pytest.param(
+                FaultSpec, dict(replica_crashes=float("nan")),
+                "replica_crashes",
+                id="FaultSpec-kwargs35-replica_crashes",
+            ),
+            pytest.param(
+                AutoscaleSpec, dict(provision_ms=float("nan")),
+                "provision_ms",
+                id="AutoscaleSpec-provision_ms-nan",
+            ),
             # a wrongly typed knob is a SpecError, not a raw TypeError
-            (AutoscaleSpec, dict(provision_ms="fast"), "AutoscaleSpec"),
-            (FaultSpec, dict(seed=1.5), "seed"),
+            pytest.param(
+                AutoscaleSpec, dict(provision_ms="fast"), "AutoscaleSpec",
+                id="AutoscaleSpec-kwargs37-AutoscaleSpec",
+            ),
+            pytest.param(
+                FaultSpec, dict(seed=1.5), "seed",
+                id="FaultSpec-kwargs38-seed",
+            ),
         ],
     )
     def test_fault_and_autoscale_knobs_validated(self, cls, kwargs, names):
@@ -445,10 +485,10 @@ class TestSpecProjection:
         "scenario, defaults",
         [
             (
-                dict(scenario="diurnal", diurnal_period_s=0.25,
-                     diurnal_amplitude=0.8),
+                dict(scenario="diurnal"),
                 dict(flash_start_s=0.0, flash_duration_s=0.0,
-                     flash_factor=5.0),
+                     flash_factor=5.0, diurnal_period_s=1.0,
+                     diurnal_amplitude=0.5),
             ),
             (
                 dict(scenario="flash", flash_start_s=0.01,
@@ -473,23 +513,28 @@ class TestSpecProjection:
         assert batcher.max_delay_s == 0.75 * 1e-3
 
     FAULTS = FaultSpec(
-        seed=4, replica_crashes=2, replica_hangs=1, hang_duration_s=0.003,
-        fetch_degrades=2, degrade_duration_s=0.004, degrade_factor=6.0,
-        fetch_outages=1, outage_duration_s=0.005, start_s=0.01, end_s=0.03,
-        timeout_ms=0.7, max_retries=5, backoff_base_ms=0.3,
-        backoff_cap_ms=4.0, backoff_jitter=0.25, retry_budget=0.4,
+        seed=4, replica_crashes=2, fetch_degrades=2, degrade_duration_s=0.004,
+        start_s=0.01, end_s=0.03, timeout_ms=0.7, max_retries=5,
         detection_ms=0.6, restore_ms=0.9, checkpoint_period_s=0.002,
-        replay_rate=0.75, cold_rebuild_ms=7.0, warm_rows=123,
+        cold_rebuild_ms=7.0, warm_rows=123,
     )
 
     def test_fault_spec_builds_schedule_and_retry_policy(self):
         assert_projection(
-            self.FAULTS, self.FAULTS.fault_config(), extra=dict(events=())
+            self.FAULTS,
+            self.FAULTS.fault_config(),
+            extra=dict(
+                events=(), replica_hangs=0, hang_duration_s=0.0,
+                degrade_factor=4.0, fetch_outages=0, outage_duration_s=0.0,
+            ),
         )
         assert_projection(
             self.FAULTS,
             self.FAULTS.retry_policy(),
-            renamed=dict(jitter=("backoff_jitter", None)),
+            extra=dict(
+                backoff_base_ms=0.25, backoff_cap_ms=2.0, jitter=0.5,
+                retry_budget=0.25,
+            ),
         )
 
     def test_fault_spec_builds_recovery_model(self):
@@ -499,7 +544,10 @@ class TestSpecProjection:
             cold_rebuild_s=("cold_rebuild_ms", 1e-3),
         )
         assert_projection(
-            self.FAULTS, self.FAULTS.recovery_model(), renamed=renamed
+            self.FAULTS,
+            self.FAULTS.recovery_model(),
+            renamed=renamed,
+            extra=dict(replay_rate=0.5),
         )
 
         class _Plan:
@@ -511,21 +559,21 @@ class TestSpecProjection:
             self.FAULTS,
             self.FAULTS.recovery_model(_Plan()),
             renamed=renamed,
-            extra=dict(restore_s=0.0125),
+            extra=dict(restore_s=0.0125, replay_rate=0.5),
         )
 
     def test_autoscale_spec_builds_policy(self):
         spec = AutoscaleSpec(
-            slo_p99_ms=3.0, min_replicas=2, max_replicas=9, window_ms=1.5,
-            scale_step=2, provision_ms=0.4, cooldown_windows=3,
-            queue_high=20.0, scale_down_margin=0.25, warm_rows=64,
+            slo_p99_ms=3.0, min_replicas=2, max_replicas=9,
+            provision_ms=0.4, cooldown_windows=3, warm_rows=64,
         )
         assert_projection(
             spec,
             spec.policy(),
-            renamed=dict(
-                window_s=("window_ms", 1e-3),
-                provision_s=("provision_ms", 1e-3),
+            renamed=dict(provision_s=("provision_ms", 1e-3)),
+            extra=dict(
+                window_s=0.0, scale_step=1, queue_high=16.0,
+                scale_down_margin=0.5,
             ),
         )
 
@@ -535,6 +583,67 @@ class TestSpecProjection:
         spec = AutoscaleSpec(min_replicas=5, max_replicas=2)
         with pytest.raises(SpecError, match="max_replicas"):
             spec.policy()
+
+
+class TestSpecSurface:
+    """A section field exists only if some run sets it.  The census
+    walks every spec-building caller; a field counts as set when it
+    appears there as a keyword ``name=`` or a dict key ``"name":``.
+    A knob no caller sets belongs on its runtime class, where the tests
+    drive it directly."""
+
+    REPO = pathlib.Path(__file__).resolve().parents[1]
+    CALLERS = (
+        "src/repro/experiments",
+        "src/repro/api/presets.py",
+        "examples",
+        "benchmarks",
+        "perfbench",
+    )
+    _RESUME = "resume compares the saved data section key by key"
+    _PROBE = "TINY's probe knobs; moving them moves its partition"
+    #: The fields kept without a caller, each with its reason.
+    KEPT = {
+        "DataSpec.cvr_bias": _RESUME,
+        "DataSpec.dataset_seed": _RESUME,
+        "DataSpec.sample_seed": _RESUME,
+        "PartitionSpec.probe_seed": _PROBE,
+        "PartitionSpec.probe_epochs": _PROBE,
+        "PartitionSpec.probe_batch_size": _PROBE,
+        "PartitionSpec.probe_sparse_lr": _PROBE,
+        "PartitionSpec.probe_samples": _PROBE,
+        "PartitionSpec.kmeans_seed": _PROBE,
+        "ABSpec.train_b": "the executed A/B record's arm B sets it",
+    }
+
+    def set_names(self):
+        names = set()
+        for root in self.CALLERS:
+            path = self.REPO / root
+            for source in [path] if path.is_file() else sorted(path.rglob("*.py")):
+                for node in ast.walk(ast.parse(source.read_text())):
+                    if isinstance(node, ast.keyword) and node.arg:
+                        names.add(node.arg)
+                    elif isinstance(node, ast.Dict):
+                        names.update(
+                            k.value
+                            for k in node.keys
+                            if isinstance(k, ast.Constant)
+                            and isinstance(k.value, str)
+                        )
+        return names
+
+    def test_every_section_field_is_set_by_a_caller(self):
+        names = self.set_names()
+        unset = {
+            f"{cls.__name__}.{f.name}"
+            for cls in RunSpec._SECTIONS.values()
+            for f in dataclasses.fields(cls)
+            if f.name not in names
+        }
+        kept = set(self.KEPT)
+        assert unset - kept == set(), "set by no caller"
+        assert kept - unset == set(), "set by a caller now: drop from KEPT"
 
 
 class TestSpecRoundTrip:

@@ -602,9 +602,7 @@ class TestSessionIntegration:
                 cold_rebuild_ms=5.0,
                 checkpoint_period_s=0.0,
             ),
-            checkpoint=CheckpointSpec(
-                directory=str(tmp_path), resume_from=path, warm_start=False
-            ),
+            checkpoint=CheckpointSpec(directory=str(tmp_path), resume_from=path),
         )
         report = Session(faulted).serve().fault_reports["disaggregated"]
         assert [c["mttr_s"] for c in report.crashes] == [1.0 * 1e-3 + 0.005]

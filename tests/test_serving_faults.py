@@ -115,6 +115,12 @@ class TestFaultSchedule:
             FaultConfig(replica_crashes=-1)
         with pytest.raises(ValueError):
             FaultConfig(replica_hangs=1)  # no duration
+        with pytest.raises(ValueError, match="outage_duration_s"):
+            FaultConfig(fetch_outages=1)
+        with pytest.raises(ValueError, match="degrade_factor"):
+            FaultConfig(
+                fetch_degrades=1, degrade_duration_s=0.01, degrade_factor=0.5
+            )
         with pytest.raises(ValueError):
             FaultConfig(start_s=0.5, end_s=0.2)
         with pytest.raises(ValueError):
@@ -156,6 +162,8 @@ class TestRetryPolicy:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_base_ms=1.0, backoff_cap_ms=0.5)
+        with pytest.raises(ValueError, match="backoff"):
+            RetryPolicy(backoff_base_ms=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
         with pytest.raises(ValueError):
@@ -173,6 +181,8 @@ class TestRecoveryModel:
             replay_rate=0.5,
         )
         assert model.mttr_s() == pytest.approx(1e-3 + 2e-3 + 0.001)
+        with pytest.raises(ValueError, match="replay_rate"):
+            RecoveryModel(replay_rate=-1.0)
 
     def test_no_checkpoints_pays_cold_rebuild(self):
         model = RecoveryModel(
@@ -266,6 +276,11 @@ class TestSLOAutoscaler:
             AutoscalePolicy(scale_down_margin=1.0)
         with pytest.raises(ValueError):
             AutoscalePolicy(queue_high=0.0)
+        with pytest.raises(ValueError, match="scale_step"):
+            AutoscalePolicy(scale_step=0)
+        for window_s in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="window_s"):
+                AutoscalePolicy(window_s=window_s)
 
 
 class TestResilientFleetOracle:
@@ -406,6 +421,8 @@ class TestFaultedReplay:
             0.05 * degraded.degraded_fraction
         )
         stalled = make_resilient(degraded_mode=False, **kw).serve(requests)
+        with pytest.raises(ValueError, match="stale_penalty"):
+            make_resilient(stale_penalty=-0.1, **kw)
         assert stalled.num_degraded == 0
         assert stalled.quality_cost == 0.0
         # Stalling waits the outage out; degraded mode answers now.

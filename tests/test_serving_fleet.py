@@ -499,8 +499,6 @@ class TestFleetSpec:
         assert spec.serve.uses_fleet
 
     def test_unused_knobs_must_stay_default(self):
-        with pytest.raises(SpecError, match="diurnal_amplitude"):
-            ServeSpec(diurnal_amplitude=0.9)  # scenario is poisson
         with pytest.raises(SpecError, match="flash_factor"):
             ServeSpec(flash_factor=2.0)
         with pytest.raises(SpecError, match="router"):
