@@ -25,13 +25,13 @@ from repro.serving import (
     LRUEmbeddingCache,
     MicroBatcher,
     Placement,
-    ReferenceLRUCache,
     RequestStream,
     ServingFleet,
     ServingModel,
     WorkloadConfig,
 )
 from repro.sim import SimCluster
+from tests.util import ReferenceLRUCache
 
 NUM_REQUESTS, NUM_LOOKUPS, KEY_SPACE, CACHE_ROWS = 20_000, 26, 100_000, 16_384
 MAX_BATCH = 256

@@ -10,7 +10,7 @@ on the same cost-model machinery:
 - :mod:`repro.serving.batcher` — dynamic micro-batching
   (flush-on-full / flush-on-deadline);
 - :mod:`repro.serving.cache` — LRU embedding cache with hit-rate
-  accounting (vectorized fast path + reference implementation);
+  accounting, vectorized per batch over int32 recency state;
 - :mod:`repro.serving.replay` — the one replay core: an event loop
   over replica *slots* (a batch queue, a cache, ``k`` servers) that
   merges the arrival-sorted trace against a heap of control events,
@@ -44,11 +44,7 @@ on the same cost-model machinery:
 
 from repro.serving.autoscale import AutoscalePolicy, SLOAutoscaler
 from repro.serving.batcher import MicroBatch, MicroBatcher
-from repro.serving.cache import (
-    CacheStats,
-    LRUEmbeddingCache,
-    ReferenceLRUCache,
-)
+from repro.serving.cache import CacheStats, LRUEmbeddingCache
 from repro.serving.faults import (
     FAULT_KINDS,
     FaultConfig,
@@ -107,7 +103,6 @@ __all__ = [
     "MicroBatcher",
     "CacheStats",
     "LRUEmbeddingCache",
-    "ReferenceLRUCache",
     "ServingModel",
     "Placement",
     "PlacementEngine",

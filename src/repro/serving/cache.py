@@ -8,27 +8,24 @@ embedding row ids with hit/miss counters.  It stores no vectors — the
 serving simulator only needs *which* rows must cross the network, not
 their values.
 
-Two implementations share the same contract and produce **identical**
-hit/miss/eviction accounting on any trace:
+:class:`LRUEmbeddingCache` is the one implementation every serving
+path runs.  It probes, touches, admits and evicts a whole batch in a
+handful of vectorized numpy operations over two int32 arrays — an
+append-only recency log and a table mapping each row id to its entry
+in that log — so its state grows with the cache's capacity and the
+largest row id, not with the number of requests replayed.  Its
+accounting is held bit for bit to a per-key ``OrderedDict`` walk that
+the test suite keeps as the executable specification.
 
-- :class:`LRUEmbeddingCache` — the default.  Recency lives in a dense
-  stamp table indexed by row id plus a stamp-ordered lazy-deletion
-  queue, so a whole batch is probed, touched, admitted, and evicted in
-  a handful of vectorized numpy operations — no Python-level loop over
-  keys.  This is what lets the serving simulator replay 100k+ request
-  traces.
-- :class:`ReferenceLRUCache` — the original per-key ``OrderedDict``
-  walk, kept as the executable specification the fast path is fuzzed
-  against.
-
-A ``capacity_rows`` of 0 disables caching (every lookup misses and
+Row ids are int32 values: every operation rejects an id that is
+negative or above ``2**31 - 1`` with a ``ValueError``.  A
+``capacity_rows`` of 0 disables caching (every lookup misses and
 nothing is admitted), which is the natural control arm for cache
 experiments.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -52,29 +49,23 @@ class CacheStats:
 
 
 _INT32_MAX = np.iinfo(np.int32).max
+# The log is rebuilt with this much room per live entry, so a compaction
+# (a copy of the live entries) is paid for by the appends that fill it.
+_LOG_SLACK = 4
+# The id table grows by this factor, or to the largest id if that is more.
+_TABLE_GROWTH = 1.5
 
 
-def _dedup_sorted(arr: np.ndarray) -> np.ndarray:
-    """Sorted unique ids of a 1-D int64 array.
-
-    Same result as ``np.unique`` without its hashing pass; large
-    batches sort through int32 when every id fits (row ids always do),
-    which is measurably faster.  This is the hottest line of the
-    serving replay.
-    """
-    if arr.size <= 1:
-        return arr
-    compact = False
-    if arr.size >= 1024 and arr.max() <= _INT32_MAX:
-        # callers validate non-negativity, so int32 is safe
-        arr = arr.astype(np.int32)
-        compact = True
-    ordered = np.sort(arr)
-    keep = np.empty(arr.size, dtype=bool)
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct ids of a validated, non-empty int64 batch, as
+    int32: one int32 sort, then a neighbour compare.  This is the
+    hottest line of the serving replay."""
+    ordered = ids.astype(np.int32)
+    ordered.sort()
+    keep = np.empty(ordered.size, dtype=bool)
     keep[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    unique = ordered[keep]
-    return unique.astype(np.int64) if compact else unique
+    return ordered[keep]
 
 
 class _LRUCacheBase:
@@ -91,11 +82,16 @@ class _LRUCacheBase:
 
     @staticmethod
     def _as_ids(keys: np.ndarray) -> np.ndarray:
-        """Flatten to int64 row ids, rejecting negatives — both
-        implementations enforce the same domain on every operation."""
+        """Flatten to int64 row ids in ``[0, 2**31 - 1]`` — every cache
+        enforces the same domain on every operation.  Seen as uint64 a
+        negative id is above ``2**63``, so one ``max`` checks both ends."""
         arr = np.asarray(keys, dtype=np.int64).reshape(-1)
-        if arr.size and arr.min() < 0:
-            raise ValueError("embedding row ids must be non-negative")
+        if arr.size and arr.view(np.uint64).max() > _INT32_MAX:
+            bad = arr[(arr < 0) | (arr > _INT32_MAX)][0]
+            raise ValueError(
+                "embedding row ids must be non-negative and at most "
+                f"2**31 - 1, got {bad}"
+            )
         return arr
 
     @property
@@ -145,85 +141,32 @@ class _LRUCacheBase:
         return len(kept)
 
 
-class ReferenceLRUCache(_LRUCacheBase):
-    """Least-recently-used set of embedding row ids (reference walk).
-
-    The per-key ``OrderedDict`` implementation: simple, obviously
-    correct, and a Python-level operation per key.  Kept as the
-    behavioural specification for :class:`LRUEmbeddingCache`, which
-    must reproduce its accounting bit-for-bit.
-    """
-
-    def __init__(self, capacity_rows: int):
-        super().__init__(capacity_rows)
-        self._rows: "OrderedDict[int, None]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def contents(self) -> np.ndarray:
-        return np.fromiter(self._rows, dtype=np.int64, count=len(self._rows))
-
-    # ------------------------------------------------------------------
-    def lookup(self, keys: np.ndarray) -> Tuple[int, np.ndarray]:
-        """Probe the cache with a batch of row ids.
-
-        Duplicate ids within the batch are deduplicated first — a
-        served batch fetches each distinct row once.  Hits are touched
-        (moved to most-recent, in ascending id order); misses are
-        returned for the caller to fetch and then :meth:`admit`.
-
-        Returns ``(num_hits, miss_keys)``.
-        """
-        unique = np.unique(self._as_ids(keys))
-        if self.capacity_rows == 0:
-            self._misses += len(unique)
-            return 0, unique
-        misses = []
-        hits = 0
-        for key in unique.tolist():
-            if key in self._rows:
-                self._rows.move_to_end(key)
-                hits += 1
-            else:
-                misses.append(key)
-        self._hits += hits
-        self._misses += len(misses)
-        return hits, np.asarray(misses, dtype=np.int64)
-
-    def admit(self, keys: np.ndarray) -> None:
-        """Insert fetched rows, evicting least-recently-used overflow."""
-        keys = self._as_ids(keys)
-        if self.capacity_rows == 0:
-            return
-        for key in keys.tolist():
-            self._rows[key] = None
-            self._rows.move_to_end(key)
-        while len(self._rows) > self.capacity_rows:
-            self._rows.popitem(last=False)
-
-
 class LRUEmbeddingCache(_LRUCacheBase):
     """Vectorized least-recently-used set of embedding row ids.
 
-    Recency is a logical clock: every touch assigns the next stamp.
-    Two structures carry it, both amortized O(1) per key with all the
-    work in whole-batch numpy operations:
+    Two int32 arrays hold the recency state, with all the work in
+    whole-batch numpy operations:
 
-    - a **dense stamp table** indexed by row id (``-1`` = not cached),
-      grown geometrically to the largest id seen — ids are embedding
-      row indices, so the table is bounded by the table cardinality;
-    - a **stamp-ordered lazy-deletion queue** of ``(id, stamp)``
-      appends.  An entry is current iff its stamp still matches the
-      table; eviction pops current entries from the front (the exact
-      LRU order), and stale entries are dropped on the way.  The queue
-      compacts itself when it fills, so total work stays linear in the
-      number of touches.
+    - the **log** lists row ids in touch order.  Each touch appends the
+      id; the live window is ``log[head:tail]``.
+    - the **table**, indexed by row id, holds the position of the id's
+      latest log entry, or ``-1`` when the id is not cached.  An entry
+      at position ``p`` is current iff ``table[log[p]] == p``; a
+      re-touched or evicted id leaves a stale entry behind.
 
-    The accounting is bit-identical to :class:`ReferenceLRUCache`:
-    lookups dedupe the batch and touch hits in ascending id order,
-    admits stamp each id by its last occurrence in the admit order, and
-    eviction drops lowest stamps first.
+    Eviction walks the log from ``head`` and drops current entries —
+    the exact LRU order.  When the log is full it compacts: the current
+    entries move to the front, renumbered ``0 .. n-1`` in log order,
+    and the log is rebuilt with room for ``_LOG_SLACK`` times its live
+    entries plus the incoming batch.  The log therefore never exceeds
+    ``_LOG_SLACK * (capacity_rows + largest batch)`` entries, and the
+    table, which grows by ``_TABLE_GROWTH`` or to the largest id seen,
+    never exceeds ``_TABLE_GROWTH * (largest id + 1)``.
+
+    Lookups dedupe the batch and touch hits in ascending id order,
+    admits touch each id at its last occurrence in the admit order, and
+    eviction drops the least recent first — the per-key ``OrderedDict``
+    walk's accounting, bit for bit.
 
     Examples
     --------
@@ -241,78 +184,103 @@ class LRUEmbeddingCache(_LRUCacheBase):
 
     def __init__(self, capacity_rows: int):
         super().__init__(capacity_rows)
-        self._stamp_of = np.full(1024, -1, dtype=np.int64)
-        self._size = 0
-        self._clock = 0
-        self._log_keys = np.empty(4096, dtype=np.int64)
-        self._log_stamps = np.empty(4096, dtype=np.int64)
+        self._stamp_of = np.empty(0, dtype=np.int32)
+        self._log = np.empty(0, dtype=np.int32)
         self._head = 0
         self._tail = 0
+        self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
+    def _current(self, start: int, stop: int) -> np.ndarray:
+        """Which entries of ``log[start:stop]`` are current."""
+        positions = np.arange(start, stop, dtype=np.int32)
+        return self._stamp_of[self._log[start:stop]] == positions
+
     def contents(self) -> np.ndarray:
-        alive = np.flatnonzero(self._stamp_of >= 0)
-        return alive[np.argsort(self._stamp_of[alive])]
+        window = self._log[self._head : self._tail]
+        return window[self._current(self._head, self._tail)].astype(np.int64)
 
     # ------------------------------------------------------------------
     def _grow_table(self, max_key: int) -> None:
-        if max_key >= len(self._stamp_of):
+        size = len(self._stamp_of)
+        if max_key >= size:
             grown = np.full(
-                max(2 * len(self._stamp_of), max_key + 1), -1, dtype=np.int64
+                max(int(_TABLE_GROWTH * size), max_key + 1), -1, dtype=np.int32
             )
-            grown[: len(self._stamp_of)] = self._stamp_of
+            grown[:size] = self._stamp_of
             self._stamp_of = grown
 
-    def _append_log(self, keys: np.ndarray, stamps: np.ndarray) -> None:
-        n = len(keys)
-        if self._tail + n > len(self._log_keys):
-            self._compact_log(n)
-        self._log_keys[self._tail : self._tail + n] = keys
-        self._log_stamps[self._tail : self._tail + n] = stamps
-        self._tail += n
+    def _append_log(self, *parts: np.ndarray) -> None:
+        """Touch each id of ``parts``, in order: its stamp is its new
+        position in the log."""
+        incoming = sum(part.size for part in parts)
+        if self._tail + incoming > len(self._log):
+            self._compact_log(incoming)
+        for part in parts:
+            end = self._tail + part.size
+            self._log[self._tail : end] = part
+            self._stamp_of[part] = np.arange(self._tail, end, dtype=np.int32)
+            self._tail = end
 
     def _compact_log(self, incoming: int) -> None:
-        """Drop stale queue entries; regrow with generous slack.
-
-        Compaction copies every alive entry (~capacity of them), so its
-        amortized cost is governed by how much free space it leaves:
-        8x slack makes the per-touch cost approach one queue append.
-        """
-        keys = self._log_keys[self._head : self._tail]
-        stamps = self._log_stamps[self._head : self._tail]
-        current = self._stamp_of[keys] == stamps
-        keys, stamps = keys[current], stamps[current]
-        room = max(4096, 8 * (len(keys) + incoming))
-        if room > len(self._log_keys) or len(keys) + incoming > len(
-            self._log_keys
-        ):
-            self._log_keys = np.empty(room, dtype=np.int64)
-            self._log_stamps = np.empty(room, dtype=np.int64)
-        self._log_keys[: len(keys)] = keys
-        self._log_stamps[: len(stamps)] = stamps
-        self._head = 0
-        self._tail = len(keys)
+        """Move the current entries to the front, renumbered in log
+        order, leaving ``_LOG_SLACK`` times room for them and
+        ``incoming`` more."""
+        live = self._log[self._head : self._tail][
+            self._current(self._head, self._tail)
+        ]
+        room = _LOG_SLACK * (live.size + incoming)
+        if room > _INT32_MAX:
+            raise ValueError(
+                f"{live.size + incoming} live cache entries need log "
+                "positions beyond int32"
+            )
+        if room > len(self._log):
+            self._log = np.empty(room, dtype=np.int32)
+        self._log[: live.size] = live
+        self._stamp_of[live] = np.arange(live.size, dtype=np.int32)
+        self._head, self._tail = 0, live.size
 
     def _evict(self, count: int) -> None:
-        """Drop the ``count`` least-recently-stamped cached ids."""
+        """Drop the ``count`` least-recently-touched cached ids."""
         while count > 0:
-            chunk = min(max(256, 2 * count), self._tail - self._head)
-            keys = self._log_keys[self._head : self._head + chunk]
-            stamps = self._log_stamps[self._head : self._head + chunk]
-            current = np.flatnonzero(self._stamp_of[keys] == stamps)
-            if len(current) <= count:
-                victims = keys[current]
-                self._head += chunk
-            else:
-                # The batch straddles the quota: stop at the count-th
+            end = self._head + min(max(256, 2 * count), self._tail - self._head)
+            current = np.flatnonzero(self._current(self._head, end))
+            if len(current) > count:
+                # The chunk straddles the quota: stop at the count-th
                 # current entry.
-                victims = keys[current[:count]]
-                self._head += int(current[count - 1]) + 1
+                current = current[:count]
+                end = self._head + int(current[-1]) + 1
+            victims = self._log[self._head + current]
+            self._head = end
             self._stamp_of[victims] = -1
             self._size -= len(victims)
             count -= len(victims)
+
+    def _probe(self, keys: np.ndarray, admit: bool) -> Tuple[int, np.ndarray]:
+        """Look the batch up; with ``admit``, also admit its misses."""
+        arr = self._as_ids(keys)
+        if arr.size == 0:
+            return 0, arr
+        unique = _sorted_unique(arr)
+        if self.capacity_rows == 0:
+            self._misses += unique.size
+            return 0, unique.astype(np.int64)
+        self._grow_table(int(unique[-1]))
+        present = self._stamp_of[unique] >= 0
+        hit_keys, misses = unique[present], unique[~present]
+        if admit:
+            self._append_log(hit_keys, misses)
+            self._size += misses.size
+        else:
+            self._append_log(hit_keys)
+        self._hits += hit_keys.size
+        self._misses += misses.size
+        if self._size > self.capacity_rows:
+            self._evict(self._size - self.capacity_rows)
+        return int(hit_keys.size), misses.astype(np.int64)
 
     # ------------------------------------------------------------------
     def lookup(self, keys: np.ndarray) -> Tuple[int, np.ndarray]:
@@ -325,26 +293,7 @@ class LRUEmbeddingCache(_LRUCacheBase):
 
         Returns ``(num_hits, miss_keys)``.
         """
-        arr = self._as_ids(keys)
-        if arr.size == 0:
-            return 0, arr
-        unique = _dedup_sorted(arr)
-        if self.capacity_rows == 0:
-            self._misses += len(unique)
-            return 0, unique
-        self._grow_table(int(unique[-1]))
-        present = self._stamp_of[unique] >= 0
-        num_hits = int(np.count_nonzero(present))
-        if num_hits:
-            hit_keys = unique[present]
-            stamps = self._clock + np.arange(num_hits)
-            self._clock += num_hits
-            self._stamp_of[hit_keys] = stamps
-            self._append_log(hit_keys, stamps)
-        misses = unique[~present]
-        self._hits += num_hits
-        self._misses += len(misses)
-        return num_hits, misses
+        return self._probe(keys, admit=False)
 
     def admit(self, keys: np.ndarray) -> None:
         """Insert fetched rows, evicting least-recently-used overflow."""
@@ -365,45 +314,16 @@ class LRUEmbeddingCache(_LRUCacheBase):
             last_pos = arr.size - 1 - first_in_reversed
             ordered = rev_unique[np.argsort(last_pos)]
             max_key = int(rev_unique[-1])
-        stamps = self._clock + np.arange(len(ordered))
-        self._clock += arr.size
         self._grow_table(max_key)
         self._size += int(np.count_nonzero(self._stamp_of[ordered] < 0))
-        self._stamp_of[ordered] = stamps
-        self._append_log(ordered, stamps)
+        self._append_log(ordered)
         if self._size > self.capacity_rows:
             self._evict(self._size - self.capacity_rows)
 
     def probe(self, keys: np.ndarray) -> Tuple[int, np.ndarray]:
         """Fused lookup + admit-the-misses: one dedup, one table probe,
-        one stamp write, one queue append.  Accounting-identical to the
-        two-call sequence (the reference's stamp order is hits in
-        ascending id order, then admitted misses in ascending id
-        order — exactly what one consecutive stamp range over
-        ``[hit_keys, miss_keys]`` produces)."""
-        arr = self._as_ids(keys)
-        if arr.size == 0:
-            return 0, arr
-        unique = _dedup_sorted(arr)
-        if self.capacity_rows == 0:
-            self._misses += len(unique)
-            return 0, unique
-        self._grow_table(int(unique[-1]))
-        present = self._stamp_of[unique] >= 0
-        hit_keys = unique[present]
-        misses = unique[~present]
-        num_hits, num_misses = hit_keys.size, misses.size
-        if num_hits and num_misses:
-            touched = np.concatenate([hit_keys, misses])
-        else:
-            touched = hit_keys if num_misses == 0 else misses
-        stamps = self._clock + np.arange(num_hits + num_misses)
-        self._clock += num_hits + num_misses
-        self._stamp_of[touched] = stamps
-        self._append_log(touched, stamps)
-        self._size += num_misses
-        self._hits += num_hits
-        self._misses += num_misses
-        if self._size > self.capacity_rows:
-            self._evict(self._size - self.capacity_rows)
-        return int(num_hits), misses
+        one log append.  Accounting-identical to the two-call sequence
+        (the reference touches hits in ascending id order, then admits
+        the misses in ascending id order — exactly the append of
+        ``[hit_keys, miss_keys]``)."""
+        return self._probe(keys, admit=True)

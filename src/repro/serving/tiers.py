@@ -8,8 +8,8 @@ parameter server.  This module generalizes the serving plane to that
 spectrum:
 
 - :class:`CacheChain` — an inclusive multi-level LRU: each level is an
-  ordinary cache (:class:`~repro.serving.cache.LRUEmbeddingCache` or
-  the reference implementation), and a probe cascades — level ``i``
+  ordinary :class:`~repro.serving.cache.LRUEmbeddingCache`, and a
+  probe cascades — level ``i``
   probes only the misses of level ``i-1``.  Because every level admits
   its own misses, a row found in DRAM is automatically promoted into
   HBM on the same probe.  A one-level chain is bit-identical to the
@@ -87,9 +87,9 @@ class CacheChain:
     if *any* level held it and a miss only when the whole chain missed,
     so a one-level chain is accounting-identical to its bare cache.
 
-    ``cache_factory`` picks the per-level implementation; the fuzz
-    suite instantiates the same chain over
-    :class:`~repro.serving.cache.ReferenceLRUCache` as the oracle.
+    ``cache_factory`` picks the per-level implementation; the test
+    suite instantiates the same chain over its per-key reference cache
+    as the oracle.
     """
 
     def __init__(

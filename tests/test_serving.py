@@ -13,7 +13,6 @@ from repro.serving import (
     MicroBatch,
     MicroBatcher,
     Placement,
-    ReferenceLRUCache,
     Request,
     RequestStream,
     ServingModel,
@@ -24,6 +23,7 @@ from repro.serving import (
 from repro.serving.replay import Replay
 from repro.serving.service import ID_WIRE_BYTES
 from repro.sim import Phase, SimCluster
+from tests.util import ReferenceLRUCache
 
 
 def req(i: int, t: float, keys=(0,)) -> Request:
@@ -245,16 +245,25 @@ class TestLRUCache:
         assert np.array_equal(split.contents(), fused.contents())
 
     @pytest.mark.parametrize("capacity", [0, 4])
-    def test_negative_row_ids_rejected_everywhere(self, capacity):
-        """Both implementations enforce the same id domain on every
-        operation (including the capacity-0 control arm), so a corrupt
-        trace fails identically whichever backs the service."""
+    @pytest.mark.parametrize("bad", [-1, 2**31], ids=["negative", "2**31"])
+    def test_row_ids_outside_int32_rejected_everywhere(self, bad, capacity):
+        """Both implementations enforce the same id domain, int32's
+        non-negative half, on every operation (including the capacity-0
+        control arm), so a corrupt trace fails identically whichever
+        backs the service."""
         for cls in (LRUEmbeddingCache, ReferenceLRUCache):
             cache = cls(capacity)
             for op in (cache.lookup, cache.admit, cache.probe,
                        cache.prefill):
                 with pytest.raises(ValueError, match="non-negative"):
-                    op(np.array([3, -1]))
+                    op(np.array([3, bad]))
+
+    def test_log_beyond_int32_positions_is_a_value_error(self):
+        """A log that would need positions past int32 refuses to grow
+        instead of wrapping its stamps (checked before allocating)."""
+        cache = LRUEmbeddingCache(2**31)
+        with pytest.raises(ValueError, match="beyond int32"):
+            cache._compact_log(2**29)
 
     def test_vectorized_matches_reference_fuzz(self):
         """Acceptance: the numpy fast path reproduces the OrderedDict
@@ -287,6 +296,48 @@ class TestLRUCache:
                 assert len(fast) == len(ref)
                 assert np.array_equal(fast.contents(), ref.contents())
                 assert fast.stats == ref.stats
+
+    @pytest.mark.parametrize("capacity", range(25))
+    def test_vectorized_matches_reference_through_compactions(self, capacity):
+        """The fuzz above never fills the recency log; these cases
+        compact it many times over, with batches larger than the
+        capacity, checking every operation against the reference."""
+        compactions = []
+        compact = LRUEmbeddingCache._compact_log
+
+        def counting_compact(self, incoming):
+            compactions.append(incoming)
+            compact(self, incoming)
+
+        rng = np.random.default_rng(1000 + capacity)
+        fast, ref = LRUEmbeddingCache(capacity), ReferenceLRUCache(capacity)
+        universe = 3 * capacity + 8
+        with mock.patch.object(
+            LRUEmbeddingCache, "_compact_log", counting_compact
+        ):
+            for _ in range(400):
+                op = int(rng.integers(0, 4))
+                size = int(rng.integers(0, 2 * capacity + 9))
+                keys = rng.integers(0, universe, size=size)
+                if op == 0:
+                    got, want = fast.lookup(keys), ref.lookup(keys)
+                    assert got[0] == want[0]
+                    assert np.array_equal(got[1], want[1])
+                elif op == 1:
+                    fast.admit(keys)
+                    ref.admit(keys)
+                elif op == 2:
+                    assert fast.prefill(keys) == ref.prefill(keys)
+                else:
+                    got, want = fast.probe(keys), ref.probe(keys)
+                    assert got[0] == want[0]
+                    assert np.array_equal(got[1], want[1])
+                    assert got[1].dtype == np.int64
+                assert len(fast) == len(ref)
+                assert np.array_equal(fast.contents(), ref.contents())
+                assert fast.stats == ref.stats
+        if capacity:
+            assert len(compactions) >= 20
 
     def test_vectorized_matches_reference_on_served_trace(self):
         """The whole serving report — latencies, breakdowns, cache

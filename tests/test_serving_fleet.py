@@ -14,7 +14,6 @@ from repro.serving import (
     Placement,
     PowerOfTwoChoicesRouter,
     ROUTER_POLICIES,
-    ReferenceLRUCache,
     RequestStream,
     RoundRobinRouter,
     ServingFleet,
@@ -23,6 +22,7 @@ from repro.serving import (
     make_router,
 )
 from repro.sim import SimCluster
+from tests.util import ReferenceLRUCache
 
 
 def tiny_model(**overrides) -> ServingModel:
@@ -340,6 +340,33 @@ class TestServingFleet:
             reports["LRUEmbeddingCache"].to_dict()
             == reports["ReferenceLRUCache"].to_dict()
         )
+
+    @pytest.mark.parametrize("capacity", [16, 512])
+    def test_cache_state_is_int32_and_bounded_by_capacity(self, capacity):
+        """After a served replay every replica cache's recency state is
+        two int32 arrays sized by the cache, not by the trace: a log of
+        at most 4 x (capacity + largest batch) entries and an id table
+        of at most 1.5 x (largest id + 1) entries."""
+        reqs = trace(n=6000, key_space=50_000, skew=0.8)
+        caches = []
+
+        def factory():
+            caches.append(LRUEmbeddingCache(capacity))
+            return caches[-1]
+
+        max_batch = 32
+        make_fleet(
+            cache_factory=factory, max_batch_size=max_batch, num_replicas=3
+        ).serve(reqs)
+        largest_batch = max_batch * reqs.keys.shape[1]
+        largest_id = int(reqs.keys.max())
+        assert len(caches) == 3
+        for cache in caches:
+            assert len(cache) == capacity
+            assert cache._log.dtype == np.int32
+            assert cache._stamp_of.dtype == np.int32
+            assert len(cache._log) <= 4 * (capacity + largest_batch)
+            assert len(cache._stamp_of) <= 1.5 * (largest_id + 1)
 
     def test_report_snapshot_isolation_on_reuse(self):
         """Serving a second trace must report only that trace — not

@@ -10,7 +10,6 @@ from repro.serving import (
     LRUEmbeddingCache,
     MicroBatcher,
     Placement,
-    ReferenceLRUCache,
     RequestStream,
     ServingFleet,
     ServingModel,
@@ -23,6 +22,7 @@ from repro.serving import (
     storage_dollars,
 )
 from repro.sim import SimCluster
+from tests.util import ReferenceLRUCache
 
 
 def tiny_model(**overrides) -> ServingModel:

@@ -1,14 +1,17 @@
-"""Shared test helpers: numerical gradient checking, small models and
-the dense Adagrad reference of the table optimizer."""
+"""Shared test helpers: numerical gradient checking, small models, the
+dense Adagrad reference of the table optimizer and the per-key
+reference of the serving cache."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from collections import OrderedDict
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from repro.models.configs import DenseArch
 from repro.nn import EmbeddingBagCollection, Module, Optimizer, Parameter
+from repro.serving.cache import _LRUCacheBase
 from repro.training import Trainer
 
 
@@ -49,6 +52,57 @@ def with_dense_adagrad(trainer: Trainer) -> Trainer:
         trainer.model.sparse_parameters(), lr=trainer.config.sparse_lr
     )
     return trainer
+
+
+class ReferenceLRUCache(_LRUCacheBase):
+    """Least-recently-used set of embedding row ids (reference walk).
+
+    The per-key ``OrderedDict`` implementation: simple, obviously
+    correct, and a Python-level operation per key.  It is the
+    behavioural specification :class:`~repro.serving.LRUEmbeddingCache`
+    reproduces bit for bit: the same hits, misses, ``contents()`` order
+    and ``stats`` on any trace.
+    """
+
+    def __init__(self, capacity_rows: int):
+        super().__init__(capacity_rows)
+        self._rows: "OrderedDict[int, None]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def contents(self) -> np.ndarray:
+        return np.fromiter(self._rows, dtype=np.int64, count=len(self._rows))
+
+    def lookup(self, keys: np.ndarray) -> Tuple[int, np.ndarray]:
+        """Dedupe the batch; touch the hits in ascending id order and
+        return ``(num_hits, miss_keys)``."""
+        unique = np.unique(self._as_ids(keys))
+        if self.capacity_rows == 0:
+            self._misses += len(unique)
+            return 0, unique
+        misses = []
+        hits = 0
+        for key in unique.tolist():
+            if key in self._rows:
+                self._rows.move_to_end(key)
+                hits += 1
+            else:
+                misses.append(key)
+        self._hits += hits
+        self._misses += len(misses)
+        return hits, np.asarray(misses, dtype=np.int64)
+
+    def admit(self, keys: np.ndarray) -> None:
+        """Insert fetched rows, evicting least-recently-used overflow."""
+        keys = self._as_ids(keys)
+        if self.capacity_rows == 0:
+            return
+        for key in keys.tolist():
+            self._rows[key] = None
+            self._rows.move_to_end(key)
+        while len(self._rows) > self.capacity_rows:
+            self._rows.popitem(last=False)
 
 
 def tiny_dcn_arch(dim: int = 16) -> DenseArch:
